@@ -5,8 +5,7 @@
 //! Xeon E7-4860 v2).  This crate provides
 //!
 //! * [`Topology`] — a description of the machine as sockets × cores, either detected
-//!   from the running system (`/sys` on Linux, falling back to
-//!   [`std::thread::available_parallelism`]) or constructed synthetically (e.g. the
+//!   from the running system (`/sys` on Linux, falling back to [`host_cpus`]) or constructed synthetically (e.g. the
 //!   paper's 4×12 machine) so schedulers and the cost-model simulator can be tuned to a
 //!   machine that is not physically present;
 //! * [`CpuSet`] — a small fixed-size CPU-mask abstraction;
@@ -26,7 +25,7 @@ mod placement;
 mod topology;
 
 pub use cpuset::{CpuSet, MAX_CPUS};
-pub use pin::{current_cpu, pin_to_core, pin_to_set, unpin, PinError};
+pub use pin::{current_cpu, host_cpus, pin_to_core, pin_to_set, unpin, PinError};
 pub use placement::{parse_pin_policy, PlacementConfig, TopologySource};
 pub use topology::{CoreId, PinPolicy, SocketId, Topology, TopologyError};
 

@@ -6,6 +6,7 @@
 //! correctness requirement).
 
 use crate::CpuSet;
+use std::sync::OnceLock;
 
 /// Error returned when a pinning request could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +44,23 @@ pub fn pin_to_set(set: &CpuSet) -> Result<(), PinError> {
     imp::set_affinity(set)
 }
 
-/// Removes any affinity restriction by allowing all CPUs `0..n` where `n` is the number
-/// of CPUs reported by the OS.
+/// The number of hardware threads available to the **process**, read once.
+///
+/// [`std::thread::available_parallelism`] counts the CPUs in the *calling thread's*
+/// affinity mask, so a thread that has pinned itself (every pool pins its builder)
+/// would answer 1 from then on and size everything built afterwards for a one-CPU
+/// machine.  The first call latches the count; the team skeleton in `parlo-exec`
+/// makes that call right before its master-pin site, so the latched value is the
+/// unpinned one no matter what a pinned thread asks later.
+pub fn host_cpus() -> usize {
+    static HOST_CPUS: OnceLock<usize> = OnceLock::new();
+    *HOST_CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Removes any affinity restriction by allowing all CPUs `0..n` where `n` is
+/// [`host_cpus`].
 pub fn unpin() -> Result<(), PinError> {
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    pin_to_set(&CpuSet::first_n(n.max(1)))
+    pin_to_set(&CpuSet::first_n(host_cpus()))
 }
 
 /// Returns the CPU the calling thread is currently executing on, if the platform can

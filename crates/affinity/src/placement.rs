@@ -17,7 +17,7 @@ use crate::{PinPolicy, Topology};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySource {
     /// Detect the running machine (`/sys` on Linux, falling back to a single socket of
-    /// [`std::thread::available_parallelism`] cores).
+    /// [`host_cpus`](crate::host_cpus) cores).
     Detect,
     /// The paper's evaluation machine: 4 sockets × 12 cores.
     PaperMachine,

@@ -84,7 +84,7 @@ impl Topology {
     /// information is absent (other platforms, stripped-down CI containers) or
     /// **malformed** — an online CPU's `topology` directory lacks a parseable package
     /// id — it falls back to a single flat socket containing
-    /// [`std::thread::available_parallelism`] cores rather than misreporting a partial
+    /// [`host_cpus`](crate::host_cpus) cores rather than misreporting a partial
     /// machine.  This function never panics.
     pub fn detect() -> Self {
         Self::detect_from_sysfs(std::path::Path::new("/sys/devices/system/cpu"))
@@ -93,10 +93,7 @@ impl Topology {
 
     /// The flat single-socket fallback shape used when `/sys` detection is unusable.
     fn fallback_flat() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::flat(n.max(1)).expect("n >= 1")
+        Self::flat(crate::host_cpus()).expect("host_cpus() >= 1")
     }
 
     /// Reads the socket layout from a sysfs-style directory tree.  Returns `None` —

@@ -6,7 +6,7 @@
 //! participant contends on the same cache line, but for small thread counts the shorter
 //! critical path wins.
 
-use crate::{Barrier, Epoch, WaitPolicy};
+use crate::{Epoch, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_sync::{AtomicU64, Ordering};
 
@@ -119,60 +119,9 @@ impl CentralizedJoin {
     }
 }
 
-/// A stand-alone centralized full barrier built from an arrival counter and a release
-/// epoch (a "counter barrier").  Equivalent in structure to two [`CentralizedJoin`] /
-/// [`CentralizedRelease`] phases glued together; provided for the [`Barrier`] trait.
-#[derive(Debug)]
-pub struct CounterBarrier {
-    nthreads: usize,
-    arrivals: CachePadded<AtomicU64>,
-    release: CachePadded<AtomicU64>,
-    policy: WaitPolicy,
-}
-
-impl CounterBarrier {
-    /// Creates a counter barrier for `nthreads` participants.
-    pub fn new(nthreads: usize) -> Self {
-        Self::with_policy(nthreads, WaitPolicy::auto_for(nthreads))
-    }
-
-    /// Creates a counter barrier with an explicit wait policy.
-    pub fn with_policy(nthreads: usize, policy: WaitPolicy) -> Self {
-        assert!(nthreads > 0, "a barrier needs at least one participant");
-        CounterBarrier {
-            nthreads,
-            arrivals: CachePadded::new(AtomicU64::new(0)),
-            release: CachePadded::new(AtomicU64::new(0)),
-            policy,
-        }
-    }
-}
-
-impl Barrier for CounterBarrier {
-    fn num_threads(&self) -> usize {
-        self.nthreads
-    }
-
-    fn wait(&self, _id: usize) {
-        let n = self.nthreads as u64;
-        let ticket = self.arrivals.fetch_add(1, Ordering::AcqRel) + 1;
-        // The episode this arrival belongs to (1-based).
-        let episode = ticket.div_ceil(n);
-        if ticket == episode * n {
-            // Last arrival of the episode releases everyone.
-            self.release.store(episode, Ordering::Release);
-            crate::wake_parked();
-        } else {
-            self.policy
-                .wait_until(|| self.release.load(Ordering::Acquire) >= episode);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::harness::exercise;
     use std::sync::Arc;
 
     #[test]
@@ -224,24 +173,5 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn counter_barrier_single_thread() {
-        let b = CounterBarrier::new(1);
-        for _ in 0..10 {
-            b.wait(0);
-        }
-    }
-
-    #[test]
-    fn counter_barrier_stress() {
-        exercise(Arc::new(CounterBarrier::new(4)), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one participant")]
-    fn zero_threads_panics() {
-        let _ = CounterBarrier::new(0);
     }
 }

@@ -7,10 +7,9 @@
 //! without dropping the redundant phases.  The OpenMP-like baseline team in `parlo-omp`
 //! is built on this structure as well.
 //!
-//! Unlike the stand-alone [`crate::Barrier`] implementations, [`FullBarrier`] takes the
-//! epoch explicitly so it can share the persistent-pool epoch numbering with
-//! [`crate::HalfBarrier`], making the half-vs-full comparison a one-line configuration
-//! switch in the scheduler.
+//! [`FullBarrier`] takes the epoch explicitly so it can share the persistent-pool
+//! epoch numbering with [`crate::HalfBarrier`], making the half-vs-full comparison a
+//! one-line configuration switch in the scheduler.
 
 use crate::{
     CentralizedJoin, CentralizedRelease, Epoch, TreeJoin, TreeRelease, TreeShape, WaitPolicy,

@@ -24,8 +24,6 @@
 //! * the topology-aware hierarchical composition — socket-local arrival trees, one
 //!   cross-socket rendezvous per cycle, socket-local release fan-out, per-socket
 //!   grouped flags: [`HierarchicalHalfBarrier`] (instrumented via [`HierarchyStats`]);
-//! * classic stand-alone barriers implementing the [`Barrier`] trait:
-//!   [`SenseBarrier`], [`CounterBarrier`], [`TreeBarrier`], [`DisseminationBarrier`];
 //! * [`FullBarrier`] / [`HalfBarrier`] compositions used directly by the schedulers.
 //!
 //! All primitives are *epoch based*: every fork/join cycle uses a fresh monotonically
@@ -35,23 +33,23 @@
 #![warn(missing_docs)]
 
 mod counter;
-mod dissemination;
 mod full;
 mod half;
 mod hierarchical;
 mod park;
-mod sense;
-mod traits;
 mod tree;
 mod wait;
 
-pub use counter::{CentralizedJoin, CentralizedRelease, CounterBarrier};
-pub use dissemination::DisseminationBarrier;
+pub use counter::{CentralizedJoin, CentralizedRelease};
 pub use full::FullBarrier;
 pub use half::HalfBarrier;
 pub use hierarchical::{HierarchicalHalfBarrier, HierarchyStats};
 pub use park::wake_parked;
-pub use sense::SenseBarrier;
-pub use traits::{Barrier, Epoch};
-pub use tree::{TreeBarrier, TreeJoin, TreeRelease, TreeShape};
+pub use tree::{TreeJoin, TreeRelease, TreeShape};
 pub use wait::{WaitMode, WaitPolicy};
+
+/// Epoch counter type. Every fork/join cycle of the runtime uses a fresh epoch; all
+/// epoch-based primitives store "the epoch up to which this event has happened" in an
+/// atomic and compare against the current epoch, which sidesteps re-initialisation
+/// races when a structure is reused.
+pub type Epoch = u64;

@@ -3,7 +3,7 @@
 //! A thread whose [`crate::WaitPolicy`] has exhausted its spin and yield budgets
 //! blocks here on a shared condvar instead of burning a hardware thread.  Every
 //! barrier-side *release* store (centralized epoch signal, tree fan-out, hierarchical
-//! socket line, sense flip, dissemination round flag, join arrival) calls
+//! socket line, join arrival) calls
 //! [`wake_parked`] right after publishing its flag, so a parked waiter is notified as
 //! soon as the condition it is waiting on can have changed.
 //!

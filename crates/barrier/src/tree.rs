@@ -15,7 +15,7 @@
 //! [`Topology`] so that each socket's threads form a socket-local subtree and only the
 //! subtree roots cross the interconnect.
 
-use crate::{Barrier, Epoch, WaitPolicy};
+use crate::{Epoch, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::Topology;
 use parlo_sync::{AtomicU64, Ordering};
@@ -292,71 +292,9 @@ impl TreeJoin {
     }
 }
 
-/// A stand-alone MCS-style tree barrier implementing the [`Barrier`] trait: an arrival
-/// tree followed by a release tree, i.e. a **full** barrier.  This is what the OpenMP
-/// baseline executes twice (plus once more for reductions) per parallel loop, and what
-/// the "fine-grain tree with full-barrier" configuration of Table 1 uses.
-#[derive(Debug)]
-pub struct TreeBarrier {
-    join: TreeJoin,
-    release: TreeRelease,
-    episode: Vec<CachePadded<AtomicU64>>,
-    policy: WaitPolicy,
-}
-
-impl TreeBarrier {
-    /// Creates a tree barrier over `nthreads` participants with the given arrival
-    /// fan-in, using a uniform shape.
-    pub fn new(nthreads: usize, fanin: usize) -> Self {
-        Self::with_shape(
-            TreeShape::uniform(nthreads, fanin),
-            WaitPolicy::auto_for(nthreads),
-        )
-    }
-
-    /// Creates a tree barrier tuned to a machine topology.
-    pub fn topology_aware(topology: &Topology, nthreads: usize) -> Self {
-        let shape =
-            TreeShape::topology_aware(topology, nthreads, topology.suggested_arrival_fanin());
-        Self::with_shape(shape, WaitPolicy::auto_for(nthreads))
-    }
-
-    /// Creates a tree barrier over an explicit shape and wait policy.
-    pub fn with_shape(shape: TreeShape, policy: WaitPolicy) -> Self {
-        let n = shape.len();
-        TreeBarrier {
-            join: TreeJoin::new(shape.clone()),
-            release: TreeRelease::new(shape),
-            episode: (0..n)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            policy,
-        }
-    }
-}
-
-impl Barrier for TreeBarrier {
-    fn num_threads(&self) -> usize {
-        self.join.shape().len()
-    }
-
-    fn wait(&self, id: usize) {
-        // Each participant tracks its own episode counter; all participants advance in
-        // lockstep because the barrier itself enforces it.
-        let epoch = self.episode[id].fetch_add(1, Ordering::Relaxed) + 1;
-        self.join.arrive(id, epoch, &self.policy);
-        if id == 0 {
-            self.release.signal_root(epoch);
-        } else {
-            self.release.wait_and_forward(id, epoch, &self.policy);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::harness::exercise;
     use std::sync::Arc;
 
     #[test]
@@ -476,25 +414,6 @@ mod tests {
         join.arrive_and_combine(0, 1, &WaitPolicy::default(), |_| calls += 1);
         assert_eq!(calls, 0);
         assert!(join.has_arrived(0, 1));
-    }
-
-    #[test]
-    fn tree_barrier_stress_uniform() {
-        exercise(Arc::new(TreeBarrier::new(5, 2)), 30);
-    }
-
-    #[test]
-    fn tree_barrier_stress_topology_aware() {
-        let topo = Topology::synthetic(2, 2).unwrap();
-        exercise(Arc::new(TreeBarrier::topology_aware(&topo, 4)), 30);
-    }
-
-    #[test]
-    fn tree_barrier_single_thread() {
-        let b = TreeBarrier::new(1, 4);
-        for _ in 0..5 {
-            b.wait(0);
-        }
     }
 
     #[test]

@@ -134,10 +134,7 @@ impl WaitPolicy {
                 Err(e) => eprintln!("parlo: ignoring PARLO_WAIT: {e}"),
             }
         }
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if nthreads <= hw {
+        if nthreads <= parlo_affinity::host_cpus() {
             WaitPolicy {
                 mode: WaitMode::SpinThenYield,
                 spins_before_yield: 4096,

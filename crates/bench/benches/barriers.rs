@@ -1,6 +1,6 @@
 //! Criterion bench of the barrier primitives themselves: one release+join cycle of the
-//! half-barrier (tree and centralized) against one full-barrier cycle, plus the classic
-//! stand-alone barriers.  This is the ablation behind the "half vs full" design choice.
+//! half-barrier (tree and centralized) against one full-barrier cycle.  This is the
+//! ablation behind the "half vs full" design choice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
@@ -28,24 +28,6 @@ fn bench_barriers(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("standalone_barrier_wait");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(400));
-    // Single-participant wait cost of each stand-alone barrier implementation (the
-    // multi-thread behaviour is covered by the pool benches above and by the tests).
-    use parlo_barrier::{Barrier, CounterBarrier, DisseminationBarrier, SenseBarrier, TreeBarrier};
-    let sense = SenseBarrier::new(1);
-    group.bench_function("sense-reversing", |b| b.iter(|| sense.wait(0)));
-    let counter = CounterBarrier::new(1);
-    group.bench_function("counter", |b| b.iter(|| counter.wait(0)));
-    let tree = TreeBarrier::new(1, 4);
-    group.bench_function("mcs-tree", |b| b.iter(|| tree.wait(0)));
-    let diss = DisseminationBarrier::new(1);
-    group.bench_function("dissemination", |b| b.iter(|| diss.wait(0)));
     group.finish();
 }
 

@@ -312,9 +312,7 @@ pub fn trace_finish(path: Option<&str>) {
 
 /// The machine's hardware parallelism (1 if it cannot be detected).
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    parlo_affinity::host_cpus()
 }
 
 /// Parses a thread-count specification (`PARLO_THREADS`, `--threads`): the input is

@@ -15,12 +15,11 @@
 //!   loop and reduced pairwise in the join phase of the half-barrier, exactly `P − 1`
 //!   reduce operations.
 
-use crate::scheduler::{CilkPool, FineJob, LoopDescriptor};
-use crossbeam::utils::CachePadded;
+use crate::scheduler::{CilkPool, CilkStats, LoopDescriptor};
 use parking_lot::Mutex;
 use parlo_core::static_block;
+use parlo_exec::{Job, ReduceViews};
 use parlo_sync::Ordering;
-use std::cell::UnsafeCell;
 use std::ops::Range;
 
 // ----------------------------------------------------------------------------------
@@ -31,32 +30,9 @@ struct CilkReduceHarness<'a, T, Id, Fold> {
     identity: &'a Id,
     fold: &'a Fold,
     /// The per-worker *current* views (lazily created on first fold).
-    views: Vec<CachePadded<UnsafeCell<Option<T>>>>,
+    views: ReduceViews<T>,
     /// Views closed out when their owner stole work; each will cost a reduce operation.
     retired: Mutex<Vec<T>>,
-}
-
-impl<'a, T, Id: Fn() -> T, Fold> CilkReduceHarness<'a, T, Id, Fold> {
-    /// # Safety
-    /// Only worker `id` may access view `id`.
-    unsafe fn with_view<R>(&self, id: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        if slot.is_none() {
-            *slot = Some((self.identity)());
-        }
-        f(slot.as_mut().expect("view just initialised"))
-    }
-
-    /// # Safety
-    /// Only worker `id` may access view `id`.
-    unsafe fn retire_view(&self, id: usize) {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        if let Some(v) = slot.take() {
-            self.retired.lock().push(v);
-        }
-    }
 }
 
 unsafe fn cilk_reduce_range<T, Id, Fold>(data: *const (), worker: usize, lo: usize, hi: usize)
@@ -68,18 +44,13 @@ where
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
-    // SAFETY: `worker` is the calling worker; only it touches its view.
-    unsafe {
-        h.with_view(worker, |view| {
-            // Move the accumulator out (leaving an identity placeholder) so it can flow
-            // through the by-value `fold`, then store it back.
-            let mut value = std::mem::replace(view, (h.identity)());
-            for i in lo..hi {
-                value = (h.fold)(value, i);
-            }
-            *view = value;
-        });
+    // SAFETY: `worker` is the calling worker; only it touches its current view.
+    let mut value = unsafe { h.views.take(worker) }.unwrap_or_else(h.identity);
+    for i in lo..hi {
+        value = (h.fold)(value, i);
     }
+    // SAFETY: as above.
+    unsafe { h.views.put(worker, value) };
 }
 
 unsafe fn cilk_reduce_on_steal<T, Id, Fold>(data: *const (), worker: usize)
@@ -91,8 +62,10 @@ where
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
-    // SAFETY: `worker` is the calling worker.
-    unsafe { h.retire_view(worker) };
+    // SAFETY: `worker` is the calling worker; only it touches its current view.
+    if let Some(view) = unsafe { h.views.take(worker) } {
+        h.retired.lock().push(view);
+    }
 }
 
 // ----------------------------------------------------------------------------------
@@ -103,23 +76,10 @@ struct FineReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    views: Vec<CachePadded<UnsafeCell<Option<T>>>>,
+    views: ReduceViews<T>,
     range: Range<usize>,
     nthreads: usize,
-}
-
-impl<'a, T, Id: Fn() -> T, Fold, Comb> FineReduceHarness<'a, T, Id, Fold, Comb> {
-    unsafe fn take_view(&self, id: usize) -> T {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        slot.take().unwrap_or_else(|| (self.identity)())
-    }
-
-    unsafe fn put_view(&self, id: usize, value: T) {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        *slot = Some(value);
-    }
+    stats: &'a CilkStats,
 }
 
 unsafe fn fine_reduce_exec<T, Id, Fold, Comb>(data: *const (), id: usize)
@@ -137,7 +97,7 @@ where
         acc = (h.fold)(acc, i);
     }
     // SAFETY: each participant writes only its own view before arriving.
-    unsafe { h.put_view(id, acc) };
+    unsafe { h.views.put(id, acc) };
 }
 
 unsafe fn fine_reduce_combine<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
@@ -150,12 +110,9 @@ where
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
+    h.stats.fine_combine_ops.fetch_add(1, Ordering::Relaxed);
     // SAFETY: serialized by the join-phase protocol of the half-barrier.
-    unsafe {
-        let a = h.take_view(into);
-        let b = h.take_view(from);
-        h.put_view(into, (h.combine)(a, b));
-    }
+    unsafe { h.views.combine(into, from, h.combine) };
 }
 
 impl CilkPool {
@@ -185,16 +142,12 @@ impl CilkPool {
         let harness = CilkReduceHarness {
             identity: &identity,
             fold: &fold,
-            views: (0..nthreads)
-                .map(|_| CachePadded::new(UnsafeCell::new(None)))
-                .collect(),
+            views: ReduceViews::new(nthreads, || None),
             retired: Mutex::new(Vec::new()),
         };
-        self.shared().stats.loops.fetch_add(1, Ordering::Relaxed);
-        self.shared()
-            .stats
-            .reductions
-            .fetch_add(1, Ordering::Relaxed);
+        let stats = &self.work().stats;
+        stats.loops.fetch_add(1, Ordering::Relaxed);
+        stats.reductions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the harness outlives the loop; the entry points match its type.
         unsafe {
             self.run_cilk_loop(
@@ -211,19 +164,11 @@ impl CilkPool {
         // view.  Each merge is one reduce operation (this is where baseline Cilk pays
         // more than P − 1 operations when stealing occurred).
         let mut pending: Vec<T> = harness.retired.into_inner();
-        for id in 0..nthreads {
-            // SAFETY: the loop has completed; the master is the only remaining accessor.
-            let slot = unsafe { &mut *harness.views[id].get() };
-            if let Some(v) = slot.take() {
-                pending.push(v);
-            }
-        }
+        // SAFETY: the loop has completed; the master is the only remaining accessor.
+        pending.extend((0..nthreads).filter_map(|id| unsafe { harness.views.take(id) }));
         let mut acc = identity();
         for v in pending {
-            self.shared()
-                .stats
-                .reduce_ops
-                .fetch_add(1, Ordering::Relaxed);
+            stats.reduce_ops.fetch_add(1, Ordering::Relaxed);
             acc = combine(acc, v);
         }
         acc
@@ -272,30 +217,23 @@ impl CilkPool {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: (0..nthreads)
-                .map(|_| CachePadded::new(UnsafeCell::new(None)))
-                .collect(),
+            views: ReduceViews::new(nthreads, || None),
             range,
             nthreads,
+            stats: &self.work().stats,
         };
-        self.shared()
-            .stats
-            .fine_loops
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared()
-            .stats
-            .reductions
-            .fetch_add(1, Ordering::Relaxed);
+        harness.stats.fine_loops.fetch_add(1, Ordering::Relaxed);
+        harness.stats.reductions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as in `cilk_reduce_with_grain`.
         unsafe {
-            self.run_fine_loop(FineJob {
-                data: &harness as *const _ as *const (),
-                execute: fine_reduce_exec::<T, Id, Fold, Comb>,
-                combine: Some(fine_reduce_combine::<T, Id, Fold, Comb>),
-            });
+            self.run_fine_loop(Job::new(
+                &harness,
+                fine_reduce_exec::<T, Id, Fold, Comb>,
+                Some(fine_reduce_combine::<T, Id, Fold, Comb>),
+            ));
         }
         // SAFETY: the loop has completed; the master's view holds the combined result.
-        unsafe { harness.take_view(0) }
+        unsafe { harness.views.take(0) }.expect("master view present after the join")
     }
 }
 

@@ -22,9 +22,9 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
 use parlo_core::static_block;
-use parlo_exec::{ClientHooks, Executor, Lease};
-use parlo_sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::cell::{Cell, UnsafeCell};
+use parlo_exec::{Executor, Job, Team, TeamSync};
+use parlo_sync::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -132,25 +132,6 @@ impl LoopDescriptor {
     }
 }
 
-/// Type-erased descriptor of the current fine-grain (half-barrier) loop.
-#[derive(Clone, Copy)]
-pub(crate) struct FineJob {
-    pub(crate) data: *const (),
-    pub(crate) execute: unsafe fn(*const (), usize),
-    pub(crate) combine: Option<unsafe fn(*const (), usize, usize)>,
-}
-
-impl FineJob {
-    fn noop() -> Self {
-        unsafe fn nop(_: *const (), _: usize) {}
-        FineJob {
-            data: std::ptr::null(),
-            execute: nop,
-            combine: None,
-        }
-    }
-}
-
 /// Instrumentation counters of a [`CilkPool`].
 #[derive(Debug, Default)]
 pub(crate) struct CilkStats {
@@ -187,61 +168,96 @@ pub struct CilkStatsSnapshot {
     pub fine_combine_ops: u64,
 }
 
-pub(crate) struct CilkShared {
-    pub(crate) nthreads: usize,
-    pub(crate) deques: Vec<WorkStealingDeque<Task>>,
+/// What the participants of a Cilk pool share for the baseline `cilk_for` path: the
+/// deques, the loop descriptor, the outstanding-iteration count and the counters.
+pub(crate) struct CilkWork {
+    deques: Vec<WorkStealingDeque<Task>>,
     descriptor: UnsafeCell<LoopDescriptor>,
     remaining: AtomicUsize,
-    /// Asks the leased workers to exit the polling body and park in the substrate.
-    detach: AtomicBool,
-    /// Where each worker's fine-grain epoch counter resumes after a detach/re-attach
-    /// cycle (the workers never block between loops — they poll — so the detach hook
-    /// only has to raise the flag).
-    worker_fine_epochs: Vec<CachePadded<AtomicU64>>,
-    /// Diagnostic: a lease revoked while a loop is in flight is a contract bug.
-    in_loop: AtomicBool,
-    pub(crate) policy: WaitPolicy,
     pub(crate) stats: CilkStats,
-    fine: HalfBarrier,
-    fine_job: UnsafeCell<FineJob>,
-    config: CilkConfig,
+    /// xorshift64* victim-selection state of each participant (owner-only access).
+    rngs: Vec<CachePadded<AtomicU64>>,
 }
 
-/// The pool's detach hook.  Cilk workers poll (they never block on a barrier between
-/// loops), so raising the flag is enough; no synchronization episode is consumed.
-fn detach_workers(shared: &CilkShared) {
-    assert!(
-        !shared.in_loop.swap(true, Ordering::Relaxed),
-        "Cilk pool lease revoked while a loop is in flight; concurrent drivers of one \
-         pool must coordinate (see the parlo-exec multi-driver contract)"
-    );
-    shared.detach.store(true, Ordering::Release);
-    shared.in_loop.store(false, Ordering::Relaxed);
-}
-
-// SAFETY: the descriptor/fine_job cells are only written by the master strictly before
-// the release edge workers synchronize on (the `remaining` release store for cilk loops,
-// the half-barrier release for fine-grain loops); everything else is atomic or immutable.
-unsafe impl Sync for CilkShared {}
+// SAFETY: the descriptor cell is only written by the master strictly before the
+// `remaining` release store that opens a cilk loop, and read by participants strictly
+// after they observe it; everything else is atomic or immutable.  Deque `i` is pushed
+// and popped only by participant `i` and stolen from by any — the Chase–Lev contract.
+unsafe impl Sync for CilkWork {}
 // SAFETY: same release-edge argument as Sync above.
-unsafe impl Send for CilkShared {}
+unsafe impl Send for CilkWork {}
+
+/// The hybrid sync shape: the embedded half-barrier, whose workers — instead of
+/// blocking at the fork — alternate the release probe with one cycle of the random
+/// work-stealing algorithm while they wait.
+pub(crate) struct Hybrid {
+    fine: HalfBarrier,
+    pub(crate) work: CilkWork,
+}
+
+impl TeamSync for Hybrid {
+    fn num_threads(&self) -> usize {
+        self.fine.num_threads()
+    }
+
+    #[inline]
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
+        self.fine.master_fork(at, policy);
+    }
+
+    fn worker_fork(&self, id: usize, at: &mut Epoch, _policy: &WaitPolicy) {
+        *at += 1;
+        let mut idle_spins: u32 = 0;
+        // Poll the half-barrier for a fine-grain static loop ...
+        while !self.fine.poll_release(id, *at) {
+            // ... alternating with one cycle of the random work-stealing algorithm.
+            if self.work.remaining.load(Ordering::Acquire) > 0 && self.work.help(id) {
+                idle_spins = 0;
+            } else if idle_spins < 64 {
+                // Nothing to do: back off gently (spin a little, then yield) so an idle
+                // pool does not monopolise an oversubscribed machine.
+                idle_spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        self.fine.forward_release(id, *at);
+    }
+
+    #[inline]
+    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
+        self.fine.master_join(at, policy, r, f);
+    }
+
+    #[inline]
+    fn worker_join<F: FnMut(usize)>(
+        &self,
+        id: usize,
+        at: &mut Epoch,
+        policy: &WaitPolicy,
+        r: bool,
+        f: F,
+    ) {
+        self.fine.worker_join(id, at, policy, r, f);
+    }
+}
 
 /// A Cilk-like work-stealing pool with the paper's hybrid fine-grain extension.
 ///
 /// Loop methods take `&mut self`: the pool serves one master thread and loops do not
 /// nest.
 pub struct CilkPool {
-    shared: Arc<CilkShared>,
-    /// The pool's claim on the shared worker substrate (the pool spawns no threads).
-    lease: Lease,
-    fine_epoch: Cell<Epoch>,
-    rng: Cell<u64>,
+    /// The shared team skeleton over the hybrid sync shape (the pool spawns no
+    /// threads); fine-grain loops are its cycles, `cilk_for` loops run between them.
+    team: Team<Hybrid>,
+    config: CilkConfig,
 }
 
 impl std::fmt::Debug for CilkPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CilkPool")
-            .field("num_threads", &self.shared.nthreads)
+            .field("num_threads", &self.num_threads())
             .finish()
     }
 }
@@ -288,27 +304,6 @@ impl CilkPool {
     /// Creates a pool from an explicit configuration, leasing its workers from the
     /// given substrate.
     pub fn new_on(config: CilkConfig, executor: &Arc<Executor>) -> Self {
-        Self::build(config, executor, None)
-    }
-
-    /// Creates a gang-sized pool over an explicit partition of substrate worker ids
-    /// (see `Executor::register_partition` for the partition contract).  The
-    /// configuration's `num_threads` must equal `workers.len() + 1`; the calling
-    /// thread is never re-pinned.
-    pub fn new_on_partition(
-        config: CilkConfig,
-        executor: &Arc<Executor>,
-        workers: &[usize],
-    ) -> Self {
-        assert_eq!(
-            config.num_threads,
-            workers.len() + 1,
-            "a partition pool has one thread per leased worker plus its master"
-        );
-        Self::build(config, executor, Some(workers))
-    }
-
-    fn build(config: CilkConfig, executor: &Arc<Executor>, partition: Option<&[usize]>) -> Self {
         let nthreads = config.num_threads.max(1);
         let fanin = config.topology.suggested_arrival_fanin();
         let fine = if config.hierarchical {
@@ -316,83 +311,48 @@ impl CilkPool {
         } else {
             HalfBarrier::new_tree(TreeShape::topology_aware(&config.topology, nthreads, fanin))
         };
-        let shared = Arc::new(CilkShared {
-            nthreads,
+        let work = CilkWork {
             deques: (0..nthreads)
                 .map(|_| WorkStealingDeque::with_default_capacity())
                 .collect(),
             descriptor: UnsafeCell::new(LoopDescriptor::noop()),
             remaining: AtomicUsize::new(0),
-            detach: AtomicBool::new(false),
-            worker_fine_epochs: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            in_loop: AtomicBool::new(false),
-            policy: config.wait,
             stats: CilkStats::default(),
-            fine,
-            fine_job: UnsafeCell::new(FineJob::noop()),
-            config: config.clone(),
-        });
-        if partition.is_none() {
-            if let Some(core) = config.topology.core_for_worker(0, config.pin) {
-                let _ = parlo_affinity::pin_to_core(core);
-            }
-        }
-        let body = {
-            let shared = shared.clone();
-            Arc::new(move |id: usize| worker_body(&shared, id))
+            rngs: (0..nthreads as u64)
+                .map(|id| 0xA076_1D64_78BD_642F ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .map(|seed| CachePadded::new(AtomicU64::new(seed)))
+                .collect(),
         };
-        let detach = {
-            let shared = shared.clone();
-            Arc::new(move || detach_workers(&shared))
-        };
-        let hooks = ClientHooks {
-            name: "cilk".to_string(),
-            participants: nthreads,
-            body,
-            detach,
-        };
-        let lease = match partition {
-            None => executor.register(hooks),
-            Some(workers) => executor.register_partition(hooks, workers.to_vec()),
-        };
-        CilkPool {
-            shared,
-            lease,
-            fine_epoch: Cell::new(0),
-            rng: Cell::new(0x9E3779B97F4A7C15),
-        }
-    }
-
-    /// Makes sure the pool's lease on the substrate workers is active (one atomic load
-    /// when it already is).
-    fn ensure_workers(&self) {
-        if self.shared.nthreads <= 1 {
-            return;
-        }
-        self.lease
-            .ensure_active(|| self.shared.detach.store(false, Ordering::Relaxed));
+        let team = Team::build(
+            "cilk".to_string(),
+            Hybrid { fine, work },
+            config.wait,
+            &config.topology,
+            config.pin,
+            executor,
+            None,
+        );
+        CilkPool { team, config }
     }
 
     /// The substrate this pool leases its workers from.
     pub fn executor(&self) -> &Arc<Executor> {
-        self.lease.executor()
+        self.team.executor()
     }
 
     /// Number of workers (master included).
     pub fn num_threads(&self) -> usize {
-        self.shared.nthreads
+        self.team.num_threads()
     }
 
     /// The configuration the pool was built with.
     pub fn config(&self) -> &CilkConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// A snapshot of the pool's instrumentation counters.
     pub fn stats(&self) -> CilkStatsSnapshot {
-        let s = &self.shared.stats;
+        let s = &self.work().stats;
         CilkStatsSnapshot {
             loops: s.loops.load(Ordering::Relaxed),
             fine_loops: s.fine_loops.load(Ordering::Relaxed),
@@ -405,22 +365,21 @@ impl CilkPool {
         }
     }
 
-    pub(crate) fn shared(&self) -> &CilkShared {
-        &self.shared
+    pub(crate) fn work(&self) -> &CilkWork {
+        &self.team.sync().work
     }
 
     /// Instrumentation counters of the embedded hierarchical half-barrier, or `None`
     /// when the pool was configured with a flat fine-grain tree.
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
-        self.shared.fine.hierarchy_stats()
+        self.team.sync().fine.hierarchy_stats()
     }
 
     /// The grain size a loop of `n` iterations would use by default on this pool.
     pub fn effective_grain(&self, n: usize) -> usize {
-        self.shared
-            .config
+        self.config
             .grain
-            .unwrap_or_else(|| default_grain(n, self.shared.nthreads))
+            .unwrap_or_else(|| default_grain(n, self.num_threads()))
             .max(1)
     }
 
@@ -433,51 +392,32 @@ impl CilkPool {
     /// The harness behind `descriptor.data` must stay alive until this returns and be
     /// safe to use concurrently from all workers.
     pub(crate) unsafe fn run_cilk_loop(&self, range: Range<usize>, descriptor: LoopDescriptor) {
-        let shared = &*self.shared;
         let n = range.end.saturating_sub(range.start);
         if n == 0 {
             return;
         }
-        // Claim the pool before touching any loop state: a racing second driver
-        // panics deterministically on its own swap instead of corrupting the deques.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "Cilk pool driven by two threads at once: a pool serves exactly one \
-             master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        // SAFETY: the previous loop fully drained (`remaining` hit zero), so no
-        // worker reads the descriptor cell; publish it before opening the loop by
-        // making `remaining` non-zero.
-        unsafe { *shared.descriptor.get() = descriptor };
-        shared.remaining.store(n, Ordering::Release);
-        // The master processes the root task, then keeps helping until the loop drains.
-        let mut rng = self.rng.get();
-        process_task(
-            shared,
-            0,
-            Task {
-                lo: range.start,
-                hi: range.end,
-            },
-        );
-        while shared.remaining.load(Ordering::Acquire) > 0 {
-            if let Some((task, stolen)) = obtain_task(shared, 0, &mut rng) {
-                if stolen {
-                    // SAFETY: a task exists, so the descriptor is the current loop's.
-                    let desc = unsafe { *shared.descriptor.get() };
-                    if let Some(f) = desc.on_steal {
-                        // SAFETY: the harness behind `desc.data` outlives the loop.
-                        unsafe { f(desc.data, 0) };
-                    }
+        let work = self.work();
+        self.team.drive(|| {
+            // SAFETY: the previous loop fully drained (`remaining` hit zero), so no
+            // worker reads the descriptor cell; publish it before opening the loop by
+            // making `remaining` non-zero.
+            unsafe { *work.descriptor.get() = descriptor };
+            work.remaining.store(n, Ordering::Release);
+            // The master processes the root task, then keeps helping until the loop
+            // drains.
+            work.process_task(
+                0,
+                Task {
+                    lo: range.start,
+                    hi: range.end,
+                },
+            );
+            while work.remaining.load(Ordering::Acquire) > 0 {
+                if !work.help(0) {
+                    std::thread::yield_now();
                 }
-                process_task(shared, 0, task);
-            } else {
-                std::thread::yield_now();
             }
-        }
-        self.rng.set(rng);
-        shared.in_loop.store(false, Ordering::Relaxed);
+        });
     }
 
     // ----- fine-grain (hybrid) path --------------------------------------------------
@@ -485,162 +425,93 @@ impl CilkPool {
     /// Runs a type-erased fine-grain loop through the embedded half-barrier.
     ///
     /// # Safety
-    /// As for [`CilkPool::run_cilk_loop`].
-    pub(crate) unsafe fn run_fine_loop(&self, job: FineJob) {
-        let shared = &*self.shared;
-        // Same deterministic two-driver guard as `run_cilk_loop`.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "Cilk pool driven by two threads at once: a pool serves exactly one \
-             master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        let epoch = self.fine_epoch.get() + 1;
-        self.fine_epoch.set(epoch);
-        let has_combine = job.combine.is_some();
-        // SAFETY: the previous fine epoch's join completed, so no worker reads the
-        // cell; publish before the half-barrier release.
-        unsafe { *shared.fine_job.get() = job };
-        shared.fine.release(epoch);
-        // SAFETY: the master executes its share; the harness behind `job.data`
-        // lives on this stack frame until the join below completes.
-        unsafe { (job.execute)(job.data, 0) };
-        shared.fine.join(epoch, &shared.policy, |from| {
-            if has_combine {
-                shared
-                    .stats
-                    .fine_combine_ops
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(comb) = job.combine {
-                    // SAFETY: `from` has arrived; its view is final.
-                    unsafe { comb(job.data, 0, from) };
-                }
-            }
-        });
-        shared.in_loop.store(false, Ordering::Relaxed);
+    /// The harness behind `job` must stay alive until this returns (see [`Job::new`]).
+    pub(crate) unsafe fn run_fine_loop(&self, job: Job) {
+        // SAFETY: forwarded contract.
+        unsafe { self.team.run(job) };
     }
 }
 
-/// Tries to obtain a task: first the worker's own deque, then one random-victim steal
-/// cycle over the other workers.  Returns the task and whether it was stolen.
-fn obtain_task(shared: &CilkShared, id: usize, rng: &mut u64) -> Option<(Task, bool)> {
-    // SAFETY: deque `id` is owned by the calling worker.
-    if let Some(task) = unsafe { shared.deques[id].pop() } {
-        return Some((task, false));
-    }
-    let n = shared.nthreads;
-    if n <= 1 {
-        return None;
-    }
-    // One cycle of random stealing: try every other worker once, starting from a random
-    // victim.
-    let start = (xorshift(rng) as usize) % n;
-    for k in 0..n {
-        let victim = (start + k) % n;
-        if victim == id {
-            continue;
-        }
-        shared.stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
-        match shared.deques[victim].steal() {
-            Steal::Success(task) => {
-                shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some((task, true));
-            }
-            Steal::Retry | Steal::Empty => {}
-        }
-    }
-    None
-}
-
-/// Processes a task: recursively splits it down to the grain size, pushing upper halves
-/// onto the worker's own deque, and runs the leaves.
-fn process_task(shared: &CilkShared, id: usize, mut task: Task) {
-    // SAFETY: the descriptor was published before `remaining` became non-zero, and a
-    // task can only exist while `remaining > 0`.
-    let desc = unsafe { *shared.descriptor.get() };
-    let grain = desc.grain.max(1);
-    loop {
-        if task.len() <= grain {
-            shared.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: contract of `run_cilk_loop`.
-            unsafe { (desc.run_range)(desc.data, id, task.lo, task.hi) };
-            shared.remaining.fetch_sub(task.len(), Ordering::AcqRel);
-            return;
-        }
-        let mid = task.lo + task.len() / 2;
-        let upper = Task {
-            lo: mid,
-            hi: task.hi,
+impl CilkWork {
+    /// One cycle of the work-stealing algorithm on behalf of participant `id`: obtain
+    /// a task (own deque first, then one steal sweep) and process it.  Returns whether
+    /// there was a task.
+    fn help(&self, id: usize) -> bool {
+        let Some((task, stolen)) = self.obtain_task(id) else {
+            return false;
         };
-        // SAFETY: deque `id` is owned by the calling worker.
-        if unsafe { shared.deques[id].push(upper) }.is_err() {
-            // Deque full (extremely deep split): process the upper half inline instead.
-            process_task(shared, id, upper);
+        if stolen {
+            // SAFETY: a task exists, so the descriptor is the current loop's.
+            let desc = unsafe { *self.descriptor.get() };
+            if let Some(f) = desc.on_steal {
+                // SAFETY: the harness behind `desc.data` outlives the loop.
+                unsafe { f(desc.data, id) };
+            }
         }
-        task.hi = mid;
+        self.process_task(id, task);
+        true
     }
-}
 
-/// One leased worker's scheduling loop: the hybrid poll cycle (half-barrier release
-/// probe alternating with a steal attempt), resuming the fine-grain epoch stored on
-/// the last detach and parking back in the substrate when the detach flag rises.
-fn worker_body(shared: &CilkShared, id: usize) {
-    let mut rng: u64 = 0xA076_1D64_78BD_642F ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut fine_epoch: Epoch = shared.worker_fine_epochs[id].load(Ordering::Relaxed);
-    let mut idle_spins: u32 = 0;
-    loop {
-        if shared.detach.load(Ordering::Acquire) {
-            shared.worker_fine_epochs[id].store(fine_epoch, Ordering::Relaxed);
-            return;
+    /// Tries to obtain a task: first the participant's own deque, then one
+    /// random-victim steal cycle over the others.  Returns the task and whether it was
+    /// stolen.
+    fn obtain_task(&self, id: usize) -> Option<(Task, bool)> {
+        // SAFETY: deque `id` is owned by the calling participant.
+        if let Some(task) = unsafe { self.deques[id].pop() } {
+            return Some((task, false));
         }
-        // Alternate: poll the half-barrier for a fine-grain static loop ...
-        if shared.fine.poll_release(id, fine_epoch + 1) {
-            fine_epoch += 1;
-            shared.fine.forward_release(id, fine_epoch);
-            // SAFETY: ordered by the half-barrier release.
-            let job = unsafe { *shared.fine_job.get() };
-            // SAFETY: the master keeps the harness behind `job.data` alive until the
-            // join phase, which this worker has not yet arrived at.
-            unsafe { (job.execute)(job.data, id) };
-            let has_combine = job.combine.is_some();
-            shared.fine.arrive(id, fine_epoch, &shared.policy, |from| {
-                if has_combine {
-                    shared
-                        .stats
-                        .fine_combine_ops
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(comb) = job.combine {
-                        // SAFETY: `from` has arrived.
-                        unsafe { comb(job.data, id, from) };
-                    }
-                }
-            });
-            idle_spins = 0;
-            continue;
+        let n = self.deques.len();
+        if n <= 1 {
+            return None;
         }
-        // ... with one cycle of the random work-stealing algorithm.
-        if shared.remaining.load(Ordering::Acquire) > 0 {
-            if let Some((task, stolen)) = obtain_task(shared, id, &mut rng) {
-                if stolen {
-                    // SAFETY: a task exists, so the descriptor is the current loop's.
-                    let desc = unsafe { *shared.descriptor.get() };
-                    if let Some(f) = desc.on_steal {
-                        // SAFETY: the harness behind `desc.data` outlives the loop.
-                        unsafe { f(desc.data, id) };
-                    }
-                }
-                process_task(shared, id, task);
-                idle_spins = 0;
+        // One cycle of random stealing: try every other worker once, starting from a
+        // random victim.
+        let mut rng = self.rngs[id].load(Ordering::Relaxed);
+        let start = (xorshift(&mut rng) as usize) % n;
+        self.rngs[id].store(rng, Ordering::Relaxed);
+        for k in 0..n {
+            let victim = (start + k) % n;
+            if victim == id {
                 continue;
             }
+            self.stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
+            match self.deques[victim].steal() {
+                Steal::Success(task) => {
+                    self.stats.steals.fetch_add(1, Ordering::Relaxed);
+                    return Some((task, true));
+                }
+                Steal::Retry | Steal::Empty => {}
+            }
         }
-        // Nothing to do: back off gently (spin a little, then yield) so an idle pool
-        // does not monopolise an oversubscribed machine.
-        if idle_spins < 64 {
-            idle_spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
+        None
+    }
+
+    /// Processes a task: recursively splits it down to the grain size, pushing upper
+    /// halves onto the participant's own deque, and runs the leaves.
+    fn process_task(&self, id: usize, mut task: Task) {
+        // SAFETY: the descriptor was published before `remaining` became non-zero, and
+        // a task can only exist while `remaining > 0`.
+        let desc = unsafe { *self.descriptor.get() };
+        let grain = desc.grain.max(1);
+        loop {
+            if task.len() <= grain {
+                self.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
+                // SAFETY: contract of `run_cilk_loop`.
+                unsafe { (desc.run_range)(desc.data, id, task.lo, task.hi) };
+                self.remaining.fetch_sub(task.len(), Ordering::AcqRel);
+                return;
+            }
+            let mid = task.lo + task.len() / 2;
+            let upper = Task {
+                lo: mid,
+                hi: task.hi,
+            };
+            // SAFETY: deque `id` is owned by the calling participant.
+            if unsafe { self.deques[id].push(upper) }.is_err() {
+                // Deque full (extremely deep split): process the upper half inline.
+                self.process_task(id, upper);
+            }
+            task.hi = mid;
         }
     }
 }
@@ -703,7 +574,7 @@ impl CilkPool {
             return;
         }
         let harness = CilkForHarness { body: &body };
-        self.shared().stats.loops.fetch_add(1, Ordering::Relaxed);
+        self.work().stats.loops.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the harness outlives the loop; `exec_cilk_range::<F>` matches its type.
         unsafe {
             self.run_cilk_loop(
@@ -733,18 +604,9 @@ impl CilkPool {
             range,
             nthreads: self.num_threads(),
         };
-        self.shared()
-            .stats
-            .fine_loops
-            .fetch_add(1, Ordering::Relaxed);
+        self.work().stats.fine_loops.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the harness outlives the loop; `exec_fine_for::<F>` matches its type.
-        unsafe {
-            self.run_fine_loop(FineJob {
-                data: &harness as *const _ as *const (),
-                execute: exec_fine_for::<F>,
-                combine: None,
-            });
-        }
+        unsafe { self.run_fine_loop(Job::new(&harness, exec_fine_for::<F>, None)) };
     }
 }
 

@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod job;
 mod loops;
 mod pool;
 mod range;

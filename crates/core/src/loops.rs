@@ -8,10 +8,10 @@
 //! to the static loop is exactly the per-chunk atomic traffic, mirroring the
 //! OpenMP-static vs OpenMP-dynamic comparison of Table 1.
 
-use crate::job::Job;
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::{static_block, static_chunks, DynamicChunks};
 use crate::stats::PoolStats;
+use parlo_exec::Job;
 use std::ops::Range;
 
 /// Harness for [`FineGrainPool::broadcast`].
@@ -106,15 +106,10 @@ impl FineGrainPool {
             body: &body,
             nthreads: self.num_threads(),
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
         // SAFETY: `harness` lives until `run_job` returns, and `exec_broadcast::<F>`
         // reinterprets the pointer as exactly `BroadcastHarness<'_, F>`.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_broadcast::<F>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_broadcast::<F>, None));
         }
     }
 
@@ -128,23 +123,8 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
-        if range.is_empty() {
-            return;
-        }
-        let harness = ForHarness {
-            body: &body,
-            range,
-            nthreads: self.num_threads(),
-        };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for::<F>,
-                None,
-            ));
-        }
+        // SAFETY: `&mut self` is the single-driver guarantee the hook asks for.
+        unsafe { self.parallel_for_unsynchronized(range, body) };
     }
 
     /// Statically scheduled parallel loop that hands each participant its whole
@@ -162,26 +142,20 @@ impl FineGrainPool {
             range,
             nthreads: self.num_threads(),
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
         // SAFETY: as in `broadcast`.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_block::<F>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_for_block::<F>, None));
         }
     }
 
-    /// [`FineGrainPool::parallel_for`] through `&self`, bypassing the `&mut`
-    /// single-driver exclusivity — the regression hook for the concurrent-drivers
-    /// battery, not an API (a second simultaneous caller panics on the pool's
-    /// in-flight `swap` guard, which is exactly what the battery asserts).
+    /// The body of [`FineGrainPool::parallel_for`], through `&self`: without the
+    /// `&mut` single-driver exclusivity it is the regression hook for the
+    /// concurrent-drivers battery, not an API (a second simultaneous caller panics on
+    /// the team's in-flight `swap` guard, which is exactly what the battery asserts).
     ///
     /// # Safety
-    /// As for `parallel_for`; additionally the caller asserts that no other thread
-    /// drives this pool concurrently, or accepts the deterministic panic when one
-    /// does.
+    /// The caller asserts that no other thread drives this pool concurrently, or
+    /// accepts the deterministic panic when one does.
     #[doc(hidden)]
     pub unsafe fn parallel_for_unsynchronized<F>(&self, range: Range<usize>, body: F)
     where
@@ -195,14 +169,9 @@ impl FineGrainPool {
             range,
             nthreads: self.num_threads(),
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
         // SAFETY: as in `broadcast`; single-driver coordination is the caller's.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for::<F>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_for::<F>, None));
         }
     }
 
@@ -221,14 +190,9 @@ impl FineGrainPool {
             nthreads: self.num_threads(),
             chunk: chunk.max(1),
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
         // SAFETY: as in `broadcast`.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_chunked::<F>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_for_chunked::<F>, None));
         }
     }
 
@@ -245,16 +209,11 @@ impl FineGrainPool {
         let harness = DynamicHarness {
             body: &body,
             chunks: DynamicChunks::new(range, chunk),
-            stats: &self.shared().stats,
+            stats: &self.stats,
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
         // SAFETY: as in `broadcast`.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_for_dynamic::<F>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_for_dynamic::<F>, None));
         }
     }
 }

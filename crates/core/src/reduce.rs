@@ -19,53 +19,22 @@
 //! correct by folding the views in thread order at the master after the join phase
 //! (still `P − 1` combines, but all executed by the master).
 
-use crate::job::Job;
 use crate::pool::FineGrainPool;
 use crate::range::static_block;
-use crossbeam::utils::CachePadded;
-use std::cell::UnsafeCell;
+use parlo_exec::{Job, ReduceViews};
 use std::ops::Range;
-
-/// One per-participant reduction view, padded to its own cache line so that the
-/// statically allocated view array does not false-share.
-struct ViewSlot<T>(CachePadded<UnsafeCell<Option<T>>>);
-
-impl<T> ViewSlot<T> {
-    fn empty() -> Self {
-        ViewSlot(CachePadded::new(UnsafeCell::new(None)))
-    }
-}
 
 /// Harness shared by both reduction flavors.
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    views: Vec<ViewSlot<T>>,
+    /// One statically allocated view per participant, written by its owner before it
+    /// arrives at the join and folded by its join parent afterwards.
+    views: ReduceViews<T>,
     range: Range<usize>,
     nthreads: usize,
-}
-
-impl<'a, T, Id, Fold, Comb> ReduceHarness<'a, T, Id, Fold, Comb>
-where
-    Id: Fn() -> T,
-    Comb: Fn(T, T) -> T,
-{
-    /// # Safety
-    /// `id` must identify a view that is not concurrently accessed.
-    unsafe fn take_view(&self, id: usize) -> T {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].0.get() };
-        slot.take().unwrap_or_else(|| (self.identity)())
-    }
-
-    /// # Safety
-    /// As for `take_view`.
-    unsafe fn put_view(&self, id: usize, value: T) {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].0.get() };
-        *slot = Some(value);
-    }
+    stats: &'a crate::stats::PoolStats,
 }
 
 unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
@@ -82,7 +51,7 @@ where
         acc = (h.fold)(acc, i);
     }
     // SAFETY: each participant writes only its own view before arriving at the join.
-    unsafe { h.put_view(id, acc) };
+    unsafe { h.views.put(id, acc) };
 }
 
 unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
@@ -94,13 +63,10 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
+    h.stats.record_combine();
     // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
     // owner no longer touches it) and that only the parent accesses both views here.
-    unsafe {
-        let a = h.take_view(into);
-        let b = h.take_view(from);
-        h.put_view(into, (h.combine)(a, b));
-    }
+    unsafe { h.views.combine(into, from, h.combine) };
 }
 
 impl FineGrainPool {
@@ -135,25 +101,25 @@ impl FineGrainPool {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: (0..nthreads).map(|_| ViewSlot::empty()).collect(),
+            views: ReduceViews::new(nthreads, || None),
             range,
             nthreads,
+            stats: &self.stats,
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        self.shared().stats.record_reduction();
+        self.stats.record_reduction();
         // SAFETY: the harness outlives `run_job`; the entry points reinterpret the
         // pointer as exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are
         // serialized by the join-phase protocol (see `combine_reduce`).
         unsafe {
             self.run_job(Job::new(
-                &harness as *const _ as *const (),
+                &harness,
                 exec_reduce::<T, Id, Fold, Comb>,
                 Some(combine_reduce::<T, Id, Fold, Comb>),
             ));
         }
         // After the master's join phase its view holds the fully combined result.
         // SAFETY: all workers have arrived; no concurrent access remains.
-        unsafe { harness.take_view(0) }
+        unsafe { harness.views.take(0) }.expect("master view present after the join")
     }
 
     /// Parallel reduction that preserves the left-to-right (iteration-order) combination
@@ -183,32 +149,27 @@ impl FineGrainPool {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: (0..nthreads).map(|_| ViewSlot::empty()).collect(),
+            views: ReduceViews::new(nthreads, || None),
             range,
             nthreads,
+            stats: &self.stats,
         };
-        self.shared().stats.record_loop(self.phases_per_loop());
-        self.shared().stats.record_reduction();
+        self.stats.record_reduction();
         // SAFETY: as in `parallel_reduce`; no combine function is attached to the job,
         // so views are only written by their owners during the loop.
         unsafe {
-            self.run_job(Job::new(
-                &harness as *const _ as *const (),
-                exec_reduce::<T, Id, Fold, Comb>,
-                None,
-            ));
+            self.run_job(Job::new(&harness, exec_reduce::<T, Id, Fold, Comb>, None));
         }
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
         // SAFETY: all workers have arrived; the master is the only remaining accessor.
-        unsafe {
-            let mut acc = harness.take_view(0);
-            for t in 1..nthreads {
-                self.shared().stats.record_combine();
-                acc = combine(acc, harness.take_view(t));
-            }
-            acc
+        let view = |t| unsafe { harness.views.take(t) }.expect("every participant stored a view");
+        let mut acc = view(0);
+        for t in 1..nthreads {
+            self.stats.record_combine();
+            acc = combine(acc, view(t));
         }
+        acc
     }
 
     /// Convenience wrapper: parallel sum of `f(i)` over `range`.

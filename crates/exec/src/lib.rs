@@ -10,10 +10,10 @@
 //! An [`Executor`] owns the OS threads instead: at most `P − 1` pinned workers per
 //! placement, created lazily and exactly once.  Runtimes *lease* the workers:
 //!
-//! * a pool [`register`](Executor::register)s itself at construction, providing a
-//!   **worker body** (its scheduling loop, resumable at a stored epoch) and a
-//!   **detach hook** (drives the pool's synchronization through one no-op cycle so
-//!   every worker exits the body and parks back in the substrate);
+//! * a pool [`register`](Executor::register)s itself at construction (through
+//!   [`Team::build`]), providing a **worker body** (its scheduling loop, resumable at
+//!   a stored epoch) and a **detach hook** (drives the pool's synchronization through
+//!   one no-op cycle so every worker exits the body and parks back in the substrate);
 //! * the first loop after construction — or after another pool ran — *activates* the
 //!   lease: the substrate detaches the previous holder, waits for its workers to park,
 //!   and runs the new pool's body on every worker it needs (the **attach rendezvous**:
@@ -51,12 +51,26 @@
 //! * all activation, rendezvous and detach accounting is per client, under one lock,
 //!   so concurrent drivers can attach and detach disjoint partitions freely.
 //!
-//! Pools assert their own half of the contract with a per-pool in-flight flag: loop
-//! entry and lease revocation both `swap` the flag, so whichever of a racing second
-//! driver or a mid-loop revocation comes second panics deterministically instead of
-//! corrupting the hand-off.
+//! Clients built on the [`Team`] skeleton assert their own half of the contract with
+//! its one in-flight guard: loop entry ([`Team::drive`]) and lease revocation
+//! ([`TeamCore::detach_workers`]) both `swap` the same flag, so whichever of a racing
+//! second driver or a mid-loop revocation comes second panics deterministically
+//! instead of corrupting the hand-off.
+//!
+//! ## One worker-loop skeleton
+//!
+//! The substrate only knows bodies and detach hooks; what every loop runtime puts
+//! behind them is the same protocol — resume at a stored epoch, wait at the fork, run
+//! the published job, arrive at the join, leave after a detach cycle.  That protocol
+//! lives once, in [`TeamCore`] and its lease-holding owner [`Team`]: a runtime picks a
+//! [`TeamSync`] shape, publishes [`Job`]s through [`Team::run`], and keeps only its own
+//! scheduling and statistics.
 
 #![warn(missing_docs)]
+
+mod team;
+
+pub use team::{ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync};
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};
@@ -561,6 +575,10 @@ fn worker_loop(shared: Arc<WorkerShared>, id: usize) {
         let abort_guard = AbortOnUnwind(id);
         body(local);
         std::mem::forget(abort_guard);
+        // Let go of the client's state *before* reporting the exit: whoever waits for
+        // this worker to park (a lease drop, a lease switch) may tear the client down
+        // right after, and must not find the substrate still holding a reference.
+        drop(body);
         let mut st = shared
             .state
             .lock()
@@ -630,10 +648,7 @@ impl Lease {
     /// workers entering the body see a live client — prefer
     /// [`Lease::ensure_active`], which enforces that ordering.
     pub fn activate(&self) {
-        if self.is_active() {
-            return;
-        }
-        self.exec.switch_to(self);
+        self.ensure_active(|| ());
     }
 
     /// The standard client fast path: returns immediately (one atomic load) when the
@@ -780,23 +795,26 @@ mod tests {
 
     #[test]
     fn dropping_the_last_handle_joins_the_workers() {
-        let before = process_thread_count();
-        {
-            let topo = Topology::flat(4).unwrap();
-            let exec = Executor::new(&topo, PinPolicy::None);
-            let (hooks, client) = FlagClient::hooks("c", 4);
-            let lease = exec.register(hooks);
-            client.reset();
-            lease.activate();
-            assert_eq!(exec.stats().workers, 3);
-            drop(lease);
-            assert_eq!(exec.stats().leases, 0);
-            assert!(exec.stats().active.is_empty(), "lease drop detaches");
-        }
-        // Executor::drop joins synchronously, so the census is back immediately.
-        if let (Some(b), Some(a)) = (before, process_thread_count()) {
-            assert_eq!(a, b, "no leaked substrate threads");
-        }
+        // `Executor::drop` joins synchronously; the whole-process `/proc` census that
+        // proves it is asserted in `tests/exec_substrate.rs`, where it can be
+        // serialized — here sibling unit tests spawn threads concurrently.
+        let topo = Topology::flat(4).unwrap();
+        let exec = Executor::new(&topo, PinPolicy::None);
+        let (hooks, client) = FlagClient::hooks("c", 4);
+        let lease = exec.register(hooks);
+        client.reset();
+        lease.activate();
+        assert_eq!(exec.stats().workers, 3);
+        drop(lease);
+        assert_eq!(exec.stats().leases, 0);
+        assert!(exec.stats().active.is_empty(), "lease drop detaches");
+        let shared = Arc::downgrade(&exec.shared);
+        drop(exec);
+        assert_eq!(
+            shared.strong_count(),
+            0,
+            "every worker exited and was joined"
+        );
     }
 
     #[test]

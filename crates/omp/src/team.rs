@@ -13,14 +13,15 @@
 //!
 //! The work-distribution side supports `static`, `static,chunk`, `dynamic` and `guided`
 //! schedules (see [`crate::Schedule`]).
+//!
+//! The team itself — lease, worker loop, detach cycle, single-driver guard — is the
+//! shared [`parlo_exec::Team`] skeleton over the [`ExtraReductionBarrier`] sync shape.
 
 use crate::schedule::Schedule;
-use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, FullBarrier, TreeShape, WaitPolicy};
-use parlo_exec::{ClientHooks, Executor, Lease};
-use parlo_sync::{AtomicBool, AtomicU64, Ordering};
-use std::cell::UnsafeCell;
+use parlo_barrier::{FullBarrier, TreeShape, WaitPolicy};
+use parlo_exec::{Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
+use parlo_sync::{AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -80,27 +81,6 @@ impl TeamConfig {
     }
 }
 
-/// Type-erased work descriptor of the team (same lifetime-erasure argument as the
-/// fine-grain pool: the master keeps the harness alive until the join barrier).
-#[derive(Clone, Copy)]
-pub(crate) struct TeamJob {
-    data: *const (),
-    execute: unsafe fn(*const (), usize),
-    /// Combine executed inside the join phase of the *extra* reduction barrier.
-    combine: Option<unsafe fn(*const (), usize, usize)>,
-}
-
-impl TeamJob {
-    fn noop() -> Self {
-        unsafe fn nop(_: *const (), _: usize) {}
-        TeamJob {
-            data: std::ptr::null(),
-            execute: nop,
-            combine: None,
-        }
-    }
-}
-
 /// Instrumentation counters of a team.
 #[derive(Debug, Default)]
 struct TeamStats {
@@ -126,79 +106,18 @@ pub struct TeamStatsSnapshot {
     pub dynamic_chunks: u64,
 }
 
-struct TeamShared {
-    nthreads: usize,
-    barrier: FullBarrier,
-    job: UnsafeCell<TeamJob>,
-    /// Asks the leased workers to exit the team body and park back in the substrate.
-    detach: AtomicBool,
-    /// The master's barrier-episode counter (mutated only by the driving thread; an
-    /// atomic so the substrate-held detach hook can advance it).
-    episode: AtomicU64,
-    /// Where each worker's episode counter resumes after a detach/re-attach cycle.
-    worker_episodes: Vec<CachePadded<AtomicU64>>,
-    /// Diagnostic: a lease revoked while a region is in flight is a contract bug.
-    in_loop: AtomicBool,
-    policy: WaitPolicy,
-    stats: TeamStats,
-    config: TeamConfig,
-}
-
-impl TeamShared {
-    /// Advances and returns the next barrier episode number.
-    fn next_episode(&self) -> Epoch {
-        let e = self.episode.load(Ordering::Relaxed) + 1;
-        self.episode.store(e, Ordering::Relaxed);
-        e
-    }
-}
-
-/// The team's detach hook: one no-op full-barrier episode that every attached worker
-/// answers by exiting the body.  A full barrier is already symmetric (each participant
-/// arrives and is released within the one episode), so nothing else is needed to keep
-/// the episode numbering aligned across re-attachment.
-fn detach_workers(shared: &TeamShared) {
-    assert!(
-        !shared.in_loop.swap(true, Ordering::Relaxed),
-        "OpenMP-like team lease revoked while a region is in flight; concurrent \
-         drivers of one team must coordinate (see the parlo-exec multi-driver contract)"
-    );
-    shared.detach.store(true, Ordering::Release);
-    let episode = shared.next_episode();
-    // SAFETY: no region is in flight (the swap above claimed the team), so no worker
-    // reads the job cell concurrently.
-    unsafe { *shared.job.get() = TeamJob::noop() };
-    shared.barrier.master_wait(episode, &shared.policy);
-    shared.in_loop.store(false, Ordering::Relaxed);
-}
-
-// SAFETY: the job cell is only written by the master strictly before the fork barrier's
-// release phase and read by workers strictly after it; all other fields are atomics or
-// immutable.
-unsafe impl Sync for TeamShared {}
-// SAFETY: same barrier-ordering argument as Sync above.
-unsafe impl Send for TeamShared {}
-
 /// An OpenMP-like persistent thread team.
 ///
 /// Loop methods take `&mut self`; a team serves a single master thread and regions do
 /// not nest (matching the single-level parallelism the paper evaluates).
+#[derive(Debug)]
 pub struct OmpTeam {
-    shared: Arc<TeamShared>,
-    /// The team's claim on the shared worker substrate; the team spawns no threads of
-    /// its own.  Each plain loop consumes two barrier episodes (fork + join) and each
-    /// reduction loop three (fork + reduction + join); the workers advance their local
-    /// episode counters identically because they see whether the published job carries
-    /// a reduction.
-    lease: Lease,
-}
-
-impl std::fmt::Debug for OmpTeam {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OmpTeam")
-            .field("num_threads", &self.shared.nthreads)
-            .finish()
-    }
+    /// The shared team skeleton over the OpenMP-like sync shape: each plain loop
+    /// consumes two full-barrier episodes (fork + join) and each reduction loop three
+    /// (fork + reduction + join).  The team spawns no threads of its own.
+    team: Team<ExtraReductionBarrier>,
+    stats: TeamStats,
+    config: TeamConfig,
 }
 
 impl OmpTeam {
@@ -232,27 +151,6 @@ impl OmpTeam {
     /// Creates a team from an explicit configuration, leasing its workers from the
     /// given substrate.
     pub fn new_on(config: TeamConfig, executor: &Arc<Executor>) -> Self {
-        Self::build(config, executor, None)
-    }
-
-    /// Creates a gang-sized team over an explicit partition of substrate worker ids
-    /// (see `Executor::register_partition` for the partition contract).  The
-    /// configuration's `num_threads` must equal `workers.len() + 1`; the calling
-    /// thread is never re-pinned.
-    pub fn new_on_partition(
-        config: TeamConfig,
-        executor: &Arc<Executor>,
-        workers: &[usize],
-    ) -> Self {
-        assert_eq!(
-            config.num_threads,
-            workers.len() + 1,
-            "a partition team has one thread per leased worker plus its master"
-        );
-        Self::build(config, executor, Some(workers))
-    }
-
-    fn build(config: TeamConfig, executor: &Arc<Executor>, partition: Option<&[usize]>) -> Self {
         let nthreads = config.num_threads.max(1);
         let barrier = if config.centralized_barrier {
             FullBarrier::new_centralized(nthreads)
@@ -263,74 +161,40 @@ impl OmpTeam {
                 config.topology.suggested_arrival_fanin(),
             ))
         };
-        let shared = Arc::new(TeamShared {
-            nthreads,
-            barrier,
-            job: UnsafeCell::new(TeamJob::noop()),
-            detach: AtomicBool::new(false),
-            episode: AtomicU64::new(0),
-            worker_episodes: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            in_loop: AtomicBool::new(false),
-            policy: config.wait,
+        let team = Team::build(
+            "omp-team".to_string(),
+            ExtraReductionBarrier(barrier),
+            config.wait,
+            &config.topology,
+            config.pin,
+            executor,
+            None,
+        );
+        OmpTeam {
+            team,
             stats: TeamStats::default(),
-            config: config.clone(),
-        });
-        if partition.is_none() {
-            if let Some(core) = config.topology.core_for_worker(0, config.pin) {
-                let _ = parlo_affinity::pin_to_core(core);
-            }
+            config,
         }
-        let body = {
-            let shared = shared.clone();
-            Arc::new(move |id: usize| worker_body(&shared, id))
-        };
-        let detach = {
-            let shared = shared.clone();
-            Arc::new(move || detach_workers(&shared))
-        };
-        let hooks = ClientHooks {
-            name: "omp-team".to_string(),
-            participants: nthreads,
-            body,
-            detach,
-        };
-        let lease = match partition {
-            None => executor.register(hooks),
-            Some(workers) => executor.register_partition(hooks, workers.to_vec()),
-        };
-        OmpTeam { shared, lease }
-    }
-
-    /// Makes sure the team's lease on the substrate workers is active (one atomic load
-    /// when it already is).
-    fn ensure_workers(&self) {
-        if self.shared.nthreads <= 1 {
-            return;
-        }
-        self.lease
-            .ensure_active(|| self.shared.detach.store(false, Ordering::Relaxed));
     }
 
     /// The substrate this team leases its workers from.
     pub fn executor(&self) -> &Arc<Executor> {
-        self.lease.executor()
+        self.team.executor()
     }
 
     /// Number of threads in the team (master included).
     pub fn num_threads(&self) -> usize {
-        self.shared.nthreads
+        self.team.num_threads()
     }
 
     /// The configuration the team was built with.
     pub fn config(&self) -> &TeamConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// A snapshot of the team's instrumentation counters.
     pub fn stats(&self) -> TeamStatsSnapshot {
-        let s = &self.shared.stats;
+        let s = &self.stats;
         TeamStatsSnapshot {
             loops: s.loops.load(Ordering::Relaxed),
             reductions: s.reductions.load(Ordering::Relaxed),
@@ -340,119 +204,19 @@ impl OmpTeam {
         }
     }
 
-    /// Runs one type-erased region on the team.
+    /// Counts one region (two full barriers, three with a reduction) and runs it.
     ///
     /// # Safety
     /// The harness behind `job` must stay alive until this call returns and must be
     /// safe to execute concurrently from all participants.
-    pub(crate) unsafe fn run_region(&self, job: TeamJob, with_reduction: bool) {
-        let shared = &*self.shared;
-        // Claim the team before touching any region state: a racing second driver
-        // panics deterministically on its own swap instead of corrupting episodes.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "OpenMP-like team driven by two threads at once: a team serves exactly \
-             one master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        let fork_e = shared.next_episode();
-        // SAFETY: the previous episode's barrier completed, so no worker reads the
-        // job cell; publish the work description before the fork barrier's release.
-        unsafe { *shared.job.get() = job };
-        shared.barrier.master_wait(fork_e, &shared.policy);
-        shared.stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
-        // SAFETY: the master executes its share like every team member; the harness
-        // behind `job.data` lives on this stack frame until the team joins.
-        unsafe { (job.execute)(job.data, 0) };
-        if with_reduction {
-            let red_e = shared.next_episode();
-            // Extra tree barrier whose join phase aggregates per-thread results.
-            shared
-                .barrier
-                .master_wait_combine(red_e, &shared.policy, |from| {
-                    shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                    if let Some(comb) = job.combine {
-                        // SAFETY: `from` has arrived with a final view; only this
-                        // thread accesses both views during the combine.
-                        unsafe { comb(job.data, 0, from) };
-                    }
-                });
-            shared.stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
-        }
-        // Full join barrier (join + release).
-        let join_e = shared.next_episode();
-        shared.barrier.master_wait(join_e, &shared.policy);
-        shared.stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
-        shared.in_loop.store(false, Ordering::Relaxed);
-    }
-
-    pub(crate) fn stats_ref(&self) -> &'_ TeamStatsShim {
-        // A tiny shim so sibling modules can bump counters without exposing TeamStats.
-        TeamStatsShim::from_shared(&self.shared)
-    }
-}
-
-/// Internal counter access for sibling modules (loop/reduction implementations).
-#[repr(transparent)]
-pub(crate) struct TeamStatsShim(TeamShared);
-
-impl TeamStatsShim {
-    fn from_shared(shared: &Arc<TeamShared>) -> &TeamStatsShim {
-        // SAFETY: #[repr(transparent)] over TeamShared.
-        unsafe { &*(Arc::as_ptr(shared) as *const TeamStatsShim) }
-    }
-
-    pub(crate) fn record_loop(&self) {
-        self.0.stats.loops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_reduction(&self) {
-        self.0.stats.reductions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_dynamic_chunk(&self) {
-        self.0.stats.dynamic_chunks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn num_threads(&self) -> usize {
-        self.0.nthreads
-    }
-}
-
-/// One leased worker's scheduling loop.  The local barrier-episode counter resumes at
-/// the value stored on the last detach and advances in lockstep with the master's,
-/// because both sides consume episodes based on the same information (whether the
-/// published job carries a reduction, and the detach episode being a plain one).
-fn worker_body(shared: &TeamShared, id: usize) {
-    let mut episode: Epoch = shared.worker_episodes[id].load(Ordering::Relaxed);
-    loop {
-        episode += 1;
-        // Full fork barrier: check in, wait to be released into the region.
-        shared.barrier.worker_wait(id, episode, &shared.policy);
-        if shared.detach.load(Ordering::Acquire) {
-            shared.worker_episodes[id].store(episode, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: ordered by the fork barrier.
-        let job = unsafe { *shared.job.get() };
-        // SAFETY: the master keeps the harness behind `job.data` alive until the
-        // episode's closing barrier, which this worker has not yet reached.
-        unsafe { (job.execute)(job.data, id) };
-        if let Some(comb) = job.combine {
-            episode += 1;
-            // Extra reduction barrier: aggregate partial results in its join phase.
-            shared
-                .barrier
-                .worker_wait_combine(id, episode, &shared.policy, |from| {
-                    shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: `from` has arrived; see `run_region`.
-                    unsafe { comb(job.data, id, from) };
-                });
-        }
-        // Full join barrier.
-        episode += 1;
-        shared.barrier.worker_wait(id, episode, &shared.policy);
+    unsafe fn run_region(&self, job: Job) {
+        let barriers = if job.has_combine() { 3 } else { 2 };
+        self.stats.loops.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .barrier_phases
+            .fetch_add(2 * barriers, Ordering::Relaxed);
+        // SAFETY: forwarded contract.
+        unsafe { self.team.run(job) };
     }
 }
 
@@ -460,67 +224,82 @@ fn worker_body(shared: &TeamShared, id: usize) {
 // Worksharing + reduction entry points
 // ---------------------------------------------------------------------------------
 
-/// Harness for `parallel_for`.
-struct ForHarness<'a, F> {
-    body: &'a F,
+/// The worksharing descriptor of one region: how the iterations of `range` are dealt
+/// to the participants under `schedule`.
+struct Worksharing<'a> {
+    schedule: Schedule,
     range: Range<usize>,
     nthreads: usize,
-    schedule: Schedule,
     dynamic: parlo_core::DynamicChunks,
     guided: parlo_core::GuidedChunks,
-    stats: &'a TeamStatsShim,
+    stats: &'a TeamStats,
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the worksharing descriptor field-for-field
-fn run_schedule<F: Fn(usize)>(
-    schedule: Schedule,
-    range: &Range<usize>,
-    nthreads: usize,
-    id: usize,
-    dynamic: &parlo_core::DynamicChunks,
-    guided: &parlo_core::GuidedChunks,
-    stats: &TeamStatsShim,
-    body: &F,
-) {
-    match schedule {
-        Schedule::Static => {
-            for i in parlo_core::static_block(range, nthreads, id) {
-                body(i);
-            }
+impl<'a> Worksharing<'a> {
+    fn new(team: &'a OmpTeam, range: Range<usize>, schedule: Schedule) -> Self {
+        let nthreads = team.num_threads();
+        let (dyn_chunk, guided_min) = match schedule {
+            Schedule::Dynamic(c) => (c.max(1), 1),
+            Schedule::Guided(m) => (1, m.max(1)),
+            _ => (1, 1),
+        };
+        Worksharing {
+            schedule,
+            nthreads,
+            dynamic: parlo_core::DynamicChunks::new(range.clone(), dyn_chunk),
+            guided: parlo_core::GuidedChunks::new(range.clone(), nthreads, guided_min),
+            range,
+            stats: &team.stats,
         }
-        Schedule::StaticChunked(chunk) => {
-            for c in parlo_core::static_chunks(range, nthreads, id, chunk) {
-                for i in c {
+    }
+
+    /// Runs participant `id`'s share of the region.
+    fn run<F: Fn(usize)>(&self, id: usize, body: &F) {
+        match self.schedule {
+            Schedule::Static => {
+                for i in parlo_core::static_block(&self.range, self.nthreads, id) {
                     body(i);
                 }
             }
-        }
-        Schedule::Dynamic(_) => {
-            while let Some(c) = dynamic.next_chunk() {
-                stats.record_dynamic_chunk();
-                for i in c {
-                    body(i);
+            Schedule::StaticChunked(chunk) => {
+                for c in parlo_core::static_chunks(&self.range, self.nthreads, id, chunk) {
+                    for i in c {
+                        body(i);
+                    }
                 }
             }
-        }
-        Schedule::Guided(_) => {
-            while let Some(c) = guided.next_chunk() {
-                stats.record_dynamic_chunk();
-                for i in c {
-                    body(i);
+            Schedule::Dynamic(_) => {
+                while let Some(c) = self.dynamic.next_chunk() {
+                    self.run_dispensed(c, body);
+                }
+            }
+            Schedule::Guided(_) => {
+                while let Some(c) = self.guided.next_chunk() {
+                    self.run_dispensed(c, body);
                 }
             }
         }
     }
+
+    fn run_dispensed<F: Fn(usize)>(&self, chunk: Range<usize>, body: &F) {
+        self.stats.dynamic_chunks.fetch_add(1, Ordering::Relaxed);
+        for i in chunk {
+            body(i);
+        }
+    }
+}
+
+/// Harness for `parallel_for`.
+struct ForHarness<'a, F> {
+    body: &'a F,
+    work: Worksharing<'a>,
 }
 
 unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    run_schedule(
-        h.schedule, &h.range, h.nthreads, id, &h.dynamic, &h.guided, h.stats, h.body,
-    );
+    h.work.run(id, h.body);
 }
 
 /// Harness for `parallel_reduce`.
@@ -528,27 +307,8 @@ struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    views: Vec<crossbeam::utils::CachePadded<UnsafeCell<Option<T>>>>,
-    range: Range<usize>,
-    nthreads: usize,
-    schedule: Schedule,
-    dynamic: parlo_core::DynamicChunks,
-    guided: parlo_core::GuidedChunks,
-    stats: &'a TeamStatsShim,
-}
-
-impl<'a, T, Id: Fn() -> T, Fold, Comb> ReduceHarness<'a, T, Id, Fold, Comb> {
-    unsafe fn take_view(&self, id: usize) -> T {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        slot.take().unwrap_or_else(|| (self.identity)())
-    }
-
-    unsafe fn put_view(&self, id: usize, value: T) {
-        // SAFETY: the caller guarantees exclusive access to view `id`.
-        let slot = unsafe { &mut *self.views[id].get() };
-        *slot = Some(value);
-    }
+    views: ReduceViews<T>,
+    work: Worksharing<'a>,
 }
 
 unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
@@ -561,21 +321,12 @@ where
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
     let acc = std::cell::Cell::new(Some((h.identity)()));
-    run_schedule(
-        h.schedule,
-        &h.range,
-        h.nthreads,
-        id,
-        &h.dynamic,
-        &h.guided,
-        h.stats,
-        &|i| {
-            let a = acc.take().expect("accumulator present");
-            acc.set(Some((h.fold)(a, i)));
-        },
-    );
+    h.work.run(id, &|i| {
+        let a = acc.take().expect("accumulator present");
+        acc.set(Some((h.fold)(a, i)));
+    });
     // SAFETY: each participant writes only its own view before the reduction barrier.
-    unsafe { h.put_view(id, acc.take().expect("accumulator present")) };
+    unsafe { h.views.put(id, acc.take().expect("accumulator present")) };
 }
 
 unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
@@ -587,12 +338,9 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
+    h.work.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
     // SAFETY: serialized by the reduction barrier's join phase.
-    unsafe {
-        let a = h.take_view(into);
-        let b = h.take_view(from);
-        h.put_view(into, (h.combine)(a, b));
-    }
+    unsafe { h.views.combine(into, from, h.combine) };
 }
 
 impl OmpTeam {
@@ -607,33 +355,12 @@ impl OmpTeam {
         if range.is_empty() {
             return;
         }
-        let nthreads = self.num_threads();
-        let (dyn_chunk, guided_min) = match schedule {
-            Schedule::Dynamic(c) => (c.max(1), 1),
-            Schedule::Guided(m) => (1, m.max(1)),
-            _ => (1, 1),
-        };
         let harness = ForHarness {
             body: &body,
-            range: range.clone(),
-            nthreads,
-            schedule,
-            dynamic: parlo_core::DynamicChunks::new(range.clone(), dyn_chunk),
-            guided: parlo_core::GuidedChunks::new(range, nthreads, guided_min),
-            stats: self.stats_ref(),
+            work: Worksharing::new(self, range, schedule),
         };
-        self.stats_ref().record_loop();
         // SAFETY: the harness outlives `run_region`; `exec_for::<F>` matches its type.
-        unsafe {
-            self.run_region(
-                TeamJob {
-                    data: &harness as *const _ as *const (),
-                    execute: exec_for::<F>,
-                    combine: None,
-                },
-                false,
-            );
-        }
+        unsafe { self.run_region(Job::new(&harness, exec_for::<F>, None)) };
     }
 
     /// An OpenMP-style reduction loop: full fork barrier, worksharing, an additional
@@ -658,42 +385,25 @@ impl OmpTeam {
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
-        let (dyn_chunk, guided_min) = match schedule {
-            Schedule::Dynamic(c) => (c.max(1), 1),
-            Schedule::Guided(m) => (1, m.max(1)),
-            _ => (1, 1),
-        };
         let harness = ReduceHarness {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: (0..nthreads)
-                .map(|_| crossbeam::utils::CachePadded::new(UnsafeCell::new(None)))
-                .collect(),
-            range: range.clone(),
-            nthreads,
-            schedule,
-            dynamic: parlo_core::DynamicChunks::new(range.clone(), dyn_chunk),
-            guided: parlo_core::GuidedChunks::new(range, nthreads, guided_min),
-            stats: self.stats_ref(),
+            views: ReduceViews::new(self.num_threads(), || None),
+            work: Worksharing::new(self, range, schedule),
         };
-        self.stats_ref().record_loop();
-        self.stats_ref().record_reduction();
+        self.stats.reductions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as in `parallel_for`; view accesses are serialized by the reduction
         // barrier protocol.
         unsafe {
-            self.run_region(
-                TeamJob {
-                    data: &harness as *const _ as *const (),
-                    execute: exec_reduce::<T, Id, Fold, Comb>,
-                    combine: Some(combine_reduce::<T, Id, Fold, Comb>),
-                },
-                true,
-            );
+            self.run_region(Job::new(
+                &harness,
+                exec_reduce::<T, Id, Fold, Comb>,
+                Some(combine_reduce::<T, Id, Fold, Comb>),
+            ));
         }
         // SAFETY: the region has completed; the master is the only remaining accessor.
-        unsafe { harness.take_view(0) }
+        unsafe { harness.views.take(0) }.expect("master view present after the region")
     }
 }
 

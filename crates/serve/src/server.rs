@@ -246,11 +246,23 @@ fn driver_loop(gang: &GangState) {
 /// half-barrier cycle.
 fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
     parlo_trace::span_begin(parlo_trace::Phase::Batch, batch.len() as u64, 0);
+    // The counters move *before* the handles complete: a tenant that has seen its
+    // handle resolve must also find its request in `ServeStats`.
+    gang.counters.batches.fetch_add(1, Ordering::Relaxed);
+    if batch.len() > 1 {
+        gang.counters
+            .fused
+            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
+    }
+    let complete = |job: &QueuedJob, value: f64| {
+        gang.counters.completed.fetch_add(1, Ordering::Relaxed);
+        job.done.complete(value);
+    };
     let mut guard = gang.pool.lock().unwrap_or_else(|p| p.into_inner());
     match guard.as_mut() {
         None => {
             for job in &batch {
-                job.done.complete(run_seq(&job.kind));
+                complete(job, run_seq(&job.kind));
             }
         }
         Some(pool) => {
@@ -263,7 +275,7 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
                     }
                     LoopKind::Sum { range, f } => pool.parallel_sum(range.clone(), |i| f(i)),
                 };
-                job.done.complete(value);
+                complete(job, value);
             } else {
                 let mut offsets = Vec::with_capacity(batch.len() + 1);
                 offsets.push(0usize);
@@ -282,21 +294,12 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
                     body(range.start + (i - offsets[k]));
                 });
                 for job in &batch {
-                    job.done.complete(0.0);
+                    complete(job, 0.0);
                 }
             }
         }
     }
     drop(guard);
-    gang.counters.batches.fetch_add(1, Ordering::Relaxed);
-    if batch.len() > 1 {
-        gang.counters
-            .fused
-            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-    }
-    gang.counters
-        .completed
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
     parlo_trace::instant(parlo_trace::Phase::Complete, batch.len() as u64, 0);
     parlo_trace::span_end(parlo_trace::Phase::Batch);
 }

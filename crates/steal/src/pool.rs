@@ -28,11 +28,10 @@ use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{HalfBarrier, TreeShape, WaitPolicy};
 use parlo_cilk::Steal;
-use parlo_exec::{ClientHooks, Executor, Lease};
-use parlo_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::cell::{Cell, UnsafeCell};
+use parlo_exec::{Executor, Job, ReduceViews, Team};
+use parlo_sync::{AtomicU32, AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -211,6 +210,8 @@ impl StealStats {
 /// reason: a hit's classification store must stay core-local.
 #[derive(Debug, Default)]
 struct WorkerCounters {
+    /// xorshift64* state of the unperturbed victim rotation (owner-only access).
+    victim_rng: AtomicU64,
     chunks: AtomicU64,
     steals_attempted: AtomicU64,
     steals_hit: AtomicU64,
@@ -249,7 +250,11 @@ impl StealCounters {
             sticky_chunks_reused: AtomicU64::new(0),
             sticky_chunks_total: AtomicU64::new(0),
             per_worker: (0..nthreads)
-                .map(|_| CachePadded::new(WorkerCounters::default()))
+                .map(|id| WorkerCounters {
+                    victim_rng: AtomicU64::new(victim_seed(id)),
+                    ..WorkerCounters::default()
+                })
+                .map(CachePadded::new)
                 .collect(),
         }
     }
@@ -294,57 +299,30 @@ impl StealCounters {
     }
 }
 
-/// Type-erased descriptor of the current loop.
-#[derive(Clone, Copy)]
-struct StealJob {
+/// The descriptor of one loop, on the master's stack for the loop's duration: what the
+/// job published through the team points at.
+struct StealLoop<'a> {
+    shared: &'a StealShared,
+    /// The typed harness the entry points below reinterpret.
     data: *const (),
     /// Runs iterations `lo..hi` on behalf of participant `worker`.
     run_chunk: unsafe fn(*const (), usize, usize, usize),
-    /// Folds participant `from`'s reduction view into participant `to`'s.
-    combine: Option<unsafe fn(*const (), usize, usize)>,
     /// The loop range every participant pre-splits independently.
     start: usize,
     end: usize,
     /// Chunk size of the pre-split.
     chunk: usize,
-    /// Sticky-affinity state of a site-keyed loop (null for plain loops): the
-    /// chunk→worker assignment driving the deque seeding and the per-chunk execution
-    /// record.  Owned by the master's stack frame, alive until the join completes.
-    sticky: *const StickyLoop,
+    /// Sticky-affinity state of a site-keyed loop: the chunk→worker assignment driving
+    /// the deque seeding and the per-chunk execution record.
+    sticky: Option<&'a StickyLoop>,
+    /// Ordinal of the loop on this pool — the `epoch` the perturbation hooks see.
+    epoch: u64,
 }
 
-impl StealJob {
-    fn noop() -> Self {
-        unsafe fn nop(_: *const (), _: usize, _: usize, _: usize) {}
-        StealJob {
-            data: std::ptr::null(),
-            run_chunk: nop,
-            combine: None,
-            start: 0,
-            end: 0,
-            chunk: 1,
-            sticky: std::ptr::null(),
-        }
-    }
-}
-
+/// What the participants of a pool share besides the team protocol.
 struct StealShared {
-    nthreads: usize,
     deques: Vec<ChunkDeque>,
-    job: UnsafeCell<StealJob>,
-    sync: HalfBarrier,
-    /// Asks the leased workers to exit the scheduling loop and park in the substrate.
-    detach: AtomicBool,
-    /// The master's loop epoch (an atomic so the substrate-held detach hook can
-    /// advance it; mutated only by the driving thread).
-    epoch: AtomicU64,
-    /// Where each worker's epoch counter resumes after a detach/re-attach cycle.
-    worker_epochs: Vec<CachePadded<AtomicU64>>,
-    /// Diagnostic: a lease revoked while a loop is in flight is a contract bug.
-    in_loop: AtomicBool,
-    policy: WaitPolicy,
     stats: StealCounters,
-    perturb: Option<Arc<dyn SchedulePerturbation>>,
     /// `socket_of[w]` = socket of participant `w` under the compact layout; used to
     /// classify every steal hit as local or remote (in both sweep modes).
     socket_of: Vec<usize>,
@@ -355,54 +333,15 @@ struct StealShared {
     config: StealConfig,
 }
 
-impl StealShared {
-    fn next_epoch(&self) -> Epoch {
-        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
-        self.epoch.store(epoch, Ordering::Relaxed);
-        epoch
-    }
-}
-
-/// The pool's detach hook: one symmetric no-op half-barrier cycle (release + join)
-/// that every attached worker answers by arriving and exiting its scheduling loop, so
-/// the epoch accounting stays aligned across re-attachment.
-fn detach_workers(shared: &StealShared) {
-    assert!(
-        !shared.in_loop.swap(true, Ordering::Relaxed),
-        "steal pool lease revoked while a loop is in flight; concurrent drivers of one \
-         pool must coordinate (see the parlo-exec multi-driver contract)"
-    );
-    shared.detach.store(true, Ordering::Release);
-    let epoch = shared.next_epoch();
-    parlo_trace::span_begin(parlo_trace::Phase::DetachCycle, epoch, 0);
-    // SAFETY: no loop is in flight (we hold the `in_loop` claim), so no worker reads
-    // the job cell concurrently.
-    unsafe { *shared.job.get() = StealJob::noop() };
-    shared.sync.release(epoch);
-    shared.sync.join(epoch, &shared.policy, |_| {});
-    parlo_trace::span_end(parlo_trace::Phase::DetachCycle);
-    shared.in_loop.store(false, Ordering::Relaxed);
-}
-
-// SAFETY: the job cell is written only by the master, strictly before the half-barrier
-// release edge the workers synchronize on; every other shared field is atomic, the
-// sync-internal structures, or immutable after construction.  Deque `i` is pushed and
-// popped only by participant `i` (its owner) and stolen from by any participant, which
-// is exactly the Chase–Lev contract.
-unsafe impl Sync for StealShared {}
-// SAFETY: same per-field argument as Sync above.
-unsafe impl Send for StealShared {}
-
 /// The work-stealing chunk scheduler.
 ///
 /// Loop methods take `&mut self`: a pool serves exactly one master thread and loops do
 /// not nest — the same structural property the half-barrier completion detection relies
 /// on in the fine-grain pool.
 pub struct StealPool {
-    shared: Arc<StealShared>,
-    /// The pool's claim on the shared worker substrate (the pool spawns no threads).
-    lease: Lease,
-    rng: Cell<u64>,
+    /// The shared team skeleton over the half-barrier (the pool spawns no threads).
+    team: Team<HalfBarrier>,
+    shared: StealShared,
     /// Remembered per-site chunk→worker assignments (see the `sticky` module for the
     /// invalidation contract).  Master-only: loop entry points take `&mut self`.
     sticky: StickyTable,
@@ -411,7 +350,7 @@ pub struct StealPool {
 impl std::fmt::Debug for StealPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StealPool")
-            .field("num_threads", &self.shared.nthreads)
+            .field("num_threads", &self.num_threads())
             .finish()
     }
 }
@@ -482,27 +421,6 @@ impl StealPool {
     /// Creates a pool from an explicit configuration, leasing its workers from the
     /// given substrate.
     pub fn new_on(config: StealConfig, executor: &Arc<Executor>) -> Self {
-        Self::build(config, executor, None)
-    }
-
-    /// Creates a gang-sized pool over an explicit partition of substrate worker ids
-    /// (see `Executor::register_partition` for the partition contract).  The
-    /// configuration's `num_threads` must equal `workers.len() + 1`; the calling
-    /// thread is never re-pinned.
-    pub fn new_on_partition(
-        config: StealConfig,
-        executor: &Arc<Executor>,
-        workers: &[usize],
-    ) -> Self {
-        assert_eq!(
-            config.num_threads,
-            workers.len() + 1,
-            "a partition pool has one thread per leased worker plus its master"
-        );
-        Self::build(config, executor, Some(workers))
-    }
-
-    fn build(config: StealConfig, executor: &Arc<Executor>, partition: Option<&[usize]>) -> Self {
         let nthreads = config.num_threads.max(1);
         let fanin = config.topology.suggested_arrival_fanin();
         let sync = if config.hierarchical {
@@ -510,77 +428,41 @@ impl StealPool {
         } else {
             HalfBarrier::new_tree(TreeShape::topology_aware(&config.topology, nthreads, fanin))
         };
-        let shared = Arc::new(StealShared {
-            nthreads,
-            deques: (0..nthreads).map(|_| ChunkDeque::new(1024)).collect(),
-            job: UnsafeCell::new(StealJob::noop()),
+        let team = Team::build(
+            "steal".to_string(),
             sync,
-            detach: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            worker_epochs: (0..nthreads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            in_loop: AtomicBool::new(false),
-            policy: config.wait,
+            config.wait,
+            &config.topology,
+            config.pin,
+            executor,
+            None,
+        );
+        let shared = StealShared {
+            deques: (0..nthreads).map(|_| ChunkDeque::new(1024)).collect(),
             stats: StealCounters::new(nthreads),
-            perturb: config.perturb.clone(),
             socket_of: (0..nthreads)
                 .map(|w| config.topology.socket_of_worker(w))
                 .collect(),
             tiers: (0..nthreads)
                 .map(|w| config.topology.victim_tiers(w, nthreads))
                 .collect(),
-            config: config.clone(),
-        });
-        if partition.is_none() {
-            if let Some(core) = config.topology.core_for_worker(0, config.pin) {
-                let _ = parlo_affinity::pin_to_core(core);
-            }
-        }
-        let body = {
-            let shared = shared.clone();
-            Arc::new(move |id: usize| worker_body(&shared, id))
-        };
-        let detach = {
-            let shared = shared.clone();
-            Arc::new(move || detach_workers(&shared))
-        };
-        let hooks = ClientHooks {
-            name: "steal".to_string(),
-            participants: nthreads,
-            body,
-            detach,
-        };
-        let lease = match partition {
-            None => executor.register(hooks),
-            Some(workers) => executor.register_partition(hooks, workers.to_vec()),
+            config,
         };
         StealPool {
+            team,
             shared,
-            lease,
-            rng: Cell::new(0xD1B5_4A32_D192_ED03),
             sticky: StickyTable::default(),
         }
     }
 
-    /// Makes sure the pool's lease on the substrate workers is active (one atomic load
-    /// when it already is).
-    fn ensure_workers(&self) {
-        if self.shared.nthreads <= 1 {
-            return;
-        }
-        self.lease
-            .ensure_active(|| self.shared.detach.store(false, Ordering::Relaxed));
-    }
-
     /// The substrate this pool leases its workers from.
     pub fn executor(&self) -> &Arc<Executor> {
-        self.lease.executor()
+        self.team.executor()
     }
 
     /// Number of participants (master included).
     pub fn num_threads(&self) -> usize {
-        self.shared.nthreads
+        self.team.num_threads()
     }
 
     /// The configuration the pool was built with.
@@ -596,7 +478,7 @@ impl StealPool {
     /// Instrumentation counters of the hierarchical half-barrier, or `None` when the
     /// pool was configured with a flat tree.
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
-        self.shared.sync.hierarchy_stats()
+        self.team.sync().hierarchy_stats()
     }
 
     /// The chunk size a loop of `n` iterations uses on this pool.
@@ -604,76 +486,75 @@ impl StealPool {
         self.shared
             .config
             .chunk
-            .unwrap_or_else(|| default_chunk(n, self.shared.nthreads))
+            .unwrap_or_else(|| default_chunk(n, self.num_threads()))
             .max(1)
     }
 
-    /// Runs one type-erased stealing loop.
+    /// Runs one stealing loop over `harness`: counts it, resolves the sticky
+    /// assignment of a site-keyed loop (and remembers who executed what afterwards),
+    /// and publishes the loop through the team — one half-barrier cycle, in which
+    /// every participant [`participate`]s between its fork and its join.
     ///
     /// # Safety
-    /// The harness behind `job.data` must stay alive until this call returns and its
-    /// entry points must be safe to call concurrently from all participants.
-    unsafe fn run_job(&self, job: StealJob) {
-        let shared = &*self.shared;
-        // Claim the pool before touching any loop state: a racing second driver
-        // panics deterministically on its own swap instead of corrupting the epoch.
-        assert!(
-            !shared.in_loop.swap(true, Ordering::Relaxed),
-            "steal pool driven by two threads at once: a pool serves exactly one \
-             master thread (see the parlo-exec multi-driver contract)"
-        );
-        self.ensure_workers();
-        let epoch = shared.next_epoch();
-        parlo_trace::span_begin(parlo_trace::Phase::Loop, epoch, shared.nthreads as u64);
-        let has_combine = job.combine.is_some();
-        shared.stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
-        // Publish the loop descriptor, then perform the release phase of the fork.
-        // SAFETY: the previous loop's join completed (run_job is not
-        // reentrant thanks to the &mut self public API), so no worker reads the cell.
-        unsafe { *shared.job.get() = job };
-        shared.sync.release(epoch);
-        // The master participates like any worker: seed its run, drain, steal.
-        let mut rng = self.rng.get();
-        participate(shared, 0, epoch, &job, &mut rng);
-        self.rng.set(rng);
-        // Join phase: collect arrivals, folding reduction views on the way.
-        shared.sync.join(epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                if let Some(comb) = job.combine {
-                    // SAFETY: `from` has arrived, so its view is final and no longer
-                    // accessed by its owner.
-                    unsafe { comb(job.data, 0, from) };
-                }
-            }
-        });
-        parlo_trace::span_end(parlo_trace::Phase::Loop);
-        shared.in_loop.store(false, Ordering::Relaxed);
+    /// `run_chunk` and `combine` must treat `harness` as the type it points to and be
+    /// safe to call concurrently from all participants.
+    unsafe fn run_loop<H>(
+        &mut self,
+        site: Option<StealSite>,
+        range: &Range<usize>,
+        chunk: usize,
+        harness: &H,
+        run_chunk: unsafe fn(*const (), usize, usize, usize),
+        combine: Option<unsafe fn(*const (), usize, usize)>,
+    ) {
+        let sticky = site.map(|site| self.prepare_sticky(site, range, chunk));
+        let stats = &self.shared.stats;
+        stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
+        let this = StealLoop {
+            shared: &self.shared,
+            data: harness as *const H as *const (),
+            run_chunk,
+            start: range.start,
+            end: range.end,
+            chunk,
+            sticky: sticky.as_ref().map(|(sticky_loop, _hit)| sticky_loop),
+            epoch: stats.loops.fetch_add(1, Ordering::Relaxed) + 1,
+        };
+        // SAFETY: the descriptor, the harness and the sticky state all live on this
+        // frame until `run` returns; `participate_in` matches the descriptor's type.
+        unsafe { self.team.run(Job::new(&this, participate_in, combine)) };
+        if let (Some(site), Some((sticky_loop, hit))) = (site, sticky) {
+            self.finish_sticky(site, range, chunk, sticky_loop, hit);
+        }
     }
+}
+
+/// The job entry point of every stealing loop.
+unsafe fn participate_in(data: *const (), id: usize) {
+    // SAFETY: the master keeps the descriptor alive until its join completes.
+    participate(unsafe { &*(data as *const StealLoop<'_>) }, id);
 }
 
 /// One participant's share of one loop: seed the own deque with the pre-split run
 /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
 /// from victims — socket-local tiers first when the pool is locality-aware — until a
 /// full sweep finds every deque empty.
-fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rng: &mut u64) {
-    let n = shared.nthreads;
+fn participate(job: &StealLoop<'_>, id: usize) {
+    let shared = job.shared;
+    let epoch = job.epoch;
+    let n = shared.deques.len();
     let deque = &shared.deques[id];
     let range = job.start..job.end;
-    // SAFETY: the master's stack frame keeps the `StickyLoop` alive until
-    // its join phase completes, and participants only dereference it in between.
-    let sticky = unsafe { job.sticky.as_ref() };
     // Seed the own run, back to front, so owner-LIFO pops execute it front to back and
     // thieves take from the back.  A full deque (pathologically small explicit chunk
     // size) degrades gracefully: the overflowing chunk runs inline right away.
     let seed = |c: ChunkRange| {
         // SAFETY: deque `id` is owned by this participant.
         if unsafe { deque.push(c) }.is_err() {
-            execute_chunk(shared, id, job, c);
+            execute_chunk(id, job, c);
         }
     };
-    match sticky {
+    match job.sticky {
         Some(s) => assigned_run_rev(&range, job.chunk, &s.owners, id).for_each(seed),
         None => worker_run_rev(&range, n, id, job.chunk).for_each(seed),
     }
@@ -682,7 +563,7 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
         // Own run first (LIFO pop = front-to-back execution order).
         // SAFETY: deque `id` is owned by this participant.
         if let Some(c) = unsafe { deque.pop() } {
-            execute_chunk(shared, id, job, c);
+            execute_chunk(id, job, c);
             continue;
         }
         if n == 1 {
@@ -690,7 +571,11 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
         }
         // One perturbed steal sweep.
         attempt += 1;
-        let plan = match &shared.perturb {
+        // Probe counters (and the victim rotation state) live on this worker's own
+        // padded line, so the per-probe bumps stay core-local even while every idle
+        // worker sweeps at once.
+        let my_counters = &*shared.stats.per_worker[id];
+        let plan = match &shared.config.perturb {
             Some(p) => {
                 let plan = p.steal_sweep(id, epoch, attempt);
                 SweepPlan {
@@ -698,10 +583,15 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
                     ..plan
                 }
             }
-            None => SweepPlan {
-                victim_seed: xorshift(rng),
-                delay_spins: 0,
-            },
+            None => {
+                let mut rng = my_counters.victim_rng.load(Ordering::Relaxed);
+                let victim_seed = xorshift(&mut rng);
+                my_counters.victim_rng.store(rng, Ordering::Relaxed);
+                SweepPlan {
+                    victim_seed,
+                    delay_spins: 0,
+                }
+            }
         };
         for _ in 0..plan.delay_spins {
             std::hint::spin_loop();
@@ -709,9 +599,6 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
         parlo_trace::instant(parlo_trace::Phase::StealSweep, id as u64, attempt);
         let mut stolen: Option<(ChunkRange, usize)> = None;
         let mut saw_retry = false;
-        // Probe counters live on this worker's own padded line, so the per-probe
-        // bumps stay core-local even while every idle worker sweeps at once.
-        let my_counters = &*shared.stats.per_worker[id];
         let probe = |victim: usize, saw_retry: &mut bool| -> Option<ChunkRange> {
             my_counters.steals_attempted.fetch_add(1, Ordering::Relaxed);
             match shared.deques[victim].steal() {
@@ -724,6 +611,7 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
             }
         };
         let scripted = shared
+            .config
             .perturb
             .as_ref()
             .and_then(|p| p.victim_order(id, epoch, attempt, n));
@@ -787,7 +675,7 @@ fn participate(shared: &StealShared, id: usize, epoch: Epoch, job: &StealJob, rn
                     }
                 }
                 for &c in &batch[..taken] {
-                    execute_chunk(shared, id, job, c);
+                    execute_chunk(id, job, c);
                 }
             }
             // A Retry means another participant claimed a chunk concurrently (top
@@ -820,50 +708,18 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize) -> bool {
 }
 
 #[inline]
-fn execute_chunk(shared: &StealShared, id: usize, job: &StealJob, c: ChunkRange) {
-    shared.stats.per_worker[id]
+fn execute_chunk(id: usize, job: &StealLoop<'_>, c: ChunkRange) {
+    job.shared.stats.per_worker[id]
         .chunks
         .fetch_add(1, Ordering::Relaxed);
-    // SAFETY: the sticky loop outlives the join; see `participate`.
-    if let Some(s) = unsafe { job.sticky.as_ref() } {
+    if let Some(s) = job.sticky {
         let k = (c.start - job.start) / job.chunk.max(1);
         if let Some(slot) = s.exec.get(k) {
             slot.store(id as u32, Ordering::Relaxed);
         }
     }
-    // SAFETY: contract of `run_job` — the harness outlives the loop.
+    // SAFETY: contract of `run_loop` — the harness outlives the loop.
     unsafe { (job.run_chunk)(job.data, id, c.start, c.end) };
-}
-
-/// One leased worker's scheduling loop: resumes at the epoch stored on its last
-/// detach, and answers the detach cycle by arriving at its join phase (keeping the
-/// epoch accounting aligned) before parking back in the substrate.
-fn worker_body(shared: &StealShared, id: usize) {
-    let mut rng: u64 = victim_seed(id);
-    let mut epoch: Epoch = shared.worker_epochs[id].load(Ordering::Relaxed);
-    loop {
-        epoch += 1;
-        shared.sync.wait_release(id, epoch, &shared.policy);
-        if shared.detach.load(Ordering::Acquire) {
-            shared.sync.arrive(id, epoch, &shared.policy, |_| {});
-            shared.worker_epochs[id].store(epoch, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: ordered by the half-barrier release edge.
-        let job = unsafe { *shared.job.get() };
-        let has_combine = job.combine.is_some();
-        participate(shared, id, epoch, &job, &mut rng);
-        shared.sync.arrive(id, epoch, &shared.policy, |from| {
-            if has_combine {
-                shared.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
-                parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                if let Some(comb) = job.combine {
-                    // SAFETY: `from` has arrived; its view is final.
-                    unsafe { comb(job.data, id, from) };
-                }
-            }
-        });
-    }
 }
 
 // --------------------------------------------------------------------------------------
@@ -888,7 +744,9 @@ unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
 }
 
 struct ReduceHarness<'a, T, Fold, Comb> {
-    views: Vec<CachePadded<UnsafeCell<Option<T>>>>,
+    /// One view per participant, seeded with the neutral element; a participant folds
+    /// every chunk it executes (own and stolen) into its own.
+    views: ReduceViews<T>,
     fold: &'a Fold,
     comb: &'a Comb,
 }
@@ -902,12 +760,12 @@ where
     // SAFETY: the master keeps the harness alive until its join completes.
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
     // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
-    let view = unsafe { &mut *h.views[worker].get() };
-    let mut acc = view.take().expect("view seeded with the neutral element");
+    let mut acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
     for i in lo..hi {
         acc = (h.fold)(acc, i);
     }
-    *view = Some(acc);
+    // SAFETY: as above.
+    unsafe { h.views.put(worker, acc) };
 }
 
 unsafe fn combine_views<T, Fold, Comb>(data: *const (), to: usize, from: usize)
@@ -916,15 +774,22 @@ where
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
+    // SAFETY: the master keeps the loop descriptor and, behind it, the harness alive
+    // until its join completes.
+    let (this, h) = unsafe {
+        let this = &*(data as *const StealLoop<'_>);
+        (
+            this,
+            &*(this.data as *const ReduceHarness<'_, T, Fold, Comb>),
+        )
+    };
+    this.shared
+        .stats
+        .combine_ops
+        .fetch_add(1, Ordering::Relaxed);
     // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
     // that `to` is the unique combiner touching either view at this point.
-    let a = unsafe { (*h.views[to].get()).take().expect("to-view present") };
-    // SAFETY: same combiner-exclusivity argument as the take above.
-    let b = unsafe { (*h.views[from].get()).take().expect("from-view present") };
-    // SAFETY: same combiner-exclusivity argument as the take above.
-    unsafe { *h.views[to].get() = Some((h.comb)(a, b)) };
+    unsafe { h.views.combine(to, from, h.comb) };
 }
 
 impl StealPool {
@@ -943,23 +808,7 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
-        if range.end <= range.start {
-            return;
-        }
-        let harness = ForHarness { body: &body };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness outlives the loop; `exec_for_chunk::<F>` matches its type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_for_chunk::<F>,
-                combine: None,
-                start: range.start,
-                end: range.end,
-                chunk: chunk.max(1),
-                sticky: std::ptr::null(),
-            });
-        }
+        self.for_loop(None, range, chunk, body);
     }
 
     /// Work-stealing parallel reduction.  Every participant folds the chunks it
@@ -999,34 +848,7 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        if range.end <= range.start {
-            return init();
-        }
-        let harness = ReduceHarness {
-            views: (0..self.num_threads())
-                .map(|_| CachePadded::new(UnsafeCell::new(Some(init()))))
-                .collect(),
-            fold: &fold,
-            comb: &comb,
-        };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        self.shared.stats.reductions.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness outlives the loop; the entry points match its type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_reduce_chunk::<T, Fold, Comb>,
-                combine: Some(combine_views::<T, Fold, Comb>),
-                start: range.start,
-                end: range.end,
-                chunk: chunk.max(1),
-                sticky: std::ptr::null(),
-            });
-        }
-        // After the join the master's view holds the full fold.
-        // SAFETY: the join completed, so no participant touches any view.
-        let result = unsafe { (*harness.views[0].get()).take() };
-        result.expect("master view present after the join phase")
+        self.reduce_loop(None, range, chunk, init, fold, comb)
     }
 
     /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
@@ -1054,27 +876,7 @@ impl StealPool {
     ) where
         F: Fn(usize) + Sync,
     {
-        if range.end <= range.start {
-            return;
-        }
-        let chunk = chunk.max(1);
-        let (sticky_loop, hit) = self.prepare_sticky(site, &range, chunk);
-        let harness = ForHarness { body: &body };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness and the sticky state outlive the loop (both live on
-        // this frame until past `run_job`'s join); the entry point matches the type.
-        unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_for_chunk::<F>,
-                combine: None,
-                start: range.start,
-                end: range.end,
-                chunk,
-                sticky: &sticky_loop,
-            });
-        }
-        self.finish_sticky(site, &range, chunk, sticky_loop, hit);
+        self.for_loop(Some(site), range, chunk, body);
     }
 
     /// [`StealPool::steal_reduce`] keyed by a loop [`StealSite`] — sticky affinity
@@ -1113,37 +915,71 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
+        self.reduce_loop(Some(site), range, chunk, init, fold, comb)
+    }
+
+    /// The plain loop behind every `steal_for*` entry point (`site` keys the sticky
+    /// affinity, `None` for the unkeyed variants).
+    fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, chunk: usize, body: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        if range.end <= range.start {
+            return;
+        }
+        let harness = ForHarness { body: &body };
+        // SAFETY: `exec_for_chunk::<F>` matches the harness type.
+        unsafe {
+            self.run_loop(
+                site,
+                &range,
+                chunk.max(1),
+                &harness,
+                exec_for_chunk::<F>,
+                None,
+            );
+        }
+    }
+
+    /// The reduction behind every `steal_reduce*` entry point.
+    fn reduce_loop<T, Init, Fold, Comb>(
+        &mut self,
+        site: Option<StealSite>,
+        range: Range<usize>,
+        chunk: usize,
+        init: Init,
+        fold: Fold,
+        comb: Comb,
+    ) -> T
+    where
+        T: Send,
+        Init: Fn() -> T,
+        Fold: Fn(T, usize) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
         if range.end <= range.start {
             return init();
         }
-        let chunk = chunk.max(1);
-        let (sticky_loop, hit) = self.prepare_sticky(site, &range, chunk);
         let harness = ReduceHarness {
-            views: (0..self.num_threads())
-                .map(|_| CachePadded::new(UnsafeCell::new(Some(init()))))
-                .collect(),
+            views: ReduceViews::new(self.num_threads(), || Some(init())),
             fold: &fold,
             comb: &comb,
         };
-        self.shared.stats.loops.fetch_add(1, Ordering::Relaxed);
         self.shared.stats.reductions.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the harness and the sticky state outlive the loop; the entry
-        // points match the harness type.
+        // SAFETY: the entry points match the harness type.
         unsafe {
-            self.run_job(StealJob {
-                data: &harness as *const _ as *const (),
-                run_chunk: exec_reduce_chunk::<T, Fold, Comb>,
-                combine: Some(combine_views::<T, Fold, Comb>),
-                start: range.start,
-                end: range.end,
-                chunk,
-                sticky: &sticky_loop,
-            });
+            self.run_loop(
+                site,
+                &range,
+                chunk.max(1),
+                &harness,
+                exec_reduce_chunk::<T, Fold, Comb>,
+                Some(combine_views::<T, Fold, Comb>),
+            );
         }
-        self.finish_sticky(site, &range, chunk, sticky_loop, hit);
+        // After the join the master's view holds the full fold.
         // SAFETY: the join completed, so no participant touches any view.
-        let result = unsafe { (*harness.views[0].get()).take() };
-        result.expect("master view present after the join phase")
+        unsafe { harness.views.take(0) }.expect("master view present after the join phase")
     }
 
     /// Installs an explicit chunk→worker assignment for `site`, as if a previous
@@ -1165,7 +1001,7 @@ impl StealPool {
             "one owner per grid chunk"
         );
         assert!(
-            owners.iter().all(|&w| w < self.shared.nthreads),
+            owners.iter().all(|&w| w < self.num_threads()),
             "owner out of range"
         );
         self.sticky.remember(
@@ -1202,9 +1038,9 @@ impl StealPool {
             }
             Some(Err(())) => {
                 stats.sticky_invalidations.fetch_add(1, Ordering::Relaxed);
-                (balanced_owners(nchunks, self.shared.nthreads), false)
+                (balanced_owners(nchunks, self.num_threads()), false)
             }
-            None => (balanced_owners(nchunks, self.shared.nthreads), false),
+            None => (balanced_owners(nchunks, self.num_threads()), false),
         };
         let exec = (0..nchunks).map(|_| AtomicU32::new(u32::MAX)).collect();
         (StickyLoop { owners, exec }, hit)

@@ -13,9 +13,10 @@
 //! * sticky per-site affinity replays the previous chunk→worker assignment on
 //!   repeated same-shape loops (full reuse when no steal interferes) and fully
 //!   resets when the loop shape or the pool placement changes;
-//! * on the cache-hostile workload over a synthetic multi-socket machine, the tiered
-//!   sweep cuts cross-socket steals by a wide margin against the flat random-victim
-//!   ring, at exactly equal total chunk counts.
+//! * on the cache-hostile workload over a synthetic multi-socket machine, under a
+//!   scripted schedule in which every steal's victim is the sweep order's first
+//!   choice, the flat random-victim ring crosses the interconnect for every stolen
+//!   chunk and the tiered sweep for none, at exactly equal total chunk counts.
 //!
 //! Every test derives its schedule from a seeded perturbation (or scripts it
 //! outright), so the battery explores many distinct steal schedules reproducibly —
@@ -320,36 +321,120 @@ fn sticky_affinity_resets_on_shape_and_placement_changes() {
     }
 }
 
+thread_local! {
+    /// Non-gate chunks the current thread has executed in the headline test's loop.
+    static CHUNKS_TAKEN_HERE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Scripts the headline schedule: two gated feeders (one per socket) hold all the
+/// work, two thieves (one per socket) must lift it.  The hook only decides *when* a
+/// thief may sweep and with which rotation seed — *whom* the sweep probes first is
+/// the pool's own tiered or flat order, which is exactly what is under test.
+///
+/// A thief sweeps only after both feeders sit in their gate chunks (so the gates are
+/// never stolen), and once it has executed its `quota` of chunks it waits for the
+/// whole loop's stealable work to be done before its final (empty) sweep.  With one
+/// thief per feeder and a quota equal to a feeder's stealable chunks, no thief ever
+/// sweeps while its first-choice feeder is dry — so the victim of every steal is
+/// the sweep order's first choice, under any OS interleaving.
+struct OneThiefPerFeeder {
+    feeders_gated: Arc<AtomicUsize>,
+    done: Arc<AtomicUsize>,
+    quota: usize,
+    stealable: usize,
+    /// Rotation seed of each worker's sweeps: the flat ring starts at `seed % P`.
+    seeds: [u64; 4],
+}
+
+impl SchedulePerturbation for OneThiefPerFeeder {
+    fn steal_sweep(&self, worker: usize, _epoch: u64, _attempt: u64) -> parlo_steal::SweepPlan {
+        parlo_steal::SweepPlan {
+            victim_seed: self.seeds[worker],
+            delay_spins: 0,
+        }
+    }
+
+    fn victim_order(
+        &self,
+        worker: usize,
+        _epoch: u64,
+        _attempt: u64,
+        _nthreads: usize,
+    ) -> Option<Vec<usize>> {
+        if worker == 1 || worker == 3 {
+            while self.feeders_gated.load(Ordering::Acquire) < 2 {
+                std::thread::yield_now();
+            }
+            if CHUNKS_TAKEN_HERE.with(|c| c.get()) >= self.quota {
+                while self.done.load(Ordering::Acquire) < self.stealable {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        None
+    }
+}
+
 #[test]
 fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
-    // The headline claim: on the cache-hostile workload over a synthetic 4x8
-    // machine, the tiered socket-local-first sweep produces several times fewer
-    // cross-socket steals than the flat random-victim ring, at exactly equal total
-    // chunk counts, with bit-equal results.
-    let threads = 32usize;
-    let n = 1024usize;
+    // The headline claim, stated under a scripted schedule so it holds under any OS
+    // interleaving: on the cache-hostile workload over a synthetic 2x2 machine —
+    // workers {0, 1} on socket 0, {2, 3} on socket 1 — feeders 0 and 2 each hold a
+    // gate chunk plus 7 stealable chunks, and thieves 1 and 3 must execute all 14.
+    // Every sweep is seeded so that the flat ring starts at the *other* socket's
+    // feeder (thief 1 at worker 2, thief 3 at worker 0).  The flat random-victim
+    // ring follows the seed across the interconnect for every single chunk; the
+    // tiered sweep probes the same-socket feeder first and never crosses while it
+    // has work — at exactly equal total chunk counts, with bit-equal results.
+    // (The statistical ">= 3x on 32 free-running threads" form of this claim depends
+    // on who the OS runs first; it belongs to the measured benchmark, not tier-1.)
+    let n = 16usize;
     let units = 8usize;
-    let reps = 6usize;
-    let chunk = 2usize;
     let table = CacheTable::for_iters(n);
     let expected = cache::cache_hostile_sequential(&table, n, units);
+    let gates = [0usize, 8];
+    let stealable = n - gates.len();
+    let owners: Vec<usize> = (0..n).map(|c| if c < 8 { 0 } else { 2 }).collect();
 
     let run = |locality: bool| -> StealStats {
+        let feeders_gated = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
         let mut pool = pool_on(
+            2,
+            2,
             4,
-            8,
-            threads,
-            chunk,
+            1,
             locality,
-            Arc::new(SeededPerturbation::new(0xCAFE)),
+            Arc::new(OneThiefPerFeeder {
+                feeders_gated: Arc::clone(&feeders_gated),
+                done: Arc::clone(&done),
+                quota: stealable / 2,
+                stealable,
+                seeds: [0, 2, 0, 0],
+            }),
         );
-        for _ in 0..reps {
-            assert_eq!(
-                cache::cache_hostile_sum(&mut pool, &table, n, units),
-                expected,
-                "bit-equal (locality = {locality})"
-            );
-        }
+        let site = StealSite(0xCAFE);
+        pool.seed_affinity(site, 0..n, 1, &owners);
+        let got = pool.steal_reduce_at_with_chunk(
+            site,
+            0..n,
+            1,
+            || 0.0f64,
+            |acc, i| {
+                if gates.contains(&i) {
+                    feeders_gated.fetch_add(1, Ordering::Release);
+                    while done.load(Ordering::Acquire) < stealable {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    CHUNKS_TAKEN_HERE.with(|c| c.set(c.get() + 1));
+                    done.fetch_add(1, Ordering::Release);
+                }
+                acc + table.term(i, units)
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(got, expected, "bit-equal (locality = {locality})");
         pool.stats()
     };
     let random = run(false);
@@ -360,14 +445,18 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
         local.chunks_executed(),
         "equal total chunks in both modes"
     );
+    assert_eq!(random.chunks_executed(), total_chunks(&(0..n), 4, 1));
+    // The flat ring crossed the interconnect for every stolen chunk; the tiered
+    // sweep for none of them.
     assert_eq!(
-        random.chunks_executed(),
-        (reps as u64) * total_chunks(&(0..n), threads, chunk)
+        random.remote_steals, stealable as u64,
+        "flat ring: {random:?}"
     );
-    // 24 of every thief's 31 potential victims are cross-socket, so the flat ring
-    // goes remote constantly; the tiered sweep only falls outward when a whole
-    // socket is dry.  Demand at least the 3x reduction the tiered sweep is built
-    // to deliver (the observed margin is far larger).
+    assert_eq!(local.remote_steals, 0, "tiered sweep: {local:?}");
+    assert_eq!(
+        local.local_steals, stealable as u64,
+        "tiered sweep: {local:?}"
+    );
     assert!(
         3 * local.remote_steals <= random.remote_steals,
         "tiered sweep must cut cross-socket steals >= 3x: local-mode {} vs random-mode {}",

@@ -3,7 +3,8 @@
 //! Exhaustively enumerates thread interleavings (up to the preemption bound)
 //! of small closed programs built from the *real* shipped primitives — the
 //! Chase–Lev chunk deque, the centralized release/join half-barrier pair, the
-//! park hub, the trace event ring and the serve completion hand-off — and
+//! park hub, the trace event ring, the serve completion hand-off and the team
+//! skeleton's loop / detach / resume protocol — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -20,7 +21,11 @@
 
 #![cfg(parlo_model)]
 
-use parlo_barrier::{wake_parked, CentralizedJoin, CentralizedRelease, WaitMode, WaitPolicy};
+use parlo_barrier::{
+    wake_parked, CentralizedJoin, CentralizedRelease, FullBarrier, HalfBarrier, WaitMode,
+    WaitPolicy,
+};
+use parlo_exec::{ExtraReductionBarrier, Job, TeamCore, TeamSync};
 use parlo_serve::completion_pair;
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
@@ -351,4 +356,93 @@ fn mutation_weakened_release_is_caught_and_replays() {
         })
         .expect_err("pinned schedule reproduces the race");
     assert_eq!(replayed.kind, model::ViolationKind::DataRace);
+}
+
+// ---------------------------------------------------------------------------
+// The team skeleton: loop → detach cycle → resume at the stored epoch → loop.
+// ---------------------------------------------------------------------------
+
+/// What one modelled team loop computes: the master publishes `input`, every
+/// participant writes `input + id` into its own output cell.
+struct TeamHarness {
+    input: UnsafeCell<u64>,
+    out: [UnsafeCell<u64>; 2],
+}
+
+unsafe fn team_exec(data: *const (), id: usize) {
+    // SAFETY: the model programs below pass a pointer to a live `TeamHarness`.
+    let h = unsafe { &*(data as *const TeamHarness) };
+    // SAFETY: the driver wrote `input` before the fork this participant passed.
+    let x = h.input.with(|p| unsafe { *p });
+    // SAFETY: participant `id` is the only writer of its cell until it has joined.
+    h.out[id].with_mut(|p| unsafe { *p = x + id as u64 });
+}
+
+/// One loop of the skeleton on a 2-participant team, checked from the master: the
+/// job slot, the input and both outputs cross threads only through the sync shape's
+/// release/acquire edges, so any missing edge is a reported data race.
+fn team_loop<S: TeamSync>(core: &TeamCore<S>, h: &TeamHarness, input: u64) {
+    // SAFETY: the worker of the previous cycle has joined (or not started yet).
+    h.input.with_mut(|p| unsafe { *p = input });
+    // SAFETY: the harness outlives the cycle; `team_exec` matches its type; the
+    // model thread spawned by the caller is inside `worker_body`.
+    unsafe { core.cycle(Job::new(h, team_exec, None)) };
+    for id in 0..2 {
+        // SAFETY: the join completed, so every participant's write is published.
+        let got = h.out[id].with(|p| unsafe { *p });
+        assert_eq!(
+            got,
+            input + id as u64,
+            "participant {id} ran the published job"
+        );
+    }
+}
+
+/// The lease/epoch protocol every runtime shares, on model threads (the executor's
+/// mutex/condvar hand-off is out of scope): a loop, the detach cycle that sends the
+/// worker out of its scheduling loop, and a *second* worker thread that re-enters the
+/// body, must resume at the epoch the first one stored and serve the next loop — a
+/// resume one epoch off would either deadlock the fork or let the worker run ahead
+/// of the publish, which the checker reports as a deadlock or a data race.
+fn team_detach_resume_cycle<S: TeamSync>(sync: S) {
+    let core = Arc::new(TeamCore::new(
+        "model".to_string(),
+        sync,
+        WaitPolicy::dedicated(),
+    ));
+    let h = Arc::new(TeamHarness {
+        input: UnsafeCell::new(0),
+        out: [UnsafeCell::new(0), UnsafeCell::new(0)],
+    });
+    for round in 0..2u64 {
+        // (Re-)attach: clear the detach request, then enter the body.
+        core.rearm();
+        let worker = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || core.worker_body(1))
+        };
+        team_loop(&core, &h, 10 * (round + 1));
+        core.detach_workers();
+        worker.join().unwrap();
+    }
+}
+
+#[test]
+fn team_skeleton_loop_detach_resume_loop_half_barrier() {
+    let report = model::Builder::new()
+        .preemption_bound(Some(2))
+        .check(|| team_detach_resume_cycle(HalfBarrier::new_centralized(2)));
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+#[test]
+fn team_skeleton_loop_detach_resume_loop_full_barrier_shapes() {
+    let report = model::Builder::new().preemption_bound(Some(2)).check(|| {
+        team_detach_resume_cycle(FullBarrier::new_centralized(2));
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+    let report = model::Builder::new().preemption_bound(Some(2)).check(|| {
+        team_detach_resume_cycle(ExtraReductionBarrier(FullBarrier::new_centralized(2)));
+    });
+    assert!(report.complete, "exploration must be exhaustive");
 }

@@ -94,6 +94,83 @@ mod enabled {
         assert!(count(&snap, EventKind::Begin, Phase::Join) as u64 >= delta.loops);
     }
 
+    /// The same contract for the other three runtime families: every one of them
+    /// runs its loops, detach cycles and join-phase combines through the one team
+    /// skeleton, so each `SyncStats` loop is exactly one `loop` span on the master's
+    /// track, each join-phase combine one `combine` instant, and releasing the lease
+    /// exactly one `detach-cycle` span.
+    #[cfg(not(feature = "stats-off"))]
+    #[test]
+    fn every_runtime_family_emits_one_loop_span_per_sync_stats_loop() {
+        use parlo_cilk::{CilkFineGrain, CilkPool};
+        use parlo_omp::{Schedule, ScheduledTeam};
+        type Build = fn() -> Box<dyn LoopRuntime>;
+        // (label, constructor, combines happen inside the join phase)
+        let families: [(&str, Build, bool); 5] = [
+            (
+                "battery-omp-static",
+                || Box::new(ScheduledTeam::with_threads(3, Schedule::Static)),
+                true,
+            ),
+            (
+                "battery-omp-dynamic",
+                || Box::new(ScheduledTeam::with_threads(3, Schedule::Dynamic(4))),
+                true,
+            ),
+            // Baseline Cilk merges its reducer views after the loop, not in a join.
+            (
+                "battery-cilk",
+                || Box::new(CilkPool::with_threads(3)),
+                false,
+            ),
+            (
+                "battery-cilk-fine",
+                || Box::new(CilkFineGrain::with_threads(3)),
+                true,
+            ),
+            (
+                "battery-steal",
+                || Box::new(parlo_steal::StealPool::with_threads(3)),
+                true,
+            ),
+        ];
+        for (label, build, combines_in_join) in families {
+            let (delta, snap) = with_armed_trace(label, || {
+                let mut rt = build();
+                let before = rt.sync_stats();
+                for _ in 0..4 {
+                    rt.parallel_for(0..64, &|_| {});
+                }
+                for _ in 0..3 {
+                    let sum = rt.parallel_sum(0..100, &|i| i as f64);
+                    assert_eq!(sum, 4950.0, "{label}");
+                }
+                rt.parallel_for(0..0, &|_| {});
+                rt.sync_stats().since(&before)
+                // `rt` drops here, inside the armed window: one lease release.
+            });
+            assert_eq!(delta.loops, 7, "{label}: empty loops are not loops");
+            let master = track(&snap, label);
+            assert_eq!(master.dropped, 0, "{label}");
+            let begins = |phase| {
+                master
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Begin && e.phase == phase)
+                    .count() as u64
+            };
+            assert_eq!(begins(Phase::Loop), delta.loops, "{label}");
+            assert_eq!(begins(Phase::DetachCycle), 1, "{label}");
+            if combines_in_join {
+                assert_eq!(
+                    count(&snap, EventKind::Instant, Phase::Combine) as u64,
+                    delta.combine_ops,
+                    "{label}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn spans_nest_and_timestamps_are_monotonic_per_track() {
         let ((), snap) = with_armed_trace("battery-nesting", || {

@@ -133,3 +133,33 @@ fn auto_policy_parks_only_when_oversubscribed() {
         }
     }
 }
+
+/// Regression: every pool pins the thread that builds it, and the automatic wait
+/// policy used to size itself from `std::thread::available_parallelism()`, which
+/// counts the *calling thread's* affinity mask — so the second pool a thread built
+/// (and the adaptive pool's second to fourth backends) saw a one-CPU machine and
+/// silently resolved `Park`.  The count now comes from `parlo_affinity::host_cpus`,
+/// latched before the first master pin: pools built back to back on one thread
+/// resolve the same mode, whichever family they are.
+#[test]
+fn pools_built_back_to_back_on_one_thread_resolve_the_same_wait_mode() {
+    let threads = 2;
+    let first = FineGrainPool::with_threads(threads);
+    let expected = first.config().wait.mode;
+    if hardware_threads() >= threads && std::env::var("PARLO_WAIT").is_err() {
+        assert_ne!(expected, WaitMode::Park, "2 threads fit this machine");
+    }
+    // The builder thread is pinned to one core from here on.
+    assert_eq!(
+        FineGrainPool::with_threads(threads).config().wait.mode,
+        expected,
+        "second fine-grain pool"
+    );
+    assert_eq!(OmpTeam::with_threads(threads).config().wait.mode, expected);
+    assert_eq!(CilkPool::with_threads(threads).config().wait.mode, expected);
+    assert_eq!(
+        StealPool::with_threads(threads).config().wait.mode,
+        expected
+    );
+    assert_eq!(WaitPolicy::auto_for(threads).mode, expected);
+}
