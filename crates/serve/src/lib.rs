@@ -28,19 +28,50 @@
 //!
 //! ## Queueing discipline
 //!
+//! * **Block-granular bodies**: [`LoopRequest::for_each`] and [`LoopRequest::sum`]
+//!   erase the tenant's closure at the level of a *block* of indices, not of one
+//!   index: the per-index loop is the tenant's own monomorphised code, and the server
+//!   pays one `dyn` call per block — one in all on an inline (1-worker) gang, one per
+//!   gang member for a pooled loop, one per overlapped request per member in a fused
+//!   batch.
+//! * **One wait, three users**: a driver waiting for work, a submitter waiting for
+//!   queue room and a tenant waiting on a [`JobHandle`] share one discipline — look
+//!   under the lock, poll a lock-free hint (an atomic mirror of the queue length, the
+//!   completion's `done` flag) for a spin budget and then a yield budget, and only
+//!   then park on the condvar.  The **driver** gets the budget
+//!   [`parlo_core::WaitPolicy::auto_for`] gives a pool worker of the same substrate:
+//!   a long spin when every substrate thread has a core, the park policy's short one
+//!   when the host is oversubscribed.  So under load a request is picked up by a
+//!   polling driver, with no sleep/wake round trip, and a quiet server still ends up
+//!   parked at ~0 CPU ([`ServeStats::driver_parks`] counts it).  **Tenants** always
+//!   get the short budget — queued submitters and handle waiters never busy-spin.
+//! * **No wake-up without a sleeper**: the queue counts its parked drivers and parked
+//!   submitters under its lock, a completion its parked waiters under its own, and
+//!   each notifies a condvar only when the count is non-zero, so a push, a pop or a
+//!   completion with nobody asleep makes no system call
+//!   ([`ServeStats::driver_wakes`] counts the notifications sent to drivers).  The
+//!   count moves under the same lock hold as the failed look that precedes the park,
+//!   which is why no wake-up can be lost; the model battery checks every interleaving
+//!   of a parking driver against a push, of a parking submitter against a pop and of
+//!   a waiting tenant against a completion.
 //! * **Admission control**: the queue is bounded. [`Server::try_submit`] fails fast
 //!   with [`Rejected::QueueFull`]; [`Server::submit`] applies backpressure by waiting
-//!   for room — a bounded spin, then yields, then a parked condvar wait (queued
-//!   submitters never busy-spin).
-//! * **Completion**: a [`JobHandle`] parks its waiter the same way (bounded spin →
-//!   yield → condvar); no tenant thread spins on a completion flag.
+//!   for room.
+//! * **Completion**: the driver writes the result under the handle's lock and raises
+//!   its `done` flag; [`JobHandle::is_done`] is one atomic load, and
+//!   [`JobHandle::wait`] is the shared wait on that flag.
 //! * **Small-loop batching**: consecutive queued `for`-loops are fused into one
-//!   half-barrier cycle — the driver concatenates their index spaces with a prefix
-//!   sum and runs a single `parallel_for`, so a backlog of micro-loops pays one
-//!   fork/join instead of one per loop.
+//!   half-barrier cycle — the driver runs a single `parallel_for_blocks` over the
+//!   concatenation of their index spaces and each gang member hands every request its
+//!   block overlaps that request's share, so a backlog of micro-loops pays one
+//!   fork/join instead of one per loop.  A `sum` rides alone.
 //! * **Fairness**: requests are keyed by [`LoopSite`]; the queue holds one FIFO per
-//!   site and the driver pops round-robin across sites, so a chatty tenant cannot
-//!   starve the others.
+//!   site that has work queued and the driver pops round-robin across them, so a
+//!   chatty tenant cannot starve the others.  A FIFO is dropped when it empties: the
+//!   queue's size and its pop cost follow the sites waiting now, not every site a
+//!   long-lived server has ever seen.
+//! * **Scrapes do not contend**: [`Server::stats`] and [`Server::metrics_text`] read
+//!   atomics only, never the queue lock.
 //!
 //! On a machine with no workers to lease (capacity 0) the server degenerates to
 //! inline execution on the submitting thread — same results, no threads.
@@ -73,5 +104,7 @@ mod queue;
 mod server;
 
 pub use parlo_adaptive::LoopSite;
+#[doc(hidden)]
+pub use queue::AdmissionProbe;
 pub use queue::{completion_pair, Completer, JobHandle, Rejected};
 pub use server::{GangSizing, LoopRequest, ServeConfig, ServeStats, Server};

@@ -1,9 +1,9 @@
 //! The server: gang allocation over the substrate, the per-gang driver loop, and the
 //! tenant-facing submission API.
 
-use crate::queue::{Completion, JobHandle, QueuedJob, Rejected, ServeQueue};
+use crate::queue::{tenant_wait, Completion, JobHandle, QueuedJob, Rejected, ServeQueue};
 use parlo_adaptive::{gang_size_hint, LoopSite};
-use parlo_core::{Config, FineGrainPool, StatsRegistry};
+use parlo_core::{static_block, Config, FineGrainPool, StatsRegistry, WaitPolicy};
 use parlo_exec::{ClientHooks, Executor, Lease};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};
 use std::ops::Range;
@@ -94,20 +94,25 @@ impl ServeConfig {
 }
 
 /// The loop behind one request (the fusable `for` kind, or a reduction).
+///
+/// The tenant's closure is erased at the *block* level: the server hands a body a
+/// contiguous sub-range and the per-index loop inside it is the tenant's own
+/// monomorphised code, so a request pays one `dyn` call per block — one per gang
+/// member, or one in all on an inline gang — never one per index.
 pub(crate) enum LoopKind {
-    /// A `parallel_for`: `body(i)` once per index.
+    /// A `parallel_for`: the body runs every index of the block it is given.
     For {
         /// Iteration space.
         range: Range<usize>,
-        /// Loop body.
-        body: Arc<dyn Fn(usize) + Send + Sync>,
+        /// Loop body over a block of `range`.
+        body: Arc<dyn Fn(Range<usize>) + Send + Sync>,
     },
-    /// A `parallel_sum`: `f(i)` summed over the range.
+    /// A `parallel_sum`: the summand's sum over the block it is given.
     Sum {
         /// Iteration space.
         range: Range<usize>,
-        /// Summand.
-        f: Arc<dyn Fn(usize) -> f64 + Send + Sync>,
+        /// Partial sum over a block of `range`.
+        f: Arc<dyn Fn(Range<usize>) -> f64 + Send + Sync>,
     },
 }
 
@@ -129,7 +134,11 @@ impl LoopRequest {
             site,
             kind: LoopKind::For {
                 range,
-                body: Arc::new(body),
+                body: Arc::new(move |block: Range<usize>| {
+                    for i in block {
+                        body(i);
+                    }
+                }),
             },
         }
     }
@@ -144,7 +153,7 @@ impl LoopRequest {
             site,
             kind: LoopKind::Sum {
                 range,
-                f: Arc::new(f),
+                f: Arc::new(move |block: Range<usize>| block.map(&f).sum()),
             },
         }
     }
@@ -167,18 +176,65 @@ impl LoopRequest {
     }
 }
 
-/// Runs a request sequentially on the current thread (gangless fallback and the
-/// shutdown drain) and returns its result.
+/// Runs a request sequentially on the current thread (an inline gang, the gangless
+/// fallback and the shutdown drain) and returns its result: the whole range is one
+/// block.
 fn run_seq(kind: &LoopKind) -> f64 {
     match kind {
         LoopKind::For { range, body } => {
-            for i in range.clone() {
-                body(i);
-            }
+            body(range.clone());
             0.0
         }
-        LoopKind::Sum { range, f } => range.clone().map(|i| f(i)).sum(),
+        LoopKind::Sum { range, f } => f(range.clone()),
     }
+}
+
+/// Runs a single request on the gang's pool: a `for` as one block per participant, a
+/// sum as a reduction over the participants, each summing its own block.
+fn run_pooled(pool: &mut FineGrainPool, kind: &LoopKind) -> f64 {
+    match kind {
+        LoopKind::For { range, body } => {
+            pool.parallel_for_blocks(range.clone(), |block| body(block));
+            0.0
+        }
+        LoopKind::Sum { range, .. } if range.is_empty() => 0.0,
+        LoopKind::Sum { range, f } => {
+            let members = pool.num_threads();
+            pool.parallel_sum(0..members, |id| f(static_block(range, members, id)))
+        }
+    }
+}
+
+/// The range and the body of a member of a fused batch.
+fn for_parts(job: &QueuedJob) -> (&Range<usize>, &(dyn Fn(Range<usize>) + Send + Sync)) {
+    match &job.kind {
+        LoopKind::For { range, body } => (range, &**body),
+        LoopKind::Sum { .. } => unreachable!("multi-job batches are for-only"),
+    }
+}
+
+/// Runs a multi-job batch — `for` loops only, the queue guarantees it — as a single
+/// `parallel_for_blocks` over the concatenation of their index spaces, so the whole
+/// batch costs one half-barrier cycle.  Each participant walks the jobs its block of
+/// the concatenation overlaps and hands each its share as one block.
+fn run_fused(pool: &mut FineGrainPool, batch: &[QueuedJob]) {
+    let total = batch.iter().map(|job| for_parts(job).0.len()).sum();
+    pool.parallel_for_blocks(0..total, |block| {
+        // `start..end` is the job's place in the concatenation.
+        let mut start = 0;
+        for job in batch {
+            if start >= block.end {
+                break;
+            }
+            let (range, body) = for_parts(job);
+            let end = start + range.len();
+            let (lo, hi) = (block.start.max(start), block.end.min(end));
+            if lo < hi {
+                body(range.start + (lo - start)..range.start + (hi - start));
+            }
+            start = end;
+        }
+    });
 }
 
 #[derive(Default)]
@@ -211,7 +267,21 @@ parlo_core::stats_family! {
         /// Extra loops that rode along in a fused batch (each saved one full
         /// half-barrier cycle relative to serving it alone).
         pub fused: u64,
+        /// Times a driver found no work within its spin budget and went to sleep on
+        /// the queue's condvar.
+        pub driver_parks: u64,
+        /// Notifications sent to sleeping drivers.  A request that arrives while its
+        /// driver sleeps pays a wake-up; one that arrives while it polls does not.
+        pub driver_wakes: u64,
     }
+}
+
+/// How long an idle driver polls the queue before it parks: what a pool worker of this
+/// substrate would be given to wait for its next loop — a long spin when every
+/// substrate thread has a core of its own, the park policy's short one when the host
+/// is oversubscribed.
+fn driver_wait(executor: &Executor) -> WaitPolicy {
+    WaitPolicy::auto_for(executor.capacity() + 1)
 }
 
 /// One gang's shared state: its detach flag, its (lazily activated) pool over the
@@ -230,21 +300,21 @@ struct GangState {
 /// pop a batch, serve it, repeat until detached.  Resumable — a re-activation after
 /// a detach enters the loop again with the flag reset.
 fn driver_loop(gang: &GangState) {
-    while !gang.detach.load(Ordering::Acquire) {
-        match gang.queue.pop_batch(gang.batch_max, &gang.detach) {
-            Some(batch) => run_batch(gang, batch),
-            // `pop_batch` returns `None` only when the detach flag is up; the loop
-            // condition exits.
-            None => continue,
-        }
+    // One buffer for the driver's lifetime; it grows to the largest batch seen.
+    let mut batch = Vec::new();
+    // `pop_batch_into` returns `false` only when the detach flag is up.
+    while gang
+        .queue
+        .pop_batch_into(&mut batch, gang.batch_max, &gang.detach)
+    {
+        run_batch(gang, &batch);
+        batch.clear();
     }
 }
 
-/// Serves one popped batch on the gang's workers.  A multi-job batch contains only
-/// `for` loops (the queue guarantees it): their index spaces are concatenated with a
-/// prefix sum and served as a single `parallel_for`, so the whole batch costs one
-/// half-barrier cycle.
-fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
+/// Serves one popped batch on the gang's workers: inline when the gang is its driver
+/// alone, else a single job on the pool or a multi-job batch fused into one cycle.
+fn run_batch(gang: &GangState, batch: &[QueuedJob]) {
     parlo_trace::span_begin(parlo_trace::Phase::Batch, batch.len() as u64, 0);
     // The counters move *before* the handles complete: a tenant that has seen its
     // handle resolve must also find its request in `ServeStats`.
@@ -259,43 +329,17 @@ fn run_batch(gang: &GangState, batch: Vec<QueuedJob>) {
         job.done.complete(value);
     };
     let mut guard = gang.pool.lock().unwrap_or_else(|p| p.into_inner());
-    match guard.as_mut() {
-        None => {
-            for job in &batch {
+    match (guard.as_mut(), batch) {
+        (None, _) => {
+            for job in batch {
                 complete(job, run_seq(&job.kind));
             }
         }
-        Some(pool) => {
-            if batch.len() == 1 {
-                let job = &batch[0];
-                let value = match &job.kind {
-                    LoopKind::For { range, body } => {
-                        pool.parallel_for(range.clone(), |i| body(i));
-                        0.0
-                    }
-                    LoopKind::Sum { range, f } => pool.parallel_sum(range.clone(), |i| f(i)),
-                };
-                complete(job, value);
-            } else {
-                let mut offsets = Vec::with_capacity(batch.len() + 1);
-                offsets.push(0usize);
-                for job in &batch {
-                    let LoopKind::For { range, .. } = &job.kind else {
-                        unreachable!("multi-job batches are for-only");
-                    };
-                    offsets.push(offsets.last().unwrap() + range.len());
-                }
-                let total = *offsets.last().unwrap();
-                pool.parallel_for(0..total, |i| {
-                    let k = offsets.partition_point(|&o| o <= i) - 1;
-                    let LoopKind::For { range, body } = &batch[k].kind else {
-                        unreachable!("multi-job batches are for-only");
-                    };
-                    body(range.start + (i - offsets[k]));
-                });
-                for job in &batch {
-                    complete(job, 0.0);
-                }
+        (Some(pool), [job]) => complete(job, run_pooled(pool, &job.kind)),
+        (Some(pool), _) => {
+            run_fused(pool, batch);
+            for job in batch {
+                complete(job, 0.0);
             }
         }
     }
@@ -333,7 +377,8 @@ impl Server {
             .workers
             .unwrap_or_else(|| executor.capacity())
             .min(executor.capacity());
-        let queue = ServeQueue::new(config.queue_capacity);
+        let queue =
+            ServeQueue::with_waits(config.queue_capacity, driver_wait(executor), tenant_wait());
         let counters = Arc::new(Counters::default());
         let mut gangs = Vec::new();
         let mut drivers = Vec::new();
@@ -403,7 +448,7 @@ impl Server {
     }
 
     /// Submits a loop with backpressure: a full queue makes the call wait for room
-    /// (bounded spin, then yields, then parks) rather than fail.  Errs only when the
+    /// (a short spin, a few yields, then parked) rather than fail.  Errs only when the
     /// server is shutting down.
     pub fn submit(&self, request: LoopRequest) -> Result<JobHandle, Rejected> {
         self.admit(request, true)
@@ -487,12 +532,15 @@ impl Server {
     }
 }
 
+/// Lock-free: every field is an atomic load, so a metrics scrape never contends with
+/// the request path.
 fn snapshot_serve_stats(
     counters: &Counters,
     queue: &ServeQueue,
     gangs: usize,
     gang_size: usize,
 ) -> ServeStats {
+    let (driver_parks, driver_wakes) = queue.driver_parks_and_wakes();
     ServeStats {
         gangs,
         gang_size,
@@ -502,6 +550,8 @@ fn snapshot_serve_stats(
         rejected: counters.rejected.load(Ordering::Relaxed),
         batches: counters.batches.load(Ordering::Relaxed),
         fused: counters.fused.load(Ordering::Relaxed),
+        driver_parks,
+        driver_wakes,
     }
 }
 
@@ -666,6 +716,47 @@ mod tests {
         for h in handles {
             assert_eq!(h.wait(), 45.0, "every accepted handle resolves");
         }
+    }
+
+    #[test]
+    fn an_idle_driver_parks_and_the_next_submit_wakes_it() {
+        let exec = executor(4);
+        if driver_wait(&exec).spins_before_yield == u32::MAX {
+            // `PARLO_WAIT=spin`: the operator asked for drivers that never sleep.
+            return;
+        }
+        let server = Server::on_executor(
+            ServeConfig::default()
+                .with_workers(3)
+                .with_gang(GangSizing::Fixed(3)),
+            &exec,
+        );
+        // No clock: an idle driver spends its budget and parks, and says so.
+        while server.stats().driver_parks == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.stats().driver_wakes, 0, "nobody has pushed yet");
+        let h = server
+            .submit(LoopRequest::sum(LoopSite::new(1), 0..100, |i| i as f64))
+            .unwrap();
+        assert_eq!(h.wait(), 4950.0, "a sleeping driver still serves");
+        let stats = server.stats();
+        assert_eq!(stats.driver_wakes, 1, "the push found the driver asleep");
+        let text = server.metrics_text();
+        assert!(text.contains("serve.driver_parks "), "got:\n{text}");
+        assert!(text.contains("serve.driver_wakes 1"), "got:\n{text}");
+    }
+
+    #[test]
+    fn an_oversubscribed_host_gives_the_driver_the_short_budget() {
+        if std::env::var_os("PARLO_WAIT").is_some() {
+            return;
+        }
+        // One substrate thread more than the host has hardware threads.
+        let crowded = driver_wait(&executor(parlo_affinity::host_cpus() + 1));
+        assert_eq!(crowded, WaitPolicy::park());
+        let roomy = driver_wait(&executor(1));
+        assert!(roomy.spins_before_yield > crowded.spins_before_yield);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Exhaustively enumerates thread interleavings (up to the preemption bound)
 //! of small closed programs built from the *real* shipped primitives — the
 //! Chase–Lev chunk deque, the centralized release/join half-barrier pair, the
-//! park hub, the trace event ring, the serve completion hand-off and the team
-//! skeleton's loop / detach / resume protocol — and
+//! park hub, the trace event ring, the serve completion and admission hand-offs and
+//! the team skeleton's loop / detach / resume protocol — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -26,7 +26,7 @@ use parlo_barrier::{
     WaitPolicy,
 };
 use parlo_exec::{ExtraReductionBarrier, Job, TeamCore, TeamSync};
-use parlo_serve::completion_pair;
+use parlo_serve::{completion_pair, AdmissionProbe};
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
 use parlo_sync::thread;
@@ -265,6 +265,66 @@ fn serve_completion_handoff_is_clean() {
         let waiter = thread::spawn(move || handle.wait());
         completer.complete(7.5);
         assert_eq!(waiter.join().unwrap(), 7.5);
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The completion notifies only when it counts a parked waiter.  A waiter with no
+/// spin budget (under the model a spinning one is stalled until the flag is stored
+/// and never reaches the condvar) races `complete`: it either finds the result under
+/// the lock or is counted before `complete` takes that lock — no interleaving leaves
+/// it asleep beside a published result.
+#[test]
+fn serve_parked_waiter_never_misses_the_completion() {
+    let report = model::Builder::new().check(|| {
+        let (handle, completer) = completion_pair();
+        let waiter = thread::spawn(move || handle.wait_parked());
+        completer.complete(7.5);
+        assert_eq!(waiter.join().unwrap(), 7.5);
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The serve queue notifies its drivers only when its count of parked drivers is
+/// non-zero.  A driver with no spin budget races a push: whether the push lands
+/// before the driver's look at the queue, between the look and the park, or after
+/// the park, the driver gets the job — the count moves under the same lock hold as
+/// the failed look, so there is no window in which a push sees "nobody asleep"
+/// while the driver is on its way to sleep.  A lost wake is a deadlock here.
+#[test]
+fn serve_parked_driver_never_misses_a_push() {
+    let report = model::Builder::new().check(|| {
+        let probe = Arc::new(AdmissionProbe::new(4));
+        let p2 = Arc::clone(&probe);
+        let driver = thread::spawn(move || p2.serve(1));
+        probe.submit(7).expect("room for one");
+        assert_eq!(driver.join().unwrap(), 1, "the driver served the push");
+        let (parks, wakes) = probe.driver_parks_and_wakes();
+        assert!(parks <= 1);
+        assert_eq!(
+            wakes, parks,
+            "a notification is sent exactly when the driver had gone to sleep"
+        );
+    });
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The other direction at capacity 1: a submitter finds the queue full and parks for
+/// room while a driver pops the one queued job.  The pop notifies only if it finds a
+/// submitter parked; no interleaving leaves the submitter asleep beside a free slot.
+#[test]
+fn serve_parked_submitter_never_misses_the_room() {
+    let report = model::Builder::new().check(|| {
+        let probe = Arc::new(AdmissionProbe::new(1));
+        probe.submit(1).expect("the first request fills the queue");
+        let p2 = Arc::clone(&probe);
+        let submitter = thread::spawn(move || p2.submit(2));
+        assert_eq!(probe.serve(1), 1, "the pop frees the only slot");
+        submitter
+            .join()
+            .unwrap()
+            .expect("the queue never closes: the waiting submit is admitted");
+        assert_eq!(probe.serve(1), 1, "the second request was queued");
     });
     assert!(report.complete, "exploration must be exhaustive");
 }

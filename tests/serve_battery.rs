@@ -15,7 +15,11 @@
 //!   job still completes exactly;
 //! * (d) **lease churn** — a seeded proptest builds and drops servers of varying
 //!   gang sizes on one long-lived executor; results stay exact and no activation or
-//!   worker leaks across the churn.
+//!   worker leaks across the churn;
+//! * (e) **block bodies** — a seeded proptest drives ragged batches (empty ranges,
+//!   single iterations, offset ranges, `for`/`sum` mixed) through gangs of 1 to 4:
+//!   every index runs exactly once on whichever of the three execution paths (inline,
+//!   pooled, fused) its request takes, and a site completes in submission order.
 //!
 //! The census is process-wide, so the tests serialize on a file-local mutex, exactly
 //! like the substrate battery.
@@ -23,7 +27,7 @@
 use parlo_affinity::PinPolicy;
 use parlo_exec::Executor;
 use parlo_serve::{GangSizing, LoopRequest, LoopSite, Rejected, ServeConfig, Server};
-use parlo_sync::{AtomicBool, AtomicU64, Ordering};
+use parlo_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -288,5 +292,123 @@ proptest! {
             );
         }
         prop_assert!(executor.stats().workers < cores);
+    }
+
+    /// (e) Block-granular bodies: the server hands a tenant's closure whole blocks, and
+    /// which blocks depends on the path — the whole range on an inline gang, one block
+    /// per gang member for a pooled job, a member's share of each overlapped job in a
+    /// fused batch.  Whatever the cut, every `for_each` index runs exactly once and
+    /// nothing outside the range runs, a `sum`'s closure is called exactly `len`
+    /// times and its integer-valued result is bit-equal to the sequential fold, and a
+    /// site's requests complete in the order they were submitted.  The gang is stalled
+    /// behind a gate while the batch queues up, so that `for` loops fuse.
+    #[test]
+    fn block_bodies_run_every_index_exactly_once(
+        gang in 1usize..5,
+        raw in proptest::collection::vec(0u64..1 << 32, 1..24),
+    ) {
+        let _guard = census_lock();
+        let executor = executor(5);
+        // One gang, so that "completes in submission order" is a property of the
+        // server and not of a race between gangs.
+        let server = Server::on_executor(
+            ServeConfig::default()
+                .with_workers(gang)
+                .with_gang(GangSizing::Fixed(gang)),
+            &executor,
+        );
+        prop_assert_eq!(server.stats().gangs, 1);
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = {
+            let release = Arc::clone(&release);
+            server
+                .submit(LoopRequest::for_each(LoopSite::new(99), 0..1, move |_| {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }))
+                .expect("gate accepted")
+        };
+
+        // Decode each draw into a ragged request: three sites, offset starts, and
+        // lengths 0, 1 or 2..62.
+        struct Sent {
+            site: u64,
+            range: std::ops::Range<usize>,
+            is_sum: bool,
+            /// Per index of `0..range.end + 2`: how often the closure saw it.
+            hits: Arc<Vec<AtomicU32>>,
+            handle: parlo_serve::JobHandle,
+        }
+        let term = |i: usize| ((i * 7) % 13) as f64;
+        let mut sent = Vec::new();
+        for x in &raw {
+            let site = x % 3;
+            let start = (x >> 2) as usize % 40;
+            let len = match (x >> 8) % 4 {
+                0 => 0,
+                1 => 1,
+                _ => 2 + (x >> 12) as usize % 61,
+            };
+            let is_sum = (x >> 20) % 3 == 0;
+            let range = start..start + len;
+            let hits: Arc<Vec<AtomicU32>> =
+                Arc::new((0..range.end + 2).map(|_| AtomicU32::new(0)).collect());
+            let request = {
+                let hits = Arc::clone(&hits);
+                if is_sum {
+                    LoopRequest::sum(LoopSite::new(site), range.clone(), move |i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        term(i)
+                    })
+                } else {
+                    LoopRequest::for_each(LoopSite::new(site), range.clone(), move |i| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    })
+                }
+            };
+            prop_assert_eq!(request.len(), len);
+            let handle = server.submit(request).expect("accepted");
+            sent.push(Sent { site, range, is_sum, hits, handle });
+        }
+        release.store(true, Ordering::Release);
+        gate.wait();
+
+        // Per-site FIFO: once a site's last request is done, so is every earlier one.
+        for site in 0..3 {
+            let of_site: Vec<&Sent> = sent.iter().filter(|s| s.site == site).collect();
+            if let Some(last) = of_site.last() {
+                last.handle.wait();
+                prop_assert!(
+                    of_site.iter().all(|s| s.handle.is_done()),
+                    "site {} completed out of submission order",
+                    site
+                );
+            }
+        }
+        for (k, s) in sent.iter().enumerate() {
+            let value = s.handle.wait();
+            let expected: f64 = if s.is_sum {
+                s.range.clone().map(term).sum()
+            } else {
+                0.0
+            };
+            // `+ 0.0` folds the two zeros an empty sum may resolve to into one.
+            prop_assert_eq!(
+                (value + 0.0).to_bits(),
+                (expected + 0.0).to_bits(),
+                "request {} ({:?}, sum = {}) resolved to {}",
+                k, &s.range, s.is_sum, value
+            );
+            for (i, hit) in s.hits.iter().enumerate() {
+                prop_assert_eq!(
+                    hit.load(Ordering::Relaxed),
+                    u32::from(s.range.contains(&i)),
+                    "request {} ({:?}, gang of {}): index {} ran a wrong number of times",
+                    k, &s.range, gang, i
+                );
+            }
+        }
+        prop_assert_eq!(server.stats().completed, sent.len() as u64 + 1);
     }
 }
