@@ -18,7 +18,7 @@
 use crate::scheduler::{CilkPool, CilkStats, LoopDescriptor};
 use parking_lot::Mutex;
 use parlo_core::static_block;
-use parlo_exec::{Job, ReduceViews};
+use parlo_exec::{fold_range, Job, ReduceViews};
 use parlo_sync::Ordering;
 use std::ops::Range;
 
@@ -45,10 +45,8 @@ where
     // until the loop's join completes.
     let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
     // SAFETY: `worker` is the calling worker; only it touches its current view.
-    let mut value = unsafe { h.views.take(worker) }.unwrap_or_else(h.identity);
-    for i in lo..hi {
-        value = (h.fold)(value, i);
-    }
+    let value = unsafe { h.views.take(worker) }.unwrap_or_else(h.identity);
+    let value = fold_range(h.fold, value, lo..hi);
     // SAFETY: as above.
     unsafe { h.views.put(worker, value) };
 }
@@ -92,10 +90,8 @@ where
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
-    let mut acc = (h.identity)();
-    for i in static_block(&h.range, h.nthreads, id) {
-        acc = (h.fold)(acc, i);
-    }
+    let block = static_block(&h.range, h.nthreads, id);
+    let acc = fold_range(h.fold, (h.identity)(), block);
     // SAFETY: each participant writes only its own view before arriving.
     unsafe { h.views.put(id, acc) };
 }

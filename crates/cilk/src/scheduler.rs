@@ -22,7 +22,7 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
 use parlo_core::static_block;
-use parlo_exec::{Executor, Job, Team, TeamSync};
+use parlo_exec::{walk_range, Executor, Job, Team, TeamSync};
 use parlo_sync::{AtomicU64, AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -533,9 +533,7 @@ unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop drains.
     let h = unsafe { &*(data as *const CilkForHarness<'_, F>) };
-    for i in lo..hi {
-        (h.body)(i);
-    }
+    walk_range(h.body, lo..hi);
 }
 
 struct FineForHarness<'a, F> {
@@ -548,9 +546,7 @@ unsafe fn exec_fine_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const FineForHarness<'_, F>) };
-    for i in static_block(&h.range, h.nthreads, id) {
-        (h.body)(i);
-    }
+    walk_range(h.body, static_block(&h.range, h.nthreads, id));
 }
 
 impl CilkPool {

@@ -11,7 +11,7 @@
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::{static_block, static_chunks, DynamicChunks};
 use crate::stats::PoolStats;
-use parlo_exec::Job;
+use parlo_exec::{walk_range, Job};
 use std::ops::Range;
 
 /// Harness for [`FineGrainPool::broadcast`].
@@ -42,9 +42,7 @@ unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // SAFETY: the caller passes a pointer to a live harness (the master's
     // stack frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    for i in static_block(&h.range, h.nthreads, id) {
-        (h.body)(i);
-    }
+    walk_range(h.body, static_block(&h.range, h.nthreads, id));
 }
 
 unsafe fn exec_for_block<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
@@ -70,9 +68,7 @@ unsafe fn exec_for_chunked<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // stack frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const ChunkedHarness<'_, F>) };
     for chunk in static_chunks(&h.range, h.nthreads, id, h.chunk) {
-        for i in chunk {
-            (h.body)(i);
-        }
+        walk_range(h.body, chunk);
     }
 }
 
@@ -87,12 +83,14 @@ unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), _id: usize) {
     // SAFETY: the caller passes a pointer to a live harness (the master's
     // stack frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const DynamicHarness<'_, F>) };
+    // Chunks are counted locally and added once: the dispenser's own RMW is the only
+    // contended one a chunk pays.
+    let mut dispensed = 0;
     while let Some(chunk) = h.chunks.next_chunk() {
-        h.stats.record_dynamic_chunk();
-        for i in chunk {
-            (h.body)(i);
-        }
+        dispensed += 1;
+        walk_range(h.body, chunk);
     }
+    h.stats.record_dynamic_chunks(dispensed);
 }
 
 impl FineGrainPool {
@@ -129,7 +127,7 @@ impl FineGrainPool {
 
     /// Statically scheduled parallel loop that hands each participant its whole
     /// contiguous block at once.  Useful when the body can exploit the block structure
-    /// (e.g. vectorised kernels over slices, as in the MPDATA workload).
+    /// (e.g. vectorised kernels over slices, as the serving layer's block bodies do).
     pub fn parallel_for_blocks<F>(&mut self, range: Range<usize>, body: F)
     where
         F: Fn(Range<usize>) + Sync,

@@ -21,7 +21,7 @@
 
 use crate::pool::FineGrainPool;
 use crate::range::static_block;
-use parlo_exec::{Job, ReduceViews};
+use parlo_exec::{fold_range, Job, ReduceViews};
 use std::ops::Range;
 
 /// Harness shared by both reduction flavors.
@@ -46,10 +46,8 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    let mut acc = (h.identity)();
-    for i in static_block(&h.range, h.nthreads, id) {
-        acc = (h.fold)(acc, i);
-    }
+    let block = static_block(&h.range, h.nthreads, id);
+    let acc = fold_range(h.fold, (h.identity)(), block);
     // SAFETY: each participant writes only its own view before arriving at the join.
     unsafe { h.views.put(id, acc) };
 }

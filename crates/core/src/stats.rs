@@ -70,8 +70,12 @@ impl PoolStats {
         self.combine_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_dynamic_chunk(&self) {
-        self.dynamic_chunks.fetch_add(1, Ordering::Relaxed);
+    /// One participant's chunk count for a whole dynamic loop (it counts locally, so
+    /// a dispensed chunk pays no shared RMW beyond the dispenser's own).
+    pub(crate) fn record_dynamic_chunks(&self, n: u64) {
+        if n > 0 {
+            self.dynamic_chunks.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Takes a snapshot of the counters.
@@ -103,7 +107,7 @@ impl PoolStats {
     pub(crate) fn record_combine(&self) {}
 
     #[inline(always)]
-    pub(crate) fn record_dynamic_chunk(&self) {}
+    pub(crate) fn record_dynamic_chunks(&self, _n: u64) {}
 
     /// Takes a snapshot of the counters — always all-zero in a `stats-off` build.
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -124,7 +128,7 @@ mod tests {
         s.record_reduction();
         s.record_combine();
         s.record_combine();
-        s.record_dynamic_chunk();
+        s.record_dynamic_chunks(1);
         let snap = s.snapshot();
         assert_eq!(snap.loops, 2);
         assert_eq!(snap.barrier_phases, 6);
@@ -140,7 +144,7 @@ mod tests {
         s.record_loop(2);
         s.record_reduction();
         s.record_combine();
-        s.record_dynamic_chunk();
+        s.record_dynamic_chunks(1);
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 

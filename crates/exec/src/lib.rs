@@ -70,7 +70,9 @@
 
 mod team;
 
-pub use team::{ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync};
+pub use team::{
+    fold_range, walk_range, ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync,
+};
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};

@@ -20,7 +20,7 @@
 use crate::schedule::Schedule;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{FullBarrier, TreeShape, WaitPolicy};
-use parlo_exec::{Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
+use parlo_exec::{fold_range, walk_range, Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
 use parlo_sync::{AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
@@ -253,39 +253,41 @@ impl<'a> Worksharing<'a> {
         }
     }
 
-    /// Runs participant `id`'s share of the region.
-    fn run<F: Fn(usize)>(&self, id: usize, body: &F) {
+    /// Deals participant `id` its share of the region as contiguous ranges, threading
+    /// `acc` through `piece` (a plain loop threads `()`, a reduction its accumulator).
+    fn run<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
         match self.schedule {
             Schedule::Static => {
-                for i in parlo_core::static_block(&self.range, self.nthreads, id) {
-                    body(i);
-                }
+                let block = parlo_core::static_block(&self.range, self.nthreads, id);
+                piece(acc, block)
             }
             Schedule::StaticChunked(chunk) => {
-                for c in parlo_core::static_chunks(&self.range, self.nthreads, id, chunk) {
-                    for i in c {
-                        body(i);
-                    }
-                }
+                parlo_core::static_chunks(&self.range, self.nthreads, id, chunk).fold(acc, piece)
             }
-            Schedule::Dynamic(_) => {
-                while let Some(c) = self.dynamic.next_chunk() {
-                    self.run_dispensed(c, body);
-                }
-            }
-            Schedule::Guided(_) => {
-                while let Some(c) = self.guided.next_chunk() {
-                    self.run_dispensed(c, body);
-                }
-            }
+            Schedule::Dynamic(_) => self.run_dispensed(|| self.dynamic.next_chunk(), acc, piece),
+            Schedule::Guided(_) => self.run_dispensed(|| self.guided.next_chunk(), acc, piece),
         }
     }
 
-    fn run_dispensed<F: Fn(usize)>(&self, chunk: Range<usize>, body: &F) {
-        self.stats.dynamic_chunks.fetch_add(1, Ordering::Relaxed);
-        for i in chunk {
-            body(i);
+    /// Drains a shared dispenser.  Chunks are counted locally and added once, so a
+    /// dispensed chunk pays no contended RMW beyond the dispenser's own.
+    fn run_dispensed<A>(
+        &self,
+        mut next_chunk: impl FnMut() -> Option<Range<usize>>,
+        mut acc: A,
+        mut piece: impl FnMut(A, Range<usize>) -> A,
+    ) -> A {
+        let mut dispensed = 0;
+        while let Some(chunk) = next_chunk() {
+            dispensed += 1;
+            acc = piece(acc, chunk);
         }
+        if dispensed > 0 {
+            self.stats
+                .dynamic_chunks
+                .fetch_add(dispensed, Ordering::Relaxed);
+        }
+        acc
     }
 }
 
@@ -299,7 +301,7 @@ unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    h.work.run(id, h.body);
+    h.work.run(id, (), |(), piece| walk_range(h.body, piece));
 }
 
 /// Harness for `parallel_reduce`.
@@ -320,13 +322,11 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    let acc = std::cell::Cell::new(Some((h.identity)()));
-    h.work.run(id, &|i| {
-        let a = acc.take().expect("accumulator present");
-        acc.set(Some((h.fold)(a, i)));
+    let acc = h.work.run(id, (h.identity)(), |acc, piece| {
+        fold_range(h.fold, acc, piece)
     });
     // SAFETY: each participant writes only its own view before the reduction barrier.
-    unsafe { h.views.put(id, acc.take().expect("accumulator present")) };
+    unsafe { h.views.put(id, acc) };
 }
 
 unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)

@@ -30,7 +30,7 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{HalfBarrier, TreeShape, WaitPolicy};
 use parlo_cilk::Steal;
-use parlo_exec::{Executor, Job, ReduceViews, Team};
+use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
 use parlo_sync::{AtomicU32, AtomicU64, Ordering};
 use std::ops::Range;
 use std::sync::Arc;
@@ -738,9 +738,7 @@ unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
 ) {
     // SAFETY: the master keeps the harness alive until its join completes.
     let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    for i in lo..hi {
-        (h.body)(i);
-    }
+    walk_range(h.body, lo..hi);
 }
 
 struct ReduceHarness<'a, T, Fold, Comb> {
@@ -760,12 +758,9 @@ where
     // SAFETY: the master keeps the harness alive until its join completes.
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
     // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
-    let mut acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
-    for i in lo..hi {
-        acc = (h.fold)(acc, i);
-    }
+    let acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
     // SAFETY: as above.
-    unsafe { h.views.put(worker, acc) };
+    unsafe { h.views.put(worker, fold_range(h.fold, acc, lo..hi)) };
 }
 
 unsafe fn combine_views<T, Fold, Comb>(data: *const (), to: usize, from: usize)

@@ -432,3 +432,165 @@ fn simulated_experiments_reproduce_the_paper_shape() {
     let (fine, cilk) = experiments::figure3a(&m, 2_000_000);
     assert!(fine.at(48).unwrap() > cilk.at(48).unwrap());
 }
+
+/// One row of the share-walk table: a runtime under one schedule, with whatever of
+/// {plain loop, reduction, ordered reduction, `dyn LoopRuntime` face} that path offers.
+enum Walker {
+    FineBlock(FineGrainPool),
+    FineChunked(FineGrainPool),
+    FineDynamic(FineGrainPool),
+    Omp(ScheduledTeam),
+    Cilk(CilkPool),
+    CilkFine(CilkFineGrain),
+    Steal(StealPool),
+}
+
+impl Walker {
+    fn table(threads: usize) -> Vec<(&'static str, Walker)> {
+        let omp = |s| Walker::Omp(ScheduledTeam::with_threads(threads, s));
+        vec![
+            (
+                "fine block",
+                Walker::FineBlock(FineGrainPool::with_threads(threads)),
+            ),
+            (
+                "fine chunked",
+                Walker::FineChunked(FineGrainPool::with_threads(threads)),
+            ),
+            (
+                "fine dynamic",
+                Walker::FineDynamic(FineGrainPool::with_threads(threads)),
+            ),
+            ("omp static", omp(Schedule::Static)),
+            ("omp static,3", omp(Schedule::StaticChunked(3))),
+            ("omp dynamic,2", omp(Schedule::Dynamic(2))),
+            ("omp guided,1", omp(Schedule::Guided(1))),
+            ("cilk", Walker::Cilk(CilkPool::with_threads(threads))),
+            (
+                "cilk fine",
+                Walker::CilkFine(CilkFineGrain::with_threads(threads)),
+            ),
+            ("steal", Walker::Steal(StealPool::with_threads(threads))),
+        ]
+    }
+
+    fn each<F: Fn(usize) + Sync>(&mut self, range: std::ops::Range<usize>, body: F) {
+        match self {
+            Walker::FineBlock(p) => p.parallel_for(range, body),
+            Walker::FineChunked(p) => p.parallel_for_chunked(range, 3, body),
+            Walker::FineDynamic(p) => p.parallel_for_dynamic(range, 2, body),
+            Walker::Omp(t) => t.team.parallel_for(range, t.schedule, body),
+            Walker::Cilk(p) => p.cilk_for(range, body),
+            Walker::CilkFine(f) => f.pool.fine_grain_for(range, body),
+            Walker::Steal(p) => p.steal_for(range, body),
+        }
+    }
+
+    /// `None` for the two paths that have no reduction flavour.
+    fn reduce<T: Send>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        identity: impl Fn() -> T + Sync,
+        fold: impl Fn(T, usize) -> T + Sync,
+        combine: impl Fn(T, T) -> T + Sync,
+    ) -> Option<T> {
+        Some(match self {
+            Walker::FineBlock(p) => p.parallel_reduce(range, identity, fold, combine),
+            Walker::FineChunked(_) | Walker::FineDynamic(_) => return None,
+            Walker::Omp(t) => t
+                .team
+                .parallel_reduce(range, t.schedule, identity, fold, combine),
+            Walker::Cilk(p) => p.cilk_reduce(range, identity, fold, combine),
+            Walker::CilkFine(f) => f.pool.fine_grain_reduce(range, identity, fold, combine),
+            Walker::Steal(p) => p.steal_reduce(range, identity, fold, combine),
+        })
+    }
+
+    /// The same path behind the object-safe interface, where there is one.
+    fn as_dyn(&mut self) -> Option<&mut dyn LoopRuntime> {
+        Some(match self {
+            Walker::FineBlock(p) => p,
+            Walker::FineChunked(_) | Walker::FineDynamic(_) => return None,
+            Walker::Omp(t) => t,
+            Walker::Cilk(p) => p,
+            Walker::CilkFine(f) => f,
+            Walker::Steal(p) => p,
+        })
+    }
+}
+
+#[test]
+fn share_walk_is_exact_on_every_runtime_and_schedule() {
+    const START: usize = 1000;
+    for threads in 1..=4usize {
+        for (name, mut w) in Walker::table(threads) {
+            for len in [0, 1, threads - 1, threads, threads + 1, 257] {
+                let at = format!("{name}, P = {threads}, len = {len}");
+                let range = START..START + len;
+                let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let once = |hits: &[AtomicUsize], what: &str| {
+                    assert!(
+                        hits.iter().all(|h| h.swap(0, Ordering::Relaxed) == 1),
+                        "{at}: {what} must hit every index exactly once"
+                    );
+                };
+
+                // Plain loop: generic body, then the same loop with a `&dyn` body.
+                w.each(range.clone(), |i| {
+                    hits[i - START].fetch_add(1, Ordering::Relaxed);
+                });
+                once(&hits, "generic body");
+                if let Some(rt) = w.as_dyn() {
+                    rt.parallel_for(range.clone(), &|i| {
+                        hits[i - START].fetch_add(1, Ordering::Relaxed);
+                    });
+                    once(&hits, "dyn body");
+                }
+
+                // Reduction: exact integer result, `fold` called once per index.
+                let folds = AtomicUsize::new(0);
+                let square = |i: usize| (i as u64) * (i as u64);
+                let expected: u64 = range.clone().map(square).sum();
+                let got = w.reduce(
+                    range.clone(),
+                    || 0u64,
+                    |acc, i| {
+                        folds.fetch_add(1, Ordering::Relaxed);
+                        hits[i - START].fetch_add(1, Ordering::Relaxed);
+                        acc + square(i)
+                    },
+                    |a, b| a + b,
+                );
+                let Some(got) = got else { continue };
+                assert_eq!(got, expected, "{at}: integer reduction");
+                assert_eq!(folds.load(Ordering::Relaxed), len, "{at}: fold calls");
+                once(&hits, "fold");
+
+                // The object-safe face gives the bit-identical f64 as the generic call.
+                let generic = w
+                    .reduce(range.clone(), || 0.0, |acc, i| acc + i as f64, |a, b| a + b)
+                    .expect("reduction path");
+                let erased = w.as_dyn().expect("dyn face").parallel_reduce(
+                    range.clone(),
+                    0.0,
+                    &|acc, i| acc + i as f64,
+                    &|a, b| a + b,
+                );
+                assert_eq!(generic.to_bits(), erased.to_bits(), "{at}: dyn parity");
+                assert_eq!(generic, range.clone().sum::<usize>() as f64, "{at}");
+
+                // Only the fine-grain block path has an order-preserving reduction.
+                if let Walker::FineBlock(p) = &mut w {
+                    let got = p.parallel_reduce_ordered(
+                        range.clone(),
+                        String::new,
+                        |acc, i| acc + &format!("[{i}]"),
+                        |a, b| a + &b,
+                    );
+                    let expected: String = range.clone().map(|i| format!("[{i}]")).collect();
+                    assert_eq!(got, expected, "{at}: ordered reduction");
+                }
+            }
+        }
+    }
+}

@@ -15,38 +15,16 @@
 //!   including across heavy lease churn.
 //!
 //! The tests share one process, and the census is process-wide, so they serialize on
-//! a file-local mutex; the `/proc` census counts only `parlo-exec-*` threads, making
-//! it immune to the test harness's own threads.
+//! the census lock of `tests/common`; the `/proc` census counts only `parlo-exec-*`
+//! threads, making it immune to the test harness's own threads.
 
 use parlo::prelude::*;
 use parlo_adaptive::AdaptiveConfig;
 use parlo_sync::{AtomicUsize, Ordering};
 use parlo_workloads::{all_runtimes_on, irregular};
-use std::sync::{Mutex, MutexGuard};
 
-/// Serializes the tests of this binary: they all measure the process-wide thread
-/// census, so they must not overlap.
-fn census_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Counts the live threads of this process whose name starts with `parlo-exec`
-/// (substrate workers are named `parlo-exec-<id>`; nothing else in the workspace
-/// spawns threads).  `None` where `/proc` does not exist.
-fn substrate_thread_census() -> Option<usize> {
-    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let mut count = 0;
-    for task in tasks.flatten() {
-        let comm = task.path().join("comm");
-        if let Ok(name) = std::fs::read_to_string(comm) {
-            if name.trim_end().starts_with("parlo-exec") {
-                count += 1;
-            }
-        }
-    }
-    Some(count)
-}
+mod common;
+use common::{assert_census_settles_to_zero, census_lock, substrate_thread_census};
 
 /// The pool size the CI matrix pins via `PARLO_THREADS` (parsed by the single shared
 /// helper in `parlo-bench`, so trimming/zero handling cannot diverge); 4 when unset
@@ -116,9 +94,7 @@ fn census_stays_at_p_minus_one_with_full_roster_and_adaptive_pool_alive() {
     drop(roster);
     drop(adaptive);
     drop(executor);
-    if let Some(census) = substrate_thread_census() {
-        assert_eq!(census, 0, "substrate threads leaked past executor drop");
-    }
+    assert_census_settles_to_zero("substrate threads leaked past executor drop");
 }
 
 #[test]
@@ -155,9 +131,7 @@ fn no_threads_leak_after_every_pool_type_drops() {
     ];
     for (i, check) in checks.into_iter().enumerate() {
         check();
-        if let Some(census) = substrate_thread_census() {
-            assert_eq!(census, 0, "pool type #{i} leaked substrate threads");
-        }
+        assert_census_settles_to_zero(&format!("pool type #{i} leaked substrate threads"));
     }
 }
 

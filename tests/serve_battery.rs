@@ -21,37 +21,18 @@
 //!   every index runs exactly once on whichever of the three execution paths (inline,
 //!   pooled, fused) its request takes, and a site completes in submission order.
 //!
-//! The census is process-wide, so the tests serialize on a file-local mutex, exactly
-//! like the substrate battery.
+//! The census is process-wide, so the tests serialize on the census lock of
+//! `tests/common`, exactly like the substrate battery.
 
 use parlo_affinity::PinPolicy;
 use parlo_exec::Executor;
 use parlo_serve::{GangSizing, LoopRequest, LoopSite, Rejected, ServeConfig, Server};
 use parlo_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-/// Serializes the tests of this binary: they all measure the process-wide thread
-/// census, so they must not overlap.
-fn census_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-/// Counts the live threads of this process whose name starts with `parlo-exec`
-/// (substrate workers are named `parlo-exec-<id>`).  `None` where `/proc` is absent.
-fn substrate_thread_census() -> Option<usize> {
-    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let mut count = 0;
-    for task in tasks.flatten() {
-        if let Ok(name) = std::fs::read_to_string(task.path().join("comm")) {
-            if name.trim_end().starts_with("parlo-exec") {
-                count += 1;
-            }
-        }
-    }
-    Some(count)
-}
+mod common;
+use common::{assert_census_settles_to_zero, census_lock, substrate_thread_census};
 
 /// The machine size the CI matrix pins via `PARLO_THREADS`; 4 when unset so a local
 /// run still exercises a multi-gang server.
@@ -128,12 +109,10 @@ fn tenants_share_one_substrate_with_bit_equal_results_and_bounded_census() {
     assert_eq!(serve.completed, 80);
     assert_eq!(serve.rejected, 0);
 
-    // Teardown joins everything synchronously — nothing leaks.
+    // Teardown joins everything — nothing leaks.
     drop(server);
     drop(executor);
-    if let Some(census) = substrate_thread_census() {
-        assert_eq!(census, 0, "substrate threads leaked past executor drop");
-    }
+    assert_census_settles_to_zero("substrate threads leaked past executor drop");
 }
 
 #[test]
