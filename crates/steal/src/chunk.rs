@@ -1,4 +1,4 @@
-//! Loop-chunk ranges and the pre-split partition.
+//! Loop-chunk ranges, the pre-split partition, and the halving of a loop's tail.
 //!
 //! A stealing loop is *pre-split*: before any work executes, the iteration range is
 //! divided into one contiguous run of chunks per worker (the worker's static block,
@@ -7,6 +7,12 @@
 //! victims' runs once its own is exhausted.  The pre-split keeps the distribution
 //! arithmetic communication-free (exactly like the fine-grain pool's static blocks)
 //! while the chunking leaves thieves something to take when iteration costs are skewed.
+//!
+//! Pre-split chunks are not the only thing a deque carries.  A chunk is the unit of
+//! *accounting* (and of sticky affinity), but a participant about to run the last
+//! piece it can see cuts it with [`lend_halves`] and pushes the upper half back, so
+//! what a thief takes — and what an owner pops — is either a whole chunk or such a
+//! lent half, never shorter than [`LEND_FLOOR`].
 
 use parlo_core::static_block;
 use std::ops::Range;
@@ -18,6 +24,24 @@ pub const CHUNKS_PER_WORKER: usize = 8;
 
 /// Upper bound on the default chunk size (mirrors the Cilkplus grain cap).
 pub const MAX_DEFAULT_CHUNK: usize = 2048;
+
+/// The fewest iterations a half may hold when a participant lends at the tail (see
+/// [`lend_halves`]): a piece shorter than `2 · LEND_FLOOR` runs whole.
+///
+/// Picked by measurement, not by guess (2-cpu reference host, P = 2, each loop of the
+/// benchmark's `irregular` workload timed against an interleaved `Sequential`, three
+/// alternating runs per floor, `par − seq/2` in µs): the skewed loop reads 77–137 at
+/// the parent and 69–70 / 5–26 / **4–16** / 3–6 / −5–4 with a floor of 64 / 32 / **16**
+/// / 8 / 1, the triangular loop 22–44 at the parent and 24–38 / 15–23 / **6–8** / 2–9 /
+/// −2–4 — the gain is all there at 16, and a smaller floor buys at most 5 µs more on a
+/// 300 µs loop.  What a floor costs is one push/pop pair (a fence and a CAS) per
+/// halving at the tail of *every* loop whose chunks are long enough: a uniform
+/// 512 × 1 `steal_reduce` on the default pool (chunks of 32, one halving per
+/// participant) reads 1.89 → 1.74 µs and a 16 × 1 (chunks of 1, none) 1.46 → 1.46 µs
+/// against the parent — medians of ten alternating runs of 60 000 calls with a
+/// quartile distance of 0.1 µs, i.e. no move beyond spread at 16 — and no floor
+/// between 1 and 64 separated from the parent's 1.49–2.11 µs in six alternating runs.
+pub const LEND_FLOOR: usize = 16;
 
 /// A contiguous run of loop iterations — the unit of stealing.  `Copy` so the deque
 /// can hand it through failed-CAS paths without ownership concerns.
@@ -39,6 +63,27 @@ impl ChunkRange {
     pub fn is_empty(&self) -> bool {
         self.end <= self.start
     }
+}
+
+/// Cuts `piece` for lending at the tail: `(lower, upper)` — the lender runs `lower` and
+/// pushes `upper` onto its own (empty) deque — or `None` when a half would fall below
+/// [`LEND_FLOOR`].  Both halves are non-empty, strictly shorter than `piece`, and tile
+/// it exactly, which is what bounds the halving of a loop's last piece.
+pub fn lend_halves(piece: ChunkRange) -> Option<(ChunkRange, ChunkRange)> {
+    if piece.len() < 2 * LEND_FLOOR {
+        return None;
+    }
+    let mid = piece.start + piece.len() / 2;
+    Some((
+        ChunkRange {
+            start: piece.start,
+            end: mid,
+        },
+        ChunkRange {
+            start: mid,
+            end: piece.end,
+        },
+    ))
 }
 
 /// The default chunk size for a loop of `n` iterations on `nthreads` workers:
@@ -207,6 +252,28 @@ mod tests {
         assert!(covered.iter().all(|&c| c == 1));
         // A worker with no assigned chunks gets an empty run.
         assert_eq!(assigned_run_rev(&range, chunk, &owners, 7).count(), 0);
+    }
+
+    #[test]
+    fn lend_halves_tile_the_piece_and_respect_the_floor() {
+        for len in 0..2 * LEND_FLOOR {
+            let piece = ChunkRange {
+                start: 5,
+                end: 5 + len,
+            };
+            assert_eq!(lend_halves(piece), None, "len {len} has no lendable half");
+        }
+        for len in [2 * LEND_FLOOR, 2 * LEND_FLOOR + 1, 255, 2048] {
+            let piece = ChunkRange {
+                start: 7,
+                end: 7 + len,
+            };
+            let (lower, upper) = lend_halves(piece).expect("long enough to halve");
+            assert_eq!((lower.start, upper.end), (piece.start, piece.end));
+            assert_eq!(lower.end, upper.start, "the halves tile the piece");
+            assert!(lower.len() >= LEND_FLOOR && upper.len() >= LEND_FLOOR);
+            assert!(upper.len() - lower.len() <= 1);
+        }
     }
 
     #[test]

@@ -2,11 +2,16 @@
 //! from task descriptors to loop-chunk ranges.
 //!
 //! `crates/cilk/src/deque.rs` implements the deque over any `Copy` item; the stealing
-//! runtime instantiates it with [`ChunkRange`] so a whole contiguous run of iterations
-//! travels in one steal.  The owner pushes its pre-split run back-to-front and pops
-//! **LIFO** (executing the run front to back, cache-friendly); thieves steal **FIFO**
-//! from the top, i.e. the *back* of the run — the two ends never contend except on the
-//! last remaining chunk, where the Chase–Lev CAS arbitrates.
+//! runtime instantiates it over contiguous iteration ranges so a whole run of
+//! iterations travels in one steal — [`ChunkDeque`] is that instantiation over the
+//! public [`ChunkRange`]; the pool's own deques carry the same range plus one private
+//! bit telling a pre-split chunk from a lent half.  The owner pushes its pre-split run
+//! back-to-front and pops **LIFO** (executing the run front to back, cache-friendly);
+//! thieves steal **FIFO** from the top, i.e. the *back* of the run — the two ends never
+//! contend except on the last remaining item, where the Chase–Lev CAS arbitrates.
+//! After seeding, the only push is a participant lending the upper half of the piece
+//! it is about to run onto its own *empty* deque, so the bound sized for the pre-split
+//! run is never exceeded by it.
 
 use crate::chunk::ChunkRange;
 pub use parlo_cilk::{Full, Steal, WorkStealingDeque};

@@ -13,6 +13,16 @@
 //!   **owner-LIFO** pops (front to back through the block — cache friendly), while
 //!   exhausted workers take chunks **thief-FIFO** from the back of randomized victims'
 //!   runs, so skewed iteration costs rebalance without a shared dispenser;
+//! * nobody holds a loop's last piece whole: a participant that claims a piece (own
+//!   pop or steal) while its own deque is empty **lends the upper half** back onto that
+//!   deque and runs the lower — a thief may take the half, the lender's next pop
+//!   reclaims it otherwise, and the rule re-applies to every half down to
+//!   [`LEND_FLOOR`] iterations.  The `n/(8P)` pre-split alone caps a skewed loop at
+//!   the weight of its heaviest chunk (one chunk of the geometric benchmark loop is
+//!   half its work: 1.5× of a possible 2×); halving the tail lifts the cap without
+//!   finer chunks everywhere, growable deques or polling inside a chunk.  Chunks
+//!   remain the unit of accounting and of sticky affinity; halves are counted
+//!   separately ([`StealStats::lends`], [`StealStats::lent_steals`]);
 //! * loop completion is detected by the **same half-barrier** as the fine-grain pool
 //!   (hierarchical, socket-composed flavor included): 2 barrier phases per loop and
 //!   exactly `P − 1` combines per merged reduction, keeping the burden comparison with
@@ -30,9 +40,9 @@
 //! The schedule is nondeterministic by nature, so the crate also exposes the hooks the
 //! test battery is built on: [`SchedulePerturbation`] lets a test drive the pool
 //! through seeded steal schedules (and [`ScriptedOrder`] scripts exact victim visit
-//! orders), and [`StealStats`] accounts every chunk (per worker) and every steal
-//! attempt/hit — split into local and remote — so "no chunk lost or duplicated" is
-//! checkable exactly.
+//! orders), and [`StealStats`] accounts every chunk (per worker), every steal
+//! attempt/hit — split into local and remote — and every lent half, so "no chunk lost
+//! or duplicated" is checkable exactly.
 //!
 //! ```
 //! use parlo_steal::StealPool;
@@ -55,8 +65,8 @@ mod runtime;
 mod sticky;
 
 pub use chunk::{
-    assigned_run_rev, default_chunk, grid_chunk, grid_chunks, total_chunks, worker_run_rev,
-    ChunkRange, CHUNKS_PER_WORKER,
+    assigned_run_rev, default_chunk, grid_chunk, grid_chunks, lend_halves, total_chunks,
+    worker_run_rev, ChunkRange, CHUNKS_PER_WORKER, LEND_FLOOR,
 };
 pub use deque::{ChunkDeque, Full, Steal};
 pub use perturb::{

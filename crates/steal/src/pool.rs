@@ -10,20 +10,36 @@
 //!    (its static block subdivided into chunks, pushed back-to-front) and executes it
 //!    with owner-LIFO pops, so the run proceeds front to back;
 //! 3. a participant whose own run is exhausted performs randomized-victim steal sweeps,
-//!    taking chunks thief-FIFO from the *back* of other workers' runs, until a full
+//!    taking pieces thief-FIFO from the *back* of other workers' runs, until a full
 //!    sweep observes only empty deques;
 //! 4. every participant then performs the **join phase** of the same half-barrier,
 //!    folding reduction views pairwise on the way up — completion detection costs
 //!    exactly the 2 barrier phases of the fine-grain pool, so the burden comparison
 //!    with the other runtimes stays apples-to-apples.
 //!
-//! Completion needs no outstanding-iteration counter: chunks exist only in deques
-//! (filled once per loop, never refilled), a participant arrives at the join only
-//! after every deque it can see is empty, and whoever claimed a chunk executes it
-//! before arriving — so when the master's join completes, every chunk has run.
+//! **Lending at the tail.**  A participant that claims a piece — popped or stolen —
+//! while its own deque is empty is about to run the last work it can see.  It pushes
+//! the upper half back onto its own deque and runs only the lower half; a thief may
+//! take the half, the lender's own next pop reclaims it otherwise, and the rule
+//! re-applies to whoever runs it, so a loop's tail is halved down to
+//! [`LEND_FLOOR`](crate::chunk::LEND_FLOOR) iterations instead of being held whole by
+//! one participant while the others idle at the join.  A participant with work still
+//! queued, a piece too short to halve and a lone participant run exactly the
+//! pre-split schedule.
+//!
+//! Completion needs no outstanding-iteration counter: pieces exist only in deques; a
+//! deque is filled by its owner alone — once with its pre-split run, afterwards only
+//! with the upper half of a piece that owner holds and is about to run — and a
+//! participant arrives at the join only after its own pop came back empty and a full
+//! sweep saw every other deque empty.  Whoever claimed a piece runs it before
+//! arriving, and a half lent after a thief's last sweep is popped again by its lender
+//! — so when the master's join completes, every index has run (see the argument at
+//! the end of `participate`).
 
-use crate::chunk::{assigned_run_rev, default_chunk, grid_chunks, worker_run_rev, ChunkRange};
-use crate::deque::ChunkDeque;
+use crate::chunk::{
+    assigned_run_rev, default_chunk, grid_chunks, lend_halves, worker_run_rev, ChunkRange,
+};
+use crate::deque::WorkStealingDeque;
 use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
@@ -155,7 +171,8 @@ parlo_core::stats_family! {
         pub barrier_phases: u64,
         /// Reduction-view combine operations (exactly `P − 1` per reduction).
         pub combine_ops: u64,
-        /// Steal attempts (successful or not).
+        /// Steal attempts: every victim probe, whether it found a whole chunk
+        /// (`steals_hit`), a lent half (`lent_steals`) or nothing.
         pub steals_attempted: u64,
         /// Successful steals; every hit transfers exactly one chunk, so this is also
         /// the number of chunks executed away from their pre-split owner.
@@ -184,6 +201,14 @@ parlo_core::stats_family! {
         /// equals the pre-split chunk count of every loop executed — the
         /// exact-coverage account.
         pub chunks_per_worker: Vec<u64>,
+        /// Upper halves pushed back by a participant that claimed a piece while its
+        /// own deque was empty (the crate docs' *lends the upper half*).  Halves are
+        /// not chunks: no whole-chunk counter above moves when one is lent, reclaimed
+        /// or stolen.
+        pub lends: u64,
+        /// Lent halves a thief took before their lender reclaimed them; the rest
+        /// (`lends − lent_steals`) came back through the lender's own pop.
+        pub lent_steals: u64,
     }
 }
 
@@ -217,6 +242,8 @@ struct WorkerCounters {
     steals_hit: AtomicU64,
     local_steals: AtomicU64,
     remote_steals: AtomicU64,
+    lends: AtomicU64,
+    lent_steals: AtomicU64,
 }
 
 /// Internal counters (relaxed atomics).  Everything a worker touches while executing
@@ -260,6 +287,11 @@ impl StealCounters {
     }
 
     fn snapshot(&self) -> StealStats {
+        let per_worker = |counter: fn(&WorkerCounters) -> &AtomicU64| {
+            self.per_worker
+                .iter()
+                .map(move |w| counter(w).load(Ordering::Relaxed))
+        };
         StealStats {
             loops: self.loops.load(Ordering::Relaxed),
             reductions: self.reductions.load(Ordering::Relaxed),
@@ -270,31 +302,13 @@ impl StealCounters {
             sticky_invalidations: self.sticky_invalidations.load(Ordering::Relaxed),
             sticky_chunks_reused: self.sticky_chunks_reused.load(Ordering::Relaxed),
             sticky_chunks_total: self.sticky_chunks_total.load(Ordering::Relaxed),
-            steals_attempted: self
-                .per_worker
-                .iter()
-                .map(|w| w.steals_attempted.load(Ordering::Relaxed))
-                .sum(),
-            steals_hit: self
-                .per_worker
-                .iter()
-                .map(|w| w.steals_hit.load(Ordering::Relaxed))
-                .sum(),
-            local_steals: self
-                .per_worker
-                .iter()
-                .map(|w| w.local_steals.load(Ordering::Relaxed))
-                .sum(),
-            remote_steals: self
-                .per_worker
-                .iter()
-                .map(|w| w.remote_steals.load(Ordering::Relaxed))
-                .sum(),
-            chunks_per_worker: self
-                .per_worker
-                .iter()
-                .map(|w| w.chunks.load(Ordering::Relaxed))
-                .collect(),
+            steals_attempted: per_worker(|w| &w.steals_attempted).sum(),
+            steals_hit: per_worker(|w| &w.steals_hit).sum(),
+            local_steals: per_worker(|w| &w.local_steals).sum(),
+            remote_steals: per_worker(|w| &w.remote_steals).sum(),
+            chunks_per_worker: per_worker(|w| &w.chunks).collect(),
+            lends: per_worker(|w| &w.lends).sum(),
+            lent_steals: per_worker(|w| &w.lent_steals).sum(),
         }
     }
 }
@@ -319,9 +333,18 @@ struct StealLoop<'a> {
     epoch: u64,
 }
 
+/// What travels through a pool deque: a whole pre-split chunk, or the upper half a
+/// participant lent off the piece it was about to run.  The bit keeps every chunk
+/// counter and the sticky record in whole pre-split chunks.
+#[derive(Clone, Copy)]
+struct Piece {
+    range: ChunkRange,
+    lent: bool,
+}
+
 /// What the participants of a pool share besides the team protocol.
 struct StealShared {
-    deques: Vec<ChunkDeque>,
+    deques: Vec<WorkStealingDeque<Piece>>,
     stats: StealCounters,
     /// `socket_of[w]` = socket of participant `w` under the compact layout; used to
     /// classify every steal hit as local or remote (in both sweep modes).
@@ -438,7 +461,9 @@ impl StealPool {
             None,
         );
         let shared = StealShared {
-            deques: (0..nthreads).map(|_| ChunkDeque::new(1024)).collect(),
+            deques: (0..nthreads)
+                .map(|_| WorkStealingDeque::new(1024))
+                .collect(),
             stats: StealCounters::new(nthreads),
             socket_of: (0..nthreads)
                 .map(|w| config.topology.socket_of_worker(w))
@@ -538,7 +563,8 @@ unsafe fn participate_in(data: *const (), id: usize) {
 /// One participant's share of one loop: seed the own deque with the pre-split run
 /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
 /// from victims — socket-local tiers first when the pool is locality-aware — until a
-/// full sweep finds every deque empty.
+/// full sweep finds every deque empty.  Every piece claimed on the way, popped or
+/// stolen, goes through [`execute_piece`], which lends at the tail.
 fn participate(job: &StealLoop<'_>, id: usize) {
     let shared = job.shared;
     let epoch = job.epoch;
@@ -548,10 +574,11 @@ fn participate(job: &StealLoop<'_>, id: usize) {
     // Seed the own run, back to front, so owner-LIFO pops execute it front to back and
     // thieves take from the back.  A full deque (pathologically small explicit chunk
     // size) degrades gracefully: the overflowing chunk runs inline right away.
-    let seed = |c: ChunkRange| {
+    let seed = |range: ChunkRange| {
+        let chunk = Piece { range, lent: false };
         // SAFETY: deque `id` is owned by this participant.
-        if unsafe { deque.push(c) }.is_err() {
-            execute_chunk(id, job, c);
+        if unsafe { deque.push(chunk) }.is_err() {
+            execute_piece(id, job, chunk);
         }
     };
     match job.sticky {
@@ -562,8 +589,8 @@ fn participate(job: &StealLoop<'_>, id: usize) {
     loop {
         // Own run first (LIFO pop = front-to-back execution order).
         // SAFETY: deque `id` is owned by this participant.
-        if let Some(c) = unsafe { deque.pop() } {
-            execute_chunk(id, job, c);
+        if let Some(piece) = unsafe { deque.pop() } {
+            execute_piece(id, job, piece);
             continue;
         }
         if n == 1 {
@@ -597,9 +624,9 @@ fn participate(job: &StealLoop<'_>, id: usize) {
             std::hint::spin_loop();
         }
         parlo_trace::instant(parlo_trace::Phase::StealSweep, id as u64, attempt);
-        let mut stolen: Option<(ChunkRange, usize)> = None;
+        let mut stolen: Option<(Piece, usize)> = None;
         let mut saw_retry = false;
-        let probe = |victim: usize, saw_retry: &mut bool| -> Option<ChunkRange> {
+        let probe = |victim: usize, saw_retry: &mut bool| -> Option<Piece> {
             my_counters.steals_attempted.fetch_add(1, Ordering::Relaxed);
             match shared.deques[victim].steal() {
                 Steal::Success(c) => Some(c),
@@ -656,47 +683,61 @@ fn participate(job: &StealLoop<'_>, id: usize) {
         }
         match stolen {
             Some((first, victim)) => {
-                let remote = record_hit(shared, id, victim);
+                let remote = record_hit(shared, id, victim, first);
                 let mut batch = [first; REMOTE_STEAL_BATCH];
                 let mut taken = 1;
                 // NUMA-tier chunk sizing: a cross-socket hit takes up to
-                // `REMOTE_STEAL_BATCH` chunks from the same victim in one bite,
-                // amortizing the interconnect transfer; local hits stay single-chunk.
+                // `REMOTE_STEAL_BATCH` pieces from the same victim in one bite,
+                // amortizing the interconnect transfer; local hits stay single-piece.
                 if remote && shared.config.locality {
                     while taken < REMOTE_STEAL_BATCH {
                         match probe(victim, &mut saw_retry) {
-                            Some(c) => {
-                                record_hit(shared, id, victim);
-                                batch[taken] = c;
+                            Some(piece) => {
+                                record_hit(shared, id, victim, piece);
+                                batch[taken] = piece;
                                 taken += 1;
                             }
                             None => break,
                         }
                     }
                 }
-                for &c in &batch[..taken] {
-                    execute_chunk(id, job, c);
+                for &piece in &batch[..taken] {
+                    execute_piece(id, job, piece);
                 }
             }
-            // A Retry means another participant claimed a chunk concurrently (top
-            // moved under our CAS), so the loop is still live: sweep again.  Chunks
-            // are finite and never re-pushed, so this terminates.
+            // A Retry means another participant claimed a piece concurrently (top
+            // moved under our CAS), so the loop is still live: sweep again.  This
+            // terminates although pieces are re-pushed: a piece is pushed only by
+            // `execute_piece`, as the upper half of a piece its lender holds, so it is
+            // strictly shorter than what it was cut from and never shorter than
+            // `LEND_FLOOR` — a loop produces finitely many pieces, each is claimed
+            // exactly once, and every Retry is charged to one of those claims.
             None if saw_retry => continue,
-            // Every deque observed empty: all chunks are claimed, and each claimer
-            // executes its chunks before arriving — safe to arrive.
+            // Our own pop came back empty and every other deque was observed empty:
+            // every piece that exists is claimed, and each claimer runs what it
+            // claimed before arriving.  A half lent *after* this sweep sits on its
+            // lender's own deque, and the lender pops that deque again before it can
+            // get here — so whatever a departed thief can no longer take is reclaimed
+            // by its lender, no index is stranded, and nobody needs to re-enter.
             None => break,
         }
     }
 }
 
-/// Records one successful steal on the thief's padded counter line, classifies it by
-/// tier distance, and emits the hit and tier instants.  Returns `true` for a
-/// cross-socket steal.
+/// Records one successful steal on the thief's padded counter line and returns `true`
+/// for a cross-socket one.  A whole chunk is a hit: classified by tier distance, with
+/// the hit and tier instants.  A lent half is a `lent_steals` bump and a
+/// `steal-lend` instant naming the victim, so the hit counters keep counting chunks.
 #[inline]
-fn record_hit(shared: &StealShared, id: usize, victim: usize) -> bool {
+fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) -> bool {
     let my_counters = &*shared.stats.per_worker[id];
-    my_counters.steals_hit.fetch_add(1, Ordering::Relaxed);
     let remote = shared.socket_of[id] != shared.socket_of[victim];
+    if piece.lent {
+        my_counters.lent_steals.fetch_add(1, Ordering::Relaxed);
+        parlo_trace::instant(parlo_trace::Phase::StealLend, id as u64, victim as u64);
+        return remote;
+    }
+    my_counters.steals_hit.fetch_add(1, Ordering::Relaxed);
     if remote {
         my_counters.remote_steals.fetch_add(1, Ordering::Relaxed);
     } else {
@@ -707,19 +748,60 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize) -> bool {
     remote
 }
 
+/// The one claim path: runs a piece participant `id` popped, reclaimed or stole.  A
+/// whole chunk is counted (and recorded as the sticky execution of its grid slot)
+/// for whoever claimed it whole; a piece long enough to halve is offered to
+/// [`lend_tail`] first.  A lone participant has no thief to lend to.
 #[inline]
-fn execute_chunk(id: usize, job: &StealLoop<'_>, c: ChunkRange) {
-    job.shared.stats.per_worker[id]
-        .chunks
-        .fetch_add(1, Ordering::Relaxed);
-    if let Some(s) = job.sticky {
-        let k = (c.start - job.start) / job.chunk.max(1);
-        if let Some(slot) = s.exec.get(k) {
-            slot.store(id as u32, Ordering::Relaxed);
+fn execute_piece(id: usize, job: &StealLoop<'_>, piece: Piece) {
+    let shared = job.shared;
+    if !piece.lent {
+        shared.stats.per_worker[id]
+            .chunks
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = job.sticky {
+            let k = (piece.range.start - job.start) / job.chunk.max(1);
+            if let Some(slot) = s.exec.get(k) {
+                slot.store(id as u32, Ordering::Relaxed);
+            }
         }
     }
+    let run = match lend_halves(piece.range) {
+        Some(halves) if shared.deques.len() > 1 => lend_tail(shared, id, piece.range, halves),
+        _ => piece.range,
+    };
     // SAFETY: contract of `run_loop` — the harness outlives the loop.
-    unsafe { (job.run_chunk)(job.data, id, c.start, c.end) };
+    unsafe { (job.run_chunk)(job.data, id, run.start, run.end) };
+}
+
+/// Lending at the tail (see the module docs): if participant `id`'s own deque is
+/// empty, pushes `upper` onto it and returns `lower` as what to run now; with work
+/// still queued behind it, returns `whole`.
+///
+/// Out of line so that the claim path of a piece too short to halve — every chunk of
+/// a fine-grained uniform loop — stays the inlined count-and-call it was.
+#[inline(never)]
+fn lend_tail(
+    shared: &StealShared,
+    id: usize,
+    whole: ChunkRange,
+    (lower, upper): (ChunkRange, ChunkRange),
+) -> ChunkRange {
+    let deque = &shared.deques[id];
+    let half = Piece {
+        range: upper,
+        lent: true,
+    };
+    // SAFETY: deque `id` is owned by this participant.  (The push lands on an empty
+    // deque, so it cannot find it full.)
+    if !deque.is_empty() || unsafe { deque.push(half) }.is_err() {
+        return whole;
+    }
+    shared.stats.per_worker[id]
+        .lends
+        .fetch_add(1, Ordering::Relaxed);
+    parlo_trace::instant(parlo_trace::Phase::StealLend, id as u64, id as u64);
+    lower
 }
 
 // --------------------------------------------------------------------------------------

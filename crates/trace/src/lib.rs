@@ -155,11 +155,17 @@ pub enum Phase {
     /// id, `b` = tier distance to the victim (0 = same socket, 1 = cross
     /// socket), so a timeline shows local vs remote steal traffic directly.
     StealTier = 21,
+    /// A lent half changing hands at a stealing loop's tail (`parlo-steal`).
+    /// Instant; `a` = the acting participant, `b` = the owner of the deque the half
+    /// sits on: `a == b` is a lend (the participant pushed the upper half of the
+    /// piece it is about to run onto its own empty deque), `a != b` is thief `a`
+    /// taking a lent half from lender `b` — whole-chunk steals stay `steal-hit`.
+    StealLend = 22,
 }
 
 impl Phase {
     /// Every phase, for iteration in tests and exporters.
-    pub const ALL: [Phase; 21] = [
+    pub const ALL: [Phase; 22] = [
         Phase::Loop,
         Phase::Dispatch,
         Phase::Arrival,
@@ -181,6 +187,7 @@ impl Phase {
         Phase::Complete,
         Phase::QueueDepth,
         Phase::StealTier,
+        Phase::StealLend,
     ];
 
     /// The stable timeline name of this phase.
@@ -207,6 +214,7 @@ impl Phase {
             Phase::Complete => "complete",
             Phase::QueueDepth => "queue-depth",
             Phase::StealTier => "steal-tier",
+            Phase::StealLend => "steal-lend",
         }
     }
 

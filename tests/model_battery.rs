@@ -2,7 +2,8 @@
 //!
 //! Exhaustively enumerates thread interleavings (up to the preemption bound)
 //! of small closed programs built from the *real* shipped primitives — the
-//! Chase–Lev chunk deque, the centralized release/join half-barrier pair, the
+//! Chase–Lev chunk deque (and the stealing pool's lend / reclaim / steal hand-off
+//! over it), the centralized release/join half-barrier pair, the
 //! park hub, the trace event ring, the serve completion and admission hand-offs and
 //! the team skeleton's loop / detach / resume protocol — and
 //! checks every interleaving for data races (vector-clock happens-before over
@@ -105,6 +106,101 @@ fn last_chunk_steal_vs_pop_has_one_winner() {
         );
     });
     assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// One participant of the pool's claim loop, distilled to its deque traffic (the
+/// shape of `participate` / `execute_piece` in `crates/steal/src/pool.rs`): pop the own
+/// deque, else probe the other one; whoever claims a piece while its own deque is
+/// empty pushes the half `cut` says to lend and runs the other; leave only after the
+/// own pop came back empty *and* the other deque was observed empty.  Returns the
+/// ranges this participant ran.  `cut` is [`parlo_steal::lend_halves`] in the shipped
+/// rule; the mutation check below swaps in a wrong one.
+fn lending_participant(
+    deques: &[ChunkDeque; 2],
+    id: usize,
+    cut: fn(ChunkRange) -> Option<(ChunkRange, ChunkRange)>,
+) -> Vec<ChunkRange> {
+    let (own, other) = (&deques[id], &deques[1 - id]);
+    let mut ran = Vec::new();
+    let mut claim = |piece: ChunkRange| {
+        ran.push(match cut(piece) {
+            // SAFETY: each model thread pushes to and pops from its own deque only.
+            Some((run, lend)) if own.is_empty() && unsafe { own.push(lend) }.is_ok() => run,
+            _ => piece,
+        });
+    };
+    loop {
+        // SAFETY: as above — `own` is this thread's deque.
+        if let Some(piece) = unsafe { own.pop() } {
+            claim(piece);
+            continue;
+        }
+        match other.steal() {
+            Steal::Success(piece) => claim(piece),
+            // Lost the CAS to the owner's pop: the loop is live, look again.
+            Steal::Retry => {}
+            Steal::Empty => break,
+        }
+    }
+    ran
+}
+
+/// A two-participant loop whose whole work is one chunk of `4 * LEND_FLOOR`
+/// iterations, seeded by participant 0 *after* the thief started (participants seed
+/// their own deques, so a thief's first sweep may well find nothing).  No deque sees
+/// more than three pushes here (seed, two lends), so capacity 4 never reuses a slot:
+/// a stalled thief reading a reused slot is the deque's own discard-on-failed-CAS
+/// path, not part of this hand-off.
+fn lending_round(
+    cut: fn(ChunkRange) -> Option<(ChunkRange, ChunkRange)>,
+) -> Result<model::Report, model::Violation> {
+    model::Builder::new().try_check(move || {
+        let len = 4 * parlo_steal::LEND_FLOOR;
+        let deques = Arc::new([ChunkDeque::new(4), ChunkDeque::new(4)]);
+        let d2 = Arc::clone(&deques);
+        let thief = thread::spawn(move || lending_participant(&d2, 1, cut));
+        // SAFETY: this thread owns deque 0.
+        unsafe { deques[0].push(ChunkRange { start: 0, end: len }).unwrap() };
+        let mut ran = lending_participant(&deques, 0, cut);
+        ran.extend(thief.join().unwrap());
+        ran.sort_by_key(|c| c.start);
+        let mut next = 0;
+        for c in &ran {
+            assert_eq!(c.start, next, "an index ran twice or not at all: {ran:?}");
+            next = c.end;
+        }
+        assert_eq!(next, len, "the tail of the loop was stranded: {ran:?}");
+        assert!(deques.iter().all(|d| d.is_empty()));
+    })
+}
+
+/// Lend / reclaim / steal hand-off: the lender pushes the upper half of its last
+/// chunk, runs the lower half and pops; the thief steals concurrently and — its own
+/// deque being empty — lends in turn, so halves cross in both directions.  In every
+/// interleaving each index runs exactly once; in particular a thief that saw "all
+/// empty" and left (before the seed, or between two lends) strands nothing, because
+/// a lender pops its own deque again before it can leave.
+#[test]
+fn lent_halves_are_reclaimed_or_stolen_exactly_once() {
+    let report = lending_round(parlo_steal::lend_halves).expect("lending is exactly-once");
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// Mutation check for the model above: a rule that lends the *lower* half while
+/// also running it executes those indices twice and never runs the upper half —
+/// the model must report it (as the tiling assertion's panic), on a schedule that
+/// replays.
+#[test]
+fn mutation_lending_the_half_being_run_is_caught() {
+    fn lend_what_runs(piece: ChunkRange) -> Option<(ChunkRange, ChunkRange)> {
+        parlo_steal::lend_halves(piece).map(|(lower, _upper)| (lower, lower))
+    }
+    let v = lending_round(lend_what_runs).expect_err("checker must catch the mutation");
+    assert_eq!(v.kind, model::ViolationKind::Panic);
+    assert!(
+        !v.schedule.is_empty(),
+        "violation carries a replayable schedule"
+    );
 }
 
 /// Publication *through* the deque: the owner writes a payload cell and then

@@ -14,7 +14,10 @@
 //! * reductions must produce the sequential result under every perturbed schedule.
 
 use parlo::prelude::*;
-use parlo::steal::{total_chunks, ChunkDeque, ChunkRange, Steal};
+use parlo::steal::{
+    default_chunk, total_chunks, worker_run_rev, ChunkDeque, ChunkRange, Steal, LEND_FLOOR,
+};
+use parlo::workloads::irregular::skewed_weight;
 use parlo_sync::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -66,6 +69,123 @@ fn battery_holds_at_the_env_pinned_pool_size() {
             "exact chunk coverage at {threads} threads"
         );
         assert_eq!(stats.combine_ops, threads as u64 - 1);
+    }
+}
+
+/// Lending at the tail on the shape it exists for: the geometric skew puts half of
+/// the loop's work into its last pre-split chunk.  Whoever claims a participant's
+/// last chunk — its owner, popping it off a now-empty deque, or a thief, whose deque
+/// is empty by definition — must lend, so `lends >= 1` holds under any OS schedule;
+/// halves are not chunks, so the exact-coverage account still reads whole chunks.
+#[test]
+fn a_heavy_last_chunk_is_lent_and_every_index_still_runs_exactly_once() {
+    const N: usize = 4096;
+    for threads in 2..=4usize {
+        assert!(
+            default_chunk(N, threads) >= 2 * LEND_FLOOR,
+            "{threads}T: chunks must be long enough to halve"
+        );
+        let mut pool = StealPool::with_threads(threads);
+        let before = pool.stats();
+        let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+        pool.steal_for(0..N, |i| {
+            for _ in 0..skewed_weight(i, N) {
+                std::hint::spin_loop();
+            }
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "exactly once at {threads} threads"
+        );
+        let weighted = pool.steal_reduce(
+            0..N,
+            || 0u64,
+            |a, i| a + skewed_weight(i, N) as u64,
+            |a, b| a + b,
+        );
+        assert_eq!(weighted, (0..N).map(|i| skewed_weight(i, N) as u64).sum());
+        let d = pool.stats().since(&before);
+        let chunk = default_chunk(N, threads);
+        assert_eq!(
+            d.chunks_executed(),
+            2 * total_chunks(&(0..N), threads, chunk),
+            "{threads}T: lent halves are not chunks"
+        );
+        assert!(d.lends >= 2, "{threads}T: both loops lend: {d:?}");
+        assert!(d.lent_steals <= d.lends);
+        assert!(d.steals_hit <= d.chunks_executed());
+        assert_eq!(d.local_steals + d.remote_steals, d.steals_hit);
+        assert_eq!(d.combine_ops, threads as u64 - 1);
+    }
+}
+
+/// A pool whose every sweep probes an out-of-range victim only: nobody ever steals, so
+/// whatever a participant seeds or lends it also runs.
+fn no_steal_pool(threads: usize, chunk: usize) -> StealPool {
+    let script = ScriptedOrder::new(vec![vec![threads]; threads], 1);
+    StealPool::new(
+        StealConfig::with_threads(threads)
+            .with_chunk(chunk)
+            .with_perturbation(Arc::new(script)),
+    )
+}
+
+/// Where lending must not happen, the pool runs exactly as it did before it could:
+/// a lone participant has nobody to lend to, and a chunk too short to cut into two
+/// halves of `LEND_FLOOR` iterations runs whole on every participant.
+#[test]
+fn lone_participants_and_short_chunks_never_lend() {
+    let cases = [
+        (1usize, 4 * LEND_FLOOR),
+        (1, 1),
+        (2, 2 * LEND_FLOOR - 1),
+        (3, LEND_FLOOR),
+        (4, 1),
+    ];
+    for (threads, chunk) in cases {
+        // No steals, so each participant must execute precisely its own pre-split run.
+        let mut pool = no_steal_pool(threads, chunk);
+        let n = 10 * threads * chunk + 3;
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        pool.steal_for(0..n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let s = pool.stats();
+        assert_eq!((s.lends, s.lent_steals), (0, 0), "{threads}T chunk {chunk}");
+        assert_eq!(s.steals_hit, 0);
+        let own_runs: Vec<u64> = (0..threads)
+            .map(|tid| worker_run_rev(&(0..n), threads, tid, chunk).count() as u64)
+            .collect();
+        assert_eq!(s.chunks_per_worker, own_runs, "{threads}T chunk {chunk}");
+    }
+}
+
+/// Sticky replay after lent rounds: a grid chunk's remembered owner is whoever
+/// claimed it whole, so under the no-steal script — where every lent half comes back
+/// through its lender's own pop — repeated site loops reuse the full assignment
+/// although each of them lends.
+#[test]
+fn sticky_replay_counts_whole_chunks_across_lent_rounds() {
+    for threads in 2..=4usize {
+        let chunk = 4 * LEND_FLOOR;
+        let n = 6 * threads * chunk;
+        let mut pool = no_steal_pool(threads, chunk);
+        let site = StealSite(0x1E4D);
+        let expected: u64 = (0..n as u64).sum();
+        for _ in 0..4 {
+            let got = pool.steal_reduce_at(site, 0..n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            assert_eq!(got, expected);
+        }
+        let s = pool.stats();
+        // Every participant halves its last chunk down to the floor: 4F -> 2F -> F.
+        assert_eq!(s.lends, 4 * threads as u64 * 2, "{threads}T: {s:?}");
+        assert_eq!(s.lent_steals, 0, "nobody may steal under this script");
+        assert_eq!(s.sticky_hits, 3);
+        assert_eq!(s.sticky_chunks_total, 3 * (n / chunk) as u64);
+        assert_eq!(s.sticky_chunks_reused, s.sticky_chunks_total, "{threads}T");
+        assert_eq!(s.chunks_executed(), 4 * (n / chunk) as u64);
     }
 }
 
@@ -187,7 +307,9 @@ proptest! {
     fn every_chunk_executes_exactly_once_under_perturbed_schedules(
         len in 0usize..700,
         start in 0usize..64,
-        chunk in 1usize..40,
+        // Up to several times `2 * LEND_FLOOR`, so the sampled schedules also lend,
+        // reclaim and steal halves.
+        chunk in 1usize..160,
         threads in 1usize..5,
         seed in 0u64..u64::MAX,
     ) {

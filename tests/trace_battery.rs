@@ -171,6 +171,48 @@ mod enabled {
         }
     }
 
+    /// The stealing pool's hand-offs reconcile exactly with `StealStats`: one
+    /// `steal-hit` instant per whole chunk stolen, and one `steal-lend` instant per
+    /// lent half pushed (`a == b`: the lender's own deque) and per lent half a thief
+    /// took (`a != b`: thief and victim) — so a timeline shows who halved the tail
+    /// and who picked the halves up, and a lent half is never mistaken for a hit.
+    #[test]
+    fn steal_hits_and_lends_bit_match_steal_stats() {
+        let (delta, snap) = with_armed_trace("battery-steal-lend", || {
+            let mut steal = parlo_steal::StealPool::with_threads(3);
+            let before = steal.stats();
+            for _ in 0..10 {
+                // 8 chunks of 64 on 3 participants: long enough to halve twice.
+                steal.steal_for_with_chunk(0..512, 64, |i| {
+                    if i >= 448 {
+                        std::hint::spin_loop();
+                    }
+                });
+            }
+            steal.stats().since(&before)
+        });
+        assert!(snap.tracks.iter().all(|t| t.dropped == 0));
+        let lends = |thief_side: bool| {
+            snap.tracks
+                .iter()
+                .flat_map(|t| &t.events)
+                .filter(|e| e.kind == EventKind::Instant && e.phase == Phase::StealLend)
+                .filter(|e| (e.a != e.b) == thief_side)
+                .count() as u64
+        };
+        assert!(delta.lends >= 10, "every loop lends at its tail: {delta:?}");
+        assert_eq!(lends(false), delta.lends);
+        assert_eq!(lends(true), delta.lent_steals);
+        assert_eq!(
+            count(&snap, EventKind::Instant, Phase::StealHit) as u64,
+            delta.steals_hit
+        );
+        assert_eq!(
+            count(&snap, EventKind::Instant, Phase::StealTier) as u64,
+            delta.steals_hit
+        );
+    }
+
     #[test]
     fn spans_nest_and_timestamps_are_monotonic_per_track() {
         let ((), snap) = with_armed_trace("battery-nesting", || {
