@@ -6,20 +6,26 @@
 //! and the OpenMP-like team.  `--simulate` (also printed by default) evaluates the
 //! cost model on the 48-core paper machine.
 //!
-//! Flags: `--steps N` (time steps per measurement, default 20), `--max-threads N`,
-//! `--quick`, `--csv`, `--simulate` (simulation only), `--trace <path>` (Chrome
-//! trace-event timeline), `--topology detect|paper|SxC`,
-//! `--pin compact|scatter|none`, `--flat-sync` (worker placement).
+//! Flags: `--steps N` (time steps per measurement, default 20; 5 with `--quick`),
+//! `--max-threads N`, `--quick`, `--csv`, `--simulate` (simulation only).
 
-use parlo_analysis::{series_to_csv, series_to_text, Series};
-use parlo_bench::{
-    arg_value, has_flag, native_thread_sweep, placement_args, time_secs, trace_finish, trace_setup,
-};
+use crate::print_series;
+use parlo_analysis::Series;
+use parlo_bench::args::Args;
+use parlo_bench::{native_thread_sweep, time_secs};
 use parlo_core::{FineGrainPool, Sequential};
 use parlo_exec::Executor;
 use parlo_omp::ScheduledTeam;
 use parlo_sim::SimMachine;
-use parlo_workloads::{Mpdata, PlacementConfig};
+use parlo_workloads::{LoopRuntime, Mpdata, PlacementConfig};
+
+/// Times `steps` MPDATA steps of a fresh paper-mesh solver on `runner`, in seconds.
+fn mpdata_time(runner: &mut dyn LoopRuntime, steps: usize) -> f64 {
+    let mut solver = Mpdata::paper_problem();
+    time_secs(|| {
+        solver.run(runner, steps, false);
+    })
+}
 
 fn measure_native(
     steps: usize,
@@ -29,12 +35,7 @@ fn measure_native(
     let mut fine = Series::empty("fine-grain");
     let mut omp = Series::empty("OpenMP");
 
-    // Sequential baseline.
-    let mut seq_runner = Sequential;
-    let mut solver = Mpdata::paper_problem();
-    let t_seq = time_secs(|| {
-        solver.run(&mut seq_runner, steps, false);
-    });
+    let t_seq = mpdata_time(&mut Sequential, steps);
     eprintln!("figure2: sequential baseline {t_seq:.3}s for {steps} steps");
 
     // One substrate for the whole sweep: both runtimes at every thread count lease
@@ -42,11 +43,7 @@ fn measure_native(
     let executor = Executor::for_placement(placement);
     for threads in native_thread_sweep(max_threads) {
         let mut fine_runner = FineGrainPool::with_placement_on(threads, placement, &executor);
-        let mut solver = Mpdata::paper_problem();
-        let t = time_secs(|| {
-            solver.run(&mut fine_runner, steps, false);
-        });
-        fine.push(threads, t_seq / t);
+        fine.push(threads, t_seq / mpdata_time(&mut fine_runner, steps));
 
         let mut omp_runner = ScheduledTeam::with_placement_on(
             threads,
@@ -54,11 +51,7 @@ fn measure_native(
             placement,
             &executor,
         );
-        let mut solver = Mpdata::paper_problem();
-        let t = time_secs(|| {
-            solver.run(&mut omp_runner, steps, false);
-        });
-        omp.push(threads, t_seq / t);
+        omp.push(threads, t_seq / mpdata_time(&mut omp_runner, steps));
         eprintln!(
             "  threads {threads}: fine {:.3}, OpenMP {:.3}",
             fine.at(threads).unwrap(),
@@ -74,27 +67,11 @@ fn measure_native(
     (fine, omp, ratio)
 }
 
-fn print_series(title: &str, series: &[&Series], csv: bool) {
-    if csv {
-        println!("{}", series_to_csv(series));
-    } else {
-        println!("{}", series_to_text(title, series));
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --wait exports PARLO_WAIT before any pool is constructed (see wait_arg).
-    parlo_bench::wait_arg(&args);
-    let trace = trace_setup(&args);
-    let csv = has_flag(&args, "--csv");
-    let steps =
-        arg_value(&args, "--steps").unwrap_or(if has_flag(&args, "--quick") { 5 } else { 20 });
-
-    if !has_flag(&args, "--simulate") {
-        let placement = placement_args(&args);
-        let (fine, omp, ratio) =
-            measure_native(steps, arg_value(&args, "--max-threads"), &placement);
+pub fn run(args: &Args) {
+    let csv = args.csv;
+    if !args.simulate {
+        let steps = args.steps.unwrap_or(if args.quick { 5 } else { 20 });
+        let (fine, omp, ratio) = measure_native(steps, args.max_threads, &args.placement);
         print_series(
             "Figure 2 left (native): MPDATA speedup over sequential",
             &[&fine, &omp],
@@ -121,7 +98,6 @@ fn main() {
         &[&ratio_s],
         csv,
     );
-    trace_finish(trace);
     println!(
         "paper reference: OpenMP speedup stagnates with increasing threads; the fine-grain \
          scheduler improves MPDATA by up to 22% over OpenMP at 48 threads."

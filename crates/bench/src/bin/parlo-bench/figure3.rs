@@ -8,15 +8,13 @@
 //! parallel reduction is fine-grain.  Native mode sweeps thread counts up to the
 //! hardware parallelism; the simulated 48-core series are printed as well.
 //!
-//! Flags: `--points N` (default 2,000,000 native; 25,000,000 simulated), `--max-threads N`,
-//! `--quick`, `--csv`, `--simulate` (simulation only), `--trace <path>` (Chrome
-//! trace-event timeline), `--topology detect|paper|SxC`,
-//! `--pin compact|scatter|none`, `--flat-sync` (worker placement).
+//! Flags: `--points N` (default 2,000,000 native, 500,000 with `--quick`; 25,000,000
+//! simulated), `--max-threads N`, `--quick`, `--csv`, `--simulate` (simulation only).
 
-use parlo_analysis::{series_to_csv, series_to_text, Series};
-use parlo_bench::{
-    arg_value, has_flag, native_thread_sweep, placement_args, time_secs, trace_finish, trace_setup,
-};
+use crate::print_series;
+use parlo_analysis::Series;
+use parlo_bench::args::Args;
+use parlo_bench::{native_thread_sweep, time_secs};
 use parlo_sim::SimMachine;
 use parlo_workloads::phoenix::linear_regression as linreg;
 use parlo_workloads::PlacementConfig;
@@ -24,26 +22,16 @@ use parlo_workloads::PlacementConfig;
 /// Chunk size (points) of each map-reduce step, matching the simulator's assumption.
 const CHUNK: usize = 65_536;
 
-fn regression_chunks(points: &[linreg::Point]) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < points.len() {
-        out.push(start..(start + CHUNK).min(points.len()));
-        start += CHUNK;
-    }
-    out
-}
-
-fn sequential_time(points: &[linreg::Point]) -> f64 {
+/// Times one pass over `points` in [`CHUNK`]-sized map-reduce steps, each reduced by
+/// `reduce` and merged into the running total.
+fn chunked_time(
+    points: &[linreg::Point],
+    mut reduce: impl FnMut(&[linreg::Point]) -> linreg::RegressionSums,
+) -> f64 {
     time_secs(|| {
         let mut total = linreg::RegressionSums::default();
-        for chunk in regression_chunks(points) {
-            let sums = points[chunk]
-                .iter()
-                .fold(linreg::RegressionSums::default(), |acc, &p| {
-                    acc.accumulate(p)
-                });
-            total = total.merge(sums);
+        for chunk in points.chunks(CHUNK) {
+            total = total.merge(reduce(chunk));
         }
         parlo_analysis::black_box(total.line());
     })
@@ -54,7 +42,10 @@ fn measure_native(
     max_threads: Option<usize>,
     placement: &PlacementConfig,
 ) -> Vec<Series> {
-    let t_seq = sequential_time(points);
+    let t_seq = chunked_time(points, |chunk| {
+        let zero = linreg::RegressionSums::default();
+        chunk.iter().fold(zero, |acc, &p| acc.accumulate(p))
+    });
     eprintln!(
         "figure3: sequential baseline {t_seq:.3}s for {} points",
         points.len()
@@ -71,32 +62,17 @@ fn measure_native(
     for threads in native_thread_sweep(max_threads) {
         // Fine-grain scheduler (merged half-barrier reductions).
         let mut pool = parlo_core::FineGrainPool::with_placement_on(threads, placement, &executor);
-        let t = time_secs(|| {
-            let mut total = linreg::RegressionSums::default();
-            for chunk in regression_chunks(points) {
-                let slice = &points[chunk];
-                total = total.merge(linreg::with_fine_grain(&mut pool, slice));
-            }
-            parlo_analysis::black_box(total.line());
-        });
+        let t = chunked_time(points, |chunk| linreg::with_fine_grain(&mut pool, chunk));
         fine.push(threads, t_seq / t);
 
         // Baseline Cilk and the hybrid fine-grain path of the same pool.
         let mut cpool = parlo_cilk::CilkPool::with_placement_on(threads, placement, &executor);
-        let t = time_secs(|| {
-            let mut total = linreg::RegressionSums::default();
-            for chunk in regression_chunks(points) {
-                total = total.merge(linreg::with_cilk_baseline(&mut cpool, &points[chunk]));
-            }
-            parlo_analysis::black_box(total.line());
+        let t = chunked_time(points, |chunk| {
+            linreg::with_cilk_baseline(&mut cpool, chunk)
         });
         cilk.push(threads, t_seq / t);
-        let t = time_secs(|| {
-            let mut total = linreg::RegressionSums::default();
-            for chunk in regression_chunks(points) {
-                total = total.merge(linreg::with_cilk_fine_grain(&mut cpool, &points[chunk]));
-            }
-            parlo_analysis::black_box(total.line());
+        let t = chunked_time(points, |chunk| {
+            linreg::with_cilk_fine_grain(&mut cpool, chunk)
         });
         cilk_fine.push(threads, t_seq / t);
 
@@ -106,13 +82,7 @@ fn measure_native(
             (parlo_omp::Schedule::Static, &mut omp_static),
             (parlo_omp::Schedule::Dynamic(64), &mut omp_dynamic),
         ] {
-            let t = time_secs(|| {
-                let mut total = linreg::RegressionSums::default();
-                for chunk in regression_chunks(points) {
-                    total = total.merge(linreg::with_omp(&mut team, schedule, &points[chunk]));
-                }
-                parlo_analysis::black_box(total.line());
-            });
+            let t = chunked_time(points, |chunk| linreg::with_omp(&mut team, schedule, chunk));
             series.push(threads, t_seq / t);
         }
         eprintln!("  threads {threads} done");
@@ -125,30 +95,14 @@ fn measure_native(
     vec![fine, cilk, cilk_fine, omp_static, omp_dynamic]
 }
 
-fn print_series(title: &str, series: &[&Series], csv: bool) {
-    if csv {
-        println!("{}", series_to_csv(series));
-    } else {
-        println!("{}", series_to_text(title, series));
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --wait exports PARLO_WAIT before any pool is constructed (see wait_arg).
-    parlo_bench::wait_arg(&args);
-    let trace = trace_setup(&args);
-    let csv = has_flag(&args, "--csv");
-
-    if !has_flag(&args, "--simulate") {
-        let n = arg_value(&args, "--points").unwrap_or(if has_flag(&args, "--quick") {
-            500_000
-        } else {
-            2_000_000
-        });
+pub fn run(args: &Args) {
+    let csv = args.csv;
+    if !args.simulate {
+        let n = args
+            .points
+            .unwrap_or(if args.quick { 500_000 } else { 2_000_000 });
         let points = linreg::generate_points(n, 3.0, 7.0, 2.0, 0xF163);
-        let placement = placement_args(&args);
-        let series = measure_native(&points, arg_value(&args, "--max-threads"), &placement);
+        let series = measure_native(&points, args.max_threads, &args.placement);
         print_series(
             "Figure 3a (native): linear regression, Cilk baseline vs fine-grain",
             &[&series[1], &series[2], &series[0]],
@@ -163,7 +117,9 @@ fn main() {
 
     // Simulated 48-core machine.
     let machine = SimMachine::paper_machine();
-    let points = arg_value(&args, "--points").unwrap_or(parlo_sim::experiments::FIGURE3_POINTS);
+    let points = args
+        .points
+        .unwrap_or(parlo_sim::experiments::FIGURE3_POINTS);
     let (fine_a, cilk_s) = parlo_sim::experiments::figure3a(&machine, points);
     print_series(
         "Figure 3a (simulated 48-core machine): linear regression, Cilk vs fine-grain",
@@ -176,7 +132,6 @@ fn main() {
         &[&omp_s, &omp_d, &fine_b],
         csv,
     );
-    trace_finish(trace);
     println!(
         "paper reference: the fine-grain scheduler achieves higher parallel efficiency than \
          baseline Cilk and OpenMP, with a best-case speedup of 2.8x."

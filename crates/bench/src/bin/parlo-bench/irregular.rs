@@ -5,21 +5,19 @@
 //! balancing runtimes (dynamic chunks, stealing) earn their larger burden back and
 //! where data placement (locality-aware stealing) matters.
 //!
-//! ```text
-//! irregular [--threads N] [--reps N] [--n ITERS] [--units U] [--csv] [--json <path>]
-//!           [--trace <path>] [--steal-local] [--topology detect|paper|SxC]
-//!           [--pin compact|scatter|none] [--flat-sync]
-//! ```
+//! Flags: `--threads N`, `--reps N` (default 5), `--n ITERS` (default 2048),
+//! `--units U` (default 4), `--csv`, `--json PATH`, `--steal-local`.
 //!
 //! The JSON report carries one `SweepRow` per (scheduler, workload) with the
 //! scheduler key qualified as `key@workload`, plus the stealing runtime's
 //! `StealStats`.
 
+use crate::{print_table, write_report};
 use parlo_analysis::Table;
+use parlo_bench::args::Args;
 use parlo_bench::{
-    arg_value, has_flag, json_path_arg, measure_roster_entry, parallel_time_of, placement_args,
-    sequential_time_of, steal_local_arg, sweep_roster, threads_arg, trace_finish, trace_setup,
-    write_json_report, BenchReport, RosterContext, SweepRow, WorkloadKind,
+    measure_roster_entry, parallel_time, sequential_time, sweep_roster, BenchReport, RosterContext,
+    SweepRow, WorkloadKind,
 };
 use parlo_workloads::microbench::SweepPoint;
 use parlo_workloads::LoopRuntime;
@@ -47,7 +45,7 @@ fn measure(
 ) -> Vec<f64> {
     let mut speedups = Vec::with_capacity(KINDS.len());
     for (&kind, &seq) in KINDS.iter().zip(t_seq) {
-        let t_par = parallel_time_of(runtime, kind, point, reps).max(1e-12);
+        let t_par = parallel_time(runtime, kind, point, reps).max(1e-12);
         let speedup = seq / t_par;
         speedups.push(speedup);
         report.points.push(SweepRow {
@@ -62,17 +60,11 @@ fn measure(
     speedups
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --wait exports PARLO_WAIT before any pool is constructed (see wait_arg).
-    parlo_bench::wait_arg(&args);
-    let _ = json_path_arg(&args);
-    let trace = trace_setup(&args);
-    let threads = threads_arg(&args);
-    let placement = placement_args(&args);
-    let reps = arg_value(&args, "--reps").unwrap_or(5);
-    let iterations = arg_value(&args, "--n").unwrap_or(DEFAULT_ITERS);
-    let units = arg_value(&args, "--units").unwrap_or(4);
+pub fn run(args: &Args) {
+    let threads = args.thread_count();
+    let reps = args.reps.unwrap_or(5);
+    let iterations = args.n.unwrap_or(DEFAULT_ITERS);
+    let units = args.units.unwrap_or(4);
     let point = SweepPoint { iterations, units };
 
     let mut table = Table::new(
@@ -87,15 +79,15 @@ fn main() {
         ],
     );
     // The rows mix both kernels (keys are qualified `key@workload`), so the report's
-    // workload marker is the bin's own.
+    // workload marker is the subcommand's own.
     let mut report = BenchReport::for_workload("irregular", threads, "irregular");
     let t_seq: Vec<f64> = KINDS
         .iter()
-        .map(|&k| sequential_time_of(k, point, reps))
+        .map(|&k| sequential_time(k, point, reps))
         .collect();
 
     // One substrate for the whole run (see `RosterContext`).
-    let ctx = RosterContext::new(threads, placement).with_steal_local(steal_local_arg(&args));
+    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
     for entry in sweep_roster() {
         // The stealing entry is measured through its concrete type so its StealStats
         // land in the report next to the timings.
@@ -106,15 +98,7 @@ fn main() {
         table.push_row(entry.key.to_string(), speedups);
     }
 
-    if has_flag(&args, "--csv") {
-        println!("{}", table.to_csv());
-    } else {
-        println!("{}", table.to_text());
-    }
-    if let Some(path) = json_path_arg(&args) {
-        write_json_report(path, &report).expect("failed to write --json report");
-        eprintln!("irregular: wrote JSON report to {path}");
-    }
+    print_table(&table, args.csv);
+    write_report(args, &report);
     eprintln!("irregular: {}", ctx.exec_summary());
-    trace_finish(trace);
 }

@@ -6,35 +6,32 @@
 //! only — `adaptive` selects the online scheduler-selection runtime), `--workload
 //! micro|skewed|triangular|cache` (loop body: uniform micro-benchmark, one of the
 //! irregular kernels, or the cache-hostile probe kernel), `--steal-local` (base
-//! stealing entry uses the locality-aware tiered sweep), `--json <path>`
+//! stealing entry uses the locality-aware tiered sweep), `--json PATH`
 //! (machine-readable report of the measured points, including the stealing runtime's
-//! `StealStats`), `--trace <path>` (Chrome trace-event timeline),
-//! `--topology detect|paper|SxC`, `--pin compact|scatter|none`, `--flat-sync`
-//! (worker placement).
+//! `StealStats`).
 
+use crate::write_report;
+use parlo_bench::args::Args;
 use parlo_bench::{
-    arg_str, arg_value, has_flag, json_path_arg, measure_roster_entry, parallel_time_of,
-    placement_args, sequential_time_of, steal_local_arg, sweep_roster, threads_arg, trace_finish,
-    trace_setup, workload_arg, write_json_report, BenchReport, RosterContext, SweepRow,
-    DEFAULT_REPS,
+    measure_roster_entry, parallel_time, sequential_time, sweep_roster, BenchReport, RosterContext,
+    SweepRow, WorkloadKind, DEFAULT_REPS,
 };
 use parlo_workloads::microbench::SweepPoint;
 use parlo_workloads::{microbench, LoopRuntime};
 
 /// Measures every sweep point on one runtime, printing CSV rows and collecting report
 /// rows.
-#[allow(clippy::too_many_arguments)]
 fn run_points(
     runtime: &mut dyn LoopRuntime,
     name: &str,
-    kind: parlo_bench::WorkloadKind,
+    kind: WorkloadKind,
     sweep: &[SweepPoint],
     reps: usize,
     report: &mut BenchReport,
 ) {
     for &point in sweep {
-        let t_seq = sequential_time_of(kind, point, reps);
-        let t_par = parallel_time_of(runtime, kind, point, reps).max(1e-12);
+        let t_seq = sequential_time(kind, point, reps);
+        let t_par = parallel_time(runtime, kind, point, reps).max(1e-12);
         let speedup = t_seq / t_par;
         println!(
             "{name},{},{},{t_seq:.9},{t_par:.9},{speedup:.4}",
@@ -51,18 +48,11 @@ fn run_points(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --wait exports PARLO_WAIT before any pool is constructed (see wait_arg).
-    parlo_bench::wait_arg(&args);
-    // Validate --json before any measurement runs (fail fast on a malformed flag).
-    let _ = json_path_arg(&args);
-    let trace = trace_setup(&args);
-    let threads = threads_arg(&args);
-    let placement = placement_args(&args);
-    let kind = workload_arg(&args);
-    let reps = arg_value(&args, "--reps").unwrap_or(DEFAULT_REPS);
-    let sweep = if has_flag(&args, "--quick") {
+pub fn run(args: &Args) {
+    let threads = args.thread_count();
+    let kind = args.workload;
+    let reps = args.reps.unwrap_or(DEFAULT_REPS);
+    let sweep = if args.quick {
         microbench::quick_sweep()
     } else {
         microbench::default_sweep()
@@ -71,20 +61,15 @@ fn main() {
     // The shared roster (see `parlo_bench::sweep_roster`): entries build lazily, so
     // `--runtime` never spawns the worker pools of excluded schedulers.
     let mut roster = sweep_roster();
-    if let Some(wanted) = arg_str(&args, "--runtime") {
-        let available: Vec<&str> = roster.iter().map(|e| e.key).collect();
+    if let Some(wanted) = args.runtime {
         roster.retain(|e| e.key == wanted);
-        if roster.is_empty() {
-            eprintln!("sweep: unknown --runtime `{wanted}`; available: {available:?}");
-            std::process::exit(2);
-        }
     }
 
     let mut report = BenchReport::for_workload("sweep", threads, kind.key());
     println!("scheduler,iterations,units,t_seq_s,t_par_s,speedup");
     // One substrate for the whole run: every measured runtime leases the same
     // workers, so the sweep never oversubscribes the machine against itself.
-    let ctx = RosterContext::new(threads, placement).with_steal_local(steal_local_arg(&args));
+    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
     for entry in roster {
         // The stealing entry is measured through its concrete type so its StealStats
         // (steal attempts/hits, per-worker chunk counts) ride along in the report.
@@ -93,10 +78,6 @@ fn main() {
         });
         report.steal.extend(steal_stats);
     }
-    if let Some(path) = json_path_arg(&args) {
-        write_json_report(path, &report).expect("failed to write --json report");
-        eprintln!("sweep: wrote JSON report to {path}");
-    }
+    write_report(args, &report);
     eprintln!("sweep: {}", ctx.exec_summary());
-    trace_finish(trace);
 }

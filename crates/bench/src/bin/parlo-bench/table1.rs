@@ -2,43 +2,38 @@
 //!
 //! Native mode (default): runs the granularity micro-benchmark under every scheduler
 //! configuration, fits the Amdahl model `S = T/(d + T/P)` and prints the burden `d`
-//! per scheduler, exactly the rows of Table 1.
+//! per scheduler, exactly the rows of Table 1, followed by the simulated table
+//! (`--no-simulate` omits it).
 //!
-//! `--simulate`: prints the cost-model prediction of Table 1 on the paper's 48-core
-//! machine (see `parlo-sim`), which is the mode used to compare shapes against the
-//! paper when fewer than 48 hardware threads are available.
+//! `--simulate`: prints only the cost-model prediction of Table 1 on the paper's
+//! 48-core machine (see `parlo-sim`), which is the mode used to compare shapes against
+//! the paper when fewer than 48 hardware threads are available.
 //!
 //! Other flags: `--threads N` (native thread count, default = `PARLO_THREADS` or the
 //! hardware parallelism), `--reps N`, `--quick` (reduced sweep), `--csv`,
-//! `--json <path>` (machine-readable report of the fitted burdens),
-//! `--trace <path>` (Chrome trace-event timeline of the whole run, one track per
-//! worker; load it in Perfetto or `chrome://tracing`),
+//! `--json PATH` (machine-readable report of the fitted burdens),
 //! `--workload micro|skewed|triangular|cache` (native loop body: the uniform
 //! micro-benchmark, one of the irregular kernels — whose straggler time inflates a
 //! static schedule's *effective* burden — or the cache-hostile probe kernel),
 //! `--steal-local` (make the base stealing entry use the locality-aware tiered
-//! sweep instead of the flat random-victim ring), `--topology detect|paper|SxC`,
-//! `--pin compact|scatter|none`, `--flat-sync` (worker placement, see
-//! `parlo_bench::placement_args`), `--wait spin|spinyield|yield|park|auto` (wait
-//! policy of every constructed pool, exported as `PARLO_WAIT`; see
-//! `parlo_bench::wait_arg`).
+//! sweep instead of the flat random-victim ring).
 
+use crate::{print_table, write_report};
 use parlo_analysis::Table;
+use parlo_bench::args::Args;
 use parlo_bench::{
-    arg_value, fixed_roster, hardware_threads, has_flag, json_path_arg, measure_burden_of,
-    placement_args, steal_local_arg, threads_arg, trace_finish, trace_setup, workload_arg,
-    write_json_report, BenchReport, BurdenRow, RosterContext, DEFAULT_REPS,
+    fixed_roster, hardware_threads, measure_burden, BenchReport, BurdenRow, RosterContext,
+    DEFAULT_REPS,
 };
 use parlo_sim::SimMachine;
 use parlo_workloads::microbench;
 
-fn native(args: &[String]) {
+fn native(args: &Args) {
     let hw = hardware_threads();
-    let threads = threads_arg(args);
-    let placement = placement_args(args);
-    let kind = workload_arg(args);
-    let reps = arg_value(args, "--reps").unwrap_or(DEFAULT_REPS);
-    let sweep = if has_flag(args, "--quick") {
+    let threads = args.thread_count();
+    let kind = args.workload;
+    let reps = args.reps.unwrap_or(DEFAULT_REPS);
+    let sweep = if args.quick {
         microbench::quick_sweep()
     } else {
         microbench::default_sweep()
@@ -61,11 +56,11 @@ fn native(args: &[String]) {
     // The shared roster (see `parlo_bench::fixed_roster`): each runtime is built
     // lazily and leases its workers from the run's one substrate, so measuring the
     // whole table keeps at most `threads - 1` worker threads alive.
-    let ctx = RosterContext::new(threads, placement).with_steal_local(steal_local_arg(args));
+    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
     for entry in fixed_roster() {
         let label = entry.label;
         let mut runtime = (entry.build)(&ctx);
-        let (_, fit) = measure_burden_of(runtime.as_mut(), kind, &sweep, reps);
+        let (_, fit) = measure_burden(runtime.as_mut(), kind, &sweep, reps);
         match fit {
             Some(fit) => {
                 table.push_row(label.to_string(), vec![fit.burden_us(), fit.residual]);
@@ -80,15 +75,8 @@ fn native(args: &[String]) {
         eprintln!("  measured {label}");
     }
 
-    if has_flag(args, "--csv") {
-        println!("{}", table.to_csv());
-    } else {
-        println!("{}", table.to_text());
-    }
-    if let Some(path) = json_path_arg(args) {
-        write_json_report(path, &report).expect("failed to write --json report");
-        eprintln!("table1: wrote JSON report to {path}");
-    }
+    print_table(&table, args.csv);
+    write_report(args, &report);
     eprintln!("table1: {}", ctx.exec_summary());
     println!(
         "note: absolute burdens depend on the machine; the paper reports (48 threads) \
@@ -100,27 +88,20 @@ fn native(args: &[String]) {
 /// `write_json` is true only when the simulation is the run's primary output
 /// (`--simulate`); in the combined native+simulated mode the native path owns the
 /// report and the trailing simulation must not overwrite it.
-fn simulate(args: &[String], write_json: bool) {
+fn simulate(args: &Args, write_json: bool) {
     let machine = SimMachine::paper_machine();
     let table = parlo_sim::experiments::table1(&machine);
-    if has_flag(args, "--csv") {
-        println!("{}", table.to_csv());
-    } else {
-        println!("{}", table.to_text());
-    }
+    print_table(&table, args.csv);
     if write_json {
-        if let Some(path) = json_path_arg(args) {
-            let mut report = BenchReport::new("table1-simulated", machine.max_threads());
-            for (label, values) in &table.rows {
-                report.burdens.push(BurdenRow {
-                    scheduler: label.clone(),
-                    burden_us: values.first().copied().unwrap_or(f64::NAN),
-                    residual: 0.0,
-                });
-            }
-            write_json_report(path, &report).expect("failed to write --json report");
-            eprintln!("table1: wrote JSON report to {path}");
+        let mut report = BenchReport::new("table1-simulated", machine.max_threads());
+        for (label, values) in &table.rows {
+            report.burdens.push(BurdenRow {
+                scheduler: label.clone(),
+                burden_us: values.first().copied().unwrap_or(f64::NAN),
+                residual: 0.0,
+            });
         }
+        write_report(args, &report);
     }
     println!(
         "paper reference (48 threads): fine tree 5.67, fine centralized 7.55, \
@@ -128,22 +109,14 @@ fn simulate(args: &[String], write_json: bool) {
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // --wait exports PARLO_WAIT before any pool is constructed (see wait_arg).
-    parlo_bench::wait_arg(&args);
-    // Validate --json before any measurement runs: a malformed flag must fail fast,
-    // not after minutes of native sweeping.
-    let _ = json_path_arg(&args);
-    let trace = trace_setup(&args);
-    if has_flag(&args, "--simulate") {
-        simulate(&args, true);
+pub fn run(args: &Args) {
+    if args.simulate {
+        simulate(args, true);
     } else {
-        native(&args);
-        if !has_flag(&args, "--no-simulate") {
+        native(args);
+        if !args.no_simulate {
             println!();
-            simulate(&args, false);
+            simulate(args, false);
         }
     }
-    trace_finish(trace);
 }

@@ -1,90 +1,44 @@
-//! Measured perf gating: noise-tolerant comparison of `CRITERION_JSON` reports.
+//! The MAD-allowance reference: min-of-k aggregation and a noise-tolerant comparison,
+//! held by the five property tests of `tests/measured_stats.rs`.  It has no CLI and
+//! reads no file — the numbers of record come from `benchmark/`, whose interleaved
+//! ratios repeat on a shared host where absolute medians do not.
 //!
-//! The simulated gate (`perfgate` over [`crate::BenchReport`]) compares the
-//! *deterministic cost model*, so it is bit-stable but blind to real-hardware
-//! regressions in the half-barrier hot path.  This module closes that gap with robust
-//! statistics over the vendored criterion shim's per-bench medians:
-//!
-//! * **min-of-k aggregation** ([`aggregate`]): the benches run `k` times in separate
-//!   processes; per bench the *minimum* of the `k` per-run medians estimates the
-//!   noise-free cost (scheduler interference and frequency transitions only ever add
-//!   time);
-//! * **MAD-based thresholds** ([`compare_measured`]): a bench fails only if it
-//!   regresses beyond `max(threshold_pct · baseline, mad_k · MAD)` where the MAD (the
-//!   median absolute deviation, a robust dispersion estimate immune to a few wild
-//!   outliers) is *recorded in the baseline itself* — a noisy bench earns itself a
-//!   proportionally wider gate, a quiet bench stays tightly gated;
+//! * **min-of-k aggregation** ([`aggregate`]): of `k` repeated runs, the *minimum* of
+//!   the `k` per-run medians estimates the noise-free cost (scheduler interference and
+//!   frequency transitions only ever add time);
+//! * **MAD-based allowance** ([`compare_measured`]): a bench fails only if it regresses
+//!   beyond `max(threshold_pct · baseline, mad_k · MAD)` where the MAD (the median
+//!   absolute deviation, a robust dispersion estimate immune to a few wild outliers)
+//!   is *recorded in the baseline itself* — a noisy bench earns itself a
+//!   proportionally wider allowance, a quiet bench stays tightly held;
 //! * **host fingerprints** ([`HostFingerprint`]): medians taken on differently shaped
-//!   machines (cpu count, `PARLO_THREADS`) are not comparable, so baselines record
-//!   the fingerprint and the gate refuses cross-fingerprint comparison with a
-//!   distinct exit code (the same guard class as the simulated gate's cross-workload
-//!   refusal).
-//!
-//! The `perfgate --measured` CLI drives this module; see the binary's usage string
-//! for the exit-code contract.
-
-use serde::Value;
+//!   machines are not comparable, so [`aggregate`] refuses runs that disagree on it.
 
 /// The shape of the machine a measured report was taken on.  Reports from different
 /// fingerprints are never gated against each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostFingerprint {
-    /// Hardware parallelism (`available_parallelism`) at measurement time.
+    /// Hardware parallelism at measurement time.
     pub cpus: u64,
     /// The `PARLO_THREADS` pin of the run (0 when the variable was unset).
     pub parlo_threads: u64,
 }
 
-impl HostFingerprint {
-    /// The fingerprint of the current process environment.
-    pub fn detect() -> Self {
-        HostFingerprint {
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
-            parlo_threads: std::env::var("PARLO_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-        }
-    }
-
-    /// Human-readable rendering for gate messages.
-    pub fn describe(&self) -> String {
-        format!("{} cpus, PARLO_THREADS={}", self.cpus, self.parlo_threads)
-    }
-
-    fn to_value(self) -> Value {
-        Value::Map(vec![
-            ("cpus".to_string(), Value::U64(self.cpus)),
-            ("parlo_threads".to_string(), Value::U64(self.parlo_threads)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let map = v.as_map().ok_or("host fingerprint is not an object")?;
-        Ok(HostFingerprint {
-            cpus: get_u64(map, "cpus")?,
-            parlo_threads: get_u64(map, "parlo_threads")?,
-        })
-    }
-}
-
-/// One bench's record in a single `CRITERION_JSON` run file.
+/// One bench's record in a single run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriterionBench {
-    /// `group/name` as recorded by the shim.
+    /// `group/name` of the bench.
     pub name: String,
     /// Median per-iteration time of the run, seconds.
     pub median_s: f64,
-    /// Within-run median absolute deviation, seconds (0 for pre-dispersion files).
+    /// Within-run median absolute deviation, seconds.
     pub mad_s: f64,
 }
 
-/// One parsed `CRITERION_JSON` file: the output of a single bench process.
+/// The output of a single bench process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriterionRun {
-    /// Fingerprint of the machine/environment that produced the file.
+    /// Fingerprint of the machine/environment that produced the run.
     pub host: HostFingerprint,
     /// Per-bench medians.
     pub benches: Vec<CriterionBench>,
@@ -93,7 +47,7 @@ pub struct CriterionRun {
 /// One bench's aggregated row in a measured report/baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredRow {
-    /// `group/name` as recorded by the shim.
+    /// `group/name` of the bench.
     pub name: String,
     /// Min-of-k of the per-run medians, seconds: the noise-free cost estimate.
     pub min_s: f64,
@@ -104,14 +58,13 @@ pub struct MeasuredRow {
     pub runs: u64,
 }
 
-/// A measured report: the min-of-k aggregate of `k` criterion runs.  The same
-/// structure serves as the checked-in baseline (`bench/criterion_baseline.json`) and
-/// as the `MEASURED_<sha>.json` artifact.
+/// A measured report: the min-of-k aggregate of `k` runs, on either side of a
+/// comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredReport {
     /// Fingerprint shared by every aggregated run.
     pub host: HostFingerprint,
-    /// Number of run files aggregated.
+    /// Number of runs aggregated.
     pub runs: u64,
     /// Per-bench aggregated rows, in first-seen order.
     pub rows: Vec<MeasuredRow>,
@@ -142,92 +95,18 @@ pub fn mad(samples: &[f64]) -> f64 {
     median(&deviations)
 }
 
-// ---------------------------------------------------------------------------------
-// Parsing and serialization
-// ---------------------------------------------------------------------------------
-
-fn invalid(msg: impl std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn get<'a>(map: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    serde::map_get(map, key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match *v {
-        Value::U64(n) => Some(n as f64),
-        Value::I64(n) => Some(n as f64),
-        Value::F64(f) => Some(f),
-        _ => None,
-    }
-}
-
-fn get_f64(map: &[(String, Value)], key: &str) -> Result<f64, String> {
-    as_f64(get(map, key)?).ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn get_u64(map: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match *get(map, key)? {
-        Value::U64(n) => Ok(n),
-        _ => Err(format!("field {key:?} is not an unsigned integer")),
-    }
-}
-
-/// Parses one `CRITERION_JSON` file written by the vendored criterion shim.
-///
-/// Files written before the shim recorded dispersion (`mad_s`) parse with a zero MAD;
-/// files without a `host` object (pre-fingerprint) are rejected — the measured gate
-/// cannot establish comparability for them.
-pub fn read_criterion_run(path: &str) -> std::io::Result<CriterionRun> {
-    let text = std::fs::read_to_string(path)?;
-    let value: Value =
-        serde_json::from_str(text.trim()).map_err(|e| invalid(format!("{path}: {e}")))?;
-    parse_criterion_run(&value).map_err(|e| invalid(format!("{path}: {e}")))
-}
-
-fn parse_criterion_run(value: &Value) -> Result<CriterionRun, String> {
-    let map = value.as_map().ok_or("criterion report is not an object")?;
-    let host = HostFingerprint::from_value(get(map, "host").map_err(|_| {
-        "missing host fingerprint (report predates the fingerprinted shim; re-run the \
-         benches to produce a gateable file)"
-            .to_string()
-    })?)?;
-    let benches = get(map, "benches")?
-        .as_seq()
-        .ok_or("field \"benches\" is not an array")?
-        .iter()
-        .map(|b| {
-            let b = b.as_map().ok_or("bench entry is not an object")?;
-            Ok(CriterionBench {
-                name: get(b, "name")?
-                    .as_str()
-                    .ok_or("bench name is not a string")?
-                    .to_string(),
-                median_s: get_f64(b, "median_s")?,
-                mad_s: match serde::map_get(b, "mad_s") {
-                    Some(v) => as_f64(v).ok_or("field \"mad_s\" is not a number")?,
-                    None => 0.0,
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CriterionRun { host, benches })
-}
-
-/// Aggregates `k` criterion runs into a measured report: per bench the min of the
+/// Aggregates `k` runs into a measured report: per bench the min of the
 /// per-run medians, with the recorded dispersion taken as
 /// `max(MAD of the k medians, median within-run MAD)`.  All runs must carry the same
 /// host fingerprint (they are supposed to be repeats on one machine).
 pub fn aggregate(runs: &[CriterionRun]) -> Result<MeasuredReport, String> {
-    let first = runs.first().ok_or("no criterion runs to aggregate")?;
+    let first = runs.first().ok_or("no runs to aggregate")?;
     for run in runs {
         if run.host != first.host {
             return Err(format!(
-                "criterion runs disagree on the host fingerprint ({} vs {}); aggregate \
-                 only repeats taken on one machine",
-                run.host.describe(),
-                first.host.describe()
+                "runs disagree on the host fingerprint ({:?} vs {:?}); aggregate only \
+                 repeats taken on one machine",
+                run.host, first.host
             ));
         }
     }
@@ -267,72 +146,6 @@ pub fn aggregate(runs: &[CriterionRun]) -> Result<MeasuredReport, String> {
         runs: runs.len() as u64,
         rows,
     })
-}
-
-/// Serializes a measured report/baseline to `path` as JSON.
-pub fn write_measured_report(path: &str, report: &MeasuredReport) -> std::io::Result<()> {
-    let rows: Vec<Value> = report
-        .rows
-        .iter()
-        .map(|r| {
-            Value::Map(vec![
-                ("name".to_string(), Value::Str(r.name.clone())),
-                ("min_s".to_string(), Value::F64(r.min_s)),
-                ("mad_s".to_string(), Value::F64(r.mad_s)),
-                ("runs".to_string(), Value::U64(r.runs)),
-            ])
-        })
-        .collect();
-    let value = Value::Map(vec![
-        (
-            "kind".to_string(),
-            Value::Str("criterion-measured".to_string()),
-        ),
-        ("host".to_string(), report.host.to_value()),
-        ("runs".to_string(), Value::U64(report.runs)),
-        ("rows".to_string(), Value::Seq(rows)),
-    ]);
-    let json = serde_json::to_string(&value).map_err(invalid)?;
-    std::fs::write(path, json + "\n")
-}
-
-/// Parses a measured report/baseline from `path`.
-pub fn read_measured_report(path: &str) -> std::io::Result<MeasuredReport> {
-    let text = std::fs::read_to_string(path)?;
-    let value: Value =
-        serde_json::from_str(text.trim()).map_err(|e| invalid(format!("{path}: {e}")))?;
-    let map = value
-        .as_map()
-        .ok_or_else(|| invalid(format!("{path}: measured report is not an object")))?;
-    let parse = || -> Result<MeasuredReport, String> {
-        match get(map, "kind")?.as_str() {
-            Some("criterion-measured") => {}
-            _ => return Err("field \"kind\" is not \"criterion-measured\"".to_string()),
-        }
-        let rows = get(map, "rows")?
-            .as_seq()
-            .ok_or("field \"rows\" is not an array")?
-            .iter()
-            .map(|r| {
-                let r = r.as_map().ok_or("row is not an object")?;
-                Ok(MeasuredRow {
-                    name: get(r, "name")?
-                        .as_str()
-                        .ok_or("row name is not a string")?
-                        .to_string(),
-                    min_s: get_f64(r, "min_s")?,
-                    mad_s: get_f64(r, "mad_s")?,
-                    runs: get_u64(r, "runs")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(MeasuredReport {
-            host: HostFingerprint::from_value(get(map, "host")?)?,
-            runs: get_u64(map, "runs")?,
-            rows,
-        })
-    };
-    parse().map_err(|e| invalid(format!("{path}: {e}")))
 }
 
 // ---------------------------------------------------------------------------------
@@ -381,10 +194,6 @@ impl MeasuredGateRow {
 /// The result of gating a current measured report against a baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredOutcome {
-    /// Percentage component of the allowance.
-    pub threshold_pct: f64,
-    /// Dispersion multiplier of the allowance (`k` in `k·MAD`).
-    pub mad_k: f64,
     /// Per-bench comparisons for benches present on both sides.
     pub rows: Vec<MeasuredGateRow>,
     /// Benches in the baseline that the current report is missing (a gate failure:
@@ -426,28 +235,8 @@ impl MeasuredOutcome {
     }
 }
 
-/// Checks host-fingerprint comparability of two measured reports.  Callers must
-/// refuse to gate (or to overwrite a baseline) on `Err`.
-pub fn check_fingerprint(
-    current: &MeasuredReport,
-    baseline: &MeasuredReport,
-) -> Result<(), String> {
-    if current.host != baseline.host {
-        return Err(format!(
-            "host fingerprint mismatch: current report measured on {}, baseline on {}; \
-             measured medians are not comparable across machine shapes (re-baseline \
-             with --update on the target machine)",
-            current.host.describe(),
-            baseline.host.describe()
-        ));
-    }
-    Ok(())
-}
-
 /// Gates `current` against `baseline` with the noise-tolerant allowance
-/// `max(threshold_pct/100 · baseline, mad_k · baseline MAD)` per bench.  Fingerprint
-/// comparability is *not* checked here — callers run [`check_fingerprint`] first so
-/// they can map the mismatch to its distinct exit code.
+/// `max(threshold_pct/100 · baseline, mad_k · baseline MAD)` per bench.
 pub fn compare_measured(
     current: &MeasuredReport,
     baseline: &MeasuredReport,
@@ -474,8 +263,6 @@ pub fn compare_measured(
         .map(|r| r.name.clone())
         .collect();
     MeasuredOutcome {
-        threshold_pct,
-        mad_k,
         rows,
         missing,
         added,
@@ -600,64 +387,5 @@ mod tests {
         current.rows[0].min_s = f64::INFINITY;
         let outcome = compare_measured(&current, &baseline, 25.0, 6.0);
         assert!(!outcome.passed());
-    }
-
-    #[test]
-    fn fingerprint_check_rejects_different_machines() {
-        let baseline = report(&[("g/a", 100e-6, 5e-6)]);
-        let mut current = report(&[("g/a", 100e-6, 5e-6)]);
-        assert!(check_fingerprint(&current, &baseline).is_ok());
-        current.host.parlo_threads = 8;
-        assert!(check_fingerprint(&current, &baseline).is_err());
-    }
-
-    #[test]
-    fn measured_report_roundtrips_through_json() {
-        let original = report(&[("g/a", 100e-6, 5e-6), ("g/b", 2.5e-3, 0.0)]);
-        let path = std::env::temp_dir().join(format!("measured_rt_{}.json", std::process::id()));
-        let path = path.to_str().unwrap();
-        write_measured_report(path, &original).unwrap();
-        let back = read_measured_report(path).unwrap();
-        std::fs::remove_file(path).ok();
-        assert_eq!(back, original);
-    }
-
-    #[test]
-    fn criterion_run_parses_shim_output_with_and_without_mad() {
-        let dir = std::env::temp_dir();
-        let with = dir.join(format!("crit_with_{}.json", std::process::id()));
-        std::fs::write(
-            &with,
-            "{\"host\":{\"cpus\":4,\"parlo_threads\":2},\"benches\":[{\"name\":\"g/a\",\
-             \"median_s\":1e-6,\"mad_s\":2e-8,\"samples\":10}]}",
-        )
-        .unwrap();
-        let parsed = read_criterion_run(with.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&with).ok();
-        assert_eq!(parsed.host, host());
-        assert_eq!(parsed.benches[0].mad_s, 2e-8);
-
-        // `mad_s` absent (older shim): defaults to zero.
-        let without = dir.join(format!("crit_without_{}.json", std::process::id()));
-        std::fs::write(
-            &without,
-            "{\"host\":{\"cpus\":4,\"parlo_threads\":2},\"benches\":[{\"name\":\"g/a\",\
-             \"median_s\":1e-6,\"samples\":10}]}",
-        )
-        .unwrap();
-        let parsed = read_criterion_run(without.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&without).ok();
-        assert_eq!(parsed.benches[0].mad_s, 0.0);
-
-        // No host fingerprint (pre-fingerprint shim): rejected.
-        let legacy = dir.join(format!("crit_legacy_{}.json", std::process::id()));
-        std::fs::write(
-            &legacy,
-            "{\"benches\":[{\"name\":\"g/a\",\"median_s\":1e-6,\"samples\":10}]}",
-        )
-        .unwrap();
-        let err = read_criterion_run(legacy.to_str().unwrap()).unwrap_err();
-        std::fs::remove_file(&legacy).ok();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
     }
 }
