@@ -29,12 +29,15 @@
 //!
 //! The structure is instrumented ([`HierarchyStats`]) so the hierarchy is unit-testable
 //! on synthetic topologies without multi-socket hardware: exact per-socket arrival
-//! counts and the one-rendezvous-per-cycle invariant are observable counters.
+//! counts and the one-rendezvous-per-cycle invariant are observable counters.  None of
+//! them costs a cycle a locked read-modify-write: the master alone bumps `cycles` and
+//! the rendezvous count, and every member bumps its own arrival line, summed per
+//! socket on read.
 
 use crate::{Epoch, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::Topology;
-use parlo_sync::{AtomicU64, Ordering};
+use parlo_sync::{AtomicU64, Ordering, ParticipantCounter, SingleWriterCounter};
 
 /// Best-effort prefetch of the cache line holding `line`, ahead of a store to it.
 /// A pure performance hint: no-op on architectures without a stable intrinsic.
@@ -72,8 +75,8 @@ struct SocketGroup {
     arrival: Vec<CachePadded<AtomicU64>>,
     /// Release flags (epoch counters), one padded line per member, grouped per socket.
     release: Vec<CachePadded<AtomicU64>>,
-    /// Instrumentation: total `arrive` calls performed by this socket's members.
-    arrivals: CachePadded<AtomicU64>,
+    /// Instrumentation: `arrive` calls per member, each member bumping its own line.
+    arrivals: ParticipantCounter,
 }
 
 impl SocketGroup {
@@ -97,7 +100,7 @@ impl SocketGroup {
             release: (0..k)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            arrivals: CachePadded::new(AtomicU64::new(0)),
+            arrivals: ParticipantCounter::new(k),
         }
     }
 }
@@ -141,8 +144,10 @@ pub struct HierarchicalHalfBarrier {
     socket_arrival: Vec<CachePadded<AtomicU64>>,
     /// Cross-socket release lines, one per populated socket (index 0 unused).
     socket_release: Vec<CachePadded<AtomicU64>>,
-    cycles: CachePadded<AtomicU64>,
-    rendezvous: CachePadded<AtomicU64>,
+    /// Instrumentation bumped by the master alone (`release` and `join`), on a line
+    /// of its own.
+    cycles: CachePadded<SingleWriterCounter>,
+    rendezvous: CachePadded<SingleWriterCounter>,
 }
 
 impl HierarchicalHalfBarrier {
@@ -192,8 +197,8 @@ impl HierarchicalHalfBarrier {
             socket_release: (0..nsockets)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            cycles: CachePadded::new(AtomicU64::new(0)),
-            rendezvous: CachePadded::new(AtomicU64::new(0)),
+            cycles: CachePadded::default(),
+            rendezvous: CachePadded::default(),
         }
     }
 
@@ -215,13 +220,9 @@ impl HierarchicalHalfBarrier {
     /// A snapshot of the instrumentation counters.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
-            cycles: self.cycles.load(Ordering::Relaxed),
-            cross_socket_rendezvous: self.rendezvous.load(Ordering::Relaxed),
-            socket_arrivals: self
-                .groups
-                .iter()
-                .map(|g| g.arrivals.load(Ordering::Relaxed))
-                .collect(),
+            cycles: self.cycles.get(),
+            cross_socket_rendezvous: self.rendezvous.get(),
+            socket_arrivals: self.groups.iter().map(|g| g.arrivals.sum()).collect(),
         }
     }
 
@@ -251,7 +252,7 @@ impl HierarchicalHalfBarrier {
     /// Never waits.
     #[inline]
     pub fn release(&self, epoch: Epoch) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
+        self.cycles.add(1);
         for flag in self.socket_release.iter().skip(1) {
             flag.store(epoch, Ordering::Release);
         }
@@ -281,7 +282,7 @@ impl HierarchicalHalfBarrier {
                 policy.wait_until(|| flag.load(Ordering::Acquire) >= epoch);
                 on_child(self.groups[g].members[0]);
             }
-            self.rendezvous.fetch_add(1, Ordering::Relaxed);
+            self.rendezvous.add(1);
         }
     }
 
@@ -369,7 +370,7 @@ impl HierarchicalHalfBarrier {
             policy.wait_until(|| group.arrival[c].load(Ordering::Acquire) >= epoch);
             on_child(group.members[c]);
         }
-        group.arrivals.fetch_add(1, Ordering::Relaxed);
+        group.arrivals.add(l, 1);
         if l == 0 {
             self.socket_arrival[g].store(epoch, Ordering::Release);
         } else {

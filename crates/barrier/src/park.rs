@@ -95,10 +95,27 @@ mod tests {
 
     #[test]
     fn park_times_out_without_any_waker() {
+        // The condition observes the hub twice: under the lock right before the sleep,
+        // where the caller must already be counted as parked, and once after waking.
+        // That proves the call went through the sleep without reading a clock, so a
+        // sibling test's `wake_parked` cutting the sleep short cannot fail it.
+        let mut parked_seen = Vec::new();
         let t0 = Instant::now();
-        assert!(!park_timeout(Duration::from_millis(10), &mut || false));
-        // The sleep actually happened (not a busy return) but was bounded.
-        assert!(t0.elapsed() >= Duration::from_millis(5));
+        let woke = park_timeout(Duration::from_millis(10), &mut || {
+            parked_seen.push(PARKED.load(Ordering::Relaxed));
+            false
+        });
+        assert!(!woke, "nobody made the condition true");
+        assert_eq!(
+            parked_seen.len(),
+            2,
+            "checked before sleeping and after waking"
+        );
+        assert!(
+            parked_seen[0] >= 1,
+            "counted as parked while about to sleep"
+        );
+        // Bounded: the timeout, or an early wake, ended the sleep.
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 

@@ -11,15 +11,19 @@
 //!   which "may be significantly higher" than `P − 1` and grows with the amount of
 //!   stealing.
 //! * **Fine-grain reducers** ([`CilkPool::fine_grain_reduce`]): the paper's optimised
-//!   implementation — thread-local views are allocated statically at the start of the
-//!   loop and reduced pairwise in the join phase of the half-barrier, exactly `P − 1`
-//!   reduce operations.
+//!   implementation — one statically allocated view per participant (the team's padded
+//!   view blocks, allocated when the pool is built and reused by every reduction),
+//!   reduced pairwise in the join phase of the half-barrier, exactly `P − 1` reduce
+//!   operations.
+//!
+//! Both keep their per-worker views in the team's blocks.  A baseline view is stored as
+//! an `Option`: closing it out on a steal leaves `None` behind, not a view that would
+//! be folded twice.
 
 use crate::scheduler::{CilkPool, CilkStats, LoopDescriptor};
 use parking_lot::Mutex;
 use parlo_core::static_block;
 use parlo_exec::{fold_range, Job, ReduceViews};
-use parlo_sync::Ordering;
 use std::ops::Range;
 
 // ----------------------------------------------------------------------------------
@@ -29,8 +33,9 @@ use std::ops::Range;
 struct CilkReduceHarness<'a, T, Id, Fold> {
     identity: &'a Id,
     fold: &'a Fold,
-    /// The per-worker *current* views (lazily created on first fold).
-    views: ReduceViews<T>,
+    /// The per-worker *current* views (lazily created on first fold; `None` once closed
+    /// out by a steal).
+    views: ReduceViews<'a, Option<T>>,
     /// Views closed out when their owner stole work; each will cost a reduce operation.
     retired: Mutex<Vec<T>>,
 }
@@ -45,10 +50,12 @@ where
     // until the loop's join completes.
     let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
     // SAFETY: `worker` is the calling worker; only it touches its current view.
-    let value = unsafe { h.views.take(worker) }.unwrap_or_else(h.identity);
+    let value = unsafe { h.views.take(worker) }
+        .flatten()
+        .unwrap_or_else(h.identity);
     let value = fold_range(h.fold, value, lo..hi);
     // SAFETY: as above.
-    unsafe { h.views.put(worker, value) };
+    unsafe { h.views.put(worker, Some(value)) };
 }
 
 unsafe fn cilk_reduce_on_steal<T, Id, Fold>(data: *const (), worker: usize)
@@ -61,8 +68,10 @@ where
     // until the loop's join completes.
     let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
     // SAFETY: `worker` is the calling worker; only it touches its current view.
-    if let Some(view) = unsafe { h.views.take(worker) } {
+    if let Some(view) = unsafe { h.views.take(worker) }.flatten() {
         h.retired.lock().push(view);
+        // SAFETY: as above; the view just retired must not be taken again.
+        unsafe { h.views.put(worker, None) };
     }
 }
 
@@ -74,7 +83,7 @@ struct FineReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    views: ReduceViews<T>,
+    views: ReduceViews<'a, T>,
     range: Range<usize>,
     nthreads: usize,
     stats: &'a CilkStats,
@@ -106,7 +115,7 @@ where
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
     let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
-    h.stats.fine_combine_ops.fetch_add(1, Ordering::Relaxed);
+    h.stats.fine_combine_ops.add(into, 1);
     // SAFETY: serialized by the join-phase protocol of the half-barrier.
     unsafe { h.views.combine(into, from, h.combine) };
 }
@@ -138,12 +147,14 @@ impl CilkPool {
         let harness = CilkReduceHarness {
             identity: &identity,
             fold: &fold,
-            views: ReduceViews::new(nthreads, || None),
+            // SAFETY: `&mut self` makes this thread the pool's one driver, between
+            // loops; the previous reduction's handle is gone.
+            views: unsafe { self.views() },
             retired: Mutex::new(Vec::new()),
         };
         let stats = &self.work().stats;
-        stats.loops.fetch_add(1, Ordering::Relaxed);
-        stats.reductions.fetch_add(1, Ordering::Relaxed);
+        stats.master.loops.add(1);
+        stats.master.reductions.add(1);
         // SAFETY: the harness outlives the loop; the entry points match its type.
         unsafe {
             self.run_cilk_loop(
@@ -161,10 +172,10 @@ impl CilkPool {
         // more than P − 1 operations when stealing occurred).
         let mut pending: Vec<T> = harness.retired.into_inner();
         // SAFETY: the loop has completed; the master is the only remaining accessor.
-        pending.extend((0..nthreads).filter_map(|id| unsafe { harness.views.take(id) }));
+        pending.extend((0..nthreads).filter_map(|id| unsafe { harness.views.take(id) }.flatten()));
         let mut acc = identity();
         for v in pending {
-            stats.reduce_ops.fetch_add(1, Ordering::Relaxed);
+            stats.master.reduce_ops.add(1);
             acc = combine(acc, v);
         }
         acc
@@ -213,13 +224,14 @@ impl CilkPool {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: ReduceViews::new(nthreads, || None),
+            // SAFETY: as in `cilk_reduce_with_grain`.
+            views: unsafe { self.views() },
             range,
             nthreads,
             stats: &self.work().stats,
         };
-        harness.stats.fine_loops.fetch_add(1, Ordering::Relaxed);
-        harness.stats.reductions.fetch_add(1, Ordering::Relaxed);
+        harness.stats.master.fine_loops.add(1);
+        harness.stats.master.reductions.add(1);
         // SAFETY: as in `cilk_reduce_with_grain`.
         unsafe {
             self.run_fine_loop(Job::new(

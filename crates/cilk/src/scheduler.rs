@@ -22,8 +22,8 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
 use parlo_core::static_block;
-use parlo_exec::{walk_range, Executor, Job, Team, TeamSync};
-use parlo_sync::{AtomicU64, AtomicUsize, Ordering};
+use parlo_exec::{walk_range, Executor, Job, ReduceViews, Team, TeamSync};
+use parlo_sync::{AtomicU64, AtomicUsize, Ordering, ParticipantCounter, SingleWriterCounter};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -132,17 +132,26 @@ impl LoopDescriptor {
     }
 }
 
-/// Instrumentation counters of a [`CilkPool`].
-#[derive(Debug, Default)]
+/// Instrumentation counters of a [`CilkPool`].  The baseline's task and steal counts
+/// are shared words every participant bumps (part of what the baseline pays); the
+/// per-loop counts are the driving master's alone, on a line of their own, and the
+/// fine-grain combines sit on the line of the participant performing them.
+#[derive(Debug)]
 pub(crate) struct CilkStats {
-    pub(crate) loops: AtomicU64,
-    pub(crate) fine_loops: AtomicU64,
-    pub(crate) reductions: AtomicU64,
+    pub(crate) master: CachePadded<LoopCounts>,
     pub(crate) tasks_executed: AtomicU64,
     pub(crate) steals: AtomicU64,
     pub(crate) steal_attempts: AtomicU64,
-    pub(crate) reduce_ops: AtomicU64,
-    pub(crate) fine_combine_ops: AtomicU64,
+    pub(crate) fine_combine_ops: ParticipantCounter,
+}
+
+/// The counts only the driving master bumps.
+#[derive(Debug, Default)]
+pub(crate) struct LoopCounts {
+    pub(crate) loops: SingleWriterCounter,
+    pub(crate) fine_loops: SingleWriterCounter,
+    pub(crate) reductions: SingleWriterCounter,
+    pub(crate) reduce_ops: SingleWriterCounter,
 }
 
 /// A point-in-time copy of the pool's counters.
@@ -317,7 +326,13 @@ impl CilkPool {
                 .collect(),
             descriptor: UnsafeCell::new(LoopDescriptor::noop()),
             remaining: AtomicUsize::new(0),
-            stats: CilkStats::default(),
+            stats: CilkStats {
+                master: CachePadded::default(),
+                tasks_executed: AtomicU64::new(0),
+                steals: AtomicU64::new(0),
+                steal_attempts: AtomicU64::new(0),
+                fine_combine_ops: ParticipantCounter::new(nthreads),
+            },
             rngs: (0..nthreads as u64)
                 .map(|id| 0xA076_1D64_78BD_642F ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .map(|seed| CachePadded::new(AtomicU64::new(seed)))
@@ -354,14 +369,14 @@ impl CilkPool {
     pub fn stats(&self) -> CilkStatsSnapshot {
         let s = &self.work().stats;
         CilkStatsSnapshot {
-            loops: s.loops.load(Ordering::Relaxed),
-            fine_loops: s.fine_loops.load(Ordering::Relaxed),
-            reductions: s.reductions.load(Ordering::Relaxed),
+            loops: s.master.loops.get(),
+            fine_loops: s.master.fine_loops.get(),
+            reductions: s.master.reductions.get(),
             tasks_executed: s.tasks_executed.load(Ordering::Relaxed),
             steals: s.steals.load(Ordering::Relaxed),
             steal_attempts: s.steal_attempts.load(Ordering::Relaxed),
-            reduce_ops: s.reduce_ops.load(Ordering::Relaxed),
-            fine_combine_ops: s.fine_combine_ops.load(Ordering::Relaxed),
+            reduce_ops: s.master.reduce_ops.get(),
+            fine_combine_ops: s.fine_combine_ops.sum(),
         }
     }
 
@@ -421,6 +436,15 @@ impl CilkPool {
     }
 
     // ----- fine-grain (hybrid) path --------------------------------------------------
+
+    /// The team's reduction views typed as `T`, for the next loop.
+    ///
+    /// # Safety
+    /// As for [`Team::views`]: the caller drives the pool and no loop is in flight.
+    pub(crate) unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
+        // SAFETY: forwarded contract.
+        unsafe { self.team.views() }
+    }
 
     /// Runs a type-erased fine-grain loop through the embedded half-barrier.
     ///
@@ -570,7 +594,7 @@ impl CilkPool {
             return;
         }
         let harness = CilkForHarness { body: &body };
-        self.work().stats.loops.fetch_add(1, Ordering::Relaxed);
+        self.work().stats.master.loops.add(1);
         // SAFETY: the harness outlives the loop; `exec_cilk_range::<F>` matches its type.
         unsafe {
             self.run_cilk_loop(
@@ -600,7 +624,7 @@ impl CilkPool {
             range,
             nthreads: self.num_threads(),
         };
-        self.work().stats.fine_loops.fetch_add(1, Ordering::Relaxed);
+        self.work().stats.master.fine_loops.add(1);
         // SAFETY: the harness outlives the loop; `exec_fine_for::<F>` matches its type.
         unsafe { self.run_fine_loop(Job::new(&harness, exec_fine_for::<F>, None)) };
     }

@@ -79,7 +79,7 @@ struct DynamicHarness<'a, F> {
     stats: &'a PoolStats,
 }
 
-unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), _id: usize) {
+unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), id: usize) {
     // SAFETY: the caller passes a pointer to a live harness (the master's
     // stack frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const DynamicHarness<'_, F>) };
@@ -90,7 +90,7 @@ unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), _id: usize) {
         dispensed += 1;
         walk_range(h.body, chunk);
     }
-    h.stats.record_dynamic_chunks(dispensed);
+    h.stats.record_dynamic_chunks(id, dispensed);
 }
 
 impl FineGrainPool {

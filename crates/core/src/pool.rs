@@ -23,7 +23,7 @@
 use crate::config::{BarrierKind, Config};
 use crate::stats::{PoolStats, StatsSnapshot};
 use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, TreeShape, WaitPolicy};
-use parlo_exec::{Executor, Job, Team, TeamSync};
+use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
 use std::sync::Arc;
 
 /// Identity of a participant inside a parallel region.
@@ -200,8 +200,8 @@ impl FineGrainPool {
             partition,
         );
         FineGrainPool {
+            stats: PoolStats::new(team.num_threads()),
             team,
-            stats: PoolStats::new(),
             config,
         }
     }
@@ -243,6 +243,15 @@ impl FineGrainPool {
             SyncImpl::Half(hb) => hb.hierarchy_stats(),
             SyncImpl::Full(_) => None,
         }
+    }
+
+    /// The team's reduction views typed as `T`, for the next loop.
+    ///
+    /// # Safety
+    /// As for [`Team::views`]: the caller drives the pool and no loop is in flight.
+    pub(crate) unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
+        // SAFETY: forwarded contract.
+        unsafe { self.team.views() }
     }
 
     /// Counts one loop and runs its type-erased job on all threads of the pool.

@@ -5,8 +5,9 @@
 //! barriers per loop), and baseline Cilk creates reducer views lazily on steals and may
 //! perform many more than `P − 1` reduce operations.  The fine-grain scheduler instead
 //!
-//! * allocates the per-thread views **statically at the start of the loop** (one
-//!   cache-line-padded slot per participant),
+//! * keeps one **statically allocated** view per participant — a cache-line-padded
+//!   block the team allocates when it is built and every reduction reuses (see
+//!   [`parlo_exec::ReduceViews`]), so a reduction allocates nothing,
 //! * lets every participant fold its block into its own view, and
 //! * merges the views **pairwise inside the join phase of the half-barrier**: when a
 //!   join-tree child arrives, its parent immediately folds the child's view into its
@@ -29,9 +30,9 @@ struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    /// One statically allocated view per participant, written by its owner before it
-    /// arrives at the join and folded by its join parent afterwards.
-    views: ReduceViews<T>,
+    /// The team's view blocks for this loop: each participant writes its own before it
+    /// arrives at the join, and its join parent folds it afterwards.
+    views: ReduceViews<'a, T>,
     range: Range<usize>,
     nthreads: usize,
     stats: &'a crate::stats::PoolStats,
@@ -61,7 +62,7 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the loop's join phase completes).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    h.stats.record_combine();
+    h.stats.record_combine(into);
     // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
     // owner no longer touches it) and that only the parent accesses both views here.
     unsafe { h.views.combine(into, from, h.combine) };
@@ -94,16 +95,8 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
-        let harness = ReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
-            views: ReduceViews::new(nthreads, || None),
-            range,
-            nthreads,
-            stats: &self.stats,
-        };
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        let harness = unsafe { self.reduce_harness(range, &identity, &fold, &combine) };
         self.stats.record_reduction();
         // SAFETY: the harness outlives `run_job`; the entry points reinterpret the
         // pointer as exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are
@@ -142,16 +135,8 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
-        let harness = ReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
-            views: ReduceViews::new(nthreads, || None),
-            range,
-            nthreads,
-            stats: &self.stats,
-        };
+        // SAFETY: as in `parallel_reduce`.
+        let harness = unsafe { self.reduce_harness(range, &identity, &fold, &combine) };
         self.stats.record_reduction();
         // SAFETY: as in `parallel_reduce`; no combine function is attached to the job,
         // so views are only written by their owners during the loop.
@@ -160,14 +145,37 @@ impl FineGrainPool {
         }
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
-        // SAFETY: all workers have arrived; the master is the only remaining accessor.
-        let view = |t| unsafe { harness.views.take(t) }.expect("every participant stored a view");
-        let mut acc = view(0);
-        for t in 1..nthreads {
-            self.stats.record_combine();
-            acc = combine(acc, view(t));
+        for t in 1..harness.nthreads {
+            self.stats.record_combine(0);
+            // SAFETY: all workers have arrived; the master is the only remaining
+            // accessor.
+            unsafe { harness.views.combine(0, t, &combine) };
         }
-        acc
+        // SAFETY: as above.
+        unsafe { harness.views.take(0) }.expect("master view present after the fold")
+    }
+
+    /// The harness of one reduction over the team's view blocks.
+    ///
+    /// # Safety
+    /// The caller drives the pool (it holds `&mut` on it) and no loop is in flight.
+    unsafe fn reduce_harness<'a, T, Id, Fold, Comb>(
+        &'a self,
+        range: Range<usize>,
+        identity: &'a Id,
+        fold: &'a Fold,
+        combine: &'a Comb,
+    ) -> ReduceHarness<'a, T, Id, Fold, Comb> {
+        ReduceHarness {
+            identity,
+            fold,
+            combine,
+            // SAFETY: forwarded contract; the previous reduction's handle is gone.
+            views: unsafe { self.views() },
+            range,
+            nthreads: self.num_threads(),
+            stats: &self.stats,
+        }
     }
 
     /// Convenience wrapper: parallel sum of `f(i)` over `range`.

@@ -1,10 +1,14 @@
 //! Scheduler instrumentation counters.
 //!
-//! The counters are cheap (relaxed atomics bumped by the master or, for combines, by
-//! whichever thread performs the combine) and are used by the tests to verify the
-//! structural claims of the paper — e.g. that a merged reduction performs exactly
-//! `P − 1` combine operations, or that a half-barrier loop issues exactly one release
-//! and one join phase.
+//! The counters are exact and cost the loop no locked read-modify-write.  The loop,
+//! reduction and phase counts are bumped by the driving master alone, on a line of
+//! their own ([`SingleWriterCounter`](parlo_sync::SingleWriterCounter): a relaxed load
+//! and store).  Combines and dispensed chunks are bumped by whichever participant
+//! performs them, each on its own line, and summed on read
+//! ([`ParticipantCounter`](parlo_sync::ParticipantCounter)).  The tests use them to
+//! verify the structural claims of the paper — e.g. that a merged reduction performs
+//! exactly `P − 1` combine operations, or that a half-barrier loop issues exactly one
+//! release and one join phase.
 //!
 //! Building the crate with the `stats-off` feature swaps [`PoolStats`] for a
 //! zero-sized stand-in whose `record_*` methods are empty inline functions: the hot
@@ -12,23 +16,32 @@
 //! Scheduling behaviour and results are identical — only the accounting is gone.
 
 #[cfg(not(feature = "stats-off"))]
-use parlo_sync::{AtomicU64, Ordering};
+use crossbeam::utils::CachePadded;
+#[cfg(not(feature = "stats-off"))]
+use parlo_sync::{ParticipantCounter, SingleWriterCounter};
 
 /// Instrumentation counters of a pool.  All counters are monotonically increasing.
 #[cfg(not(feature = "stats-off"))]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PoolStats {
-    loops: AtomicU64,
-    reductions: AtomicU64,
-    combine_ops: AtomicU64,
-    dynamic_chunks: AtomicU64,
-    barrier_phases: AtomicU64,
+    master: CachePadded<MasterCounts>,
+    combine_ops: ParticipantCounter,
+    dynamic_chunks: ParticipantCounter,
+}
+
+/// The counts only the driving master bumps, once per loop.
+#[cfg(not(feature = "stats-off"))]
+#[derive(Debug, Default)]
+struct MasterCounts {
+    loops: SingleWriterCounter,
+    reductions: SingleWriterCounter,
+    barrier_phases: SingleWriterCounter,
 }
 
 /// Compile-time-zero stand-in for the pool counters (`stats-off` build): no fields,
 /// no atomics, every recording call an empty `#[inline(always)]` function.
 #[cfg(feature = "stats-off")]
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PoolStats;
 
 crate::stats_family! {
@@ -52,40 +65,50 @@ crate::stats_family! {
 
 #[cfg(not(feature = "stats-off"))]
 impl PoolStats {
-    /// Fresh all-zero counters (cfg-stable constructor for both feature states).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_loop(&self, phases: u64) {
-        self.loops.fetch_add(1, Ordering::Relaxed);
-        self.barrier_phases.fetch_add(phases, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_reduction(&self) {
-        self.reductions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_combine(&self) {
-        self.combine_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One participant's chunk count for a whole dynamic loop (it counts locally, so
-    /// a dispensed chunk pays no shared RMW beyond the dispenser's own).
-    pub(crate) fn record_dynamic_chunks(&self, n: u64) {
-        if n > 0 {
-            self.dynamic_chunks.fetch_add(n, Ordering::Relaxed);
+    /// Fresh all-zero counters for `participants` threads (cfg-stable constructor for
+    /// both feature states).
+    pub(crate) fn new(participants: usize) -> Self {
+        PoolStats {
+            master: CachePadded::default(),
+            combine_ops: ParticipantCounter::new(participants),
+            dynamic_chunks: ParticipantCounter::new(participants),
         }
+    }
+
+    /// Counts one loop of `phases` barrier phases (the driving master only).
+    #[inline]
+    pub(crate) fn record_loop(&self, phases: u64) {
+        self.master.loops.add(1);
+        self.master.barrier_phases.add(phases);
+    }
+
+    /// Counts one reduction (the driving master only).
+    #[inline]
+    pub(crate) fn record_reduction(&self) {
+        self.master.reductions.add(1);
+    }
+
+    /// Counts one combine performed by participant `id`.
+    #[inline]
+    pub(crate) fn record_combine(&self, id: usize) {
+        self.combine_ops.add(id, 1);
+    }
+
+    /// Participant `id`'s chunk count for a whole dynamic loop (it counts locally, so
+    /// a dispensed chunk pays no shared RMW beyond the dispenser's own).
+    #[inline]
+    pub(crate) fn record_dynamic_chunks(&self, id: usize, n: u64) {
+        self.dynamic_chunks.add(id, n);
     }
 
     /// Takes a snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            loops: self.loops.load(Ordering::Relaxed),
-            reductions: self.reductions.load(Ordering::Relaxed),
-            combine_ops: self.combine_ops.load(Ordering::Relaxed),
-            dynamic_chunks: self.dynamic_chunks.load(Ordering::Relaxed),
-            barrier_phases: self.barrier_phases.load(Ordering::Relaxed),
+            loops: self.master.loops.get(),
+            reductions: self.master.reductions.get(),
+            combine_ops: self.combine_ops.sum(),
+            dynamic_chunks: self.dynamic_chunks.sum(),
+            barrier_phases: self.master.barrier_phases.get(),
         }
     }
 }
@@ -93,7 +116,7 @@ impl PoolStats {
 #[cfg(feature = "stats-off")]
 impl PoolStats {
     /// Fresh all-zero counters (cfg-stable constructor for both feature states).
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(_participants: usize) -> Self {
         PoolStats
     }
 
@@ -104,10 +127,10 @@ impl PoolStats {
     pub(crate) fn record_reduction(&self) {}
 
     #[inline(always)]
-    pub(crate) fn record_combine(&self) {}
+    pub(crate) fn record_combine(&self, _id: usize) {}
 
     #[inline(always)]
-    pub(crate) fn record_dynamic_chunks(&self, _n: u64) {}
+    pub(crate) fn record_dynamic_chunks(&self, _id: usize, _n: u64) {}
 
     /// Takes a snapshot of the counters — always all-zero in a `stats-off` build.
     pub fn snapshot(&self) -> StatsSnapshot {
@@ -122,13 +145,13 @@ mod tests {
     #[cfg(not(feature = "stats-off"))]
     #[test]
     fn counters_accumulate() {
-        let s = PoolStats::default();
+        let s = PoolStats::new(2);
         s.record_loop(2);
         s.record_loop(4);
         s.record_reduction();
-        s.record_combine();
-        s.record_combine();
-        s.record_dynamic_chunks(1);
+        s.record_combine(0);
+        s.record_combine(1);
+        s.record_dynamic_chunks(1, 1);
         let snap = s.snapshot();
         assert_eq!(snap.loops, 2);
         assert_eq!(snap.barrier_phases, 6);
@@ -140,11 +163,11 @@ mod tests {
     #[cfg(feature = "stats-off")]
     #[test]
     fn stats_off_snapshot_is_all_zero() {
-        let s = PoolStats::new();
+        let s = PoolStats::new(2);
         s.record_loop(2);
         s.record_reduction();
-        s.record_combine();
-        s.record_dynamic_chunks(1);
+        s.record_combine(1);
+        s.record_dynamic_chunks(1, 1);
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 

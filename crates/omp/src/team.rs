@@ -18,10 +18,11 @@
 //! shared [`parlo_exec::Team`] skeleton over the [`ExtraReductionBarrier`] sync shape.
 
 use crate::schedule::Schedule;
+use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{FullBarrier, TreeShape, WaitPolicy};
 use parlo_exec::{fold_range, walk_range, Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
-use parlo_sync::{AtomicU64, Ordering};
+use parlo_sync::{ParticipantCounter, SingleWriterCounter};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -81,14 +82,22 @@ impl TeamConfig {
     }
 }
 
-/// Instrumentation counters of a team.
-#[derive(Debug, Default)]
+/// Instrumentation counters of a team: the per-region counts are bumped by the master
+/// alone, on a line of their own; combines and dispensed chunks on the line of the
+/// participant that performs them.
+#[derive(Debug)]
 struct TeamStats {
-    loops: AtomicU64,
-    reductions: AtomicU64,
-    combine_ops: AtomicU64,
-    barrier_phases: AtomicU64,
-    dynamic_chunks: AtomicU64,
+    master: CachePadded<RegionCounts>,
+    combine_ops: ParticipantCounter,
+    dynamic_chunks: ParticipantCounter,
+}
+
+/// The counts only the driving master bumps, once per region.
+#[derive(Debug, Default)]
+struct RegionCounts {
+    loops: SingleWriterCounter,
+    reductions: SingleWriterCounter,
+    barrier_phases: SingleWriterCounter,
 }
 
 /// A point-in-time copy of the team counters.
@@ -171,8 +180,12 @@ impl OmpTeam {
             None,
         );
         OmpTeam {
+            stats: TeamStats {
+                master: CachePadded::default(),
+                combine_ops: ParticipantCounter::new(nthreads),
+                dynamic_chunks: ParticipantCounter::new(nthreads),
+            },
             team,
-            stats: TeamStats::default(),
             config,
         }
     }
@@ -196,11 +209,11 @@ impl OmpTeam {
     pub fn stats(&self) -> TeamStatsSnapshot {
         let s = &self.stats;
         TeamStatsSnapshot {
-            loops: s.loops.load(Ordering::Relaxed),
-            reductions: s.reductions.load(Ordering::Relaxed),
-            combine_ops: s.combine_ops.load(Ordering::Relaxed),
-            barrier_phases: s.barrier_phases.load(Ordering::Relaxed),
-            dynamic_chunks: s.dynamic_chunks.load(Ordering::Relaxed),
+            loops: s.master.loops.get(),
+            reductions: s.master.reductions.get(),
+            combine_ops: s.combine_ops.sum(),
+            barrier_phases: s.master.barrier_phases.get(),
+            dynamic_chunks: s.dynamic_chunks.sum(),
         }
     }
 
@@ -211,10 +224,8 @@ impl OmpTeam {
     /// safe to execute concurrently from all participants.
     unsafe fn run_region(&self, job: Job) {
         let barriers = if job.has_combine() { 3 } else { 2 };
-        self.stats.loops.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .barrier_phases
-            .fetch_add(2 * barriers, Ordering::Relaxed);
+        self.stats.master.loops.add(1);
+        self.stats.master.barrier_phases.add(2 * barriers);
         // SAFETY: forwarded contract.
         unsafe { self.team.run(job) };
     }
@@ -264,15 +275,19 @@ impl<'a> Worksharing<'a> {
             Schedule::StaticChunked(chunk) => {
                 parlo_core::static_chunks(&self.range, self.nthreads, id, chunk).fold(acc, piece)
             }
-            Schedule::Dynamic(_) => self.run_dispensed(|| self.dynamic.next_chunk(), acc, piece),
-            Schedule::Guided(_) => self.run_dispensed(|| self.guided.next_chunk(), acc, piece),
+            Schedule::Dynamic(_) => {
+                self.run_dispensed(id, || self.dynamic.next_chunk(), acc, piece)
+            }
+            Schedule::Guided(_) => self.run_dispensed(id, || self.guided.next_chunk(), acc, piece),
         }
     }
 
-    /// Drains a shared dispenser.  Chunks are counted locally and added once, so a
-    /// dispensed chunk pays no contended RMW beyond the dispenser's own.
+    /// Drains a shared dispenser on behalf of participant `id`.  Chunks are counted
+    /// locally and added once, so a dispensed chunk pays no contended RMW beyond the
+    /// dispenser's own.
     fn run_dispensed<A>(
         &self,
+        id: usize,
         mut next_chunk: impl FnMut() -> Option<Range<usize>>,
         mut acc: A,
         mut piece: impl FnMut(A, Range<usize>) -> A,
@@ -282,11 +297,7 @@ impl<'a> Worksharing<'a> {
             dispensed += 1;
             acc = piece(acc, chunk);
         }
-        if dispensed > 0 {
-            self.stats
-                .dynamic_chunks
-                .fetch_add(dispensed, Ordering::Relaxed);
-        }
+        self.stats.dynamic_chunks.add(id, dispensed);
         acc
     }
 }
@@ -309,7 +320,7 @@ struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: &'a Id,
     fold: &'a Fold,
     combine: &'a Comb,
-    views: ReduceViews<T>,
+    views: ReduceViews<'a, T>,
     work: Worksharing<'a>,
 }
 
@@ -338,7 +349,7 @@ where
     // SAFETY: the caller passes a pointer to a live harness (the master's stack
     // frame keeps it alive until the episode's closing barrier).
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    h.work.stats.combine_ops.fetch_add(1, Ordering::Relaxed);
+    h.work.stats.combine_ops.add(into, 1);
     // SAFETY: serialized by the reduction barrier's join phase.
     unsafe { h.views.combine(into, from, h.combine) };
 }
@@ -389,10 +400,12 @@ impl OmpTeam {
             identity: &identity,
             fold: &fold,
             combine: &combine,
-            views: ReduceViews::new(self.num_threads(), || None),
+            // SAFETY: `&mut self` makes this thread the team's one driver, between
+            // regions; the previous reduction's handle is gone.
+            views: unsafe { self.team.views() },
             work: Worksharing::new(self, range, schedule),
         };
-        self.stats.reductions.fetch_add(1, Ordering::Relaxed);
+        self.stats.master.reductions.add(1);
         // SAFETY: as in `parallel_for`; view accesses are serialized by the reduction
         // barrier protocol.
         unsafe {
@@ -410,7 +423,7 @@ impl OmpTeam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlo_sync::AtomicUsize;
+    use parlo_sync::{AtomicUsize, Ordering};
 
     #[test]
     fn team_creation_and_teardown() {

@@ -47,7 +47,7 @@ use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{HalfBarrier, TreeShape, WaitPolicy};
 use parlo_cilk::Steal;
 use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
-use parlo_sync::{AtomicU32, AtomicU64, Ordering};
+use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -232,50 +232,49 @@ impl StealStats {
 /// One participant's private hot-path counters, padded to a cache line so the steal
 /// tail (one attempt bump per victim probe) never bounces a line between workers.
 /// The local/remote tier split of the hits lives on the same line for the same
-/// reason: a hit's classification store must stay core-local.
+/// reason: a hit's classification store must stay core-local.  Only the participant
+/// itself writes its line, so every bump is a plain load and store.
 #[derive(Debug, Default)]
 struct WorkerCounters {
     /// xorshift64* state of the unperturbed victim rotation (owner-only access).
     victim_rng: AtomicU64,
-    chunks: AtomicU64,
-    steals_attempted: AtomicU64,
-    steals_hit: AtomicU64,
-    local_steals: AtomicU64,
-    remote_steals: AtomicU64,
-    lends: AtomicU64,
-    lent_steals: AtomicU64,
+    chunks: SingleWriterCounter,
+    steals_attempted: SingleWriterCounter,
+    steals_hit: SingleWriterCounter,
+    local_steals: SingleWriterCounter,
+    remote_steals: SingleWriterCounter,
+    lends: SingleWriterCounter,
+    lent_steals: SingleWriterCounter,
+    /// Reduction-view combines this participant performed as a join parent.
+    combine_ops: SingleWriterCounter,
 }
 
-/// Internal counters (relaxed atomics).  Everything a worker touches while executing
-/// a loop — chunk counts and steal attempt/hit counts — lives in that worker's own
-/// padded [`WorkerCounters`] line; only the master's per-loop bookkeeping and the
-/// join-phase combine count use shared words.
+/// Internal counters.  Everything a worker touches while executing a loop — chunk,
+/// steal and combine counts — lives in that worker's own padded [`WorkerCounters`]
+/// line; the master's per-loop bookkeeping sits on a padded line of its own.
 #[derive(Debug)]
 struct StealCounters {
-    loops: AtomicU64,
-    reductions: AtomicU64,
-    barrier_phases: AtomicU64,
-    combine_ops: AtomicU64,
-    sticky_loops: AtomicU64,
-    sticky_hits: AtomicU64,
-    sticky_invalidations: AtomicU64,
-    sticky_chunks_reused: AtomicU64,
-    sticky_chunks_total: AtomicU64,
+    master: CachePadded<LoopCounts>,
     per_worker: Vec<CachePadded<WorkerCounters>>,
+}
+
+/// The counts only the driving master bumps.
+#[derive(Debug, Default)]
+struct LoopCounts {
+    loops: SingleWriterCounter,
+    reductions: SingleWriterCounter,
+    barrier_phases: SingleWriterCounter,
+    sticky_loops: SingleWriterCounter,
+    sticky_hits: SingleWriterCounter,
+    sticky_invalidations: SingleWriterCounter,
+    sticky_chunks_reused: SingleWriterCounter,
+    sticky_chunks_total: SingleWriterCounter,
 }
 
 impl StealCounters {
     fn new(nthreads: usize) -> Self {
         StealCounters {
-            loops: AtomicU64::new(0),
-            reductions: AtomicU64::new(0),
-            barrier_phases: AtomicU64::new(0),
-            combine_ops: AtomicU64::new(0),
-            sticky_loops: AtomicU64::new(0),
-            sticky_hits: AtomicU64::new(0),
-            sticky_invalidations: AtomicU64::new(0),
-            sticky_chunks_reused: AtomicU64::new(0),
-            sticky_chunks_total: AtomicU64::new(0),
+            master: CachePadded::default(),
             per_worker: (0..nthreads)
                 .map(|id| WorkerCounters {
                     victim_rng: AtomicU64::new(victim_seed(id)),
@@ -287,21 +286,20 @@ impl StealCounters {
     }
 
     fn snapshot(&self) -> StealStats {
-        let per_worker = |counter: fn(&WorkerCounters) -> &AtomicU64| {
-            self.per_worker
-                .iter()
-                .map(move |w| counter(w).load(Ordering::Relaxed))
+        let per_worker = |counter: fn(&WorkerCounters) -> &SingleWriterCounter| {
+            self.per_worker.iter().map(move |w| counter(w).get())
         };
+        let m = &self.master;
         StealStats {
-            loops: self.loops.load(Ordering::Relaxed),
-            reductions: self.reductions.load(Ordering::Relaxed),
-            barrier_phases: self.barrier_phases.load(Ordering::Relaxed),
-            combine_ops: self.combine_ops.load(Ordering::Relaxed),
-            sticky_loops: self.sticky_loops.load(Ordering::Relaxed),
-            sticky_hits: self.sticky_hits.load(Ordering::Relaxed),
-            sticky_invalidations: self.sticky_invalidations.load(Ordering::Relaxed),
-            sticky_chunks_reused: self.sticky_chunks_reused.load(Ordering::Relaxed),
-            sticky_chunks_total: self.sticky_chunks_total.load(Ordering::Relaxed),
+            loops: m.loops.get(),
+            reductions: m.reductions.get(),
+            barrier_phases: m.barrier_phases.get(),
+            combine_ops: per_worker(|w| &w.combine_ops).sum(),
+            sticky_loops: m.sticky_loops.get(),
+            sticky_hits: m.sticky_hits.get(),
+            sticky_invalidations: m.sticky_invalidations.get(),
+            sticky_chunks_reused: m.sticky_chunks_reused.get(),
+            sticky_chunks_total: m.sticky_chunks_total.get(),
             steals_attempted: per_worker(|w| &w.steals_attempted).sum(),
             steals_hit: per_worker(|w| &w.steals_hit).sum(),
             local_steals: per_worker(|w| &w.local_steals).sum(),
@@ -319,6 +317,9 @@ struct StealLoop<'a> {
     shared: &'a StealShared,
     /// The typed harness the entry points below reinterpret.
     data: *const (),
+    /// Called by every participant before it seeds its deque (a reduction seeds its
+    /// own view with the neutral element there).
+    enter: Option<unsafe fn(*const (), usize)>,
     /// Runs iterations `lo..hi` on behalf of participant `worker`.
     run_chunk: unsafe fn(*const (), usize, usize, usize),
     /// The loop range every participant pre-splits independently.
@@ -515,42 +516,59 @@ impl StealPool {
             .max(1)
     }
 
-    /// Runs one stealing loop over `harness`: counts it, resolves the sticky
-    /// assignment of a site-keyed loop (and remembers who executed what afterwards),
-    /// and publishes the loop through the team — one half-barrier cycle, in which
-    /// every participant [`participate`]s between its fork and its join.
-    ///
-    /// # Safety
-    /// `run_chunk` and `combine` must treat `harness` as the type it points to and be
-    /// safe to call concurrently from all participants.
-    unsafe fn run_loop<H>(
+    /// Runs `run` with the sticky assignment of a site-keyed loop resolved before it
+    /// and the executed assignment remembered after it (`None` for unkeyed loops).
+    fn with_sticky<R>(
         &mut self,
         site: Option<StealSite>,
         range: &Range<usize>,
         chunk: usize,
+        run: impl FnOnce(&Self, Option<&StickyLoop>) -> R,
+    ) -> R {
+        let sticky = site.map(|site| self.prepare_sticky(site, range, chunk));
+        let out = run(self, sticky.as_ref().map(|(sticky_loop, _hit)| sticky_loop));
+        if let (Some(site), Some((sticky_loop, hit))) = (site, sticky) {
+            self.finish_sticky(site, range, chunk, sticky_loop, hit);
+        }
+        out
+    }
+
+    /// Runs one stealing loop over `harness`: counts it and publishes it through the
+    /// team — one half-barrier cycle, in which every participant [`participate`]s
+    /// between its fork and its join.
+    ///
+    /// # Safety
+    /// The caller drives the pool.  `enter`, `run_chunk` and `combine` must treat
+    /// `harness` as the type it points to and be safe to call concurrently from all
+    /// participants.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn run_loop<H>(
+        &self,
+        range: &Range<usize>,
+        chunk: usize,
+        sticky: Option<&StickyLoop>,
         harness: &H,
+        enter: Option<unsafe fn(*const (), usize)>,
         run_chunk: unsafe fn(*const (), usize, usize, usize),
         combine: Option<unsafe fn(*const (), usize, usize)>,
     ) {
-        let sticky = site.map(|site| self.prepare_sticky(site, range, chunk));
-        let stats = &self.shared.stats;
-        stats.barrier_phases.fetch_add(2, Ordering::Relaxed);
+        let stats = &self.shared.stats.master;
+        stats.barrier_phases.add(2);
+        stats.loops.add(1);
         let this = StealLoop {
             shared: &self.shared,
             data: harness as *const H as *const (),
+            enter,
             run_chunk,
             start: range.start,
             end: range.end,
             chunk,
-            sticky: sticky.as_ref().map(|(sticky_loop, _hit)| sticky_loop),
-            epoch: stats.loops.fetch_add(1, Ordering::Relaxed) + 1,
+            sticky,
+            epoch: stats.loops.get(),
         };
-        // SAFETY: the descriptor, the harness and the sticky state all live on this
-        // frame until `run` returns; `participate_in` matches the descriptor's type.
+        // SAFETY: the descriptor, the harness and the sticky state all outlive `run`;
+        // `participate_in` matches the descriptor's type.
         unsafe { self.team.run(Job::new(&this, participate_in, combine)) };
-        if let (Some(site), Some((sticky_loop, hit))) = (site, sticky) {
-            self.finish_sticky(site, range, chunk, sticky_loop, hit);
-        }
     }
 }
 
@@ -571,6 +589,10 @@ fn participate(job: &StealLoop<'_>, id: usize) {
     let n = shared.deques.len();
     let deque = &shared.deques[id];
     let range = job.start..job.end;
+    if let Some(enter) = job.enter {
+        // SAFETY: contract of `run_loop` — the harness outlives the loop.
+        unsafe { enter(job.data, id) };
+    }
     // Seed the own run, back to front, so owner-LIFO pops execute it front to back and
     // thieves take from the back.  A full deque (pathologically small explicit chunk
     // size) degrades gracefully: the overflowing chunk runs inline right away.
@@ -627,7 +649,7 @@ fn participate(job: &StealLoop<'_>, id: usize) {
         let mut stolen: Option<(Piece, usize)> = None;
         let mut saw_retry = false;
         let probe = |victim: usize, saw_retry: &mut bool| -> Option<Piece> {
-            my_counters.steals_attempted.fetch_add(1, Ordering::Relaxed);
+            my_counters.steals_attempted.add(1);
             match shared.deques[victim].steal() {
                 Steal::Success(c) => Some(c),
                 Steal::Retry => {
@@ -733,15 +755,15 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) -> b
     let my_counters = &*shared.stats.per_worker[id];
     let remote = shared.socket_of[id] != shared.socket_of[victim];
     if piece.lent {
-        my_counters.lent_steals.fetch_add(1, Ordering::Relaxed);
+        my_counters.lent_steals.add(1);
         parlo_trace::instant(parlo_trace::Phase::StealLend, id as u64, victim as u64);
         return remote;
     }
-    my_counters.steals_hit.fetch_add(1, Ordering::Relaxed);
+    my_counters.steals_hit.add(1);
     if remote {
-        my_counters.remote_steals.fetch_add(1, Ordering::Relaxed);
+        my_counters.remote_steals.add(1);
     } else {
-        my_counters.local_steals.fetch_add(1, Ordering::Relaxed);
+        my_counters.local_steals.add(1);
     }
     parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
     parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
@@ -756,9 +778,7 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) -> b
 fn execute_piece(id: usize, job: &StealLoop<'_>, piece: Piece) {
     let shared = job.shared;
     if !piece.lent {
-        shared.stats.per_worker[id]
-            .chunks
-            .fetch_add(1, Ordering::Relaxed);
+        shared.stats.per_worker[id].chunks.add(1);
         if let Some(s) = job.sticky {
             let k = (piece.range.start - job.start) / job.chunk.max(1);
             if let Some(slot) = s.exec.get(k) {
@@ -797,9 +817,7 @@ fn lend_tail(
     if !deque.is_empty() || unsafe { deque.push(half) }.is_err() {
         return whole;
     }
-    shared.stats.per_worker[id]
-        .lends
-        .fetch_add(1, Ordering::Relaxed);
+    shared.stats.per_worker[id].lends.add(1);
     parlo_trace::instant(parlo_trace::Phase::StealLend, id as u64, id as u64);
     lower
 }
@@ -823,31 +841,51 @@ unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
     walk_range(h.body, lo..hi);
 }
 
-struct ReduceHarness<'a, T, Fold, Comb> {
-    /// One view per participant, seeded with the neutral element; a participant folds
-    /// every chunk it executes (own and stolen) into its own.
-    views: ReduceViews<T>,
+struct ReduceHarness<'a, T, Init, Fold, Comb> {
+    /// One view per participant, which the participant seeds with `init()` on entering
+    /// the loop and folds every chunk it executes (own and stolen) into.
+    views: ReduceViews<'a, T>,
+    init: &'a Init,
     fold: &'a Fold,
     comb: &'a Comb,
 }
 
-unsafe fn exec_reduce_chunk<T, Fold, Comb>(data: *const (), worker: usize, lo: usize, hi: usize)
+unsafe fn enter_reduce<T, Init, Fold, Comb>(data: *const (), worker: usize)
 where
     T: Send,
+    Init: Fn() -> T + Sync,
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Fold, Comb>) };
+    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Init, Fold, Comb>) };
+    // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
+    unsafe { h.views.put(worker, (h.init)()) };
+}
+
+unsafe fn exec_reduce_chunk<T, Init, Fold, Comb>(
+    data: *const (),
+    worker: usize,
+    lo: usize,
+    hi: usize,
+) where
+    T: Send,
+    Init: Fn() -> T + Sync,
+    Fold: Fn(T, usize) -> T + Sync,
+    Comb: Fn(T, T) -> T + Sync,
+{
+    // SAFETY: the master keeps the harness alive until its join completes.
+    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Init, Fold, Comb>) };
     // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
     let acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
     // SAFETY: as above.
     unsafe { h.views.put(worker, fold_range(h.fold, acc, lo..hi)) };
 }
 
-unsafe fn combine_views<T, Fold, Comb>(data: *const (), to: usize, from: usize)
+unsafe fn combine_views<T, Init, Fold, Comb>(data: *const (), to: usize, from: usize)
 where
     T: Send,
+    Init: Fn() -> T + Sync,
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
@@ -857,13 +895,10 @@ where
         let this = &*(data as *const StealLoop<'_>);
         (
             this,
-            &*(this.data as *const ReduceHarness<'_, T, Fold, Comb>),
+            &*(this.data as *const ReduceHarness<'_, T, Init, Fold, Comb>),
         )
     };
-    this.shared
-        .stats
-        .combine_ops
-        .fetch_add(1, Ordering::Relaxed);
+    this.shared.stats.per_worker[to].combine_ops.add(1);
     // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
     // that `to` is the unique combiner touching either view at this point.
     unsafe { h.views.combine(to, from, h.comb) };
@@ -902,7 +937,7 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T,
+        Init: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
@@ -921,7 +956,7 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T,
+        Init: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
@@ -968,7 +1003,7 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T,
+        Init: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
@@ -988,7 +1023,7 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T,
+        Init: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
@@ -1004,18 +1039,23 @@ impl StealPool {
         if range.end <= range.start {
             return;
         }
+        let chunk = chunk.max(1);
         let harness = ForHarness { body: &body };
-        // SAFETY: `exec_for_chunk::<F>` matches the harness type.
-        unsafe {
-            self.run_loop(
-                site,
-                &range,
-                chunk.max(1),
-                &harness,
-                exec_for_chunk::<F>,
-                None,
-            );
-        }
+        self.with_sticky(site, &range, chunk, |this, sticky| {
+            // SAFETY: `&mut self` makes this thread the pool's one driver;
+            // `exec_for_chunk::<F>` matches the harness type.
+            unsafe {
+                this.run_loop(
+                    &range,
+                    chunk,
+                    sticky,
+                    &harness,
+                    None,
+                    exec_for_chunk::<F>,
+                    None,
+                )
+            }
+        });
     }
 
     /// The reduction behind every `steal_reduce*` entry point.
@@ -1030,33 +1070,40 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T,
+        Init: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
         if range.end <= range.start {
             return init();
         }
-        let harness = ReduceHarness {
-            views: ReduceViews::new(self.num_threads(), || Some(init())),
-            fold: &fold,
-            comb: &comb,
-        };
-        self.shared.stats.reductions.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the entry points match the harness type.
-        unsafe {
-            self.run_loop(
-                site,
-                &range,
-                chunk.max(1),
-                &harness,
-                exec_reduce_chunk::<T, Fold, Comb>,
-                Some(combine_views::<T, Fold, Comb>),
-            );
-        }
-        // After the join the master's view holds the full fold.
-        // SAFETY: the join completed, so no participant touches any view.
-        unsafe { harness.views.take(0) }.expect("master view present after the join phase")
+        let chunk = chunk.max(1);
+        self.with_sticky(site, &range, chunk, |this, sticky| {
+            let harness = ReduceHarness {
+                // SAFETY: `&mut self` makes this thread the pool's one driver, between
+                // loops; the previous reduction's handle is gone.
+                views: unsafe { this.team.views() },
+                init: &init,
+                fold: &fold,
+                comb: &comb,
+            };
+            this.shared.stats.master.reductions.add(1);
+            // SAFETY: as above; the entry points match the harness type.
+            unsafe {
+                this.run_loop(
+                    &range,
+                    chunk,
+                    sticky,
+                    &harness,
+                    Some(enter_reduce::<T, Init, Fold, Comb>),
+                    exec_reduce_chunk::<T, Init, Fold, Comb>,
+                    Some(combine_views::<T, Init, Fold, Comb>),
+                );
+            }
+            // After the join the master's view holds the full fold.
+            // SAFETY: the join completed, so no participant touches any view.
+            unsafe { harness.views.take(0) }.expect("master view present after the join phase")
+        })
     }
 
     /// Installs an explicit chunk→worker assignment for `site`, as if a previous
@@ -1106,15 +1153,15 @@ impl StealPool {
         chunk: usize,
     ) -> (StickyLoop, bool) {
         let nchunks = grid_chunks(range, chunk);
-        let stats = &self.shared.stats;
-        stats.sticky_loops.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.shared.stats.master;
+        stats.sticky_loops.add(1);
         let (owners, hit) = match self.sticky.lookup(site, range.start, range.end, chunk) {
             Some(Ok(owners)) => {
-                stats.sticky_hits.fetch_add(1, Ordering::Relaxed);
+                stats.sticky_hits.add(1);
                 (owners, true)
             }
             Some(Err(())) => {
-                stats.sticky_invalidations.fetch_add(1, Ordering::Relaxed);
+                stats.sticky_invalidations.add(1);
                 (balanced_owners(nchunks, self.num_threads()), false)
             }
             None => (balanced_owners(nchunks, self.num_threads()), false),
@@ -1150,18 +1197,14 @@ impl StealPool {
             })
             .collect();
         if hit {
-            let stats = &self.shared.stats;
+            let stats = &self.shared.stats.master;
             let reused = exec
                 .iter()
                 .zip(&sticky.owners)
                 .filter(|(a, b)| a == b)
                 .count();
-            stats
-                .sticky_chunks_reused
-                .fetch_add(reused as u64, Ordering::Relaxed);
-            stats
-                .sticky_chunks_total
-                .fetch_add(exec.len() as u64, Ordering::Relaxed);
+            stats.sticky_chunks_reused.add(reused as u64);
+            stats.sticky_chunks_total.add(exec.len() as u64);
         }
         self.sticky.remember(
             site,

@@ -17,6 +17,10 @@
 //!   closed program and checks each one for data races, deadlocks and lost
 //!   wakeups.  See the [model-checking contract](#model-checking-contract).
 //!
+//! Built on the facade, [`SingleWriterCounter`] and [`ParticipantCounter`] are the
+//! workspace's instrumentation counters: exact, and no locked read-modify-write on the
+//! path they count.
+//!
 //! The crate also ships the [`lint`] engine behind the `synclint` binary
 //! (`cargo run -p parlo-sync --bin synclint`), which enforces the source-level
 //! rules that make the facade trustworthy: no direct `std::sync::atomic`
@@ -73,9 +77,11 @@
 pub mod model;
 
 mod cell;
+mod counter;
 pub mod lint;
 
 pub use cell::UnsafeCell;
+pub use counter::{ParticipantCounter, SingleWriterCounter};
 
 /// Atomic and blocking primitives: `std` re-exports by default, model-checked
 /// doubles under `--cfg parlo_model`.

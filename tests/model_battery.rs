@@ -23,10 +23,10 @@
 #![cfg(parlo_model)]
 
 use parlo_barrier::{
-    wake_parked, CentralizedJoin, CentralizedRelease, FullBarrier, HalfBarrier, WaitMode,
+    wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, WaitMode,
     WaitPolicy,
 };
-use parlo_exec::{ExtraReductionBarrier, Job, TeamCore, TeamSync};
+use parlo_exec::{ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync};
 use parlo_serve::{completion_pair, AdmissionProbe};
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
@@ -601,4 +601,144 @@ fn team_skeleton_loop_detach_resume_loop_full_barrier_shapes() {
         team_detach_resume_cycle(ExtraReductionBarrier(FullBarrier::new_centralized(2)));
     });
     assert!(report.complete, "exploration must be exhaustive");
+}
+
+// ---------------------------------------------------------------------------
+// Team-owned reduction views: consecutive reductions reuse the same blocks.
+// ---------------------------------------------------------------------------
+
+/// The centralized half-barrier behind an `Arc`, so that a job can reach it too.  With
+/// `arrive_in_job` set, a worker skips the join of a reduction loop here because its
+/// job has already arrived (the mutation below); every other phase is the barrier's.
+struct SharedHalf {
+    hb: Arc<HalfBarrier>,
+    arrive_in_job: bool,
+}
+
+impl TeamSync for SharedHalf {
+    fn num_threads(&self) -> usize {
+        self.hb.num_threads()
+    }
+
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
+        self.hb.master_fork(at, policy);
+    }
+
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
+        self.hb.worker_fork(id, at, policy);
+    }
+
+    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
+        self.hb.master_join(at, policy, r, f);
+    }
+
+    fn worker_join<F: FnMut(usize)>(
+        &self,
+        id: usize,
+        at: &mut Epoch,
+        policy: &WaitPolicy,
+        r: bool,
+        f: F,
+    ) {
+        if !(r && self.arrive_in_job) {
+            self.hb.worker_join(id, at, policy, r, f);
+        }
+    }
+}
+
+/// One modelled reduction: participant `id` contributes `input + id` through the
+/// team's view blocks.
+struct ViewHarness<'a> {
+    views: ReduceViews<'a, u64>,
+    input: u64,
+    /// The mutation: the worker arrives at this epoch of this barrier *before* it puts.
+    early_arrival: Option<(&'a HalfBarrier, Epoch)>,
+}
+
+unsafe fn view_exec(data: *const (), id: usize) {
+    // SAFETY: the model program passes a pointer to a live `ViewHarness`.
+    let h = unsafe { &*(data as *const ViewHarness<'_>) };
+    if let (1, Some((hb, epoch))) = (id, h.early_arrival) {
+        hb.arrive(1, epoch, &WaitPolicy::dedicated(), |_| {});
+    }
+    // SAFETY: participant `id` is its view's only writer, and (unmutated) it writes
+    // before it arrives; the checker verifies exactly that.
+    unsafe { h.views.put(id, h.input + id as u64) };
+}
+
+unsafe fn view_combine(data: *const (), into: usize, from: usize) {
+    // SAFETY: the model program passes a pointer to a live `ViewHarness`; the join
+    // gives `into` both views.
+    unsafe {
+        (*(data as *const ViewHarness<'_>))
+            .views
+            .combine(into, from, |a, b| a + b)
+    };
+}
+
+/// Two consecutive merged reductions on a two-participant team, on the real
+/// team-owned blocks and the real skeleton: the hazard new with team-owned views is
+/// loop 2's `put` into the worker's block against loop 1's read of it by the master
+/// (the join parent), which only the master's next release orders.
+fn two_reductions_on_team_views(
+    builder: model::Builder,
+    arrive_in_job: bool,
+) -> Result<model::Report, model::Violation> {
+    builder.preemption_bound(Some(2)).try_check(move || {
+        let hb = Arc::new(HalfBarrier::new_centralized(2));
+        let sync = SharedHalf {
+            hb: Arc::clone(&hb),
+            arrive_in_job,
+        };
+        let core = Arc::new(TeamCore::new(
+            "views".to_string(),
+            sync,
+            WaitPolicy::dedicated(),
+        ));
+        let worker = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || core.worker_body(1))
+        };
+        for epoch in 1..=2u64 {
+            let h = ViewHarness {
+                // SAFETY: this thread drives the team and the previous cycle's join
+                // completed; the previous handle is no longer used.
+                views: unsafe { core.views() },
+                input: 10 * epoch,
+                early_arrival: arrive_in_job.then_some((&*hb, epoch)),
+            };
+            // SAFETY: the harness outlives the cycle; the entry points match its
+            // type; the worker thread is inside `worker_body`.
+            unsafe { core.cycle(Job::new(&h, view_exec, Some(view_combine))) };
+            // SAFETY: the join completed, so the master is the views' only accessor.
+            let sum = unsafe { h.views.take(0) };
+            assert_eq!(sum, Some(2 * 10 * epoch + 1), "loop {epoch}");
+        }
+        core.detach_workers();
+        worker.join().unwrap();
+    })
+}
+
+#[test]
+fn consecutive_reductions_on_team_owned_views_are_race_free() {
+    let report = two_reductions_on_team_views(model::Builder::new(), false)
+        .expect("team-owned views are race-free");
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// Mutation check for the model above: a worker that puts its view *after* arriving
+/// races its join parent's read, and the checker must say so on a schedule that
+/// replays to the same race.
+#[test]
+fn mutation_put_after_arrival_is_caught_and_replays() {
+    let v = two_reductions_on_team_views(model::Builder::new(), true)
+        .expect_err("checker must catch the mutation");
+    assert_eq!(v.kind, model::ViolationKind::DataRace);
+    assert!(
+        !v.schedule.is_empty(),
+        "violation carries a replayable schedule"
+    );
+    let replayed = two_reductions_on_team_views(model::Builder::new().replay(&v.schedule), true)
+        .expect_err("pinned schedule reproduces the race");
+    assert_eq!(replayed.kind, model::ViolationKind::DataRace);
 }

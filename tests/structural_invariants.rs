@@ -19,7 +19,8 @@
 //!   half-barrier cycle per loop, `P − 1` combines per reduction) and accounts every
 //!   pre-split chunk exactly once;
 //! * the hierarchical half-barrier performs exactly one cross-socket rendezvous per
-//!   cycle and exactly one arrival per worker per cycle on each socket.
+//!   cycle and exactly one arrival per worker per cycle on each socket;
+//! * every count stays exact when the thread driving a pool changes.
 //!
 //! These claims are only *observable* through the instrumentation counters, so the
 //! whole file is compiled out in a `stats-off` build (where every counter reads
@@ -29,9 +30,10 @@
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_cilk::CilkPool;
-use parlo_core::{BarrierKind, Config, FineGrainPool};
+use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime};
 use parlo_omp::{OmpTeam, Schedule};
 use parlo_steal::{total_chunks, StealConfig, StealPool};
+use std::sync::{Arc, Condvar, Mutex};
 
 const HALF_KINDS: [BarrierKind; 2] = [BarrierKind::TreeHalf, BarrierKind::CentralizedHalf];
 const FULL_KINDS: [BarrierKind; 2] = [BarrierKind::TreeFull, BarrierKind::CentralizedFull];
@@ -417,5 +419,64 @@ fn cilk_hybrid_fine_path_has_fine_grain_structure() {
             REPS * (threads as u64 - 1),
             "hybrid fine-grain reduction: exactly P-1 combines per call at {threads} threads"
         );
+    }
+}
+
+/// One pool driven by two threads in strict alternation, handed over through a
+/// `Mutex`.  The loop, reduction and phase counts and the barrier's cycle count are
+/// bumped by whichever thread drives, with a relaxed load and store rather than a
+/// locked RMW, so they are exact only if each driver sees every store of the one
+/// before it: a lost store would show as a count one short.  Arrivals and combines
+/// are bumped per participant and summed, and must be exact too.
+#[test]
+fn counters_stay_exact_across_a_driver_hand_off() {
+    const TURNS: u64 = 20;
+    for (sockets, cores) in [(1usize, 4usize), (2, 4)] {
+        let threads = sockets * cores;
+        let placement = PlacementConfig::synthetic(sockets, cores).with_pin(PinPolicy::None);
+        let pool = FineGrainPool::with_placement(threads, &placement);
+        // The pool and whose turn it is (turn `t` belongs to driver `t % 2`).
+        let shared = Arc::new((Mutex::new((pool, 0u64)), Condvar::new()));
+        let drivers: Vec<_> = (0..2u64)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (lock, turn_taken) = &*shared;
+                    for _ in 0..TURNS {
+                        let guard = lock.lock().expect("no driver panicked");
+                        let mut guard = turn_taken
+                            .wait_while(guard, |(_, turn)| *turn % 2 != me)
+                            .expect("no driver panicked");
+                        let (pool, turn) = &mut *guard;
+                        pool.parallel_for(0..threads * 8, |_| {});
+                        assert_eq!(pool.parallel_sum(0..1000, |i| i as f64), 499_500.0);
+                        *turn += 1;
+                        turn_taken.notify_all();
+                    }
+                })
+            })
+            .collect();
+        for driver in drivers {
+            driver.join().expect("driver thread");
+        }
+        let (lock, _) = &*shared;
+        let guard = lock.lock().expect("no driver panicked");
+        let (pool, turns) = &*guard;
+        assert_eq!(*turns, 2 * TURNS);
+        let loops = 2 * turns;
+        let s = pool.sync_stats();
+        let shape = format!("{sockets}x{cores}");
+        assert_eq!(s.loops, loops, "{shape}");
+        assert_eq!(s.reductions, *turns, "{shape}");
+        assert_eq!(s.barrier_phases, 2 * loops, "{shape}");
+        assert_eq!(s.combine_ops, turns * (threads as u64 - 1), "{shape}");
+        let h = pool
+            .hierarchy_stats()
+            .expect("placement pools are hierarchical");
+        assert_eq!(h.cycles, loops, "{shape}");
+        // The master arrives nowhere; every other member of every socket once a loop.
+        let mut arrivals = vec![loops * cores as u64; sockets];
+        arrivals[0] -= loops;
+        assert_eq!(h.socket_arrivals, arrivals, "{shape}");
     }
 }

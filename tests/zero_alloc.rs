@@ -1,0 +1,215 @@
+//! Heap allocations per loop, counted: once warm, a loop allocates nothing.
+//!
+//! A counting global allocator wraps the system allocator.  The single test below
+//! warms every covered runtime up at P ∈ {1, 2, 4} (lease activation, worker spawn,
+//! the first use of the team's reduction-view blocks), then asserts that further
+//! `parallel_for`, `parallel_sum` and `parallel_reduce` calls — over `f64` and over a
+//! struct of three `f64`s — make exactly zero allocations.  Counted are the test's own
+//! thread and every thread that first allocates after the test starts (the pools'
+//! workers); the harness's main thread, which may still be doing its bookkeeping for
+//! the test it just spawned, is not.  It is one test function so that no sibling test
+//! allocates while it counts.
+
+use parlo_cilk::CilkFineGrain;
+use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime};
+use parlo_omp::{Schedule, ScheduledTeam};
+use parlo_steal::StealPool;
+use parlo_sync::{AtomicBool, AtomicU64, Ordering};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counted allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Set when the test starts: a thread the allocator first sees afterwards is counted.
+static STARTED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread's allocations are counted, decided on its first one.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Counts one allocation if the calling thread is counted.
+fn count() {
+    let counted = COUNTED.try_with(|c| {
+        let counted = c.get().unwrap_or_else(|| STARTED.load(Ordering::Relaxed));
+        c.set(Some(counted));
+        counted
+    });
+    if counted == Ok(true) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The system allocator, counting every call that can hand out memory.
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments unchanged; the
+// counting is a side effect that allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The shape of the linear-regression partial sums: a reduction wider than a word.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Sums {
+    x: f64,
+    y: f64,
+    xy: f64,
+}
+
+const N: usize = 512;
+
+/// A runtime under test: reachable as `dyn LoopRuntime`, plus its generic reduction.
+enum Runtime {
+    Fine(FineGrainPool),
+    Omp(ScheduledTeam),
+    Cilk(CilkFineGrain),
+    Steal(StealPool),
+}
+
+impl Runtime {
+    fn as_dyn(&mut self) -> &mut dyn LoopRuntime {
+        match self {
+            Runtime::Fine(p) => p,
+            Runtime::Omp(t) => t,
+            Runtime::Cilk(c) => c,
+            Runtime::Steal(s) => s,
+        }
+    }
+
+    /// Σ (i, 2i, i·2i) over `0..N` through the runtime's generic reduction.
+    fn reduce_sums(&mut self) -> Sums {
+        let fold = |a: Sums, i: usize| {
+            let (x, y) = (i as f64, 2.0 * i as f64);
+            Sums {
+                x: a.x + x,
+                y: a.y + y,
+                xy: a.xy + x * y,
+            }
+        };
+        let comb = |a: Sums, b: Sums| Sums {
+            x: a.x + b.x,
+            y: a.y + b.y,
+            xy: a.xy + b.xy,
+        };
+        match self {
+            Runtime::Fine(p) => p.parallel_reduce(0..N, Sums::default, fold, comb),
+            Runtime::Omp(t) => {
+                t.team
+                    .parallel_reduce(0..N, Schedule::Static, Sums::default, fold, comb)
+            }
+            Runtime::Cilk(c) => c.pool.fine_grain_reduce(0..N, Sums::default, fold, comb),
+            Runtime::Steal(s) => s.steal_reduce(0..N, Sums::default, fold, comb),
+        }
+    }
+}
+
+/// Every covered runtime at `p` participants, with a label for failure reports.
+fn roster(p: usize) -> Vec<(String, Runtime)> {
+    let mut all: Vec<(String, Runtime)> = BarrierKind::ALL
+        .iter()
+        .map(|&kind| {
+            let pool = FineGrainPool::new(Config::builder(p).barrier(kind).build());
+            (kind.label().to_string(), Runtime::Fine(pool))
+        })
+        .collect();
+    all.push((
+        "OpenMP static".into(),
+        Runtime::Omp(ScheduledTeam::with_threads(p, Schedule::Static)),
+    ));
+    all.push((
+        "fine-grain Cilk".into(),
+        Runtime::Cilk(CilkFineGrain::with_threads(p)),
+    ));
+    all.push((
+        "stealing".into(),
+        Runtime::Steal(StealPool::with_threads(p)),
+    ));
+    all
+}
+
+/// One loop call on a runtime.
+type Op = fn(&mut Runtime);
+
+/// Runs `op` once to warm it up, then `REPS` more times, and returns the allocations
+/// those `REPS` calls made.
+fn allocations_per_call(rt: &mut Runtime, op: Op) -> f64 {
+    const REPS: u64 = 50;
+    op(rt);
+    let before = ALLOCATIONS.load(Ordering::SeqCst); // ordering: sharp window edge
+    for _ in 0..REPS {
+        op(rt);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst); // ordering: sharp window edge
+    (after - before) as f64 / REPS as f64
+}
+
+#[test]
+fn no_heap_allocation_per_loop_after_warm_up() {
+    STARTED.store(true, Ordering::Relaxed);
+    COUNTED.with(|c| c.set(Some(true)));
+    let ops: [(&str, Op); 4] = [
+        ("parallel_for", |rt| {
+            rt.as_dyn().parallel_for(0..N, &|i| {
+                std::hint::black_box(i);
+            })
+        }),
+        ("parallel_sum", |rt| {
+            let s = rt.as_dyn().parallel_sum(0..N, &|i| i as f64);
+            assert_eq!(s, (N * (N - 1) / 2) as f64);
+        }),
+        ("parallel_reduce f64", |rt| {
+            let fold = |a: f64, i: usize| a.max(i as f64);
+            let m = rt
+                .as_dyn()
+                .parallel_reduce(0..N, 0.0, &fold, &|a, b| a.max(b));
+            assert_eq!(m, (N - 1) as f64);
+        }),
+        ("parallel_reduce 3 x f64", |rt| {
+            let s = rt.reduce_sums();
+            assert_eq!(s.y, 2.0 * s.x);
+        }),
+    ];
+    let mut failures = Vec::new();
+    for p in [1, 2, 4] {
+        for (name, mut rt) in roster(p) {
+            for (op_name, op) in ops {
+                let per_call = allocations_per_call(&mut rt, op);
+                if per_call != 0.0 {
+                    failures.push(format!(
+                        "{name} @ P={p}: {op_name} allocates {per_call}/call"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "loops allocate after warm-up:\n{}",
+        failures.join("\n")
+    );
+}
