@@ -252,11 +252,12 @@ impl<T> ReduceViews<'_, T> {
         });
     }
 
-    /// Moves view `id` out, or `None` if it was not put under this handle.  The block
-    /// is only read: a taken view must not be taken again unless it is put again.
+    /// Moves view `id` out, or returns `None` if it was not put under this handle.
+    /// The block is only read, never written back.
     ///
     /// # Safety
-    /// As for [`ReduceViews::put`].
+    /// As for [`ReduceViews::put`], and view `id` was not already moved out since it
+    /// was last put (its block still reads as holding it).
     #[inline]
     pub unsafe fn take(&self, id: usize) -> Option<T> {
         // SAFETY: as in `put`; the stamp is always initialized (zeroed at allocation,
@@ -269,10 +270,11 @@ impl<T> ReduceViews<'_, T> {
         })
     }
 
-    /// Folds view `from` into view `into` with `f` (both must be present).
+    /// Folds view `from` into view `into` with `f` (both must be present); `from`
+    /// counts as moved out afterwards.
     ///
     /// # Safety
-    /// No other thread accesses either view concurrently.
+    /// As for [`ReduceViews::take`], for both views.
     #[inline]
     pub unsafe fn combine(&self, into: usize, from: usize, f: impl FnOnce(T, T) -> T) {
         // SAFETY: exclusivity over both views is the caller's contract.
