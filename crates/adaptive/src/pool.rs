@@ -32,8 +32,7 @@ pub struct AdaptiveConfig {
     pub max_measurements: usize,
     /// Probe timing hook (wall clock by default; tests inject a cost model).
     pub timer: Arc<dyn ProbeTimer>,
-    /// Worker placement shared by every backend (topology source, pin policy,
-    /// hierarchical synchronization).
+    /// Worker placement shared by every backend (topology source, pin policy).
     pub placement: PlacementConfig,
     /// The worker substrate the backends lease their threads from.  `None` creates a
     /// private one — the backends still share it with *each other*, so an adaptive

@@ -1,11 +1,12 @@
 //! The shared worker-placement configuration.
 //!
-//! Every pool in the workspace (the fine-grain half-barrier pool, the OpenMP-like team
-//! and the Cilk-like pool) answers the same three questions at construction time:
-//! *which machine shape am I tuned to*, *where do my workers run*, and *is the
-//! synchronization structure composed per socket*.  [`PlacementConfig`] bundles those
-//! answers so the benchmark binaries, the cross-runtime roster and the tests can thread
-//! one value through every scheduler instead of configuring each pool ad hoc.
+//! Every pool in the workspace (the fine-grain half-barrier pool, the OpenMP-like team,
+//! the Cilk-like pool and the stealing pool) answers the same two questions at
+//! construction time: *which machine shape am I tuned to* — the shape its barrier
+//! tree is composed over, one subtree per socket — and *where do my workers run*.
+//! [`PlacementConfig`] bundles those answers so the benchmark binaries, the
+//! cross-runtime roster and the tests can thread one value through every scheduler
+//! instead of configuring each pool ad hoc.
 //!
 //! The topology source is explicit ([`TopologySource`]) so CI can run the whole stack
 //! on a **synthetic** machine shape: the hierarchy is then fully deterministic and its
@@ -84,17 +85,13 @@ pub fn parse_pin_policy(spec: &str) -> Result<PinPolicy, String> {
     }
 }
 
-/// How a pool's workers are placed and synchronized on the machine.
+/// How a pool's workers are placed on the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementConfig {
     /// Where the machine shape comes from.
     pub source: TopologySource,
     /// How workers are pinned over that shape at spawn time.
     pub pin: PinPolicy,
-    /// Whether half-barrier schedulers compose their synchronization per socket
-    /// (socket-local trees + one cross-socket rendezvous) instead of using one flat
-    /// structure over all threads.
-    pub hierarchical: bool,
 }
 
 impl Default for PlacementConfig {
@@ -102,13 +99,12 @@ impl Default for PlacementConfig {
         PlacementConfig {
             source: TopologySource::Detect,
             pin: PinPolicy::Compact,
-            hierarchical: true,
         }
     }
 }
 
 impl PlacementConfig {
-    /// Placement on the detected machine (compact pinning, hierarchical sync).
+    /// Placement on the detected machine (compact pinning).
     pub fn detect() -> Self {
         Self::default()
     }
@@ -135,12 +131,6 @@ impl PlacementConfig {
     /// Replaces the pin policy.
     pub fn with_pin(mut self, pin: PinPolicy) -> Self {
         self.pin = pin;
-        self
-    }
-
-    /// Enables or disables the hierarchical (socket-composed) synchronization.
-    pub fn with_hierarchical(mut self, hierarchical: bool) -> Self {
-        self.hierarchical = hierarchical;
         self
     }
 
@@ -210,16 +200,12 @@ mod tests {
 
     #[test]
     fn builder_style_updates() {
-        let p = PlacementConfig::synthetic(2, 4)
-            .with_pin(PinPolicy::None)
-            .with_hierarchical(false);
+        let p = PlacementConfig::synthetic(2, 4).with_pin(PinPolicy::None);
         assert_eq!(p.pin, PinPolicy::None);
-        assert!(!p.hierarchical);
         assert_eq!(p.topology().num_cores(), 8);
         let d = PlacementConfig::default();
         assert_eq!(d.source, TopologySource::Detect);
         assert_eq!(d.pin, PinPolicy::Compact);
-        assert!(d.hierarchical);
         assert_eq!(PlacementConfig::detect(), d);
         assert_eq!(
             PlacementConfig::paper_machine().source,

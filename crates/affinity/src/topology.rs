@@ -196,20 +196,13 @@ impl Topology {
         self.sockets[s].iter().copied().collect()
     }
 
-    /// Suggested fan-in for the arrival (join) tree of the scheduler's barrier,
-    /// following the MCS recommendation of fan-in 4 but never exceeding the number of
-    /// cores per socket, so that each subtree stays socket-local.
+    /// Suggested fan of the scheduler's barrier tree, for both phases: the MCS
+    /// recommendation of fan-in 4, never exceeding the number of cores per socket so
+    /// that each subtree stays socket-local.  MCS recommend a binary wakeup tree, but a
+    /// release store is far cheaper than the cache-line transfer it triggers, so a
+    /// wakeup tree with the arrival side's fan releases the last worker sooner.
     pub fn suggested_arrival_fanin(&self) -> usize {
         4usize.clamp(2, self.cores_per_socket().max(2))
-    }
-
-    /// Suggested fan-out for the wakeup (release) tree.  MCS recommend a binary wakeup
-    /// tree, but on the machines modelled here a release store is far cheaper than the
-    /// cache-line transfer it triggers, so a shallower wakeup tree with the same fan as
-    /// the arrival side releases the last worker sooner; the suggestion therefore
-    /// matches [`Topology::suggested_arrival_fanin`].
-    pub fn suggested_release_fanout(&self) -> usize {
-        self.suggested_arrival_fanin()
     }
 
     /// Worker-index groups per socket for a team of `nthreads` threads laid out with
@@ -391,10 +384,8 @@ mod tests {
     fn suggested_fanin_is_bounded() {
         let t = Topology::paper_machine();
         assert_eq!(t.suggested_arrival_fanin(), 4);
-        assert_eq!(t.suggested_release_fanout(), t.suggested_arrival_fanin());
         let small = Topology::flat(2).unwrap();
         assert!(small.suggested_arrival_fanin() >= 2);
-        assert!(small.suggested_release_fanout() >= 2);
     }
 
     #[test]

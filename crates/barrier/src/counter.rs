@@ -2,7 +2,7 @@
 //!
 //! These are the simplest possible implementations of the release and join phases: one
 //! shared atomic counter each.  They correspond to the "fine-grain centralized" row of
-//! Table 1 in the paper.  They scale worse than the tree variants because every
+//! Table 1 in the paper.  They scale worse than the tree because every
 //! participant contends on the same cache line, but for small thread counts the shorter
 //! critical path wins.
 
@@ -55,12 +55,6 @@ impl CentralizedRelease {
     pub fn poll(&self, epoch: Epoch) -> bool {
         self.epoch.load(Ordering::Acquire) >= epoch
     }
-
-    /// The most recently published epoch.
-    #[inline]
-    pub fn current(&self) -> Epoch {
-        self.epoch.load(Ordering::Acquire)
-    }
 }
 
 /// Join phase through a single arrival counter.
@@ -111,12 +105,6 @@ impl CentralizedJoin {
         let target = self.nworkers as u64 * epoch;
         policy.wait_until(|| self.arrivals.load(Ordering::Acquire) >= target);
     }
-
-    /// Returns `true` if every worker has arrived for `epoch`.
-    #[inline]
-    pub fn poll_all(&self, epoch: Epoch) -> bool {
-        self.arrivals.load(Ordering::Acquire) >= self.nworkers as u64 * epoch
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +119,6 @@ mod tests {
         r.wait(1, &WaitPolicy::default());
         assert!(r.poll(1));
         assert!(!r.poll(2));
-        assert_eq!(r.current(), 1);
     }
 
     #[test]
@@ -141,8 +128,6 @@ mod tests {
         for _ in 0..3 {
             j.arrive();
         }
-        assert!(j.poll_all(1));
-        assert!(!j.poll_all(2));
         j.wait_all(1, &WaitPolicy::default());
         for _ in 0..3 {
             j.arrive();

@@ -1,35 +1,21 @@
-//! The full barrier: a join phase followed by a release phase, both executed by every
-//! participant.
+//! The full barrier: the half-barrier's two phases in reverse order.
 //!
-//! This is what conventional loop runtimes execute twice per parallel loop (fork barrier
-//! and join barrier, Figure 1(b) of the paper) and what the "fine-grain tree with
-//! full-barrier" configuration of Table 1 measures: the same pool and the same tree, but
-//! without dropping the redundant phases.  The OpenMP-like baseline team in `parlo-omp`
-//! is built on this structure as well.
+//! A full barrier is what conventional loop runtimes execute twice per parallel loop
+//! (fork barrier and join barrier, Figure 1(b) of the paper) and what the "fine-grain
+//! tree with full-barrier" configuration of Table 1 measures.  The paper obtains the
+//! half-barrier by dropping the redundant phases of two full barriers; read the other
+//! way round, one full barrier *is* a half-barrier's join followed by its release: the
+//! master waits for every arrival and then releases, a worker arrives and then waits to
+//! be released.  [`FullBarrier`] is exactly that over a [`HalfBarrier`] — the same
+//! structures, the same epoch numbering — so the half-vs-full comparison is a one-line
+//! configuration switch in the scheduler.  The OpenMP-like baseline team in
+//! `parlo-omp` is built on it as well.
 //!
-//! [`FullBarrier`] takes the epoch explicitly so it can share the persistent-pool
-//! epoch numbering with [`crate::HalfBarrier`], making the half-vs-full comparison a
-//! one-line configuration switch in the scheduler.
+//! A full-barrier episode runs the bare phases: it emits none of the half-barrier's
+//! release / join / dispatch / arrival trace events.
 
-use crate::{
-    CentralizedJoin, CentralizedRelease, Epoch, TreeJoin, TreeRelease, TreeShape, WaitPolicy,
-};
+use crate::{Epoch, HalfBarrier, WaitPolicy};
 use parlo_affinity::Topology;
-
-// Constructed once per pool; boxing the large tree variant would only add indirection
-// on the wait path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Flavor {
-    Centralized {
-        release: CentralizedRelease,
-        join: CentralizedJoin,
-    },
-    Tree {
-        release: TreeRelease,
-        join: TreeJoin,
-    },
-}
 
 /// A full (join + release) barrier over `nthreads` participants with explicit epochs.
 ///
@@ -38,59 +24,40 @@ enum Flavor {
 /// and all of them are subsequently released.
 #[derive(Debug)]
 pub struct FullBarrier {
-    nthreads: usize,
-    flavor: Flavor,
+    half: HalfBarrier,
 }
 
 impl FullBarrier {
     /// Creates a centralized full barrier.
     pub fn new_centralized(nthreads: usize) -> Self {
-        assert!(nthreads > 0, "a barrier needs at least one participant");
         FullBarrier {
-            nthreads,
-            flavor: Flavor::Centralized {
-                release: CentralizedRelease::new(),
-                join: CentralizedJoin::new(nthreads.saturating_sub(1)),
-            },
+            half: HalfBarrier::new_centralized(nthreads),
         }
     }
 
-    /// Creates a tree full barrier over an explicit shape.
-    pub fn new_tree(shape: TreeShape) -> Self {
-        FullBarrier {
-            nthreads: shape.len(),
-            flavor: Flavor::Tree {
-                release: TreeRelease::new(shape.clone()),
-                join: TreeJoin::new(shape),
-            },
-        }
-    }
-
-    /// Creates a tree full barrier tuned to a machine topology.
+    /// Creates a tree full barrier tuned to a machine topology (the socket-composed
+    /// tree of [`HalfBarrier::new_hierarchical`]).
     pub fn topology_aware(topology: &Topology, nthreads: usize) -> Self {
-        let shape =
-            TreeShape::topology_aware(topology, nthreads, topology.suggested_arrival_fanin());
-        Self::new_tree(shape)
+        FullBarrier {
+            half: HalfBarrier::new_hierarchical(topology, nthreads),
+        }
     }
 
     /// Number of participants (master included).
     pub fn num_threads(&self) -> usize {
-        self.nthreads
+        self.half.num_threads()
     }
 
     /// The join-structure children of participant `id` (see
-    /// [`crate::HalfBarrier::combine_children`]).
+    /// [`HalfBarrier::combine_children`]).
     pub fn combine_children(&self, id: usize) -> Vec<usize> {
-        match &self.flavor {
-            Flavor::Centralized { .. } => {
-                if id == 0 {
-                    (1..self.nthreads).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            Flavor::Tree { join, .. } => join.shape().children(id).to_vec(),
-        }
+        self.half.combine_children(id)
+    }
+
+    /// Instrumentation counters of the tree (see [`HalfBarrier::hierarchy_stats`]);
+    /// every full-barrier episode counts as one cycle.
+    pub fn hierarchy_stats(&self) -> Option<crate::HierarchyStats> {
+        self.half.hierarchy_stats()
     }
 
     /// Master: execute a full barrier episode — wait for every worker's arrival
@@ -102,21 +69,10 @@ impl FullBarrier {
         &self,
         epoch: Epoch,
         policy: &WaitPolicy,
-        mut on_child: F,
+        on_child: F,
     ) {
-        match &self.flavor {
-            Flavor::Centralized { release, join } => {
-                join.wait_all(epoch, policy);
-                for w in 1..self.nthreads {
-                    on_child(w);
-                }
-                release.signal(epoch);
-            }
-            Flavor::Tree { release, join } => {
-                join.arrive_and_combine(0, epoch, policy, on_child);
-                release.signal_root(epoch);
-            }
-        }
+        self.half.flavor.join(epoch, policy, on_child);
+        self.half.flavor.release(epoch);
     }
 
     /// Master: execute a full barrier episode without any reduction work.
@@ -135,18 +91,9 @@ impl FullBarrier {
         policy: &WaitPolicy,
         on_child: F,
     ) {
-        debug_assert!(id > 0 && id < self.nthreads);
-        match &self.flavor {
-            Flavor::Centralized { release, join } => {
-                let _ = on_child;
-                join.arrive();
-                release.wait(epoch, policy);
-            }
-            Flavor::Tree { release, join } => {
-                join.arrive_and_combine(id, epoch, policy, on_child);
-                release.wait_and_forward(id, epoch, policy);
-            }
-        }
+        debug_assert!(id > 0 && id < self.num_threads());
+        self.half.flavor.arrive(id, epoch, policy, on_child);
+        self.half.flavor.wait_release(id, epoch, policy);
     }
 
     /// Worker `id`: execute a full barrier episode without reduction work.
@@ -195,34 +142,104 @@ mod tests {
         }
     }
 
+    /// `(sockets, cores, threads, cycles)`: fully populated 2 × 2, 2 × 4 and 4 × 8
+    /// machines, and a 2 × 4 one whose second socket holds one thread.  Their remote
+    /// socket roots arrive on their socket line and are released through it, inside a
+    /// full barrier.
+    const SHAPES: [(usize, usize, usize, u64); 4] =
+        [(2, 2, 4, 30), (2, 4, 8, 30), (4, 8, 32, 15), (2, 4, 5, 30)];
+
     #[test]
     fn centralized_full_barrier_cycles() {
         run_cycles(Arc::new(FullBarrier::new_centralized(4)), 30);
     }
 
     #[test]
-    fn tree_full_barrier_cycles() {
-        run_cycles(
-            Arc::new(FullBarrier::new_tree(TreeShape::uniform(5, 2))),
-            30,
-        );
+    fn topology_aware_full_barrier_cycles() {
+        for (sockets, cores, n, cycles) in SHAPES {
+            let topo = Topology::synthetic(sockets, cores).unwrap();
+            run_cycles(Arc::new(FullBarrier::topology_aware(&topo, n)), cycles);
+        }
     }
 
     #[test]
-    fn topology_aware_full_barrier_cycles() {
-        let topo = Topology::synthetic(2, 2).unwrap();
-        run_cycles(Arc::new(FullBarrier::topology_aware(&topo, 4)), 30);
+    fn combine_children_cover_every_worker_exactly_once() {
+        for (sockets, cores, n, _) in SHAPES {
+            let fb = FullBarrier::topology_aware(&Topology::synthetic(sockets, cores).unwrap(), n);
+            let mut all: Vec<usize> = (0..n).flat_map(|id| fb.combine_children(id)).collect();
+            all.sort_unstable();
+            assert_eq!(
+                all,
+                (1..n).collect::<Vec<_>>(),
+                "{sockets}x{cores} @ {n} threads"
+            );
+        }
+    }
+
+    /// Runs one episode of `master` and `worker` on two fresh threads with tracing on,
+    /// and returns how many events their tracks recorded.
+    #[cfg(feature = "trace")]
+    fn traced_events(
+        label: &str,
+        master: impl FnOnce() + Send,
+        worker: impl FnOnce() + Send,
+    ) -> usize {
+        let (m, w) = (format!("{label}-master"), format!("{label}-worker"));
+        parlo_trace::enable();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                parlo_trace::set_thread_label(&w);
+                worker();
+            });
+            s.spawn(|| {
+                parlo_trace::set_thread_label(&m);
+                master();
+            });
+        });
+        parlo_trace::disable();
+        parlo_trace::snapshot()
+            .tracks
+            .iter()
+            .filter(|t| t.label == m || t.label == w)
+            .map(|t| t.events.len())
+            .sum()
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn a_full_barrier_episode_emits_no_half_barrier_events() {
+        let topo = Topology::synthetic(2, 1).unwrap();
+        let policy = WaitPolicy::oversubscribed();
+        let fb = FullBarrier::topology_aware(&topo, 2);
+        let full = traced_events(
+            "full-episode",
+            || fb.master_wait(1, &policy),
+            || fb.worker_wait(1, 1, &policy),
+        );
+        assert_eq!(full, 0, "a full barrier runs the bare phases");
+        // The control: the same tree's half-barrier cycle does record its phases.
+        let hb = HalfBarrier::new_hierarchical(&topo, 2);
+        let half = traced_events(
+            "half-cycle",
+            || {
+                hb.release(1);
+                hb.join(1, &policy, |_| {});
+            },
+            || {
+                hb.wait_release(1, 1, &policy);
+                hb.arrive(1, 1, &policy, |_| {});
+            },
+        );
+        assert_eq!(half, 7, "release instant, join / dispatch / arrival spans");
     }
 
     #[test]
     fn master_combine_sees_children() {
         let fb = FullBarrier::new_centralized(1);
         fb.master_wait_combine(1, &WaitPolicy::default(), |_| panic!("no children"));
-        let mut all: Vec<usize> = (0..4)
-            .flat_map(|id| FullBarrier::new_tree(TreeShape::uniform(4, 2)).combine_children(id))
-            .collect();
+        let fb = FullBarrier::new_centralized(4);
+        let mut all: Vec<usize> = (0..4).flat_map(|id| fb.combine_children(id)).collect();
         all.sort_unstable();
-        // Per-instance children are structural, so collecting across fresh instances is fine.
         assert_eq!(all, vec![1, 2, 3]);
     }
 }

@@ -7,32 +7,74 @@
 //! phases cost as much as **one** conventional barrier, compared to the two (or three,
 //! with reductions) full barriers of the baseline runtimes.
 //!
-//! [`HalfBarrier`] bundles the two phases and offers both a centralized and a tree
-//! flavor, matching the "fine-grain centralized" and "fine-grain tree" configurations of
-//! Table 1 in the paper.
+//! [`HalfBarrier`] bundles the two phases over one of the crate's two structures — the
+//! centralized pair or the socket-composed tree — matching the "fine-grain centralized"
+//! and "fine-grain tree" configurations of Table 1 in the paper.
 
 use crate::{
-    CentralizedJoin, CentralizedRelease, Epoch, HierarchicalHalfBarrier, HierarchyStats, TreeJoin,
-    TreeRelease, TreeShape, WaitPolicy,
+    CentralizedJoin, CentralizedRelease, Epoch, HierarchicalHalfBarrier, HierarchyStats, WaitPolicy,
 };
 use parlo_affinity::Topology;
 
-/// Which data structure backs the two phases.
+/// Which structure backs the two phases.  Its methods are the bare protocol:
+/// [`HalfBarrier`] wraps them in trace events, [`crate::FullBarrier`] runs them in
+/// reverse order without any.
 // The centralized flavor is much smaller than the tree flavor, but a HalfBarrier is
 // constructed once per pool and never moved on the hot path, so boxing the large
 // variant would only add indirection.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-enum Flavor {
+pub(crate) enum Flavor {
     Centralized {
         release: CentralizedRelease,
         join: CentralizedJoin,
     },
-    Tree {
-        release: TreeRelease,
-        join: TreeJoin,
-    },
     Hierarchical(HierarchicalHalfBarrier),
+}
+
+impl Flavor {
+    #[inline]
+    pub(crate) fn release(&self, epoch: Epoch) {
+        match self {
+            Flavor::Centralized { release, .. } => release.signal(epoch),
+            Flavor::Hierarchical(h) => h.release(epoch),
+        }
+    }
+
+    /// The centralized master combines every worker, after all have arrived.
+    #[inline]
+    pub(crate) fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, on_child: F) {
+        match self {
+            Flavor::Centralized { join, .. } => {
+                join.wait_all(epoch, policy);
+                (1..=join.num_workers()).for_each(on_child);
+            }
+            Flavor::Hierarchical(h) => h.join(epoch, policy, on_child),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
+        match self {
+            Flavor::Centralized { release, .. } => release.wait(epoch, policy),
+            Flavor::Hierarchical(h) => h.wait_release(id, epoch, policy),
+        }
+    }
+
+    /// A centralized worker has no join children.
+    #[inline]
+    pub(crate) fn arrive<F: FnMut(usize)>(
+        &self,
+        id: usize,
+        epoch: Epoch,
+        policy: &WaitPolicy,
+        on_child: F,
+    ) {
+        match self {
+            Flavor::Centralized { join, .. } => join.arrive(),
+            Flavor::Hierarchical(h) => h.arrive(id, epoch, policy, on_child),
+        }
+    }
 }
 
 /// A half-barrier over `nthreads` participants (participant 0 is the master).
@@ -43,7 +85,7 @@ enum Flavor {
 #[derive(Debug)]
 pub struct HalfBarrier {
     nthreads: usize,
-    flavor: Flavor,
+    pub(crate) flavor: Flavor,
 }
 
 impl HalfBarrier {
@@ -57,42 +99,18 @@ impl HalfBarrier {
             nthreads,
             flavor: Flavor::Centralized {
                 release: CentralizedRelease::new(),
-                join: CentralizedJoin::new(nthreads.saturating_sub(1)),
+                join: CentralizedJoin::new(nthreads - 1),
             },
         }
     }
 
-    /// Creates a tree half-barrier over an explicit shape.
-    pub fn new_tree(shape: TreeShape) -> Self {
+    /// Creates the tree half-barrier tuned to a machine topology (see
+    /// [`HierarchicalHalfBarrier`]): socket-local trees with the topology's suggested
+    /// fan, and one cross-socket rendezvous line per remote socket.
+    pub fn new_hierarchical(topology: &Topology, nthreads: usize) -> Self {
         HalfBarrier {
-            nthreads: shape.len(),
-            flavor: Flavor::Tree {
-                release: TreeRelease::new(shape.clone()),
-                join: TreeJoin::new(shape),
-            },
-        }
-    }
-
-    /// Creates a tree half-barrier tuned to a machine topology (socket-local subtrees).
-    pub fn topology_aware(topology: &Topology, nthreads: usize) -> Self {
-        let shape =
-            TreeShape::topology_aware(topology, nthreads, topology.suggested_arrival_fanin());
-        Self::new_tree(shape)
-    }
-
-    /// Creates a hierarchical half-barrier (see [`HierarchicalHalfBarrier`]): socket-
-    /// local arrival trees with the given fan-in, one cross-socket rendezvous line per
-    /// remote socket, and socket-local release fan-out at the topology's suggestion.
-    pub fn new_hierarchical(topology: &Topology, nthreads: usize, fanin: usize) -> Self {
-        let hier = HierarchicalHalfBarrier::with_fans(
-            topology,
             nthreads,
-            fanin,
-            topology.suggested_release_fanout(),
-        );
-        HalfBarrier {
-            nthreads: hier.num_threads(),
-            flavor: Flavor::Hierarchical(hier),
+            flavor: Flavor::Hierarchical(HierarchicalHalfBarrier::new(topology, nthreads)),
         }
     }
 
@@ -101,21 +119,11 @@ impl HalfBarrier {
         self.nthreads
     }
 
-    /// Returns `true` if this is the tree flavor.
-    pub fn is_tree(&self) -> bool {
-        matches!(self.flavor, Flavor::Tree { .. })
-    }
-
-    /// Returns `true` if this is the hierarchical (socket-composed) flavor.
-    pub fn is_hierarchical(&self) -> bool {
-        matches!(self.flavor, Flavor::Hierarchical(_))
-    }
-
-    /// Instrumentation counters of the hierarchical flavor (`None` for the others).
+    /// Instrumentation counters of the tree flavor (`None` for the centralized one).
     pub fn hierarchy_stats(&self) -> Option<HierarchyStats> {
         match &self.flavor {
             Flavor::Hierarchical(h) => Some(h.stats()),
-            _ => None,
+            Flavor::Centralized { .. } => None,
         }
     }
 
@@ -125,14 +133,8 @@ impl HalfBarrier {
     /// reduction.
     pub fn combine_children(&self, id: usize) -> Vec<usize> {
         match &self.flavor {
-            Flavor::Centralized { .. } => {
-                if id == 0 {
-                    (1..self.nthreads).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            Flavor::Tree { join, .. } => join.shape().children(id).to_vec(),
+            Flavor::Centralized { .. } if id == 0 => (1..self.nthreads).collect(),
+            Flavor::Centralized { .. } => Vec::new(),
             Flavor::Hierarchical(h) => h.combine_children(id),
         }
     }
@@ -145,41 +147,19 @@ impl HalfBarrier {
     #[inline]
     pub fn release(&self, epoch: Epoch) {
         parlo_trace::instant(parlo_trace::Phase::Release, epoch, 0);
-        match &self.flavor {
-            Flavor::Centralized { release, .. } => release.signal(epoch),
-            Flavor::Tree { release, .. } => release.signal_root(epoch),
-            Flavor::Hierarchical(h) => h.release(epoch),
-        }
+        self.flavor.release(epoch);
     }
 
     /// Master: join phase of the join "barrier".  Waits until every worker has arrived
     /// for `epoch`, calling `on_child(worker)` once per direct child so partial
-    /// reduction views can be folded (tree flavor: only the master's subtree children;
-    /// centralized flavor: every worker, after all have arrived).
+    /// reduction views can be folded (tree flavor: only the master's local children
+    /// and remote socket roots; centralized flavor: every worker, after all have
+    /// arrived).
     #[inline]
-    pub fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, mut on_child: F) {
+    pub fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, on_child: F) {
         parlo_trace::span_begin(parlo_trace::Phase::Join, epoch, 0);
-        match &self.flavor {
-            Flavor::Centralized { join, .. } => {
-                join.wait_all(epoch, policy);
-                for w in 1..self.nthreads {
-                    on_child(w);
-                }
-            }
-            Flavor::Tree { join, .. } => join.arrive_and_combine(0, epoch, policy, on_child),
-            Flavor::Hierarchical(h) => h.join(epoch, policy, on_child),
-        }
+        self.flavor.join(epoch, policy, on_child);
         parlo_trace::span_end(parlo_trace::Phase::Join);
-    }
-
-    /// Master: non-blocking probe of the join phase.
-    #[inline]
-    pub fn poll_join(&self, epoch: Epoch) -> bool {
-        match &self.flavor {
-            Flavor::Centralized { join, .. } => join.poll_all(epoch),
-            Flavor::Tree { join, .. } => join.has_arrived(0, epoch),
-            Flavor::Hierarchical(h) => h.poll_join(epoch),
-        }
     }
 
     // ----- worker side -------------------------------------------------------------
@@ -190,11 +170,7 @@ impl HalfBarrier {
     pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
         debug_assert!(id > 0 && id < self.nthreads);
         parlo_trace::span_begin(parlo_trace::Phase::Dispatch, epoch, id as u64);
-        match &self.flavor {
-            Flavor::Centralized { release, .. } => release.wait(epoch, policy),
-            Flavor::Tree { release, .. } => release.wait_and_forward(id, epoch, policy),
-            Flavor::Hierarchical(h) => h.wait_release(id, epoch, policy),
-        }
+        self.flavor.wait_release(id, epoch, policy);
         parlo_trace::span_end(parlo_trace::Phase::Dispatch);
     }
 
@@ -205,7 +181,6 @@ impl HalfBarrier {
     pub fn poll_release(&self, id: usize, epoch: Epoch) -> bool {
         match &self.flavor {
             Flavor::Centralized { release, .. } => release.poll(epoch),
-            Flavor::Tree { release, .. } => release.poll(id, epoch),
             Flavor::Hierarchical(h) => h.poll_release(id, epoch),
         }
     }
@@ -213,10 +188,8 @@ impl HalfBarrier {
     /// Worker `id`: forward a release observed through [`HalfBarrier::poll_release`].
     #[inline]
     pub fn forward_release(&self, id: usize, epoch: Epoch) {
-        match &self.flavor {
-            Flavor::Centralized { .. } => {}
-            Flavor::Tree { release, .. } => release.forward(id, epoch),
-            Flavor::Hierarchical(h) => h.forward_release(id, epoch),
+        if let Flavor::Hierarchical(h) = &self.flavor {
+            h.forward_release(id, epoch);
         }
     }
 
@@ -232,14 +205,7 @@ impl HalfBarrier {
     ) {
         debug_assert!(id > 0 && id < self.nthreads);
         parlo_trace::span_begin(parlo_trace::Phase::Arrival, epoch, id as u64);
-        match &self.flavor {
-            Flavor::Centralized { join, .. } => {
-                let _ = on_child;
-                join.arrive();
-            }
-            Flavor::Tree { join, .. } => join.arrive_and_combine(id, epoch, policy, on_child),
-            Flavor::Hierarchical(h) => h.arrive(id, epoch, policy, on_child),
-        }
+        self.flavor.arrive(id, epoch, policy, on_child);
         parlo_trace::span_end(parlo_trace::Phase::Arrival);
     }
 }
@@ -290,25 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn tree_cycles() {
-        run_cycles(
-            Arc::new(HalfBarrier::new_tree(TreeShape::uniform(4, 2))),
-            50,
-        );
-    }
-
-    #[test]
     fn topology_aware_cycles() {
         let topo = Topology::synthetic(2, 2).unwrap();
-        run_cycles(Arc::new(HalfBarrier::topology_aware(&topo, 4)), 50);
+        run_cycles(Arc::new(HalfBarrier::new_hierarchical(&topo, 4)), 50);
     }
 
     #[test]
     fn hierarchical_cycles() {
         let topo = Topology::synthetic(2, 4).unwrap();
-        let hb = HalfBarrier::new_hierarchical(&topo, 8, topo.suggested_arrival_fanin());
-        assert!(hb.is_hierarchical());
-        let hb = Arc::new(hb);
+        let hb = Arc::new(HalfBarrier::new_hierarchical(&topo, 8));
         run_cycles(hb.clone(), 50);
         let stats = hb.hierarchy_stats().expect("hierarchical flavor");
         assert_eq!(stats.cycles, 50);
@@ -329,9 +285,7 @@ mod tests {
     fn combine_children_cover_all_workers_exactly_once() {
         for hb in [
             HalfBarrier::new_centralized(7),
-            HalfBarrier::new_tree(TreeShape::uniform(7, 2)),
-            HalfBarrier::topology_aware(&Topology::synthetic(2, 3).unwrap(), 7),
-            HalfBarrier::new_hierarchical(&Topology::synthetic(2, 3).unwrap(), 7, 4),
+            HalfBarrier::new_hierarchical(&Topology::synthetic(2, 3).unwrap(), 7),
         ] {
             let mut all: Vec<usize> = (0..hb.num_threads())
                 .flat_map(|id| hb.combine_children(id))
@@ -347,23 +301,22 @@ mod tests {
 
     #[test]
     fn poll_release_matches_wait_release() {
-        let hb = HalfBarrier::new_tree(TreeShape::uniform(3, 2));
+        // One socket of 8 at fan 4: worker 1 wakes workers 5, 6 and 7.
+        let hb = HalfBarrier::new_hierarchical(&Topology::synthetic(1, 8).unwrap(), 8);
         assert!(!hb.poll_release(1, 1));
         hb.release(1);
         assert!(hb.poll_release(1, 1));
+        assert!(!hb.poll_release(5, 1));
         hb.forward_release(1, 1);
-        assert!(hb.poll_release(2, 1));
+        assert!(hb.poll_release(5, 1));
     }
 
     #[test]
-    fn is_tree_reports_flavor() {
-        assert!(!HalfBarrier::new_centralized(2).is_tree());
-        assert!(HalfBarrier::new_tree(TreeShape::uniform(2, 2)).is_tree());
+    fn flavor_is_reported() {
         let topo = Topology::synthetic(2, 2).unwrap();
-        let hier = HalfBarrier::new_hierarchical(&topo, 4, 4);
-        assert!(!hier.is_tree());
-        assert!(hier.is_hierarchical());
-        assert!(!HalfBarrier::new_centralized(2).is_hierarchical());
+        assert!(HalfBarrier::new_hierarchical(&topo, 4)
+            .hierarchy_stats()
+            .is_some());
         assert!(HalfBarrier::new_centralized(2).hierarchy_stats().is_none());
     }
 }

@@ -1,25 +1,23 @@
-//! The topology-aware hierarchical half-barrier.
+//! The topology-aware tree half-barrier — the crate's one tree.
 //!
-//! The plain tree half-barrier ([`crate::TreeRelease`]/[`crate::TreeJoin`] over a
-//! [`crate::TreeShape`]) already groups threads of one socket under the same subtree,
-//! but it still uses **one** global flag array and **one** fan parameter for both
-//! phases.  On a multi-socket machine the scheduler overhead `d` of the paper's burden
-//! model `S = T/(d + T/P)` is dominated by barrier traffic, and that traffic is
-//! dominated by cross-socket cache-line transfers — so this structure goes further and
-//! makes the socket the unit of composition:
+//! An MCS tree (Mellor-Crummey & Scott 1991) over all threads would still use **one**
+//! global flag array and let a parent on one socket wait on a child on another.  On a
+//! multi-socket machine the scheduler overhead `d` of the paper's burden model
+//! `S = T/(d + T/P)` is dominated by barrier traffic, and that traffic is dominated by
+//! cross-socket cache-line transfers — so this structure makes the socket the unit of
+//! composition (on one socket it is exactly the heap-ordered MCS tree):
 //!
-//! * **socket-local arrival trees**: each socket's participants form a private
-//!   arrival tree with the fan-in the topology suggests
-//!   ([`Topology::suggested_arrival_fanin`], MCS recommend 4);
+//! * **socket-local trees**: each socket's participants form a private heap-ordered
+//!   tree with the fan the topology suggests ([`Topology::suggested_arrival_fanin`],
+//!   MCS recommend 4); arrivals drain up it and releases fan out down it;
 //! * **a single cross-socket rendezvous**: per cycle, each remote socket's root
 //!   publishes exactly one cache line to the master and the master performs exactly one
 //!   collection pass over those per-socket lines — all other arrival traffic stays
 //!   inside a socket;
-//! * **socket-local release fan-out**: the master stores one padded per-socket release
+//! * **remote sockets released first**: the master stores one padded per-socket release
 //!   line per remote socket *first* (the signals with the longest latency leave
-//!   earliest), then every socket fans the release out locally with the wakeup fan-out
-//!   the topology suggests ([`Topology::suggested_release_fanout`], MCS recommend 2).
-//!   On the fan-out path each releaser issues **prefetch hints** for all of its
+//!   earliest), then every socket fans the release out locally.  On the fan-out path
+//!   a releaser with more than one child issues **prefetch hints** for all of its
 //!   children's lines before the first store, so the read-for-ownership misses overlap
 //!   instead of serializing — and, for the master, they overlap with the in-flight
 //!   remote-socket stores;
@@ -59,18 +57,21 @@ fn prefetch_line(line: &CachePadded<AtomicU64>) {
     let _ = p;
 }
 
-/// One socket's share of the barrier: its members, its local arrival/release trees
-/// (over *local* indices) and its padded flag arrays.
+fn padded_flags(n: usize) -> Vec<CachePadded<AtomicU64>> {
+    (0..n)
+        .map(|_| CachePadded::new(AtomicU64::new(0)))
+        .collect()
+}
+
+/// One socket's share of the barrier: its members, its local tree (over *local*
+/// indices) and its padded flag arrays.
 #[derive(Debug)]
 struct SocketGroup {
     /// Global participant ids; `members[0]` is the socket root.
     members: Vec<usize>,
-    /// Local arrival tree: `arrive_children[l]` lists the local indices whose arrival
-    /// local index `l` waits for (and combines).
-    arrive_children: Vec<Vec<usize>>,
-    /// Local release tree: `release_children[l]` lists the local indices that local
-    /// index `l` wakes after being released itself.
-    release_children: Vec<Vec<usize>>,
+    /// Local tree: `children[l]` lists the local indices whose arrival local index `l`
+    /// waits for (and combines), and which it wakes after being released itself.
+    children: Vec<Vec<usize>>,
     /// Arrival flags (epoch counters), one padded line per member, grouped per socket.
     arrival: Vec<CachePadded<AtomicU64>>,
     /// Release flags (epoch counters), one padded line per member, grouped per socket.
@@ -80,26 +81,17 @@ struct SocketGroup {
 }
 
 impl SocketGroup {
-    fn new(members: Vec<usize>, fanin: usize, fanout: usize) -> Self {
+    fn new(members: Vec<usize>, fan: usize) -> Self {
         let k = members.len();
-        let fanin = fanin.max(1);
-        let fanout = fanout.max(1);
-        let mut arrive_children = vec![Vec::new(); k];
-        let mut release_children = vec![Vec::new(); k];
+        let mut children = vec![Vec::new(); k];
         for l in 1..k {
-            arrive_children[(l - 1) / fanin].push(l);
-            release_children[(l - 1) / fanout].push(l);
+            children[(l - 1) / fan].push(l);
         }
         SocketGroup {
             members,
-            arrive_children,
-            release_children,
-            arrival: (0..k)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            release: (0..k)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            children,
+            arrival: padded_flags(k),
+            release: padded_flags(k),
             arrivals: ParticipantCounter::new(k),
         }
     }
@@ -152,28 +144,19 @@ pub struct HierarchicalHalfBarrier {
 
 impl HierarchicalHalfBarrier {
     /// Creates a hierarchical half-barrier for `nthreads` participants laid out
-    /// compactly over `topology`, using the topology's suggested arrival fan-in and
-    /// release fan-out.
+    /// compactly over `topology`, with the topology's suggested fan
+    /// ([`Topology::suggested_arrival_fanin`]) for both phases.
     pub fn new(topology: &Topology, nthreads: usize) -> Self {
-        Self::with_fans(
-            topology,
-            nthreads,
-            topology.suggested_arrival_fanin(),
-            topology.suggested_release_fanout(),
-        )
-    }
-
-    /// Creates a hierarchical half-barrier with explicit fan parameters.
-    pub fn with_fans(topology: &Topology, nthreads: usize, fanin: usize, fanout: usize) -> Self {
         assert!(
             nthreads > 0,
             "a half-barrier needs at least one participant"
         );
+        let fan = topology.suggested_arrival_fanin();
         let groups: Vec<SocketGroup> = topology
             .worker_groups(nthreads)
             .into_iter()
             .filter(|g| !g.is_empty())
-            .map(|members| SocketGroup::new(members, fanin, fanout))
+            .map(|members| SocketGroup::new(members, fan))
             .collect();
         assert_eq!(
             groups[0].members[0], 0,
@@ -191,12 +174,8 @@ impl HierarchicalHalfBarrier {
             nthreads,
             groups,
             locate,
-            socket_arrival: (0..nsockets)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            socket_release: (0..nsockets)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            socket_arrival: padded_flags(nsockets),
+            socket_release: padded_flags(nsockets),
             cycles: CachePadded::default(),
             rendezvous: CachePadded::default(),
         }
@@ -227,12 +206,12 @@ impl HierarchicalHalfBarrier {
     }
 
     /// The participants whose views participant `id` combines during a merged
-    /// reduction: its local arrival-tree children, plus — for the master — the root of
-    /// every remote socket.  Every worker appears in exactly one participant's list.
+    /// reduction: its local tree children, plus — for the master — the root of every
+    /// remote socket.  Every worker appears in exactly one participant's list.
     pub fn combine_children(&self, id: usize) -> Vec<usize> {
         let (g, l) = self.locate[id];
         let group = &self.groups[g];
-        let mut out: Vec<usize> = group.arrive_children[l]
+        let mut out: Vec<usize> = group.children[l]
             .iter()
             .map(|&c| group.members[c])
             .collect();
@@ -246,34 +225,26 @@ impl HierarchicalHalfBarrier {
 
     /// Master: release phase.  Stores the per-socket release line of every remote
     /// socket first (the highest-latency signals leave earliest), then fans out over
-    /// the master's own socket-local release tree.  The home-socket lines are
-    /// prefetched after the remote stores are issued and before the first local store,
-    /// so their ownership misses overlap with the in-flight cross-socket traffic.
-    /// Never waits.
+    /// the master's own socket-local tree.  Several home-socket lines are prefetched
+    /// after the remote stores are issued and before the first local store, so their
+    /// ownership misses overlap with the in-flight cross-socket traffic.  Never waits.
     #[inline]
     pub fn release(&self, epoch: Epoch) {
         self.cycles.add(1);
         for flag in self.socket_release.iter().skip(1) {
             flag.store(epoch, Ordering::Release);
         }
-        let home = &self.groups[0];
-        for &c in &home.release_children[0] {
-            prefetch_line(&home.release[c]);
-        }
-        for &c in &home.release_children[0] {
-            home.release[c].store(epoch, Ordering::Release);
-        }
+        self.fan_out(0, 0, epoch);
         crate::wake_parked();
     }
 
-    /// Master: join phase.  Combines the master's socket-local arrival-tree children
-    /// first, then performs the single cross-socket rendezvous: one collection pass
-    /// over the per-socket arrival lines, invoking `on_child(socket_root)` per remote
-    /// socket.
+    /// Master: join phase.  Combines the master's socket-local tree children first,
+    /// then performs the single cross-socket rendezvous: one collection pass over the
+    /// per-socket arrival lines, invoking `on_child(socket_root)` per remote socket.
     #[inline]
     pub fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, mut on_child: F) {
         let home = &self.groups[0];
-        for &c in &home.arrive_children[0] {
+        for &c in &home.children[0] {
             policy.wait_until(|| home.arrival[c].load(Ordering::Acquire) >= epoch);
             on_child(home.members[c]);
         }
@@ -286,34 +257,15 @@ impl HierarchicalHalfBarrier {
         }
     }
 
-    /// Master: non-blocking probe of the join phase.
-    #[inline]
-    pub fn poll_join(&self, epoch: Epoch) -> bool {
-        let home = &self.groups[0];
-        home.arrive_children[0]
-            .iter()
-            .all(|&c| home.arrival[c].load(Ordering::Acquire) >= epoch)
-            && self
-                .socket_arrival
-                .iter()
-                .skip(1)
-                .all(|f| f.load(Ordering::Acquire) >= epoch)
-    }
-
     // ----- worker side -------------------------------------------------------------
 
     /// Worker `id`: wait until released for `epoch`, then forward the release down the
-    /// socket-local release tree.
+    /// socket-local tree.
     #[inline]
     pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
         debug_assert!(id > 0 && id < self.nthreads);
-        let (g, l) = self.locate[id];
-        if l == 0 {
-            // Socket root of a remote socket: spin on the socket's release line.
-            policy.wait_until(|| self.socket_release[g].load(Ordering::Acquire) >= epoch);
-        } else {
-            policy.wait_until(|| self.groups[g].release[l].load(Ordering::Acquire) >= epoch);
-        }
+        let flag = self.release_flag(id);
+        policy.wait_until(|| flag.load(Ordering::Acquire) >= epoch);
         self.forward_release(id, epoch);
     }
 
@@ -323,38 +275,55 @@ impl HierarchicalHalfBarrier {
     /// the loop.
     #[inline]
     pub fn poll_release(&self, id: usize, epoch: Epoch) -> bool {
+        self.release_flag(id).load(Ordering::Acquire) >= epoch
+    }
+
+    /// The line worker `id` is released through: its socket's release line for a
+    /// remote socket root, its own line for every other worker.
+    #[inline]
+    fn release_flag(&self, id: usize) -> &AtomicU64 {
         let (g, l) = self.locate[id];
         if l == 0 {
-            self.socket_release[g].load(Ordering::Acquire) >= epoch
+            &self.socket_release[g]
         } else {
-            self.groups[g].release[l].load(Ordering::Acquire) >= epoch
+            &self.groups[g].release[l]
         }
     }
 
     /// Worker `id`: forward a release observed through
     /// [`poll_release`](HierarchicalHalfBarrier::poll_release) to the worker's
-    /// socket-local release-tree children.  All child lines are prefetched before the
-    /// first store so the ownership misses overlap.
+    /// socket-local tree children.
     #[inline]
     pub fn forward_release(&self, id: usize, epoch: Epoch) {
         let (g, l) = self.locate[id];
+        if !self.groups[g].children[l].is_empty() {
+            self.fan_out(g, l, epoch);
+            crate::wake_parked();
+        }
+    }
+
+    /// Stores `epoch` into the release lines of local index `l`'s children on socket
+    /// `g`.  With more than one child, all of their lines are prefetched before the
+    /// first store so the ownership misses overlap; a single line has nothing to overlap
+    /// with, and a read prefetch just ahead of its store (x86) would cost the line an
+    /// extra transfer while its waiter spins on it.
+    #[inline]
+    fn fan_out(&self, g: usize, l: usize, epoch: Epoch) {
         let group = &self.groups[g];
-        if group.release_children[l].is_empty() {
-            return;
+        if group.children[l].len() > 1 {
+            for &c in &group.children[l] {
+                prefetch_line(&group.release[c]);
+            }
         }
-        for &c in &group.release_children[l] {
-            prefetch_line(&group.release[c]);
-        }
-        for &c in &group.release_children[l] {
+        for &c in &group.children[l] {
             group.release[c].store(epoch, Ordering::Release);
         }
-        crate::wake_parked();
     }
 
     /// Worker `id`: arrive for `epoch`.  Waits for (and combines, via `on_child`) the
-    /// worker's socket-local arrival-tree children, then publishes its own arrival —
-    /// on the worker's per-thread line for interior participants, on the socket's
-    /// single rendezvous line for a remote socket root.
+    /// worker's socket-local tree children, then publishes its own arrival — on the
+    /// worker's per-thread line for interior participants, on the socket's single
+    /// rendezvous line for a remote socket root.
     #[inline]
     pub fn arrive<F: FnMut(usize)>(
         &self,
@@ -366,7 +335,7 @@ impl HierarchicalHalfBarrier {
         debug_assert!(id > 0 && id < self.nthreads);
         let (g, l) = self.locate[id];
         let group = &self.groups[g];
-        for &c in &group.arrive_children[l] {
+        for &c in &group.children[l] {
             policy.wait_until(|| group.arrival[c].load(Ordering::Acquire) >= epoch);
             on_child(group.members[c]);
         }
@@ -413,7 +382,6 @@ mod tests {
             assert_eq!(combines, hb.combine_children(0).len());
             // ordering: as above — sharp post-join visibility check.
             assert_eq!(work.load(Ordering::SeqCst) as u64, epoch * n as u64);
-            assert!(hb.poll_join(epoch));
         }
         for h in handles {
             h.join().unwrap();

@@ -14,17 +14,19 @@
 //! What remains is one **half-barrier**: a release phase at the fork and a join phase at
 //! the end — one barrier's worth of synchronization per loop instead of two.
 //!
-//! This crate provides the building blocks:
+//! This crate provides one barrier family over two structures:
 //!
-//! * [`WaitPolicy`] — how a thread waits for a condition (spin, spin-then-yield,
-//!   yield, or park on the process-wide hub; releases call [`wake_parked`]);
-//! * centralized primitives: [`CentralizedRelease`], [`CentralizedJoin`];
-//! * tree primitives (MCS-style, tunable fan-in/fan-out, socket-aware layout):
-//!   [`TreeRelease`], [`TreeJoin`], [`TreeShape`];
-//! * the topology-aware hierarchical composition — socket-local arrival trees, one
-//!   cross-socket rendezvous per cycle, socket-local release fan-out, per-socket
-//!   grouped flags: [`HierarchicalHalfBarrier`] (instrumented via [`HierarchyStats`]);
-//! * [`FullBarrier`] / [`HalfBarrier`] compositions used directly by the schedulers.
+//! * the centralized pair — one release word, one arrival counter:
+//!   [`CentralizedRelease`], [`CentralizedJoin`];
+//! * the tree — socket-local MCS-style trees, one cross-socket rendezvous per cycle,
+//!   remote sockets released first, per-socket grouped flags:
+//!   [`HierarchicalHalfBarrier`] (instrumented via [`HierarchyStats`]).
+//!
+//! [`HalfBarrier`] runs either structure's release and join, the schedulers' per-loop
+//! synchronization; [`FullBarrier`] runs the same two phases in reverse order (join,
+//! then release), the conventional barrier the half-barrier is derived from.
+//! [`WaitPolicy`] says how a thread waits for a condition (spin, spin-then-yield,
+//! yield, or park on the process-wide hub; releases call [`wake_parked`]).
 //!
 //! All primitives are *epoch based*: every fork/join cycle uses a fresh monotonically
 //! increasing epoch number, which avoids the reinitialisation races of sense-reversal
@@ -37,7 +39,6 @@ mod full;
 mod half;
 mod hierarchical;
 mod park;
-mod tree;
 mod wait;
 
 pub use counter::{CentralizedJoin, CentralizedRelease};
@@ -45,7 +46,6 @@ pub use full::FullBarrier;
 pub use half::HalfBarrier;
 pub use hierarchical::{HierarchicalHalfBarrier, HierarchyStats};
 pub use park::wake_parked;
-pub use tree::{TreeJoin, TreeRelease, TreeShape};
 pub use wait::{WaitMode, WaitPolicy};
 
 /// Epoch counter type. Every fork/join cycle of the runtime uses a fresh epoch; all

@@ -21,7 +21,7 @@
 //! | `PARLO_WAIT` | policy |
 //! |--------------|--------|
 //! | `spin`       | [`WaitPolicy::dedicated`] — pure busy-wait |
-//! | `spinyield`  | spin 4096 then yield ([`WaitPolicy::default`]-like) |
+//! | `spinyield`  | spin 4096 then yield — `auto`'s choice when the threads fit |
 //! | `yield`      | [`WaitPolicy::oversubscribed`] — yield every iteration |
 //! | `park`       | [`WaitPolicy::park`] — bounded spin → yield → condvar park |
 //! | `auto`       | the automatic per-machine choice (same as unset) |
@@ -77,6 +77,16 @@ impl Default for WaitPolicy {
 const DEFAULT_YIELDS_BEFORE_PARK: u32 = 32;
 
 impl WaitPolicy {
+    /// The `spinyield` policy, and the automatic choice when the threads fit the
+    /// hardware: spin 4096 times, then yield.
+    fn spin_then_yield() -> Self {
+        WaitPolicy {
+            mode: WaitMode::SpinThenYield,
+            spins_before_yield: 4096,
+            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+        }
+    }
+
     /// A policy suited to dedicated cores (the paper's setting): spin aggressively.
     pub fn dedicated() -> Self {
         WaitPolicy {
@@ -112,7 +122,7 @@ impl WaitPolicy {
     pub fn from_spec(spec: &str) -> Result<Option<Self>, String> {
         match spec.trim().to_ascii_lowercase().as_str() {
             "spin" => Ok(Some(WaitPolicy::dedicated())),
-            "spinyield" | "spin-yield" | "spin_yield" => Ok(Some(WaitPolicy::default())),
+            "spinyield" | "spin-yield" | "spin_yield" => Ok(Some(WaitPolicy::spin_then_yield())),
             "yield" => Ok(Some(WaitPolicy::oversubscribed())),
             "park" => Ok(Some(WaitPolicy::park())),
             "auto" | "" => Ok(None),
@@ -135,11 +145,7 @@ impl WaitPolicy {
             }
         }
         if nthreads <= parlo_affinity::host_cpus() {
-            WaitPolicy {
-                mode: WaitMode::SpinThenYield,
-                spins_before_yield: 4096,
-                yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
-            }
+            WaitPolicy::spin_then_yield()
         } else {
             WaitPolicy::park()
         }
@@ -294,5 +300,16 @@ mod tests {
         );
         assert_eq!(WaitPolicy::from_spec("auto").unwrap(), None);
         assert!(WaitPolicy::from_spec("bogus").is_err());
+    }
+
+    #[test]
+    fn spinyield_is_the_automatic_choice_when_the_threads_fit() {
+        // One thread always fits the host; PARLO_WAIT would override the choice.
+        if std::env::var_os("PARLO_WAIT").is_none() {
+            assert_eq!(
+                WaitPolicy::from_spec("spinyield").unwrap(),
+                Some(WaitPolicy::auto_for(1))
+            );
+        }
     }
 }

@@ -10,11 +10,10 @@ use parlo_workloads::PlacementConfig;
 
 /// Flags every subcommand accepts (tracing, worker placement, wait policy), written
 /// as in a usage line: the flag, then the placeholder of its value if it takes one.
-const COMMON: [&str; 5] = [
+const COMMON: [&str; 4] = [
     "--trace PATH",
     "--topology detect|paper|SxC",
     "--pin compact|scatter|none",
-    "--flat-sync",
     "--wait spin|spinyield|yield|park|auto",
 ];
 
@@ -151,7 +150,7 @@ pub struct Args {
     pub runtime: Option<&'static str>,
     /// `--workload KIND`: the loop body (`table1`, `sweep`).
     pub workload: WorkloadKind,
-    /// `--topology`, `--pin`, `--flat-sync`: worker placement of every pool.
+    /// `--topology`, `--pin`: worker placement of every pool.
     pub placement: PlacementConfig,
     /// `--wait SPEC` (validated): `main` exports it as `PARLO_WAIT`, which every pool
     /// family consults, so one flag reaches every runtime a subcommand constructs.
@@ -211,7 +210,6 @@ pub fn parse(argv: &[String]) -> Result<(Subcommand, Args), String> {
             "--quick" => args.quick = true,
             "--csv" => args.csv = true,
             "--steal-local" => args.steal_local = true,
-            "--flat-sync" => args.placement.hierarchical = false,
             // `parse_threads_spec` is the single parse site of thread counts; of what
             // it rejects only `0`, the documented fall-through, is an integer.
             "--threads" => {

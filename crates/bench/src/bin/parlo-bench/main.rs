@@ -5,11 +5,11 @@
 //!
 //! Flags shared by every subcommand: `--trace PATH` (Chrome trace-event timeline of
 //! the whole run, one track per worker; load it in Perfetto or `chrome://tracing`),
-//! `--topology detect|paper|SxC`, `--pin compact|scatter|none`, `--flat-sync` (worker
-//! placement: the machine shape every pool is tuned to — `2x4` is a synthetic 2 sockets
-//! × 4 cores —, where workers are pinned, and the flat tree instead of the
-//! socket-composed half-barrier), `--wait spin|spinyield|yield|park|auto` (wait policy
-//! of every constructed pool).  Each module documents its own flags.
+//! `--topology detect|paper|SxC`, `--pin compact|scatter|none` (worker placement: the
+//! machine shape every pool's barrier tree is composed over — `2x4` is a synthetic 2
+//! sockets × 4 cores — and where workers are pinned), `--wait
+//! spin|spinyield|yield|park|auto` (wait policy of every constructed pool).  Each module
+//! documents its own flags.
 
 use parlo_analysis::{series_to_csv, series_to_text, Series, Table};
 use parlo_bench::args::{parse, Args, Subcommand};

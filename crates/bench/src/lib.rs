@@ -310,13 +310,11 @@ pub fn build_steal_pool(ctx: &RosterContext, key: &str) -> parlo_steal::StealPoo
 fn fine_grain_runtime(
     ctx: &RosterContext,
     barrier: parlo_core::BarrierKind,
-    hierarchical: bool,
 ) -> Box<dyn LoopRuntime> {
     Box::new(parlo_core::FineGrainPool::new_on(
         parlo_core::Config::builder(ctx.threads)
             .placement(&ctx.placement)
             .barrier(barrier)
-            .hierarchical(hierarchical)
             .build(),
         &ctx.executor,
     ))
@@ -331,10 +329,11 @@ fn omp_runtime(ctx: &RosterContext, schedule: parlo_omp::Schedule) -> Box<dyn Lo
     ))
 }
 
-/// The fixed-scheduler roster: the hierarchical default plus the paper's six Table-1
-/// rows.  The `fine-grain-hier` and `fine-grain-tree` entries force the hierarchical
-/// switch on and off respectively (that ablation is the point of having both rows);
-/// every other entry takes the topology and pin policy from `placement`.
+/// The fixed-scheduler roster: the fine-grain pool on the socket-composed tree, then
+/// the rest of the paper's Table-1 rows.  Every entry takes the topology and pin policy
+/// from `placement`.  The paper's flat "Fine-grain tree" row has no entry of its own:
+/// the socket-composed tree is the only tree, so it would build the same pool as
+/// `fine-grain-hier` (the simulated table keeps the row).
 pub fn fixed_roster() -> Vec<RosterEntry> {
     use parlo_core::BarrierKind;
     use parlo_omp::Schedule;
@@ -342,22 +341,17 @@ pub fn fixed_roster() -> Vec<RosterEntry> {
         RosterEntry {
             key: "fine-grain-hier",
             label: "Fine-grain hierarchical",
-            build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeHalf, true),
-        },
-        RosterEntry {
-            key: "fine-grain-tree",
-            label: "Fine-grain tree",
-            build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeHalf, false),
+            build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeHalf),
         },
         RosterEntry {
             key: "fine-grain-centralized",
             label: "Fine-grain centralized",
-            build: |ctx| fine_grain_runtime(ctx, BarrierKind::CentralizedHalf, false),
+            build: |ctx| fine_grain_runtime(ctx, BarrierKind::CentralizedHalf),
         },
         RosterEntry {
             key: "fine-grain-tree-full-barrier",
             label: "Fine-grain tree with full-barrier",
-            build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeFull, false),
+            build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeFull),
         },
         RosterEntry {
             key: STEAL_ROSTER_KEY,
@@ -764,16 +758,9 @@ mod tests {
     }
 
     #[test]
-    fn placement_args_parse_topology_pin_and_flat_sync() {
+    fn placement_args_parse_topology_and_pin() {
         use parlo_affinity::{PinPolicy, TopologySource};
-        let tokens = [
-            "figure2",
-            "--topology",
-            "2x4",
-            "--pin",
-            "none",
-            "--flat-sync",
-        ];
+        let tokens = ["figure2", "--topology", "2x4", "--pin", "none"];
         let p = args::parse(&argv(&tokens)).unwrap().1.placement;
         assert_eq!(
             p.source,
@@ -783,7 +770,6 @@ mod tests {
             }
         );
         assert_eq!(p.pin, PinPolicy::None);
-        assert!(!p.hierarchical);
         let d = args::parse(&argv(&["figure2", "--csv"]))
             .unwrap()
             .1

@@ -73,6 +73,11 @@ fn rejected_input_exits_2_naming_the_offender_before_any_measurement() {
         ("figure2 --json x", "`--json`", "[--steps N]"),
         ("sweep --runtime", "`--runtime`", "[--runtime NAME]"),
         ("table1 --reps banana", "`banana`", "[--reps N]"),
+        (
+            "sweep --flat-sync",
+            "`--flat-sync`",
+            "[--pin compact|scatter|none]",
+        ),
     ] {
         let (out, stdout, stderr) = cli(line);
         assert_eq!(out.status.code(), Some(2), "`{line}`: {stderr}");

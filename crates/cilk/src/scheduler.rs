@@ -20,7 +20,7 @@
 use crate::deque::{Steal, WorkStealingDeque};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, HalfBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{Epoch, HalfBarrier, WaitPolicy};
 use parlo_core::static_block;
 use parlo_exec::{walk_range, Executor, Job, ReduceViews, Team, TeamSync};
 use parlo_sync::{AtomicU64, AtomicUsize, Ordering, ParticipantCounter, SingleWriterCounter};
@@ -41,9 +41,6 @@ pub struct CilkConfig {
     pub wait: WaitPolicy,
     /// Explicit default grain size for `cilk_for`; `None` uses the Cilkplus heuristic.
     pub grain: Option<usize>,
-    /// Compose the embedded fine-grain half-barrier per socket
-    /// ([`parlo_barrier::HierarchicalHalfBarrier`]) instead of using one flat tree.
-    pub hierarchical: bool,
 }
 
 impl Default for CilkConfig {
@@ -55,7 +52,6 @@ impl Default for CilkConfig {
             pin: PinPolicy::Compact,
             wait: WaitPolicy::auto_for(num_threads),
             grain: None,
-            hierarchical: true,
             topology,
         }
     }
@@ -73,13 +69,11 @@ impl CilkConfig {
     }
 
     /// A configuration with `num_threads` workers placed according to a shared
-    /// [`parlo_affinity::PlacementConfig`] (topology source, pin policy, hierarchical
-    /// half-barrier on/off).
+    /// [`parlo_affinity::PlacementConfig`] (topology source, pin policy).
     pub fn from_placement(num_threads: usize, placement: &parlo_affinity::PlacementConfig) -> Self {
         CilkConfig {
             topology: placement.topology(),
             pin: placement.pin,
-            hierarchical: placement.hierarchical,
             ..Self::with_threads(num_threads)
         }
     }
@@ -314,12 +308,7 @@ impl CilkPool {
     /// given substrate.
     pub fn new_on(config: CilkConfig, executor: &Arc<Executor>) -> Self {
         let nthreads = config.num_threads.max(1);
-        let fanin = config.topology.suggested_arrival_fanin();
-        let fine = if config.hierarchical {
-            HalfBarrier::new_hierarchical(&config.topology, nthreads, fanin)
-        } else {
-            HalfBarrier::new_tree(TreeShape::topology_aware(&config.topology, nthreads, fanin))
-        };
+        let fine = HalfBarrier::new_hierarchical(&config.topology, nthreads);
         let work = CilkWork {
             deques: (0..nthreads)
                 .map(|_| WorkStealingDeque::with_default_capacity())
@@ -384,8 +373,8 @@ impl CilkPool {
         &self.team.sync().work
     }
 
-    /// Instrumentation counters of the embedded hierarchical half-barrier, or `None`
-    /// when the pool was configured with a flat fine-grain tree.
+    /// Instrumentation counters of the embedded tree half-barrier (always `Some`: the
+    /// fine-grain path runs on the socket-composed tree).
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
         self.team.sync().fine.hierarchy_stats()
     }
@@ -728,12 +717,6 @@ mod tests {
         let h = p.hierarchy_stats().expect("hierarchical fine path");
         assert_eq!(h.cycles, 10);
         assert_eq!(h.cross_socket_rendezvous, 10);
-
-        let flat = CilkPool::new(CilkConfig {
-            hierarchical: false,
-            ..CilkConfig::from_placement(4, &placement)
-        });
-        assert!(flat.hierarchy_stats().is_none());
     }
 
     #[test]

@@ -3,15 +3,14 @@
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_barrier::WaitPolicy;
 
-/// Which synchronization structure the pool uses per parallel loop.
-///
-/// The first three correspond directly to rows of Table 1 in the paper; the centralized
-/// full barrier is included for completeness of the design space.
+/// Which synchronization structure the pool uses per parallel loop: the three
+/// fine-grain rows of Table 1 in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierKind {
-    /// Half-barrier (release-only fork + join-only completion) over an MCS-style tree
-    /// tuned to the machine topology.  The paper's "fine-grain tree" configuration —
-    /// the default and the fastest.
+    /// Half-barrier (release-only fork + join-only completion) over the socket-composed
+    /// MCS-style tree ([`parlo_barrier::HierarchicalHalfBarrier`]) tuned to the
+    /// machine topology.  The paper's "fine-grain tree" configuration — the default
+    /// and the fastest.
     TreeHalf,
     /// Half-barrier over a single release word and a single arrival counter.  The
     /// paper's "fine-grain centralized" configuration.
@@ -20,17 +19,14 @@ pub enum BarrierKind {
     /// the half-barrier optimisation.  The paper's "fine-grain tree with full-barrier"
     /// configuration, used to isolate the benefit of dropping the redundant phases.
     TreeFull,
-    /// Two full centralized barriers per loop.
-    CentralizedFull,
 }
 
 impl BarrierKind {
     /// All configurations, in the order Table 1 lists the fine-grain variants.
-    pub const ALL: [BarrierKind; 4] = [
+    pub const ALL: [BarrierKind; 3] = [
         BarrierKind::TreeHalf,
         BarrierKind::CentralizedHalf,
         BarrierKind::TreeFull,
-        BarrierKind::CentralizedFull,
     ];
 
     /// Short human-readable label used by the benchmark harnesses.
@@ -39,7 +35,6 @@ impl BarrierKind {
             BarrierKind::TreeHalf => "fine-grain tree",
             BarrierKind::CentralizedHalf => "fine-grain centralized",
             BarrierKind::TreeFull => "fine-grain tree with full-barrier",
-            BarrierKind::CentralizedFull => "fine-grain centralized with full-barrier",
         }
     }
 
@@ -71,14 +66,6 @@ pub struct Config {
     /// yield → condvar park with wake-on-release) when oversubscribed; the `PARLO_WAIT`
     /// environment variable overrides the automatic choice.
     pub wait: WaitPolicy,
-    /// Explicit arrival-tree fan-in; `None` uses the topology's suggestion.
-    pub fanin: Option<usize>,
-    /// Compose the tree half-barrier per socket ([`parlo_barrier::HierarchicalHalfBarrier`]:
-    /// socket-local arrival trees, one cross-socket rendezvous line per remote socket,
-    /// socket-local release fan-out) instead of using one flat tree over all threads.
-    /// Only affects [`BarrierKind::TreeHalf`]; on a single-socket topology the
-    /// hierarchy degenerates to one socket-local tree.
-    pub hierarchical: bool,
 }
 
 impl Default for Config {
@@ -90,8 +77,6 @@ impl Default for Config {
             barrier: BarrierKind::TreeHalf,
             pin: PinPolicy::Compact,
             wait: WaitPolicy::auto_for(num_threads),
-            fanin: None,
-            hierarchical: true,
             topology,
         }
     }
@@ -108,13 +93,6 @@ impl Config {
                 ..Config::default()
             },
         }
-    }
-
-    /// The effective arrival-tree fan-in.
-    pub fn effective_fanin(&self) -> usize {
-        self.fanin
-            .unwrap_or_else(|| self.topology.suggested_arrival_fanin())
-            .max(1)
     }
 }
 
@@ -149,24 +127,19 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets an explicit arrival-tree fan-in.
-    pub fn fanin(mut self, fanin: usize) -> Self {
-        self.config.fanin = Some(fanin);
+    /// Does nothing: the socket-composed tree is the only tree, so there is no flat
+    /// one to switch to.  The benchmark harness (`benchmark/src/layers.rs`) still
+    /// calls it; the setter goes when that call does.
+    #[doc(hidden)]
+    pub fn hierarchical(self, _hierarchical: bool) -> Self {
         self
     }
 
-    /// Enables or disables the hierarchical (socket-composed) tree half-barrier.
-    pub fn hierarchical(mut self, hierarchical: bool) -> Self {
-        self.config.hierarchical = hierarchical;
-        self
-    }
-
-    /// Applies a shared [`PlacementConfig`]: resolves its topology source, and takes
-    /// its pin policy and hierarchical-synchronization switch.
+    /// Applies a shared [`PlacementConfig`]: resolves its topology source and takes
+    /// its pin policy.
     pub fn placement(mut self, placement: &PlacementConfig) -> Self {
         self.config.topology = placement.topology();
         self.config.pin = placement.pin;
-        self.config.hierarchical = placement.hierarchical;
         self
     }
 
@@ -185,25 +158,19 @@ mod tests {
         let c = Config::default();
         assert!(c.num_threads >= 1);
         assert_eq!(c.barrier, BarrierKind::TreeHalf);
-        assert!(c.effective_fanin() >= 1);
-        assert!(c.hierarchical, "socket-composed sync is the default");
     }
 
     #[test]
-    fn placement_sets_topology_pin_and_hierarchy() {
-        let placement = PlacementConfig::synthetic(2, 4)
-            .with_pin(PinPolicy::Scatter)
-            .with_hierarchical(false);
+    fn placement_sets_topology_and_pin() {
+        let placement = PlacementConfig::synthetic(2, 4).with_pin(PinPolicy::Scatter);
         let c = Config::builder(8).placement(&placement).build();
         assert_eq!(c.topology.num_sockets(), 2);
         assert_eq!(c.topology.cores_per_socket(), 4);
         assert_eq!(c.pin, PinPolicy::Scatter);
-        assert!(!c.hierarchical);
         let c = Config::builder(8)
             .placement(&PlacementConfig::paper_machine())
             .build();
         assert_eq!(c.topology.num_sockets(), 4);
-        assert!(c.hierarchical);
     }
 
     #[test]
@@ -213,12 +180,10 @@ mod tests {
             .barrier(BarrierKind::CentralizedHalf)
             .topology(topo)
             .pin(PinPolicy::None)
-            .fanin(2)
             .build();
         assert_eq!(c.num_threads, 8);
         assert_eq!(c.barrier, BarrierKind::CentralizedHalf);
         assert_eq!(c.pin, PinPolicy::None);
-        assert_eq!(c.effective_fanin(), 2);
     }
 
     #[test]
@@ -235,8 +200,7 @@ mod tests {
         assert!(!BarrierKind::CentralizedHalf.is_tree());
         assert!(!BarrierKind::TreeFull.is_half());
         assert!(BarrierKind::TreeFull.is_tree());
-        assert!(!BarrierKind::CentralizedFull.is_half());
-        assert_eq!(BarrierKind::ALL.len(), 4);
+        assert_eq!(BarrierKind::ALL.len(), 3);
         for k in BarrierKind::ALL {
             assert!(!k.label().is_empty());
         }

@@ -11,10 +11,12 @@
 //!    reduction views pairwise on the way up the tree; the master waits for its join
 //!    children and returns — no release phase follows, nobody acknowledges the workers.
 //!
-//! Configured with [`BarrierKind::TreeFull`] / [`BarrierKind::CentralizedFull`], the same
-//! pool runs both phases at both ends (two full barriers per loop), which is the
-//! baseline structure of conventional runtimes and the "with full-barrier" row of
-//! Table 1.
+//! The tree is the socket-composed one of [`parlo_barrier::HierarchicalHalfBarrier`]
+//! (socket-local trees, one cross-socket rendezvous); [`BarrierKind::CentralizedHalf`]
+//! swaps it for one release word and one arrival counter.  Configured with
+//! [`BarrierKind::TreeFull`], the same pool runs both phases at both ends over the same
+//! tree (two full barriers per loop), which is the baseline structure of conventional
+//! runtimes and the "with full-barrier" row of Table 1.
 //!
 //! The lease on the worker substrate, the worker scheduling loop, the detach cycle and
 //! the single-driver guard are the shared [`parlo_exec::Team`] skeleton; this file only
@@ -22,7 +24,7 @@
 
 use crate::config::{BarrierKind, Config};
 use crate::stats::{PoolStats, StatsSnapshot};
-use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, WaitPolicy};
 use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
 use std::sync::Arc;
 
@@ -36,7 +38,8 @@ pub struct WorkerInfo {
 }
 
 /// The sync shape of the pool, selected by [`BarrierKind`]: either the paper's
-/// half-barrier or a conventional pair of full barriers, in tree or centralized flavor.
+/// half-barrier, in tree or centralized flavor, or a conventional pair of full tree
+/// barriers.
 #[derive(Debug)]
 enum SyncImpl {
     Half(HalfBarrier),
@@ -46,18 +49,14 @@ enum SyncImpl {
 impl SyncImpl {
     fn build(config: &Config) -> Self {
         let n = config.num_threads.max(1);
-        let shape = || TreeShape::topology_aware(&config.topology, n, config.effective_fanin());
         match config.barrier {
-            // The tree half-barrier composes per socket when the placement asks for it:
-            // socket-local arrival trees, one cross-socket rendezvous, socket-local
-            // release fan-out.
-            BarrierKind::TreeHalf if config.hierarchical => SyncImpl::Half(
-                HalfBarrier::new_hierarchical(&config.topology, n, config.effective_fanin()),
-            ),
-            BarrierKind::TreeHalf => SyncImpl::Half(HalfBarrier::new_tree(shape())),
+            BarrierKind::TreeHalf => {
+                SyncImpl::Half(HalfBarrier::new_hierarchical(&config.topology, n))
+            }
             BarrierKind::CentralizedHalf => SyncImpl::Half(HalfBarrier::new_centralized(n)),
-            BarrierKind::TreeFull => SyncImpl::Full(FullBarrier::new_tree(shape())),
-            BarrierKind::CentralizedFull => SyncImpl::Full(FullBarrier::new_centralized(n)),
+            BarrierKind::TreeFull => {
+                SyncImpl::Full(FullBarrier::topology_aware(&config.topology, n))
+            }
         }
     }
 }
@@ -139,9 +138,8 @@ impl FineGrainPool {
         Self::new(Config::builder(num_threads).build())
     }
 
-    /// Creates a pool with `num_threads` threads placed (topology, pinning,
-    /// hierarchical synchronization) according to a shared
-    /// [`PlacementConfig`](parlo_affinity::PlacementConfig).
+    /// Creates a pool with `num_threads` threads placed (topology, pinning) according
+    /// to a shared [`PlacementConfig`](parlo_affinity::PlacementConfig).
     pub fn with_placement(num_threads: usize, placement: &parlo_affinity::PlacementConfig) -> Self {
         Self::new(Config::builder(num_threads).placement(placement).build())
     }
@@ -235,13 +233,13 @@ impl FineGrainPool {
         }
     }
 
-    /// Instrumentation counters of the hierarchical half-barrier (per-socket arrival
-    /// counts, cross-socket rendezvous per cycle), or `None` when the pool uses a flat
-    /// synchronization structure.
+    /// Instrumentation counters of the tree (per-socket arrival counts, cross-socket
+    /// rendezvous per cycle; a full-barrier pool counts two cycles per loop), or `None`
+    /// when the pool uses the centralized half-barrier.
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
         match self.team.sync() {
             SyncImpl::Half(hb) => hb.hierarchy_stats(),
-            SyncImpl::Full(_) => None,
+            SyncImpl::Full(fb) => fb.hierarchy_stats(),
         }
     }
 
@@ -308,7 +306,6 @@ mod tests {
         assert_eq!(pool(BarrierKind::TreeHalf, 2).phases_per_loop(), 2);
         assert_eq!(pool(BarrierKind::CentralizedHalf, 2).phases_per_loop(), 2);
         assert_eq!(pool(BarrierKind::TreeFull, 2).phases_per_loop(), 4);
-        assert_eq!(pool(BarrierKind::CentralizedFull, 2).phases_per_loop(), 4);
     }
 
     #[test]
@@ -352,13 +349,16 @@ mod tests {
         assert_eq!(h.cycles, 10);
         assert_eq!(h.cross_socket_rendezvous, 10, "one rendezvous per loop");
 
-        // Disabling the hierarchy falls back to the flat topology-aware tree.
-        let flat = FineGrainPool::new(
-            Config::builder(4)
-                .placement(&placement.with_hierarchical(false))
-                .build(),
-        );
-        assert!(flat.hierarchy_stats().is_none());
+        // The full-barrier ablation runs the same tree, one cycle per full barrier.
+        let config = Config::builder(4).placement(&placement);
+        let mut full = FineGrainPool::new(config.barrier(BarrierKind::TreeFull).build());
+        for _ in 0..10 {
+            full.parallel_for(0..100, |_| {});
+        }
+        let h = full
+            .hierarchy_stats()
+            .expect("the full barrier runs the tree");
+        assert_eq!((h.cycles, h.cross_socket_rendezvous), (20, 20));
     }
 
     #[test]

@@ -740,7 +740,6 @@ impl<S: TeamSync> Team<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlo_barrier::TreeShape;
     use parlo_sync::AtomicUsize;
 
     /// Counts executions per participant and reduces `id + 1` over the participants.
@@ -846,20 +845,16 @@ mod tests {
     #[test]
     fn detach_and_reattach_keep_epochs_aligned_for_every_shape_and_lease_kind() {
         for partition in [None, Some(&[1usize, 2][..])] {
+            let two_sockets = Topology::synthetic(2, 2).unwrap();
             churn(HalfBarrier::new_centralized, partition, |p, r, d| p + r + d);
             churn(
-                |n| HalfBarrier::new_tree(TreeShape::uniform(n, 2)),
-                partition,
-                |p, r, d| p + r + d,
-            );
-            churn(
-                |n| HalfBarrier::new_hierarchical(&Topology::synthetic(2, 2).unwrap(), n, 2),
+                |n| HalfBarrier::new_hierarchical(&two_sockets, n),
                 partition,
                 |p, r, d| p + r + d,
             );
             for full in [
                 FullBarrier::new_centralized as fn(usize) -> FullBarrier,
-                |n| FullBarrier::new_tree(TreeShape::uniform(n, 2)),
+                |n| FullBarrier::topology_aware(&Topology::synthetic(2, 2).unwrap(), n),
             ] {
                 churn(full, partition, |p, r, d| 2 * (p + r + d));
                 churn(

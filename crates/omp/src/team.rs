@@ -20,7 +20,7 @@
 use crate::schedule::Schedule;
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{FullBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{FullBarrier, WaitPolicy};
 use parlo_exec::{fold_range, walk_range, Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
 use parlo_sync::{ParticipantCounter, SingleWriterCounter};
 use std::ops::Range;
@@ -37,8 +37,6 @@ pub struct TeamConfig {
     pub pin: PinPolicy,
     /// Waiting policy.
     pub wait: WaitPolicy,
-    /// Use the centralized barrier instead of the tree barrier (for ablations).
-    pub centralized_barrier: bool,
 }
 
 impl Default for TeamConfig {
@@ -49,7 +47,6 @@ impl Default for TeamConfig {
             num_threads,
             pin: PinPolicy::Compact,
             wait: WaitPolicy::auto_for(num_threads),
-            centralized_barrier: false,
             topology,
         }
     }
@@ -67,12 +64,11 @@ impl TeamConfig {
     }
 
     /// A configuration with `num_threads` threads placed according to a shared
-    /// [`parlo_affinity::PlacementConfig`] (topology source + pin policy).
-    ///
-    /// The placement's `hierarchical` switch does not change this team: its *full*
-    /// tree barrier is already laid out with socket-local subtrees
-    /// ([`parlo_barrier::TreeShape::topology_aware`]); the hierarchical *half*-barrier
-    /// only exists in the fine-grain schedulers.
+    /// [`parlo_affinity::PlacementConfig`] (topology source + pin policy).  The
+    /// topology shapes the team's *full* barriers exactly as it shapes the fine-grain
+    /// schedulers' half-barrier: they run the same socket-composed tree
+    /// ([`parlo_barrier::FullBarrier::topology_aware`]), its join and release in
+    /// reverse order.
     pub fn from_placement(num_threads: usize, placement: &parlo_affinity::PlacementConfig) -> Self {
         TeamConfig {
             topology: placement.topology(),
@@ -161,18 +157,9 @@ impl OmpTeam {
     /// given substrate.
     pub fn new_on(config: TeamConfig, executor: &Arc<Executor>) -> Self {
         let nthreads = config.num_threads.max(1);
-        let barrier = if config.centralized_barrier {
-            FullBarrier::new_centralized(nthreads)
-        } else {
-            FullBarrier::new_tree(TreeShape::topology_aware(
-                &config.topology,
-                nthreads,
-                config.topology.suggested_arrival_fanin(),
-            ))
-        };
         let team = Team::build(
             "omp-team".to_string(),
-            ExtraReductionBarrier(barrier),
+            ExtraReductionBarrier(FullBarrier::topology_aware(&config.topology, nthreads)),
             config.wait,
             &config.topology,
             config.pin,
@@ -519,18 +506,6 @@ mod tests {
         let mut t = OmpTeam::with_placement(4, &placement);
         assert_eq!(t.config().topology.num_sockets(), 2);
         assert_eq!(t.config().pin, PinPolicy::None);
-        let counter = AtomicUsize::new(0);
-        t.parallel_for(0..100, Schedule::Static, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn centralized_barrier_config() {
-        let mut cfg = TeamConfig::with_threads(3);
-        cfg.centralized_barrier = true;
-        let mut t = OmpTeam::new(cfg);
         let counter = AtomicUsize::new(0);
         t.parallel_for(0..100, Schedule::Static, |_| {
             counter.fetch_add(1, Ordering::Relaxed);

@@ -1,7 +1,8 @@
 //! Analytic latency model of the barrier phases.
 //!
-//! The model walks the same [`TreeShape`] the real runtime builds and computes the
-//! critical-path latency of each phase:
+//! The model walks a [`TreeShape`] — the flat MCS tree of the paper, socket-local
+//! subtrees under one global root — or the socket-composed structure the runtime
+//! builds, and computes the critical-path latency of each phase:
 //!
 //! * **release (wakeup) phase**: a parent writes its children's flags one after another
 //!   (a store each); a child observes its flag after one cache-line transfer and then
@@ -17,7 +18,40 @@
 //! and why the paper tunes the tree to the socket organisation.
 
 use crate::machine::SimMachine;
-use parlo_barrier::TreeShape;
+use parlo_affinity::Topology;
+
+/// The static structure of an MCS-style synchronization tree over participants `0..n`,
+/// with participant 0 (the master) at the root.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeShape {
+    children: Vec<Vec<usize>>,
+}
+
+impl TreeShape {
+    /// A topology-aware tree for `n` participants laid out compactly over `topology`:
+    /// participants on the same socket form a socket-local heap-ordered subtree with
+    /// the given `fan`, and the remote socket-subtree roots are children of
+    /// participant 0, so only one signal per remote socket crosses the interconnect.
+    pub fn topology_aware(topology: &Topology, n: usize, fan: usize) -> Self {
+        assert!(n > 0, "a tree needs at least one participant");
+        let fan = fan.max(1);
+        let mut children = vec![Vec::new(); n];
+        let mut socket_roots = Vec::new();
+        for group in topology.worker_groups(n).iter().filter(|g| !g.is_empty()) {
+            socket_roots.push(group[0]);
+            for (local_idx, &member) in group.iter().enumerate().skip(1) {
+                children[group[(local_idx - 1) / fan]].push(member);
+            }
+        }
+        children[0].extend(socket_roots.into_iter().filter(|&root| root != 0));
+        TreeShape { children }
+    }
+
+    /// The children of participant `i`.
+    pub fn children(&self, i: usize) -> &[usize] {
+        &self.children[i]
+    }
+}
 
 /// Latency (ns) of the centralized release phase for `nthreads` participants: the last
 /// worker to observe the new epoch is on a remote socket once more than one socket is
@@ -81,7 +115,7 @@ pub fn tree_join_ns(m: &SimMachine, shape: &TreeShape) -> f64 {
     arrival_visible_at(m, shape, 0)
 }
 
-/// Builds the topology-aware tree shape the runtime would use for `nthreads` threads.
+/// Builds the paper's topology-aware MCS tree for `nthreads` threads.
 pub fn runtime_shape(m: &SimMachine, nthreads: usize) -> TreeShape {
     TreeShape::topology_aware(
         &m.topology,
@@ -93,9 +127,9 @@ pub fn runtime_shape(m: &SimMachine, nthreads: usize) -> TreeShape {
 // ----- hierarchical (socket-composed) half-barrier ------------------------------------
 //
 // Mirrors `parlo_barrier::HierarchicalHalfBarrier`: per populated socket one local
-// arrival tree (suggested fan-in) and one local release tree (suggested fan-out), one
-// padded rendezvous line per remote socket, and the master storing the remote release
-// lines *before* fanning out locally, so the highest-latency signals leave earliest.
+// tree with the suggested fan for both phases, one padded rendezvous line per remote
+// socket, and the master storing the remote release lines *before* fanning out locally,
+// so the highest-latency signals leave earliest.
 
 /// The non-empty worker groups (socket membership lists) of `nthreads` compactly
 /// placed threads.
@@ -150,10 +184,10 @@ fn local_join_ns(m: &SimMachine, size: usize, fanin: usize) -> f64 {
 
 /// Latency (ns) of the hierarchical release phase: the master stores one padded
 /// per-socket line per remote socket first, then every socket (the master's own
-/// included) fans the release out locally with the suggested wakeup fan-out.
+/// included) fans the release out locally with the suggested fan.
 pub fn hierarchical_release_ns(m: &SimMachine, nthreads: usize) -> f64 {
     let groups = populated_groups(m, nthreads);
-    let fanout = m.topology.suggested_release_fanout();
+    let fanout = m.topology.suggested_arrival_fanin();
     let remote = groups.len().saturating_sub(1) as f64;
     let mut latest = 0.0f64;
     for (g, group) in groups.iter().enumerate() {

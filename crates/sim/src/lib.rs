@@ -2,10 +2,10 @@
 //!
 //! The paper's experiments run on a 4-socket, 48-core Intel Xeon E7-4860 v2.  This
 //! reproduction's container does not have 48 hardware threads, so this crate substitutes
-//! an analytic cost model (DESIGN.md §4): it walks the *same* tree shapes the real
-//! runtime builds, charges cache-line transfers (intra- vs inter-socket), serialised
-//! atomics, steal and spawn costs, and replays the evaluation workloads' loop structure
-//! against those costs.  The absolute numbers are order-of-magnitude; what the model is
+//! an analytic cost model (DESIGN.md §4): it walks the paper's MCS tree and the
+//! socket-composed tree the real runtime builds, charges cache-line transfers (intra-
+//! vs inter-socket), serialised atomics, steal and spawn costs, and replays the
+//! evaluation workloads' loop structure against those costs.  The absolute numbers are order-of-magnitude; what the model is
 //! used for is the **shape** of the results — who wins, how overhead scales with the
 //! thread count, and where the crossovers fall.
 //!

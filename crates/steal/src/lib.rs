@@ -24,7 +24,7 @@
 //!   remain the unit of accounting and of sticky affinity; halves are counted
 //!   separately ([`StealStats::lends`], [`StealStats::lent_steals`]);
 //! * loop completion is detected by the **same half-barrier** as the fine-grain pool
-//!   (hierarchical, socket-composed flavor included): 2 barrier phases per loop and
+//!   (the socket-composed tree): 2 barrier phases per loop and
 //!   exactly `P − 1` combines per merged reduction, keeping the burden comparison with
 //!   the rest of the roster structural, not incidental.
 //!

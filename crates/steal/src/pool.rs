@@ -44,7 +44,7 @@ use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{HalfBarrier, TreeShape, WaitPolicy};
+use parlo_barrier::{HalfBarrier, WaitPolicy};
 use parlo_cilk::Steal;
 use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
 use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
@@ -69,9 +69,6 @@ pub struct StealConfig {
     pub pin: PinPolicy,
     /// Waiting policy of the half-barrier phases.
     pub wait: WaitPolicy,
-    /// Compose the half-barrier per socket ([`parlo_barrier::HierarchicalHalfBarrier`])
-    /// instead of one flat topology-aware tree.
-    pub hierarchical: bool,
     /// Explicit chunk size for every loop; `None` derives one per loop from
     /// [`default_chunk`].
     pub chunk: Option<usize>,
@@ -91,7 +88,6 @@ impl std::fmt::Debug for StealConfig {
         f.debug_struct("StealConfig")
             .field("num_threads", &self.num_threads)
             .field("pin", &self.pin)
-            .field("hierarchical", &self.hierarchical)
             .field("chunk", &self.chunk)
             .field("locality", &self.locality)
             .field("perturbed", &self.perturb.is_some())
@@ -107,7 +103,6 @@ impl Default for StealConfig {
             num_threads,
             pin: PinPolicy::Compact,
             wait: WaitPolicy::auto_for(num_threads),
-            hierarchical: true,
             chunk: None,
             locality: true,
             perturb: None,
@@ -128,13 +123,11 @@ impl StealConfig {
     }
 
     /// A configuration with `num_threads` participants placed according to a shared
-    /// [`parlo_affinity::PlacementConfig`] (topology source, pin policy, hierarchical
-    /// half-barrier on/off).
+    /// [`parlo_affinity::PlacementConfig`] (topology source, pin policy).
     pub fn from_placement(num_threads: usize, placement: &parlo_affinity::PlacementConfig) -> Self {
         StealConfig {
             topology: placement.topology(),
             pin: placement.pin,
-            hierarchical: placement.hierarchical,
             ..Self::with_threads(num_threads)
         }
     }
@@ -446,15 +439,9 @@ impl StealPool {
     /// given substrate.
     pub fn new_on(config: StealConfig, executor: &Arc<Executor>) -> Self {
         let nthreads = config.num_threads.max(1);
-        let fanin = config.topology.suggested_arrival_fanin();
-        let sync = if config.hierarchical {
-            HalfBarrier::new_hierarchical(&config.topology, nthreads, fanin)
-        } else {
-            HalfBarrier::new_tree(TreeShape::topology_aware(&config.topology, nthreads, fanin))
-        };
         let team = Team::build(
             "steal".to_string(),
-            sync,
+            HalfBarrier::new_hierarchical(&config.topology, nthreads),
             config.wait,
             &config.topology,
             config.pin,
@@ -501,8 +488,8 @@ impl StealPool {
         self.shared.stats.snapshot()
     }
 
-    /// Instrumentation counters of the hierarchical half-barrier, or `None` when the
-    /// pool was configured with a flat tree.
+    /// Instrumentation counters of the tree half-barrier (always `Some`: the pool
+    /// synchronizes on the socket-composed tree).
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
         self.team.sync().hierarchy_stats()
     }
@@ -1386,12 +1373,6 @@ mod tests {
         let h = p.hierarchy_stats().expect("hierarchical sync enabled");
         assert_eq!(h.cycles, 10);
         assert_eq!(h.cross_socket_rendezvous, 10, "one rendezvous per loop");
-
-        let flat = StealPool::new(StealConfig {
-            hierarchical: false,
-            ..StealConfig::from_placement(4, &placement)
-        });
-        assert!(flat.hierarchy_stats().is_none());
     }
 
     #[test]

@@ -23,9 +23,8 @@ use std::sync::Arc;
 /// The standard cross-runtime evaluation roster on `threads` threads: sequential
 /// reference, fine-grain pool, the OpenMP-like team under its three main worksharing
 /// schedules, both paths of the Cilk-like pool, and the work-stealing chunk pool.
-/// Workers are placed (topology, pinning, hierarchical synchronization) by the default
-/// [`PlacementConfig`]: detected machine, compact pinning, socket-composed
-/// half-barriers.
+/// Workers are placed (topology, pinning) by the default [`PlacementConfig`]: detected
+/// machine, compact pinning.
 pub fn all_runtimes(threads: usize) -> Vec<Box<dyn LoopRuntime>> {
     all_runtimes_with_placement(threads, &PlacementConfig::default())
 }

@@ -360,26 +360,6 @@ fn hierarchical_sync_preserves_results_on_synthetic_topologies() {
 }
 
 #[test]
-fn hierarchical_and_flat_fine_grain_agree_on_mpdata() {
-    // Bit-identical MPDATA results between the hierarchical and flat layouts of the
-    // same fine-grain pool on a synthetic 2x4 machine.
-    let mesh = parlo_workloads::Mesh::triangulated_grid(16, 12, 5);
-    let placement = PlacementConfig::synthetic(2, 4).with_pin(PinPolicy::None);
-    let mut reference = Mpdata::new(mesh.clone());
-    reference.run(&mut Sequential, 8, false);
-    for hierarchical in [true, false] {
-        let mut pool = FineGrainPool::new(
-            Config::builder(8)
-                .placement(&placement.with_hierarchical(hierarchical))
-                .build(),
-        );
-        let mut solver = Mpdata::new(mesh.clone());
-        solver.run(&mut pool, 8, false);
-        assert_eq!(solver.psi, reference.psi, "hierarchical={hierarchical}");
-    }
-}
-
-#[test]
 fn simulated_experiments_reproduce_the_paper_shape() {
     use parlo_sim::{experiments, SimMachine};
     let m = SimMachine::paper_machine();

@@ -3,9 +3,10 @@
 //! Exhaustively enumerates thread interleavings (up to the preemption bound)
 //! of small closed programs built from the *real* shipped primitives — the
 //! Chase–Lev chunk deque (and the stealing pool's lend / reclaim / steal hand-off
-//! over it), the centralized release/join half-barrier pair, the
-//! park hub, the trace event ring, the serve completion and admission hand-offs and
-//! the team skeleton's loop / detach / resume protocol — and
+//! over it), the centralized release/join half-barrier pair, the socket-composed
+//! tree half-barrier and a full barrier over it, the park hub, the trace event
+//! ring, the serve completion and admission hand-offs and the team skeleton's
+//! loop / detach / resume protocol — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -289,6 +290,98 @@ fn barrier_release_join_two_epoch_cycle() {
         }
     });
     assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The shipped tree — the half-barrier every pool's tree loops run — on a synthetic
+/// 2-socket × 2-core machine at three participants: worker 1 is the master's
+/// socket-local child, worker 2 the root of the remote socket, so the release reaches
+/// it through its socket's release line and its arrival returns through the socket's
+/// rendezvous line.
+fn socket_composed_model(program: impl Fn(&parlo_affinity::Topology) + Send + Sync + 'static) {
+    let topology = parlo_affinity::Topology::synthetic(2, 2).unwrap();
+    let report = model::Builder::new()
+        .preemption_bound(Some(2))
+        .check(move || program(&topology));
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// Two consecutive loops on the tree: each publishes an input, and the master reads
+/// both workers' results after `join`.
+#[test]
+fn socket_composed_tree_two_loop_cycle() {
+    socket_composed_model(|topology| {
+        let hb = Arc::new(HalfBarrier::new_hierarchical(topology, 3));
+        let input = Arc::new(UnsafeCell::new(0u64));
+        let results = Arc::new([UnsafeCell::new(0u64), UnsafeCell::new(0u64)]);
+        let spin = WaitPolicy::dedicated();
+        let workers: Vec<_> = (1..=2usize)
+            .map(|id| {
+                let hb = Arc::clone(&hb);
+                let (input, results) = (Arc::clone(&input), Arc::clone(&results));
+                thread::spawn(move || {
+                    for epoch in 1..=2u64 {
+                        hb.wait_release(id, epoch, &spin);
+                        // SAFETY: the master wrote `input` before releasing this epoch.
+                        let x = input.with(|p| unsafe { *p });
+                        // SAFETY: this worker is the cell's only writer, and the master
+                        // reads it only after its join.
+                        results[id - 1].with_mut(|p| unsafe { *p = x + id as u64 });
+                        hb.arrive(id, epoch, &spin, |_| {});
+                    }
+                })
+            })
+            .collect();
+        for epoch in 1..=2u64 {
+            // SAFETY: the previous join ordered every worker's read of `input`.
+            input.with_mut(|p| unsafe { *p = epoch * 10 });
+            hb.release(epoch);
+            hb.join(epoch, &spin, |_| {});
+            for id in 1..=2usize {
+                // SAFETY: the join observed every arrival of this epoch.
+                let r = results[id - 1].with(|p| unsafe { *p });
+                assert_eq!(r, epoch * 10 + id as u64, "loop {epoch} worker {id}");
+            }
+        }
+        for h in workers {
+            h.join().unwrap();
+        }
+    });
+}
+
+/// One full-barrier episode over the same tree (its join, then its release): it must
+/// carry every worker's write to the master and the master's write to every worker.
+#[test]
+fn socket_composed_full_barrier_episode() {
+    socket_composed_model(|topology| {
+        let fb = Arc::new(FullBarrier::topology_aware(topology, 3));
+        let input = Arc::new(UnsafeCell::new(0u64));
+        let results = Arc::new([UnsafeCell::new(0u64), UnsafeCell::new(0u64)]);
+        let spin = WaitPolicy::dedicated();
+        let workers: Vec<_> = (1..=2usize)
+            .map(|id| {
+                let fb = Arc::clone(&fb);
+                let (input, results) = (Arc::clone(&input), Arc::clone(&results));
+                thread::spawn(move || {
+                    // SAFETY: this worker is the cell's only writer; the join publishes it.
+                    results[id - 1].with_mut(|p| unsafe { *p = 100 + id as u64 });
+                    fb.worker_wait(id, 1, &spin);
+                    // SAFETY: the master wrote `input` before the release.
+                    input.with(|p| unsafe { *p })
+                })
+            })
+            .collect();
+        // SAFETY: the workers read `input` only after the release.
+        input.with_mut(|p| unsafe { *p = 30 });
+        fb.master_wait(1, &spin);
+        for id in 1..=2usize {
+            // SAFETY: the join observed every arrival.
+            let r = results[id - 1].with(|p| unsafe { *p });
+            assert_eq!(r, 100 + id as u64, "worker {id}");
+        }
+        for h in workers {
+            assert_eq!(h.join().unwrap(), 30, "released after the master's write");
+        }
+    });
 }
 
 /// The park hub's sleep/notify handshake: a waiter with zero spin and yield

@@ -15,7 +15,7 @@ proptest! {
         len in 0usize..600,
         start in 0usize..50,
         threads in 1usize..5,
-        kind in 0usize..4,
+        kind in 0..BarrierKind::ALL.len(),
     ) {
         let kind = BarrierKind::ALL[kind];
         let mut pool = FineGrainPool::new(Config::builder(threads).barrier(kind).build());

@@ -36,7 +36,7 @@ use parlo_steal::{total_chunks, StealConfig, StealPool};
 use std::sync::{Arc, Condvar, Mutex};
 
 const HALF_KINDS: [BarrierKind; 2] = [BarrierKind::TreeHalf, BarrierKind::CentralizedHalf];
-const FULL_KINDS: [BarrierKind; 2] = [BarrierKind::TreeFull, BarrierKind::CentralizedFull];
+const FULL_KINDS: [BarrierKind; 1] = [BarrierKind::TreeFull];
 
 #[test]
 fn every_parallel_for_variant_costs_exactly_one_half_barrier_cycle() {
