@@ -228,14 +228,6 @@ impl Topology {
         (worker / cps) % self.num_sockets().max(1)
     }
 
-    /// NUMA tier distance between two compactly placed workers: `0` when they share a
-    /// socket, `1` when a cache line between them crosses the interconnect.  (The
-    /// machines modelled here have a flat socket interconnect, so every remote pair is
-    /// one tier apart; a deeper hierarchy would extend this.)
-    pub fn worker_tier_distance(&self, a: usize, b: usize) -> usize {
-        usize::from(self.socket_of_worker(a) != self.socket_of_worker(b))
-    }
-
     /// The steal-victim tiers of `worker` in a compactly placed team of `nthreads`:
     /// `tiers[0]` lists the same-socket peers (the cheap victims), and each following
     /// tier lists one remote socket's workers, remote sockets in ring order starting
@@ -336,12 +328,12 @@ mod tests {
     }
 
     #[test]
-    fn tier_distance_is_zero_within_a_socket_and_one_across() {
+    fn socket_of_worker_is_shared_within_a_socket_and_differs_across() {
         let t = Topology::synthetic(2, 4).unwrap();
-        assert_eq!(t.worker_tier_distance(0, 3), 0);
-        assert_eq!(t.worker_tier_distance(0, 4), 1);
-        assert_eq!(t.worker_tier_distance(5, 7), 0);
-        assert_eq!(t.worker_tier_distance(5, 2), 1);
+        assert_eq!(t.socket_of_worker(0), t.socket_of_worker(3));
+        assert_ne!(t.socket_of_worker(0), t.socket_of_worker(4));
+        assert_eq!(t.socket_of_worker(5), t.socket_of_worker(7));
+        assert_ne!(t.socket_of_worker(5), t.socket_of_worker(2));
     }
 
     #[test]
@@ -349,15 +341,14 @@ mod tests {
         let t = Topology::synthetic(4, 8).unwrap();
         for worker in 0..32 {
             let tiers = t.victim_tiers(worker, 32);
+            let home = t.socket_of_worker(worker);
             // Local tier: the 7 same-socket peers.
             assert_eq!(tiers[0].len(), 7);
-            assert!(tiers[0]
-                .iter()
-                .all(|&v| t.worker_tier_distance(worker, v) == 0));
+            assert!(tiers[0].iter().all(|&v| t.socket_of_worker(v) == home));
             // Remote tiers: one per other socket, all cross-socket.
             for tier in &tiers[1..] {
                 assert_eq!(tier.len(), 8);
-                assert!(tier.iter().all(|&v| t.worker_tier_distance(worker, v) == 1));
+                assert!(tier.iter().all(|&v| t.socket_of_worker(v) != home));
             }
             let mut all: Vec<usize> = tiers.into_iter().flatten().collect();
             all.sort_unstable();

@@ -16,11 +16,7 @@
 //!   inside a socket;
 //! * **remote sockets released first**: the master stores one padded per-socket release
 //!   line per remote socket *first* (the signals with the longest latency leave
-//!   earliest), then every socket fans the release out locally.  On the fan-out path
-//!   a releaser with more than one child issues **prefetch hints** for all of its
-//!   children's lines before the first store, so the read-for-ownership misses overlap
-//!   instead of serializing — and, for the master, they overlap with the in-flight
-//!   remote-socket stores;
+//!   earliest), then every socket fans the release out locally;
 //! * **per-socket flag grouping**: every per-thread flag is cache-line padded *and*
 //!   allocated in a per-socket array, so the lines a socket's threads spin on are never
 //!   interleaved with another socket's flags.
@@ -36,26 +32,6 @@ use crate::{Epoch, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::Topology;
 use parlo_sync::{AtomicU64, Ordering, ParticipantCounter, SingleWriterCounter};
-
-/// Best-effort prefetch of the cache line holding `line`, ahead of a store to it.
-/// A pure performance hint: no-op on architectures without a stable intrinsic.
-#[inline(always)]
-fn prefetch_line(line: &CachePadded<AtomicU64>) {
-    let p = line as *const CachePadded<AtomicU64> as *const i8;
-    // SAFETY: `p` points at a live `CachePadded<AtomicU64>`; prefetch is a pure
-    // hint with no memory effects, valid for any mapped address.
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p);
-    }
-    // SAFETY: as above — `prfm` is a hint instruction; it cannot fault or write.
-    #[cfg(target_arch = "aarch64")]
-    unsafe {
-        core::arch::asm!("prfm pstl1keep, [{0}]", in(reg) p);
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = p;
-}
 
 fn padded_flags(n: usize) -> Vec<CachePadded<AtomicU64>> {
     (0..n)
@@ -225,9 +201,7 @@ impl HierarchicalHalfBarrier {
 
     /// Master: release phase.  Stores the per-socket release line of every remote
     /// socket first (the highest-latency signals leave earliest), then fans out over
-    /// the master's own socket-local tree.  Several home-socket lines are prefetched
-    /// after the remote stores are issued and before the first local store, so their
-    /// ownership misses overlap with the in-flight cross-socket traffic.  Never waits.
+    /// the master's own socket-local tree.  Never waits.
     #[inline]
     pub fn release(&self, epoch: Epoch) {
         self.cycles.add(1);
@@ -303,18 +277,10 @@ impl HierarchicalHalfBarrier {
     }
 
     /// Stores `epoch` into the release lines of local index `l`'s children on socket
-    /// `g`.  With more than one child, all of their lines are prefetched before the
-    /// first store so the ownership misses overlap; a single line has nothing to overlap
-    /// with, and a read prefetch just ahead of its store (x86) would cost the line an
-    /// extra transfer while its waiter spins on it.
+    /// `g`.
     #[inline]
     fn fan_out(&self, g: usize, l: usize, epoch: Epoch) {
         let group = &self.groups[g];
-        if group.children[l].len() > 1 {
-            for &c in &group.children[l] {
-                prefetch_line(&group.release[c]);
-            }
-        }
         for &c in &group.children[l] {
             group.release[c].store(epoch, Ordering::Release);
         }

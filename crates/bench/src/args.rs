@@ -66,7 +66,6 @@ impl Subcommand {
                 "--csv",
                 "--json PATH",
                 WORKLOAD,
-                "--steal-local",
             ],
             Subcommand::Figure2 => &[
                 "--simulate",
@@ -88,7 +87,6 @@ impl Subcommand {
                 "--quick",
                 "--runtime NAME",
                 WORKLOAD,
-                "--steal-local",
                 "--json PATH",
             ],
             Subcommand::Irregular => &[
@@ -98,7 +96,6 @@ impl Subcommand {
                 "--units U",
                 "--csv",
                 "--json PATH",
-                "--steal-local",
             ],
         }
     }
@@ -126,8 +123,6 @@ pub struct Args {
     pub quick: bool,
     /// `--csv`: CSV instead of aligned text.
     pub csv: bool,
-    /// `--steal-local`: the base stealing entry uses the locality-aware sweep.
-    pub steal_local: bool,
     /// `--threads N` (`None` when absent or `0`; see [`Args::thread_count`]).
     pub threads: Option<usize>,
     /// `--reps N`: timed repetitions per point.
@@ -209,7 +204,6 @@ pub fn parse(argv: &[String]) -> Result<(Subcommand, Args), String> {
             "--no-simulate" => args.no_simulate = true,
             "--quick" => args.quick = true,
             "--csv" => args.csv = true,
-            "--steal-local" => args.steal_local = true,
             // `parse_threads_spec` is the single parse site of thread counts; of what
             // it rejects only `0`, the documented fall-through, is an integer.
             "--threads" => {

@@ -6,7 +6,7 @@
 //! where data placement (locality-aware stealing) matters.
 //!
 //! Flags: `--threads N`, `--reps N` (default 5), `--n ITERS` (default 2048),
-//! `--units U` (default 4), `--csv`, `--json PATH`, `--steal-local`.
+//! `--units U` (default 4), `--csv`, `--json PATH`.
 //!
 //! The JSON report carries one `SweepRow` per (scheduler, workload) with the
 //! scheduler key qualified as `key@workload`, plus the stealing runtime's
@@ -87,7 +87,7 @@ pub fn run(args: &Args) {
         .collect();
 
     // One substrate for the whole run (see `RosterContext`).
-    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
+    let ctx = RosterContext::new(threads, args.placement);
     for entry in sweep_roster() {
         // The stealing entry is measured through its concrete type so its StealStats
         // land in the report next to the timings.

@@ -5,8 +5,7 @@
 //! Flags: `--threads N`, `--reps N`, `--quick`, `--runtime NAME` (run one scheduler
 //! only — `adaptive` selects the online scheduler-selection runtime), `--workload
 //! micro|skewed|triangular|cache` (loop body: uniform micro-benchmark, one of the
-//! irregular kernels, or the cache-hostile probe kernel), `--steal-local` (base
-//! stealing entry uses the locality-aware tiered sweep), `--json PATH`
+//! irregular kernels, or the cache-hostile probe kernel), `--json PATH`
 //! (machine-readable report of the measured points, including the stealing runtime's
 //! `StealStats`).
 
@@ -69,7 +68,7 @@ pub fn run(args: &Args) {
     println!("scheduler,iterations,units,t_seq_s,t_par_s,speedup");
     // One substrate for the whole run: every measured runtime leases the same
     // workers, so the sweep never oversubscribes the machine against itself.
-    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
+    let ctx = RosterContext::new(threads, args.placement);
     for entry in roster {
         // The stealing entry is measured through its concrete type so its StealStats
         // (steal attempts/hits, per-worker chunk counts) ride along in the report.

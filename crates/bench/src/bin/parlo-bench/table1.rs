@@ -14,9 +14,7 @@
 //! `--json PATH` (machine-readable report of the fitted burdens),
 //! `--workload micro|skewed|triangular|cache` (native loop body: the uniform
 //! micro-benchmark, one of the irregular kernels — whose straggler time inflates a
-//! static schedule's *effective* burden — or the cache-hostile probe kernel),
-//! `--steal-local` (make the base stealing entry use the locality-aware tiered
-//! sweep instead of the flat random-victim ring).
+//! static schedule's *effective* burden — or the cache-hostile probe kernel).
 
 use crate::{print_table, write_report};
 use parlo_analysis::Table;
@@ -56,7 +54,7 @@ fn native(args: &Args) {
     // The shared roster (see `parlo_bench::fixed_roster`): each runtime is built
     // lazily and leases its workers from the run's one substrate, so measuring the
     // whole table keeps at most `threads - 1` worker threads alive.
-    let ctx = RosterContext::new(threads, args.placement).with_steal_local(args.steal_local);
+    let ctx = RosterContext::new(threads, args.placement);
     for entry in fixed_roster() {
         let label = entry.label;
         let mut runtime = (entry.build)(&ctx);

@@ -234,11 +234,6 @@ pub struct RosterContext {
     pub placement: PlacementConfig,
     /// The substrate every runtime leases its workers from.
     pub executor: Arc<Executor>,
-    /// Build the base [`STEAL_ROSTER_KEY`] entry with the locality-aware sweep
-    /// instead of the flat random-victim ring (the `--steal-local` flag).  The
-    /// dedicated [`STEAL_LOCAL_ROSTER_KEY`] entry is always locality-aware; this
-    /// switch exists so an A/B ablation can flip the baseline itself.
-    pub steal_local: bool,
 }
 
 impl RosterContext {
@@ -248,14 +243,7 @@ impl RosterContext {
             threads,
             executor: Executor::for_placement(&placement),
             placement,
-            steal_local: false,
         }
-    }
-
-    /// Returns the context with the base stealing entry's locality switch set.
-    pub fn with_steal_local(mut self, steal_local: bool) -> Self {
-        self.steal_local = steal_local;
-        self
     }
 
     /// One-line thread-accounting summary for a subcommand's stderr trailer.
@@ -284,27 +272,17 @@ pub struct RosterEntry {
     pub build: fn(&RosterContext) -> Box<dyn LoopRuntime>,
 }
 
-/// Roster key of the work-stealing chunk runtime (random-victim sweep unless the
-/// context's `steal_local` switch is set).  [`measure_roster_entry`], which needs the
-/// concrete pool to collect [`StealStats`](parlo_steal::StealStats) for the JSON
-/// report, matches on this constant instead of a string literal.
+/// Roster key of the work-stealing chunk runtime.  [`measure_roster_entry`], which
+/// needs the concrete pool to collect [`StealStats`](parlo_steal::StealStats) for the
+/// JSON report, matches on this constant instead of a string literal.
 pub const STEAL_ROSTER_KEY: &str = "fine-grain-steal";
 
-/// Roster key of the locality-aware stealing entry: the same pool with the tiered
-/// socket-local-first sweep and remote steal batching enabled.  Measured alongside
-/// [`STEAL_ROSTER_KEY`] so one report carries the locality A/B.
-pub const STEAL_LOCAL_ROSTER_KEY: &str = "fine-grain-steal-local";
-
-/// Builds the stealing pool behind the roster entry `key` ([`STEAL_ROSTER_KEY`] or
-/// [`STEAL_LOCAL_ROSTER_KEY`]) — the single construction point shared by the roster's
-/// build closures and [`measure_roster_entry`], which needs the concrete type, so both
-/// measure an identically configured pool.  The base entry sweeps the flat
-/// random-victim ring unless the context's `steal_local` switch is set; the local
-/// entry is always locality-aware.
-pub fn build_steal_pool(ctx: &RosterContext, key: &str) -> parlo_steal::StealPool {
-    let config = parlo_steal::StealConfig::from_placement(ctx.threads, &ctx.placement)
-        .with_locality(ctx.steal_local || key == STEAL_LOCAL_ROSTER_KEY);
-    parlo_steal::StealPool::new_on(config, &ctx.executor)
+/// Builds the stealing pool behind [`STEAL_ROSTER_KEY`] — the single construction
+/// point shared by the roster's build closure and [`measure_roster_entry`], which
+/// needs the concrete type, so both measure an identically configured pool: the one
+/// the benchmark of record measures.
+pub fn build_steal_pool(ctx: &RosterContext) -> parlo_steal::StealPool {
+    parlo_steal::StealPool::with_placement_on(ctx.threads, &ctx.placement, &ctx.executor)
 }
 
 fn fine_grain_runtime(
@@ -333,7 +311,8 @@ fn omp_runtime(ctx: &RosterContext, schedule: parlo_omp::Schedule) -> Box<dyn Lo
 /// the rest of the paper's Table-1 rows.  Every entry takes the topology and pin policy
 /// from `placement`.  The paper's flat "Fine-grain tree" row has no entry of its own:
 /// the socket-composed tree is the only tree, so it would build the same pool as
-/// `fine-grain-hier` (the simulated table keeps the row).
+/// `fine-grain-hier`.  The simulated table keeps that row, and its locality-aware
+/// stealing row too, whose pool is `fine-grain-steal`: the stealing pool has one sweep.
 pub fn fixed_roster() -> Vec<RosterEntry> {
     use parlo_core::BarrierKind;
     use parlo_omp::Schedule;
@@ -356,12 +335,7 @@ pub fn fixed_roster() -> Vec<RosterEntry> {
         RosterEntry {
             key: STEAL_ROSTER_KEY,
             label: "Fine-grain stealing",
-            build: |ctx| Box::new(build_steal_pool(ctx, STEAL_ROSTER_KEY)),
-        },
-        RosterEntry {
-            key: STEAL_LOCAL_ROSTER_KEY,
-            label: "Fine-grain steal-local",
-            build: |ctx| Box::new(build_steal_pool(ctx, STEAL_LOCAL_ROSTER_KEY)),
+            build: |ctx| Box::new(build_steal_pool(ctx)),
         },
         RosterEntry {
             key: "openmp-static",
@@ -396,8 +370,8 @@ pub fn measure_roster_entry<R>(
     ctx: &RosterContext,
     measure: impl FnOnce(&mut dyn LoopRuntime) -> R,
 ) -> (R, Option<StealStatsRow>) {
-    if entry.key == STEAL_ROSTER_KEY || entry.key == STEAL_LOCAL_ROSTER_KEY {
-        let mut pool = build_steal_pool(ctx, entry.key);
+    if entry.key == STEAL_ROSTER_KEY {
+        let mut pool = build_steal_pool(ctx);
         let out = measure(&mut pool);
         let stats = StealStatsRow::from_stats(entry.key, &pool.stats());
         (out, Some(stats))
@@ -708,8 +682,12 @@ mod tests {
         assert_eq!(roster.len(), fixed_roster().len() + 1);
         assert!(keys.contains(&"adaptive"));
         assert!(keys.contains(&"fine-grain-hier"));
-        assert!(keys.contains(&"fine-grain-steal"));
-        assert!(keys.contains(&"fine-grain-steal-local"));
+        let stealing: Vec<&str> = keys
+            .iter()
+            .copied()
+            .filter(|k| k.contains("steal"))
+            .collect();
+        assert_eq!(stealing, [STEAL_ROSTER_KEY], "exactly one stealing entry");
         for entry in roster {
             let mut runtime = (entry.build)(&ctx);
             assert_eq!(runtime.threads(), 2, "entry {}", entry.key);
@@ -795,7 +773,7 @@ mod tests {
             .find(|e| e.key == STEAL_ROSTER_KEY)
             .expect("steal entry in the fixed roster");
         let mut from_roster = (entry.build)(&ctx);
-        let mut from_helper = build_steal_pool(&ctx, STEAL_ROSTER_KEY);
+        let mut from_helper = build_steal_pool(&ctx);
         assert_eq!(from_roster.name(), LoopRuntime::name(&from_helper));
         assert_eq!(from_roster.threads(), 2);
         let a = from_roster.parallel_sum(0..100, &|i| i as f64);

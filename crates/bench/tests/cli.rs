@@ -78,6 +78,9 @@ fn rejected_input_exits_2_naming_the_offender_before_any_measurement() {
             "`--flat-sync`",
             "[--pin compact|scatter|none]",
         ),
+        ("table1 --steal-local", "`--steal-local`", "[--workload"),
+        ("sweep --steal-local", "`--steal-local`", "[--runtime NAME]"),
+        ("irregular --steal-local", "`--steal-local`", "[--n ITERS]"),
     ] {
         let (out, stdout, stderr) = cli(line);
         assert_eq!(out.status.code(), Some(2), "`{line}`: {stderr}");

@@ -8,9 +8,9 @@ use crate::barrier_model as bm;
 use crate::machine::SimMachine;
 use serde::{Deserialize, Serialize};
 
-/// Chunks a cross-socket steal takes per interconnect transfer in the locality-aware
-/// sweep (mirrors `parlo_steal::REMOTE_STEAL_BATCH`; kept local so the simulator
-/// stays independent of the runtime crates).
+/// Chunks a cross-socket steal takes per interconnect transfer in the modelled
+/// locality-aware sweep: a parameter of the 48-core model's "Fine-grain steal-local"
+/// row, not a setting of any runtime crate.
 const REMOTE_STEAL_BATCH: usize = 2;
 
 /// The schedulers whose burden Table 1 reports, plus the extra ablation rows this

@@ -28,14 +28,13 @@
 //!   exactly `P − 1` combines per merged reduction, keeping the burden comparison with
 //!   the rest of the roster structural, not incidental.
 //!
-//! Stealing is **locality-aware** by default: sweeps walk the topology's victim tiers
-//! socket-local-first (randomized within each tier, falling outward only when the
-//! nearer tier is dry), cross-socket hits take [`REMOTE_STEAL_BATCH`] chunks per bite,
-//! and the site-keyed entry points ([`StealPool::steal_for_at`]) add **sticky
-//! chunk→worker affinity** — each grid chunk re-seeds the deque of whichever
-//! participant executed it last time (see the invalidation contract in the `sticky`
-//! module docs).  [`StealConfig::with_locality`]`(false)` restores the flat
-//! random-victim ring the locality ablation compares against.
+//! Stealing is **locality-aware**: sweeps walk the topology's victim tiers
+//! socket-local-first (a seeded rotation within each tier, falling outward only when
+//! the nearer tier is dry; on one socket, a seeded rotation over every other
+//! participant), every hit takes one piece, and the site-keyed entry points
+//! ([`StealPool::steal_for_at`]) add **sticky chunk→worker affinity** — each grid
+//! chunk re-seeds the deque of whichever participant executed it last time (see the
+//! invalidation contract in the `sticky` module docs).
 //!
 //! The schedule is nondeterministic by nature, so the crate also exposes the hooks the
 //! test battery is built on: [`SchedulePerturbation`] lets a test drive the pool
@@ -72,7 +71,7 @@ pub use deque::{ChunkDeque, Full, Steal};
 pub use perturb::{
     SchedulePerturbation, ScriptedOrder, SeededPerturbation, SweepPlan, MAX_PERTURB_SPINS,
 };
-pub use pool::{StealConfig, StealPool, StealStats, REMOTE_STEAL_BATCH};
+pub use pool::{StealConfig, StealPool, StealStats};
 pub use sticky::StealSite;
 
 // Re-export the trait so depending on `parlo-steal` alone is enough to drive the pool

@@ -12,8 +12,10 @@
 /// What one steal sweep should do, as decided by a [`SchedulePerturbation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepPlan {
-    /// Seed of the sweep's victim rotation (the sweep starts at victim
-    /// `seed % nthreads` and probes the others in ring order).
+    /// Seed of the sweep's victim rotation.  The sweep walks the thief's victim tiers
+    /// (its own socket first, then each remote socket outward); within tier `t` it
+    /// starts at position `seed.rotate_right(7 t) % tier.len()` and probes the rest of
+    /// the tier in order.
     pub victim_seed: u64,
     /// Busy-wait iterations to spend before the sweep, shifting this worker relative
     /// to the others (bounded by the pool to keep tests fast).
@@ -30,14 +32,15 @@ pub trait SchedulePerturbation: Send + Sync {
     fn steal_sweep(&self, worker: usize, epoch: u64, attempt: u64) -> SweepPlan;
 
     /// Scripts the exact victim visit order of the `attempt`-th sweep of `worker`,
-    /// overriding both the tiered locality order and the plan's `victim_seed`
-    /// rotation.  The pool visits the returned victims in order (entries equal to
-    /// `worker` or `>= nthreads` are skipped); victims not listed are not probed at
-    /// all in that sweep.  Return `None` (the default) to keep the planned order.
+    /// overriding the pool's tiered order and the plan's `victim_seed` rotation.  The
+    /// pool visits the returned victims in order (entries equal to `worker` or
+    /// `>= nthreads` are skipped); victims not listed are not probed at all in that
+    /// sweep.  Return `None` (the default) to keep the tiered order.
     ///
     /// A [`SweepPlan`] can only *delay* a worker relative to the others; this hook is
     /// what lets a test script schedules like "the local tier is observed empty
-    /// first, forcing the fall-back to a remote socket" deterministically.
+    /// first, forcing the fall-back to a remote socket", or a flat ring that ignores
+    /// sockets, deterministically.
     fn victim_order(
         &self,
         worker: usize,

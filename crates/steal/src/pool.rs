@@ -9,9 +9,10 @@
 //! 2. every participant seeds its own deque with its pre-split chunk run
 //!    (its static block subdivided into chunks, pushed back-to-front) and executes it
 //!    with owner-LIFO pops, so the run proceeds front to back;
-//! 3. a participant whose own run is exhausted performs randomized-victim steal sweeps,
-//!    taking pieces thief-FIFO from the *back* of other workers' runs, until a full
-//!    sweep observes only empty deques;
+//! 3. a participant whose own run is exhausted performs steal sweeps over the
+//!    topology's victim tiers — its own socket first, each tier in a seeded rotation —
+//!    taking one piece per hit thief-FIFO from the *back* of another worker's run,
+//!    until a full sweep observes only empty deques;
 //! 4. every participant then performs the **join phase** of the same half-barrier,
 //!    folding reduction views pairwise on the way up — completion detection costs
 //!    exactly the 2 barrier phases of the fine-grain pool, so the burden comparison
@@ -51,13 +52,6 @@ use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// How many chunks a successful **cross-socket** steal takes from its victim in one
-/// bite (when the pool is locality-aware): the thief pays the interconnect transfer
-/// once and amortizes it over a larger span of iterations, which is the NUMA-tier
-/// chunk sizing of the locality design — local steals keep taking single chunks, so
-/// rebalancing granularity inside a socket stays fine.
-pub const REMOTE_STEAL_BATCH: usize = 2;
-
 /// Configuration of a [`StealPool`].
 #[derive(Clone)]
 pub struct StealConfig {
@@ -72,12 +66,6 @@ pub struct StealConfig {
     /// Explicit chunk size for every loop; `None` derives one per loop from
     /// [`default_chunk`].
     pub chunk: Option<usize>,
-    /// Order steal sweeps socket-local-first over the topology's victim tiers
-    /// (randomized within each tier, falling outward only when the current tier is
-    /// dry) and take [`REMOTE_STEAL_BATCH`] chunks per cross-socket steal.  When
-    /// `false` the pool keeps the flat randomized ring sweep — the random-victim
-    /// baseline the locality ablation compares against.
-    pub locality: bool,
     /// Schedule-perturbation hook consulted before every steal sweep (`None` uses a
     /// per-worker xorshift victim rotation with no injected delays).
     pub perturb: Option<Arc<dyn SchedulePerturbation>>,
@@ -89,7 +77,6 @@ impl std::fmt::Debug for StealConfig {
             .field("num_threads", &self.num_threads)
             .field("pin", &self.pin)
             .field("chunk", &self.chunk)
-            .field("locality", &self.locality)
             .field("perturbed", &self.perturb.is_some())
             .finish()
     }
@@ -104,7 +91,6 @@ impl Default for StealConfig {
             pin: PinPolicy::Compact,
             wait: WaitPolicy::auto_for(num_threads),
             chunk: None,
-            locality: true,
             perturb: None,
             topology,
         }
@@ -141,13 +127,6 @@ impl StealConfig {
     /// Replaces the fixed chunk size.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk.max(1));
-        self
-    }
-
-    /// Enables or disables the locality-aware (tiered, socket-local-first) steal
-    /// sweep; disabling it restores the flat random-victim ring.
-    pub fn with_locality(mut self, locality: bool) -> Self {
-        self.locality = locality;
         self
     }
 }
@@ -341,11 +320,10 @@ struct StealShared {
     deques: Vec<WorkStealingDeque<Piece>>,
     stats: StealCounters,
     /// `socket_of[w]` = socket of participant `w` under the compact layout; used to
-    /// classify every steal hit as local or remote (in both sweep modes).
+    /// classify every steal hit as local or remote.
     socket_of: Vec<usize>,
     /// Per-participant victim tiers (`tiers[w][0]` = same-socket peers, then remote
-    /// sockets outward), precomputed at build so the tiered sweep is array walks.
-    /// Consulted only when `config.locality` is set.
+    /// sockets outward), precomputed at build so the sweep is array walks.
     tiers: Vec<Vec<Vec<usize>>>,
     config: StealConfig,
 }
@@ -567,9 +545,9 @@ unsafe fn participate_in(data: *const (), id: usize) {
 
 /// One participant's share of one loop: seed the own deque with the pre-split run
 /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
-/// from victims — socket-local tiers first when the pool is locality-aware — until a
-/// full sweep finds every deque empty.  Every piece claimed on the way, popped or
-/// stolen, goes through [`execute_piece`], which lends at the tail.
+/// from victims — socket-local tier first — until a full sweep finds every deque
+/// empty.  Every piece claimed on the way, popped or stolen, goes through
+/// [`execute_piece`], which lends at the tail.
 fn participate(job: &StealLoop<'_>, id: usize) {
     let shared = job.shared;
     let epoch = job.epoch;
@@ -635,12 +613,12 @@ fn participate(job: &StealLoop<'_>, id: usize) {
         parlo_trace::instant(parlo_trace::Phase::StealSweep, id as u64, attempt);
         let mut stolen: Option<(Piece, usize)> = None;
         let mut saw_retry = false;
-        let probe = |victim: usize, saw_retry: &mut bool| -> Option<Piece> {
+        let mut probe = |victim: usize| -> Option<Piece> {
             my_counters.steals_attempted.add(1);
             match shared.deques[victim].steal() {
                 Steal::Success(c) => Some(c),
                 Steal::Retry => {
-                    *saw_retry = true;
+                    saw_retry = true;
                     None
                 }
                 Steal::Empty => None,
@@ -657,12 +635,12 @@ fn participate(job: &StealLoop<'_>, id: usize) {
                 if victim == id || victim >= n {
                     continue;
                 }
-                if let Some(c) = probe(victim, &mut saw_retry) {
+                if let Some(c) = probe(victim) {
                     stolen = Some((c, victim));
                     break;
                 }
             }
-        } else if shared.config.locality {
+        } else {
             // Tiered sweep: same-socket victims first (rotated within the tier by
             // the plan's seed), falling one socket outward only when every deque in
             // the nearer tier came up dry.
@@ -670,49 +648,18 @@ fn participate(job: &StealLoop<'_>, id: usize) {
                 let rot = plan.victim_seed.rotate_right(t as u32 * 7) as usize % tier.len();
                 for k in 0..tier.len() {
                     let victim = tier[(rot + k) % tier.len()];
-                    if let Some(c) = probe(victim, &mut saw_retry) {
+                    if let Some(c) = probe(victim) {
                         stolen = Some((c, victim));
                         break 'tiers;
                     }
                 }
             }
-        } else {
-            // Flat randomized ring: the random-victim baseline the ablation runs.
-            let start = (plan.victim_seed % n as u64) as usize;
-            for k in 0..n {
-                let victim = (start + k) % n;
-                if victim == id {
-                    continue;
-                }
-                if let Some(c) = probe(victim, &mut saw_retry) {
-                    stolen = Some((c, victim));
-                    break;
-                }
-            }
         }
         match stolen {
-            Some((first, victim)) => {
-                let remote = record_hit(shared, id, victim, first);
-                let mut batch = [first; REMOTE_STEAL_BATCH];
-                let mut taken = 1;
-                // NUMA-tier chunk sizing: a cross-socket hit takes up to
-                // `REMOTE_STEAL_BATCH` pieces from the same victim in one bite,
-                // amortizing the interconnect transfer; local hits stay single-piece.
-                if remote && shared.config.locality {
-                    while taken < REMOTE_STEAL_BATCH {
-                        match probe(victim, &mut saw_retry) {
-                            Some(piece) => {
-                                record_hit(shared, id, victim, piece);
-                                batch[taken] = piece;
-                                taken += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                for &piece in &batch[..taken] {
-                    execute_piece(id, job, piece);
-                }
+            // A hit takes one piece, local or remote.
+            Some((piece, victim)) => {
+                record_hit(shared, id, victim, piece);
+                execute_piece(id, job, piece);
             }
             // A Retry means another participant claimed a piece concurrently (top
             // moved under our CAS), so the loop is still live: sweep again.  This
@@ -733,19 +680,19 @@ fn participate(job: &StealLoop<'_>, id: usize) {
     }
 }
 
-/// Records one successful steal on the thief's padded counter line and returns `true`
-/// for a cross-socket one.  A whole chunk is a hit: classified by tier distance, with
-/// the hit and tier instants.  A lent half is a `lent_steals` bump and a
-/// `steal-lend` instant naming the victim, so the hit counters keep counting chunks.
+/// Records one successful steal on the thief's padded counter line.  A whole chunk is
+/// a hit: classified local or remote by socket, with the hit and tier instants.  A
+/// lent half is a `lent_steals` bump and a `steal-lend` instant naming the victim, so
+/// the hit counters keep counting chunks.
 #[inline]
-fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) -> bool {
+fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) {
     let my_counters = &*shared.stats.per_worker[id];
-    let remote = shared.socket_of[id] != shared.socket_of[victim];
     if piece.lent {
         my_counters.lent_steals.add(1);
         parlo_trace::instant(parlo_trace::Phase::StealLend, id as u64, victim as u64);
-        return remote;
+        return;
     }
+    let remote = shared.socket_of[id] != shared.socket_of[victim];
     my_counters.steals_hit.add(1);
     if remote {
         my_counters.remote_steals.add(1);
@@ -754,7 +701,6 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) -> b
     }
     parlo_trace::instant(parlo_trace::Phase::StealHit, id as u64, victim as u64);
     parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
-    remote
 }
 
 /// The one claim path: runs a piece participant `id` popped, reclaimed or stole.  A
@@ -1420,7 +1366,6 @@ mod tests {
         // local tier covers every victim and the tiered sweep never falls outward.
         let placement = PlacementConfig::synthetic(2, 4).with_pin(PinPolicy::None);
         let mut p = StealPool::with_placement(4, &placement);
-        assert!(p.config().locality);
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
             p.steal_for_with_chunk(0..512, 4, |i| {
@@ -1438,11 +1383,18 @@ mod tests {
     }
 
     #[test]
-    fn flat_ring_ablation_still_classifies_hits() {
+    fn scripted_flat_ring_still_classifies_hits() {
+        use crate::perturb::ScriptedOrder;
+        // Every participant probes the others in ring order on a synthetic 2×2, so a
+        // hit may land on either side of the socket boundary.
+        let ring = (0..4)
+            .map(|w| (1..4).map(|k| (w + k) % 4).collect())
+            .collect();
+        let placement = parlo_affinity::PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
         let mut p = StealPool::new(
-            StealConfig::with_threads(4)
+            StealConfig::from_placement(4, &placement)
                 .with_chunk(4)
-                .with_locality(false),
+                .with_perturbation(Arc::new(ScriptedOrder::new(ring, 5))),
         );
         let total = AtomicUsize::new(0);
         for _ in 0..5 {

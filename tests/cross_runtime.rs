@@ -286,10 +286,10 @@ fn cache_hostile_workload_is_runtime_independent_across_the_full_roster() {
 }
 
 #[test]
-fn steal_local_ablation_is_bit_equal_with_exact_chunk_accounting() {
-    // The locality switch changes only the victim order and steal batching, never
-    // the results or the chunk accounting: both modes produce bit-identical sums
-    // and execute exactly the pre-split chunk count.
+fn tiered_stealing_is_bit_equal_with_exact_chunk_accounting() {
+    // Stealing across a socket boundary changes only who runs a chunk, never the
+    // results or the chunk accounting: the sums are bit-identical to sequential
+    // execution and exactly the pre-split chunk count executes.
     let n = 600;
     let units = 4;
     let chunk = 7;
@@ -298,34 +298,28 @@ fn steal_local_ablation_is_bit_equal_with_exact_chunk_accounting() {
     let expected = cache::cache_hostile_sequential(&table, n, units);
     let skewed_expected = irregular::skewed_sequential(n, 2);
     let placement = PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
-    for locality in [false, true] {
-        let mut pool = StealPool::new(
-            StealConfig::from_placement(threads, &placement)
-                .with_chunk(chunk)
-                .with_locality(locality),
-        );
-        #[cfg(not(feature = "stats-off"))]
-        let before = pool.stats();
+    let mut pool =
+        StealPool::new(StealConfig::from_placement(threads, &placement).with_chunk(chunk));
+    #[cfg(not(feature = "stats-off"))]
+    let before = pool.stats();
+    assert_eq!(
+        cache::cache_hostile_sum(&mut pool, &table, n, units),
+        expected
+    );
+    assert_eq!(irregular::skewed_sum(&mut pool, n, 2), skewed_expected);
+    #[cfg(not(feature = "stats-off"))]
+    {
+        let d = pool.stats().since(&before);
         assert_eq!(
-            cache::cache_hostile_sum(&mut pool, &table, n, units),
-            expected,
-            "locality = {locality}"
+            d.chunks_executed(),
+            2 * total_chunks(&(0..n), threads, chunk),
+            "exact chunk coverage"
         );
-        assert_eq!(irregular::skewed_sum(&mut pool, n, 2), skewed_expected);
-        #[cfg(not(feature = "stats-off"))]
-        {
-            let d = pool.stats().since(&before);
-            assert_eq!(
-                d.chunks_executed(),
-                2 * total_chunks(&(0..n), threads, chunk),
-                "exact chunk coverage with locality = {locality}"
-            );
-            assert_eq!(
-                d.local_steals + d.remote_steals,
-                d.steals_hit,
-                "every hit classified exactly once with locality = {locality}"
-            );
-        }
+        assert_eq!(
+            d.local_steals + d.remote_steals,
+            d.steals_hit,
+            "every hit classified exactly once"
+        );
     }
 }
 

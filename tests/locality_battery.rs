@@ -15,8 +15,8 @@
 //!   resets when the loop shape or the pool placement changes;
 //! * on the cache-hostile workload over a synthetic multi-socket machine, under a
 //!   scripted schedule in which every steal's victim is the sweep order's first
-//!   choice, the flat random-victim ring crosses the interconnect for every stolen
-//!   chunk and the tiered sweep for none, at exactly equal total chunk counts.
+//!   choice, a scripted flat ring crosses the interconnect for every stolen chunk
+//!   and the pool's tiered sweep for none, at exactly equal total chunk counts.
 //!
 //! Every test derives its schedule from a seeded perturbation (or scripts it
 //! outright), so the battery explores many distinct steal schedules reproducibly —
@@ -46,14 +46,12 @@ fn pool_on(
     cores: usize,
     threads: usize,
     chunk: usize,
-    locality: bool,
     perturb: Arc<dyn SchedulePerturbation>,
 ) -> StealPool {
     let placement = PlacementConfig::synthetic(sockets, cores).with_pin(PinPolicy::None);
     StealPool::new(
         StealConfig::from_placement(threads, &placement)
             .with_chunk(chunk)
-            .with_locality(locality)
             .with_perturbation(perturb),
     )
 }
@@ -62,9 +60,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Exactly-once chunk delivery under the tiered victim order: for any loop
-    /// shape, thread count, synthetic topology, seed and locality setting, every
-    /// index runs exactly once and the executed chunk count equals the pre-split
-    /// count.
+    /// shape, thread count, synthetic topology and seed, every index runs exactly
+    /// once and the executed chunk count equals the pre-split count.
     #[test]
     fn tiered_sweep_delivers_every_chunk_exactly_once(
         len in 0usize..500,
@@ -73,12 +70,10 @@ proptest! {
         chunk in 1usize..24,
         shape in 0usize..SHAPES.len(),
         seed in 0u64..u64::MAX,
-        locality in 0usize..2,
     ) {
-        let locality = locality == 1;
         let (sockets, cores) = SHAPES[shape];
         let mut pool = pool_on(
-            sockets, cores, threads, chunk, locality,
+            sockets, cores, threads, chunk,
             Arc::new(SeededPerturbation::new(seed)),
         );
         let before = pool.stats();
@@ -109,7 +104,7 @@ proptest! {
     ) {
         let (sockets, cores) = SHAPES[shape];
         let mut pool = pool_on(
-            sockets, cores, threads, chunk, true,
+            sockets, cores, threads, chunk,
             Arc::new(ScriptedOrder::new(orders, seed)),
         );
         let before = pool.stats();
@@ -140,7 +135,6 @@ fn saturated_local_tier_never_steals_across_sockets() {
                     cores,
                     threads,
                     5,
-                    true,
                     Arc::new(SeededPerturbation::new(seed)),
                 );
                 for _ in 0..3 {
@@ -211,7 +205,6 @@ fn drained_socket_forces_remote_steals_and_keeps_results_bit_equal() {
             2,
             4,
             1,
-            true,
             Arc::new(HoldThievesForFeeders {
                 feeders_gated: Arc::clone(&feeders_gated),
                 timing: SeededPerturbation::new(seed),
@@ -240,12 +233,15 @@ fn drained_socket_forces_remote_steals_and_keeps_results_bit_equal() {
         );
         assert_eq!(got, expected, "bit-equal under forced remote stealing");
         let s = pool.stats();
-        // All 14 non-gate chunks cross the socket boundary, and a remote hit
-        // carries at most REMOTE_STEAL_BATCH = 2 chunks out of socket 0.
-        assert!(
-            s.remote_steals >= (n as u64 - gates.len() as u64) / 2,
+        // Every hit takes one chunk, and with chunk 1 no piece is long enough to
+        // lend: each of the 14 non-gate chunks is one steal across the socket
+        // boundary, and none stays inside a socket.
+        assert_eq!(
+            s.remote_steals,
+            n as u64 - gates.len() as u64,
             "the drained socket-1 tier must fall outward (seed {seed}): {s:?}"
         );
+        assert_eq!(s.local_steals, 0, "seed {seed}: {s:?}");
         assert_eq!(s.local_steals + s.remote_steals, s.steals_hit);
         assert_eq!(s.chunks_executed(), n as u64);
     }
@@ -316,7 +312,7 @@ fn sticky_affinity_resets_on_shape_and_placement_changes() {
 
         // A pool on a different placement starts with a cold affinity table: sticky
         // state never crosses a roster/placement boundary.
-        let fresh = pool_on(2, 2, threads.min(4), 8, true, no_steal_script(threads));
+        let fresh = pool_on(2, 2, threads.min(4), 8, no_steal_script(threads));
         assert_eq!(fresh.remembered_sites(), 0);
     }
 }
@@ -327,9 +323,10 @@ thread_local! {
 }
 
 /// Scripts the headline schedule: two gated feeders (one per socket) hold all the
-/// work, two thieves (one per socket) must lift it.  The hook only decides *when* a
-/// thief may sweep and with which rotation seed — *whom* the sweep probes first is
-/// the pool's own tiered or flat order, which is exactly what is under test.
+/// work, two thieves (one per socket) must lift it.  The hook decides *when* a thief
+/// may sweep — *whom* the sweep probes first is the pool's own tiered order, which is
+/// exactly what is under test, or, for the comparator, a flat ring that ignores
+/// sockets, scripted through `victim_order`.
 ///
 /// A thief sweeps only after both feeders sit in their gate chunks (so the gates are
 /// never stolen), and once it has executed its `quota` of chunks it waits for the
@@ -344,6 +341,8 @@ struct OneThiefPerFeeder {
     stealable: usize,
     /// Rotation seed of each worker's sweeps: the flat ring starts at `seed % P`.
     seeds: [u64; 4],
+    /// Script the flat ring instead of keeping the pool's tiered order.
+    ring: bool,
 }
 
 impl SchedulePerturbation for OneThiefPerFeeder {
@@ -359,7 +358,7 @@ impl SchedulePerturbation for OneThiefPerFeeder {
         worker: usize,
         _epoch: u64,
         _attempt: u64,
-        _nthreads: usize,
+        nthreads: usize,
     ) -> Option<Vec<usize>> {
         if worker == 1 || worker == 3 {
             while self.feeders_gated.load(Ordering::Acquire) < 2 {
@@ -371,7 +370,9 @@ impl SchedulePerturbation for OneThiefPerFeeder {
                 }
             }
         }
-        None
+        let start = self.seeds[worker] as usize;
+        self.ring
+            .then(|| (0..nthreads).map(|k| (start + k) % nthreads).collect())
     }
 }
 
@@ -381,11 +382,11 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
     // interleaving: on the cache-hostile workload over a synthetic 2x2 machine —
     // workers {0, 1} on socket 0, {2, 3} on socket 1 — feeders 0 and 2 each hold a
     // gate chunk plus 7 stealable chunks, and thieves 1 and 3 must execute all 14.
-    // Every sweep is seeded so that the flat ring starts at the *other* socket's
-    // feeder (thief 1 at worker 2, thief 3 at worker 0).  The flat random-victim
-    // ring follows the seed across the interconnect for every single chunk; the
-    // tiered sweep probes the same-socket feeder first and never crosses while it
-    // has work — at exactly equal total chunk counts, with bit-equal results.
+    // The comparator scripts a flat ring that starts at the *other* socket's feeder
+    // (thief 1 at worker 2, thief 3 at worker 0), and follows it across the
+    // interconnect for every single chunk; the pool's tiered sweep probes the
+    // same-socket feeder first and never crosses while it has work — at exactly
+    // equal total chunk counts, with bit-equal results.
     // (The statistical ">= 3x on 32 free-running threads" form of this claim depends
     // on who the OS runs first; it belongs to the measured benchmark, not tier-1.)
     let n = 16usize;
@@ -396,7 +397,7 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
     let stealable = n - gates.len();
     let owners: Vec<usize> = (0..n).map(|c| if c < 8 { 0 } else { 2 }).collect();
 
-    let run = |locality: bool| -> StealStats {
+    let run = |ring: bool| -> StealStats {
         let feeders_gated = Arc::new(AtomicUsize::new(0));
         let done = Arc::new(AtomicUsize::new(0));
         let mut pool = pool_on(
@@ -404,13 +405,13 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
             2,
             4,
             1,
-            locality,
             Arc::new(OneThiefPerFeeder {
                 feeders_gated: Arc::clone(&feeders_gated),
                 done: Arc::clone(&done),
                 quota: stealable / 2,
                 stealable,
                 seeds: [0, 2, 0, 0],
+                ring,
             }),
         );
         let site = StealSite(0xCAFE);
@@ -434,11 +435,11 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
             },
             |a, b| a + b,
         );
-        assert_eq!(got, expected, "bit-equal (locality = {locality})");
+        assert_eq!(got, expected, "bit-equal (ring = {ring})");
         pool.stats()
     };
-    let random = run(false);
-    let local = run(true);
+    let random = run(true);
+    let local = run(false);
 
     assert_eq!(
         random.chunks_executed(),

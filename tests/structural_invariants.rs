@@ -293,34 +293,26 @@ fn stealing_reduction_performs_exactly_p_minus_1_combines_and_no_extra_barrier()
 
 #[test]
 fn stealing_pool_chunk_accounting_is_exact_across_thread_counts() {
-    // Both sweep modes — the flat random-victim ring and the tiered locality-aware
-    // order — must account every pre-split chunk exactly once and classify every
-    // hit as either same-socket or cross-socket.
-    for locality in [false, true] {
-        for threads in 1..=4usize {
-            for chunk in [1usize, 7, 64] {
-                let mut pool = StealPool::new(
-                    StealConfig::with_threads(threads)
-                        .with_chunk(chunk)
-                        .with_locality(locality),
-                );
-                let before = pool.stats();
-                pool.steal_for(0..613, |_| {});
-                let d = pool.stats().since(&before);
-                assert_eq!(
-                    d.chunks_executed(),
-                    total_chunks(&(0..613), threads, chunk),
-                    "{threads}T chunk {chunk} locality {locality}: every pre-split chunk \
-                     executed exactly once"
-                );
-                assert_eq!(d.chunks_per_worker.len(), threads);
-                assert!(d.steals_hit <= d.steals_attempted);
-                assert_eq!(
-                    d.local_steals + d.remote_steals,
-                    d.steals_hit,
-                    "every hit classified exactly once (locality {locality})"
-                );
-            }
+    // The tiered sweep must account every pre-split chunk exactly once and classify
+    // every hit as either same-socket or cross-socket.
+    for threads in 1..=4usize {
+        for chunk in [1usize, 7, 64] {
+            let mut pool = StealPool::new(StealConfig::with_threads(threads).with_chunk(chunk));
+            let before = pool.stats();
+            pool.steal_for(0..613, |_| {});
+            let d = pool.stats().since(&before);
+            assert_eq!(
+                d.chunks_executed(),
+                total_chunks(&(0..613), threads, chunk),
+                "{threads}T chunk {chunk}: every pre-split chunk executed exactly once"
+            );
+            assert_eq!(d.chunks_per_worker.len(), threads);
+            assert!(d.steals_hit <= d.steals_attempted);
+            assert_eq!(
+                d.local_steals + d.remote_steals,
+                d.steals_hit,
+                "every hit classified exactly once"
+            );
         }
     }
 }
