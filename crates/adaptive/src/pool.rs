@@ -607,7 +607,9 @@ impl AdaptivePool {
                     body(i);
                 }
             }
-            Backend::FineGrain => self.fine.parallel_for(range, body),
+            // The pools' `LoopRuntime` entry points carry the `&dyn` body and operators
+            // by value in the loop's job, with no reference into this frame between.
+            Backend::FineGrain => LoopRuntime::parallel_for(&mut self.fine, range, body),
             Backend::OmpStatic => self.team.parallel_for(range, Schedule::Static, body),
             Backend::OmpDynamic => self
                 .team
@@ -638,26 +640,34 @@ impl AdaptivePool {
                 }
                 acc
             }
-            Backend::FineGrain => self.fine.parallel_reduce(range, || init, fold, combine),
+            Backend::FineGrain => {
+                LoopRuntime::parallel_reduce(&mut self.fine, range, init, fold, combine)
+            }
             Backend::OmpStatic => {
                 self.team
-                    .parallel_reduce(range, Schedule::Static, || init, fold, combine)
+                    .parallel_reduce(range, Schedule::Static, move || init, fold, combine)
             }
-            Backend::OmpDynamic => {
-                self.team
-                    .parallel_reduce(range, Schedule::Dynamic(chunk), || init, fold, combine)
-            }
-            Backend::OmpGuided => {
-                self.team
-                    .parallel_reduce(range, Schedule::Guided(chunk), || init, fold, combine)
-            }
+            Backend::OmpDynamic => self.team.parallel_reduce(
+                range,
+                Schedule::Dynamic(chunk),
+                move || init,
+                fold,
+                combine,
+            ),
+            Backend::OmpGuided => self.team.parallel_reduce(
+                range,
+                Schedule::Guided(chunk),
+                move || init,
+                fold,
+                combine,
+            ),
             Backend::Steal => {
                 self.steal
-                    .steal_reduce_with_chunk(range, chunk, || init, fold, combine)
+                    .steal_reduce_with_chunk(range, chunk, move || init, fold, combine)
             }
             Backend::CilkSteal => {
                 self.cilk
-                    .cilk_reduce_with_grain(range, chunk, || init, fold, combine)
+                    .cilk_reduce_with_grain(range, chunk, move || init, fold, combine)
             }
         }
     }

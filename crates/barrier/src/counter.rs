@@ -6,17 +6,19 @@
 //! participant contends on the same cache line, but for small thread counts the shorter
 //! critical path wins.
 
-use crate::{Epoch, WaitPolicy};
+use crate::line::ReleaseLine;
+use crate::{Epoch, Payload, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_sync::{AtomicU64, Ordering};
 
-/// Release (fork) phase through a single broadcast epoch word.
+/// Release (fork) phase through a single broadcast release line.
 ///
-/// The master publishes a new epoch; every worker spins on the same word until it
-/// observes an epoch at least as large as the one it expects.
+/// The master publishes a new epoch with its payload; every worker spins on the same
+/// line until it observes an epoch at least as large as the one it expects, and reads
+/// the payload from it.
 #[derive(Debug)]
 pub struct CentralizedRelease {
-    epoch: CachePadded<AtomicU64>,
+    line: CachePadded<ReleaseLine>,
 }
 
 impl Default for CentralizedRelease {
@@ -26,34 +28,44 @@ impl Default for CentralizedRelease {
 }
 
 impl CentralizedRelease {
-    /// Creates a release word at epoch 0.
+    /// Creates a release line at epoch 0.
     pub fn new() -> Self {
         CentralizedRelease {
-            epoch: CachePadded::new(AtomicU64::new(0)),
+            line: CachePadded::new(ReleaseLine::new()),
         }
     }
 
-    /// Master side: publish `epoch`, releasing all workers waiting for it.
+    /// Master side: publish `epoch` with `payload`, releasing all workers waiting for
+    /// it.
     ///
-    /// All writes the master performed before this call (e.g. storing the work
-    /// descriptor) happen-before any worker that observes the new epoch.
+    /// All writes the master performed before this call happen-before any worker that
+    /// observes the new epoch, and that worker reads `payload` from the line it
+    /// observed it on.
     #[inline]
-    pub fn signal(&self, epoch: Epoch) {
-        self.epoch.store(epoch, Ordering::Release);
+    pub fn signal(&self, epoch: Epoch, payload: &Payload) {
+        self.line.publish(epoch, payload);
         crate::wake_parked();
     }
 
-    /// Worker side: wait until the master has published an epoch `>= epoch`.
+    /// Worker side: wait until the master has published an epoch `>= epoch`, and
+    /// return the payload published with it.
     #[inline]
-    pub fn wait(&self, epoch: Epoch, policy: &WaitPolicy) {
-        policy.wait_until(|| self.epoch.load(Ordering::Acquire) >= epoch);
+    pub fn wait(&self, epoch: Epoch, policy: &WaitPolicy) -> Payload {
+        policy.wait_until(|| self.line.is_released(epoch));
+        self.line.payload()
     }
 
     /// Non-blocking probe used by the hybrid scheduler: returns `true` if epoch `>=
     /// epoch` has been published.
     #[inline]
     pub fn poll(&self, epoch: Epoch) -> bool {
-        self.epoch.load(Ordering::Acquire) >= epoch
+        self.line.is_released(epoch)
+    }
+
+    /// The payload of the epoch a [`CentralizedRelease::poll`] on this thread observed.
+    #[inline]
+    pub(crate) fn payload(&self) -> Payload {
+        self.line.payload()
     }
 }
 
@@ -110,15 +122,18 @@ impl CentralizedJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::{fill_of, filled};
+    use crate::EMPTY_PAYLOAD;
     use std::sync::Arc;
 
     #[test]
-    fn release_signal_then_wait_returns() {
+    fn release_signal_then_wait_returns_the_payload() {
         let r = CentralizedRelease::new();
-        r.signal(1);
-        r.wait(1, &WaitPolicy::default());
+        r.signal(1, &filled(7));
+        assert_eq!(fill_of(r.wait(1, &WaitPolicy::default())), 7);
         assert!(r.poll(1));
         assert!(!r.poll(2));
+        assert_eq!(fill_of(r.payload()), 7);
     }
 
     #[test]
@@ -146,15 +161,18 @@ mod tests {
             let join = join.clone();
             handles.push(std::thread::spawn(move || {
                 for epoch in 1..=50u64 {
-                    release.wait(epoch, &policy);
+                    assert_eq!(fill_of(release.wait(epoch, &policy)), epoch);
                     join.arrive();
                 }
             }));
         }
         for epoch in 1..=50u64 {
-            release.signal(epoch);
+            release.signal(epoch, &filled(epoch));
             join.wait_all(epoch, &policy);
         }
+        // A release whose waiters read nothing carries the empty payload.
+        release.signal(51, &EMPTY_PAYLOAD);
+        assert!(release.poll(51));
         for h in handles {
             h.join().unwrap();
         }

@@ -12,9 +12,10 @@
 //! `parlo-omp` is built on it as well.
 //!
 //! A full-barrier episode runs the bare phases: it emits none of the half-barrier's
-//! release / join / dispatch / arrival trace events.
+//! release / join / dispatch / arrival trace events.  Its release carries a payload
+//! like every release of the crate: the master passes one in, a worker gets it back.
 
-use crate::{Epoch, HalfBarrier, WaitPolicy};
+use crate::{Epoch, HalfBarrier, Payload, WaitPolicy};
 use parlo_affinity::Topology;
 
 /// A full (join + release) barrier over `nthreads` participants with explicit epochs.
@@ -63,26 +64,28 @@ impl FullBarrier {
     /// Master: execute a full barrier episode — wait for every worker's arrival
     /// (invoking `on_child` per direct child, for reductions aggregated "in the join
     /// phase of the tree barrier" as the Intel OpenMP runtime does), then release all
-    /// workers.
+    /// workers with `payload`.
     #[inline]
     pub fn master_wait_combine<F: FnMut(usize)>(
         &self,
         epoch: Epoch,
         policy: &WaitPolicy,
+        payload: &Payload,
         on_child: F,
     ) {
         self.half.flavor.join(epoch, policy, on_child);
-        self.half.flavor.release(epoch);
+        self.half.flavor.release(epoch, payload);
     }
 
     /// Master: execute a full barrier episode without any reduction work.
     #[inline]
-    pub fn master_wait(&self, epoch: Epoch, policy: &WaitPolicy) {
-        self.master_wait_combine(epoch, policy, |_| {});
+    pub fn master_wait(&self, epoch: Epoch, policy: &WaitPolicy, payload: &Payload) {
+        self.master_wait_combine(epoch, policy, payload, |_| {});
     }
 
     /// Worker `id`: execute a full barrier episode — announce arrival (combining any
-    /// join-tree children via `on_child`) and wait to be released.
+    /// join-tree children via `on_child`), wait to be released, and return the payload
+    /// of the release.
     #[inline]
     pub fn worker_wait_combine<F: FnMut(usize)>(
         &self,
@@ -90,22 +93,24 @@ impl FullBarrier {
         epoch: Epoch,
         policy: &WaitPolicy,
         on_child: F,
-    ) {
+    ) -> Payload {
         debug_assert!(id > 0 && id < self.num_threads());
         self.half.flavor.arrive(id, epoch, policy, on_child);
-        self.half.flavor.wait_release(id, epoch, policy);
+        self.half.flavor.wait_release(id, epoch, policy)
     }
 
     /// Worker `id`: execute a full barrier episode without reduction work.
     #[inline]
-    pub fn worker_wait(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
-        self.worker_wait_combine(id, epoch, policy, |_| {});
+    pub fn worker_wait(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
+        self.worker_wait_combine(id, epoch, policy, |_| {})
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::{fill_of, filled};
+    use crate::EMPTY_PAYLOAD;
     use parlo_sync::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -123,7 +128,7 @@ mod tests {
                     // ordering: SeqCst keeps the harness counter's visibility
                     // independent of the orderings of the barrier under test.
                     counters[(epoch - 1) as usize].fetch_add(1, Ordering::SeqCst);
-                    fb.worker_wait(id, epoch, &policy);
+                    assert_eq!(fill_of(fb.worker_wait(id, epoch, &policy)), epoch);
                     // ordering: as above — a full barrier releases workers only
                     // after all arrivals, and SeqCst makes the check sharp.
                     assert_eq!(counters[(epoch - 1) as usize].load(Ordering::SeqCst), n);
@@ -133,7 +138,7 @@ mod tests {
         for epoch in 1..=cycles {
             // ordering: SeqCst harness counter, independent of the barrier under test.
             counters[(epoch - 1) as usize].fetch_add(1, Ordering::SeqCst);
-            fb.master_wait(epoch, &policy);
+            fb.master_wait(epoch, &policy, &filled(epoch));
             // ordering: as above.
             assert_eq!(counters[(epoch - 1) as usize].load(Ordering::SeqCst), n);
         }
@@ -213,8 +218,10 @@ mod tests {
         let fb = FullBarrier::topology_aware(&topo, 2);
         let full = traced_events(
             "full-episode",
-            || fb.master_wait(1, &policy),
-            || fb.worker_wait(1, 1, &policy),
+            || fb.master_wait(1, &policy, &EMPTY_PAYLOAD),
+            || {
+                fb.worker_wait(1, 1, &policy);
+            },
         );
         assert_eq!(full, 0, "a full barrier runs the bare phases");
         // The control: the same tree's half-barrier cycle does record its phases.
@@ -222,7 +229,7 @@ mod tests {
         let half = traced_events(
             "half-cycle",
             || {
-                hb.release(1);
+                hb.release(1, &EMPTY_PAYLOAD);
                 hb.join(1, &policy, |_| {});
             },
             || {
@@ -236,7 +243,9 @@ mod tests {
     #[test]
     fn master_combine_sees_children() {
         let fb = FullBarrier::new_centralized(1);
-        fb.master_wait_combine(1, &WaitPolicy::default(), |_| panic!("no children"));
+        fb.master_wait_combine(1, &WaitPolicy::default(), &EMPTY_PAYLOAD, |_| {
+            panic!("no children")
+        });
         let fb = FullBarrier::new_centralized(4);
         let mut all: Vec<usize> = (0..4).flat_map(|id| fb.combine_children(id)).collect();
         all.sort_unstable();

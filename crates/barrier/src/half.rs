@@ -12,7 +12,8 @@
 //! and "fine-grain tree" configurations of Table 1 in the paper.
 
 use crate::{
-    CentralizedJoin, CentralizedRelease, Epoch, HierarchicalHalfBarrier, HierarchyStats, WaitPolicy,
+    CentralizedJoin, CentralizedRelease, Epoch, HierarchicalHalfBarrier, HierarchyStats, Payload,
+    WaitPolicy,
 };
 use parlo_affinity::Topology;
 
@@ -34,10 +35,10 @@ pub(crate) enum Flavor {
 
 impl Flavor {
     #[inline]
-    pub(crate) fn release(&self, epoch: Epoch) {
+    pub(crate) fn release(&self, epoch: Epoch, payload: &Payload) {
         match self {
-            Flavor::Centralized { release, .. } => release.signal(epoch),
-            Flavor::Hierarchical(h) => h.release(epoch),
+            Flavor::Centralized { release, .. } => release.signal(epoch, payload),
+            Flavor::Hierarchical(h) => h.release(epoch, payload),
         }
     }
 
@@ -54,7 +55,7 @@ impl Flavor {
     }
 
     #[inline]
-    pub(crate) fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
+    pub(crate) fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
         match self {
             Flavor::Centralized { release, .. } => release.wait(epoch, policy),
             Flavor::Hierarchical(h) => h.wait_release(id, epoch, policy),
@@ -141,13 +142,14 @@ impl HalfBarrier {
 
     // ----- master side -------------------------------------------------------------
 
-    /// Master: release phase of the fork "barrier".  Publishes `epoch` to the workers;
-    /// never waits.  Any data written before this call (the work descriptor) is visible
-    /// to workers that observe the epoch.
+    /// Master: release phase of the fork "barrier".  Publishes `epoch` and `payload` to
+    /// the workers; never waits.  Any data written before this call is visible to
+    /// workers that observe the epoch, and each of them receives `payload` from the
+    /// line that released it.
     #[inline]
-    pub fn release(&self, epoch: Epoch) {
+    pub fn release(&self, epoch: Epoch, payload: &Payload) {
         parlo_trace::instant(parlo_trace::Phase::Release, epoch, 0);
-        self.flavor.release(epoch);
+        self.flavor.release(epoch, payload);
     }
 
     /// Master: join phase of the join "barrier".  Waits until every worker has arrived
@@ -165,13 +167,14 @@ impl HalfBarrier {
     // ----- worker side -------------------------------------------------------------
 
     /// Worker `id`: wait until released for `epoch` (forwarding the release to tree
-    /// children where applicable).
+    /// children where applicable) and return the payload it carried.
     #[inline]
-    pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
+    pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
         debug_assert!(id > 0 && id < self.nthreads);
         parlo_trace::span_begin(parlo_trace::Phase::Dispatch, epoch, id as u64);
-        self.flavor.wait_release(id, epoch, policy);
+        let payload = self.flavor.wait_release(id, epoch, policy);
         parlo_trace::span_end(parlo_trace::Phase::Dispatch);
+        payload
     }
 
     /// Worker `id`: non-blocking release probe, used by the hybrid scheduler which
@@ -185,11 +188,14 @@ impl HalfBarrier {
         }
     }
 
-    /// Worker `id`: forward a release observed through [`HalfBarrier::poll_release`].
+    /// Worker `id`: take a release observed through [`HalfBarrier::poll_release`] —
+    /// forward it (epoch and payload) to tree children where applicable — and return
+    /// the payload it carried.
     #[inline]
-    pub fn forward_release(&self, id: usize, epoch: Epoch) {
-        if let Flavor::Hierarchical(h) = &self.flavor {
-            h.forward_release(id, epoch);
+    pub fn forward_release(&self, id: usize, epoch: Epoch) -> Payload {
+        match &self.flavor {
+            Flavor::Centralized { release, .. } => release.payload(),
+            Flavor::Hierarchical(h) => h.forward_release(id, epoch),
         }
     }
 
@@ -213,6 +219,7 @@ impl HalfBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::{fill_of, filled};
     use parlo_sync::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -226,7 +233,7 @@ mod tests {
             let work = work.clone();
             handles.push(std::thread::spawn(move || {
                 for epoch in 1..=cycles {
-                    hb.wait_release(id, epoch, &policy);
+                    assert_eq!(fill_of(hb.wait_release(id, epoch, &policy)), epoch);
                     // ordering: SeqCst keeps the harness counter's visibility
                     // independent of the orderings of the barrier under test.
                     work.fetch_add(1, Ordering::SeqCst);
@@ -235,7 +242,7 @@ mod tests {
             }));
         }
         for epoch in 1..=cycles {
-            hb.release(epoch);
+            hb.release(epoch, &filled(epoch));
             // ordering: SeqCst harness counter, independent of the barrier under test.
             work.fetch_add(1, Ordering::SeqCst);
             let mut combines = 0;
@@ -276,7 +283,7 @@ mod tests {
         let hb = HalfBarrier::new_centralized(1);
         let policy = WaitPolicy::default();
         for epoch in 1..=10 {
-            hb.release(epoch);
+            hb.release(epoch, &filled(epoch));
             hb.join(epoch, &policy, |_| panic!("no children expected"));
         }
     }
@@ -304,11 +311,17 @@ mod tests {
         // One socket of 8 at fan 4: worker 1 wakes workers 5, 6 and 7.
         let hb = HalfBarrier::new_hierarchical(&Topology::synthetic(1, 8).unwrap(), 8);
         assert!(!hb.poll_release(1, 1));
-        hb.release(1);
+        hb.release(1, &filled(3));
         assert!(hb.poll_release(1, 1));
         assert!(!hb.poll_release(5, 1));
-        hb.forward_release(1, 1);
+        assert_eq!(fill_of(hb.forward_release(1, 1)), 3);
         assert!(hb.poll_release(5, 1));
+        assert_eq!(fill_of(hb.forward_release(5, 1)), 3);
+        // The centralized flavor has one line and nothing to forward.
+        let hb = HalfBarrier::new_centralized(3);
+        hb.release(1, &filled(4));
+        assert!(hb.poll_release(2, 1));
+        assert_eq!(fill_of(hb.forward_release(2, 1)), 4);
     }
 
     #[test]

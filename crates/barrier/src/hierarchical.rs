@@ -19,7 +19,14 @@
 //!   earliest), then every socket fans the release out locally;
 //! * **per-socket flag grouping**: every per-thread flag is cache-line padded *and*
 //!   allocated in a per-socket array, so the lines a socket's threads spin on are never
-//!   interleaved with another socket's flags.
+//!   interleaved with another socket's flags;
+//! * **the payload rides the release**: every release line — a member's and a
+//!   socket's — is a [`ReleaseLine`]: the epoch and the release's [`Payload`] in one
+//!   padded line.  The master publishes the payload into each remote socket's line and
+//!   into its own children's lines; a member that forwards the release copies the
+//!   payload it read into each child's line before storing the child's epoch.  So
+//!   however deep a worker sits, the line that releases it is the only line it reads to
+//!   learn what to run.
 //!
 //! The structure is instrumented ([`HierarchyStats`]) so the hierarchy is unit-testable
 //! on synthetic topologies without multi-socket hardware: exact per-socket arrival
@@ -28,7 +35,8 @@
 //! the rendezvous count, and every member bumps its own arrival line, summed per
 //! socket on read.
 
-use crate::{Epoch, WaitPolicy};
+use crate::line::ReleaseLine;
+use crate::{Epoch, Payload, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::Topology;
 use parlo_sync::{AtomicU64, Ordering, ParticipantCounter, SingleWriterCounter};
@@ -36,6 +44,12 @@ use parlo_sync::{AtomicU64, Ordering, ParticipantCounter, SingleWriterCounter};
 fn padded_flags(n: usize) -> Vec<CachePadded<AtomicU64>> {
     (0..n)
         .map(|_| CachePadded::new(AtomicU64::new(0)))
+        .collect()
+}
+
+fn release_lines(n: usize) -> Vec<CachePadded<ReleaseLine>> {
+    (0..n)
+        .map(|_| CachePadded::new(ReleaseLine::new()))
         .collect()
 }
 
@@ -50,8 +64,8 @@ struct SocketGroup {
     children: Vec<Vec<usize>>,
     /// Arrival flags (epoch counters), one padded line per member, grouped per socket.
     arrival: Vec<CachePadded<AtomicU64>>,
-    /// Release flags (epoch counters), one padded line per member, grouped per socket.
-    release: Vec<CachePadded<AtomicU64>>,
+    /// Release lines (epoch and payload), one per member, grouped per socket.
+    release: Vec<CachePadded<ReleaseLine>>,
     /// Instrumentation: `arrive` calls per member, each member bumping its own line.
     arrivals: ParticipantCounter,
 }
@@ -67,7 +81,7 @@ impl SocketGroup {
             members,
             children,
             arrival: padded_flags(k),
-            release: padded_flags(k),
+            release: release_lines(k),
             arrivals: ParticipantCounter::new(k),
         }
     }
@@ -111,7 +125,7 @@ pub struct HierarchicalHalfBarrier {
     /// Cross-socket arrival rendezvous lines, one per populated socket (index 0 unused).
     socket_arrival: Vec<CachePadded<AtomicU64>>,
     /// Cross-socket release lines, one per populated socket (index 0 unused).
-    socket_release: Vec<CachePadded<AtomicU64>>,
+    socket_release: Vec<CachePadded<ReleaseLine>>,
     /// Instrumentation bumped by the master alone (`release` and `join`), on a line
     /// of its own.
     cycles: CachePadded<SingleWriterCounter>,
@@ -151,7 +165,7 @@ impl HierarchicalHalfBarrier {
             groups,
             locate,
             socket_arrival: padded_flags(nsockets),
-            socket_release: padded_flags(nsockets),
+            socket_release: release_lines(nsockets),
             cycles: CachePadded::default(),
             rendezvous: CachePadded::default(),
         }
@@ -199,16 +213,16 @@ impl HierarchicalHalfBarrier {
 
     // ----- master side -------------------------------------------------------------
 
-    /// Master: release phase.  Stores the per-socket release line of every remote
-    /// socket first (the highest-latency signals leave earliest), then fans out over
-    /// the master's own socket-local tree.  Never waits.
+    /// Master: release phase.  Publishes `epoch` and `payload` into the per-socket
+    /// release line of every remote socket first (the highest-latency signals leave
+    /// earliest), then fans out over the master's own socket-local tree.  Never waits.
     #[inline]
-    pub fn release(&self, epoch: Epoch) {
+    pub fn release(&self, epoch: Epoch, payload: &Payload) {
         self.cycles.add(1);
-        for flag in self.socket_release.iter().skip(1) {
-            flag.store(epoch, Ordering::Release);
+        for line in self.socket_release.iter().skip(1) {
+            line.publish(epoch, payload);
         }
-        self.fan_out(0, 0, epoch);
+        self.fan_out(0, 0, epoch, payload);
         crate::wake_parked();
     }
 
@@ -234,13 +248,13 @@ impl HierarchicalHalfBarrier {
     // ----- worker side -------------------------------------------------------------
 
     /// Worker `id`: wait until released for `epoch`, then forward the release down the
-    /// socket-local tree.
+    /// socket-local tree; returns the payload the release carried.
     #[inline]
-    pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) {
+    pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
         debug_assert!(id > 0 && id < self.nthreads);
-        let flag = self.release_flag(id);
-        policy.wait_until(|| flag.load(Ordering::Acquire) >= epoch);
-        self.forward_release(id, epoch);
+        let line = self.release_line(id);
+        policy.wait_until(|| line.is_released(epoch));
+        self.forward_release(id, epoch)
     }
 
     /// Worker `id`: non-blocking release probe (the hybrid scheduler's polling path).
@@ -249,13 +263,13 @@ impl HierarchicalHalfBarrier {
     /// the loop.
     #[inline]
     pub fn poll_release(&self, id: usize, epoch: Epoch) -> bool {
-        self.release_flag(id).load(Ordering::Acquire) >= epoch
+        self.release_line(id).is_released(epoch)
     }
 
     /// The line worker `id` is released through: its socket's release line for a
     /// remote socket root, its own line for every other worker.
     #[inline]
-    fn release_flag(&self, id: usize) -> &AtomicU64 {
+    fn release_line(&self, id: usize) -> &ReleaseLine {
         let (g, l) = self.locate[id];
         if l == 0 {
             &self.socket_release[g]
@@ -264,25 +278,29 @@ impl HierarchicalHalfBarrier {
         }
     }
 
-    /// Worker `id`: forward a release observed through
-    /// [`poll_release`](HierarchicalHalfBarrier::poll_release) to the worker's
-    /// socket-local tree children.
+    /// Worker `id`: take a release observed through
+    /// [`poll_release`](HierarchicalHalfBarrier::poll_release) (or inside
+    /// [`wait_release`](HierarchicalHalfBarrier::wait_release)): read its payload,
+    /// forward epoch and payload to the worker's socket-local tree children, and return
+    /// the payload.
     #[inline]
-    pub fn forward_release(&self, id: usize, epoch: Epoch) {
+    pub fn forward_release(&self, id: usize, epoch: Epoch) -> Payload {
         let (g, l) = self.locate[id];
+        let payload = self.release_line(id).payload();
         if !self.groups[g].children[l].is_empty() {
-            self.fan_out(g, l, epoch);
+            self.fan_out(g, l, epoch, &payload);
             crate::wake_parked();
         }
+        payload
     }
 
-    /// Stores `epoch` into the release lines of local index `l`'s children on socket
-    /// `g`.
+    /// Publishes `epoch` and `payload` into the release lines of local index `l`'s
+    /// children on socket `g`.
     #[inline]
-    fn fan_out(&self, g: usize, l: usize, epoch: Epoch) {
+    fn fan_out(&self, g: usize, l: usize, epoch: Epoch, payload: &Payload) {
         let group = &self.groups[g];
         for &c in &group.children[l] {
-            group.release[c].store(epoch, Ordering::Release);
+            group.release[c].publish(epoch, payload);
         }
     }
 
@@ -318,9 +336,12 @@ impl HierarchicalHalfBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::{fill_of, filled};
     use parlo_sync::AtomicUsize;
     use std::sync::Arc;
 
+    /// Cycles in which every worker — released by the master, a forwarder or through
+    /// its socket line — must receive the payload of its own cycle.
     fn run_cycles(hb: Arc<HierarchicalHalfBarrier>, cycles: u64) {
         let n = hb.num_threads();
         let policy = WaitPolicy::oversubscribed();
@@ -331,7 +352,8 @@ mod tests {
             let work = work.clone();
             handles.push(std::thread::spawn(move || {
                 for epoch in 1..=cycles {
-                    hb.wait_release(id, epoch, &policy);
+                    let payload = hb.wait_release(id, epoch, &policy);
+                    assert_eq!(fill_of(payload), epoch, "worker {id} got a stale payload");
                     // ordering: SeqCst keeps the harness counter's visibility
                     // independent of the orderings of the barrier under test.
                     work.fetch_add(1, Ordering::SeqCst);
@@ -340,7 +362,7 @@ mod tests {
             }));
         }
         for epoch in 1..=cycles {
-            hb.release(epoch);
+            hb.release(epoch, &filled(epoch));
             // ordering: SeqCst harness counter, independent of the barrier under test.
             work.fetch_add(1, Ordering::SeqCst);
             let mut combines = 0;
@@ -382,7 +404,7 @@ mod tests {
         let hb = HierarchicalHalfBarrier::new(&topo, 1);
         let policy = WaitPolicy::default();
         for epoch in 1..=10 {
-            hb.release(epoch);
+            hb.release(epoch, &filled(epoch));
             hb.join(epoch, &policy, |_| panic!("no children expected"));
         }
         let s = hb.stats();
@@ -423,11 +445,12 @@ mod tests {
         let hb = HierarchicalHalfBarrier::new(&topo, 8);
         // Worker 4 is the root of socket 1.
         assert!(!hb.poll_release(4, 1));
-        hb.release(1);
+        hb.release(1, &filled(11));
         assert!(hb.poll_release(4, 1), "socket line stored by the master");
         assert!(!hb.poll_release(5, 1), "local fan-out has not happened yet");
-        hb.forward_release(4, 1);
+        assert_eq!(fill_of(hb.forward_release(4, 1)), 11);
         assert!(hb.poll_release(5, 1));
+        assert_eq!(fill_of(hb.forward_release(5, 1)), 11, "forwarded payload");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! This crate provides one barrier family over two structures:
 //!
-//! * the centralized pair — one release word, one arrival counter:
+//! * the centralized pair — one release line, one arrival counter:
 //!   [`CentralizedRelease`], [`CentralizedJoin`];
 //! * the tree — socket-local MCS-style trees, one cross-socket rendezvous per cycle,
 //!   remote sockets released first, per-socket grouped flags:
@@ -31,6 +31,18 @@
 //! All primitives are *epoch based*: every fork/join cycle uses a fresh monotonically
 //! increasing epoch number, which avoids the reinitialisation races of sense-reversal
 //! when the same structure is reused for release-only and join-only phases.
+//!
+//! # The release payload
+//!
+//! Every release carries a [`Payload`] — [`PAYLOAD_WORDS`] words in the same padded
+//! 128-byte line as the epoch the waiter spins on.  `release(epoch, &payload)` writes
+//! the payload and then stores the epoch with `Release`; `wait_release` returns the
+//! payload read after its `Acquire` load of the epoch, and a tree member that forwards
+//! the release copies the payload into each child's line before storing the child's
+//! epoch.  The polling path (`poll_release` / `forward_release`) and a full barrier's
+//! release phase carry it the same way; there is no payload-less release.  The loop
+//! runtimes put the loop's whole job there (`parlo_exec::Job`), so a released worker
+//! has its job in the line transfer that released it.
 
 #![warn(missing_docs)]
 
@@ -38,6 +50,7 @@ mod counter;
 mod full;
 mod half;
 mod hierarchical;
+mod line;
 mod park;
 mod wait;
 
@@ -45,6 +58,7 @@ pub use counter::{CentralizedJoin, CentralizedRelease};
 pub use full::FullBarrier;
 pub use half::HalfBarrier;
 pub use hierarchical::{HierarchicalHalfBarrier, HierarchyStats};
+pub use line::{Payload, EMPTY_PAYLOAD, PAYLOAD_WORDS};
 pub use park::wake_parked;
 pub use wait::{WaitMode, WaitPolicy};
 

@@ -30,9 +30,11 @@ use std::ops::Range;
 // Baseline Cilk reducers
 // ----------------------------------------------------------------------------------
 
+/// Harness of a baseline reduction: on the master's stack, owning the identity and the
+/// fold (a `LoopRuntime` call's `move || init` and `&dyn` fold are held as they are).
 struct CilkReduceHarness<'a, T, Id, Fold> {
-    identity: &'a Id,
-    fold: &'a Fold,
+    identity: Id,
+    fold: Fold,
     /// The per-worker *current* views (lazily created on first fold; `None` once closed
     /// out by a steal).
     views: ReduceViews<'a, Option<T>>,
@@ -52,8 +54,8 @@ where
     // SAFETY: `worker` is the calling worker; only it touches its current view.
     let value = unsafe { h.views.take(worker) }
         .flatten()
-        .unwrap_or_else(h.identity);
-    let value = fold_range(h.fold, value, lo..hi);
+        .unwrap_or_else(&h.identity);
+    let value = fold_range(&h.fold, value, lo..hi);
     // SAFETY: as above.
     unsafe { h.views.put(worker, Some(value)) };
 }
@@ -79,41 +81,47 @@ where
 // Fine-grain (merged half-barrier) reducers
 // ----------------------------------------------------------------------------------
 
+/// Harness of a fine-grain reduction: `Copy`, carried by value in the loop's job, with
+/// `identity`, `fold` and `combine` as handles (references to the caller's closures,
+/// or a `LoopRuntime` call's `move || init` and `&dyn` operators themselves).
 struct FineReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: &'a Id,
-    fold: &'a Fold,
-    combine: &'a Comb,
+    identity: Id,
+    fold: Fold,
+    combine: Comb,
     views: ReduceViews<'a, T>,
-    range: Range<usize>,
+    start: usize,
+    end: usize,
     nthreads: usize,
     stats: &'a CilkStats,
 }
 
+impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for FineReduceHarness<'_, T, Id, Fold, Comb> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T, Id: Copy, Fold: Copy, Comb: Copy> Copy for FineReduceHarness<'_, T, Id, Fold, Comb> {}
+
 unsafe fn fine_reduce_exec<T, Id, Fold, Comb>(data: *const (), id: usize)
 where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-    T: Send,
+    Id: Fn() -> T,
+    Fold: Fn(T, usize) -> T,
 {
-    // SAFETY: the caller passes a pointer to a harness the master keeps alive
-    // until the loop's join completes.
+    // SAFETY: the job carries a `FineReduceHarness` of exactly these types, and `data`
+    // points at this participant's copy of it.
     let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
-    let block = static_block(&h.range, h.nthreads, id);
-    let acc = fold_range(h.fold, (h.identity)(), block);
+    let block = static_block(&(h.start..h.end), h.nthreads, id);
+    let acc = fold_range(&h.fold, (h.identity)(), block);
     // SAFETY: each participant writes only its own view before arriving.
     unsafe { h.views.put(id, acc) };
 }
 
 unsafe fn fine_reduce_combine<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
 where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-    T: Send,
+    Comb: Fn(T, T) -> T + Copy,
 {
-    // SAFETY: the caller passes a pointer to a harness the master keeps alive
-    // until the loop's join completes.
+    // SAFETY: as in `fine_reduce_exec`.
     let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
     h.stats.fine_combine_ops.add(into, 1);
     // SAFETY: serialized by the join-phase protocol of the half-barrier.
@@ -145,8 +153,8 @@ impl CilkPool {
         }
         let nthreads = self.num_threads();
         let harness = CilkReduceHarness {
-            identity: &identity,
-            fold: &fold,
+            identity,
+            fold,
             // SAFETY: `&mut self` makes this thread the pool's one driver, between
             // loops; the previous reduction's handle is gone.
             views: unsafe { self.views() },
@@ -173,7 +181,7 @@ impl CilkPool {
         let mut pending: Vec<T> = harness.retired.into_inner();
         // SAFETY: the loop has completed; the master is the only remaining accessor.
         pending.extend((0..nthreads).filter_map(|id| unsafe { harness.views.take(id) }.flatten()));
-        let mut acc = identity();
+        let mut acc = (harness.identity)();
         for v in pending {
             stats.master.reduce_ops.add(1);
             acc = combine(acc, v);
@@ -215,27 +223,47 @@ impl CilkPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
+        self.fine_reduce(range, &identity, &fold, &combine)
+    }
+
+    /// [`CilkPool::fine_grain_reduce`] over handles the harness carries by value:
+    /// references to the caller's closures from the generic entry point, and from a
+    /// `LoopRuntime` call a `move || init` and the `&dyn` operators themselves.
+    pub(crate) fn fine_reduce<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, usize) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
         // Empty reductions return the identity without a barrier cycle.
         if range.is_empty() {
             return identity();
         }
-        let nthreads = self.num_threads();
         let harness = FineReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
+            identity,
+            fold,
+            combine,
             // SAFETY: as in `cilk_reduce_with_grain`.
             views: unsafe { self.views() },
-            range,
-            nthreads,
+            start: range.start,
+            end: range.end,
+            nthreads: self.num_threads(),
             stats: &self.work().stats,
         };
         harness.stats.master.fine_loops.add(1);
         harness.stats.master.reductions.add(1);
-        // SAFETY: as in `cilk_reduce_with_grain`.
+        // SAFETY: as in `cilk_reduce_with_grain`; the entry points read exactly the
+        // harness type the job carries.
         unsafe {
             self.run_fine_loop(Job::new(
-                &harness,
+                harness,
                 fine_reduce_exec::<T, Id, Fold, Comb>,
                 Some(fine_reduce_combine::<T, Id, Fold, Comb>),
             ));

@@ -40,7 +40,7 @@ impl LoopRuntime for CilkPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.cilk_reduce(range, || init, fold, combine)
+        self.cilk_reduce(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {
@@ -93,8 +93,11 @@ impl LoopRuntime for CilkFineGrain {
         self.pool.num_threads()
     }
 
+    // The `&dyn` body and operators go into the loop's harness as they are, so a worker
+    // finds them in the line that released it rather than behind a reference into this
+    // frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.pool.fine_grain_for(range, body);
+        self.pool.fine_for(range, body);
     }
 
     fn parallel_reduce(
@@ -104,7 +107,7 @@ impl LoopRuntime for CilkFineGrain {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.pool.fine_grain_reduce(range, || init, fold, combine)
+        self.pool.fine_reduce(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -11,8 +11,9 @@
 //! * loop completion is detected through a shared count of outstanding iterations.
 //!
 //! Hybrid extension (§2, last paragraph of the paper): the pool also embeds a
-//! **half-barrier** and a fine-grain job slot.  Idle workers alternate one cycle of the
-//! random work-stealing algorithm with a poll of the half-barrier release flag, so the
+//! **half-barrier** whose releases carry the fine-grain loop's job.  Idle workers
+//! alternate one cycle of the random work-stealing algorithm with a poll of the
+//! half-barrier release flag, so the
 //! same pool can run statically scheduled fine-grain loops ([`CilkPool::fine_grain_for`],
 //! [`CilkPool::fine_grain_reduce`]) next to dynamically scheduled coarse-grain loops
 //! ([`CilkPool::cilk_for`]).
@@ -204,11 +205,11 @@ impl TeamSync for Hybrid {
     }
 
     #[inline]
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
-        self.fine.master_fork(at, policy);
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
+        self.fine.master_fork(at, policy, job);
     }
 
-    fn worker_fork(&self, id: usize, at: &mut Epoch, _policy: &WaitPolicy) {
+    fn worker_fork(&self, id: usize, at: &mut Epoch, _policy: &WaitPolicy) -> Job {
         *at += 1;
         let mut idle_spins: u32 = 0;
         // Poll the half-barrier for a fine-grain static loop ...
@@ -225,7 +226,8 @@ impl TeamSync for Hybrid {
                 std::thread::yield_now();
             }
         }
-        self.fine.forward_release(id, *at);
+        // SAFETY: the fine path's releases carry its jobs (`master_fork` above).
+        unsafe { Job::from_payload(self.fine.forward_release(id, *at)) }
     }
 
     #[inline]
@@ -438,7 +440,8 @@ impl CilkPool {
     /// Runs a type-erased fine-grain loop through the embedded half-barrier.
     ///
     /// # Safety
-    /// The harness behind `job` must stay alive until this returns (see [`Job::new`]).
+    /// Everything the job's harness refers to must stay alive until this returns (see
+    /// [`Job::new`]).
     pub(crate) unsafe fn run_fine_loop(&self, job: Job) {
         // SAFETY: forwarded contract.
         unsafe { self.team.run(job) };
@@ -533,8 +536,10 @@ impl CilkWork {
 // Typed loop entry points (plain loops; reductions live in `reducer.rs`)
 // --------------------------------------------------------------------------------------
 
-struct CilkForHarness<'a, F> {
-    body: &'a F,
+/// Harness of a baseline `cilk_for`: on the master's stack, owning the body (a `&dyn`
+/// body from a `LoopRuntime` call is held as it is, not behind a reference).
+struct CilkForHarness<F> {
+    body: F,
 }
 
 unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
@@ -545,21 +550,25 @@ unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
 ) {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop drains.
-    let h = unsafe { &*(data as *const CilkForHarness<'_, F>) };
-    walk_range(h.body, lo..hi);
+    let h = unsafe { &*(data as *const CilkForHarness<F>) };
+    walk_range(&h.body, lo..hi);
 }
 
-struct FineForHarness<'a, F> {
-    body: &'a F,
-    range: Range<usize>,
+/// Harness of a fine-grain loop: `Copy`, carried by value in the loop's job, with the
+/// body as a handle (a reference to the caller's closure, or a `&dyn` body itself).
+#[derive(Clone, Copy)]
+struct FineForHarness<B> {
+    body: B,
+    start: usize,
+    end: usize,
     nthreads: usize,
 }
 
-unsafe fn exec_fine_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a harness the master keeps alive
-    // until the loop's join completes.
-    let h = unsafe { &*(data as *const FineForHarness<'_, F>) };
-    walk_range(h.body, static_block(&h.range, h.nthreads, id));
+unsafe fn exec_fine_for<B: Fn(usize)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `FineForHarness<B>`, and `data` points at this
+    // participant's copy of it.
+    let h = unsafe { &*(data as *const FineForHarness<B>) };
+    walk_range(&h.body, static_block(&(h.start..h.end), h.nthreads, id));
 }
 
 impl CilkPool {
@@ -582,7 +591,7 @@ impl CilkPool {
         if range.is_empty() {
             return;
         }
-        let harness = CilkForHarness { body: &body };
+        let harness = CilkForHarness { body };
         self.work().stats.master.loops.add(1);
         // SAFETY: the harness outlives the loop; `exec_cilk_range::<F>` matches its type.
         unsafe {
@@ -604,18 +613,30 @@ impl CilkPool {
     where
         F: Fn(usize) + Sync,
     {
+        self.fine_for(range, &body);
+    }
+
+    /// [`CilkPool::fine_grain_for`] over a body handle the harness carries by value:
+    /// `&F` from the generic entry point, the `&dyn` body itself from a `LoopRuntime`
+    /// call.
+    pub(crate) fn fine_for<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(usize) + Sync + Copy,
+    {
         // Empty loops are a fast-path no-op (no barrier cycle, no counters).
         if range.is_empty() {
             return;
         }
         let harness = FineForHarness {
-            body: &body,
-            range,
+            body,
+            start: range.start,
+            end: range.end,
             nthreads: self.num_threads(),
         };
         self.work().stats.master.fine_loops.add(1);
-        // SAFETY: the harness outlives the loop; `exec_fine_for::<F>` matches its type.
-        unsafe { self.run_fine_loop(Job::new(&harness, exec_fine_for::<F>, None)) };
+        // SAFETY: the body outlives the loop; `exec_fine_for::<B>` reads exactly the
+        // harness type the job carries.
+        unsafe { self.run_fine_loop(Job::new(harness, exec_fine_for::<B>, None)) };
     }
 }
 

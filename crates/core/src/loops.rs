@@ -7,6 +7,11 @@
 //! bodies; the dynamic variant still uses the half-barrier, so its extra cost relative
 //! to the static loop is exactly the per-chunk atomic traffic, mirroring the
 //! OpenMP-static vs OpenMP-dynamic comparison of Table 1.
+//!
+//! Every harness is `Copy` and travels by value in the loop's [`Job`], so a worker
+//! reads the range, the thread count and the body's address from the release line that
+//! released it.  The body is a *handle*: a reference to the caller's closure, or — from
+//! a `LoopRuntime` call — the `&dyn` body itself, never a reference to it.
 
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::{static_block, static_chunks, DynamicChunks};
@@ -15,15 +20,16 @@ use parlo_exec::{walk_range, Job};
 use std::ops::Range;
 
 /// Harness for [`FineGrainPool::broadcast`].
-struct BroadcastHarness<'a, F> {
-    body: &'a F,
+#[derive(Clone, Copy)]
+struct BroadcastHarness<B> {
+    body: B,
     nthreads: usize,
 }
 
-unsafe fn exec_broadcast<F: Fn(WorkerInfo) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const BroadcastHarness<'_, F>) };
+unsafe fn exec_broadcast<B: Fn(WorkerInfo)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `BroadcastHarness<B>`, and `data` points at this
+    // participant's copy of it.
+    let h = unsafe { &*(data as *const BroadcastHarness<B>) };
     (h.body)(WorkerInfo {
         id,
         num_threads: h.nthreads,
@@ -32,63 +38,74 @@ unsafe fn exec_broadcast<F: Fn(WorkerInfo) + Sync>(data: *const (), id: usize) {
 
 /// Harness for [`FineGrainPool::parallel_for`] and
 /// [`FineGrainPool::parallel_for_blocks`].
-struct ForHarness<'a, F> {
-    body: &'a F,
-    range: Range<usize>,
+#[derive(Clone, Copy)]
+struct ForHarness<B> {
+    body: B,
+    start: usize,
+    end: usize,
     nthreads: usize,
 }
 
-unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    walk_range(h.body, static_block(&h.range, h.nthreads, id));
+impl<B> ForHarness<B> {
+    fn block(&self, id: usize) -> Range<usize> {
+        static_block(&(self.start..self.end), self.nthreads, id)
+    }
 }
 
-unsafe fn exec_for_block<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    let block = static_block(&h.range, h.nthreads, id);
+unsafe fn exec_for<B: Fn(usize)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `ForHarness<B>`, and `data` points at this
+    // participant's copy of it.
+    let h = unsafe { &*(data as *const ForHarness<B>) };
+    walk_range(&h.body, h.block(id));
+}
+
+unsafe fn exec_for_block<B: Fn(Range<usize>)>(data: *const (), id: usize) {
+    // SAFETY: as in `exec_for`.
+    let h = unsafe { &*(data as *const ForHarness<B>) };
+    let block = h.block(id);
     if !block.is_empty() {
         (h.body)(block);
     }
 }
 
 /// Harness for [`FineGrainPool::parallel_for_chunked`].
-struct ChunkedHarness<'a, F> {
-    body: &'a F,
-    range: Range<usize>,
+#[derive(Clone, Copy)]
+struct ChunkedHarness<B> {
+    body: B,
+    start: usize,
+    end: usize,
     nthreads: usize,
     chunk: usize,
 }
 
-unsafe fn exec_for_chunked<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const ChunkedHarness<'_, F>) };
-    for chunk in static_chunks(&h.range, h.nthreads, id, h.chunk) {
-        walk_range(h.body, chunk);
+unsafe fn exec_for_chunked<B: Fn(usize)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `ChunkedHarness<B>`, and `data` points at this
+    // participant's copy of it.
+    let h = unsafe { &*(data as *const ChunkedHarness<B>) };
+    for chunk in static_chunks(&(h.start..h.end), h.nthreads, id, h.chunk) {
+        walk_range(&h.body, chunk);
     }
 }
 
-/// Harness for [`FineGrainPool::parallel_for_dynamic`].
-struct DynamicHarness<'a, F> {
-    body: &'a F,
-    chunks: DynamicChunks,
+/// Harness for [`FineGrainPool::parallel_for_dynamic`]: the dispenser every
+/// participant draws from stays on the master's stack and travels by reference.
+#[derive(Clone, Copy)]
+struct DynamicHarness<'a, B> {
+    body: B,
+    chunks: &'a DynamicChunks,
     stats: &'a PoolStats,
 }
 
-unsafe fn exec_for_dynamic<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's
-    // stack frame keeps it alive until the loop's join phase completes).
-    let h = unsafe { &*(data as *const DynamicHarness<'_, F>) };
+unsafe fn exec_for_dynamic<B: Fn(usize)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `DynamicHarness<'_, B>`, and `data` points at this
+    // participant's copy of it; the master keeps the dispenser alive until its join.
+    let h = unsafe { &*(data as *const DynamicHarness<'_, B>) };
     // Chunks are counted locally and added once: the dispenser's own RMW is the only
     // contended one a chunk pays.
     let mut dispensed = 0;
     while let Some(chunk) = h.chunks.next_chunk() {
         dispensed += 1;
-        walk_range(h.body, chunk);
+        walk_range(&h.body, chunk);
     }
     h.stats.record_dynamic_chunks(id, dispensed);
 }
@@ -104,10 +121,10 @@ impl FineGrainPool {
             body: &body,
             nthreads: self.num_threads(),
         };
-        // SAFETY: `harness` lives until `run_job` returns, and `exec_broadcast::<F>`
-        // reinterprets the pointer as exactly `BroadcastHarness<'_, F>`.
+        // SAFETY: `body` lives until `run_job` returns, and `exec_broadcast::<&F>`
+        // reads exactly the harness type the job carries.
         unsafe {
-            self.run_job(Job::new(&harness, exec_broadcast::<F>, None));
+            self.run_job(Job::new(harness, exec_broadcast::<&F>, None));
         }
     }
 
@@ -137,12 +154,13 @@ impl FineGrainPool {
         }
         let harness = ForHarness {
             body: &body,
-            range,
+            start: range.start,
+            end: range.end,
             nthreads: self.num_threads(),
         };
         // SAFETY: as in `broadcast`.
         unsafe {
-            self.run_job(Job::new(&harness, exec_for_block::<F>, None));
+            self.run_job(Job::new(harness, exec_for_block::<&F>, None));
         }
     }
 
@@ -159,17 +177,32 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
+        // SAFETY: forwarded contract.
+        unsafe { self.for_each(range, &body) };
+    }
+
+    /// The statically scheduled loop over a body handle the harness carries by value:
+    /// `&F` from the generic entry points, the `&dyn` body itself from
+    /// [`LoopRuntime::parallel_for`](crate::LoopRuntime::parallel_for).
+    ///
+    /// # Safety
+    /// As for [`FineGrainPool::parallel_for_unsynchronized`].
+    pub(crate) unsafe fn for_each<B>(&self, range: Range<usize>, body: B)
+    where
+        B: Fn(usize) + Sync + Copy,
+    {
         if range.is_empty() {
             return;
         }
         let harness = ForHarness {
-            body: &body,
-            range,
+            body,
+            start: range.start,
+            end: range.end,
             nthreads: self.num_threads(),
         };
         // SAFETY: as in `broadcast`; single-driver coordination is the caller's.
         unsafe {
-            self.run_job(Job::new(&harness, exec_for::<F>, None));
+            self.run_job(Job::new(harness, exec_for::<B>, None));
         }
     }
 
@@ -184,13 +217,14 @@ impl FineGrainPool {
         }
         let harness = ChunkedHarness {
             body: &body,
-            range,
+            start: range.start,
+            end: range.end,
             nthreads: self.num_threads(),
             chunk: chunk.max(1),
         };
         // SAFETY: as in `broadcast`.
         unsafe {
-            self.run_job(Job::new(&harness, exec_for_chunked::<F>, None));
+            self.run_job(Job::new(harness, exec_for_chunked::<&F>, None));
         }
     }
 
@@ -204,14 +238,15 @@ impl FineGrainPool {
         if range.is_empty() {
             return;
         }
+        let chunks = DynamicChunks::new(range, chunk);
         let harness = DynamicHarness {
             body: &body,
-            chunks: DynamicChunks::new(range, chunk),
+            chunks: &chunks,
             stats: &self.stats,
         };
-        // SAFETY: as in `broadcast`.
+        // SAFETY: as in `broadcast`; `chunks` lives until `run_job` returns too.
         unsafe {
-            self.run_job(Job::new(&harness, exec_for_dynamic::<F>, None));
+            self.run_job(Job::new(harness, exec_for_dynamic::<&F>, None));
         }
     }
 }

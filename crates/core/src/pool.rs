@@ -4,8 +4,9 @@
 //! created the pool and calls the loop methods).  Per parallel loop the pool executes
 //! exactly the synchronization the paper's half-barrier pattern prescribes:
 //!
-//! 1. the master publishes the work description ([`parlo_exec::Job`]) and performs the
-//!    **release phase** of the fork barrier — it never waits at the fork point;
+//! 1. the master performs the **release phase** of the fork barrier, whose release
+//!    lines carry the work description ([`parlo_exec::Job`], the loop's harness by
+//!    value) — it never waits at the fork point;
 //! 2. every thread (master included) executes its statically assigned share;
 //! 3. every worker performs the **join phase** of the completion barrier, folding
 //!    reduction views pairwise on the way up the tree; the master waits for its join
@@ -72,15 +73,15 @@ impl TeamSync for SyncImpl {
     }
 
     #[inline]
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
         match self {
-            SyncImpl::Half(hb) => hb.master_fork(at, policy),
-            SyncImpl::Full(fb) => fb.master_fork(at, policy),
+            SyncImpl::Half(hb) => hb.master_fork(at, policy, job),
+            SyncImpl::Full(fb) => fb.master_fork(at, policy, job),
         }
     }
 
     #[inline]
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
         match self {
             SyncImpl::Half(hb) => hb.worker_fork(id, at, policy),
             SyncImpl::Full(fb) => fb.worker_fork(id, at, policy),
@@ -255,8 +256,9 @@ impl FineGrainPool {
     /// Counts one loop and runs its type-erased job on all threads of the pool.
     ///
     /// # Safety
-    /// The harness behind `job` must stay alive until this call returns, and the job's
-    /// entry points must be safe to call concurrently from all participants.
+    /// Everything the job's harness refers to must stay alive until this call returns,
+    /// and the job's entry points must be safe to call concurrently from all
+    /// participants.
     pub(crate) unsafe fn run_job(&self, job: Job) {
         self.stats.record_loop(self.phases_per_loop());
         // SAFETY: forwarded contract.

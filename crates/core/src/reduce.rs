@@ -25,42 +25,50 @@ use crate::range::static_block;
 use parlo_exec::{fold_range, Job, ReduceViews};
 use std::ops::Range;
 
-/// Harness shared by both reduction flavors.
+/// Harness shared by both reduction flavors.  It travels by value in the loop's job,
+/// so `identity`, `fold` and `combine` are handles: references to the caller's
+/// closures, or — from a `LoopRuntime` call — `move || init` and the `&dyn` operators
+/// themselves.
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: &'a Id,
-    fold: &'a Fold,
-    combine: &'a Comb,
+    identity: Id,
+    fold: Fold,
+    combine: Comb,
     /// The team's view blocks for this loop: each participant writes its own before it
     /// arrives at the join, and its join parent folds it afterwards.
     views: ReduceViews<'a, T>,
-    range: Range<usize>,
+    start: usize,
+    end: usize,
     nthreads: usize,
     stats: &'a crate::stats::PoolStats,
 }
 
+impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for ReduceHarness<'_, T, Id, Fold, Comb> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T, Id: Copy, Fold: Copy, Comb: Copy> Copy for ReduceHarness<'_, T, Id, Fold, Comb> {}
+
 unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
 where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
+    Id: Fn() -> T,
+    Fold: Fn(T, usize) -> T,
 {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the loop's join phase completes).
+    // SAFETY: the job carries a `ReduceHarness` of exactly these types, and `data`
+    // points at this participant's copy of it.
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    let block = static_block(&h.range, h.nthreads, id);
-    let acc = fold_range(h.fold, (h.identity)(), block);
+    let block = static_block(&(h.start..h.end), h.nthreads, id);
+    let acc = fold_range(&h.fold, (h.identity)(), block);
     // SAFETY: each participant writes only its own view before arriving at the join.
     unsafe { h.views.put(id, acc) };
 }
 
 unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
 where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
+    Comb: Fn(T, T) -> T + Copy,
 {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the loop's join phase completes).
+    // SAFETY: as in `exec_reduce`.
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
     h.stats.record_combine(into);
     // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
@@ -92,18 +100,38 @@ impl FineGrainPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
+        self.reduce(range, &identity, &fold, &combine)
+    }
+
+    /// [`FineGrainPool::parallel_reduce`] over handles the harness carries by value:
+    /// references to the caller's closures from the generic entry points, and from
+    /// [`LoopRuntime::parallel_reduce`](crate::LoopRuntime::parallel_reduce) a
+    /// `move || init` and the `&dyn` operators themselves.
+    pub(crate) fn reduce<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, usize) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
         if range.is_empty() {
             return identity();
         }
         // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        let harness = unsafe { self.reduce_harness(range, &identity, &fold, &combine) };
+        let harness = unsafe { self.reduce_harness(range, identity, fold, combine) };
         self.stats.record_reduction();
-        // SAFETY: the harness outlives `run_job`; the entry points reinterpret the
-        // pointer as exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are
-        // serialized by the join-phase protocol (see `combine_reduce`).
+        // SAFETY: the handles' referents outlive `run_job`; the entry points read
+        // exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are serialized
+        // by the join-phase protocol (see `combine_reduce`).
         unsafe {
             self.run_job(Job::new(
-                &harness,
+                harness,
                 exec_reduce::<T, Id, Fold, Comb>,
                 Some(combine_reduce::<T, Id, Fold, Comb>),
             ));
@@ -135,13 +163,13 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        // SAFETY: as in `parallel_reduce`.
+        // SAFETY: as in `reduce`.
         let harness = unsafe { self.reduce_harness(range, &identity, &fold, &combine) };
         self.stats.record_reduction();
-        // SAFETY: as in `parallel_reduce`; no combine function is attached to the job,
-        // so views are only written by their owners during the loop.
+        // SAFETY: as in `reduce`; no combine function is attached to the job, so views
+        // are only written by their owners during the loop.
         unsafe {
-            self.run_job(Job::new(&harness, exec_reduce::<T, Id, Fold, Comb>, None));
+            self.run_job(Job::new(harness, exec_reduce::<T, &Id, &Fold, &Comb>, None));
         }
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
@@ -159,20 +187,21 @@ impl FineGrainPool {
     ///
     /// # Safety
     /// The caller drives the pool (it holds `&mut` on it) and no loop is in flight.
-    unsafe fn reduce_harness<'a, T, Id, Fold, Comb>(
-        &'a self,
+    unsafe fn reduce_harness<T, Id, Fold, Comb>(
+        &self,
         range: Range<usize>,
-        identity: &'a Id,
-        fold: &'a Fold,
-        combine: &'a Comb,
-    ) -> ReduceHarness<'a, T, Id, Fold, Comb> {
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> ReduceHarness<'_, T, Id, Fold, Comb> {
         ReduceHarness {
             identity,
             fold,
             combine,
             // SAFETY: forwarded contract; the previous reduction's handle is gone.
             views: unsafe { self.views() },
-            range,
+            start: range.start,
+            end: range.end,
             nthreads: self.num_threads(),
             stats: &self.stats,
         }

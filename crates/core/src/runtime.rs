@@ -132,8 +132,12 @@ impl LoopRuntime for FineGrainPool {
         self.num_threads()
     }
 
+    // The `&dyn` body and operators go into the loop's harness as they are, so a worker
+    // finds them in the line that released it rather than behind a reference into this
+    // frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        FineGrainPool::parallel_for(self, range, body);
+        // SAFETY: `&mut self` is the single-driver guarantee.
+        unsafe { self.for_each(range, body) };
     }
 
     fn parallel_reduce(
@@ -143,7 +147,7 @@ impl LoopRuntime for FineGrainPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        FineGrainPool::parallel_reduce(self, range, || init, fold, combine)
+        self.reduce(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -5,19 +5,22 @@
 //! one join.  Every runtime in the workspace shares that structure, and this module is
 //! its single implementation:
 //!
-//! * [`Job`] — the type-erased work description the master publishes per loop;
+//! * [`Job`] — the type-erased work description of one loop: its entry points and a
+//!   by-value copy of its harness, exactly one release payload long, carried to every
+//!   worker in the release line that releases it;
 //! * [`ReduceViews`] — a loop's handle on the team's per-participant reduction-view
 //!   blocks, which a merged reduction folds;
 //! * [`walk_range`] / [`fold_range`] — how a participant walks one contiguous piece of
 //!   its share, calling a body or folding into an accumulator (see below);
 //! * [`TeamSync`] — the *sync shape*, the one thing a runtime swaps: what the master
-//!   and a worker do at the fork point and at the completion point.  Implemented here
-//!   for [`HalfBarrier`] (one release, one join), for [`FullBarrier`] (two full
-//!   episodes per loop, the Table 1 ablation) and for [`ExtraReductionBarrier`] (the
-//!   OpenMP-like structure: a third full barrier on reduction loops);
-//! * [`TeamCore`] — the protocol state (job slot, detach flag, master and per-worker
-//!   epochs, the single-driver guard, the view blocks) with the one loop cycle, the
-//!   one detach cycle and the one worker scheduling loop;
+//!   and a worker do at the fork point (where the job travels) and at the completion
+//!   point.  Implemented here for [`HalfBarrier`] (one release, one join), for
+//!   [`FullBarrier`] (two full episodes per loop, the Table 1 ablation) and for
+//!   [`ExtraReductionBarrier`] (the OpenMP-like structure: a third full barrier on
+//!   reduction loops);
+//! * [`TeamCore`] — the protocol state (detach flag, master and per-worker epochs, the
+//!   single-driver guard, the view blocks) with the one loop cycle, the one detach
+//!   cycle and the one worker scheduling loop;
 //! * [`Team`] — a `TeamCore` plus its [`Lease`] on the substrate: the one place a
 //!   runtime registers with an [`Executor`], pins its master and (re-)attaches its
 //!   workers.
@@ -29,11 +32,11 @@
 //!
 //! # Why the share walk is a frame of its own
 //!
-//! An `execute` entry point gets its harness as an erased `*const ()`.  A loop written
-//! there — `for i in block { (h.body)(i) }` — reads the body through a reference LLVM
-//! derived from a raw pointer: it may not assume the harness survives the opaque call
-//! unchanged, so it reloads the callee every iteration.  For the `&dyn Fn(usize)` body
-//! every `parlo_core::LoopRuntime` call arrives with, that was
+//! An `execute` entry point gets its copy of the harness as an erased `*const ()`.  A
+//! loop written there — `for i in block { (h.body)(i) }` — reads the body through a
+//! reference LLVM derived from a raw pointer: it may not assume the harness survives
+//! the opaque call unchanged, so it reloads the callee every iteration.  For the
+//! `&dyn Fn(usize)` body every `parlo_core::LoopRuntime` call arrives with, that was
 //! `mov (%rbx),%rax; mov (%rax),%rdi; mov 0x8(%rax),%rax; call *0x28(%rax)` — three
 //! dependent loads feeding each indirect call (for a generic closure, a reload of every
 //! captured slice pointer after each raw store), paid per index and only on the
@@ -51,83 +54,154 @@
 //! contiguous piece (a static block, a dispensed chunk, a leaf task), and every pool
 //! walking its share through this pair rather than by hand (CI greps for it).
 //!
-//! # What the master pays per loop
+//! # What a loop costs each side
 //!
-//! The paper's burden `d` is one release and one join; everything else the driving
-//! master does per loop is overhead on top of it, and it is kept to the hand-off
-//! itself.  The master writes its job into the slot and releases; it writes no line a
-//! worker owns before the release, and its own per-loop state (epoch cursor, in-flight
-//! claim, view stamp) sits on a line of its own, away from the slot, detach flag,
-//! sync shape and wait policy every worker reads each loop.  Reduction views are the
-//! team's: P padded blocks allocated at build, grown between loops only when a wider
-//! `T` arrives, written by each owner before it arrives and only *read* by its join
-//! parent.  Instrumentation takes no locked read-modify-write: what the master alone
-//! counts (loops, reductions, phases, barrier cycles) is a relaxed load and store,
-//! exact across a change of driving thread because [`TeamCore`]'s claim is an
-//! acquire/release pair; what several participants count per loop (arrivals,
-//! combines) goes on a line each writer owns and is summed on read.  What stays is
-//! the claim `swap`, the lease check and the trace hooks' armed checks.
+//! The paper's burden `d` is one release and one join; everything else a loop costs on
+//! top of it is kept to the hand-off itself, on both sides of it.
 //!
-//! Measured with time-stamp-counter marks on the master around a 512-iteration
-//! `parallel_sum` (grain 1) on a 2-thread `FineGrainPool`, medians of ten alternating
-//! runs of 100 000 loops on a 2-vCPU Xeon at 2.1 GHz: from the call to just before the
-//! release, 186 ns when a reduction built its views as a fresh `Vec` of P padded slots
-//! and bumped locked counters, 125 ns with team-owned views; from the completed join to
-//! the call's return, 227 ns (including the `free` of that `Vec`) against 93 ns.
+//! **The master** hands its job to the sync shape, which writes it into the release
+//! lines as it releases.  It writes no line a worker owns before the release, and its
+//! own per-loop state (epoch cursor, in-flight claim, view stamp) sits on a line of its
+//! own, away from the detach flag, sync shape and wait policy every worker reads each
+//! loop.  Reduction views are the team's: P padded blocks allocated at build, grown
+//! between loops only when a wider `T` arrives, written by each owner before it arrives
+//! and only *read* by its join parent.  Instrumentation takes no locked
+//! read-modify-write: what the master alone counts (loops, reductions, phases, barrier
+//! cycles) is a relaxed load and store, exact across a change of driving thread
+//! because [`TeamCore`]'s claim is an acquire/release pair; what several participants
+//! count per loop (arrivals, combines) goes on a line each writer owns and is summed on
+//! read.  What stays is the claim `swap`, the lease check and the trace hooks' armed
+//! checks.
+//!
+//! **A worker** that sees its release must learn what to run before its first
+//! iteration, and each line it reads on the way was just written by the master: every
+//! one is a dependent miss.  With a job slot in the team that chain was the release
+//! line → the slot → the harness on the master's stack → the `&dyn` operator's slot in
+//! the pool method's frame → the body's environment.  Now the release line carries the
+//! [`Job`] itself, whose harness holds the range, the thread count and a
+//! `LoopRuntime` call's `&dyn` operators by value, so the chain is the release line →
+//! the body's environment, which belongs to the caller.
+//!
+//! Measured with time-stamp-counter marks around a 512-iteration, grain-1
+//! `parallel_sum` on a 2-thread `FineGrainPool`, medians of ten alternating runs of
+//! 100 000 loops on a 2-vCPU Xeon.  Master, at 2.1 GHz: from the call to just before the release, 186 ns
+//! when a reduction built its views as a fresh `Vec` of P padded slots and bumped locked
+//! counters, 125 ns with team-owned views; from the completed join to the call's
+//! return, 227 ns (including the `free` of that `Vec`) against 93 ns.  Worker, through
+//! `dyn LoopRuntime` with fenced marks and a 2.0 GHz time-stamp counter: from seeing
+//! the release to the first body call, 397 ns with the job slot and 180 ns with the job
+//! in the release line; the release line's own transfer, from the master's release to
+//! the worker seeing it, is ~250 ns either way.
 
 use crate::{ClientHooks, Executor, Lease};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, WaitPolicy};
+use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, Payload, WaitPolicy, EMPTY_PAYLOAD};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering, SingleWriterCounter, UnsafeCell};
 use std::marker::PhantomData;
+use std::mem::{align_of, size_of, MaybeUninit};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A type-erased work descriptor: a pointer to a fully typed harness on the master's
-/// stack plus the monomorphised functions that execute a participant's share and
-/// (optionally) fold one participant's reduction view into another's.  The master
-/// publishes it before the fork and does not return before the join completes, so the
-/// pointee outlives every access — the lifetime-erasure argument of scoped threads.
-#[derive(Clone, Copy, Debug)]
+/// Bytes of harness a [`Job`] carries: the release payload less its two entry points
+/// (13 words on a 64-bit target).
+const HARNESS_BYTES: usize = size_of::<Payload>() - 2 * size_of::<usize>();
+
+/// A type-erased work descriptor, exactly one release payload long: the monomorphised
+/// functions that execute a participant's share and (optionally) fold one participant's
+/// reduction view into another's, followed by a by-value copy of the loop's harness.
+///
+/// The master hands the job to its sync shape, which writes it into the release line
+/// every worker spins on ([`parlo_barrier::Payload`]); each participant then runs its
+/// share against its *own* copy of the harness, so a worker reads nothing the master
+/// wrote besides that line before its first iteration.  A harness is `Copy` and holds
+/// the loop's parameters by value (the range as two integers, a `&dyn` body as the fat
+/// pointer itself) and references to whatever the participants share — the caller's
+/// closures, the team's view blocks, a dispenser on the master's stack.  The master
+/// does not return before the join completes, so every such referent outlives every
+/// access: the lifetime-erasure argument of scoped threads.
+#[derive(Clone, Copy)]
+#[repr(C, align(8))]
 pub struct Job {
-    data: *const (),
     execute: unsafe fn(*const (), usize),
     combine: Option<unsafe fn(*const (), usize, usize)>,
+    harness: [MaybeUninit<u8>; HARNESS_BYTES],
 }
 
-// SAFETY: `Job::new` requires the entry points to be callable concurrently from every
-// participant, i.e. the harness behind `data` is only ever used as a `Sync` value.
-unsafe impl Send for Job {}
+const _: () = assert!(
+    size_of::<Job>() == size_of::<Payload>() && align_of::<Job>() >= align_of::<Payload>(),
+    "a job is exactly one release payload"
+);
+
+impl std::fmt::Debug for Job {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Job")
+            .field("execute", &(self.execute as *const ()))
+            .field("has_combine", &self.has_combine())
+            .finish_non_exhaustive()
+    }
+}
 
 impl Job {
-    /// A job that does nothing: the initial slot value, and what a detach cycle runs.
+    /// A job that does nothing: what a detach cycle runs.
     pub fn noop() -> Self {
         unsafe fn nop(_data: *const (), _id: usize) {}
         Job {
-            data: std::ptr::null(),
             execute: nop,
             combine: None,
+            harness: [MaybeUninit::uninit(); HARNESS_BYTES],
         }
     }
 
-    /// Builds a job over `harness`: `execute(data, id)` runs participant `id`'s share,
-    /// `combine(data, into, from)` folds view `from` into view `into`.
+    /// Builds a job carrying a copy of `harness`: `execute(data, id)` runs participant
+    /// `id`'s share and `combine(data, into, from)` folds view `from` into view `into`,
+    /// each with `data` pointing at the calling participant's own copy.  A harness
+    /// fits in 13 words (104 bytes on a 64-bit target) at an alignment of at most 8,
+    /// which is checked when the job is built.
     ///
     /// # Safety
-    /// `harness` must outlive every call through the job (it must stay alive until the
-    /// [`Team::run`] it is passed to returns), both entry points must treat `data` as a
-    /// `*const H`, and they must be safe to call concurrently from all participants.
-    pub unsafe fn new<H>(
-        harness: &H,
+    /// Everything `harness` refers to must outlive every call through the job (it must
+    /// stay alive until the [`Team::run`] it is passed to returns), both entry points
+    /// must treat `data` as a `*const H`, and they must be safe to call concurrently
+    /// from all participants.
+    pub unsafe fn new<H: Copy>(
+        harness: H,
         execute: unsafe fn(*const (), usize),
         combine: Option<unsafe fn(*const (), usize, usize)>,
     ) -> Self {
-        Job {
-            data: harness as *const H as *const (),
+        const {
+            assert!(
+                size_of::<H>() <= HARNESS_BYTES && align_of::<H>() <= 8,
+                "a job's harness is at most 13 words at an alignment of at most 8"
+            )
+        };
+        let mut job = Job {
             execute,
             combine,
-        }
+            harness: [MaybeUninit::uninit(); HARNESS_BYTES],
+        };
+        // SAFETY: the assertion above keeps an `H` inside the harness bytes, which
+        // start 8-aligned (the job is 8-aligned and they follow two pointers).
+        unsafe { job.harness.as_mut_ptr().cast::<H>().write(harness) };
+        job
+    }
+
+    /// The job a release carried.
+    ///
+    /// # Safety
+    /// `payload` was published as [`Job::payload`] of a job.
+    #[inline]
+    pub unsafe fn from_payload(payload: Payload) -> Self {
+        // SAFETY: same size (asserted above); the bytes are a job's by the contract.
+        unsafe { std::mem::transmute::<Payload, Job>(payload) }
+    }
+
+    /// The job as the payload of a release.
+    #[inline]
+    pub fn payload(&self) -> &Payload {
+        // SAFETY: a job is exactly one payload long and at least as aligned, and a
+        // payload's words are `MaybeUninit`, so any bytes read as one.
+        unsafe { &*(self as *const Job).cast::<Payload>() }
     }
 
     /// Whether the job carries a merged reduction.
@@ -135,15 +209,25 @@ impl Job {
         self.combine.is_some()
     }
 
+    /// Runs participant `id`'s share against this copy of the harness.
+    ///
+    /// # Safety
+    /// The contract of [`Job::new`].
+    #[inline]
+    unsafe fn run(&self, id: usize) {
+        // SAFETY: forwarded contract.
+        unsafe { (self.execute)(self.harness.as_ptr().cast(), id) };
+    }
+
     /// The completion-side hook of participant `into`: folds each arriving child's view.
     #[inline]
-    fn fold_into(self, into: usize) -> impl FnMut(usize) {
+    fn fold_into(&self, into: usize) -> impl FnMut(usize) + '_ {
         move |from| {
             if let Some(combine) = self.combine {
                 parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
                 // SAFETY: `from` has arrived, so its view is final and its owner no
                 // longer touches it; only `into` accesses both views from here on.
-                unsafe { combine(self.data, into, from) };
+                unsafe { combine(self.harness.as_ptr().cast(), into, from) };
             }
         }
     }
@@ -291,13 +375,17 @@ impl<T> ReduceViews<'_, T> {
 /// participant's epoch cursor — each phase advances it by however many barrier
 /// episodes it consumes, identically on both sides, so shapes with a different (even a
 /// per-loop varying) number of episodes share the skeleton's one resume mechanism.
+///
+/// The fork point carries the loop's [`Job`]: the master hands it to `master_fork`,
+/// which publishes it as the payload of the release that opens the loop, and
+/// `worker_fork` returns the copy the worker read from the line that released it.
 pub trait TeamSync: Send + Sync + 'static {
     /// Participants (master included).
     fn num_threads(&self) -> usize;
-    /// Master side of the fork point.
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy);
-    /// Worker side of the fork point: returns once the loop's job may be read.
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy);
+    /// Master side of the fork point: releases the workers into `job`.
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job);
+    /// Worker side of the fork point: returns the loop's job once released into it.
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job;
     /// Master side of the completion point; `on_child(c)` is called once per direct
     /// join child `c` after it has arrived.  `reduce` tells whether the job carries a
     /// merged reduction.
@@ -327,15 +415,16 @@ impl TeamSync for HalfBarrier {
     }
 
     #[inline]
-    fn master_fork(&self, at: &mut Epoch, _policy: &WaitPolicy) {
+    fn master_fork(&self, at: &mut Epoch, _policy: &WaitPolicy, job: &Job) {
         *at += 1;
-        self.release(*at);
+        self.release(*at, job.payload());
     }
 
     #[inline]
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
         *at += 1;
-        self.wait_release(id, *at, policy);
+        // SAFETY: a team's fork releases carry its jobs (`master_fork` above).
+        unsafe { Job::from_payload(self.wait_release(id, *at, policy)) }
     }
 
     #[inline]
@@ -357,28 +446,30 @@ impl TeamSync for HalfBarrier {
 }
 
 /// The conventional shape: a full fork barrier and a full join barrier (which folds
-/// reduction views in its join phase) — two episodes per loop.
+/// reduction views in its join phase) — two episodes per loop.  The fork episode's
+/// release carries the job; the join episode's carries nothing.
 impl TeamSync for FullBarrier {
     fn num_threads(&self) -> usize {
         FullBarrier::num_threads(self)
     }
 
     #[inline]
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
         *at += 1;
-        self.master_wait(*at, policy);
+        self.master_wait(*at, policy, job.payload());
     }
 
     #[inline]
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
         *at += 1;
-        self.worker_wait(id, *at, policy);
+        // SAFETY: a team's fork episodes carry its jobs (`master_fork` above).
+        unsafe { Job::from_payload(self.worker_wait(id, *at, policy)) }
     }
 
     #[inline]
     fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, _: bool, f: F) {
         *at += 1;
-        self.master_wait_combine(*at, policy, f);
+        self.master_wait_combine(*at, policy, &EMPTY_PAYLOAD, f);
     }
 
     #[inline]
@@ -408,13 +499,13 @@ impl TeamSync for ExtraReductionBarrier {
     }
 
     #[inline]
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
-        self.0.master_fork(at, policy);
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
+        self.0.master_fork(at, policy, job);
     }
 
     #[inline]
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
-        self.0.worker_fork(id, at, policy);
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
+        self.0.worker_fork(id, at, policy)
     }
 
     #[inline]
@@ -427,10 +518,10 @@ impl TeamSync for ExtraReductionBarrier {
     ) {
         if reduce {
             *at += 1;
-            self.0.master_wait_combine(*at, policy, f);
+            self.0.master_wait_combine(*at, policy, &EMPTY_PAYLOAD, f);
         }
         *at += 1;
-        self.0.master_wait(*at, policy);
+        self.0.master_wait(*at, policy, &EMPTY_PAYLOAD);
     }
 
     #[inline]
@@ -457,11 +548,9 @@ impl TeamSync for ExtraReductionBarrier {
 #[derive(Debug)]
 pub struct TeamCore<S> {
     name: String,
+    /// The sync shape; its fork releases carry each loop's [`Job`].
     sync: S,
     policy: WaitPolicy,
-    /// Written by the driver strictly before the fork, read by workers strictly after
-    /// they observe it: the sync shape's release/acquire edge orders every access.
-    slot: UnsafeCell<Job>,
     /// Asks the workers to leave [`TeamCore::worker_body`] after the cycle in flight.
     detach: AtomicBool,
     /// Where each worker's cursor resumes after a detach/re-attach cycle.
@@ -502,7 +591,6 @@ impl<S: TeamSync> TeamCore<S> {
             name,
             sync,
             policy,
-            slot: UnsafeCell::new(Job::noop()),
             detach: AtomicBool::new(false),
             master: CachePadded::default(),
         }
@@ -558,20 +646,19 @@ impl<S: TeamSync> TeamCore<S> {
         }
     }
 
-    /// One fork → execute → join cycle of `job`, the calling thread acting as master.
+    /// One fork → execute → join cycle of `job`, the calling thread acting as master:
+    /// the fork's release carries the job to every worker.
     ///
     /// # Safety
     /// The caller holds the team (no other cycle in flight), every worker
-    /// `1..num_threads` is inside [`TeamCore::worker_body`], and the harness behind
-    /// `job` stays alive until this returns.
+    /// `1..num_threads` is inside [`TeamCore::worker_body`], and everything the job's
+    /// harness refers to stays alive until this returns.
     pub unsafe fn cycle(&self, job: Job) {
         let mut at = self.master.epoch.load(Ordering::Relaxed);
-        // SAFETY: the previous cycle's join completed, so no worker reads the slot.
-        self.slot.with_mut(|slot| unsafe { *slot = job });
-        self.sync.master_fork(&mut at, &self.policy);
-        // SAFETY: the master executes its share like any participant; the harness
-        // outlives this call by the caller's contract.
-        unsafe { (job.execute)(job.data, 0) };
+        self.sync.master_fork(&mut at, &self.policy, &job);
+        // SAFETY: the master executes its share like any participant, on its own copy
+        // of the harness; the harness's referents outlive this call by contract.
+        unsafe { job.run(0) };
         self.sync
             .master_join(&mut at, &self.policy, job.has_combine(), job.fold_into(0));
         self.master.epoch.store(at, Ordering::Relaxed);
@@ -606,14 +693,12 @@ impl<S: TeamSync> TeamCore<S> {
     pub fn worker_body(&self, id: usize) {
         let mut at = self.worker_epochs[id].load(Ordering::Relaxed);
         loop {
-            self.sync.worker_fork(id, &mut at, &self.policy);
+            let job = self.sync.worker_fork(id, &mut at, &self.policy);
             let detaching = self.detach.load(Ordering::Acquire);
-            // SAFETY: the fork established a happens-before edge with the driver's
-            // publish of this cycle's job.
-            let job = self.slot.with(|slot| unsafe { *slot });
-            // SAFETY: the driver keeps the harness alive until its join completes,
+            // SAFETY: the job is this cycle's, read from the release that opened it; the
+            // driver keeps its harness's referents alive until its join completes,
             // which cannot happen before this worker arrives below.
-            unsafe { (job.execute)(job.data, id) };
+            unsafe { job.run(id) };
             self.sync.worker_join(
                 id,
                 &mut at,
@@ -704,8 +789,8 @@ impl<S: TeamSync> Team<S> {
     /// Runs one job on all participants of the team.
     ///
     /// # Safety
-    /// The harness behind `job` must stay alive until this call returns (see
-    /// [`Job::new`]).
+    /// Everything the job's harness refers to must stay alive until this call returns
+    /// (see [`Job::new`]).
     pub unsafe fn run(&self, job: Job) {
         // SAFETY: `drive` holds the team and has every worker attached; harness
         // lifetime is the caller's contract.
@@ -760,28 +845,30 @@ mod tests {
         }
     }
 
+    /// The tests' jobs carry a reference to a live `Harness` (its counters are shared).
+    unsafe fn harness<'a>(data: *const ()) -> &'a Harness<'a> {
+        // SAFETY: the tests build their jobs over a `&Harness` that outlives the job.
+        unsafe { *(data as *const &Harness<'_>) }
+    }
+
     unsafe fn exec(data: *const (), id: usize) {
-        // SAFETY: the tests pass a pointer to a live `Harness`.
-        let h = unsafe { &*(data as *const Harness<'_>) };
+        // SAFETY: the tests' contract.
+        let h = unsafe { harness(data) };
         h.hits[id].fetch_add(1, Ordering::Relaxed);
         // SAFETY: each participant writes only its own view before it arrives.
         unsafe { h.views.put(id, id + 1) };
     }
 
     unsafe fn comb(data: *const (), into: usize, from: usize) {
-        // SAFETY: the tests pass a pointer to a live `Harness`; the join protocol
-        // gives `into` exclusive access to both views.
-        unsafe {
-            (*(data as *const Harness<'_>))
-                .views
-                .combine(into, from, |a, b| a + b)
-        };
+        // SAFETY: the tests' contract; the join protocol gives `into` exclusive access
+        // to both views.
+        unsafe { harness(data).views.combine(into, from, |a, b| a + b) };
     }
 
     /// One loop on `team`; a reduction loop returns the folded `id + 1` sum.
     fn run_loop<S: TeamSync>(team: &Team<S>, reduce: bool) -> Option<usize> {
         let h = Harness::new(&team.core);
-        // SAFETY: `h` outlives `run`; `exec`/`comb` match its type.
+        // SAFETY: `h` outlives `run`; `exec`/`comb` match the job's harness type.
         unsafe { team.run(Job::new(&h, exec, reduce.then_some(comb as _))) };
         assert!(
             h.hits.iter().all(|c| c.load(Ordering::Relaxed) == 1),
@@ -914,7 +1001,7 @@ mod tests {
         let noop = Job::noop();
         assert!(!noop.has_combine());
         // SAFETY: a no-op job dereferences nothing.
-        unsafe { (noop.execute)(noop.data, 7) };
+        unsafe { noop.run(7) };
         noop.fold_into(0)(1);
         let core = TeamCore::new(
             "unattached".to_string(),
@@ -927,13 +1014,46 @@ mod tests {
         assert!(job.has_combine());
         // SAFETY: as above.
         unsafe {
-            (job.execute)(job.data, 0);
-            (job.execute)(job.data, 1);
+            job.run(0);
+            job.run(1);
         }
         job.fold_into(0)(1);
         // SAFETY: single-threaded.
         let folded = unsafe { h.views.take(0) };
         assert_eq!(folded, Some(3), "view 1 folded into view 0");
+    }
+
+    #[test]
+    fn a_job_carries_its_harness_by_value_through_a_release_payload() {
+        /// The shape of a pool's harness: the range as two integers, a `&dyn` body.
+        #[derive(Clone, Copy)]
+        struct Walk<'a> {
+            start: usize,
+            end: usize,
+            body: &'a (dyn Fn(usize) + Sync),
+        }
+        unsafe fn walk(data: *const (), id: usize) {
+            // SAFETY: the job below carries a `Walk`.
+            let h = unsafe { &*(data as *const Walk<'_>) };
+            walk_range(&h.body, h.start + id..h.end);
+        }
+        let seen = std::sync::Mutex::new(Vec::new());
+        let body = |i| seen.lock().unwrap().push(i);
+        let harness = Walk {
+            start: 3,
+            end: 6,
+            body: &body,
+        };
+        // SAFETY: `body` outlives the job and its copy; single-threaded.
+        let job = unsafe { Job::new(harness, walk, None) };
+        let released = HalfBarrier::new_centralized(2);
+        released.release(1, job.payload());
+        // SAFETY: the release above carried `job`.
+        let copy = unsafe { Job::from_payload(released.forward_release(1, 1)) };
+        assert!(!copy.has_combine());
+        // SAFETY: as above.
+        unsafe { copy.run(1) };
+        assert_eq!(*seen.lock().unwrap(), [4, 5], "worker 1's share of 3..6");
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl LoopRuntime for ScheduledTeam {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
         self.team
-            .parallel_reduce(range, self.schedule, || init, fold, combine)
+            .parallel_reduce(range, self.schedule, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

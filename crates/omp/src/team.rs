@@ -207,8 +207,8 @@ impl OmpTeam {
     /// Counts one region (two full barriers, three with a reduction) and runs it.
     ///
     /// # Safety
-    /// The harness behind `job` must stay alive until this call returns and must be
-    /// safe to execute concurrently from all participants.
+    /// Everything the job's harness refers to must stay alive until this call returns
+    /// and must be safe to use concurrently from all participants.
     unsafe fn run_region(&self, job: Job) {
         let barriers = if job.has_combine() { 3 } else { 2 };
         self.stats.master.loops.add(1);
@@ -289,24 +289,36 @@ impl<'a> Worksharing<'a> {
     }
 }
 
-/// Harness for `parallel_for`.
+/// Harness for `parallel_for`.  Its worksharing descriptor holds the region's shared
+/// dispensers, so the harness stays on the master's stack and the job carries a
+/// reference to it; the harness owns the body (a `LoopRuntime` call's `&dyn` body is
+/// held as it is, not behind a reference).
 struct ForHarness<'a, F> {
-    body: &'a F,
+    body: F,
     work: Worksharing<'a>,
 }
 
-unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the episode's closing barrier).
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    h.work.run(id, (), |(), piece| walk_range(h.body, piece));
+/// The harness behind a job's `data`: the job carries a `&H`.
+///
+/// # Safety
+/// `data` points at a `&H` whose referent outlives `'a`.
+unsafe fn shared<'a, H>(data: *const ()) -> &'a H {
+    // SAFETY: the caller's contract.
+    unsafe { *(data as *const &H) }
 }
 
-/// Harness for `parallel_reduce`.
+unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `&ForHarness<F>` into the master's frame, which is
+    // alive until the episode's closing barrier.
+    let h = unsafe { shared::<ForHarness<'_, F>>(data) };
+    h.work.run(id, (), |(), piece| walk_range(&h.body, piece));
+}
+
+/// Harness for `parallel_reduce`, on the master's stack like [`ForHarness`].
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: &'a Id,
-    fold: &'a Fold,
-    combine: &'a Comb,
+    identity: Id,
+    fold: Fold,
+    combine: Comb,
     views: ReduceViews<'a, T>,
     work: Worksharing<'a>,
 }
@@ -317,11 +329,10 @@ where
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the episode's closing barrier).
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
+    // SAFETY: as in `exec_for`.
+    let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
     let acc = h.work.run(id, (h.identity)(), |acc, piece| {
-        fold_range(h.fold, acc, piece)
+        fold_range(&h.fold, acc, piece)
     });
     // SAFETY: each participant writes only its own view before the reduction barrier.
     unsafe { h.views.put(id, acc) };
@@ -333,12 +344,11 @@ where
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
-    // SAFETY: the caller passes a pointer to a live harness (the master's stack
-    // frame keeps it alive until the episode's closing barrier).
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
+    // SAFETY: as in `exec_for`.
+    let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
     h.work.stats.combine_ops.add(into, 1);
     // SAFETY: serialized by the reduction barrier's join phase.
-    unsafe { h.views.combine(into, from, h.combine) };
+    unsafe { h.views.combine(into, from, &h.combine) };
 }
 
 impl OmpTeam {
@@ -354,10 +364,11 @@ impl OmpTeam {
             return;
         }
         let harness = ForHarness {
-            body: &body,
+            body,
             work: Worksharing::new(self, range, schedule),
         };
-        // SAFETY: the harness outlives `run_region`; `exec_for::<F>` matches its type.
+        // SAFETY: the harness outlives `run_region`; `exec_for::<F>` reads the
+        // reference to it the job carries.
         unsafe { self.run_region(Job::new(&harness, exec_for::<F>, None)) };
     }
 
@@ -384,9 +395,9 @@ impl OmpTeam {
             return identity();
         }
         let harness = ReduceHarness {
-            identity: &identity,
-            fold: &fold,
-            combine: &combine,
+            identity,
+            fold,
+            combine,
             // SAFETY: `&mut self` makes this thread the team's one driver, between
             // regions; the previous reduction's handle is gone.
             views: unsafe { self.team.views() },

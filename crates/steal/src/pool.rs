@@ -283,8 +283,10 @@ impl StealCounters {
     }
 }
 
-/// The descriptor of one loop, on the master's stack for the loop's duration: what the
-/// job published through the team points at.
+/// The descriptor of one loop: the harness the job carries by value through the team's
+/// release, so each participant reads it from the line that released it.  The typed
+/// harness behind `data` stays on the master's stack for the loop's duration.
+#[derive(Clone, Copy)]
 struct StealLoop<'a> {
     shared: &'a StealShared,
     /// The typed harness the entry points below reinterpret.
@@ -531,15 +533,15 @@ impl StealPool {
             sticky,
             epoch: stats.loops.get(),
         };
-        // SAFETY: the descriptor, the harness and the sticky state all outlive `run`;
-        // `participate_in` matches the descriptor's type.
-        unsafe { self.team.run(Job::new(&this, participate_in, combine)) };
+        // SAFETY: the shared state, the harness and the sticky state all outlive `run`;
+        // `participate_in` reads exactly the descriptor type the job carries.
+        unsafe { self.team.run(Job::new(this, participate_in, combine)) };
     }
 }
 
 /// The job entry point of every stealing loop.
 unsafe fn participate_in(data: *const (), id: usize) {
-    // SAFETY: the master keeps the descriptor alive until its join completes.
+    // SAFETY: `data` points at this participant's copy of the loop's descriptor.
     participate(unsafe { &*(data as *const StealLoop<'_>) }, id);
 }
 
@@ -759,8 +761,10 @@ fn lend_tail(
 // Typed loop entry points
 // --------------------------------------------------------------------------------------
 
-struct ForHarness<'a, F> {
-    body: &'a F,
+/// The typed harness of a plain loop, on the master's stack; it owns the body (a
+/// `LoopRuntime` call's `&dyn` body is held as it is, not behind a reference).
+struct ForHarness<F> {
+    body: F,
 }
 
 unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
@@ -770,17 +774,19 @@ unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
     hi: usize,
 ) {
     // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ForHarness<'_, F>) };
-    walk_range(h.body, lo..hi);
+    let h = unsafe { &*(data as *const ForHarness<F>) };
+    walk_range(&h.body, lo..hi);
 }
 
+/// The typed harness of a reduction, on the master's stack; it owns the operators like
+/// [`ForHarness`] owns the body.
 struct ReduceHarness<'a, T, Init, Fold, Comb> {
     /// One view per participant, which the participant seeds with `init()` on entering
     /// the loop and folds every chunk it executes (own and stolen) into.
     views: ReduceViews<'a, T>,
-    init: &'a Init,
-    fold: &'a Fold,
-    comb: &'a Comb,
+    init: Init,
+    fold: Fold,
+    comb: Comb,
 }
 
 unsafe fn enter_reduce<T, Init, Fold, Comb>(data: *const (), worker: usize)
@@ -812,7 +818,7 @@ unsafe fn exec_reduce_chunk<T, Init, Fold, Comb>(
     // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
     let acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
     // SAFETY: as above.
-    unsafe { h.views.put(worker, fold_range(h.fold, acc, lo..hi)) };
+    unsafe { h.views.put(worker, fold_range(&h.fold, acc, lo..hi)) };
 }
 
 unsafe fn combine_views<T, Init, Fold, Comb>(data: *const (), to: usize, from: usize)
@@ -822,8 +828,8 @@ where
     Fold: Fn(T, usize) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
-    // SAFETY: the master keeps the loop descriptor and, behind it, the harness alive
-    // until its join completes.
+    // SAFETY: `data` points at this participant's copy of the loop descriptor, and the
+    // master keeps the harness behind it alive until its join completes.
     let (this, h) = unsafe {
         let this = &*(data as *const StealLoop<'_>);
         (
@@ -834,7 +840,7 @@ where
     this.shared.stats.per_worker[to].combine_ops.add(1);
     // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
     // that `to` is the unique combiner touching either view at this point.
-    unsafe { h.views.combine(to, from, h.comb) };
+    unsafe { h.views.combine(to, from, &h.comb) };
 }
 
 impl StealPool {
@@ -973,7 +979,7 @@ impl StealPool {
             return;
         }
         let chunk = chunk.max(1);
-        let harness = ForHarness { body: &body };
+        let harness = ForHarness { body };
         self.with_sticky(site, &range, chunk, |this, sticky| {
             // SAFETY: `&mut self` makes this thread the pool's one driver;
             // `exec_for_chunk::<F>` matches the harness type.
@@ -1016,9 +1022,9 @@ impl StealPool {
                 // SAFETY: `&mut self` makes this thread the pool's one driver, between
                 // loops; the previous reduction's handle is gone.
                 views: unsafe { this.team.views() },
-                init: &init,
-                fold: &fold,
-                comb: &comb,
+                init,
+                fold,
+                comb,
             };
             this.shared.stats.master.reductions.add(1);
             // SAFETY: as above; the entry points match the harness type.

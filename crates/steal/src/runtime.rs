@@ -25,7 +25,7 @@ impl LoopRuntime for StealPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.steal_reduce(range, || init, fold, combine)
+        self.steal_reduce(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

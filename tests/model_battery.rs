@@ -5,8 +5,8 @@
 //! Chase–Lev chunk deque (and the stealing pool's lend / reclaim / steal hand-off
 //! over it), the centralized release/join half-barrier pair, the socket-composed
 //! tree half-barrier and a full barrier over it, the park hub, the trace event
-//! ring, the serve completion and admission hand-offs and the team skeleton's
-//! loop / detach / resume protocol — and
+//! ring, the serve completion and admission hand-offs, the team skeleton's
+//! loop / detach / resume protocol and the job each release line carries — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -25,14 +25,14 @@
 
 use parlo_barrier::{
     wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, WaitMode,
-    WaitPolicy,
+    WaitPolicy, EMPTY_PAYLOAD,
 };
 use parlo_exec::{ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync};
 use parlo_serve::{completion_pair, AdmissionProbe};
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
 use parlo_sync::thread;
-use parlo_sync::{fence, AtomicBool, AtomicIsize, Ordering, UnsafeCell};
+use parlo_sync::{fence, AtomicBool, AtomicIsize, AtomicU64, Ordering, UnsafeCell};
 use parlo_trace::{EventKind, EventRing, Phase};
 use std::sync::Arc;
 
@@ -276,7 +276,7 @@ fn barrier_release_join_two_epoch_cycle() {
             // (wait_all below), and this epoch's workers read only after
             // the signal that follows this write.
             input.with_mut(|p| unsafe { *p = epoch * 10 });
-            release.signal(epoch);
+            release.signal(epoch, &EMPTY_PAYLOAD);
             join.wait_all(epoch, &spin);
             for w in 0..2u64 {
                 // SAFETY: every worker arrived for this epoch; arrive's
@@ -334,7 +334,7 @@ fn socket_composed_tree_two_loop_cycle() {
         for epoch in 1..=2u64 {
             // SAFETY: the previous join ordered every worker's read of `input`.
             input.with_mut(|p| unsafe { *p = epoch * 10 });
-            hb.release(epoch);
+            hb.release(epoch, &EMPTY_PAYLOAD);
             hb.join(epoch, &spin, |_| {});
             for id in 1..=2usize {
                 // SAFETY: the join observed every arrival of this epoch.
@@ -372,7 +372,7 @@ fn socket_composed_full_barrier_episode() {
             .collect();
         // SAFETY: the workers read `input` only after the release.
         input.with_mut(|p| unsafe { *p = 30 });
-        fb.master_wait(1, &spin);
+        fb.master_wait(1, &spin, &EMPTY_PAYLOAD);
         for id in 1..=2usize {
             // SAFETY: the join observed every arrival.
             let r = results[id - 1].with(|p| unsafe { *p });
@@ -619,8 +619,9 @@ struct TeamHarness {
 }
 
 unsafe fn team_exec(data: *const (), id: usize) {
-    // SAFETY: the model programs below pass a pointer to a live `TeamHarness`.
-    let h = unsafe { &*(data as *const TeamHarness) };
+    // SAFETY: the model programs below build their jobs over a `&TeamHarness` to a
+    // live harness.
+    let h = unsafe { *(data as *const &TeamHarness) };
     // SAFETY: the driver wrote `input` before the fork this participant passed.
     let x = h.input.with(|p| unsafe { *p });
     // SAFETY: participant `id` is the only writer of its cell until it has joined.
@@ -628,7 +629,7 @@ unsafe fn team_exec(data: *const (), id: usize) {
 }
 
 /// One loop of the skeleton on a 2-participant team, checked from the master: the
-/// job slot, the input and both outputs cross threads only through the sync shape's
+/// job, the input and both outputs cross threads only through the sync shape's
 /// release/acquire edges, so any missing edge is a reported data race.
 fn team_loop<S: TeamSync>(core: &TeamCore<S>, h: &TeamHarness, input: u64) {
     // SAFETY: the worker of the previous cycle has joined (or not started yet).
@@ -697,6 +698,165 @@ fn team_skeleton_loop_detach_resume_loop_full_barrier_shapes() {
 }
 
 // ---------------------------------------------------------------------------
+// The carried job: each loop's harness travels by value in the release lines.
+// ---------------------------------------------------------------------------
+
+/// A harness carried by value: the loop's `value`, and a reference to the cells the
+/// participants record what they ran in.
+#[derive(Clone, Copy)]
+struct Carried<'a> {
+    value: u64,
+    ran: &'a [UnsafeCell<u64>; 3],
+}
+
+unsafe fn carried_exec(data: *const (), id: usize) {
+    // SAFETY: the job carries a `Carried`; `data` points at this participant's copy.
+    let h = unsafe { &*(data as *const Carried<'_>) };
+    // SAFETY: participant `id` is its cell's only writer, and the master reads it only
+    // after its join.
+    h.ran[id].with_mut(|p| unsafe { *p = h.value });
+}
+
+/// Two loops with distinct harness values on a 3-participant team over `sync`, then the
+/// detach cycle.  Every participant must run each loop with that loop's value, read
+/// from the line that released it: a stale payload fails the assertion, and a payload
+/// read unordered with its write is a data race.
+fn two_carried_loops<S: TeamSync>(sync: S) {
+    let core = Arc::new(TeamCore::new(
+        "carried".to_string(),
+        sync,
+        WaitPolicy::dedicated(),
+    ));
+    let ran = Arc::new([UnsafeCell::new(0), UnsafeCell::new(0), UnsafeCell::new(0)]);
+    let workers: Vec<_> = (1..3)
+        .map(|id| {
+            let core = Arc::clone(&core);
+            thread::spawn(move || core.worker_body(id))
+        })
+        .collect();
+    for value in [11u64, 22] {
+        let h = Carried { value, ran: &ran };
+        // SAFETY: `ran` outlives the cycle; `carried_exec` reads the harness type the
+        // job carries; both workers are inside `worker_body`.
+        unsafe { core.cycle(Job::new(h, carried_exec, None)) };
+        for (id, cell) in ran.iter().enumerate() {
+            // SAFETY: the join completed, so every participant's write is published.
+            let got = cell.with(|p| unsafe { *p });
+            assert_eq!(
+                got, value,
+                "participant {id} ran the loop it was released into"
+            );
+        }
+    }
+    core.detach_workers();
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+#[test]
+fn carried_job_on_a_centralized_team_of_three() {
+    let report = model::Builder::new()
+        .preemption_bound(Some(2))
+        .check(|| two_carried_loops(HalfBarrier::new_centralized(3)));
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The same on the socket-composed tree of [`socket_composed_model`]: worker 1 gets the
+/// job from its own line, and worker 2 — the remote socket's root — from its socket's
+/// release line, both written by the master; worker 2 takes its release through
+/// `forward_release` like any forwarder (at three participants its socket has no
+/// other member to forward to; forwarding to children is exercised at 2 × 4 and 4 × 8
+/// by the barrier's unit tests and `tests/structural_invariants.rs`, a four-thread
+/// model being beyond an exhaustive search here).
+#[test]
+fn carried_job_on_the_socket_composed_tree() {
+    socket_composed_model(|topology| two_carried_loops(HalfBarrier::new_hierarchical(topology, 3)));
+}
+
+/// A distilled release line (one payload word) with the order of its two writes
+/// injectable: the shipped one writes the payload and then stores the epoch with
+/// `Release`; the mutation stores the epoch first.
+struct MiniReleaseLine {
+    epoch: AtomicU64,
+    payload: UnsafeCell<u64>,
+}
+
+impl MiniReleaseLine {
+    fn publish(&self, epoch: u64, payload: u64, payload_first: bool) {
+        let write = || {
+            // SAFETY: mirrors `ReleaseLine::publish`; the waiters of the previous epoch
+            // have arrived, and (shipped order) the next ones read after the store.
+            self.payload.with_mut(|p| unsafe { *p = payload });
+        };
+        if payload_first {
+            write();
+        }
+        self.epoch.store(epoch, Ordering::Release);
+        if !payload_first {
+            write();
+        }
+    }
+
+    fn wait(&self, epoch: u64) -> u64 {
+        WaitPolicy::dedicated().wait_until(|| self.epoch.load(Ordering::Acquire) >= epoch);
+        // SAFETY: with the shipped order the epoch's Acquire load orders the write.
+        self.payload.with(|p| unsafe { *p })
+    }
+}
+
+/// Two releases through the distilled line, each followed by the worker's arrival.  The
+/// worker only reads what it was handed, so a wrong order can show only as a race.
+fn mini_release_rounds(
+    builder: model::Builder,
+    payload_first: bool,
+) -> Result<model::Report, model::Violation> {
+    builder.try_check(move || {
+        let line = Arc::new(MiniReleaseLine {
+            epoch: AtomicU64::new(0),
+            payload: UnsafeCell::new(0),
+        });
+        let arrived = Arc::new(AtomicU64::new(0));
+        let (l2, a2) = (Arc::clone(&line), Arc::clone(&arrived));
+        let worker = thread::spawn(move || {
+            for epoch in 1..=2 {
+                let _ = l2.wait(epoch);
+                a2.store(epoch, Ordering::Release);
+            }
+        });
+        for epoch in 1..=2 {
+            line.publish(epoch, 10 * epoch, payload_first);
+            WaitPolicy::dedicated().wait_until(|| arrived.load(Ordering::Acquire) >= epoch);
+        }
+        worker.join().unwrap();
+    })
+}
+
+/// Baseline: the shipped order is clean across every interleaving.
+#[test]
+fn mini_release_line_payload_first_is_clean() {
+    let report =
+        mini_release_rounds(model::Builder::new(), true).expect("payload-then-epoch is race-free");
+    assert!(report.complete, "exploration must be exhaustive");
+}
+
+/// The seeded mutation: a payload written after the epoch store races the released
+/// worker's read, and the reported schedule replays to the same race.
+#[test]
+fn mutation_payload_after_epoch_is_caught_and_replays() {
+    let v = mini_release_rounds(model::Builder::new(), false)
+        .expect_err("checker must catch the mutation");
+    assert_eq!(v.kind, model::ViolationKind::DataRace);
+    assert!(
+        !v.schedule.is_empty(),
+        "violation carries a replayable schedule"
+    );
+    let replayed = mini_release_rounds(model::Builder::new().replay(&v.schedule), false)
+        .expect_err("pinned schedule reproduces the race");
+    assert_eq!(replayed.kind, model::ViolationKind::DataRace);
+}
+
+// ---------------------------------------------------------------------------
 // Team-owned reduction views: consecutive reductions reuse the same blocks.
 // ---------------------------------------------------------------------------
 
@@ -713,12 +873,12 @@ impl TeamSync for SharedHalf {
         self.hb.num_threads()
     }
 
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy) {
-        self.hb.master_fork(at, policy);
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
+        self.hb.master_fork(at, policy, job);
     }
 
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) {
-        self.hb.worker_fork(id, at, policy);
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
+        self.hb.worker_fork(id, at, policy)
     }
 
     fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
@@ -741,6 +901,7 @@ impl TeamSync for SharedHalf {
 
 /// One modelled reduction: participant `id` contributes `input + id` through the
 /// team's view blocks.
+#[derive(Clone, Copy)]
 struct ViewHarness<'a> {
     views: ReduceViews<'a, u64>,
     input: u64,
@@ -749,7 +910,7 @@ struct ViewHarness<'a> {
 }
 
 unsafe fn view_exec(data: *const (), id: usize) {
-    // SAFETY: the model program passes a pointer to a live `ViewHarness`.
+    // SAFETY: the job carries a `ViewHarness`; `data` points at this participant's copy.
     let h = unsafe { &*(data as *const ViewHarness<'_>) };
     if let (1, Some((hb, epoch))) = (id, h.early_arrival) {
         hb.arrive(1, epoch, &WaitPolicy::dedicated(), |_| {});
@@ -760,8 +921,7 @@ unsafe fn view_exec(data: *const (), id: usize) {
 }
 
 unsafe fn view_combine(data: *const (), into: usize, from: usize) {
-    // SAFETY: the model program passes a pointer to a live `ViewHarness`; the join
-    // gives `into` both views.
+    // SAFETY: as in `view_exec`; the join gives `into` both views.
     unsafe {
         (*(data as *const ViewHarness<'_>))
             .views
@@ -802,7 +962,7 @@ fn two_reductions_on_team_views(
             };
             // SAFETY: the harness outlives the cycle; the entry points match its
             // type; the worker thread is inside `worker_body`.
-            unsafe { core.cycle(Job::new(&h, view_exec, Some(view_combine))) };
+            unsafe { core.cycle(Job::new(h, view_exec, Some(view_combine))) };
             // SAFETY: the join completed, so the master is the views' only accessor.
             let sum = unsafe { h.views.take(0) };
             assert_eq!(sum, Some(2 * 10 * epoch + 1), "loop {epoch}");

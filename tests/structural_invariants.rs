@@ -29,9 +29,9 @@
 #![cfg(not(feature = "stats-off"))]
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
-use parlo_cilk::CilkPool;
+use parlo_cilk::{CilkFineGrain, CilkPool};
 use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime};
-use parlo_omp::{OmpTeam, Schedule};
+use parlo_omp::{OmpTeam, Schedule, ScheduledTeam};
 use parlo_steal::{total_chunks, StealConfig, StealPool};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -411,6 +411,70 @@ fn cilk_hybrid_fine_path_has_fine_grain_structure() {
             REPS * (threads as u64 - 1),
             "hybrid fine-grain reduction: exactly P-1 combines per call at {threads} threads"
         );
+    }
+}
+
+/// A loop's job travels in the release line that releases each worker: written by the
+/// master, copied down by a forwarder, or published into a remote socket's line.  Each
+/// of 200 loops carries its ordinal by value — as the `init` of a `LoopRuntime`
+/// reduction, which the pools put into the harness itself — over `0..P` on a static
+/// schedule, so index `i` is participant `i`'s whole share and records the ordinal
+/// that participant folded from.  Every participant must have seen exactly 1..=200 in
+/// order: a worker released with a stale payload repeats or skips an ordinal.
+#[test]
+fn every_participant_runs_each_loop_with_that_loops_payload() {
+    const LOOPS: u64 = 200;
+    let on = |sockets, cores| PlacementConfig::synthetic(sockets, cores).with_pin(PinPolicy::None);
+    let runtimes: Vec<(&str, Box<dyn LoopRuntime>)> = vec![
+        (
+            "2x4 tree",
+            Box::new(FineGrainPool::with_placement(8, &on(2, 4))),
+        ),
+        (
+            "4x8 tree",
+            Box::new(FineGrainPool::with_placement(32, &on(4, 8))),
+        ),
+        (
+            "2x2 full-barrier tree",
+            Box::new(FineGrainPool::new(
+                Config::builder(4)
+                    .placement(&on(2, 2))
+                    .barrier(BarrierKind::TreeFull)
+                    .build(),
+            )),
+        ),
+        (
+            "2x2 OpenMP static",
+            Box::new(ScheduledTeam::with_placement(
+                4,
+                Schedule::Static,
+                &on(2, 2),
+            )),
+        ),
+        (
+            "2x2 Cilk fine-grain",
+            Box::new(CilkFineGrain::with_placement(4, &on(2, 2))),
+        ),
+    ];
+    for (name, mut rt) in runtimes {
+        let p = rt.threads();
+        let seen: Vec<Mutex<Vec<u64>>> = (0..p).map(|_| Mutex::new(Vec::new())).collect();
+        let record = |acc: f64, i: usize| {
+            seen[i]
+                .lock()
+                .expect("no participant panicked")
+                .push(acc as u64);
+            acc
+        };
+        for ordinal in 1..=LOOPS {
+            let got = rt.parallel_reduce(0..p, ordinal as f64, &record, &|a, b| a.max(b));
+            assert_eq!(got, ordinal as f64, "{name}: loop {ordinal}");
+        }
+        let want: Vec<u64> = (1..=LOOPS).collect();
+        for (id, ordinals) in seen.iter().enumerate() {
+            let ordinals = ordinals.lock().expect("no participant panicked");
+            assert_eq!(*ordinals, want, "{name}: participant {id}");
+        }
     }
 }
 
