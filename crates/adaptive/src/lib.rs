@@ -102,9 +102,9 @@ impl Backend {
         Backend::CilkSteal,
     ];
 
-    /// The default candidate set probed for every site: one representative per
-    /// scheduling family (guided is skipped to keep calibration short; opt in through
-    /// [`AdaptiveConfig::backends`]).
+    /// The candidate set probed for every site, in probe order: one representative
+    /// per scheduling family (guided is skipped to keep calibration short).
+    /// Sequential execution is the implicit baseline candidate.
     pub const DEFAULT: [Backend; 5] = [
         Backend::FineGrain,
         Backend::OmpStatic,

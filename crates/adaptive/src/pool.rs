@@ -18,18 +18,9 @@ use std::time::Instant;
 pub struct AdaptiveConfig {
     /// Threads per backend (master included).
     pub threads: usize,
-    /// Candidate parallel backends probed per site, in probe order.  Sequential
-    /// execution is always an implicit candidate and need not be listed.
-    pub backends: Vec<Backend>,
-    /// Probe executions per backend per calibration round.
-    pub probes_per_backend: usize,
     /// Routed executions of a site before it is re-calibrated (phase-change
     /// detection).
     pub reprobe_interval: u64,
-    /// Measurements retained per (site, backend) within one calibration round (older
-    /// probes are dropped first).  Re-calibration starts from an empty set so a phase
-    /// change is never averaged against stale probes.
-    pub max_measurements: usize,
     /// Probe timing hook (wall clock by default; tests inject a cost model).
     pub timer: Arc<dyn ProbeTimer>,
     /// Worker placement shared by every backend (topology source, pin policy).
@@ -46,10 +37,7 @@ impl AdaptiveConfig {
     pub fn with_threads(threads: usize) -> Self {
         AdaptiveConfig {
             threads: threads.max(1),
-            backends: Backend::DEFAULT.to_vec(),
-            probes_per_backend: 1,
             reprobe_interval: 512,
-            max_measurements: 8,
             timer: Arc::new(WallClock),
             placement: PlacementConfig::default(),
             executor: None,
@@ -125,15 +113,16 @@ parlo_core::stats_family! {
 enum SitePhase {
     /// Next execution runs sequentially to (re-)estimate the site's `T`.
     SeqProbe,
-    /// Next execution probes `backends[backend_idx]` (probe `done` of the round).
-    Probing { backend_idx: usize, done: usize },
+    /// Next execution probes `Backend::DEFAULT[backend_idx]`, once per round.
+    Probing { backend_idx: usize },
     /// Calibration complete; executions are routed by the decision.
     Routed,
 }
 
 #[derive(Debug, Default)]
 struct BackendRecord {
-    measurements: Vec<BurdenMeasurement>,
+    /// This calibration round's probe of the backend.
+    probe: Option<BurdenMeasurement>,
     fit: Option<BurdenFit>,
 }
 
@@ -152,12 +141,12 @@ struct SiteState {
 }
 
 impl SiteState {
-    fn new(num_backends: usize) -> Self {
+    fn new() -> Self {
         SiteState {
             seq_secs: 0.0,
             seq_n: 0,
             phase: SitePhase::SeqProbe,
-            records: (0..num_backends)
+            records: (0..Backend::DEFAULT.len())
                 .map(|_| BackendRecord::default())
                 .collect(),
             decision: None,
@@ -184,7 +173,7 @@ impl SiteState {
         self.drift_strikes = 0;
         self.phase = SitePhase::SeqProbe;
         for record in &mut self.records {
-            record.measurements.clear();
+            record.probe = None;
         }
     }
 }
@@ -225,10 +214,7 @@ pub struct AdaptivePool {
     /// The substrate all four backends lease their workers from: the pool holds at
     /// most `threads − 1` live worker threads no matter how many backends it owns.
     executor: Arc<Executor>,
-    backends: Vec<Backend>,
-    probes_per_backend: usize,
     reprobe_interval: u64,
-    max_measurements: usize,
     timer: Arc<dyn ProbeTimer>,
     threads: usize,
     sites: HashMap<LoopSite, SiteState>,
@@ -270,15 +256,6 @@ impl AdaptivePool {
     /// Creates an adaptive pool from an explicit configuration.
     pub fn new(config: AdaptiveConfig) -> Self {
         let threads = config.threads.max(1);
-        let mut backends: Vec<Backend> = config
-            .backends
-            .iter()
-            .copied()
-            .filter(|&b| b != Backend::Sequential)
-            .collect();
-        if backends.is_empty() {
-            backends = Backend::DEFAULT.to_vec();
-        }
         let placement = config.placement;
         let executor = config
             .executor
@@ -290,10 +267,7 @@ impl AdaptivePool {
             cilk: CilkPool::with_placement_on(threads, &placement, &executor),
             steal: StealPool::with_placement_on(threads, &placement, &executor),
             executor,
-            backends,
-            probes_per_backend: config.probes_per_backend.max(1),
             reprobe_interval: config.reprobe_interval.max(1),
-            max_measurements: config.max_measurements.max(1),
             timer: config.timer,
             threads,
             sites: HashMap::new(),
@@ -316,7 +290,7 @@ impl AdaptivePool {
 
     /// The candidate parallel backends probed for every site, in probe order.
     pub fn backends(&self) -> &[Backend] {
-        &self.backends
+        &Backend::DEFAULT
     }
 
     /// The most recent routing decision for `site`, if calibration has completed at
@@ -331,7 +305,7 @@ impl AdaptivePool {
     /// fit).
     pub fn fitted_burden(&self, site: LoopSite, backend: Backend) -> Option<BurdenFit> {
         let state = self.sites.get(&site)?;
-        let idx = self.backends.iter().position(|&b| b == backend)?;
+        let idx = Backend::DEFAULT.iter().position(|&b| b == backend)?;
         state.records[idx].fit
     }
 
@@ -421,14 +395,10 @@ impl AdaptivePool {
     /// Decides what the next execution of `site` is for (creating the site on first
     /// contact).
     fn next_action(&mut self, site: LoopSite) -> Action {
-        let num_backends = self.backends.len();
-        let state = self
-            .sites
-            .entry(site)
-            .or_insert_with(|| SiteState::new(num_backends));
+        let state = self.sites.entry(site).or_insert_with(SiteState::new);
         match state.phase {
             SitePhase::SeqProbe => Action::Probe(Backend::Sequential),
-            SitePhase::Probing { backend_idx, .. } => Action::Probe(self.backends[backend_idx]),
+            SitePhase::Probing { backend_idx } => Action::Probe(Backend::DEFAULT[backend_idx]),
             SitePhase::Routed => Action::Routed(
                 state
                     .decision
@@ -509,10 +479,7 @@ impl AdaptivePool {
                 let state = self.sites.get_mut(&site).expect("site exists");
                 state.seq_secs = secs;
                 state.seq_n = n;
-                state.phase = SitePhase::Probing {
-                    backend_idx: 0,
-                    done: 0,
-                };
+                state.phase = SitePhase::Probing { backend_idx: 0 };
             }
             Action::Probe(backend) => {
                 let secs = self.timer.observe(backend, site, n, wall).max(1e-12);
@@ -523,36 +490,24 @@ impl AdaptivePool {
                     backend_trace_code(backend),
                 );
                 let threads = self.threads;
-                let max_measurements = self.max_measurements;
-                let probes_per_backend = self.probes_per_backend;
-                let num_backends = self.backends.len();
-                let backends = self.backends.clone();
                 let state = self.sites.get_mut(&site).expect("site exists");
-                let SitePhase::Probing { backend_idx, done } = state.phase else {
+                let SitePhase::Probing { backend_idx } = state.phase else {
                     unreachable!("probe action only issued in the probing phase")
                 };
                 // Scale the sequential estimate to this probe's iteration count: a
                 // site may legally see different range lengths per call, and pairing
                 // mismatched (T, t_par) would fit meaningless burdens.
                 let t_seq = state.t_seq_for(n).max(1e-12);
-                let record = &mut state.records[backend_idx];
-                if record.measurements.len() >= max_measurements {
-                    record.measurements.remove(0);
-                }
-                record.measurements.push(BurdenMeasurement {
+                state.records[backend_idx].probe = Some(BurdenMeasurement {
                     t_seq,
                     speedup: t_seq / secs,
                 });
-                let done = done + 1;
-                if done < probes_per_backend {
-                    state.phase = SitePhase::Probing { backend_idx, done };
-                } else if backend_idx + 1 < num_backends {
+                if backend_idx + 1 < Backend::DEFAULT.len() {
                     state.phase = SitePhase::Probing {
                         backend_idx: backend_idx + 1,
-                        done: 0,
                     };
                 } else {
-                    Self::decide(state, &backends, threads, n);
+                    Self::decide(state, threads, n);
                     state.phase = SitePhase::Routed;
                 }
             }
@@ -563,7 +518,7 @@ impl AdaptivePool {
     /// minimising the predicted execution time `d + T/P` at this calibration's
     /// iteration count (sequential execution, with predicted time `T`, is the
     /// implicit baseline candidate).
-    fn decide(state: &mut SiteState, backends: &[Backend], threads: usize, n: usize) {
+    fn decide(state: &mut SiteState, threads: usize, n: usize) {
         let p = threads.max(1) as f64;
         let t_seq = state.t_seq_for(n);
         let mut best = Decision {
@@ -573,9 +528,9 @@ impl AdaptivePool {
             burden_secs: 0.0,
             calibrated_n: n,
         };
-        for (idx, &backend) in backends.iter().enumerate() {
+        for (idx, &backend) in Backend::DEFAULT.iter().enumerate() {
             let record = &mut state.records[idx];
-            record.fit = fit_burden(&record.measurements, threads);
+            record.fit = fit_burden(record.probe.as_slice(), threads);
             if let Some(fit) = record.fit {
                 let predicted = fit.burden + t_seq / p;
                 if predicted < best.predicted_secs {
@@ -1019,11 +974,9 @@ mod tests {
     #[test]
     fn config_sanitises_degenerate_values() {
         let mut config = AdaptiveConfig::with_threads(0);
-        config.backends = vec![Backend::Sequential];
-        config.probes_per_backend = 0;
         config.reprobe_interval = 0;
         let pool = AdaptivePool::new(config);
         assert_eq!(pool.num_threads(), 1);
-        assert_eq!(pool.backends(), &Backend::DEFAULT);
+        assert_eq!(pool.reprobe_interval, 1);
     }
 }

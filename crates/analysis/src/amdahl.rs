@@ -15,12 +15,10 @@
 //! least-squares fit (by golden-section search on the sum of squared speedup errors,
 //! which is smooth and unimodal in `d`).
 
-use serde::{Deserialize, Serialize};
-
 /// One micro-benchmark measurement: sequential execution time `t_seq` (seconds) of the
 /// loop body and the speedup observed when the loop is run by the scheduler under test
 /// on `P` threads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurdenMeasurement {
     /// Sequential execution time of the loop, in seconds.
     pub t_seq: f64,
@@ -59,7 +57,7 @@ pub fn sse(measurements: &[BurdenMeasurement], burden: f64, threads: usize) -> f
 }
 
 /// Result of a burden fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurdenFit {
     /// The fitted burden `d`, in seconds.
     pub burden: f64,

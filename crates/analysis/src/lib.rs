@@ -1,26 +1,15 @@
-//! # parlo-analysis — measurement and analysis utilities
+//! # parlo-analysis — the paper's burden model
 //!
-//! Everything the evaluation harnesses need to turn raw timings into the numbers the
-//! paper reports:
+//! The one piece of analysis the paper needs: the scheduling burden `d` of a runtime,
+//! fitted from measured speedups under the model `S = T / (d + T/P)`.
 //!
-//! * [`amdahl`] — the paper's burden model `S = T / (d + T/P)` and its least-squares
-//!   fit (Table 1's `d` values);
-//! * [`stats`] — robust summary statistics and a small OLS helper;
-//! * [`timing`] — min-of-N / mean-of-N timing and repetition calibration;
-//! * [`Series`] — speedup-vs-threads series and ratios (Figures 2 and 3);
-//! * [`report`] — plain-text and CSV rendering of tables and series.
+//! * [`amdahl`] — the model and its least-squares fit (Table 1's `d` values);
+//! * [`stats`] — the ordinary least-squares line fit [`linear_fit`].
 
 #![warn(missing_docs)]
 
 pub mod amdahl;
-pub mod report;
 pub mod stats;
-pub mod timing;
-
-mod series;
 
 pub use amdahl::{fit_burden, model_speedup, BurdenFit, BurdenMeasurement};
-pub use report::{series_to_csv, series_to_text, Table};
-pub use series::Series;
-pub use stats::{geomean, linear_fit, quantile, summarize, Summary};
-pub use timing::{black_box, calibrate_reps, mean_time_of, min_time_of, time_once};
+pub use stats::linear_fit;

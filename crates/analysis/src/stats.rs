@@ -1,86 +1,14 @@
-//! Robust summary statistics for benchmark samples.
-
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub median: f64,
-    /// Sample standard deviation (0 for n < 2).
-    pub stddev: f64,
-}
-
-/// Computes summary statistics; returns `None` for an empty sample.
-pub fn summarize(samples: &[f64]) -> Option<Summary> {
-    if samples.is_empty() {
-        return None;
-    }
-    let n = samples.len();
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let min = sorted[0];
-    let max = sorted[n - 1];
-    let mean = sorted.iter().sum::<f64>() / n as f64;
-    let median = if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
-    };
-    let stddev = if n >= 2 {
-        (sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64).sqrt()
-    } else {
-        0.0
-    };
-    Some(Summary {
-        n,
-        min,
-        max,
-        mean,
-        median,
-        stddev,
-    })
-}
-
-/// The `q`-quantile (0 ≤ q ≤ 1) of the sample using linear interpolation; `None` for an
-/// empty sample.
-pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-}
-
-/// Geometric mean; `None` if the sample is empty or contains non-positive values.
-pub fn geomean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
-}
+//! Ordinary least squares.
 
 /// Ordinary least squares fit `y ≈ a + b·x`; returns `(a, b)`, or `None` when fewer
 /// than two distinct x values are present.
 pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
     if xs.len() != ys.len() || xs.len() < 2 {
+        return None;
+    }
+    // Equal x values need not cancel exactly in `n·Σx² − (Σx)²` below, so a single
+    // distinct x is caught here rather than by the near-zero guard.
+    if xs.iter().all(|&x| x == xs[0]) {
         return None;
     }
     let n = xs.len() as f64;
@@ -102,42 +30,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_known_sample() {
-        let s = summarize(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(s.n, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.median - 2.5).abs() < 1e-12);
-        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_single_and_empty() {
-        let s = summarize(&[7.0]).unwrap();
-        assert_eq!(s.median, 7.0);
-        assert_eq!(s.stddev, 0.0);
-        assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(5.0));
-        assert_eq!(quantile(&xs, 0.5), Some(3.0));
-        assert_eq!(quantile(&xs, 0.25), Some(2.0));
-        assert!(quantile(&[], 0.5).is_none());
-    }
-
-    #[test]
-    fn geometric_mean() {
-        assert!((geomean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!(geomean(&[1.0, 0.0]).is_none());
-        assert!(geomean(&[]).is_none());
-    }
-
-    #[test]
     fn linear_fit_recovers_line() {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x).collect();
@@ -146,5 +38,7 @@ mod tests {
         assert!((b - 2.0).abs() < 1e-9);
         assert!(linear_fit(&[1.0], &[2.0]).is_none());
         assert!(linear_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
+        // Nine copies of this x leave `n·Σx² − (Σx)²` at about 2e-13, not 0.
+        assert!(linear_fit(&[2.5506903318873144; 9], &ys[..9]).is_none());
     }
 }

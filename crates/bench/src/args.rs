@@ -64,7 +64,6 @@ impl Subcommand {
                 "--reps N",
                 "--quick",
                 "--csv",
-                "--json PATH",
                 WORKLOAD,
             ],
             Subcommand::Figure2 => &[
@@ -87,16 +86,10 @@ impl Subcommand {
                 "--quick",
                 "--runtime NAME",
                 WORKLOAD,
-                "--json PATH",
             ],
-            Subcommand::Irregular => &[
-                "--threads N",
-                "--reps N",
-                "--n ITERS",
-                "--units U",
-                "--csv",
-                "--json PATH",
-            ],
+            Subcommand::Irregular => {
+                &["--threads N", "--reps N", "--n ITERS", "--units U", "--csv"]
+            }
         }
     }
 
@@ -137,8 +130,6 @@ pub struct Args {
     pub n: Option<usize>,
     /// `--units U`: work units per iteration (`irregular`).
     pub units: Option<usize>,
-    /// `--json PATH`: where to write the machine-readable report.
-    pub json: Option<String>,
     /// `--trace PATH`: where to write the Chrome trace-event timeline.
     pub trace: Option<String>,
     /// `--runtime NAME`: the one roster key to measure (`sweep`).
@@ -218,7 +209,6 @@ pub fn parse(argv: &[String]) -> Result<(Subcommand, Args), String> {
             "--points" => args.points = count()?,
             "--n" => args.n = count()?,
             "--units" => args.units = count()?,
-            "--json" => args.json = Some(value.to_string()),
             "--trace" => args.trace = Some(value.to_string()),
             "--runtime" => {
                 let keys: Vec<&str> = sweep_roster().iter().map(|e| e.key).collect();

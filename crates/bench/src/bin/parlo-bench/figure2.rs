@@ -10,13 +10,12 @@
 //! `--max-threads N`, `--quick`, `--csv`, `--simulate` (simulation only).
 
 use crate::print_series;
-use parlo_analysis::Series;
 use parlo_bench::args::Args;
 use parlo_bench::{native_thread_sweep, time_secs};
 use parlo_core::{FineGrainPool, Sequential};
 use parlo_exec::Executor;
 use parlo_omp::ScheduledTeam;
-use parlo_sim::SimMachine;
+use parlo_sim::{Series, SimMachine};
 use parlo_workloads::{LoopRuntime, Mpdata, PlacementConfig};
 
 /// Times `steps` MPDATA steps of a fresh paper-mesh solver on `runner`, in seconds.

@@ -12,10 +12,9 @@
 //! simulated), `--max-threads N`, `--quick`, `--csv`, `--simulate` (simulation only).
 
 use crate::print_series;
-use parlo_analysis::Series;
 use parlo_bench::args::Args;
 use parlo_bench::{native_thread_sweep, time_secs};
-use parlo_sim::SimMachine;
+use parlo_sim::{Series, SimMachine};
 use parlo_workloads::phoenix::linear_regression as linreg;
 use parlo_workloads::PlacementConfig;
 
@@ -33,7 +32,7 @@ fn chunked_time(
         for chunk in points.chunks(CHUNK) {
             total = total.merge(reduce(chunk));
         }
-        parlo_analysis::black_box(total.line());
+        std::hint::black_box(total.line());
     })
 }
 

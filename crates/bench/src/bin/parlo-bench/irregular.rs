@@ -6,19 +6,12 @@
 //! where data placement (locality-aware stealing) matters.
 //!
 //! Flags: `--threads N`, `--reps N` (default 5), `--n ITERS` (default 2048),
-//! `--units U` (default 4), `--csv`, `--json PATH`.
-//!
-//! The JSON report carries one `SweepRow` per (scheduler, workload) with the
-//! scheduler key qualified as `key@workload`, plus the stealing runtime's
-//! `StealStats`.
+//! `--units U` (default 4), `--csv`.
 
-use crate::{print_table, write_report};
-use parlo_analysis::Table;
+use crate::print_table;
 use parlo_bench::args::Args;
-use parlo_bench::{
-    measure_roster_entry, parallel_time, sequential_time, sweep_roster, BenchReport, RosterContext,
-    SweepRow, WorkloadKind,
-};
+use parlo_bench::{parallel_time, sequential_time, sweep_roster, RosterContext, WorkloadKind};
+use parlo_sim::Table;
 use parlo_workloads::microbench::SweepPoint;
 use parlo_workloads::LoopRuntime;
 
@@ -34,30 +27,18 @@ const KINDS: [WorkloadKind; 3] = [
     WorkloadKind::CacheHostile,
 ];
 
-/// Measures one scheduler on both kernels; returns its speedup columns.
+/// Measures one scheduler on every kernel; returns its speedup columns.
 fn measure(
     runtime: &mut dyn LoopRuntime,
-    key: &str,
     point: SweepPoint,
     t_seq: &[f64],
     reps: usize,
-    report: &mut BenchReport,
 ) -> Vec<f64> {
-    let mut speedups = Vec::with_capacity(KINDS.len());
-    for (&kind, &seq) in KINDS.iter().zip(t_seq) {
-        let t_par = parallel_time(runtime, kind, point, reps).max(1e-12);
-        let speedup = seq / t_par;
-        speedups.push(speedup);
-        report.points.push(SweepRow {
-            scheduler: format!("{}@{}", key, kind.key()),
-            iterations: point.iterations as u64,
-            units: point.units as u64,
-            t_seq_s: seq,
-            t_par_s: t_par,
-            speedup,
-        });
-    }
-    speedups
+    KINDS
+        .iter()
+        .zip(t_seq)
+        .map(|(&kind, &seq)| seq / parallel_time(runtime, kind, point, reps).max(1e-12))
+        .collect()
 }
 
 pub fn run(args: &Args) {
@@ -78,9 +59,6 @@ pub fn run(args: &Args) {
             "cache-hostile",
         ],
     );
-    // The rows mix both kernels (keys are qualified `key@workload`), so the report's
-    // workload marker is the subcommand's own.
-    let mut report = BenchReport::for_workload("irregular", threads, "irregular");
     let t_seq: Vec<f64> = KINDS
         .iter()
         .map(|&k| sequential_time(k, point, reps))
@@ -89,16 +67,11 @@ pub fn run(args: &Args) {
     // One substrate for the whole run (see `RosterContext`).
     let ctx = RosterContext::new(threads, args.placement);
     for entry in sweep_roster() {
-        // The stealing entry is measured through its concrete type so its StealStats
-        // land in the report next to the timings.
-        let (speedups, steal_stats) = measure_roster_entry(&entry, &ctx, |rt| {
-            measure(rt, entry.key, point, &t_seq, reps, &mut report)
-        });
-        report.steal.extend(steal_stats);
+        let mut runtime = (entry.build)(&ctx);
+        let speedups = measure(runtime.as_mut(), point, &t_seq, reps);
         table.push_row(entry.key.to_string(), speedups);
     }
 
     print_table(&table, args.csv);
-    write_report(args, &report);
     eprintln!("irregular: {}", ctx.exec_summary());
 }

@@ -11,9 +11,8 @@
 //! spin|spinyield|yield|park|auto` (wait policy of every constructed pool).  Each module
 //! documents its own flags.
 
-use parlo_analysis::{series_to_csv, series_to_text, Series, Table};
-use parlo_bench::args::{parse, Args, Subcommand};
-use parlo_bench::{write_json_report, BenchReport};
+use parlo_bench::args::{parse, Subcommand};
+use parlo_sim::{series_to_csv, series_to_text, Series, Table};
 
 mod figure2;
 mod figure3;
@@ -34,15 +33,6 @@ fn print_series(title: &str, series: &[&Series], csv: bool) {
         println!("{}", series_to_csv(series));
     } else {
         println!("{}", series_to_text(title, series));
-    }
-}
-
-/// Writes `report` to the `--json` path, if one was given.  A write failure is a hard
-/// error: a run asked for a report must never silently drop it.
-fn write_report(args: &Args, report: &BenchReport) {
-    if let Some(path) = &args.json {
-        write_json_report(path, report).expect("failed to write --json report");
-        eprintln!("{}: wrote JSON report to {path}", report.bench);
     }
 }
 

@@ -11,19 +11,14 @@
 //!
 //! Other flags: `--threads N` (native thread count, default = `PARLO_THREADS` or the
 //! hardware parallelism), `--reps N`, `--quick` (reduced sweep), `--csv`,
-//! `--json PATH` (machine-readable report of the fitted burdens),
 //! `--workload micro|skewed|triangular|cache` (native loop body: the uniform
 //! micro-benchmark, one of the irregular kernels — whose straggler time inflates a
 //! static schedule's *effective* burden — or the cache-hostile probe kernel).
 
-use crate::{print_table, write_report};
-use parlo_analysis::Table;
+use crate::print_table;
 use parlo_bench::args::Args;
-use parlo_bench::{
-    fixed_roster, hardware_threads, measure_burden, BenchReport, BurdenRow, RosterContext,
-    DEFAULT_REPS,
-};
-use parlo_sim::SimMachine;
+use parlo_bench::{fixed_roster, hardware_threads, measure_burden, RosterContext, DEFAULT_REPS};
+use parlo_sim::{SimMachine, Table};
 use parlo_workloads::microbench;
 
 fn native(args: &Args) {
@@ -49,7 +44,6 @@ fn native(args: &Args) {
         ),
         &["scheduler", "d (us)", "residual"],
     );
-    let mut report = BenchReport::for_workload("table1", threads, kind.key());
 
     // The shared roster (see `parlo_bench::fixed_roster`): each runtime is built
     // lazily and leases its workers from the run's one substrate, so measuring the
@@ -59,22 +53,15 @@ fn native(args: &Args) {
         let label = entry.label;
         let mut runtime = (entry.build)(&ctx);
         let (_, fit) = measure_burden(runtime.as_mut(), kind, &sweep, reps);
-        match fit {
-            Some(fit) => {
-                table.push_row(label.to_string(), vec![fit.burden_us(), fit.residual]);
-                report.burdens.push(BurdenRow {
-                    scheduler: label.to_string(),
-                    burden_us: fit.burden_us(),
-                    residual: fit.residual,
-                });
-            }
-            None => table.push_row(label.to_string(), vec![f64::NAN, f64::NAN]),
-        }
+        let values = match fit {
+            Some(fit) => vec![fit.burden_us(), fit.residual],
+            None => vec![f64::NAN, f64::NAN],
+        };
+        table.push_row(label.to_string(), values);
         eprintln!("  measured {label}");
     }
 
     print_table(&table, args.csv);
-    write_report(args, &report);
     eprintln!("table1: {}", ctx.exec_summary());
     println!(
         "note: absolute burdens depend on the machine; the paper reports (48 threads) \
@@ -83,24 +70,9 @@ fn native(args: &Args) {
     );
 }
 
-/// `write_json` is true only when the simulation is the run's primary output
-/// (`--simulate`); in the combined native+simulated mode the native path owns the
-/// report and the trailing simulation must not overwrite it.
-fn simulate(args: &Args, write_json: bool) {
+fn simulate(args: &Args) {
     let machine = SimMachine::paper_machine();
-    let table = parlo_sim::experiments::table1(&machine);
-    print_table(&table, args.csv);
-    if write_json {
-        let mut report = BenchReport::new("table1-simulated", machine.max_threads());
-        for (label, values) in &table.rows {
-            report.burdens.push(BurdenRow {
-                scheduler: label.clone(),
-                burden_us: values.first().copied().unwrap_or(f64::NAN),
-                residual: 0.0,
-            });
-        }
-        write_report(args, &report);
-    }
+    print_table(&parlo_sim::experiments::table1(&machine), args.csv);
     println!(
         "paper reference (48 threads): fine tree 5.67, fine centralized 7.55, \
          fine tree full 12.00, OpenMP static 8.12, OpenMP dynamic 31.94, Cilk 68.80 (us)."
@@ -109,12 +81,12 @@ fn simulate(args: &Args, write_json: bool) {
 
 pub fn run(args: &Args) {
     if args.simulate {
-        simulate(args, true);
+        simulate(args);
     } else {
         native(args);
         if !args.no_simulate {
             println!();
-            simulate(args, false);
+            simulate(args);
         }
     }
 }

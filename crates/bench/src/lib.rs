@@ -18,20 +18,18 @@
 //! cost model — an illustration, never evidence.
 //!
 //! This library holds what the subcommands share: the one argument parser ([`args`]),
-//! burden measurement over `dyn LoopRuntime`, the scheduler roster, and the write-only
-//! JSON report (`--json <path>`).  [`measured`] is a statistics reference held by
-//! tier-1 property tests; it has no CLI.
+//! burden measurement over `dyn LoopRuntime`, and the scheduler roster.  Output goes to
+//! stdout only, as text or CSV, through `parlo-sim`'s `Table` and `Series`.
 
 use parlo_analysis::{fit_burden, BurdenFit, BurdenMeasurement};
 use parlo_exec::Executor;
 use parlo_workloads::microbench::{self, SweepPoint};
 use parlo_workloads::{cache, irregular, LoopRuntime, PlacementConfig};
-use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub mod args;
-pub mod measured;
 
 /// Default number of repetitions per sweep point (each repetition runs the whole loop).
 pub const DEFAULT_REPS: usize = 15;
@@ -108,15 +106,28 @@ impl WorkloadKind {
     }
 }
 
+/// Runs `f` `reps` times (at least once) and returns the *minimum* elapsed time: every
+/// source of interference only ever adds time to a short deterministic kernel.
+fn min_time_of(reps: usize, mut f: impl FnMut()) -> Duration {
+    (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .expect("at least one repetition")
+}
+
 /// Measures the sequential time of one sweep point (minimum of `reps` runs), in seconds.
 pub fn sequential_time(kind: WorkloadKind, point: SweepPoint, reps: usize) -> f64 {
     let n = point.iterations;
-    parlo_analysis::min_time_of(reps, || {
+    min_time_of(reps, || {
         let mut acc = 0.0;
         for i in 0..n {
             acc += kind.term(i, n, point.units);
         }
-        parlo_analysis::black_box(acc);
+        black_box(acc);
     })
     .as_secs_f64()
 }
@@ -132,12 +143,10 @@ pub fn parallel_time(
     let n = point.iterations;
     let units = point.units;
     for _ in 0..WARMUP_RUNS {
-        let acc = runtime.parallel_sum(0..n, &|i| kind.term(i, n, units));
-        parlo_analysis::black_box(acc);
+        black_box(runtime.parallel_sum(0..n, &|i| kind.term(i, n, units)));
     }
-    parlo_analysis::min_time_of(reps, || {
-        let acc = runtime.parallel_sum(0..n, &|i| kind.term(i, n, units));
-        parlo_analysis::black_box(acc);
+    min_time_of(reps, || {
+        black_box(runtime.parallel_sum(0..n, &|i| kind.term(i, n, units)));
     })
     .as_secs_f64()
 }
@@ -213,8 +222,9 @@ pub fn native_thread_sweep(max: Option<usize>) -> Vec<usize> {
 /// Times one closure in seconds (single shot), used by the figure harnesses where each
 /// run is already long.
 pub fn time_secs(f: impl FnOnce()) -> f64 {
-    let (_, d) = parlo_analysis::time_once(f);
-    Duration::as_secs_f64(&d)
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
 }
 
 // ---------------------------------------------------------------------------------
@@ -272,19 +282,6 @@ pub struct RosterEntry {
     pub build: fn(&RosterContext) -> Box<dyn LoopRuntime>,
 }
 
-/// Roster key of the work-stealing chunk runtime.  [`measure_roster_entry`], which
-/// needs the concrete pool to collect [`StealStats`](parlo_steal::StealStats) for the
-/// JSON report, matches on this constant instead of a string literal.
-pub const STEAL_ROSTER_KEY: &str = "fine-grain-steal";
-
-/// Builds the stealing pool behind [`STEAL_ROSTER_KEY`] — the single construction
-/// point shared by the roster's build closure and [`measure_roster_entry`], which
-/// needs the concrete type, so both measure an identically configured pool: the one
-/// the benchmark of record measures.
-pub fn build_steal_pool(ctx: &RosterContext) -> parlo_steal::StealPool {
-    parlo_steal::StealPool::with_placement_on(ctx.threads, &ctx.placement, &ctx.executor)
-}
-
 fn fine_grain_runtime(
     ctx: &RosterContext,
     barrier: parlo_core::BarrierKind,
@@ -333,9 +330,15 @@ pub fn fixed_roster() -> Vec<RosterEntry> {
             build: |ctx| fine_grain_runtime(ctx, BarrierKind::TreeFull),
         },
         RosterEntry {
-            key: STEAL_ROSTER_KEY,
+            key: "fine-grain-steal",
             label: "Fine-grain stealing",
-            build: |ctx| Box::new(build_steal_pool(ctx)),
+            build: |ctx| {
+                Box::new(parlo_steal::StealPool::with_placement_on(
+                    ctx.threads,
+                    &ctx.placement,
+                    &ctx.executor,
+                ))
+            },
         },
         RosterEntry {
             key: "openmp-static",
@@ -361,26 +364,6 @@ pub fn fixed_roster() -> Vec<RosterEntry> {
     ]
 }
 
-/// Builds a roster entry's runtime, runs `measure` on it, and — when the entry is the
-/// stealing runtime — returns its [`StealStatsRow`] alongside the measurement.  This
-/// is the single place that knows the stealing entry needs its concrete type back, so
-/// every subcommand that reports `StealStats` dispatches identically.
-pub fn measure_roster_entry<R>(
-    entry: &RosterEntry,
-    ctx: &RosterContext,
-    measure: impl FnOnce(&mut dyn LoopRuntime) -> R,
-) -> (R, Option<StealStatsRow>) {
-    if entry.key == STEAL_ROSTER_KEY {
-        let mut pool = build_steal_pool(ctx);
-        let out = measure(&mut pool);
-        let stats = StealStatsRow::from_stats(entry.key, &pool.stats());
-        (out, Some(stats))
-    } else {
-        let mut runtime = (entry.build)(ctx);
-        (measure(runtime.as_mut()), None)
-    }
-}
-
 /// The sweep roster: the fixed schedulers plus the adaptive selection runtime, whose
 /// candidate backends lease their workers from the same shared substrate as every
 /// other entry.
@@ -399,123 +382,6 @@ pub fn sweep_roster() -> Vec<RosterEntry> {
     roster
 }
 
-// ---------------------------------------------------------------------------------
-// JSON result reports (`--json <path>`)
-// ---------------------------------------------------------------------------------
-
-/// One fitted burden row of a `table1` run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BurdenRow {
-    /// Scheduler label (Table 1 row name).
-    pub scheduler: String,
-    /// Fitted burden `d`, in microseconds.
-    pub burden_us: f64,
-    /// Residual sum of squared speedup errors at the fit.
-    pub residual: f64,
-}
-
-/// One raw measurement row of a `sweep` run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepRow {
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Loop iteration count of the sweep point.
-    pub iterations: u64,
-    /// Work units per iteration of the sweep point.
-    pub units: u64,
-    /// Sequential time, seconds.
-    pub t_seq_s: f64,
-    /// Parallel time, seconds.
-    pub t_par_s: f64,
-    /// Observed speedup.
-    pub speedup: f64,
-}
-
-/// [`StealStats`](parlo_steal::StealStats) of one measured stealing runtime, included
-/// in the `--json` report next to the timings it explains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StealStatsRow {
-    /// Scheduler key the stats belong to (`"fine-grain-steal"`).
-    pub scheduler: String,
-    /// Steal attempts over the whole measurement run.
-    pub steals_attempted: u64,
-    /// Successful steals.
-    pub steals_hit: u64,
-    /// Successful steals from a victim on the thief's own socket.
-    pub local_steals: u64,
-    /// Successful steals that crossed a socket boundary.
-    pub remote_steals: u64,
-    /// Total chunks executed.
-    pub chunks_executed: u64,
-    /// Chunks executed by each participant (index 0 is the master).
-    pub chunks_per_worker: Vec<u64>,
-}
-
-impl StealStatsRow {
-    /// Builds the report row from a pool's [`StealStats`](parlo_steal::StealStats).
-    pub fn from_stats(scheduler: &str, stats: &parlo_steal::StealStats) -> Self {
-        StealStatsRow {
-            scheduler: scheduler.to_string(),
-            steals_attempted: stats.steals_attempted,
-            steals_hit: stats.steals_hit,
-            local_steals: stats.local_steals,
-            remote_steals: stats.remote_steals,
-            chunks_executed: stats.chunks_executed(),
-            chunks_per_worker: stats.chunks_per_worker.clone(),
-        }
-    }
-}
-
-/// A machine-readable report, written by `--json <path>`.  Write-only: nothing in the
-/// repository reads one back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Which subcommand produced the report (`"table1"`, `"sweep"`, ...).
-    pub bench: String,
-    /// Thread count of the run.
-    pub threads: u64,
-    /// The loop body the run measured (a [`WorkloadKind`] key, or a subcommand's own
-    /// marker like `"irregular"`).  Burdens measured under different workloads are
-    /// not comparable — an irregular workload inflates a static schedule's effective
-    /// burden by design — so the marker travels with the rows.
-    pub workload: String,
-    /// Fitted burden rows (`table1`; empty for raw sweeps).
-    pub burdens: Vec<BurdenRow>,
-    /// Raw sweep rows (`sweep`; empty for fit-only reports).
-    pub points: Vec<SweepRow>,
-    /// Steal-behaviour accounting of any stealing runtime measured by the run.
-    pub steal: Vec<StealStatsRow>,
-}
-
-impl BenchReport {
-    /// An empty report for `bench` at `threads` threads, measuring the default
-    /// (uniform micro-benchmark) workload.
-    pub fn new(bench: &str, threads: usize) -> Self {
-        Self::for_workload(bench, threads, WorkloadKind::Micro.key())
-    }
-
-    /// An empty report for `bench` at `threads` threads under an explicit workload
-    /// marker.
-    pub fn for_workload(bench: &str, threads: usize, workload: &str) -> Self {
-        BenchReport {
-            bench: bench.to_string(),
-            threads: threads as u64,
-            workload: workload.to_string(),
-            burdens: Vec::new(),
-            points: Vec::new(),
-            steal: Vec::new(),
-        }
-    }
-}
-
-/// Serializes `report` as JSON to `path`.  Non-finite floats are not representable in
-/// JSON, so callers must filter unfitted (NaN) rows first.
-pub fn write_json_report(path: &str, report: &BenchReport) -> std::io::Result<()> {
-    let json = serde_json::to_string(report)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json + "\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,25 +393,17 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let (sub, a) = args::parse(&argv(&[
-            "table1",
-            "--threads",
-            "8",
-            "--simulate",
-            "--json",
-            "out.json",
-        ]))
-        .expect("every flag is one of table1's");
+        let (sub, a) = args::parse(&argv(&["table1", "--threads", "8", "--simulate"]))
+            .expect("every flag is one of table1's");
         assert_eq!(sub, args::Subcommand::Table1);
         assert_eq!(a.threads, Some(8));
         assert_eq!(a.thread_count(), 8);
         assert_eq!(a.reps, None);
         assert!(a.simulate);
         assert!(!a.csv);
-        assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.runtime, None);
         let (_, quick) = args::parse(&argv(&["sweep", "--quick"])).unwrap();
-        assert_eq!(quick.json, None);
+        assert!(quick.quick);
         assert!(quick.thread_count() >= 1);
     }
 
@@ -557,7 +415,7 @@ mod tests {
             (&["table1", "--simualte"], "`--simualte`", "[--simulate]"),
             (&["figure2", "--json", "x"], "`--json`", "[--steps N]"),
             (&["sweep", "--runtime"], "`--runtime`", "[--runtime NAME]"),
-            (&["sweep", "--json", "--quick"], "`--json`", "[--json PATH]"),
+            (&["sweep", "--reps", "--quick"], "`--reps`", "[--reps N]"),
             (&["table1", "--reps", "banana"], "`banana`", "[--reps N]"),
             (&["sweep", "--threads", "-2"], "`-2`", "[--threads N]"),
             (&["sweep", "--runtime", "nope"], "`nope`", "fine-grain-hier"),
@@ -630,24 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_stats_row_mirrors_the_pool_counters() {
-        let mut pool = parlo_steal::StealPool::with_threads(2);
-        pool.steal_for_with_chunk(0..100, 10, |_| {});
-        let stats = pool.stats();
-        let row = StealStatsRow::from_stats("fine-grain-steal", &stats);
-        assert_eq!(row.scheduler, "fine-grain-steal");
-        assert_eq!(row.chunks_executed, stats.chunks_executed());
-        assert_eq!(row.chunks_per_worker.len(), 2);
-        assert_eq!(row.steals_hit, stats.steals_hit);
-        assert!(row.steals_attempted >= row.steals_hit);
-        assert_eq!(
-            row.local_steals + row.remote_steals,
-            row.steals_hit,
-            "every hit is classified local or remote"
-        );
-    }
-
-    #[test]
     fn native_thread_sweep_starts_at_one() {
         let sweep = native_thread_sweep(Some(6));
         assert_eq!(sweep[0], 1);
@@ -687,7 +527,7 @@ mod tests {
             .copied()
             .filter(|k| k.contains("steal"))
             .collect();
-        assert_eq!(stealing, [STEAL_ROSTER_KEY], "exactly one stealing entry");
+        assert_eq!(stealing, ["fine-grain-steal"], "exactly one stealing entry");
         for entry in roster {
             let mut runtime = (entry.build)(&ctx);
             assert_eq!(runtime.threads(), 2, "entry {}", entry.key);
@@ -753,71 +593,5 @@ mod tests {
             .1
             .placement;
         assert_eq!(d, PlacementConfig::default());
-    }
-
-    #[test]
-    fn workload_marker_travels_with_the_report() {
-        let report = BenchReport::for_workload("sweep", 4, "skewed");
-        assert_eq!(report.workload, "skewed");
-        let json = serde_json::to_string(&report).expect("serialize");
-        let back: BenchReport = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.workload, "skewed");
-        assert_eq!(BenchReport::new("table1", 2).workload, "micro");
-    }
-
-    #[test]
-    fn steal_roster_entry_and_helper_share_one_construction_point() {
-        let ctx = RosterContext::new(2, PlacementConfig::default());
-        let entry = fixed_roster()
-            .into_iter()
-            .find(|e| e.key == STEAL_ROSTER_KEY)
-            .expect("steal entry in the fixed roster");
-        let mut from_roster = (entry.build)(&ctx);
-        let mut from_helper = build_steal_pool(&ctx);
-        assert_eq!(from_roster.name(), LoopRuntime::name(&from_helper));
-        assert_eq!(from_roster.threads(), 2);
-        let a = from_roster.parallel_sum(0..100, &|i| i as f64);
-        let b = from_helper.parallel_sum(0..100, &|i| i as f64);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn json_report_round_trips() {
-        let mut report = BenchReport::new("table1", 4);
-        report.burdens.push(BurdenRow {
-            scheduler: "Fine-grain tree".into(),
-            burden_us: 5.67,
-            residual: 0.001,
-        });
-        report.points.push(SweepRow {
-            scheduler: "adaptive".into(),
-            iterations: 512,
-            units: 8,
-            t_seq_s: 1e-4,
-            t_par_s: 3e-5,
-            speedup: 3.33,
-        });
-        report.steal.push(StealStatsRow {
-            scheduler: "fine-grain-steal".into(),
-            steals_attempted: 12,
-            steals_hit: 7,
-            local_steals: 5,
-            remote_steals: 2,
-            chunks_executed: 64,
-            chunks_per_worker: vec![40, 12, 8, 4],
-        });
-        let json = serde_json::to_string(&report).expect("serialize");
-        let back: BenchReport = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, report);
-
-        let dir = std::env::temp_dir().join("parlo_bench_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        write_json_report(path.to_str().unwrap(), &report).expect("write");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let back: BenchReport = serde_json::from_str(text.trim()).expect("parse file");
-        assert_eq!(back.bench, "table1");
-        assert_eq!(back.threads, 4);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

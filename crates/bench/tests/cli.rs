@@ -1,8 +1,7 @@
-//! The command line, end to end: each subcommand's cheapest mode, the four classes of
-//! rejected input, and the `--json` report.  The runs are serialised (the native ones
-//! build pools of their own) and start in the temporary directory.
+//! The command line, end to end: each subcommand's cheapest mode and the four classes
+//! of rejected input.  The runs are serialised (the native ones build pools of their
+//! own) and start in the temporary directory.
 
-use parlo_bench::BenchReport;
 use parlo_sim::SimScheduler;
 use std::process::{Command, Output};
 use std::sync::Mutex;
@@ -81,6 +80,7 @@ fn rejected_input_exits_2_naming_the_offender_before_any_measurement() {
         ("table1 --steal-local", "`--steal-local`", "[--workload"),
         ("sweep --steal-local", "`--steal-local`", "[--runtime NAME]"),
         ("irregular --steal-local", "`--steal-local`", "[--n ITERS]"),
+        ("table1 --json x", "`--json`", "[--workload"),
     ] {
         let (out, stdout, stderr) = cli(line);
         assert_eq!(out.status.code(), Some(2), "`{line}`: {stderr}");
@@ -88,17 +88,4 @@ fn rejected_input_exits_2_naming_the_offender_before_any_measurement() {
         assert!(stderr.contains(accepted), "`{line}`: {stderr}");
         assert!(stdout.is_empty(), "`{line}` started a run: {stdout}");
     }
-}
-
-#[test]
-fn json_report_of_the_simulated_table_parses_back_with_nine_burdens() {
-    let name = format!("parlo_bench_cli_{}.json", std::process::id());
-    ok(&format!("table1 --simulate --json {name}"));
-    let path = std::env::temp_dir().join(name);
-    let text = std::fs::read_to_string(&path).expect("the report was written");
-    std::fs::remove_file(&path).ok();
-    let report: BenchReport = serde_json::from_str(text.trim()).expect("the report is JSON");
-    assert_eq!(report.bench, "table1-simulated");
-    assert_eq!(report.burdens.len(), 9);
-    assert!(report.burdens.iter().all(|row| row.burden_us > 0.0));
 }

@@ -109,7 +109,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the machine topology (and re-derives the wait policy suggestion).
+    /// Sets the machine topology used for tree layout and pinning.
     pub fn topology(mut self, topology: Topology) -> Self {
         self.config.topology = topology;
         self

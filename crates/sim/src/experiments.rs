@@ -6,7 +6,7 @@ use crate::scheduler_model::{burden_ns, LoopShape, SimScheduler};
 use crate::workload_model::{
     linear_regression_loops, mpdata_step_loops, workload_speedup, REGRESSION_CHUNK,
 };
-use parlo_analysis::{Series, Table};
+use crate::{Series, Table};
 
 /// Simulated Table 1: the scheduling burden `d` (µs) of every scheduler at 48 threads.
 pub fn table1(m: &SimMachine) -> Table {

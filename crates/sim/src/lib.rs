@@ -15,7 +15,11 @@
 //! * [`scheduler_model`] — per-loop burden `d(P)` of every scheduler of Table 1;
 //! * [`workload_model`] — MPDATA and map-reduce loop structures replayed against the
 //!   burden model;
-//! * [`experiments`] — the simulated Table 1, Figure 2 and Figure 3.
+//! * [`experiments`] — the simulated Table 1, Figure 2 and Figure 3;
+//! * [`Series`] / [`Table`] — the speedup-vs-threads series and named-row tables those
+//!   experiments produce, rendered by [`series_to_text`], [`series_to_csv`],
+//!   [`Table::to_text`] and [`Table::to_csv`] (`parlo-bench` prints its native rows
+//!   through the same types).
 
 #![warn(missing_docs)]
 
@@ -26,8 +30,12 @@ pub mod workload_model;
 
 mod cost;
 mod machine;
+mod report;
+mod series;
 
 pub use cost::CostModel;
 pub use machine::SimMachine;
+pub use report::{series_to_csv, series_to_text, Table};
 pub use scheduler_model::{burden_ns, reduction_burden_ns, LoopShape, SimScheduler};
+pub use series::Series;
 pub use workload_model::{workload_speedup, SimLoop};

@@ -1,5 +1,5 @@
-//! Plain-text / CSV rendering of tables and series, used by the benchmark binaries to
-//! print the same rows and series the paper reports.
+//! Plain-text / CSV rendering of tables and series: `parlo-bench` prints the simulated
+//! and the native rows and series of the paper's table and figures through them.
 
 use crate::Series;
 

@@ -1,9 +1,7 @@
 //! Speedup series over thread counts — the data behind Figures 2 and 3.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of (threads, value) points, e.g. "fine-grain" speedup vs thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Name of the series (e.g. the scheduler it was measured with).
     pub name: String,

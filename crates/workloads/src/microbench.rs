@@ -108,16 +108,16 @@ mod tests {
     #[test]
     fn more_units_takes_longer() {
         // Coarse sanity check of the work generator's monotonicity in wall-clock time.
-        let t_small = parlo_analysis_stub::min_time(|| {
+        let t_small = timing::min_time(|| {
             std::hint::black_box(sequential(2000, 1));
         });
-        let t_big = parlo_analysis_stub::min_time(|| {
+        let t_big = timing::min_time(|| {
             std::hint::black_box(sequential(2000, 64));
         });
         assert!(t_big > t_small, "64 units {t_big:?} vs 1 unit {t_small:?}");
     }
 
-    mod parlo_analysis_stub {
+    mod timing {
         use std::time::{Duration, Instant};
 
         pub fn min_time(mut f: impl FnMut()) -> Duration {

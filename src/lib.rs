@@ -7,7 +7,7 @@
 //! ([`serve`]), the barrier, affinity and shared-worker
 //! substrates ([`barrier`], [`affinity`], [`exec`]), the evaluation workloads
 //! ([`workloads`]), the
-//! measurement utilities ([`analysis`]) and the many-core cost-model simulator
+//! burden model ([`analysis`]) and the many-core cost-model simulator
 //! ([`sim`]).
 //!
 //! See the repository README for the architecture overview, `DESIGN.md` for the system
