@@ -81,8 +81,6 @@ pub enum Backend {
     /// The OpenMP-like team with `schedule(dynamic, chunk)`; the chunk size is derived
     /// from the loop's granularity at execution time.
     OmpDynamic,
-    /// The OpenMP-like team with `schedule(guided, chunk)`.
-    OmpGuided,
     /// The work-stealing chunk pool (pre-split per-worker deques, owner-LIFO /
     /// thief-FIFO, half-barrier completion).
     Steal,
@@ -91,20 +89,9 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend, in probe order.
-    pub const ALL: [Backend; 7] = [
-        Backend::Sequential,
-        Backend::FineGrain,
-        Backend::OmpStatic,
-        Backend::OmpDynamic,
-        Backend::OmpGuided,
-        Backend::Steal,
-        Backend::CilkSteal,
-    ];
-
     /// The candidate set probed for every site, in probe order: one representative
-    /// per scheduling family (guided is skipped to keep calibration short).
-    /// Sequential execution is the implicit baseline candidate.
+    /// per scheduling family.  Sequential execution is the implicit baseline
+    /// candidate.
     pub const DEFAULT: [Backend; 5] = [
         Backend::FineGrain,
         Backend::OmpStatic,
@@ -120,7 +107,6 @@ impl Backend {
             Backend::FineGrain => "fine-grain",
             Backend::OmpStatic => "omp-static",
             Backend::OmpDynamic => "omp-dynamic",
-            Backend::OmpGuided => "omp-guided",
             Backend::Steal => "steal",
             Backend::CilkSteal => "cilk-steal",
         }

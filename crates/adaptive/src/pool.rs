@@ -193,10 +193,9 @@ impl Action {
     }
 }
 
-/// Stable numeric code of a backend on the trace timeline: its position in
-/// [`Backend::ALL`].
+/// Stable numeric code of a backend on the trace timeline: its declaration order.
 fn backend_trace_code(b: Backend) -> u64 {
-    Backend::ALL.iter().position(|x| *x == b).unwrap_or(0) as u64
+    b as u64
 }
 
 /// The online scheduler-selection runtime (see the crate docs for the algorithm).
@@ -223,12 +222,6 @@ pub struct AdaptivePool {
     /// Sequential-routed calls), counted so `sync_stats` covers every execution.
     seq_loops: u64,
     seq_reductions: u64,
-}
-
-/// The granularity-derived chunk/grain size for the dynamic backends (the Cilkplus
-/// heuristic: enough chunks for balance, few enough to amortise the dispenser).
-fn chunk_for(n: usize, threads: usize) -> usize {
-    default_grain(n, threads)
 }
 
 /// A routed execution counts as drifted when it runs this many times slower than its
@@ -350,9 +343,8 @@ impl AdaptivePool {
             return;
         }
         let action = self.next_action(site);
-        let chunk = chunk_for(n, self.threads);
         let t0 = Instant::now();
-        self.exec_for(action.backend(), chunk, range, &body);
+        self.exec_for(action.backend(), range, &body);
         let wall = t0.elapsed().as_secs_f64();
         self.after_run(site, action, n, wall);
     }
@@ -376,9 +368,8 @@ impl AdaptivePool {
             return init;
         }
         let action = self.next_action(site);
-        let chunk = chunk_for(n, self.threads);
         let t0 = Instant::now();
-        let result = self.exec_reduce(action.backend(), chunk, range, init, &fold, &combine);
+        let result = self.exec_reduce(action.backend(), range, init, &fold, &combine);
         let wall = t0.elapsed().as_secs_f64();
         self.after_run(site, action, n, wall);
         result
@@ -536,7 +527,7 @@ impl AdaptivePool {
                 if predicted < best.predicted_secs {
                     best = Decision {
                         backend,
-                        chunk: chunk_for(n, threads),
+                        chunk: default_grain(n, threads),
                         predicted_secs: predicted,
                         burden_secs: fit.burden,
                         calibrated_n: n,
@@ -548,13 +539,7 @@ impl AdaptivePool {
     }
 
     /// Runs one loop on a concrete backend.
-    fn exec_for(
-        &mut self,
-        backend: Backend,
-        chunk: usize,
-        range: Range<usize>,
-        body: &(dyn Fn(usize) + Sync),
-    ) {
+    fn exec_for(&mut self, backend: Backend, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
         match backend {
             Backend::Sequential => {
                 self.seq_loops += 1;
@@ -566,12 +551,14 @@ impl AdaptivePool {
             // by value in the loop's job, with no reference into this frame between.
             Backend::FineGrain => LoopRuntime::parallel_for(&mut self.fine, range, body),
             Backend::OmpStatic => self.team.parallel_for(range, Schedule::Static, body),
-            Backend::OmpDynamic => self
-                .team
-                .parallel_for(range, Schedule::Dynamic(chunk), body),
-            Backend::OmpGuided => self.team.parallel_for(range, Schedule::Guided(chunk), body),
-            Backend::Steal => self.steal.steal_for_with_chunk(range, chunk, body),
-            Backend::CilkSteal => self.cilk.cilk_for_with_grain(range, chunk, body),
+            // Dynamic chunks are the grain the stealing backends split by.
+            Backend::OmpDynamic => {
+                let chunk = default_grain(range.len(), self.threads);
+                self.team
+                    .parallel_for(range, Schedule::Dynamic(chunk), body)
+            }
+            Backend::Steal => self.steal.steal_for(range, body),
+            Backend::CilkSteal => self.cilk.cilk_for(range, body),
         }
     }
 
@@ -579,7 +566,6 @@ impl AdaptivePool {
     fn exec_reduce(
         &mut self,
         backend: Backend,
-        chunk: usize,
         range: Range<usize>,
         init: f64,
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
@@ -602,28 +588,14 @@ impl AdaptivePool {
                 self.team
                     .parallel_reduce(range, Schedule::Static, move || init, fold, combine)
             }
-            Backend::OmpDynamic => self.team.parallel_reduce(
-                range,
-                Schedule::Dynamic(chunk),
-                move || init,
-                fold,
-                combine,
-            ),
-            Backend::OmpGuided => self.team.parallel_reduce(
-                range,
-                Schedule::Guided(chunk),
-                move || init,
-                fold,
-                combine,
-            ),
-            Backend::Steal => {
-                self.steal
-                    .steal_reduce_with_chunk(range, chunk, move || init, fold, combine)
+            Backend::OmpDynamic => {
+                let chunk = default_grain(range.len(), self.threads);
+                let schedule = Schedule::Dynamic(chunk);
+                self.team
+                    .parallel_reduce(range, schedule, move || init, fold, combine)
             }
-            Backend::CilkSteal => {
-                self.cilk
-                    .cilk_reduce_with_grain(range, chunk, move || init, fold, combine)
-            }
+            Backend::Steal => self.steal.steal_reduce(range, move || init, fold, combine),
+            Backend::CilkSteal => self.cilk.cilk_reduce(range, move || init, fold, combine),
         }
     }
 }
@@ -664,7 +636,7 @@ impl LoopRuntime for AdaptivePool {
         };
         self.fine
             .sync_stats()
-            .merged(&SyncStats::from(self.team.stats()))
+            .merged(&self.team.stats())
             .merged(&self.cilk.sync_stats())
             .merged(&self.steal.sync_stats())
             .merged(&sequential)
@@ -716,7 +688,6 @@ mod tests {
                 Backend::FineGrain => 5.67e-6 + t / p,
                 Backend::OmpStatic => 8.12e-6 + t / p,
                 Backend::OmpDynamic => 31.94e-6 + t / p,
-                Backend::OmpGuided => 20.0e-6 + t / p,
                 Backend::Steal => 12.94e-6 + t / p,
                 Backend::CilkSteal => 68.80e-6 + t / p,
             }
@@ -826,7 +797,6 @@ mod tests {
                     Backend::FineGrain => 5.67e-6 + t / p,
                     Backend::OmpStatic => 8.12e-6 + t / p,
                     Backend::OmpDynamic => 31.94e-6 + t / p,
-                    Backend::OmpGuided => 20.0e-6 + t / p,
                     Backend::Steal => 12.94e-6 + t / p,
                     Backend::CilkSteal => 68.80e-6 + t / p,
                 }
@@ -937,7 +907,6 @@ mod tests {
                     Backend::FineGrain => 5.67e-6 + t / p,
                     Backend::OmpStatic => 8.12e-6 + t / p,
                     Backend::OmpDynamic => 31.94e-6 + t / p,
-                    Backend::OmpGuided => 20.0e-6 + t / p,
                     Backend::Steal => 12.94e-6 + t / p,
                     Backend::CilkSteal => 68.80e-6 + t / p,
                 }

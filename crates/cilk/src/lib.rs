@@ -2,7 +2,8 @@
 //!
 //! The baseline side of this crate reproduces the structure of the Cilkplus runtime the
 //! paper measures against: per-worker Chase–Lev deques, random work stealing,
-//! `cilk_for` by recursive binary splitting down to a grain size, and reducer
+//! `cilk_for` by recursive binary splitting down to a grain size ([`CilkConfig::grain`],
+//! else [`default_grain`], the workspace's one grain formula), and reducer
 //! hyperobjects whose views are created lazily and closed out on steals (so the number
 //! of reduce operations can greatly exceed `P − 1`).
 //!

@@ -129,14 +129,14 @@ where
 }
 
 impl CilkPool {
-    /// Baseline Cilk reduction over `range` with an explicit grain size.
+    /// Baseline Cilk reduction over `range`: `cilk_for`'s recursive splitting down to
+    /// [`CilkPool::effective_grain`], with reducer views created lazily on steals.
     ///
     /// `combine` must be associative and commutative (the order in which retired views
     /// are merged follows the stealing pattern, not the iteration order).
-    pub fn cilk_reduce_with_grain<T, Id, Fold, Comb>(
+    pub fn cilk_reduce<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
-        grain: usize,
         identity: Id,
         fold: Fold,
         combine: Comb,
@@ -151,6 +151,7 @@ impl CilkPool {
         if range.is_empty() {
             return identity();
         }
+        let grain = self.effective_grain(range.len());
         let nthreads = self.num_threads();
         let harness = CilkReduceHarness {
             identity,
@@ -187,24 +188,6 @@ impl CilkPool {
             acc = combine(acc, v);
         }
         acc
-    }
-
-    /// Baseline Cilk reduction with the default grain size.
-    pub fn cilk_reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let grain = self.effective_grain(range.end.saturating_sub(range.start));
-        self.cilk_reduce_with_grain(range, grain, identity, fold, combine)
     }
 
     /// Fine-grain reduction through the embedded half-barrier: statically allocated
@@ -250,7 +233,7 @@ impl CilkPool {
             identity,
             fold,
             combine,
-            // SAFETY: as in `cilk_reduce_with_grain`.
+            // SAFETY: as in `cilk_reduce`.
             views: unsafe { self.views() },
             start: range.start,
             end: range.end,
@@ -259,7 +242,7 @@ impl CilkPool {
         };
         harness.stats.master.fine_loops.add(1);
         harness.stats.master.reductions.add(1);
-        // SAFETY: as in `cilk_reduce_with_grain`; the entry points read exactly the
+        // SAFETY: as in `cilk_reduce`; the entry points read exactly the
         // harness type the job carries.
         unsafe {
             self.run_fine_loop(Job::new(
@@ -276,15 +259,15 @@ impl CilkPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::tests::grained_pool;
 
     #[test]
     fn cilk_reduce_matches_sequential() {
         let n = 20_000usize;
         let expected: u64 = (0..n as u64).sum();
         for threads in [1usize, 2, 4] {
-            let mut p = CilkPool::with_threads(threads);
-            let got =
-                p.cilk_reduce_with_grain(0..n, 64, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let mut p = grained_pool(threads, 64);
+            let got = p.cilk_reduce(0..n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(got, expected, "threads {threads}");
         }
     }
@@ -315,8 +298,8 @@ mod tests {
 
     #[test]
     fn cilk_reduce_ops_at_least_views_touched() {
-        let mut p = CilkPool::with_threads(4);
-        let _ = p.cilk_reduce_with_grain(0..50_000, 32, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        let mut p = grained_pool(4, 32);
+        let _ = p.cilk_reduce(0..50_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         let s = p.stats();
         // At least the master's view is merged; with stealing, retired views add more.
         assert!(s.reduce_ops >= 1);

@@ -40,7 +40,8 @@ pub struct CilkConfig {
     pub pin: PinPolicy,
     /// Waiting policy for the fine-grain half-barrier path.
     pub wait: WaitPolicy,
-    /// Explicit default grain size for `cilk_for`; `None` uses the Cilkplus heuristic.
+    /// Explicit grain size for every `cilk_for` / `cilk_reduce`; `None` derives one
+    /// per loop from [`default_grain`].
     pub grain: Option<usize>,
 }
 
@@ -80,7 +81,14 @@ impl CilkConfig {
     }
 }
 
-/// The Cilkplus grain-size heuristic: `min(2048, max(1, n / (8 p)))`.
+/// The Cilkplus grain-size heuristic: `min(2048, max(1, n / (8 p)))` — enough pieces
+/// per worker for thieves to rebalance a skewed loop, few enough that splitting stays
+/// a small fraction of it.
+///
+/// This is the workspace's one grain formula: [`CilkPool::cilk_for`] splits down to
+/// it, `parlo-steal`'s `StealPool` pre-splits its loops into chunks of it, and the
+/// adaptive pool's `OmpDynamic` backend dispenses chunks of it, each unless its
+/// config sets an explicit size.
 ///
 /// Degenerate inputs are clamped rather than propagated: `n = 0` (and any `n < 8 p`)
 /// yields grain 1, which is harmless because **empty loops never reach the splitter**
@@ -381,7 +389,8 @@ impl CilkPool {
         self.team.sync().fine.hierarchy_stats()
     }
 
-    /// The grain size a loop of `n` iterations would use by default on this pool.
+    /// The grain size a loop of `n` iterations uses on this pool: [`CilkConfig::grain`]
+    /// if set, else [`default_grain`].
     pub fn effective_grain(&self, n: usize) -> usize {
         self.config
             .grain
@@ -572,18 +581,9 @@ unsafe fn exec_fine_for<B: Fn(usize)>(data: *const (), id: usize) {
 }
 
 impl CilkPool {
-    /// Baseline `cilk_for`: recursive binary splitting with the default grain size,
-    /// dynamic (work-stealing) scheduling.
+    /// Baseline `cilk_for`: recursive binary splitting down to
+    /// [`CilkPool::effective_grain`], dynamic (work-stealing) scheduling.
     pub fn cilk_for<F>(&mut self, range: Range<usize>, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let grain = self.effective_grain(range.end.saturating_sub(range.start));
-        self.cilk_for_with_grain(range, grain, body);
-    }
-
-    /// Baseline `cilk_for` with an explicit grain size.
-    pub fn cilk_for_with_grain<F>(&mut self, range: Range<usize>, grain: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -591,6 +591,7 @@ impl CilkPool {
         if range.is_empty() {
             return;
         }
+        let grain = self.effective_grain(range.len());
         let harness = CilkForHarness { body };
         self.work().stats.master.loops.add(1);
         // SAFETY: the harness outlives the loop; `exec_cilk_range::<F>` matches its type.
@@ -641,9 +642,17 @@ impl CilkPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use parlo_sync::AtomicUsize;
+
+    /// A pool of `threads` workers whose loops split down to `grain`.
+    pub(crate) fn grained_pool(threads: usize, grain: usize) -> CilkPool {
+        CilkPool::new(CilkConfig {
+            grain: Some(grain),
+            ..CilkConfig::with_threads(threads)
+        })
+    }
 
     #[test]
     fn grain_heuristic() {
@@ -665,9 +674,9 @@ mod tests {
     #[test]
     fn cilk_for_visits_each_index_once() {
         for threads in [1usize, 2, 4] {
-            let mut p = CilkPool::with_threads(threads);
+            let mut p = grained_pool(threads, 16);
             let hits: Vec<AtomicUsize> = (0..1013).map(|_| AtomicUsize::new(0)).collect();
-            p.cilk_for_with_grain(0..1013, 16, |i| {
+            p.cilk_for(0..1013, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -679,9 +688,9 @@ mod tests {
 
     #[test]
     fn cilk_for_with_offset_range() {
-        let mut p = CilkPool::with_threads(3);
+        let mut p = grained_pool(3, 8);
         let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-        p.cilk_for_with_grain(50..150, 8, |i| {
+        p.cilk_for(50..150, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -762,9 +771,9 @@ mod tests {
 
     #[test]
     fn stats_track_steals_on_larger_loop() {
-        let mut p = CilkPool::with_threads(4);
+        let mut p = grained_pool(4, 64);
         let sum = AtomicUsize::new(0);
-        p.cilk_for_with_grain(0..100_000, 64, |i| {
+        p.cilk_for(0..100_000, |i| {
             sum.fetch_add(i & 1, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 50_000);

@@ -33,25 +33,23 @@
 //!   *fine-grain tree* (default), *fine-grain centralized*, or the *full-barrier*
 //!   variants used as ablations in Table 1.
 //! * Loop entry points: [`FineGrainPool::parallel_for`],
-//!   [`FineGrainPool::parallel_for_blocks`], [`FineGrainPool::parallel_for_chunked`],
-//!   [`FineGrainPool::parallel_for_dynamic`], [`FineGrainPool::broadcast`].
+//!   [`FineGrainPool::parallel_for_blocks`], [`FineGrainPool::broadcast`] — one static
+//!   block per participant under one half-barrier.  The OpenMP comparators
+//!   (`static,chunk`, `dynamic`, `guided`) live in `parlo-omp`.
 //! * Reductions merged into the join phase: [`FineGrainPool::parallel_reduce`] (exactly
 //!   `P − 1` combines, distributed over the join tree) and
 //!   [`FineGrainPool::parallel_reduce_ordered`] (non-commutative operators).
-//! * [`StatsSnapshot`] — instrumentation counters used to verify the structural claims
-//!   (barrier phases per loop, combines per reduction).
 //! * [`LoopRuntime`] / [`SyncStats`] — the object-safe runtime abstraction every
 //!   scheduler in the workspace implements, with [`Sequential`] as the inline
 //!   reference; workloads and harnesses program against `dyn LoopRuntime`.
+//!   [`SyncStats`] is also what [`FineGrainPool::stats`] returns: the counters that
+//!   verify the structural claims (barrier phases per loop, combines per reduction).
+//! * [`PoolStats`] — the counter block behind that snapshot, shared with the
+//!   OpenMP-like team.
 //! * [`StatsSource`] / [`StatsRegistry`] / [`stats_family!`] — the unified stats
 //!   surface: every counter family in the workspace is declared through the macro
 //!   (deriving `since`/`merged` and a flattened sample view) and any set of live
 //!   families can be rendered as one text metrics page.
-//!
-//! Building with `--features stats-off` compiles the pool's counters down to nothing:
-//! every `record_*` call becomes an empty inline function and [`StatsSnapshot`] /
-//! [`SyncStats`] read as all-zero.  Results are unaffected — only the accounting
-//! disappears.
 
 #![warn(missing_docs)]
 
@@ -66,10 +64,10 @@ mod stats;
 
 pub use config::{BarrierKind, Config, ConfigBuilder};
 pub use pool::{FineGrainPool, WorkerInfo};
-pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks, StaticSchedule};
+pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks};
 pub use runtime::{LoopRuntime, Sequential, SyncStats};
 pub use source::{CounterField, StatsRegistry, StatsSource};
-pub use stats::StatsSnapshot;
+pub use stats::PoolStats;
 
 // Re-export the pieces callers commonly need to configure a pool.
 pub use parlo_affinity::{PinPolicy, PlacementConfig, Topology, TopologySource};

@@ -2,11 +2,7 @@
 //!
 //! All loops are *statically scheduled by default* (one contiguous block per thread,
 //! computed independently by each participant from the published range — step 1 of the
-//! paper's scheduling recipe happens implicitly and without communication).  A
-//! block-cyclic and a dynamically scheduled variant are provided for load-imbalanced
-//! bodies; the dynamic variant still uses the half-barrier, so its extra cost relative
-//! to the static loop is exactly the per-chunk atomic traffic, mirroring the
-//! OpenMP-static vs OpenMP-dynamic comparison of Table 1.
+//! paper's scheduling recipe happens implicitly and without communication).
 //!
 //! Every harness is `Copy` and travels by value in the loop's [`Job`], so a worker
 //! reads the range, the thread count and the body's address from the release line that
@@ -14,8 +10,7 @@
 //! a `LoopRuntime` call — the `&dyn` body itself, never a reference to it.
 
 use crate::pool::{FineGrainPool, WorkerInfo};
-use crate::range::{static_block, static_chunks, DynamicChunks};
-use crate::stats::PoolStats;
+use crate::range::static_block;
 use parlo_exec::{walk_range, Job};
 use std::ops::Range;
 
@@ -66,48 +61,6 @@ unsafe fn exec_for_block<B: Fn(Range<usize>)>(data: *const (), id: usize) {
     if !block.is_empty() {
         (h.body)(block);
     }
-}
-
-/// Harness for [`FineGrainPool::parallel_for_chunked`].
-#[derive(Clone, Copy)]
-struct ChunkedHarness<B> {
-    body: B,
-    start: usize,
-    end: usize,
-    nthreads: usize,
-    chunk: usize,
-}
-
-unsafe fn exec_for_chunked<B: Fn(usize)>(data: *const (), id: usize) {
-    // SAFETY: the job carries a `ChunkedHarness<B>`, and `data` points at this
-    // participant's copy of it.
-    let h = unsafe { &*(data as *const ChunkedHarness<B>) };
-    for chunk in static_chunks(&(h.start..h.end), h.nthreads, id, h.chunk) {
-        walk_range(&h.body, chunk);
-    }
-}
-
-/// Harness for [`FineGrainPool::parallel_for_dynamic`]: the dispenser every
-/// participant draws from stays on the master's stack and travels by reference.
-#[derive(Clone, Copy)]
-struct DynamicHarness<'a, B> {
-    body: B,
-    chunks: &'a DynamicChunks,
-    stats: &'a PoolStats,
-}
-
-unsafe fn exec_for_dynamic<B: Fn(usize)>(data: *const (), id: usize) {
-    // SAFETY: the job carries a `DynamicHarness<'_, B>`, and `data` points at this
-    // participant's copy of it; the master keeps the dispenser alive until its join.
-    let h = unsafe { &*(data as *const DynamicHarness<'_, B>) };
-    // Chunks are counted locally and added once: the dispenser's own RMW is the only
-    // contended one a chunk pays.
-    let mut dispensed = 0;
-    while let Some(chunk) = h.chunks.next_chunk() {
-        dispensed += 1;
-        walk_range(&h.body, chunk);
-    }
-    h.stats.record_dynamic_chunks(id, dispensed);
 }
 
 impl FineGrainPool {
@@ -205,50 +158,6 @@ impl FineGrainPool {
             self.run_job(Job::new(harness, exec_for::<B>, None));
         }
     }
-
-    /// Block-cyclic statically scheduled loop: chunks of `chunk` iterations are dealt to
-    /// the participants round-robin before the loop starts.
-    pub fn parallel_for_chunked<F>(&mut self, range: Range<usize>, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if range.is_empty() {
-            return;
-        }
-        let harness = ChunkedHarness {
-            body: &body,
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-            chunk: chunk.max(1),
-        };
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(harness, exec_for_chunked::<&F>, None));
-        }
-    }
-
-    /// Dynamically scheduled loop: participants repeatedly grab chunks of `chunk`
-    /// iterations from a shared dispenser.  The fork/join synchronization is still the
-    /// half-barrier; only the work distribution differs from [`FineGrainPool::parallel_for`].
-    pub fn parallel_for_dynamic<F>(&mut self, range: Range<usize>, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if range.is_empty() {
-            return;
-        }
-        let chunks = DynamicChunks::new(range, chunk);
-        let harness = DynamicHarness {
-            body: &body,
-            chunks: &chunks,
-            stats: &self.stats,
-        };
-        // SAFETY: as in `broadcast`; `chunks` lives until `run_job` returns too.
-        unsafe {
-            self.run_job(Job::new(harness, exec_for_dynamic::<&F>, None));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,34 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_chunked_covers_range() {
-        let mut p = FineGrainPool::with_threads(3);
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        p.parallel_for_chunked(0..1000, 7, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_dynamic_covers_range_and_counts_chunks() {
-        let mut p = FineGrainPool::with_threads(4);
-        let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        p.parallel_for_dynamic(0..500, 16, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        #[cfg(not(feature = "stats-off"))]
-        assert_eq!(p.stats().dynamic_chunks, 500_u64.div_ceil(16));
-    }
-
-    #[test]
     fn empty_ranges_are_noops() {
         let mut p = FineGrainPool::with_threads(2);
         p.parallel_for(10..10, |_| panic!("must not run"));
         p.parallel_for_blocks(10..10, |_| panic!("must not run"));
-        p.parallel_for_chunked(10..10, 4, |_| panic!("must not run"));
-        p.parallel_for_dynamic(10..10, 4, |_| panic!("must not run"));
     }
 
     #[test]
@@ -342,7 +227,6 @@ mod tests {
             });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 1600);
-        #[cfg(not(feature = "stats-off"))]
         assert_eq!(p.stats().loops, 200);
     }
 }

@@ -24,7 +24,8 @@
 //! selects the sync shape and owns the pool's counters.
 
 use crate::config::{BarrierKind, Config};
-use crate::stats::{PoolStats, StatsSnapshot};
+use crate::runtime::SyncStats;
+use crate::stats::PoolStats;
 use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, WaitPolicy};
 use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
 use std::sync::Arc;
@@ -221,7 +222,7 @@ impl FineGrainPool {
     }
 
     /// A snapshot of the pool's instrumentation counters.
-    pub fn stats(&self) -> StatsSnapshot {
+    pub fn stats(&self) -> SyncStats {
         self.stats.snapshot()
     }
 
@@ -320,7 +321,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
-    #[cfg(not(feature = "stats-off"))]
     #[test]
     fn stats_count_loops_and_phases() {
         let mut p = pool(BarrierKind::TreeHalf, 2);

@@ -2,20 +2,12 @@
 //!
 //! Static scheduling divides the loop iteration range among the threads before the loop
 //! starts (step 1 of the scheduling recipe in §2 of the paper).  The block partition is
-//! the default; a chunked (block-cyclic) partition is provided for load-imbalanced
-//! bodies, and a dynamic chunk iterator backs the `schedule(dynamic)`-style modes.
+//! every static loop's; the chunked (block-cyclic) partition and the dynamic and guided
+//! dispensers back the OpenMP-like team's `static,chunk`, `dynamic` and `guided`
+//! schedules.
 
 use parlo_sync::{AtomicUsize, Ordering};
 use std::ops::Range;
-
-/// How a statically scheduled loop divides its iteration range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticSchedule {
-    /// One contiguous block per thread, sizes differing by at most one iteration.
-    Block,
-    /// Block-cyclic: chunks of the given size are dealt to threads round-robin.
-    Chunked(usize),
-}
 
 /// Returns the contiguous block of `range` assigned to `tid` out of `nthreads` under the
 /// block partition.  The first `len % nthreads` threads receive one extra iteration, so

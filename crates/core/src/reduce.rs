@@ -214,20 +214,6 @@ impl FineGrainPool {
     {
         self.parallel_reduce(range, || 0.0, |acc, i| acc + f(i), |a, b| a + b)
     }
-
-    /// Convenience wrapper: parallel maximum of `f(i)` over `range` (returns
-    /// `f64::NEG_INFINITY` for an empty range).
-    pub fn parallel_max<F>(&mut self, range: Range<usize>, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        self.parallel_reduce(
-            range,
-            || f64::NEG_INFINITY,
-            |acc: f64, i| acc.max(f(i)),
-            |a: f64, b: f64| a.max(b),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +236,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "stats-off"))]
     #[test]
     fn reduction_performs_exactly_p_minus_one_combines() {
         for kind in BarrierKind::ALL {
@@ -292,7 +277,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "stats-off"))]
     #[test]
     fn ordered_reduction_also_counts_p_minus_one_combines() {
         let mut p = FineGrainPool::with_threads(4);
@@ -309,14 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_max_helpers() {
+    fn sum_helper() {
         let mut p = FineGrainPool::with_threads(4);
         let s = p.parallel_sum(0..1000, |i| i as f64);
         assert!((s - 499_500.0).abs() < 1e-9);
-        let m = p.parallel_max(0..1000, |i| (i as f64 - 500.0).abs());
-        assert!((m - 500.0).abs() < 1e-9);
-        let empty = p.parallel_max(0..0, |_| 0.0);
-        assert_eq!(empty, f64::NEG_INFINITY);
     }
 
     #[test]
@@ -364,7 +344,6 @@ mod tests {
         for round in 1..=50u64 {
             let got = p.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(got, 4950);
-            #[cfg(not(feature = "stats-off"))]
             assert_eq!(p.stats().reductions, round);
         }
     }

@@ -151,15 +151,7 @@ impl LoopRuntime for FineGrainPool {
     }
 
     fn sync_stats(&self) -> SyncStats {
-        let s = self.stats();
-        SyncStats {
-            loops: s.loops,
-            reductions: s.reductions,
-            barrier_phases: s.barrier_phases,
-            combine_ops: s.combine_ops,
-            dynamic_chunks: s.dynamic_chunks,
-            steals: 0,
-        }
+        self.stats()
     }
 }
 
@@ -196,16 +188,11 @@ mod tests {
         let before = rt.sync_stats();
         let sum = rt.parallel_sum(0..1000, &|i| i as f64);
         assert!((sum - 499_500.0).abs() < 1e-9);
-        #[cfg(not(feature = "stats-off"))]
-        {
-            let delta = rt.sync_stats().since(&before);
-            assert_eq!(delta.loops, 1);
-            assert_eq!(delta.reductions, 1);
-            assert_eq!(delta.barrier_phases, 2, "one half-barrier per loop");
-            assert_eq!(delta.combine_ops, 2, "P-1 combines");
-        }
-        #[cfg(feature = "stats-off")]
-        assert_eq!(rt.sync_stats().since(&before), SyncStats::default());
+        let delta = rt.sync_stats().since(&before);
+        assert_eq!(delta.loops, 1);
+        assert_eq!(delta.reductions, 1);
+        assert_eq!(delta.barrier_phases, 2, "one half-barrier per loop");
+        assert_eq!(delta.combine_ops, 2, "P-1 combines");
     }
 
     #[test]

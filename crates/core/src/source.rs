@@ -1,7 +1,7 @@
 //! The unified stats surface: [`StatsSource`], [`CounterField`] and [`StatsRegistry`].
 //!
 //! Every crate in the workspace grew its own counter snapshot struct (`SyncStats`,
-//! `StatsSnapshot`, `StealStats`, `AdaptiveStats`, `ServeStats`, `ExecStats`), each
+//! `StealStats`, `AdaptiveStats`, `ServeStats`, `ExecStats`), each
 //! with a hand-rolled `since`/`merged` pair and no common way to dump "everything the
 //! system knows" in one place.  This module is the one shape they all share:
 //!

@@ -33,4 +33,4 @@ mod team;
 
 pub use runtime::ScheduledTeam;
 pub use schedule::Schedule;
-pub use team::{OmpTeam, TeamConfig, TeamStatsSnapshot};
+pub use team::{OmpTeam, TeamConfig};

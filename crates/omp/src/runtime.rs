@@ -1,22 +1,9 @@
 //! [`LoopRuntime`] adapter: an [`OmpTeam`] paired with a worksharing schedule.
 
 use crate::schedule::Schedule;
-use crate::team::{OmpTeam, TeamStatsSnapshot};
+use crate::team::OmpTeam;
 use parlo_core::{LoopRuntime, SyncStats};
 use std::ops::Range;
-
-impl From<TeamStatsSnapshot> for SyncStats {
-    fn from(s: TeamStatsSnapshot) -> SyncStats {
-        SyncStats {
-            loops: s.loops,
-            reductions: s.reductions,
-            barrier_phases: s.barrier_phases,
-            combine_ops: s.combine_ops,
-            dynamic_chunks: s.dynamic_chunks,
-            steals: 0,
-        }
-    }
-}
 
 /// An [`OmpTeam`] bound to one worksharing [`Schedule`], viewable as a
 /// `dyn LoopRuntime`.
@@ -92,7 +79,7 @@ impl LoopRuntime for ScheduledTeam {
     }
 
     fn sync_stats(&self) -> SyncStats {
-        self.team.stats().into()
+        self.team.stats()
     }
 }
 

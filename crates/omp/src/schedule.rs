@@ -16,10 +16,6 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// The default dynamic chunk size used when callers do not specify one (OpenMP's
-    /// default for `schedule(dynamic)` is 1, which is also what makes it expensive).
-    pub const DEFAULT_DYNAMIC_CHUNK: usize = 1;
-
     /// Short label used by the benchmark harnesses (matches the Table 1 row names).
     pub fn label(&self) -> &'static str {
         match self {
@@ -29,11 +25,6 @@ impl Schedule {
             Schedule::Guided(_) => "OpenMP guided",
         }
     }
-
-    /// Whether this schedule requires shared-counter traffic during the loop.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, Schedule::Dynamic(_) | Schedule::Guided(_))
-    }
 }
 
 #[cfg(test)]
@@ -41,13 +32,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_flags() {
+    fn labels_and_default() {
         assert_eq!(Schedule::Static.label(), "OpenMP static");
         assert_eq!(Schedule::Dynamic(1).label(), "OpenMP dynamic");
-        assert!(Schedule::Dynamic(4).is_dynamic());
-        assert!(Schedule::Guided(2).is_dynamic());
-        assert!(!Schedule::Static.is_dynamic());
-        assert!(!Schedule::StaticChunked(8).is_dynamic());
         assert_eq!(Schedule::default(), Schedule::Static);
     }
 }

@@ -18,11 +18,10 @@
 //! shared [`parlo_exec::Team`] skeleton over the [`ExtraReductionBarrier`] sync shape.
 
 use crate::schedule::Schedule;
-use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{FullBarrier, WaitPolicy};
+use parlo_core::{PoolStats, SyncStats};
 use parlo_exec::{fold_range, walk_range, Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
-use parlo_sync::{ParticipantCounter, SingleWriterCounter};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -78,39 +77,6 @@ impl TeamConfig {
     }
 }
 
-/// Instrumentation counters of a team: the per-region counts are bumped by the master
-/// alone, on a line of their own; combines and dispensed chunks on the line of the
-/// participant that performs them.
-#[derive(Debug)]
-struct TeamStats {
-    master: CachePadded<RegionCounts>,
-    combine_ops: ParticipantCounter,
-    dynamic_chunks: ParticipantCounter,
-}
-
-/// The counts only the driving master bumps, once per region.
-#[derive(Debug, Default)]
-struct RegionCounts {
-    loops: SingleWriterCounter,
-    reductions: SingleWriterCounter,
-    barrier_phases: SingleWriterCounter,
-}
-
-/// A point-in-time copy of the team counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TeamStatsSnapshot {
-    /// Parallel loops executed.
-    pub loops: u64,
-    /// Reduction loops executed.
-    pub reductions: u64,
-    /// View-combine operations performed.
-    pub combine_ops: u64,
-    /// Barrier phases executed (each full barrier counts 2: one join + one release).
-    pub barrier_phases: u64,
-    /// Dynamically dispensed chunks.
-    pub dynamic_chunks: u64,
-}
-
 /// An OpenMP-like persistent thread team.
 ///
 /// Loop methods take `&mut self`; a team serves a single master thread and regions do
@@ -121,7 +87,7 @@ pub struct OmpTeam {
     /// consumes two full-barrier episodes (fork + join) and each reduction loop three
     /// (fork + reduction + join).  The team spawns no threads of its own.
     team: Team<ExtraReductionBarrier>,
-    stats: TeamStats,
+    stats: PoolStats,
     config: TeamConfig,
 }
 
@@ -167,11 +133,7 @@ impl OmpTeam {
             None,
         );
         OmpTeam {
-            stats: TeamStats {
-                master: CachePadded::default(),
-                combine_ops: ParticipantCounter::new(nthreads),
-                dynamic_chunks: ParticipantCounter::new(nthreads),
-            },
+            stats: PoolStats::new(nthreads),
             team,
             config,
         }
@@ -193,15 +155,8 @@ impl OmpTeam {
     }
 
     /// A snapshot of the team's instrumentation counters.
-    pub fn stats(&self) -> TeamStatsSnapshot {
-        let s = &self.stats;
-        TeamStatsSnapshot {
-            loops: s.master.loops.get(),
-            reductions: s.master.reductions.get(),
-            combine_ops: s.combine_ops.sum(),
-            barrier_phases: s.master.barrier_phases.get(),
-            dynamic_chunks: s.dynamic_chunks.sum(),
-        }
+    pub fn stats(&self) -> SyncStats {
+        self.stats.snapshot()
     }
 
     /// Counts one region (two full barriers, three with a reduction) and runs it.
@@ -211,8 +166,7 @@ impl OmpTeam {
     /// and must be safe to use concurrently from all participants.
     unsafe fn run_region(&self, job: Job) {
         let barriers = if job.has_combine() { 3 } else { 2 };
-        self.stats.master.loops.add(1);
-        self.stats.master.barrier_phases.add(2 * barriers);
+        self.stats.record_loop(2 * barriers);
         // SAFETY: forwarded contract.
         unsafe { self.team.run(job) };
     }
@@ -230,7 +184,7 @@ struct Worksharing<'a> {
     nthreads: usize,
     dynamic: parlo_core::DynamicChunks,
     guided: parlo_core::GuidedChunks,
-    stats: &'a TeamStats,
+    stats: &'a PoolStats,
 }
 
 impl<'a> Worksharing<'a> {
@@ -284,7 +238,7 @@ impl<'a> Worksharing<'a> {
             dispensed += 1;
             acc = piece(acc, chunk);
         }
-        self.stats.dynamic_chunks.add(id, dispensed);
+        self.stats.record_dynamic_chunks(id, dispensed);
         acc
     }
 }
@@ -346,7 +300,7 @@ where
 {
     // SAFETY: as in `exec_for`.
     let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
-    h.work.stats.combine_ops.add(into, 1);
+    h.work.stats.record_combine(into);
     // SAFETY: serialized by the reduction barrier's join phase.
     unsafe { h.views.combine(into, from, &h.combine) };
 }
@@ -403,7 +357,7 @@ impl OmpTeam {
             views: unsafe { self.team.views() },
             work: Worksharing::new(self, range, schedule),
         };
-        self.stats.master.reductions.add(1);
+        self.stats.record_reduction();
         // SAFETY: as in `parallel_for`; view accesses are serialized by the reduction
         // barrier protocol.
         unsafe {

@@ -2,7 +2,8 @@
 //!
 //! A stealing loop is *pre-split*: before any work executes, the iteration range is
 //! divided into one contiguous run of chunks per worker (the worker's static block,
-//! subdivided into chunks of a fixed size).  Each worker seeds its own deque with its
+//! subdivided into chunks of a fixed size: the pool config's, or
+//! [`parlo_cilk::default_grain`] of the loop).  Each worker seeds its own deque with its
 //! run, executes it LIFO from the front, and steals FIFO from the back of random
 //! victims' runs once its own is exhausted.  The pre-split keeps the distribution
 //! arithmetic communication-free (exactly like the fine-grain pool's static blocks)
@@ -16,14 +17,6 @@
 
 use parlo_core::static_block;
 use std::ops::Range;
-
-/// The number of chunks the default chunk size aims to give every worker: enough for
-/// thieves to rebalance a skewed run, few enough that the deque traffic stays a small
-/// fraction of the loop (the same 8-per-worker target as the Cilkplus grain heuristic).
-pub const CHUNKS_PER_WORKER: usize = 8;
-
-/// Upper bound on the default chunk size (mirrors the Cilkplus grain cap).
-pub const MAX_DEFAULT_CHUNK: usize = 2048;
 
 /// The fewest iterations a half may hold when a participant lends at the tail (see
 /// [`lend_halves`]): a piece shorter than `2 · LEND_FLOOR` runs whole.
@@ -84,12 +77,6 @@ pub fn lend_halves(piece: ChunkRange) -> Option<(ChunkRange, ChunkRange)> {
             end: piece.end,
         },
     ))
-}
-
-/// The default chunk size for a loop of `n` iterations on `nthreads` workers:
-/// `clamp(n / (CHUNKS_PER_WORKER · P), 1, MAX_DEFAULT_CHUNK)`.
-pub fn default_chunk(n: usize, nthreads: usize) -> usize {
-    (n / (CHUNKS_PER_WORKER * nthreads.max(1))).clamp(1, MAX_DEFAULT_CHUNK)
 }
 
 /// The chunks of worker `tid`'s pre-split run, in **descending** iteration order —
@@ -169,15 +156,6 @@ pub fn total_chunks(range: &Range<usize>, nthreads: usize, chunk: usize) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_chunk_matches_the_cilkplus_shape() {
-        assert_eq!(default_chunk(0, 4), 1);
-        assert_eq!(default_chunk(1000, 4), 31);
-        assert_eq!(default_chunk(10_000_000, 4), 2048);
-        assert_eq!(default_chunk(100, 1), 12);
-        assert_eq!(default_chunk(64, 0), 8, "zero threads clamps to one");
-    }
 
     #[test]
     fn worker_runs_tile_the_range_exactly() {

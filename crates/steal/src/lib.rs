@@ -7,8 +7,10 @@
 //! **per-worker chunk deque** with randomized stealing:
 //!
 //! * each loop is **pre-split** into per-worker chunk runs (the worker's static block,
-//!   subdivided into chunks), so the distribution arithmetic is communication-free,
-//!   exactly like the fine-grain pool's static partition;
+//!   subdivided into chunks of [`StealPool::effective_chunk`]: [`StealConfig::chunk`]
+//!   if set, else the workspace's one grain formula, [`parlo_cilk::default_grain`]),
+//!   so the distribution arithmetic is communication-free, exactly like the
+//!   fine-grain pool's static partition;
 //! * every worker seeds its own bounded deque with its run and executes it with
 //!   **owner-LIFO** pops (front to back through the block — cache friendly), while
 //!   exhausted workers take chunks **thief-FIFO** from the back of randomized victims'
@@ -64,8 +66,8 @@ mod runtime;
 mod sticky;
 
 pub use chunk::{
-    assigned_run_rev, default_chunk, grid_chunk, grid_chunks, lend_halves, total_chunks,
-    worker_run_rev, ChunkRange, CHUNKS_PER_WORKER, LEND_FLOOR,
+    assigned_run_rev, grid_chunk, grid_chunks, lend_halves, total_chunks, worker_run_rev,
+    ChunkRange, LEND_FLOOR,
 };
 pub use deque::{ChunkDeque, Full, Steal};
 pub use perturb::{

@@ -37,16 +37,14 @@
 //! — so when the master's join completes, every index has run (see the argument at
 //! the end of `participate`).
 
-use crate::chunk::{
-    assigned_run_rev, default_chunk, grid_chunks, lend_halves, worker_run_rev, ChunkRange,
-};
+use crate::chunk::{assigned_run_rev, grid_chunks, lend_halves, worker_run_rev, ChunkRange};
 use crate::deque::WorkStealingDeque;
 use crate::perturb::{SchedulePerturbation, SweepPlan, MAX_PERTURB_SPINS};
 use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyTable};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{HalfBarrier, WaitPolicy};
-use parlo_cilk::Steal;
+use parlo_cilk::{default_grain, Steal};
 use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
 use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
 use std::ops::Range;
@@ -64,7 +62,7 @@ pub struct StealConfig {
     /// Waiting policy of the half-barrier phases.
     pub wait: WaitPolicy,
     /// Explicit chunk size for every loop; `None` derives one per loop from
-    /// [`default_chunk`].
+    /// [`parlo_cilk::default_grain`].
     pub chunk: Option<usize>,
     /// Schedule-perturbation hook consulted before every steal sweep (`None` uses a
     /// per-worker xorshift victim rotation with no injected delays).
@@ -479,7 +477,7 @@ impl StealPool {
         self.shared
             .config
             .chunk
-            .unwrap_or_else(|| default_chunk(n, self.num_threads()))
+            .unwrap_or_else(|| default_grain(n, self.num_threads()))
             .max(1)
     }
 
@@ -845,21 +843,13 @@ where
 
 impl StealPool {
     /// Work-stealing parallel loop: pre-split chunk runs, owner-LIFO execution,
-    /// thief-FIFO stealing.  `body` is called exactly once per index.
+    /// thief-FIFO stealing.  `body` is called exactly once per index.  Every stealing
+    /// loop splits its range into chunks of [`StealPool::effective_chunk`].
     pub fn steal_for<F>(&mut self, range: Range<usize>, body: F)
     where
         F: Fn(usize) + Sync,
     {
-        let chunk = self.effective_chunk(range.end.saturating_sub(range.start));
-        self.steal_for_with_chunk(range, chunk, body);
-    }
-
-    /// [`StealPool::steal_for`] with an explicit chunk size.
-    pub fn steal_for_with_chunk<F>(&mut self, range: Range<usize>, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.for_loop(None, range, chunk, body);
+        self.for_loop(None, range, body);
     }
 
     /// Work-stealing parallel reduction.  Every participant folds the chunks it
@@ -880,26 +870,7 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        let chunk = self.effective_chunk(range.end.saturating_sub(range.start));
-        self.steal_reduce_with_chunk(range, chunk, init, fold, comb)
-    }
-
-    /// [`StealPool::steal_reduce`] with an explicit chunk size.
-    pub fn steal_reduce_with_chunk<T, Init, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        chunk: usize,
-        init: Init,
-        fold: Fold,
-        comb: Comb,
-    ) -> T
-    where
-        T: Send,
-        Init: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        self.reduce_loop(None, range, chunk, init, fold, comb)
+        self.reduce_loop(None, range, init, fold, comb)
     }
 
     /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
@@ -913,21 +884,7 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
-        let chunk = self.effective_chunk(range.end.saturating_sub(range.start));
-        self.steal_for_at_with_chunk(site, range, chunk, body);
-    }
-
-    /// [`StealPool::steal_for_at`] with an explicit chunk size.
-    pub fn steal_for_at_with_chunk<F>(
-        &mut self,
-        site: StealSite,
-        range: Range<usize>,
-        chunk: usize,
-        body: F,
-    ) where
-        F: Fn(usize) + Sync,
-    {
-        self.for_loop(Some(site), range, chunk, body);
+        self.for_loop(Some(site), range, body);
     }
 
     /// [`StealPool::steal_reduce`] keyed by a loop [`StealSite`] — sticky affinity
@@ -946,39 +903,19 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        let chunk = self.effective_chunk(range.end.saturating_sub(range.start));
-        self.steal_reduce_at_with_chunk(site, range, chunk, init, fold, comb)
-    }
-
-    /// [`StealPool::steal_reduce_at`] with an explicit chunk size.
-    pub fn steal_reduce_at_with_chunk<T, Init, Fold, Comb>(
-        &mut self,
-        site: StealSite,
-        range: Range<usize>,
-        chunk: usize,
-        init: Init,
-        fold: Fold,
-        comb: Comb,
-    ) -> T
-    where
-        T: Send,
-        Init: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        self.reduce_loop(Some(site), range, chunk, init, fold, comb)
+        self.reduce_loop(Some(site), range, init, fold, comb)
     }
 
     /// The plain loop behind every `steal_for*` entry point (`site` keys the sticky
     /// affinity, `None` for the unkeyed variants).
-    fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, chunk: usize, body: F)
+    fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, body: F)
     where
         F: Fn(usize) + Sync,
     {
         if range.end <= range.start {
             return;
         }
-        let chunk = chunk.max(1);
+        let chunk = self.effective_chunk(range.len());
         let harness = ForHarness { body };
         self.with_sticky(site, &range, chunk, |this, sticky| {
             // SAFETY: `&mut self` makes this thread the pool's one driver;
@@ -1002,7 +939,6 @@ impl StealPool {
         &mut self,
         site: Option<StealSite>,
         range: Range<usize>,
-        chunk: usize,
         init: Init,
         fold: Fold,
         comb: Comb,
@@ -1016,7 +952,7 @@ impl StealPool {
         if range.end <= range.start {
             return init();
         }
-        let chunk = chunk.max(1);
+        let chunk = self.effective_chunk(range.len());
         self.with_sticky(site, &range, chunk, |this, sticky| {
             let harness = ReduceHarness {
                 // SAFETY: `&mut self` makes this thread the pool's one driver, between
@@ -1162,6 +1098,12 @@ mod tests {
     use super::*;
     use crate::chunk::total_chunks;
     use crate::perturb::SeededPerturbation;
+    use parlo_cilk::{CilkConfig, CilkPool};
+
+    /// A pool of `threads` participants whose loops use chunks of `chunk`.
+    fn chunked_pool(threads: usize, chunk: usize) -> StealPool {
+        StealPool::new(StealConfig::with_threads(threads).with_chunk(chunk))
+    }
     use parlo_sync::AtomicUsize;
 
     #[test]
@@ -1217,10 +1159,10 @@ mod tests {
     #[test]
     fn steal_for_visits_each_index_once() {
         for threads in [1usize, 2, 4] {
-            let mut p = StealPool::with_threads(threads);
+            let mut p = chunked_pool(threads, 16);
             for round in 0..5 {
                 let hits: Vec<AtomicUsize> = (0..1013).map(|_| AtomicUsize::new(0)).collect();
-                p.steal_for_with_chunk(0..1013, 16, |i| {
+                p.steal_for(0..1013, |i| {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 });
                 assert!(
@@ -1233,9 +1175,9 @@ mod tests {
 
     #[test]
     fn offset_ranges_and_empty_ranges() {
-        let mut p = StealPool::with_threads(3);
+        let mut p = chunked_pool(3, 8);
         let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-        p.steal_for_with_chunk(50..150, 8, |i| {
+        p.steal_for(50..150, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -1263,11 +1205,11 @@ mod tests {
 
     #[test]
     fn chunk_accounting_is_exact() {
-        let mut p = StealPool::with_threads(4);
+        let mut p = chunked_pool(4, 13);
         let before = p.stats();
         const LOOPS: usize = 7;
         for _ in 0..LOOPS {
-            p.steal_for_with_chunk(0..997, 13, |_| {});
+            p.steal_for(0..997, |_| {});
         }
         let d = p.stats().since(&before);
         assert_eq!(d.loops, LOOPS as u64);
@@ -1301,9 +1243,9 @@ mod tests {
     fn tiny_chunks_overflowing_the_deque_still_cover_the_range() {
         // 4096 one-iteration chunks on one worker exceed the 1024-entry deque; the
         // overflow must execute inline, not disappear.
-        let mut p = StealPool::with_threads(1);
+        let mut p = chunked_pool(1, 1);
         let counter = AtomicUsize::new(0);
-        p.steal_for_with_chunk(0..4096, 1, |_| {
+        p.steal_for(0..4096, |_| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 4096);
@@ -1333,10 +1275,10 @@ mod tests {
         // chunks the idle workers must lift some of them.  Run enough rounds that at
         // least one steal is overwhelmingly likely, but assert only consistency plus
         // coverage so a single-core machine cannot make this flaky.
-        let mut p = StealPool::with_threads(4);
+        let mut p = chunked_pool(4, 4);
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.steal_for_with_chunk(0..512, 4, |i| {
+            p.steal_for(0..512, |i| {
                 if i >= 384 {
                     // The last block is heavy.
                     let mut x = i as f64;
@@ -1371,10 +1313,10 @@ mod tests {
         // All four participants land on socket 0 of the synthetic 2×4 box, so the
         // local tier covers every victim and the tiered sweep never falls outward.
         let placement = PlacementConfig::synthetic(2, 4).with_pin(PinPolicy::None);
-        let mut p = StealPool::with_placement(4, &placement);
+        let mut p = StealPool::new(StealConfig::from_placement(4, &placement).with_chunk(4));
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.steal_for_with_chunk(0..512, 4, |i| {
+            p.steal_for(0..512, |i| {
                 heavy_tail(i);
                 total.fetch_add(1, Ordering::Relaxed);
             });
@@ -1404,7 +1346,7 @@ mod tests {
         );
         let total = AtomicUsize::new(0);
         for _ in 0..5 {
-            p.steal_for_with_chunk(0..512, 4, |i| {
+            p.steal_for(0..512, |i| {
                 heavy_tail(i);
                 total.fetch_add(1, Ordering::Relaxed);
             });
@@ -1488,7 +1430,7 @@ mod tests {
         p.seed_affinity(site, 0..32, 4, &[0; 8]);
         assert_eq!(p.remembered_sites(), 1);
         let count = AtomicUsize::new(0);
-        p.steal_for_at_with_chunk(site, 0..32, 4, |_| {
+        p.steal_for_at(site, 0..32, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 32);
@@ -1499,9 +1441,35 @@ mod tests {
 
     #[test]
     fn effective_chunk_uses_config_override() {
-        let p = StealPool::new(StealConfig::with_threads(2).with_chunk(32));
+        let p = chunked_pool(2, 32);
         assert_eq!(p.effective_chunk(1_000_000), 32);
         let q = StealPool::with_threads(2);
-        assert_eq!(q.effective_chunk(1000), default_chunk(1000, 2));
+        assert_eq!(q.effective_chunk(1000), default_grain(1000, 2));
+    }
+
+    /// Both stealing runtimes size a loop with the one grain formula, and it returns
+    /// the values the workspace has always used: `clamp(n / 8P, 1, 2048)`.
+    #[test]
+    fn one_grain_formula_sizes_both_stealing_runtimes() {
+        for p in [1usize, 2, 4] {
+            let steal = StealPool::with_threads(p);
+            let cilk = CilkPool::new(CilkConfig::with_threads(p));
+            for (n, literal) in [
+                (0, 1),
+                (1, 1),
+                (8 * p - 1, 1),
+                (8 * p, 1),
+                (1000, 1000 / (8 * p)),
+                (10_000_000, 2048),
+            ] {
+                let grain = default_grain(n, p);
+                assert_eq!(grain, literal, "n {n} P {p}");
+                assert_eq!(steal.effective_chunk(n), grain, "steal n {n} P {p}");
+                assert_eq!(cilk.effective_grain(n), grain, "cilk n {n} P {p}");
+            }
+        }
+        assert_eq!(default_grain(1000, 4), 31);
+        assert_eq!(default_grain(100, 1), 12);
+        assert_eq!(default_grain(64, 0), 8, "zero threads clamps to one");
     }
 }

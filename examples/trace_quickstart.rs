@@ -48,7 +48,6 @@ fn main() {
             "loop spans on master track: {loop_spans} (SyncStats counted {})",
             delta.loops
         );
-        #[cfg(not(feature = "stats-off"))]
         assert_eq!(loop_spans, delta.loops);
     }
 

@@ -32,7 +32,6 @@ fn sim_burden(backend: Backend) -> f64 {
         Backend::FineGrain => 5.67e-6,
         Backend::OmpStatic => 8.12e-6,
         Backend::OmpDynamic => 31.94e-6,
-        Backend::OmpGuided => 20.0e-6,
         Backend::Steal => 12.94e-6,
         Backend::CilkSteal => 68.80e-6,
     }
@@ -42,7 +41,7 @@ fn sim_burden(backend: Backend) -> f64 {
 fn is_balancing(backend: Backend) -> bool {
     matches!(
         backend,
-        Backend::OmpDynamic | Backend::OmpGuided | Backend::Steal | Backend::CilkSteal
+        Backend::OmpDynamic | Backend::Steal | Backend::CilkSteal
     )
 }
 

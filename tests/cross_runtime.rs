@@ -124,24 +124,19 @@ fn structural_claims_of_the_paper_hold() {
     let mut pool = FineGrainPool::with_threads(threads);
     pool.parallel_for(0..100, |_| {});
     let _ = pool.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-    // The fine-grain pool's counters come from parlo-core, so they read zero in a
-    // `stats-off` build (the OMP/Cilk counters below are their own and stay live).
-    #[cfg(not(feature = "stats-off"))]
-    {
-        let s = pool.stats();
-        assert_eq!(
-            s.barrier_phases, 4,
-            "2 loops x 1 half-barrier (2 phases) each"
-        );
-        assert_eq!(s.combine_ops, (threads - 1) as u64);
+    let s = pool.stats();
+    assert_eq!(
+        s.barrier_phases, 4,
+        "2 loops x 1 half-barrier (2 phases) each"
+    );
+    assert_eq!(s.combine_ops, (threads - 1) as u64);
 
-        // The same structure is visible through the unified SyncStats interface.
-        let sync = LoopRuntime::sync_stats(&pool);
-        assert_eq!(sync.loops, 2);
-        assert_eq!(sync.barrier_phases, 4);
-        assert_eq!(sync.combine_ops, (threads - 1) as u64);
-        assert_eq!(sync.steals, 0);
-    }
+    // The same structure is visible through the unified SyncStats interface.
+    let sync = LoopRuntime::sync_stats(&pool);
+    assert_eq!(sync.loops, 2);
+    assert_eq!(sync.barrier_phases, 4);
+    assert_eq!(sync.combine_ops, (threads - 1) as u64);
+    assert_eq!(sync.steals, 0);
 
     // Full-barrier ablation: twice the phases for the same loops.
     let mut full = FineGrainPool::new(
@@ -150,7 +145,6 @@ fn structural_claims_of_the_paper_hold() {
             .build(),
     );
     full.parallel_for(0..100, |_| {});
-    #[cfg(not(feature = "stats-off"))]
     assert_eq!(
         full.stats().barrier_phases,
         4,
@@ -300,27 +294,23 @@ fn tiered_stealing_is_bit_equal_with_exact_chunk_accounting() {
     let placement = PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
     let mut pool =
         StealPool::new(StealConfig::from_placement(threads, &placement).with_chunk(chunk));
-    #[cfg(not(feature = "stats-off"))]
     let before = pool.stats();
     assert_eq!(
         cache::cache_hostile_sum(&mut pool, &table, n, units),
         expected
     );
     assert_eq!(irregular::skewed_sum(&mut pool, n, 2), skewed_expected);
-    #[cfg(not(feature = "stats-off"))]
-    {
-        let d = pool.stats().since(&before);
-        assert_eq!(
-            d.chunks_executed(),
-            2 * total_chunks(&(0..n), threads, chunk),
-            "exact chunk coverage"
-        );
-        assert_eq!(
-            d.local_steals + d.remote_steals,
-            d.steals_hit,
-            "every hit classified exactly once"
-        );
-    }
+    let d = pool.stats().since(&before);
+    assert_eq!(
+        d.chunks_executed(),
+        2 * total_chunks(&(0..n), threads, chunk),
+        "exact chunk coverage"
+    );
+    assert_eq!(
+        d.local_steals + d.remote_steals,
+        d.steals_hit,
+        "every hit classified exactly once"
+    );
 }
 
 #[test]
@@ -407,12 +397,12 @@ fn simulated_experiments_reproduce_the_paper_shape() {
     assert!(fine.at(48).unwrap() > cilk.at(48).unwrap());
 }
 
-/// One row of the share-walk table: a runtime under one schedule, with whatever of
-/// {plain loop, reduction, ordered reduction, `dyn LoopRuntime` face} that path offers.
+/// One row of the share-walk table: a runtime under one schedule, with its plain loop,
+/// its reduction, its `dyn LoopRuntime` face and, where it has one, its ordered
+/// reduction.  The block-cyclic and dispensed shares are OpenMP's `static,3` and
+/// `dynamic,2` rows.
 enum Walker {
     FineBlock(FineGrainPool),
-    FineChunked(FineGrainPool),
-    FineDynamic(FineGrainPool),
     Omp(ScheduledTeam),
     Cilk(CilkPool),
     CilkFine(CilkFineGrain),
@@ -426,14 +416,6 @@ impl Walker {
             (
                 "fine block",
                 Walker::FineBlock(FineGrainPool::with_threads(threads)),
-            ),
-            (
-                "fine chunked",
-                Walker::FineChunked(FineGrainPool::with_threads(threads)),
-            ),
-            (
-                "fine dynamic",
-                Walker::FineDynamic(FineGrainPool::with_threads(threads)),
             ),
             ("omp static", omp(Schedule::Static)),
             ("omp static,3", omp(Schedule::StaticChunked(3))),
@@ -451,8 +433,6 @@ impl Walker {
     fn each<F: Fn(usize) + Sync>(&mut self, range: std::ops::Range<usize>, body: F) {
         match self {
             Walker::FineBlock(p) => p.parallel_for(range, body),
-            Walker::FineChunked(p) => p.parallel_for_chunked(range, 3, body),
-            Walker::FineDynamic(p) => p.parallel_for_dynamic(range, 2, body),
             Walker::Omp(t) => t.team.parallel_for(range, t.schedule, body),
             Walker::Cilk(p) => p.cilk_for(range, body),
             Walker::CilkFine(f) => f.pool.fine_grain_for(range, body),
@@ -460,36 +440,33 @@ impl Walker {
         }
     }
 
-    /// `None` for the two paths that have no reduction flavour.
     fn reduce<T: Send>(
         &mut self,
         range: std::ops::Range<usize>,
         identity: impl Fn() -> T + Sync,
         fold: impl Fn(T, usize) -> T + Sync,
         combine: impl Fn(T, T) -> T + Sync,
-    ) -> Option<T> {
-        Some(match self {
+    ) -> T {
+        match self {
             Walker::FineBlock(p) => p.parallel_reduce(range, identity, fold, combine),
-            Walker::FineChunked(_) | Walker::FineDynamic(_) => return None,
             Walker::Omp(t) => t
                 .team
                 .parallel_reduce(range, t.schedule, identity, fold, combine),
             Walker::Cilk(p) => p.cilk_reduce(range, identity, fold, combine),
             Walker::CilkFine(f) => f.pool.fine_grain_reduce(range, identity, fold, combine),
             Walker::Steal(p) => p.steal_reduce(range, identity, fold, combine),
-        })
+        }
     }
 
-    /// The same path behind the object-safe interface, where there is one.
-    fn as_dyn(&mut self) -> Option<&mut dyn LoopRuntime> {
-        Some(match self {
+    /// The same path behind the object-safe interface.
+    fn as_dyn(&mut self) -> &mut dyn LoopRuntime {
+        match self {
             Walker::FineBlock(p) => p,
-            Walker::FineChunked(_) | Walker::FineDynamic(_) => return None,
             Walker::Omp(t) => t,
             Walker::Cilk(p) => p,
             Walker::CilkFine(f) => f,
             Walker::Steal(p) => p,
-        })
+        }
     }
 }
 
@@ -514,12 +491,10 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
                     hits[i - START].fetch_add(1, Ordering::Relaxed);
                 });
                 once(&hits, "generic body");
-                if let Some(rt) = w.as_dyn() {
-                    rt.parallel_for(range.clone(), &|i| {
-                        hits[i - START].fetch_add(1, Ordering::Relaxed);
-                    });
-                    once(&hits, "dyn body");
-                }
+                w.as_dyn().parallel_for(range.clone(), &|i| {
+                    hits[i - START].fetch_add(1, Ordering::Relaxed);
+                });
+                once(&hits, "dyn body");
 
                 // Reduction: exact integer result, `fold` called once per index.
                 let folds = AtomicUsize::new(0);
@@ -535,16 +510,14 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
                     },
                     |a, b| a + b,
                 );
-                let Some(got) = got else { continue };
                 assert_eq!(got, expected, "{at}: integer reduction");
                 assert_eq!(folds.load(Ordering::Relaxed), len, "{at}: fold calls");
                 once(&hits, "fold");
 
                 // The object-safe face gives the bit-identical f64 as the generic call.
-                let generic = w
-                    .reduce(range.clone(), || 0.0, |acc, i| acc + i as f64, |a, b| a + b)
-                    .expect("reduction path");
-                let erased = w.as_dyn().expect("dyn face").parallel_reduce(
+                let generic =
+                    w.reduce(range.clone(), || 0.0, |acc, i| acc + i as f64, |a, b| a + b);
+                let erased = w.as_dyn().parallel_reduce(
                     range.clone(),
                     0.0,
                     &|acc, i| acc + i as f64,

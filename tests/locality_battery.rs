@@ -23,11 +23,7 @@
 //! `PROPTEST_RNG_SEED` and `PROPTEST_CASES` steer the property tests exactly as in
 //! `tests/properties.rs`.
 //!
-//! Every claim here is stated through `StealStats` counters, so the whole file is
-//! compiled out in a `stats-off` build (where every counter reads zero by design);
-//! `tests/stats_off.rs` covers that configuration instead.
-
-#![cfg(not(feature = "stats-off"))]
+//! Every claim here is stated through `StealStats` counters.
 
 use parlo::prelude::*;
 use parlo_steal::total_chunks;
@@ -213,10 +209,10 @@ fn drained_socket_forces_remote_steals_and_keeps_results_bit_equal() {
         let site = StealSite(0xD0);
         pool.seed_affinity(site, 0..n, 1, &owners);
         let done = AtomicUsize::new(0);
-        let got = pool.steal_reduce_at_with_chunk(
+        // The pool's chunk is 1, the grid `seed_affinity` scripted.
+        let got = pool.steal_reduce_at(
             site,
             0..n,
-            1,
             || 0.0f64,
             |acc, i| {
                 if gates.contains(&i) {
@@ -416,10 +412,10 @@ fn locality_cuts_cross_socket_steals_on_the_cache_hostile_workload() {
         );
         let site = StealSite(0xCAFE);
         pool.seed_affinity(site, 0..n, 1, &owners);
-        let got = pool.steal_reduce_at_with_chunk(
+        // The pool's chunk is 1, the grid `seed_affinity` scripted.
+        let got = pool.steal_reduce_at(
             site,
             0..n,
-            1,
             || 0.0f64,
             |acc, i| {
                 if gates.contains(&i) {

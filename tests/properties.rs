@@ -1,5 +1,6 @@
 //! Property-based tests (proptest) of the core invariants across the workspace.
 
+use parlo::cilk::CilkConfig;
 use parlo::prelude::*;
 use parlo_sync::{AtomicUsize, Ordering};
 use proptest::prelude::*;
@@ -35,12 +36,9 @@ proptest! {
     ) {
         let expected: i64 = values.iter().sum();
         let mut pool = FineGrainPool::with_threads(threads);
-        #[cfg(not(feature = "stats-off"))]
         let before = pool.stats();
         let got = pool.parallel_reduce(0..values.len(), || 0i64, |a, i| a + values[i], |a, b| a + b);
         prop_assert_eq!(got, expected);
-        // The combine counter reads zero in a `stats-off` build.
-        #[cfg(not(feature = "stats-off"))]
         prop_assert_eq!(pool.stats().since(&before).combine_ops, (threads - 1) as u64);
     }
 
@@ -91,9 +89,9 @@ proptest! {
         threads in 1usize..4,
         grain in 1usize..40,
     ) {
-        let mut pool = CilkPool::with_threads(threads);
+        let mut pool = CilkPool::new(CilkConfig { grain: Some(grain), ..CilkConfig::with_threads(threads) });
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        pool.cilk_for_with_grain(0..len, grain, |i| {
+        pool.cilk_for(0..len, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -108,8 +106,8 @@ proptest! {
         grain in 1usize..64,
     ) {
         let expected: u64 = values.iter().map(|&v| v as u64).sum();
-        let mut pool = CilkPool::with_threads(threads);
-        let got = pool.cilk_reduce_with_grain(0..values.len(), grain, || 0u64, |a, i| a + values[i] as u64, |a, b| a + b);
+        let mut pool = CilkPool::new(CilkConfig { grain: Some(grain), ..CilkConfig::with_threads(threads) });
+        let got = pool.cilk_reduce(0..values.len(), || 0u64, |a, i| a + values[i] as u64, |a, b| a + b);
         prop_assert_eq!(got, expected);
     }
 

@@ -14,9 +14,7 @@
 //! * reductions must produce the sequential result under every perturbed schedule.
 
 use parlo::prelude::*;
-use parlo::steal::{
-    default_chunk, total_chunks, worker_run_rev, ChunkDeque, ChunkRange, Steal, LEND_FLOOR,
-};
+use parlo::steal::{total_chunks, worker_run_rev, ChunkDeque, ChunkRange, Steal, LEND_FLOOR};
 use parlo::workloads::irregular::skewed_weight;
 use parlo_sync::{AtomicUsize, Ordering};
 use proptest::prelude::*;
@@ -81,11 +79,12 @@ fn battery_holds_at_the_env_pinned_pool_size() {
 fn a_heavy_last_chunk_is_lent_and_every_index_still_runs_exactly_once() {
     const N: usize = 4096;
     for threads in 2..=4usize {
+        let mut pool = StealPool::with_threads(threads);
+        let chunk = pool.effective_chunk(N);
         assert!(
-            default_chunk(N, threads) >= 2 * LEND_FLOOR,
+            chunk >= 2 * LEND_FLOOR,
             "{threads}T: chunks must be long enough to halve"
         );
-        let mut pool = StealPool::with_threads(threads);
         let before = pool.stats();
         let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
         pool.steal_for(0..N, |i| {
@@ -106,7 +105,6 @@ fn a_heavy_last_chunk_is_lent_and_every_index_still_runs_exactly_once() {
         );
         assert_eq!(weighted, (0..N).map(|i| skewed_weight(i, N) as u64).sum());
         let d = pool.stats().since(&before);
-        let chunk = default_chunk(N, threads);
         assert_eq!(
             d.chunks_executed(),
             2 * total_chunks(&(0..N), threads, chunk),

@@ -22,11 +22,7 @@
 //!   cycle and exactly one arrival per worker per cycle on each socket;
 //! * every count stays exact when the thread driving a pool changes.
 //!
-//! These claims are only *observable* through the instrumentation counters, so the
-//! whole file is compiled out in a `stats-off` build (where every counter reads
-//! zero by design); `tests/stats_off.rs` covers that configuration instead.
-
-#![cfg(not(feature = "stats-off"))]
+//! These claims are only *observable* through the instrumentation counters.
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_cilk::{CilkFineGrain, CilkPool};
@@ -43,11 +39,9 @@ fn every_parallel_for_variant_costs_exactly_one_half_barrier_cycle() {
     for kind in HALF_KINDS {
         for threads in 1..=4 {
             let mut pool = FineGrainPool::new(Config::builder(threads).barrier(kind).build());
-            let loops: [&mut dyn FnMut(&mut FineGrainPool); 5] = [
+            let loops: [&mut dyn FnMut(&mut FineGrainPool); 3] = [
                 &mut |p| p.parallel_for(0..100, |_| {}),
                 &mut |p| p.parallel_for_blocks(0..100, |_| {}),
-                &mut |p| p.parallel_for_chunked(0..100, 7, |_| {}),
-                &mut |p| p.parallel_for_dynamic(0..100, 7, |_| {}),
                 &mut |p| p.broadcast(|_| {}),
             ];
             for run in loops {

@@ -13,12 +13,8 @@
 
 #[cfg(feature = "trace")]
 mod enabled {
-    use parlo_core::FineGrainPool;
-    #[cfg(not(feature = "stats-off"))]
-    use parlo_core::LoopRuntime;
-    #[cfg(not(feature = "stats-off"))]
-    use parlo_trace::TrackSnapshot;
-    use parlo_trace::{EventKind, Phase, TraceSnapshot};
+    use parlo_core::{FineGrainPool, LoopRuntime};
+    use parlo_trace::{EventKind, Phase, TraceSnapshot, TrackSnapshot};
     use std::sync::Mutex;
 
     /// Serializes the recording tests: rings, the enable flag and the track
@@ -35,12 +31,18 @@ mod enabled {
         (out, parlo_trace::snapshot())
     }
 
-    #[cfg(not(feature = "stats-off"))]
     fn track<'a>(snap: &'a TraceSnapshot, label: &str) -> &'a TrackSnapshot {
         snap.tracks
             .iter()
             .find(|t| t.label == label)
             .unwrap_or_else(|| panic!("no track labelled {label:?}"))
+    }
+
+    /// A stealing pool of `threads` participants whose loops use chunks of `chunk`.
+    fn chunked_steal_pool(threads: usize, chunk: usize) -> parlo_steal::StealPool {
+        parlo_steal::StealPool::new(
+            parlo_steal::StealConfig::with_threads(threads).with_chunk(chunk),
+        )
     }
 
     fn count(snap: &TraceSnapshot, kind: EventKind, phase: Phase) -> usize {
@@ -51,9 +53,6 @@ mod enabled {
             .count()
     }
 
-    // The bit-match against SyncStats needs the counters live; in a `stats-off`
-    // build the spans are still recorded but the reference reads zero.
-    #[cfg(not(feature = "stats-off"))]
     #[test]
     fn master_loop_spans_bit_match_sync_stats() {
         let (delta, snap) = with_armed_trace("battery-master", || {
@@ -65,8 +64,8 @@ mod enabled {
             for _ in 0..3 {
                 let _ = pool.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             }
-            pool.parallel_for_dynamic(0..64, 8, |_| {});
-            pool.parallel_for_chunked(0..64, 8, |_| {});
+            pool.parallel_for_blocks(0..64, |_| {});
+            pool.broadcast(|_| {});
             pool.sync_stats().since(&before)
         });
         assert_eq!(delta.loops, 10);
@@ -99,7 +98,6 @@ mod enabled {
     /// skeleton, so each `SyncStats` loop is exactly one `loop` span on the master's
     /// track, each join-phase combine one `combine` instant, and releasing the lease
     /// exactly one `detach-cycle` span.
-    #[cfg(not(feature = "stats-off"))]
     #[test]
     fn every_runtime_family_emits_one_loop_span_per_sync_stats_loop() {
         use parlo_cilk::{CilkFineGrain, CilkPool};
@@ -179,11 +177,11 @@ mod enabled {
     #[test]
     fn steal_hits_and_lends_bit_match_steal_stats() {
         let (delta, snap) = with_armed_trace("battery-steal-lend", || {
-            let mut steal = parlo_steal::StealPool::with_threads(3);
+            let mut steal = chunked_steal_pool(3, 64);
             let before = steal.stats();
             for _ in 0..10 {
                 // 8 chunks of 64 on 3 participants: long enough to halve twice.
-                steal.steal_for_with_chunk(0..512, 64, |i| {
+                steal.steal_for(0..512, |i| {
                     if i >= 448 {
                         std::hint::spin_loop();
                     }
@@ -221,9 +219,9 @@ mod enabled {
                 pool.parallel_for(0..256, |_| {});
             }
             let _ = pool.parallel_reduce(0..512, || 0.0f64, |a, i| a + i as f64, |a, b| a + b);
-            let mut steal = parlo_steal::StealPool::with_threads(3);
+            let mut steal = chunked_steal_pool(3, 4);
             for _ in 0..10 {
-                steal.steal_for_with_chunk(0..64, 4, |_| {});
+                steal.steal_for(0..64, |_| {});
             }
         });
         assert!(snap.total_events() > 0);
@@ -308,9 +306,9 @@ mod enabled {
     fn steal_serve_and_adaptive_events_are_recorded() {
         let (route_delta, snap) = with_armed_trace("battery-families", || {
             // 2 chunks across 3 participants: somebody must sweep for work.
-            let mut steal = parlo_steal::StealPool::with_threads(3);
+            let mut steal = chunked_steal_pool(3, 4);
             for _ in 0..20 {
-                steal.steal_for_with_chunk(0..8, 4, |_| {});
+                steal.steal_for(0..8, |_| {});
             }
             // A short serving session: enqueue + batch + complete on the driver.
             let exec = parlo_exec::Executor::new(
@@ -427,9 +425,7 @@ mod disabled {
         let sum = pool.parallel_reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, 499_500);
         let delta = pool.sync_stats().since(&before);
-        #[cfg(not(feature = "stats-off"))]
         assert_eq!(delta.loops, 1);
-        let _ = delta;
         assert_eq!(parlo_trace::snapshot().total_events(), 0);
     }
 }
