@@ -25,8 +25,8 @@
 //! [`HalfBarrier`] runs either structure's release and join, the schedulers' per-loop
 //! synchronization; [`FullBarrier`] runs the same two phases in reverse order (join,
 //! then release), the conventional barrier the half-barrier is derived from.
-//! [`WaitPolicy`] says how a thread waits for a condition (spin, spin-then-yield,
-//! yield, or park on the process-wide hub; releases call [`wake_parked`]).
+//! [`WaitPolicy`] says how a thread waits for a condition: a spin budget, then a yield
+//! budget, then a park on the process-wide hub (releases call [`wake_parked`]).
 //!
 //! All primitives are *epoch based*: every fork/join cycle uses a fresh monotonically
 //! increasing epoch number, which avoids the reinitialisation races of sense-reversal
@@ -60,7 +60,7 @@ pub use half::HalfBarrier;
 pub use hierarchical::{HierarchicalHalfBarrier, HierarchyStats};
 pub use line::{Payload, EMPTY_PAYLOAD, PAYLOAD_WORDS};
 pub use park::wake_parked;
-pub use wait::{WaitMode, WaitPolicy};
+pub use wait::WaitPolicy;
 
 /// Epoch counter type. Every fork/join cycle of the runtime uses a fresh epoch; all
 /// epoch-based primitives store "the epoch up to which this event has happened" in an

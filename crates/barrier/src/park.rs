@@ -1,4 +1,4 @@
-//! Process-wide park/wake hub backing [`crate::WaitMode::Park`].
+//! Process-wide park/wake hub backing [`crate::WaitPolicy::park`].
 //!
 //! A thread whose [`crate::WaitPolicy`] has exhausted its spin and yield budgets
 //! blocks here on a shared condvar instead of burning a hardware thread.  Every
@@ -64,7 +64,7 @@ pub(crate) fn park_timeout(timeout: Duration, cond: &mut impl FnMut() -> bool) -
     cond()
 }
 
-/// Wakes every thread parked through [`crate::WaitMode::Park`].
+/// Wakes every thread a [`crate::WaitPolicy`] parked.
 ///
 /// Called by barrier code right after a release/arrival flag store.  The fast path —
 /// nobody parked, the universal case for spin-heavy policies — is one relaxed load.

@@ -6,114 +6,110 @@
 //! oversubscribed runs correct and reasonably fast while preserving the low-latency
 //! fast path when a core is available.  When the pool is *oversubscribed* (more
 //! runtime threads than hardware threads), even yielding burns whole schedule quanta
-//! re-polling flags; [`WaitMode::Park`] goes one step further and blocks the thread on
-//! a process-wide condvar hub (see [`crate::wake_parked`]) after bounded spin and
+//! re-polling flags; [`WaitPolicy::park`] goes one step further and blocks the thread
+//! on a process-wide condvar hub (see [`crate::wake_parked`]) after bounded spin and
 //! yield phases, so idle workers cost (almost) no CPU between loops.
+//!
+//! A policy is two budgets, spent in order: spin `spins_before_yield` times, yield
+//! `yields_before_park` times, then park.  A budget of `u32::MAX` never runs out, so a
+//! policy that parks ([`WaitPolicy::parks`]) is one whose two budgets are both finite.
 //!
 //! # Choosing a policy
 //!
 //! [`WaitPolicy::auto_for`] picks per machine: aggressive spin-then-yield when the
-//! thread count fits the hardware, [`WaitMode::Park`] when oversubscribed.  The
+//! thread count fits the hardware, [`WaitPolicy::park`] when oversubscribed.  The
 //! `PARLO_WAIT` environment variable overrides the automatic choice everywhere a pool
 //! is constructed with `auto_for` (all pool families and the bench bins, whose
 //! `--wait` flag sets the variable):
 //!
-//! | `PARLO_WAIT` | policy |
-//! |--------------|--------|
-//! | `spin`       | [`WaitPolicy::dedicated`] — pure busy-wait |
-//! | `spinyield`  | spin 4096 then yield — `auto`'s choice when the threads fit |
-//! | `yield`      | [`WaitPolicy::oversubscribed`] — yield every iteration |
-//! | `park`       | [`WaitPolicy::park`] — bounded spin → yield → condvar park |
-//! | `auto`       | the automatic per-machine choice (same as unset) |
+//! | `PARLO_WAIT` | policy | budgets (spin, yield) |
+//! |--------------|--------|-----------------------|
+//! | `spin`       | [`WaitPolicy::dedicated`] — pure busy-wait | (`MAX`, `MAX`) |
+//! | `spinyield`  | spin, then yield — `auto`'s choice when the threads fit | (4096, `MAX`) |
+//! | `yield`      | [`WaitPolicy::oversubscribed`] — yield every iteration | (0, `MAX`) |
+//! | `park`       | [`WaitPolicy::park`] — bounded spin → yield → condvar park | (32, 32) |
+//! | `auto`       | the automatic per-machine choice (same as unset) | |
 
 use std::time::Duration;
 
 use crate::park;
 
-/// How a waiting thread behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Pure busy-waiting with `spin_loop` hints. Lowest latency, burns a core.
-    Spin,
-    /// Spin for a bounded number of iterations, then interleave `yield_now` calls.
-    /// This is the default and behaves acceptably when the machine is mildly
-    /// oversubscribed (more runtime threads than hardware threads).
-    SpinThenYield,
-    /// Yield on every iteration. High latency, friendly to oversubscription, but every
-    /// waiter still consumes its whole schedule quantum re-polling.
-    Yield,
-    /// Bounded spin, then bounded yields, then **block** on the process-wide park hub
-    /// until a barrier release store calls [`crate::wake_parked`] (with a timed-wait
-    /// backstop, so a lost wakeup costs bounded latency and can never deadlock).
-    /// The friendliest mode when the executor is oversubscribed: parked workers burn
-    /// no CPU between loops.
-    Park,
-}
-
-/// A waiting policy: the mode plus the spin/yield budgets spent before escalating.
+/// A waiting policy: the spin and yield budgets spent before a waiter escalates to the
+/// next phase (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitPolicy {
-    /// Waiting mode.
-    pub mode: WaitMode,
-    /// Number of busy-wait iterations before the first yield (ignored for
-    /// [`WaitMode::Yield`]).
+    /// Number of busy-wait iterations before the first yield (`u32::MAX`: spin
+    /// forever).
     pub spins_before_yield: u32,
-    /// Number of `yield_now` calls before the first park (only meaningful for
-    /// [`WaitMode::Park`]).
+    /// Number of `yield_now` calls before the first park (`u32::MAX`: never park).
     pub yields_before_park: u32,
 }
 
+/// Spin then yield, never park.  Behaves acceptably when the machine is mildly
+/// oversubscribed (more runtime threads than hardware threads).
 impl Default for WaitPolicy {
     fn default() -> Self {
         WaitPolicy {
-            mode: WaitMode::SpinThenYield,
             spins_before_yield: 128,
-            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+            yields_before_park: u32::MAX,
         }
     }
 }
 
-/// Default yield budget preceding the first park in [`WaitMode::Park`].
-const DEFAULT_YIELDS_BEFORE_PARK: u32 = 32;
+/// Spends one unit of a `budget` of which `used` are spent (`u32::MAX` never runs out).
+#[inline(always)]
+fn spend(used: &mut u32, budget: u32) -> bool {
+    let left = *used < budget;
+    *used += u32::from(left && budget != u32::MAX);
+    left
+}
 
 impl WaitPolicy {
     /// The `spinyield` policy, and the automatic choice when the threads fit the
     /// hardware: spin 4096 times, then yield.
     fn spin_then_yield() -> Self {
         WaitPolicy {
-            mode: WaitMode::SpinThenYield,
             spins_before_yield: 4096,
-            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+            yields_before_park: u32::MAX,
         }
     }
 
-    /// A policy suited to dedicated cores (the paper's setting): spin aggressively.
+    /// A policy suited to dedicated cores (the paper's setting): spin, never yield.
+    /// Lowest latency, burns a core.
     pub fn dedicated() -> Self {
         WaitPolicy {
-            mode: WaitMode::Spin,
             spins_before_yield: u32::MAX,
-            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+            yields_before_park: u32::MAX,
         }
     }
 
     /// A yield-only policy for oversubscribed machines that must not block (e.g. a
-    /// waiter that is also polled).  Prefer [`WaitPolicy::park`] for worker threads.
+    /// waiter that is also polled): high latency, and every waiter still consumes its
+    /// whole schedule quantum re-polling.  Prefer [`WaitPolicy::park`] for worker
+    /// threads.
     pub fn oversubscribed() -> Self {
         WaitPolicy {
-            mode: WaitMode::Yield,
             spins_before_yield: 0,
-            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+            yields_before_park: u32::MAX,
         }
     }
 
     /// The park policy: spin briefly, yield a few quanta, then block on the park hub
-    /// until [`crate::wake_parked`] (or the timed backstop) releases the thread.
+    /// until a barrier release store calls [`crate::wake_parked`] (with a timed-wait
+    /// backstop, so a lost wakeup costs bounded latency and can never deadlock).  The
+    /// friendliest policy when the executor is oversubscribed: parked workers burn no
+    /// CPU between loops.
     pub fn park() -> Self {
         WaitPolicy {
-            mode: WaitMode::Park,
             spins_before_yield: 32,
-            yields_before_park: DEFAULT_YIELDS_BEFORE_PARK,
+            yields_before_park: 32,
         }
+    }
+
+    /// Whether a waiter under this policy ends up parked once its budgets are spent:
+    /// neither budget is `u32::MAX`.
+    pub fn parks(&self) -> bool {
+        self.spins_before_yield != u32::MAX && self.yields_before_park != u32::MAX
     }
 
     /// Parses a `PARLO_WAIT`/`--wait` policy spec: `spin`, `spinyield` (or
@@ -151,7 +147,8 @@ impl WaitPolicy {
         }
     }
 
-    /// Spins/yields/parks until `cond()` returns `true`.
+    /// Spins, then yields, then parks until `cond()` returns `true`, each phase for
+    /// as long as its budget lasts.
     #[inline]
     pub fn wait_until<F: FnMut() -> bool>(&self, mut cond: F) {
         if cond() {
@@ -161,32 +158,16 @@ impl WaitPolicy {
         let mut yields: u32 = 0;
         let mut park_for: Duration = park::INITIAL_PARK;
         loop {
-            match self.mode {
-                WaitMode::Spin => std::hint::spin_loop(),
-                WaitMode::Yield => std::thread::yield_now(),
-                WaitMode::SpinThenYield => {
-                    if spins < self.spins_before_yield {
-                        std::hint::spin_loop();
-                        spins += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
+            if spend(&mut spins, self.spins_before_yield) {
+                std::hint::spin_loop();
+            } else if spend(&mut yields, self.yields_before_park) {
+                std::thread::yield_now();
+            } else {
+                if park::park_timeout(park_for, &mut cond) {
+                    return;
                 }
-                WaitMode::Park => {
-                    if spins < self.spins_before_yield {
-                        std::hint::spin_loop();
-                        spins += 1;
-                    } else if yields < self.yields_before_park {
-                        std::thread::yield_now();
-                        yields += 1;
-                    } else {
-                        if park::park_timeout(park_for, &mut cond) {
-                            return;
-                        }
-                        park_for = (park_for * 2).min(park::MAX_PARK);
-                        continue;
-                    }
-                }
+                park_for = (park_for * 2).min(park::MAX_PARK);
+                continue;
             }
             if cond() {
                 return;
@@ -215,13 +196,11 @@ mod tests {
             WaitPolicy::default(),
             WaitPolicy::oversubscribed(),
             WaitPolicy {
-                mode: WaitMode::SpinThenYield,
                 spins_before_yield: 1,
-                yields_before_park: 1,
+                yields_before_park: u32::MAX,
             },
             // Tiny budgets force the park path to actually sleep before the store.
             WaitPolicy {
-                mode: WaitMode::Park,
                 spins_before_yield: 1,
                 yields_before_park: 1,
             },
@@ -250,7 +229,6 @@ mod tests {
             f2.store(true, Ordering::Release);
         });
         WaitPolicy {
-            mode: WaitMode::Park,
             spins_before_yield: 0,
             yields_before_park: 0,
         }
@@ -276,30 +254,46 @@ mod tests {
         // Massive oversubscription must choose a parking policy (unless PARLO_WAIT
         // overrides it in this test environment).
         if std::env::var_os("PARLO_WAIT").is_none() {
-            assert_eq!(many.mode, WaitMode::Park);
+            assert!(many.parks());
         }
     }
 
     #[test]
     fn spec_parsing_accepts_the_documented_values() {
-        assert_eq!(
-            WaitPolicy::from_spec("spin").unwrap().unwrap().mode,
-            WaitMode::Spin
-        );
-        assert_eq!(
-            WaitPolicy::from_spec("SpinYield").unwrap().unwrap().mode,
-            WaitMode::SpinThenYield
-        );
-        assert_eq!(
-            WaitPolicy::from_spec("yield").unwrap().unwrap().mode,
-            WaitMode::Yield
-        );
-        assert_eq!(
-            WaitPolicy::from_spec("park").unwrap().unwrap().mode,
-            WaitMode::Park
-        );
+        // Each spec, its (spin, yield) budgets, and whether its waiters park.
+        const MAX: u32 = u32::MAX;
+        for (spec, spins, yields, parks) in [
+            ("spin", MAX, MAX, false),
+            ("SpinYield", 4096, MAX, false),
+            ("spin-yield", 4096, MAX, false),
+            ("spin_yield", 4096, MAX, false),
+            ("yield", 0, MAX, false),
+            ("park", 32, 32, true),
+        ] {
+            let policy = WaitPolicy::from_spec(spec).unwrap().unwrap();
+            assert_eq!(
+                (policy.spins_before_yield, policy.yields_before_park),
+                (spins, yields),
+                "{spec}"
+            );
+            assert_eq!(policy.parks(), parks, "{spec}");
+        }
         assert_eq!(WaitPolicy::from_spec("auto").unwrap(), None);
+        assert_eq!(WaitPolicy::from_spec("").unwrap(), None);
         assert!(WaitPolicy::from_spec("bogus").is_err());
+        assert!(!WaitPolicy::default().parks());
+    }
+
+    #[test]
+    fn an_endless_budget_never_runs_out() {
+        let mut used = 0;
+        for _ in 0..3 {
+            assert!(spend(&mut used, u32::MAX));
+        }
+        assert_eq!(used, 0, "an endless budget is never counted down");
+        assert!(spend(&mut used, 1));
+        assert!(!spend(&mut used, 1));
+        assert!(!spend(&mut 0, 0));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! half-barrier and idle workers alternate one cycle of random stealing with a poll of
 //! the half-barrier release flag, so fine-grain loops run statically scheduled
 //! ([`CilkPool::fine_grain_for`], [`CilkPool::fine_grain_reduce`]) while coarse-grain
-//! loops keep dynamic scheduling ([`CilkPool::cilk_for`]).
+//! loops keep dynamic scheduling ([`CilkPool::cilk_for`]).  The hybrid path runs
+//! `parlo-core`'s static loop and merged reduction ([`parlo_core::static_for`],
+//! [`parlo_core::static_reduce`]) on the pool's team, so it is the fine-grain pool's
+//! loop, not a copy of it.
 //!
 //! ```
 //! use parlo_cilk::CilkPool;
@@ -37,3 +40,6 @@ mod scheduler;
 pub use deque::{Full, Steal, WorkStealingDeque};
 pub use runtime::CilkFineGrain;
 pub use scheduler::{default_grain, CilkConfig, CilkPool, CilkStatsSnapshot};
+// The victim rotation `parlo-steal` shares; not part of the API.
+#[doc(hidden)]
+pub use scheduler::{victim_seed, xorshift};

@@ -14,16 +14,17 @@
 //!   implementation — one statically allocated view per participant (the team's padded
 //!   view blocks, allocated when the pool is built and reused by every reduction),
 //!   reduced pairwise in the join phase of the half-barrier, exactly `P − 1` reduce
-//!   operations.
+//!   operations.  This is `parlo-core`'s merged reduction
+//!   ([`parlo_core::static_reduce`]) run on the pool's team.
 //!
 //! Both keep their per-worker views in the team's blocks.  A baseline view is stored as
 //! an `Option`: closing it out on a steal leaves `None` behind, not a view that would
 //! be folded twice.
 
-use crate::scheduler::{CilkPool, CilkStats, LoopDescriptor};
+use crate::scheduler::{CilkPool, LoopDescriptor};
 use parking_lot::Mutex;
-use parlo_core::static_block;
-use parlo_exec::{fold_range, Job, ReduceViews};
+use parlo_core::static_reduce;
+use parlo_exec::{fold_range, ReduceViews};
 use std::ops::Range;
 
 // ----------------------------------------------------------------------------------
@@ -75,57 +76,6 @@ where
         // SAFETY: as above; the view just retired must not be taken again.
         unsafe { h.views.put(worker, None) };
     }
-}
-
-// ----------------------------------------------------------------------------------
-// Fine-grain (merged half-barrier) reducers
-// ----------------------------------------------------------------------------------
-
-/// Harness of a fine-grain reduction: `Copy`, carried by value in the loop's job, with
-/// `identity`, `fold` and `combine` as handles (references to the caller's closures,
-/// or a `LoopRuntime` call's `move || init` and `&dyn` operators themselves).
-struct FineReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: Id,
-    fold: Fold,
-    combine: Comb,
-    views: ReduceViews<'a, T>,
-    start: usize,
-    end: usize,
-    nthreads: usize,
-    stats: &'a CilkStats,
-}
-
-impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for FineReduceHarness<'_, T, Id, Fold, Comb> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T, Id: Copy, Fold: Copy, Comb: Copy> Copy for FineReduceHarness<'_, T, Id, Fold, Comb> {}
-
-unsafe fn fine_reduce_exec<T, Id, Fold, Comb>(data: *const (), id: usize)
-where
-    Id: Fn() -> T,
-    Fold: Fn(T, usize) -> T,
-{
-    // SAFETY: the job carries a `FineReduceHarness` of exactly these types, and `data`
-    // points at this participant's copy of it.
-    let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
-    let block = static_block(&(h.start..h.end), h.nthreads, id);
-    let acc = fold_range(&h.fold, (h.identity)(), block);
-    // SAFETY: each participant writes only its own view before arriving.
-    unsafe { h.views.put(id, acc) };
-}
-
-unsafe fn fine_reduce_combine<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
-where
-    Comb: Fn(T, T) -> T + Copy,
-{
-    // SAFETY: as in `fine_reduce_exec`.
-    let h = unsafe { &*(data as *const FineReduceHarness<'_, T, Id, Fold, Comb>) };
-    h.stats.fine_combine_ops.add(into, 1);
-    // SAFETY: serialized by the join-phase protocol of the half-barrier.
-    unsafe { h.views.combine(into, from, h.combine) };
 }
 
 impl CilkPool {
@@ -209,9 +159,10 @@ impl CilkPool {
         self.fine_reduce(range, &identity, &fold, &combine)
     }
 
-    /// [`CilkPool::fine_grain_reduce`] over handles the harness carries by value:
-    /// references to the caller's closures from the generic entry point, and from a
-    /// `LoopRuntime` call a `move || init` and the `&dyn` operators themselves.
+    /// [`CilkPool::fine_grain_reduce`] over handles: references to the caller's
+    /// closures from the generic entry point, and from a `LoopRuntime` call a
+    /// `move || init` and the `&dyn` operators themselves.  It is
+    /// [`parlo_core::static_reduce`] on this pool's team: one half-barrier, two phases.
     pub(crate) fn fine_reduce<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
@@ -225,34 +176,9 @@ impl CilkPool {
         Fold: Fn(T, usize) -> T + Sync + Copy,
         Comb: Fn(T, T) -> T + Sync + Copy,
     {
-        // Empty reductions return the identity without a barrier cycle.
-        if range.is_empty() {
-            return identity();
-        }
-        let harness = FineReduceHarness {
-            identity,
-            fold,
-            combine,
-            // SAFETY: as in `cilk_reduce`.
-            views: unsafe { self.views() },
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-            stats: &self.work().stats,
-        };
-        harness.stats.master.fine_loops.add(1);
-        harness.stats.master.reductions.add(1);
-        // SAFETY: as in `cilk_reduce`; the entry points read exactly the
-        // harness type the job carries.
-        unsafe {
-            self.run_fine_loop(Job::new(
-                harness,
-                fine_reduce_exec::<T, Id, Fold, Comb>,
-                Some(fine_reduce_combine::<T, Id, Fold, Comb>),
-            ));
-        }
-        // SAFETY: the loop has completed; the master's view holds the combined result.
-        unsafe { harness.views.take(0) }.expect("master view present after the join")
+        let fine = &self.work().fine;
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        unsafe { static_reduce(&self.team, fine, 2, range, identity, fold, combine) }
     }
 }
 

@@ -13,7 +13,7 @@ fn pool_sync_stats(pool: &CilkPool) -> SyncStats {
         reductions: s.reductions,
         // Only the embedded half-barrier path executes barrier phases; the baseline
         // Cilk loop synchronizes through the outstanding-iteration count.
-        barrier_phases: s.fine_loops * 2,
+        barrier_phases: pool.work().fine.snapshot().barrier_phases,
         combine_ops: s.reduce_ops + s.fine_combine_ops,
         dynamic_chunks: s.tasks_executed,
         steals: s.steals,

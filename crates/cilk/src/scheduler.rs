@@ -16,15 +16,17 @@
 //! half-barrier release flag, so the
 //! same pool can run statically scheduled fine-grain loops ([`CilkPool::fine_grain_for`],
 //! [`CilkPool::fine_grain_reduce`]) next to dynamically scheduled coarse-grain loops
-//! ([`CilkPool::cilk_for`]).
+//! ([`CilkPool::cilk_for`]).  The fine-grain loops are `parlo-core`'s own
+//! ([`parlo_core::static_for`], [`parlo_core::static_reduce`]) run on this pool's team,
+//! and they count through a [`PoolStats`] like every other half-barrier runtime.
 
 use crate::deque::{Steal, WorkStealingDeque};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, WaitPolicy};
-use parlo_core::static_block;
+use parlo_core::{static_for, PoolStats};
 use parlo_exec::{walk_range, Executor, Job, ReduceViews, Team, TeamSync};
-use parlo_sync::{AtomicU64, AtomicUsize, Ordering, ParticipantCounter, SingleWriterCounter};
+use parlo_sync::{AtomicU64, AtomicUsize, Ordering, SingleWriterCounter};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -135,24 +137,21 @@ impl LoopDescriptor {
     }
 }
 
-/// Instrumentation counters of a [`CilkPool`].  The baseline's task and steal counts
-/// are shared words every participant bumps (part of what the baseline pays); the
-/// per-loop counts are the driving master's alone, on a line of their own, and the
-/// fine-grain combines sit on the line of the participant performing them.
+/// Instrumentation counters of the baseline `cilk_for` path.  The task and steal
+/// counts are shared words every participant bumps (part of what the baseline pays);
+/// the per-loop counts are the driving master's alone, on a line of their own.
 #[derive(Debug)]
 pub(crate) struct CilkStats {
     pub(crate) master: CachePadded<LoopCounts>,
     pub(crate) tasks_executed: AtomicU64,
     pub(crate) steals: AtomicU64,
     pub(crate) steal_attempts: AtomicU64,
-    pub(crate) fine_combine_ops: ParticipantCounter,
 }
 
 /// The counts only the driving master bumps.
 #[derive(Debug, Default)]
 pub(crate) struct LoopCounts {
     pub(crate) loops: SingleWriterCounter,
-    pub(crate) fine_loops: SingleWriterCounter,
     pub(crate) reductions: SingleWriterCounter,
     pub(crate) reduce_ops: SingleWriterCounter,
 }
@@ -180,13 +179,15 @@ pub struct CilkStatsSnapshot {
     pub fine_combine_ops: u64,
 }
 
-/// What the participants of a Cilk pool share for the baseline `cilk_for` path: the
-/// deques, the loop descriptor, the outstanding-iteration count and the counters.
+/// What the participants of a Cilk pool share: for the baseline `cilk_for` path the
+/// deques, the loop descriptor, the outstanding-iteration count and the counters, and
+/// the fine-grain path's [`PoolStats`] (loops, barrier phases, reductions, combines).
 pub(crate) struct CilkWork {
     deques: Vec<WorkStealingDeque<Task>>,
     descriptor: UnsafeCell<LoopDescriptor>,
     remaining: AtomicUsize,
     pub(crate) stats: CilkStats,
+    pub(crate) fine: PoolStats,
     /// xorshift64* victim-selection state of each participant (owner-only access).
     rngs: Vec<CachePadded<AtomicU64>>,
 }
@@ -263,7 +264,7 @@ impl TeamSync for Hybrid {
 pub struct CilkPool {
     /// The shared team skeleton over the hybrid sync shape (the pool spawns no
     /// threads); fine-grain loops are its cycles, `cilk_for` loops run between them.
-    team: Team<Hybrid>,
+    pub(crate) team: Team<Hybrid>,
     config: CilkConfig,
 }
 
@@ -275,15 +276,38 @@ impl std::fmt::Debug for CilkPool {
     }
 }
 
-/// xorshift64* step, used for cheap per-worker victim selection.
+/// xorshift64* step: the victim rotation of both stealing pools.
+///
+/// Zero is the fixed point of every xorshift map: a state of 0 stays 0 forever,
+/// which would pin the victim rotation to deque 0 for the rest of the process.
+/// The guard reseeds a dead state with the golden-ratio constant, so the rotation
+/// recovers in one step no matter what the caller fed in.
+#[doc(hidden)]
 #[inline]
-fn xorshift(state: &mut u64) -> u64 {
+pub fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
+    if x == 0 {
+        x = 0x9E37_79B9_7F4A_7C15;
+    }
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     *state = x;
     x
+}
+
+/// A guaranteed-nonzero [`xorshift`] seed for participant `id`.  The id mix alone can
+/// produce 0 for exactly one (pathological) id, which would strand that worker on
+/// the xorshift fixed point; route every seed through here instead.
+#[doc(hidden)]
+#[inline]
+pub fn victim_seed(id: usize) -> u64 {
+    let seed = 0x9E37_79B9_7F4A_7C15u64 ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+    if seed == 0 {
+        0x9E37_79B9_7F4A_7C15
+    } else {
+        seed
+    }
 }
 
 impl CilkPool {
@@ -330,11 +354,10 @@ impl CilkPool {
                 tasks_executed: AtomicU64::new(0),
                 steals: AtomicU64::new(0),
                 steal_attempts: AtomicU64::new(0),
-                fine_combine_ops: ParticipantCounter::new(nthreads),
             },
-            rngs: (0..nthreads as u64)
-                .map(|id| 0xA076_1D64_78BD_642F ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .map(|seed| CachePadded::new(AtomicU64::new(seed)))
+            fine: PoolStats::new(nthreads),
+            rngs: (0..nthreads)
+                .map(|id| CachePadded::new(AtomicU64::new(victim_seed(id))))
                 .collect(),
         };
         let team = Team::build(
@@ -367,15 +390,16 @@ impl CilkPool {
     /// A snapshot of the pool's instrumentation counters.
     pub fn stats(&self) -> CilkStatsSnapshot {
         let s = &self.work().stats;
+        let fine = self.work().fine.snapshot();
         CilkStatsSnapshot {
             loops: s.master.loops.get(),
-            fine_loops: s.master.fine_loops.get(),
-            reductions: s.master.reductions.get(),
+            fine_loops: fine.loops,
+            reductions: s.master.reductions.get() + fine.reductions,
             tasks_executed: s.tasks_executed.load(Ordering::Relaxed),
             steals: s.steals.load(Ordering::Relaxed),
             steal_attempts: s.steal_attempts.load(Ordering::Relaxed),
             reduce_ops: s.master.reduce_ops.get(),
-            fine_combine_ops: s.fine_combine_ops.sum(),
+            fine_combine_ops: fine.combine_ops,
         }
     }
 
@@ -435,8 +459,6 @@ impl CilkPool {
         });
     }
 
-    // ----- fine-grain (hybrid) path --------------------------------------------------
-
     /// The team's reduction views typed as `T`, for the next loop.
     ///
     /// # Safety
@@ -444,16 +466,6 @@ impl CilkPool {
     pub(crate) unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
         // SAFETY: forwarded contract.
         unsafe { self.team.views() }
-    }
-
-    /// Runs a type-erased fine-grain loop through the embedded half-barrier.
-    ///
-    /// # Safety
-    /// Everything the job's harness refers to must stay alive until this returns (see
-    /// [`Job::new`]).
-    pub(crate) unsafe fn run_fine_loop(&self, job: Job) {
-        // SAFETY: forwarded contract.
-        unsafe { self.team.run(job) };
     }
 }
 
@@ -563,23 +575,6 @@ unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
     walk_range(&h.body, lo..hi);
 }
 
-/// Harness of a fine-grain loop: `Copy`, carried by value in the loop's job, with the
-/// body as a handle (a reference to the caller's closure, or a `&dyn` body itself).
-#[derive(Clone, Copy)]
-struct FineForHarness<B> {
-    body: B,
-    start: usize,
-    end: usize,
-    nthreads: usize,
-}
-
-unsafe fn exec_fine_for<B: Fn(usize)>(data: *const (), id: usize) {
-    // SAFETY: the job carries a `FineForHarness<B>`, and `data` points at this
-    // participant's copy of it.
-    let h = unsafe { &*(data as *const FineForHarness<B>) };
-    walk_range(&h.body, static_block(&(h.start..h.end), h.nthreads, id));
-}
-
 impl CilkPool {
     /// Baseline `cilk_for`: recursive binary splitting down to
     /// [`CilkPool::effective_grain`], dynamic (work-stealing) scheduling.
@@ -617,27 +612,15 @@ impl CilkPool {
         self.fine_for(range, &body);
     }
 
-    /// [`CilkPool::fine_grain_for`] over a body handle the harness carries by value:
-    /// `&F` from the generic entry point, the `&dyn` body itself from a `LoopRuntime`
-    /// call.
+    /// [`CilkPool::fine_grain_for`] over a body handle: `&F` from the generic entry
+    /// point, the `&dyn` body itself from a `LoopRuntime` call.  It is
+    /// [`parlo_core::static_for`] on this pool's team: one half-barrier, two phases.
     pub(crate) fn fine_for<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(usize) + Sync + Copy,
     {
-        // Empty loops are a fast-path no-op (no barrier cycle, no counters).
-        if range.is_empty() {
-            return;
-        }
-        let harness = FineForHarness {
-            body,
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-        };
-        self.work().stats.master.fine_loops.add(1);
-        // SAFETY: the body outlives the loop; `exec_fine_for::<B>` reads exactly the
-        // harness type the job carries.
-        unsafe { self.run_fine_loop(Job::new(harness, exec_fine_for::<B>, None)) };
+        // SAFETY: `&mut self` makes this thread the pool's one driver.
+        unsafe { static_for(&self.team, &self.work().fine, 2, range, body) };
     }
 }
 
@@ -652,6 +635,47 @@ pub(crate) mod tests {
             grain: Some(grain),
             ..CilkConfig::with_threads(threads)
         })
+    }
+
+    #[test]
+    fn xorshift_escapes_the_zero_fixed_point() {
+        // Regression: xorshift64 maps 0 to 0 forever; a zero state must recover
+        // (and keep producing distinct values) instead of pinning the victim
+        // rotation to deque 0.
+        let mut state = 0u64;
+        let first = xorshift(&mut state);
+        assert_ne!(first, 0);
+        assert_ne!(state, 0);
+        let second = xorshift(&mut state);
+        assert_ne!(second, 0);
+        assert_ne!(second, first);
+    }
+
+    #[test]
+    fn victim_seed_is_nonzero_for_every_id() {
+        // The one id whose mix would cancel the golden constant must still get a
+        // nonzero seed; spot-check it along with ordinary ids.
+        let inv = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(inverse_of_mix());
+        assert_eq!(victim_seed(inv as usize), 0x9E37_79B9_7F4A_7C15);
+        for id in 0..64 {
+            assert_ne!(
+                victim_seed(id),
+                0,
+                "id {id} seeded the xorshift fixed point"
+            );
+        }
+    }
+
+    /// Multiplicative inverse of the seed-mix constant mod 2^64 (it is odd, so one
+    /// exists); used to construct the pathological id in the seed test.
+    fn inverse_of_mix() -> u64 {
+        let m = 0xA076_1D64_78BD_642Fu64;
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
+        }
+        assert_eq!(m.wrapping_mul(inv), 1);
+        inv
     }
 
     #[test]

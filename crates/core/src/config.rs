@@ -37,16 +37,6 @@ impl BarrierKind {
             BarrierKind::TreeFull => "fine-grain tree with full-barrier",
         }
     }
-
-    /// Whether this configuration uses the half-barrier optimisation.
-    pub fn is_half(&self) -> bool {
-        matches!(self, BarrierKind::TreeHalf | BarrierKind::CentralizedHalf)
-    }
-
-    /// Whether this configuration uses a tree structure.
-    pub fn is_tree(&self) -> bool {
-        matches!(self, BarrierKind::TreeHalf | BarrierKind::TreeFull)
-    }
 }
 
 /// Configuration of a [`crate::FineGrainPool`], built with [`Config::builder`].
@@ -62,8 +52,8 @@ pub struct Config {
     pub pin: PinPolicy,
     /// Waiting policy for all synchronization.  Defaults to
     /// [`WaitPolicy::auto_for`]: aggressive spin-then-yield when the thread count fits
-    /// the hardware, [`WaitMode::Park`](parlo_barrier::WaitMode::Park) (bounded spin →
-    /// yield → condvar park with wake-on-release) when oversubscribed; the `PARLO_WAIT`
+    /// the hardware, [`WaitPolicy::park`] (bounded spin → yield → condvar park with
+    /// wake-on-release) when oversubscribed; the `PARLO_WAIT`
     /// environment variable overrides the automatic choice.
     pub wait: WaitPolicy,
 }
@@ -194,12 +184,6 @@ mod tests {
 
     #[test]
     fn barrier_kind_properties() {
-        assert!(BarrierKind::TreeHalf.is_half());
-        assert!(BarrierKind::TreeHalf.is_tree());
-        assert!(BarrierKind::CentralizedHalf.is_half());
-        assert!(!BarrierKind::CentralizedHalf.is_tree());
-        assert!(!BarrierKind::TreeFull.is_half());
-        assert!(BarrierKind::TreeFull.is_tree());
         assert_eq!(BarrierKind::ALL.len(), 3);
         for k in BarrierKind::ALL {
             assert!(!k.label().is_empty());

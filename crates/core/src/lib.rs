@@ -44,8 +44,10 @@
 //!   reference; workloads and harnesses program against `dyn LoopRuntime`.
 //!   [`SyncStats`] is also what [`FineGrainPool::stats`] returns: the counters that
 //!   verify the structural claims (barrier phases per loop, combines per reduction).
+//! * [`static_for`] / [`static_reduce`] — the statically scheduled loop and the merged
+//!   reduction over any team, which the Cilk-like pool's hybrid path runs too.
 //! * [`PoolStats`] — the counter block behind that snapshot, shared with the
-//!   OpenMP-like team.
+//!   OpenMP-like team, the Cilk-like pool's hybrid path and the stealing pool.
 //! * [`StatsSource`] / [`StatsRegistry`] / [`stats_family!`] — the unified stats
 //!   surface: every counter family in the workspace is declared through the macro
 //!   (deriving `since`/`merged` and a flattened sample view) and any set of live
@@ -63,12 +65,14 @@ mod source;
 mod stats;
 
 pub use config::{BarrierKind, Config, ConfigBuilder};
+pub use loops::static_for;
 pub use pool::{FineGrainPool, WorkerInfo};
 pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks};
+pub use reduce::static_reduce;
 pub use runtime::{LoopRuntime, Sequential, SyncStats};
 pub use source::{CounterField, StatsRegistry, StatsSource};
 pub use stats::PoolStats;
 
 // Re-export the pieces callers commonly need to configure a pool.
 pub use parlo_affinity::{PinPolicy, PlacementConfig, Topology, TopologySource};
-pub use parlo_barrier::{HierarchyStats, WaitMode, WaitPolicy};
+pub use parlo_barrier::{HierarchyStats, WaitPolicy};

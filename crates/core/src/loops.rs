@@ -8,10 +8,12 @@
 //! reads the range, the thread count and the body's address from the release line that
 //! released it.  The body is a *handle*: a reference to the caller's closure, or — from
 //! a `LoopRuntime` call — the `&dyn` body itself, never a reference to it.
+//! [`static_for`], the loop itself, runs on any team (the Cilk-like pool's too).
 
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
-use parlo_exec::{walk_range, Job};
+use crate::stats::PoolStats;
+use parlo_exec::{walk_range, Job, Team, TeamSync};
 use std::ops::Range;
 
 /// Harness for [`FineGrainPool::broadcast`].
@@ -130,34 +132,42 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
+        let phases = self.phases_per_loop();
         // SAFETY: forwarded contract.
-        unsafe { self.for_each(range, &body) };
+        unsafe { static_for(&self.team, &self.stats, phases, range, &body) };
     }
+}
 
-    /// The statically scheduled loop over a body handle the harness carries by value:
-    /// `&F` from the generic entry points, the `&dyn` body itself from
-    /// [`LoopRuntime::parallel_for`](crate::LoopRuntime::parallel_for).
-    ///
-    /// # Safety
-    /// As for [`FineGrainPool::parallel_for_unsynchronized`].
-    pub(crate) unsafe fn for_each<B>(&self, range: Range<usize>, body: B)
-    where
-        B: Fn(usize) + Sync + Copy,
-    {
-        if range.is_empty() {
-            return;
-        }
-        let harness = ForHarness {
-            body,
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-        };
-        // SAFETY: as in `broadcast`; single-driver coordination is the caller's.
-        unsafe {
-            self.run_job(Job::new(harness, exec_for::<B>, None));
-        }
+/// The statically scheduled loop on `team`: each participant walks its [`static_block`]
+/// of `range`, and `stats` counts one loop of `phases` barrier phases.  `body` is a
+/// handle the job carries by value.  An empty range runs no cycle and counts nothing.
+///
+/// # Safety
+/// The caller drives `team`: no other thread runs a loop on it concurrently (one that
+/// does panics on the team's in-flight guard).
+pub unsafe fn static_for<S, B>(
+    team: &Team<S>,
+    stats: &PoolStats,
+    phases: u64,
+    range: Range<usize>,
+    body: B,
+) where
+    S: TeamSync,
+    B: Fn(usize) + Sync + Copy,
+{
+    if range.is_empty() {
+        return;
     }
+    let harness = ForHarness {
+        body,
+        start: range.start,
+        end: range.end,
+        nthreads: team.num_threads(),
+    };
+    stats.record_loop(phases);
+    // SAFETY: the body's referents outlive this call, and `exec_for::<B>` reads
+    // exactly the harness type the job carries.
+    unsafe { team.run(Job::new(harness, exec_for::<B>, None)) };
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use crate::config::{BarrierKind, Config};
 use crate::runtime::SyncStats;
 use crate::stats::PoolStats;
 use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, WaitPolicy};
-use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
+use parlo_exec::{Executor, Job, Team, TeamSync};
 use std::sync::Arc;
 
 /// Identity of a participant inside a parallel region.
@@ -43,7 +43,7 @@ pub struct WorkerInfo {
 /// half-barrier, in tree or centralized flavor, or a conventional pair of full tree
 /// barriers.
 #[derive(Debug)]
-enum SyncImpl {
+pub(crate) enum SyncImpl {
     Half(HalfBarrier),
     Full(FullBarrier),
 }
@@ -123,7 +123,7 @@ impl TeamSync for SyncImpl {
 pub struct FineGrainPool {
     /// The shared team skeleton (lease, worker loop, detach cycle) over the
     /// configured sync shape; the pool spawns no threads itself.
-    team: Team<SyncImpl>,
+    pub(crate) team: Team<SyncImpl>,
     pub(crate) stats: PoolStats,
     config: Config,
 }
@@ -243,15 +243,6 @@ impl FineGrainPool {
             SyncImpl::Half(hb) => hb.hierarchy_stats(),
             SyncImpl::Full(fb) => fb.hierarchy_stats(),
         }
-    }
-
-    /// The team's reduction views typed as `T`, for the next loop.
-    ///
-    /// # Safety
-    /// As for [`Team::views`]: the caller drives the pool and no loop is in flight.
-    pub(crate) unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
-        // SAFETY: forwarded contract.
-        unsafe { self.team.views() }
     }
 
     /// Counts one loop and runs its type-erased job on all threads of the pool.

@@ -73,11 +73,6 @@ impl DynamicChunks {
         }
         Some(lo..(lo + self.chunk).min(self.end))
     }
-
-    /// The chunk size handed out.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
 }
 
 /// Guided self-scheduling dispenser: chunk sizes start at `remaining / nthreads` and
@@ -185,7 +180,6 @@ mod tests {
     #[test]
     fn dynamic_chunks_cover_range_exactly_once() {
         let d = DynamicChunks::new(0..101, 7);
-        assert_eq!(d.chunk_size(), 7);
         let mut all = Vec::new();
         while let Some(c) = d.next_chunk() {
             all.extend(c);

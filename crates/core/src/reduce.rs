@@ -19,10 +19,13 @@
 //! blocks; [`FineGrainPool::parallel_reduce_ordered`] keeps non-commutative operators
 //! correct by folding the views in thread order at the master after the join phase
 //! (still `P − 1` combines, but all executed by the master).
+//! [`static_reduce`], the merged reduction itself, runs on any team (the Cilk-like
+//! pool's too).
 
 use crate::pool::FineGrainPool;
 use crate::range::static_block;
-use parlo_exec::{fold_range, Job, ReduceViews};
+use crate::stats::PoolStats;
+use parlo_exec::{fold_range, Job, ReduceViews, Team, TeamSync};
 use std::ops::Range;
 
 /// Harness shared by both reduction flavors.  It travels by value in the loop's job,
@@ -39,7 +42,7 @@ struct ReduceHarness<'a, T, Id, Fold, Comb> {
     start: usize,
     end: usize,
     nthreads: usize,
-    stats: &'a crate::stats::PoolStats,
+    stats: &'a PoolStats,
 }
 
 impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for ReduceHarness<'_, T, Id, Fold, Comb> {
@@ -100,45 +103,9 @@ impl FineGrainPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        self.reduce(range, &identity, &fold, &combine)
-    }
-
-    /// [`FineGrainPool::parallel_reduce`] over handles the harness carries by value:
-    /// references to the caller's closures from the generic entry points, and from
-    /// [`LoopRuntime::parallel_reduce`](crate::LoopRuntime::parallel_reduce) a
-    /// `move || init` and the `&dyn` operators themselves.
-    pub(crate) fn reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync + Copy,
-        Fold: Fn(T, usize) -> T + Sync + Copy,
-        Comb: Fn(T, T) -> T + Sync + Copy,
-    {
-        if range.is_empty() {
-            return identity();
-        }
+        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
         // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        let harness = unsafe { self.reduce_harness(range, identity, fold, combine) };
-        self.stats.record_reduction();
-        // SAFETY: the handles' referents outlive `run_job`; the entry points read
-        // exactly `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are serialized
-        // by the join-phase protocol (see `combine_reduce`).
-        unsafe {
-            self.run_job(Job::new(
-                harness,
-                exec_reduce::<T, Id, Fold, Comb>,
-                Some(combine_reduce::<T, Id, Fold, Comb>),
-            ));
-        }
-        // After the master's join phase its view holds the fully combined result.
-        // SAFETY: all workers have arrived; no concurrent access remains.
-        unsafe { harness.views.take(0) }.expect("master view present after the join")
+        unsafe { static_reduce(team, stats, phases, range, &identity, &fold, &combine) }
     }
 
     /// Parallel reduction that preserves the left-to-right (iteration-order) combination
@@ -163,11 +130,13 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        // SAFETY: as in `reduce`.
-        let harness = unsafe { self.reduce_harness(range, &identity, &fold, &combine) };
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        let harness =
+            unsafe { reduce_harness(&self.team, &self.stats, range, &identity, &fold, &combine) };
         self.stats.record_reduction();
-        // SAFETY: as in `reduce`; no combine function is attached to the job, so views
-        // are only written by their owners during the loop.
+        // SAFETY: the closures outlive `run_job`, `exec_reduce` reads exactly the
+        // harness type the job carries, and with no combine attached to the job each
+        // view is written only by its owner during the loop.
         unsafe {
             self.run_job(Job::new(harness, exec_reduce::<T, &Id, &Fold, &Comb>, None));
         }
@@ -183,30 +152,6 @@ impl FineGrainPool {
         unsafe { harness.views.take(0) }.expect("master view present after the fold")
     }
 
-    /// The harness of one reduction over the team's view blocks.
-    ///
-    /// # Safety
-    /// The caller drives the pool (it holds `&mut` on it) and no loop is in flight.
-    unsafe fn reduce_harness<T, Id, Fold, Comb>(
-        &self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> ReduceHarness<'_, T, Id, Fold, Comb> {
-        ReduceHarness {
-            identity,
-            fold,
-            combine,
-            // SAFETY: forwarded contract; the previous reduction's handle is gone.
-            views: unsafe { self.views() },
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-            stats: &self.stats,
-        }
-    }
-
     /// Convenience wrapper: parallel sum of `f(i)` over `range`.
     pub fn parallel_sum<F>(&mut self, range: Range<usize>, f: F) -> f64
     where
@@ -214,6 +159,78 @@ impl FineGrainPool {
     {
         self.parallel_reduce(range, || 0.0, |acc, i| acc + f(i), |a, b| a + b)
     }
+}
+
+/// The harness of one reduction over `team`'s view blocks.
+///
+/// # Safety
+/// The caller drives `team` and no loop is in flight.
+unsafe fn reduce_harness<'a, S: TeamSync, T, Id, Fold, Comb>(
+    team: &'a Team<S>,
+    stats: &'a PoolStats,
+    range: Range<usize>,
+    identity: Id,
+    fold: Fold,
+    combine: Comb,
+) -> ReduceHarness<'a, T, Id, Fold, Comb> {
+    ReduceHarness {
+        identity,
+        fold,
+        combine,
+        // SAFETY: forwarded contract; the previous reduction's handle is gone.
+        views: unsafe { team.views() },
+        start: range.start,
+        end: range.end,
+        nthreads: team.num_threads(),
+        stats,
+    }
+}
+
+/// The merged reduction on `team`: each participant folds its [`static_block`] of
+/// `range` into its own view, and join parents combine their children's views on the
+/// way up (`P − 1` combines, `combine` associative and commutative).  `stats` counts
+/// them, the reduction and one loop of `phases` phases.  The handles travel by value
+/// in the job.  An empty range returns `identity()` without a cycle.
+///
+/// # Safety
+/// The caller drives `team` and no loop is in flight: no other thread runs a loop on
+/// it concurrently.
+pub unsafe fn static_reduce<S, T, Id, Fold, Comb>(
+    team: &Team<S>,
+    stats: &PoolStats,
+    phases: u64,
+    range: Range<usize>,
+    identity: Id,
+    fold: Fold,
+    combine: Comb,
+) -> T
+where
+    S: TeamSync,
+    T: Send,
+    Id: Fn() -> T + Sync + Copy,
+    Fold: Fn(T, usize) -> T + Sync + Copy,
+    Comb: Fn(T, T) -> T + Sync + Copy,
+{
+    if range.is_empty() {
+        return identity();
+    }
+    // SAFETY: forwarded contract.
+    let harness = unsafe { reduce_harness(team, stats, range, identity, fold, combine) };
+    stats.record_reduction();
+    stats.record_loop(phases);
+    // SAFETY: the handles' referents outlive `run`; the entry points read exactly
+    // `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are serialized by the
+    // join-phase protocol (see `combine_reduce`).
+    unsafe {
+        team.run(Job::new(
+            harness,
+            exec_reduce::<T, Id, Fold, Comb>,
+            Some(combine_reduce::<T, Id, Fold, Comb>),
+        ));
+    }
+    // After the master's join phase its view holds the fully combined result.
+    // SAFETY: all workers have arrived; no concurrent access remains.
+    unsafe { harness.views.take(0) }.expect("master view present after the join")
 }
 
 #[cfg(test)]

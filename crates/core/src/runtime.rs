@@ -16,6 +16,7 @@
 //! `S = T / (d + T/P)`.
 
 use crate::pool::FineGrainPool;
+use crate::{static_for, static_reduce};
 use std::ops::Range;
 
 crate::stats_family! {
@@ -137,7 +138,7 @@ impl LoopRuntime for FineGrainPool {
     // frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
         // SAFETY: `&mut self` is the single-driver guarantee.
-        unsafe { self.for_each(range, body) };
+        unsafe { static_for(&self.team, &self.stats, self.phases_per_loop(), range, body) };
     }
 
     fn parallel_reduce(
@@ -147,7 +148,9 @@ impl LoopRuntime for FineGrainPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.reduce(range, move || init, fold, combine)
+        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
+        // SAFETY: `&mut self` is the single-driver guarantee.
+        unsafe { static_reduce(team, stats, phases, range, move || init, fold, combine) }
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -1,6 +1,7 @@
-//! Scheduler instrumentation counters shared by the two barrier runtimes: the
-//! fine-grain pool and the OpenMP-like team both count through one [`PoolStats`] and
-//! report it as a [`SyncStats`].
+//! Scheduler instrumentation counters shared by the half-barrier and full-barrier
+//! runtimes: the fine-grain pool, the OpenMP-like team, the Cilk-like pool's hybrid
+//! path and the stealing pool all count their loops, phases, reductions and combines
+//! through one [`PoolStats`] and report it as a [`SyncStats`].
 //!
 //! The counters are exact and cost the loop no locked read-modify-write.  The loop,
 //! reduction and phase counts are bumped by the driving master alone, on a line of
@@ -48,6 +49,13 @@ impl PoolStats {
     pub fn record_loop(&self, phases: u64) {
         self.master.loops.add(1);
         self.master.barrier_phases.add(phases);
+    }
+
+    /// Loops counted so far: the driving master's own count, read without summing any
+    /// participant's line.
+    #[inline]
+    pub fn loops(&self) -> u64 {
+        self.master.loops.get()
     }
 
     /// Counts one reduction (the driving master only).

@@ -385,7 +385,7 @@ impl Executor {
         active.attached.store(false, Ordering::Release);
         // The hook drives the departing client's own synchronization; workers in
         // the body reach their exit without needing the state lock.  Workers that
-        // chose WaitMode::Park and blocked between the client's loops are woken by
+        // parked under their wait policy between the client's loops are woken by
         // the hook's own release stores; the explicit wake below also covers a
         // worker that committed to park right as the lease flipped to detached.
         (active.detach)();

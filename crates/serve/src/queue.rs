@@ -62,14 +62,13 @@ fn straight_to_park() -> WaitPolicy {
     WaitPolicy {
         spins_before_yield: 0,
         yields_before_park: 0,
-        ..WaitPolicy::park()
     }
 }
 
 /// Polls `ready` for `policy`'s spin budget, then for its yield budget.  `false` means
-/// both are spent: the caller parks.  Only the budgets are read: whatever the
-/// policy's mode, a serve waiter ends up on its condvar once they are spent (the
-/// `u32::MAX` spins of `PARLO_WAIT=spin` are, as asked for, never spent).
+/// both are spent: the caller parks.  A serve waiter ends up on its condvar even under
+/// a policy that never parks: an endless yield budget is cut to the park policy's
+/// (the `u32::MAX` spins of `PARLO_WAIT=spin` are, as asked for, never spent).
 fn poll_within(policy: &WaitPolicy, ready: &impl Fn() -> bool) -> bool {
     for _ in 0..policy.spins_before_yield {
         if ready() {
@@ -77,7 +76,10 @@ fn poll_within(policy: &WaitPolicy, ready: &impl Fn() -> bool) -> bool {
         }
         std::hint::spin_loop();
     }
-    for _ in 0..policy.yields_before_park {
+    let yields = policy
+        .yields_before_park
+        .min(WaitPolicy::park().yields_before_park);
+    for _ in 0..yields {
         if ready() {
             return true;
         }

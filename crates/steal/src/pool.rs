@@ -44,7 +44,8 @@ use crate::sticky::{balanced_owners, StealSite, StickyEntry, StickyLoop, StickyT
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{HalfBarrier, WaitPolicy};
-use parlo_cilk::{default_grain, Steal};
+use parlo_cilk::{default_grain, victim_seed, xorshift, Steal};
+use parlo_core::PoolStats;
 use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
 use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
 use std::ops::Range;
@@ -215,25 +216,25 @@ struct WorkerCounters {
     remote_steals: SingleWriterCounter,
     lends: SingleWriterCounter,
     lent_steals: SingleWriterCounter,
-    /// Reduction-view combines this participant performed as a join parent.
-    combine_ops: SingleWriterCounter,
 }
 
-/// Internal counters.  Everything a worker touches while executing a loop — chunk,
-/// steal and combine counts — lives in that worker's own padded [`WorkerCounters`]
-/// line; the master's per-loop bookkeeping sits on a padded line of its own.
+/// Internal counters.  Loops, phases, reductions and combines are the [`PoolStats`]
+/// every half-barrier runtime counts through.  Everything else a worker touches while
+/// executing a loop — chunk and steal counts — lives in that worker's own padded
+/// [`WorkerCounters`] line; the master's sticky bookkeeping sits on a padded line of
+/// its own.
 #[derive(Debug)]
 struct StealCounters {
-    master: CachePadded<LoopCounts>,
+    /// Boxed: its master line is 128-byte aligned, and inline it would double the
+    /// size of this block and of every pool.
+    pool: Box<PoolStats>,
+    master: CachePadded<StickyCounts>,
     per_worker: Vec<CachePadded<WorkerCounters>>,
 }
 
-/// The counts only the driving master bumps.
+/// The sticky counts only the driving master bumps.
 #[derive(Debug, Default)]
-struct LoopCounts {
-    loops: SingleWriterCounter,
-    reductions: SingleWriterCounter,
-    barrier_phases: SingleWriterCounter,
+struct StickyCounts {
     sticky_loops: SingleWriterCounter,
     sticky_hits: SingleWriterCounter,
     sticky_invalidations: SingleWriterCounter,
@@ -244,6 +245,7 @@ struct LoopCounts {
 impl StealCounters {
     fn new(nthreads: usize) -> Self {
         StealCounters {
+            pool: Box::new(PoolStats::new(nthreads)),
             master: CachePadded::default(),
             per_worker: (0..nthreads)
                 .map(|id| WorkerCounters {
@@ -260,11 +262,12 @@ impl StealCounters {
             self.per_worker.iter().map(move |w| counter(w).get())
         };
         let m = &self.master;
+        let pool = self.pool.snapshot();
         StealStats {
-            loops: m.loops.get(),
-            reductions: m.reductions.get(),
-            barrier_phases: m.barrier_phases.get(),
-            combine_ops: per_worker(|w| &w.combine_ops).sum(),
+            loops: pool.loops,
+            reductions: pool.reductions,
+            barrier_phases: pool.barrier_phases,
+            combine_ops: pool.combine_ops,
             sticky_loops: m.sticky_loops.get(),
             sticky_hits: m.sticky_hits.get(),
             sticky_invalidations: m.sticky_invalidations.get(),
@@ -347,38 +350,6 @@ impl std::fmt::Debug for StealPool {
         f.debug_struct("StealPool")
             .field("num_threads", &self.num_threads())
             .finish()
-    }
-}
-
-/// xorshift64* step for the unperturbed victim rotation.
-///
-/// Zero is the fixed point of every xorshift map: a state of 0 stays 0 forever,
-/// which would pin the victim rotation to deque 0 for the rest of the process.
-/// The guard reseeds a dead state with the golden-ratio constant, so the rotation
-/// recovers in one step no matter what the caller fed in.
-#[inline]
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    if x == 0 {
-        x = 0x9E37_79B9_7F4A_7C15;
-    }
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// A guaranteed-nonzero xorshift seed for participant `id`.  The id mix alone can
-/// produce 0 for exactly one (pathological) id, which would strand that worker on
-/// the xorshift fixed point; route every seed through here instead.
-#[inline]
-fn victim_seed(id: usize) -> u64 {
-    let seed = 0x9E37_79B9_7F4A_7C15u64 ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    if seed == 0 {
-        0x9E37_79B9_7F4A_7C15
-    } else {
-        seed
     }
 }
 
@@ -466,6 +437,11 @@ impl StealPool {
         self.shared.stats.snapshot()
     }
 
+    /// The loop, phase, reduction and combine counts every half-barrier runtime keeps.
+    pub(crate) fn pool_stats(&self) -> &PoolStats {
+        &self.shared.stats.pool
+    }
+
     /// Instrumentation counters of the tree half-barrier (always `Some`: the pool
     /// synchronizes on the socket-composed tree).
     pub fn hierarchy_stats(&self) -> Option<parlo_barrier::HierarchyStats> {
@@ -517,9 +493,8 @@ impl StealPool {
         run_chunk: unsafe fn(*const (), usize, usize, usize),
         combine: Option<unsafe fn(*const (), usize, usize)>,
     ) {
-        let stats = &self.shared.stats.master;
-        stats.barrier_phases.add(2);
-        stats.loops.add(1);
+        let stats = &self.shared.stats.pool;
+        stats.record_loop(2);
         let this = StealLoop {
             shared: &self.shared,
             data: harness as *const H as *const (),
@@ -529,7 +504,7 @@ impl StealPool {
             end: range.end,
             chunk,
             sticky,
-            epoch: stats.loops.get(),
+            epoch: stats.loops(),
         };
         // SAFETY: the shared state, the harness and the sticky state all outlive `run`;
         // `participate_in` reads exactly the descriptor type the job carries.
@@ -835,7 +810,7 @@ where
             &*(this.data as *const ReduceHarness<'_, T, Init, Fold, Comb>),
         )
     };
-    this.shared.stats.per_worker[to].combine_ops.add(1);
+    this.shared.stats.pool.record_combine(to);
     // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
     // that `to` is the unique combiner touching either view at this point.
     unsafe { h.views.combine(to, from, &h.comb) };
@@ -962,7 +937,7 @@ impl StealPool {
                 fold,
                 comb,
             };
-            this.shared.stats.master.reductions.add(1);
+            this.shared.stats.pool.record_reduction();
             // SAFETY: as above; the entry points match the harness type.
             unsafe {
                 this.run_loop(
@@ -1105,47 +1080,6 @@ mod tests {
         StealPool::new(StealConfig::with_threads(threads).with_chunk(chunk))
     }
     use parlo_sync::AtomicUsize;
-
-    #[test]
-    fn xorshift_escapes_the_zero_fixed_point() {
-        // Regression: xorshift64 maps 0 to 0 forever; a zero state must recover
-        // (and keep producing distinct values) instead of pinning the victim
-        // rotation to deque 0.
-        let mut state = 0u64;
-        let first = xorshift(&mut state);
-        assert_ne!(first, 0);
-        assert_ne!(state, 0);
-        let second = xorshift(&mut state);
-        assert_ne!(second, 0);
-        assert_ne!(second, first);
-    }
-
-    #[test]
-    fn victim_seed_is_nonzero_for_every_id() {
-        // The one id whose mix would cancel the golden constant must still get a
-        // nonzero seed; spot-check it along with ordinary ids.
-        let inv = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(inverse_of_mix());
-        assert_eq!(victim_seed(inv as usize), 0x9E37_79B9_7F4A_7C15);
-        for id in 0..64 {
-            assert_ne!(
-                victim_seed(id),
-                0,
-                "id {id} seeded the xorshift fixed point"
-            );
-        }
-    }
-
-    /// Multiplicative inverse of the seed-mix constant mod 2^64 (it is odd, so one
-    /// exists); used to construct the pathological id in the seed test.
-    fn inverse_of_mix() -> u64 {
-        let m = 0xA076_1D64_78BD_642Fu64;
-        let mut inv = 1u64;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(inv)));
-        }
-        assert_eq!(m.wrapping_mul(inv), 1);
-        inv
-    }
 
     #[test]
     fn pool_creation_and_teardown() {

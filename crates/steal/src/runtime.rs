@@ -31,13 +31,10 @@ impl LoopRuntime for StealPool {
     fn sync_stats(&self) -> SyncStats {
         let s = self.stats();
         SyncStats {
-            loops: s.loops,
-            reductions: s.reductions,
-            barrier_phases: s.barrier_phases,
-            combine_ops: s.combine_ops,
             // Every chunk is a unit of dynamic work distribution the pool paid for.
             dynamic_chunks: s.chunks_executed(),
             steals: s.steals_hit,
+            ..self.pool_stats().snapshot()
         }
     }
 }

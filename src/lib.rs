@@ -43,7 +43,7 @@ pub use parlo_workloads as workloads;
 pub mod prelude {
     pub use parlo_adaptive::{AdaptivePool, Backend, LoopSite};
     pub use parlo_affinity::{PinPolicy, PlacementConfig, Topology, TopologySource};
-    pub use parlo_barrier::{HierarchicalHalfBarrier, HierarchyStats, WaitMode, WaitPolicy};
+    pub use parlo_barrier::{HierarchicalHalfBarrier, HierarchyStats, WaitPolicy};
     pub use parlo_cilk::{CilkFineGrain, CilkPool};
     pub use parlo_core::{
         BarrierKind, Config, FineGrainPool, LoopRuntime, Sequential, StatsRegistry, StatsSource,

@@ -24,8 +24,8 @@
 #![cfg(parlo_model)]
 
 use parlo_barrier::{
-    wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, WaitMode,
-    WaitPolicy, EMPTY_PAYLOAD,
+    wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, WaitPolicy,
+    EMPTY_PAYLOAD,
 };
 use parlo_exec::{ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync};
 use parlo_serve::{completion_pair, AdmissionProbe};
@@ -397,7 +397,6 @@ fn park_wait_never_loses_the_wake() {
         let f2 = Arc::clone(&flag);
         let waiter = thread::spawn(move || {
             WaitPolicy {
-                mode: WaitMode::Park,
                 spins_before_yield: 0,
                 yields_before_park: 0,
             }

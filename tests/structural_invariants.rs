@@ -26,7 +26,7 @@
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
 use parlo_cilk::{CilkFineGrain, CilkPool};
-use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime};
+use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime, SyncStats};
 use parlo_omp::{OmpTeam, Schedule, ScheduledTeam};
 use parlo_steal::{total_chunks, StealConfig, StealPool};
 use std::sync::{Arc, Condvar, Mutex};
@@ -404,6 +404,40 @@ fn cilk_hybrid_fine_path_has_fine_grain_structure() {
             after.fine_combine_ops - mid.fine_combine_ops,
             REPS * (threads as u64 - 1),
             "hybrid fine-grain reduction: exactly P-1 combines per call at {threads} threads"
+        );
+    }
+}
+
+/// The hybrid path runs the fine-grain pool's own static loop and merged reduction on
+/// the Cilk-like pool's team, so one `parallel_for` plus one `parallel_reduce` cost
+/// the two runtimes the same, field for field: two loops, one reduction, two
+/// half-barriers (4 phases) and `P − 1` combines.
+#[test]
+fn cilk_hybrid_and_fine_grain_pool_count_one_loop_alike() {
+    let placement = PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
+    for threads in 1..=4 {
+        let mut fine = FineGrainPool::with_placement(threads, &placement);
+        let mut hybrid = CilkFineGrain::with_placement(threads, &placement);
+        let mut deltas = Vec::new();
+        for rt in [&mut fine as &mut dyn LoopRuntime, &mut hybrid] {
+            let before = rt.sync_stats();
+            rt.parallel_for(0..300, &|_| {});
+            let sum = rt.parallel_sum(0..300, &|i| i as f64);
+            assert_eq!(sum, 44_850.0, "{} @ {threads}T", rt.name());
+            deltas.push(rt.sync_stats().since(&before));
+        }
+        let expected = SyncStats {
+            loops: 2,
+            reductions: 1,
+            barrier_phases: 4,
+            combine_ops: threads as u64 - 1,
+            dynamic_chunks: 0,
+            steals: 0,
+        };
+        assert_eq!(deltas[0], expected, "fine-grain pool @ {threads}T");
+        assert_eq!(
+            deltas[1], deltas[0],
+            "hybrid path vs fine-grain pool @ {threads}T"
         );
     }
 }

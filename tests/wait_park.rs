@@ -1,4 +1,4 @@
-//! Oversubscription battery for the `Park` wait mode.
+//! Oversubscription battery for the park wait policy.
 //!
 //! Park is the policy [`WaitPolicy::auto_for`] selects when workers outnumber
 //! hardware threads: a bounded spin, a bounded yield phase, then a timed condvar
@@ -28,7 +28,7 @@ fn oversubscribed_threads() -> usize {
 fn park_policy_completes_loops_when_heavily_oversubscribed() {
     let threads = oversubscribed_threads();
     let mut pool = FineGrainPool::new(Config::builder(threads).wait(WaitPolicy::park()).build());
-    assert_eq!(pool.config().wait.mode, WaitMode::Park);
+    assert!(pool.config().wait.parks());
     for round in 0..20 {
         let hits: Vec<AtomicUsize> = (0..512).map(|_| AtomicUsize::new(0)).collect();
         pool.parallel_for(0..512, |i| {
@@ -126,10 +126,10 @@ fn auto_policy_parks_only_when_oversubscribed() {
     let hw = hardware_threads();
     let over = WaitPolicy::auto_for(hw * 4 + 1);
     if std::env::var("PARLO_WAIT").is_err() {
-        assert_eq!(over.mode, WaitMode::Park, "{}x hw threads must park", 4);
+        assert!(over.parks(), "{}x hw threads must park", 4);
         if hw > 1 {
             let under = WaitPolicy::auto_for(1);
-            assert_ne!(under.mode, WaitMode::Park, "undersubscribed must not park");
+            assert!(!under.parks(), "undersubscribed must not park");
         }
     }
 }
@@ -138,28 +138,25 @@ fn auto_policy_parks_only_when_oversubscribed() {
 /// policy used to size itself from `std::thread::available_parallelism()`, which
 /// counts the *calling thread's* affinity mask — so the second pool a thread built
 /// (and the adaptive pool's second to fourth backends) saw a one-CPU machine and
-/// silently resolved `Park`.  The count now comes from `parlo_affinity::host_cpus`,
-/// latched before the first master pin: pools built back to back on one thread
-/// resolve the same mode, whichever family they are.
+/// silently resolved the park policy.  The count now comes from
+/// `parlo_affinity::host_cpus`, latched before the first master pin: pools built back
+/// to back on one thread resolve the same policy, whichever family they are.
 #[test]
 fn pools_built_back_to_back_on_one_thread_resolve_the_same_wait_mode() {
     let threads = 2;
     let first = FineGrainPool::with_threads(threads);
-    let expected = first.config().wait.mode;
+    let expected = first.config().wait;
     if hardware_threads() >= threads && std::env::var("PARLO_WAIT").is_err() {
-        assert_ne!(expected, WaitMode::Park, "2 threads fit this machine");
+        assert!(!expected.parks(), "2 threads fit this machine");
     }
     // The builder thread is pinned to one core from here on.
     assert_eq!(
-        FineGrainPool::with_threads(threads).config().wait.mode,
+        FineGrainPool::with_threads(threads).config().wait,
         expected,
         "second fine-grain pool"
     );
-    assert_eq!(OmpTeam::with_threads(threads).config().wait.mode, expected);
-    assert_eq!(CilkPool::with_threads(threads).config().wait.mode, expected);
-    assert_eq!(
-        StealPool::with_threads(threads).config().wait.mode,
-        expected
-    );
-    assert_eq!(WaitPolicy::auto_for(threads).mode, expected);
+    assert_eq!(OmpTeam::with_threads(threads).config().wait, expected);
+    assert_eq!(CilkPool::with_threads(threads).config().wait, expected);
+    assert_eq!(StealPool::with_threads(threads).config().wait, expected);
+    assert_eq!(WaitPolicy::auto_for(threads), expected);
 }
