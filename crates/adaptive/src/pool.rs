@@ -4,9 +4,9 @@ use crate::{Backend, LoopSite, ProbeTimer, WallClock};
 use parlo_affinity::PlacementConfig;
 use parlo_analysis::{fit_burden, BurdenFit, BurdenMeasurement};
 use parlo_cilk::{default_grain, CilkPool};
-use parlo_core::{FineGrainPool, LoopRuntime, SyncStats};
+use parlo_core::{FineGrainPool, LoopRuntime, Sequential, SyncStats};
 use parlo_exec::Executor;
-use parlo_omp::{OmpTeam, Schedule};
+use parlo_omp::{Schedule, ScheduledTeam};
 use parlo_steal::StealPool;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -206,8 +206,11 @@ fn backend_trace_code(b: Backend) -> u64 {
 /// execution, probe or routed, runs the loop exactly once, so adaptation never changes
 /// results.
 pub struct AdaptivePool {
+    seq: Sequential,
     fine: FineGrainPool,
-    team: OmpTeam,
+    /// The OpenMP-like team; `runtime` sets its schedule before each loop it routes
+    /// there.
+    team: ScheduledTeam,
     cilk: CilkPool,
     steal: StealPool,
     /// The substrate all four backends lease their workers from: the pool holds at
@@ -255,8 +258,14 @@ impl AdaptivePool {
             .clone()
             .unwrap_or_else(|| Executor::for_placement(&placement));
         AdaptivePool {
+            seq: Sequential,
             fine: FineGrainPool::with_placement_on(threads, &placement, &executor),
-            team: OmpTeam::with_placement_on(threads, &placement, &executor),
+            team: ScheduledTeam::with_placement_on(
+                threads,
+                Schedule::Static,
+                &placement,
+                &executor,
+            ),
             cilk: CilkPool::with_placement_on(threads, &placement, &executor),
             steal: StealPool::with_placement_on(threads, &placement, &executor),
             executor,
@@ -338,15 +347,7 @@ impl AdaptivePool {
     where
         F: Fn(usize) + Sync,
     {
-        let n = range.end.saturating_sub(range.start);
-        if n == 0 {
-            return;
-        }
-        let action = self.next_action(site);
-        let t0 = Instant::now();
-        self.exec_for(action.backend(), range, &body);
-        let wall = t0.elapsed().as_secs_f64();
-        self.after_run(site, action, n, wall);
+        self.routed(site, range.len(), false, |rt| rt.parallel_for(range, &body));
     }
 
     /// Parallel reduction at an explicit [`LoopSite`].  `init` must be the neutral
@@ -363,16 +364,10 @@ impl AdaptivePool {
         Fold: Fn(f64, usize) -> f64 + Sync,
         Comb: Fn(f64, f64) -> f64 + Sync,
     {
-        let n = range.end.saturating_sub(range.start);
-        if n == 0 {
-            return init;
-        }
-        let action = self.next_action(site);
-        let t0 = Instant::now();
-        let result = self.exec_reduce(action.backend(), range, init, &fold, &combine);
-        let wall = t0.elapsed().as_secs_f64();
-        self.after_run(site, action, n, wall);
-        result
+        self.routed(site, range.len(), true, |rt| {
+            rt.parallel_reduce(range, init, &fold, &combine)
+        })
+        .unwrap_or(init)
     }
 
     /// Parallel sum of `f(i)` over `range` at an explicit [`LoopSite`].
@@ -381,6 +376,53 @@ impl AdaptivePool {
         F: Fn(usize) -> f64 + Sync,
     {
         self.parallel_reduce_at(site, range, 0.0, |acc, i| acc + f(i), |a, b| a + b)
+    }
+
+    /// Runs one loop of `n` iterations at `site` on the backend the site's phase
+    /// machine picks, timing it for calibration, and returns `run`'s result (`None`
+    /// for an empty loop, which runs nothing and counts nothing).  Every entry point,
+    /// per-index or block, goes through this one decision.
+    fn routed<R>(
+        &mut self,
+        site: LoopSite,
+        n: usize,
+        reduction: bool,
+        run: impl FnOnce(&mut dyn LoopRuntime) -> R,
+    ) -> Option<R> {
+        if n == 0 {
+            return None;
+        }
+        let action = self.next_action(site);
+        let t0 = Instant::now();
+        let result = run(self.runtime(action.backend(), n, reduction));
+        let wall = t0.elapsed().as_secs_f64();
+        self.after_run(site, action, n, wall);
+        Some(result)
+    }
+
+    /// The runtime of `backend`, set up for a loop of `n` iterations.  The pools'
+    /// `LoopRuntime` entry points carry the `&dyn` body and operators by value in the
+    /// loop's job, with no reference into this frame between.
+    fn runtime(&mut self, backend: Backend, n: usize, reduction: bool) -> &mut dyn LoopRuntime {
+        match backend {
+            Backend::Sequential => {
+                self.seq_loops += 1;
+                self.seq_reductions += u64::from(reduction);
+                &mut self.seq
+            }
+            Backend::FineGrain => &mut self.fine,
+            Backend::OmpStatic => {
+                self.team.schedule = Schedule::Static;
+                &mut self.team
+            }
+            // Dynamic chunks are the grain the stealing backends split by.
+            Backend::OmpDynamic => {
+                self.team.schedule = Schedule::Dynamic(default_grain(n, self.threads));
+                &mut self.team
+            }
+            Backend::Steal => &mut self.steal,
+            Backend::CilkSteal => &mut self.cilk,
+        }
     }
 
     /// Decides what the next execution of `site` is for (creating the site on first
@@ -537,67 +579,6 @@ impl AdaptivePool {
         }
         state.decision = Some(best);
     }
-
-    /// Runs one loop on a concrete backend.
-    fn exec_for(&mut self, backend: Backend, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        match backend {
-            Backend::Sequential => {
-                self.seq_loops += 1;
-                for i in range {
-                    body(i);
-                }
-            }
-            // The pools' `LoopRuntime` entry points carry the `&dyn` body and operators
-            // by value in the loop's job, with no reference into this frame between.
-            Backend::FineGrain => LoopRuntime::parallel_for(&mut self.fine, range, body),
-            Backend::OmpStatic => self.team.parallel_for(range, Schedule::Static, body),
-            // Dynamic chunks are the grain the stealing backends split by.
-            Backend::OmpDynamic => {
-                let chunk = default_grain(range.len(), self.threads);
-                self.team
-                    .parallel_for(range, Schedule::Dynamic(chunk), body)
-            }
-            Backend::Steal => self.steal.steal_for(range, body),
-            Backend::CilkSteal => self.cilk.cilk_for(range, body),
-        }
-    }
-
-    /// Runs one reduction on a concrete backend.
-    fn exec_reduce(
-        &mut self,
-        backend: Backend,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        match backend {
-            Backend::Sequential => {
-                self.seq_loops += 1;
-                self.seq_reductions += 1;
-                let mut acc = init;
-                for i in range {
-                    acc = fold(acc, i);
-                }
-                acc
-            }
-            Backend::FineGrain => {
-                LoopRuntime::parallel_reduce(&mut self.fine, range, init, fold, combine)
-            }
-            Backend::OmpStatic => {
-                self.team
-                    .parallel_reduce(range, Schedule::Static, move || init, fold, combine)
-            }
-            Backend::OmpDynamic => {
-                let chunk = default_grain(range.len(), self.threads);
-                let schedule = Schedule::Dynamic(chunk);
-                self.team
-                    .parallel_reduce(range, schedule, move || init, fold, combine)
-            }
-            Backend::Steal => self.steal.steal_reduce(range, move || init, fold, combine),
-            Backend::CilkSteal => self.cilk.cilk_reduce(range, move || init, fold, combine),
-        }
-    }
 }
 
 impl LoopRuntime for AdaptivePool {
@@ -613,8 +594,16 @@ impl LoopRuntime for AdaptivePool {
     /// of the iteration count); use [`AdaptivePool::parallel_for_at`] for precise
     /// per-call-site calibration.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        let site = LoopSite::from_shape(0, range.end.saturating_sub(range.start));
+        let site = LoopSite::from_shape(0, range.len());
         self.parallel_for_at(site, range, body);
+    }
+
+    /// Routed through the same site as the per-index loop of the same shape.
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        let n = range.len();
+        self.routed(LoopSite::from_shape(0, n), n, false, |rt| {
+            rt.parallel_for_blocks(range, body)
+        });
     }
 
     fn parallel_reduce(
@@ -624,8 +613,23 @@ impl LoopRuntime for AdaptivePool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        let site = LoopSite::from_shape(1, range.end.saturating_sub(range.start));
+        let site = LoopSite::from_shape(1, range.len());
         self.parallel_reduce_at(site, range, init, fold, combine)
+    }
+
+    /// Routed through the same site as the per-index reduction of the same shape.
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        let n = range.len();
+        self.routed(LoopSite::from_shape(1, n), n, true, |rt| {
+            rt.parallel_reduce_blocks(range, init, fold, combine)
+        })
+        .unwrap_or(init)
     }
 
     fn sync_stats(&self) -> SyncStats {
@@ -636,7 +640,7 @@ impl LoopRuntime for AdaptivePool {
         };
         self.fine
             .sync_stats()
-            .merged(&self.team.stats())
+            .merged(&self.team.sync_stats())
             .merged(&self.cilk.sync_stats())
             .merged(&self.steal.sync_stats())
             .merged(&sequential)

@@ -46,7 +46,7 @@ struct CilkReduceHarness<'a, T, Id, Fold> {
 unsafe fn cilk_reduce_range<T, Id, Fold>(data: *const (), worker: usize, lo: usize, hi: usize)
 where
     Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     T: Send,
 {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
@@ -56,7 +56,7 @@ where
     let value = unsafe { h.views.take(worker) }
         .flatten()
         .unwrap_or_else(&h.identity);
-    let value = fold_range(&h.fold, value, lo..hi);
+    let value = (h.fold)(value, lo..hi);
     // SAFETY: as above.
     unsafe { h.views.put(worker, Some(value)) };
 }
@@ -64,7 +64,7 @@ where
 unsafe fn cilk_reduce_on_steal<T, Id, Fold>(data: *const (), worker: usize)
 where
     Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     T: Send,
 {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
@@ -95,6 +95,25 @@ impl CilkPool {
         T: Send,
         Id: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.cilk_reduce_blocks(range, identity, blocks, combine)
+    }
+
+    /// [`CilkPool::cilk_reduce`] with a block fold: `fold(view, leaf)` folds each leaf
+    /// task a worker runs into its current view.
+    pub(crate) fn cilk_reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync,
+        Fold: Fn(T, Range<usize>) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
         // Empty reductions return the identity without touching any counter.
@@ -156,12 +175,15 @@ impl CilkPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        self.fine_reduce(range, &identity, &fold, &combine)
+        let fold = &fold;
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.fine_reduce(range, &identity, blocks, &combine)
     }
 
-    /// [`CilkPool::fine_grain_reduce`] over handles: references to the caller's
-    /// closures from the generic entry point, and from a `LoopRuntime` call a
-    /// `move || init` and the `&dyn` operators themselves.  It is
+    /// [`CilkPool::fine_grain_reduce`] over handles with a block fold: references to
+    /// the caller's closures and the per-index adapter from the generic entry point,
+    /// and from a `LoopRuntime` call a `move || init` and the `&dyn` operators
+    /// themselves (a per-index fold inside its adapter).  It is
     /// [`parlo_core::static_reduce`] on this pool's team: one half-barrier, two phases.
     pub(crate) fn fine_reduce<T, Id, Fold, Comb>(
         &mut self,
@@ -173,7 +195,7 @@ impl CilkPool {
     where
         T: Send,
         Id: Fn() -> T + Sync + Copy,
-        Fold: Fn(T, usize) -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
         Comb: Fn(T, T) -> T + Sync + Copy,
     {
         let fine = &self.work().fine;

@@ -4,6 +4,7 @@
 
 use crate::scheduler::CilkPool;
 use parlo_core::{LoopRuntime, SyncStats};
+use parlo_exec::{fold_range, walk_range};
 use std::ops::Range;
 
 fn pool_sync_stats(pool: &CilkPool) -> SyncStats {
@@ -33,6 +34,10 @@ impl LoopRuntime for CilkPool {
         self.cilk_for(range, body);
     }
 
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        self.cilk_for_blocks(range, body);
+    }
+
     fn parallel_reduce(
         &mut self,
         range: Range<usize>,
@@ -41,6 +46,16 @@ impl LoopRuntime for CilkPool {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
         self.cilk_reduce(range, move || init, fold, combine)
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        self.cilk_reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {
@@ -93,10 +108,14 @@ impl LoopRuntime for CilkFineGrain {
         self.pool.num_threads()
     }
 
-    // The `&dyn` body and operators go into the loop's harness as they are, so a worker
-    // finds them in the line that released it rather than behind a reference into this
-    // frame.
+    // The `&dyn` body and operators go into the loop's harness as they are — a per-index
+    // one inside its adapter closure, by value — so a worker finds them in the line that
+    // released it rather than behind a reference into this frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
+        self.pool.fine_for(range, move |r| walk_range(&body, r));
+    }
+
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
         self.pool.fine_for(range, body);
     }
 
@@ -105,6 +124,17 @@ impl LoopRuntime for CilkFineGrain {
         range: Range<usize>,
         init: f64,
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.pool.fine_reduce(range, move || init, blocks, combine)
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
         self.pool.fine_reduce(range, move || init, fold, combine)

@@ -557,13 +557,14 @@ impl CilkWork {
 // Typed loop entry points (plain loops; reductions live in `reducer.rs`)
 // --------------------------------------------------------------------------------------
 
-/// Harness of a baseline `cilk_for`: on the master's stack, owning the body (a `&dyn`
-/// body from a `LoopRuntime` call is held as it is, not behind a reference).
+/// Harness of a baseline `cilk_for_blocks`: on the master's stack, owning the block
+/// body (a `&dyn` body from a `LoopRuntime` call is held as it is, or inside its
+/// per-index adapter, not behind a reference).
 struct CilkForHarness<F> {
     body: F,
 }
 
-unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
+unsafe fn exec_cilk_range<F: Fn(Range<usize>) + Sync>(
     data: *const (),
     _worker: usize,
     lo: usize,
@@ -572,7 +573,7 @@ unsafe fn exec_cilk_range<F: Fn(usize) + Sync>(
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop drains.
     let h = unsafe { &*(data as *const CilkForHarness<F>) };
-    walk_range(&h.body, lo..hi);
+    (h.body)(lo..hi);
 }
 
 impl CilkPool {
@@ -581,6 +582,15 @@ impl CilkPool {
     pub fn cilk_for<F>(&mut self, range: Range<usize>, body: F)
     where
         F: Fn(usize) + Sync,
+    {
+        self.cilk_for_blocks(range, move |r| walk_range(&body, r));
+    }
+
+    /// [`CilkPool::cilk_for`] with a block body: `body(leaf)` runs once per leaf task,
+    /// a non-empty piece of at most [`CilkPool::effective_grain`] iterations.
+    pub(crate) fn cilk_for_blocks<F>(&mut self, range: Range<usize>, body: F)
+    where
+        F: Fn(Range<usize>) + Sync,
     {
         // Empty loops are a fast-path no-op (no dispenser traffic, no counters).
         if range.is_empty() {
@@ -609,15 +619,17 @@ impl CilkPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.fine_for(range, &body);
+        let body = &body;
+        self.fine_for(range, move |r| walk_range(&body, r));
     }
 
-    /// [`CilkPool::fine_grain_for`] over a body handle: `&F` from the generic entry
-    /// point, the `&dyn` body itself from a `LoopRuntime` call.  It is
-    /// [`parlo_core::static_for`] on this pool's team: one half-barrier, two phases.
+    /// The hybrid path's loop over a block-body handle: the per-index adapter of
+    /// [`CilkPool::fine_grain_for`], or a `LoopRuntime` call's `&dyn` body (itself, or
+    /// inside its per-index adapter).  It is [`parlo_core::static_for`] on this pool's
+    /// team: one half-barrier, two phases.
     pub(crate) fn fine_for<B>(&mut self, range: Range<usize>, body: B)
     where
-        B: Fn(usize) + Sync + Copy,
+        B: Fn(Range<usize>) + Sync + Copy,
     {
         // SAFETY: `&mut self` makes this thread the pool's one driver.
         unsafe { static_for(&self.team, &self.work().fine, 2, range, body) };

@@ -37,7 +37,8 @@
 //!   block per participant under one half-barrier.  The OpenMP comparators
 //!   (`static,chunk`, `dynamic`, `guided`) live in `parlo-omp`.
 //! * Reductions merged into the join phase: [`FineGrainPool::parallel_reduce`] (exactly
-//!   `P − 1` combines, distributed over the join tree) and
+//!   `P − 1` combines, distributed over the join tree), its block form
+//!   [`FineGrainPool::parallel_reduce_blocks`], and
 //!   [`FineGrainPool::parallel_reduce_ordered`] (non-commutative operators).
 //! * [`LoopRuntime`] / [`SyncStats`] — the object-safe runtime abstraction every
 //!   scheduler in the workspace implements, with [`Sequential`] as the inline
@@ -45,7 +46,9 @@
 //!   [`SyncStats`] is also what [`FineGrainPool::stats`] returns: the counters that
 //!   verify the structural claims (barrier phases per loop, combines per reduction).
 //! * [`static_for`] / [`static_reduce`] — the statically scheduled loop and the merged
-//!   reduction over any team, which the Cilk-like pool's hybrid path runs too.
+//!   reduction over any team, which the Cilk-like pool's hybrid path runs too.  Both
+//!   call their body once per participant's block; the per-index entry points hand
+//!   them the adapter `move |r| walk_range(&body, r)` (`parlo_exec`).
 //! * [`PoolStats`] — the counter block behind that snapshot, shared with the
 //!   OpenMP-like team, the Cilk-like pool's hybrid path and the stealing pool.
 //! * [`StatsSource`] / [`StatsRegistry`] / [`stats_family!`] — the unified stats

@@ -6,9 +6,12 @@
 //!
 //! Every harness is `Copy` and travels by value in the loop's [`Job`], so a worker
 //! reads the range, the thread count and the body's address from the release line that
-//! released it.  The body is a *handle*: a reference to the caller's closure, or — from
-//! a `LoopRuntime` call — the `&dyn` body itself, never a reference to it.
-//! [`static_for`], the loop itself, runs on any team (the Cilk-like pool's too).
+//! released it.  The body is a *block body*, called once with a participant's whole
+//! block, and a *handle*: a reference to the caller's closure, the `&dyn` block body of
+//! a `LoopRuntime` call, or a per-index entry point's adapter closure
+//! `move |r| walk_range(&body, r)`, which holds the per-index handle by value — never
+//! a reference to a closure in the caller's frame.  [`static_for`], the loop itself,
+//! runs on any team (the Cilk-like pool's too).
 
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
@@ -33,8 +36,7 @@ unsafe fn exec_broadcast<B: Fn(WorkerInfo)>(data: *const (), id: usize) {
     });
 }
 
-/// Harness for [`FineGrainPool::parallel_for`] and
-/// [`FineGrainPool::parallel_for_blocks`].
+/// Harness of [`static_for`].
 #[derive(Clone, Copy)]
 struct ForHarness<B> {
     body: B,
@@ -49,15 +51,9 @@ impl<B> ForHarness<B> {
     }
 }
 
-unsafe fn exec_for<B: Fn(usize)>(data: *const (), id: usize) {
+unsafe fn exec_for<B: Fn(Range<usize>)>(data: *const (), id: usize) {
     // SAFETY: the job carries a `ForHarness<B>`, and `data` points at this
     // participant's copy of it.
-    let h = unsafe { &*(data as *const ForHarness<B>) };
-    walk_range(&h.body, h.block(id));
-}
-
-unsafe fn exec_for_block<B: Fn(Range<usize>)>(data: *const (), id: usize) {
-    // SAFETY: as in `exec_for`.
     let h = unsafe { &*(data as *const ForHarness<B>) };
     let block = h.block(id);
     if !block.is_empty() {
@@ -104,19 +100,9 @@ impl FineGrainPool {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        if range.is_empty() {
-            return;
-        }
-        let harness = ForHarness {
-            body: &body,
-            start: range.start,
-            end: range.end,
-            nthreads: self.num_threads(),
-        };
-        // SAFETY: as in `broadcast`.
-        unsafe {
-            self.run_job(Job::new(harness, exec_for_block::<&F>, None));
-        }
+        let phases = self.phases_per_loop();
+        // SAFETY: `&mut self` is the single-driver guarantee.
+        unsafe { static_for(&self.team, &self.stats, phases, range, &body) };
     }
 
     /// The body of [`FineGrainPool::parallel_for`], through `&self`: without the
@@ -132,15 +118,17 @@ impl FineGrainPool {
     where
         F: Fn(usize) + Sync,
     {
-        let phases = self.phases_per_loop();
+        let (phases, body) = (self.phases_per_loop(), &body);
+        let blocks = move |r| walk_range(&body, r);
         // SAFETY: forwarded contract.
-        unsafe { static_for(&self.team, &self.stats, phases, range, &body) };
+        unsafe { static_for(&self.team, &self.stats, phases, range, blocks) };
     }
 }
 
-/// The statically scheduled loop on `team`: each participant walks its [`static_block`]
-/// of `range`, and `stats` counts one loop of `phases` barrier phases.  `body` is a
-/// handle the job carries by value.  An empty range runs no cycle and counts nothing.
+/// The statically scheduled loop on `team`: each participant calls `body` once with its
+/// [`static_block`] of `range` (not at all when the block is empty), and `stats` counts
+/// one loop of `phases` barrier phases.  `body` is a handle the job carries by value.
+/// An empty range runs no cycle and counts nothing.
 ///
 /// # Safety
 /// The caller drives `team`: no other thread runs a loop on it concurrently (one that
@@ -153,7 +141,7 @@ pub unsafe fn static_for<S, B>(
     body: B,
 ) where
     S: TeamSync,
-    B: Fn(usize) + Sync + Copy,
+    B: Fn(Range<usize>) + Sync + Copy,
 {
     if range.is_empty() {
         return;

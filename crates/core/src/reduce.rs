@@ -31,7 +31,9 @@ use std::ops::Range;
 /// Harness shared by both reduction flavors.  It travels by value in the loop's job,
 /// so `identity`, `fold` and `combine` are handles: references to the caller's
 /// closures, or — from a `LoopRuntime` call — `move || init` and the `&dyn` operators
-/// themselves.
+/// themselves.  `fold` is a block fold, called once with a participant's whole block;
+/// a per-index entry point passes the adapter `move |acc, r| fold_range(&fold, acc, r)`,
+/// which holds its per-index handle by value.
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: Id,
     fold: Fold,
@@ -53,16 +55,27 @@ impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for ReduceHarness<'_, T, Id, Fol
 
 impl<T, Id: Copy, Fold: Copy, Comb: Copy> Copy for ReduceHarness<'_, T, Id, Fold, Comb> {}
 
+impl<T, Id: Fn() -> T, Fold: Fn(T, Range<usize>) -> T, Comb> ReduceHarness<'_, T, Id, Fold, Comb> {
+    /// The `execute` entry point of a job carrying this harness.
+    fn execute(&self) -> unsafe fn(*const (), usize) {
+        exec_reduce::<T, Id, Fold, Comb>
+    }
+}
+
 unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
 where
     Id: Fn() -> T,
-    Fold: Fn(T, usize) -> T,
+    Fold: Fn(T, Range<usize>) -> T,
 {
     // SAFETY: the job carries a `ReduceHarness` of exactly these types, and `data`
     // points at this participant's copy of it.
     let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
     let block = static_block(&(h.start..h.end), h.nthreads, id);
-    let acc = fold_range(&h.fold, (h.identity)(), block);
+    let acc = if block.is_empty() {
+        (h.identity)()
+    } else {
+        (h.fold)((h.identity)(), block)
+    };
     // SAFETY: each participant writes only its own view before arriving at the join.
     unsafe { h.views.put(id, acc) };
 }
@@ -104,6 +117,29 @@ impl FineGrainPool {
         Comb: Fn(T, T) -> T + Sync,
     {
         let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
+        let fold = &fold;
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        unsafe { static_reduce(team, stats, phases, range, &identity, blocks, &combine) }
+    }
+
+    /// [`FineGrainPool::parallel_reduce`] with a block fold: `fold(acc, block)` folds a
+    /// participant's whole contiguous block into its accumulator, and is not called for
+    /// an empty block.  Same combines, same result as the per-index fold over the block.
+    pub fn parallel_reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync,
+        Fold: Fn(T, Range<usize>) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
+        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
         // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
         unsafe { static_reduce(team, stats, phases, range, &identity, &fold, &combine) }
     }
@@ -130,15 +166,17 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
+        let fold = &fold;
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
         // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
         let harness =
-            unsafe { reduce_harness(&self.team, &self.stats, range, &identity, &fold, &combine) };
+            unsafe { reduce_harness(&self.team, &self.stats, range, &identity, blocks, &combine) };
         self.stats.record_reduction();
         // SAFETY: the closures outlive `run_job`, `exec_reduce` reads exactly the
         // harness type the job carries, and with no combine attached to the job each
         // view is written only by its owner during the loop.
         unsafe {
-            self.run_job(Job::new(harness, exec_reduce::<T, &Id, &Fold, &Comb>, None));
+            self.run_job(Job::new(harness, harness.execute(), None));
         }
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
@@ -187,8 +225,9 @@ unsafe fn reduce_harness<'a, S: TeamSync, T, Id, Fold, Comb>(
 }
 
 /// The merged reduction on `team`: each participant folds its [`static_block`] of
-/// `range` into its own view, and join parents combine their children's views on the
-/// way up (`P − 1` combines, `combine` associative and commutative).  `stats` counts
+/// `range` into its own view with one `fold(identity(), block)` call (none for an empty
+/// block), and join parents combine their children's views on the way up (`P − 1`
+/// combines, `combine` associative and commutative).  `stats` counts
 /// them, the reduction and one loop of `phases` phases.  The handles travel by value
 /// in the job.  An empty range returns `identity()` without a cycle.
 ///
@@ -208,7 +247,7 @@ where
     S: TeamSync,
     T: Send,
     Id: Fn() -> T + Sync + Copy,
-    Fold: Fn(T, usize) -> T + Sync + Copy,
+    Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
     Comb: Fn(T, T) -> T + Sync + Copy,
 {
     if range.is_empty() {

@@ -4,8 +4,8 @@
 //! OpenMP-like team, the Cilk-like work-stealing pool (both paths) and the adaptive
 //! selection runtime built on top of them — implements [`LoopRuntime`]: an
 //! **object-safe** interface of a `parallel_for` and an `f64`-typed `parallel_reduce`
-//! over a `Range<usize>`, plus a [`SyncStats`] snapshot of the synchronization work the
-//! runtime has performed.  Workloads, benchmark harnesses and the adaptive router all
+//! over a `Range<usize>`, each in a per-index and a block form, plus a [`SyncStats`]
+//! snapshot of the synchronization work the runtime has performed.  Workloads, benchmark harnesses and the adaptive router all
 //! program against `dyn LoopRuntime`, so a new backend only has to implement this one
 //! trait to become reachable from every driver.
 //!
@@ -14,9 +14,17 @@
 //! synchronization cost (barrier phases, combines, dynamic chunks, steals) is
 //! observable through [`SyncStats`] — the counters behind the burden model
 //! `S = T / (d + T/P)`.
+//!
+//! A runtime dispatches *contiguous pieces*: the static block, the OpenMP chunk, the
+//! Cilk leaf, the stolen or lent piece.  The block methods hand each piece to the body
+//! whole, one call per piece, as the paper's OpenMP and Cilk loops run the iteration
+//! loop inside the outlined body; the per-index methods are the same loop with
+//! `parlo_exec::walk_range` / `fold_range` as the block body, so a per-index body pays
+//! one `dyn` call per index on every runtime, `Sequential` included.
 
 use crate::pool::FineGrainPool;
 use crate::{static_for, static_reduce};
+use parlo_exec::{fold_range, walk_range};
 use std::ops::Range;
 
 crate::stats_family! {
@@ -47,9 +55,13 @@ crate::stats_family! {
 /// An object-safe parallel loop runtime.
 ///
 /// Implementations must execute `body(i)` **exactly once** per index of the range, for
-/// every call, regardless of how the iterations are scheduled.  `parallel_reduce` must
-/// be given the neutral element of `combine` as `init` (each partition starts its fold
-/// from `init`, and the number of partitions is schedule-dependent).
+/// every call, regardless of how the iterations are scheduled.  The block methods call
+/// their body only with non-empty pieces that are disjoint and cover the range exactly
+/// once.  A reduction must be given the neutral element of `combine` as `init` (each
+/// participant starts its fold from `init`, and the number of participants is
+/// schedule-dependent); a participant threads one accumulator through its pieces in
+/// the order it runs them, so `parallel_reduce_blocks` with a fold that walks its piece
+/// returns `parallel_reduce`'s result bit for bit.
 ///
 /// Loop methods take `&mut self`: a runtime serves one master thread and loops do not
 /// nest, which is the structural property the half-barrier exploits.
@@ -63,6 +75,10 @@ pub trait LoopRuntime {
     /// Executes `body(i)` exactly once for every `i` in `range`.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync));
 
+    /// Executes `body(piece)` once for every piece the runtime deals: non-empty,
+    /// disjoint contiguous ranges that cover `range` exactly once.
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync));
+
     /// Folds `fold` over `range` starting from `init` on each partition and merges the
     /// partial results with `combine` (which must be associative and commutative, with
     /// `init` as its neutral element).
@@ -71,6 +87,17 @@ pub trait LoopRuntime {
         range: Range<usize>,
         init: f64,
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64;
+
+    /// [`LoopRuntime::parallel_reduce`] with a block fold: `fold(acc, piece)` folds a
+    /// whole piece (non-empty, as in [`LoopRuntime::parallel_for_blocks`]) into the
+    /// accumulator of the participant that runs it.
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64;
 
@@ -119,6 +146,26 @@ impl LoopRuntime for Sequential {
         acc
     }
 
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        if !range.is_empty() {
+            body(range);
+        }
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        _combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        if range.is_empty() {
+            init
+        } else {
+            fold(init, range)
+        }
+    }
+
     fn sync_stats(&self) -> SyncStats {
         SyncStats::default()
     }
@@ -133,12 +180,15 @@ impl LoopRuntime for FineGrainPool {
         self.num_threads()
     }
 
-    // The `&dyn` body and operators go into the loop's harness as they are, so a worker
-    // finds them in the line that released it rather than behind a reference into this
-    // frame.
+    // The `&dyn` body and operators go into the loop's harness as they are — a per-index
+    // one inside its adapter closure, by value — so a worker finds them in the line that
+    // released it rather than behind a reference into this frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        // SAFETY: `&mut self` is the single-driver guarantee.
-        unsafe { static_for(&self.team, &self.stats, self.phases_per_loop(), range, body) };
+        self.run_for(range, move |r| walk_range(&body, r));
+    }
+
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        self.run_for(range, body);
     }
 
     fn parallel_reduce(
@@ -148,13 +198,48 @@ impl LoopRuntime for FineGrainPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
-        // SAFETY: `&mut self` is the single-driver guarantee.
-        unsafe { static_reduce(team, stats, phases, range, move || init, fold, combine) }
+        self.run_reduce(
+            range,
+            init,
+            move |acc, r| fold_range(&fold, acc, r),
+            combine,
+        )
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        self.run_reduce(range, init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {
         self.stats()
+    }
+}
+
+impl FineGrainPool {
+    /// The loop behind both `LoopRuntime::parallel_for*` methods, over a block body the
+    /// job carries by value.
+    fn run_for(&mut self, range: Range<usize>, body: impl Fn(Range<usize>) + Sync + Copy) {
+        // SAFETY: `&mut self` is the single-driver guarantee.
+        unsafe { static_for(&self.team, &self.stats, self.phases_per_loop(), range, body) };
+    }
+
+    /// The reduction behind both `LoopRuntime::parallel_reduce*` methods.
+    fn run_reduce(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: impl Fn(f64, Range<usize>) -> f64 + Sync + Copy,
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
+        // SAFETY: `&mut self` is the single-driver guarantee.
+        unsafe { static_reduce(team, stats, phases, range, move || init, fold, combine) }
     }
 }
 

@@ -10,8 +10,9 @@
 //!   worker in the release line that releases it;
 //! * [`ReduceViews`] — a loop's handle on the team's per-participant reduction-view
 //!   blocks, which a merged reduction folds;
-//! * [`walk_range`] / [`fold_range`] — how a participant walks one contiguous piece of
-//!   its share, calling a body or folding into an accumulator (see below);
+//! * [`walk_range`] / [`fold_range`] — the per-index adapters: how a per-index body
+//!   walks one contiguous piece of a share, calling the body or folding into an
+//!   accumulator (see below);
 //! * [`TeamSync`] — the *sync shape*, the one thing a runtime swaps: what the master
 //!   and a worker do at the fork point (where the job travels) and at the completion
 //!   point.  Implemented here for [`HalfBarrier`] (one release, one join), for
@@ -32,27 +33,40 @@
 //!
 //! # Why the share walk is a frame of its own
 //!
-//! An `execute` entry point gets its copy of the harness as an erased `*const ()`.  A
-//! loop written there — `for i in block { (h.body)(i) }` — reads the body through a
-//! reference LLVM derived from a raw pointer: it may not assume the harness survives
-//! the opaque call unchanged, so it reloads the callee every iteration.  For the
-//! `&dyn Fn(usize)` body every `parlo_core::LoopRuntime` call arrives with, that was
-//! `mov (%rbx),%rax; mov (%rax),%rdi; mov 0x8(%rax),%rax; call *0x28(%rax)` — three
-//! dependent loads feeding each indirect call (for a generic closure, a reload of every
-//! captured slice pointer after each raw store), paid per index and only on the
-//! parallel side: `Sequential` receives its body as a `noalias readonly` parameter and
-//! pays one hoisted `call`.  On MPDATA's kernel-dominated loops that was 2–10 µs per
-//! loop, several times the dispatch burden `d`.
+//! A runtime dispatches contiguous pieces — a static block, a dispensed chunk, a leaf
+//! task, a stolen or lent piece — and its `execute` entry point calls the loop's body
+//! **once per piece**, with the piece: every harness holds a block body
+//! (`Fn(Range<usize>)`, or `Fn(T, Range<usize>) -> T` for a fold).  A block kernel such
+//! as MPDATA's walks the piece itself, inlined, as the paper's OpenMP and Cilk loops
+//! run the iteration loop inside the outlined body.
+//!
+//! A per-index body (`parallel_for(range, body)`) reaches the same harness through an
+//! adapter, `move |r| walk_range(&body, r)` or
+//! `move |acc, r| fold_range(&fold, acc, r)`, which the entry point builds at the API
+//! boundary and passes into the job by value: the adapter holds the body's handle —
+//! for a `LoopRuntime` call, the `&dyn` body itself — so a worker still finds it in
+//! the line that released it.  The adapter's piece walk is [`walk_range`] / [`fold_range`], and those must stay frames
+//! of their own.  The entry point gets its copy of the harness as an erased
+//! `*const ()`, and a loop written there — `for i in block { (h.body)(i) }` — reads the
+//! body through a reference LLVM derived from a raw pointer: it may not assume the
+//! harness survives the opaque call unchanged, so it reloads the callee every
+//! iteration.  For the `&dyn Fn(usize)` body every `parlo_core::LoopRuntime` call
+//! arrives with, that was `mov (%rbx),%rax; mov (%rax),%rdi; mov 0x8(%rax),%rax; call
+//! *0x28(%rax)` — three dependent loads feeding each indirect call (for a generic
+//! closure, a reload of every captured slice pointer after each raw store), paid per
+//! index and only on the parallel side.  On MPDATA's kernel-dominated loops that was
+//! 2–10 µs per loop, several times the dispatch burden `d`.
 //!
 //! [`walk_range`] and [`fold_range`] take the body **by `&F` parameter**, so inside
-//! them it is `noalias readonly` too: callee, captured pointers and range bounds stay
-//! in registers, and the inner loop of the `&dyn` instantiation is the counter, the
-//! compare and one `call`.  That only holds while they are real frames — marked
-//! `#[inline(always)]` they kept about half the gain (`mpdata` `speedup` 1.75 → 1.875
-//! instead of → 1.95), because the parameter attributes dissolve once the frame is
-//! inlined into the erased entry point.  Hence `#[inline(never)]`, one call per
-//! contiguous piece (a static block, a dispensed chunk, a leaf task), and every pool
-//! walking its share through this pair rather than by hand (CI greps for it).
+//! them it is `noalias readonly`: callee, captured pointers and range bounds stay in
+//! registers, and the inner loop of the `&dyn` instantiation is the counter, the
+//! compare and one `call` — what `Sequential` pays for a per-index body.  That only
+//! holds while they are real frames — marked `#[inline(always)]` they kept about half
+//! the gain (`mpdata` `speedup` 1.75 → 1.875 instead of → 1.95), because the parameter
+//! attributes dissolve once the frame is inlined into the erased entry point.  Hence
+//! `#[inline(never)]`, one call per piece, and no pool walking a piece per index by
+//! hand (CI greps for it, and for the adapters being the pair's only callers in the
+//! pools).
 //!
 //! # What a loop costs each side
 //!
@@ -236,9 +250,10 @@ impl Job {
     }
 }
 
-/// Calls `body(i)` for every `i` of `range`, in order: how every `execute` entry point
-/// walks one contiguous piece of its share (see the module docs for why this is a
-/// frame of its own and must not be inlined into the erased entry point).
+/// Calls `body(i)` for every `i` of `range`, in order: the piece walk of the adapter
+/// `move |r| walk_range(&body, r)` that a per-index entry point hands its runtime as
+/// the block body (see the module docs for why this is a frame of its own and must not
+/// be inlined into the erased entry point).
 #[inline(never)]
 pub fn walk_range<F: Fn(usize)>(body: &F, range: Range<usize>) {
     for i in range {
@@ -247,7 +262,8 @@ pub fn walk_range<F: Fn(usize)>(body: &F, range: Range<usize>) {
 }
 
 /// Folds every `i` of `range`, in order, into `acc` with `fold` and returns the
-/// accumulator (moved through, never cloned): the reduction twin of [`walk_range`].
+/// accumulator (moved through, never cloned): the reduction twin of [`walk_range`],
+/// behind the adapter `move |acc, r| fold_range(&fold, acc, r)`.
 #[inline(never)]
 pub fn fold_range<T, F: Fn(T, usize) -> T>(fold: &F, mut acc: T, range: Range<usize>) -> T {
     for i in range {

@@ -67,6 +67,10 @@ impl LoopRuntime for ScheduledTeam {
         self.team.parallel_for(range, self.schedule, body);
     }
 
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        self.team.parallel_for_blocks(range, self.schedule, body);
+    }
+
     fn parallel_reduce(
         &mut self,
         range: Range<usize>,
@@ -76,6 +80,17 @@ impl LoopRuntime for ScheduledTeam {
     ) -> f64 {
         self.team
             .parallel_reduce(range, self.schedule, move || init, fold, combine)
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        self.team
+            .parallel_reduce_blocks(range, self.schedule, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -205,9 +205,11 @@ impl<'a> Worksharing<'a> {
         }
     }
 
-    /// Deals participant `id` its share of the region as contiguous ranges, threading
-    /// `acc` through `piece` (a plain loop threads `()`, a reduction its accumulator).
+    /// Deals participant `id` its share of the region as non-empty contiguous ranges,
+    /// threading `acc` through `piece` (a plain loop threads `()`, a reduction its
+    /// accumulator).
     fn run<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
+        let mut piece = |acc, r: Range<usize>| if r.is_empty() { acc } else { piece(acc, r) };
         match self.schedule {
             Schedule::Static => {
                 let block = parlo_core::static_block(&self.range, self.nthreads, id);
@@ -243,10 +245,10 @@ impl<'a> Worksharing<'a> {
     }
 }
 
-/// Harness for `parallel_for`.  Its worksharing descriptor holds the region's shared
-/// dispensers, so the harness stays on the master's stack and the job carries a
-/// reference to it; the harness owns the body (a `LoopRuntime` call's `&dyn` body is
-/// held as it is, not behind a reference).
+/// Harness for `parallel_for_blocks`.  Its worksharing descriptor holds the region's
+/// shared dispensers, so the harness stays on the master's stack and the job carries a
+/// reference to it; the harness owns the block body (a `LoopRuntime` call's `&dyn` body
+/// is held as it is, or inside its per-index adapter, not behind a reference).
 struct ForHarness<'a, F> {
     body: F,
     work: Worksharing<'a>,
@@ -261,11 +263,11 @@ unsafe fn shared<'a, H>(data: *const ()) -> &'a H {
     unsafe { *(data as *const &H) }
 }
 
-unsafe fn exec_for<F: Fn(usize) + Sync>(data: *const (), id: usize) {
+unsafe fn exec_for<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
     // SAFETY: the job carries a `&ForHarness<F>` into the master's frame, which is
     // alive until the episode's closing barrier.
     let h = unsafe { shared::<ForHarness<'_, F>>(data) };
-    h.work.run(id, (), |(), piece| walk_range(&h.body, piece));
+    h.work.run(id, (), |(), piece| (h.body)(piece));
 }
 
 /// Harness for `parallel_reduce`, on the master's stack like [`ForHarness`].
@@ -280,14 +282,12 @@ struct ReduceHarness<'a, T, Id, Fold, Comb> {
 unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
 where
     Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: as in `exec_for`.
     let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
-    let acc = h.work.run(id, (h.identity)(), |acc, piece| {
-        fold_range(&h.fold, acc, piece)
-    });
+    let acc = h.work.run(id, (h.identity)(), &h.fold);
     // SAFETY: each participant writes only its own view before the reduction barrier.
     unsafe { h.views.put(id, acc) };
 }
@@ -295,7 +295,7 @@ where
 unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
 where
     Id: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: as in `exec_for`.
@@ -311,6 +311,20 @@ impl OmpTeam {
     pub fn parallel_for<F>(&mut self, range: Range<usize>, schedule: Schedule, body: F)
     where
         F: Fn(usize) + Sync,
+    {
+        self.parallel_for_blocks(range, schedule, move |r| walk_range(&body, r));
+    }
+
+    /// [`OmpTeam::parallel_for`] with a block body: `body(piece)` runs once per
+    /// non-empty piece `schedule` deals (a static block, a `static,chunk` chunk, a
+    /// dispensed chunk).
+    pub(crate) fn parallel_for_blocks<F>(
+        &mut self,
+        range: Range<usize>,
+        schedule: Schedule,
+        body: F,
+    ) where
+        F: Fn(Range<usize>) + Sync,
     {
         // An empty range is a fast-path no-op: no barrier episode, no counters — the
         // same guarantee every runtime in the workspace gives.
@@ -342,6 +356,26 @@ impl OmpTeam {
         T: Send,
         Id: Fn() -> T + Sync,
         Fold: Fn(T, usize) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.parallel_reduce_blocks(range, schedule, identity, blocks, combine)
+    }
+
+    /// [`OmpTeam::parallel_reduce`] with a block fold: `fold(acc, piece)` folds each
+    /// non-empty piece `schedule` deals a participant, in the order it runs them.
+    pub(crate) fn parallel_reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        schedule: Schedule,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync,
+        Fold: Fn(T, Range<usize>) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
         // Empty reductions return the identity without a barrier episode.

@@ -3,7 +3,7 @@
 
 use crate::queue::{tenant_wait, Completion, JobHandle, QueuedJob, Rejected, ServeQueue};
 use parlo_adaptive::{gang_size_hint, LoopSite};
-use parlo_core::{static_block, Config, FineGrainPool, StatsRegistry, WaitPolicy};
+use parlo_core::{Config, FineGrainPool, StatsRegistry, WaitPolicy};
 use parlo_exec::{ClientHooks, Executor, Lease};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};
 use std::ops::Range;
@@ -190,18 +190,19 @@ fn run_seq(kind: &LoopKind) -> f64 {
 }
 
 /// Runs a single request on the gang's pool: a `for` as one block per participant, a
-/// sum as a reduction over the participants, each summing its own block.
+/// sum as a block reduction, each participant summing its own block.
 fn run_pooled(pool: &mut FineGrainPool, kind: &LoopKind) -> f64 {
     match kind {
         LoopKind::For { range, body } => {
             pool.parallel_for_blocks(range.clone(), |block| body(block));
             0.0
         }
-        LoopKind::Sum { range, .. } if range.is_empty() => 0.0,
-        LoopKind::Sum { range, f } => {
-            let members = pool.num_threads();
-            pool.parallel_sum(0..members, |id| f(static_block(range, members, id)))
-        }
+        LoopKind::Sum { range, f } => pool.parallel_reduce_blocks(
+            range.clone(),
+            || 0.0,
+            |acc, block| acc + f(block),
+            |a, b| a + b,
+        ),
     }
 }
 

@@ -734,13 +734,14 @@ fn lend_tail(
 // Typed loop entry points
 // --------------------------------------------------------------------------------------
 
-/// The typed harness of a plain loop, on the master's stack; it owns the body (a
-/// `LoopRuntime` call's `&dyn` body is held as it is, not behind a reference).
+/// The typed harness of a plain loop, on the master's stack; it owns the block body (a
+/// `LoopRuntime` call's `&dyn` body is held as it is, or inside its per-index adapter,
+/// not behind a reference).
 struct ForHarness<F> {
     body: F,
 }
 
-unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
+unsafe fn exec_for_chunk<F: Fn(Range<usize>) + Sync>(
     data: *const (),
     _worker: usize,
     lo: usize,
@@ -748,7 +749,7 @@ unsafe fn exec_for_chunk<F: Fn(usize) + Sync>(
 ) {
     // SAFETY: the master keeps the harness alive until its join completes.
     let h = unsafe { &*(data as *const ForHarness<F>) };
-    walk_range(&h.body, lo..hi);
+    (h.body)(lo..hi);
 }
 
 /// The typed harness of a reduction, on the master's stack; it owns the operators like
@@ -766,7 +767,7 @@ unsafe fn enter_reduce<T, Init, Fold, Comb>(data: *const (), worker: usize)
 where
     T: Send,
     Init: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: the master keeps the harness alive until its join completes.
@@ -783,7 +784,7 @@ unsafe fn exec_reduce_chunk<T, Init, Fold, Comb>(
 ) where
     T: Send,
     Init: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: the master keeps the harness alive until its join completes.
@@ -791,14 +792,14 @@ unsafe fn exec_reduce_chunk<T, Init, Fold, Comb>(
     // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
     let acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
     // SAFETY: as above.
-    unsafe { h.views.put(worker, fold_range(&h.fold, acc, lo..hi)) };
+    unsafe { h.views.put(worker, (h.fold)(acc, lo..hi)) };
 }
 
 unsafe fn combine_views<T, Init, Fold, Comb>(data: *const (), to: usize, from: usize)
 where
     T: Send,
     Init: Fn() -> T + Sync,
-    Fold: Fn(T, usize) -> T + Sync,
+    Fold: Fn(T, Range<usize>) -> T + Sync,
     Comb: Fn(T, T) -> T + Sync,
 {
     // SAFETY: `data` points at this participant's copy of the loop descriptor, and the
@@ -824,7 +825,7 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.for_loop(None, range, body);
+        self.for_loop(None, range, move |r| walk_range(&body, r));
     }
 
     /// Work-stealing parallel reduction.  Every participant folds the chunks it
@@ -845,7 +846,8 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        self.reduce_loop(None, range, init, fold, comb)
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_loop(None, range, init, blocks, comb)
     }
 
     /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
@@ -859,7 +861,7 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
-        self.for_loop(Some(site), range, body);
+        self.for_loop(Some(site), range, move |r| walk_range(&body, r));
     }
 
     /// [`StealPool::steal_reduce`] keyed by a loop [`StealSite`] — sticky affinity
@@ -878,14 +880,16 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
-        self.reduce_loop(Some(site), range, init, fold, comb)
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_loop(Some(site), range, init, blocks, comb)
     }
 
-    /// The plain loop behind every `steal_for*` entry point (`site` keys the sticky
-    /// affinity, `None` for the unkeyed variants).
-    fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, body: F)
+    /// The plain loop behind every `steal_for*` entry point and the `LoopRuntime` block
+    /// loop (`site` keys the sticky affinity, `None` for the unkeyed variants): `body`
+    /// runs once per piece a participant claims, popped, stolen or lent.
+    pub(crate) fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, body: F)
     where
-        F: Fn(usize) + Sync,
+        F: Fn(Range<usize>) + Sync,
     {
         if range.end <= range.start {
             return;
@@ -909,8 +913,9 @@ impl StealPool {
         });
     }
 
-    /// The reduction behind every `steal_reduce*` entry point.
-    fn reduce_loop<T, Init, Fold, Comb>(
+    /// The reduction behind every `steal_reduce*` entry point and the `LoopRuntime`
+    /// block reduction: `fold` folds each piece a participant runs into its view.
+    pub(crate) fn reduce_loop<T, Init, Fold, Comb>(
         &mut self,
         site: Option<StealSite>,
         range: Range<usize>,
@@ -921,7 +926,7 @@ impl StealPool {
     where
         T: Send,
         Init: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
+        Fold: Fn(T, Range<usize>) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
         if range.end <= range.start {

@@ -18,6 +18,10 @@ impl LoopRuntime for StealPool {
         self.steal_for(range, body);
     }
 
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        self.for_loop(None, range, body);
+    }
+
     fn parallel_reduce(
         &mut self,
         range: Range<usize>,
@@ -26,6 +30,16 @@ impl LoopRuntime for StealPool {
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
         self.steal_reduce(range, move || init, fold, combine)
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        self.reduce_loop(None, range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -14,6 +14,15 @@
 //! The solver is written against the unified [`LoopRuntime`] trait so the identical
 //! kernels run on the fine-grain pool, the OpenMP-like team, the Cilk-like pool, the
 //! adaptive selection runtime, or sequentially.
+//!
+//! Each of a step's five loops is a *block kernel*: the runtime calls it once per
+//! contiguous piece it deals (`parallel_for_blocks` / `parallel_reduce_blocks`), and
+//! the kernel walks the piece itself, as the paper's OpenMP and Cilk loops run the
+//! iteration loop inside the outlined body.  A per-index body would pay one `dyn` call
+//! per node or edge on every runtime, `Sequential` included.  The two diagnostic sums
+//! thread one accumulator through a participant's pieces in index order, so they equal
+//! the per-index `parallel_sum` bit for bit, and the upwind gather selects the upwind
+//! node's index before one load rather than branching between two loads.
 
 use crate::mesh::Mesh;
 use crate::util::UnsafeSlice;
@@ -147,7 +156,7 @@ impl Mpdata {
     pub fn total_mass(&mut self, runner: &mut dyn LoopRuntime) -> f64 {
         let psi = &self.psi;
         let vol = &self.mesh.volume;
-        runner.parallel_sum(0..psi.len(), &|i| psi[i] * vol[i])
+        sum(runner, psi.len(), |i| psi[i] * vol[i])
     }
 
     /// One upwind (donor-cell) gather pass: `out[i] = in[i] − dt/V_i Σ sign·F_e` where
@@ -162,23 +171,21 @@ impl Mpdata {
     ) {
         let out = UnsafeSlice::new(output);
         let nodes = mesh.num_nodes();
-        runner.parallel_for(0..nodes, &|i| {
-            let mut div = 0.0;
-            for (e, sign) in mesh.incident(i) {
-                let edge = mesh.edges[e];
-                let v = vel[e];
-                let coeff = mesh.edge_coeff[e];
-                // Donor-cell flux from a to b: upwind value times velocity.
-                let upwind = if v >= 0.0 {
-                    input[edge.a as usize]
-                } else {
-                    input[edge.b as usize]
-                };
-                div += sign * coeff * v * upwind;
+        runner.parallel_for_blocks(0..nodes, &|block| {
+            for i in block {
+                let mut div = 0.0;
+                for (e, sign) in mesh.incident(i) {
+                    let edge = mesh.edges[e];
+                    let v = vel[e];
+                    let coeff = mesh.edge_coeff[e];
+                    // Donor-cell flux from a to b: upwind value times velocity.
+                    let upwind = if v >= 0.0 { edge.a } else { edge.b };
+                    div += sign * coeff * v * input[upwind as usize];
+                }
+                let value = input[i] - dt / mesh.volume[i] * div;
+                // SAFETY: the pieces are disjoint, so each node is written once.
+                unsafe { out.write(i, value) };
             }
-            let value = input[i] - dt / mesh.volume[i] * div;
-            // SAFETY: each node index is executed by exactly one loop iteration.
-            unsafe { out.write(i, value) };
         });
     }
 
@@ -194,19 +201,21 @@ impl Mpdata {
     ) {
         let out = UnsafeSlice::new(output);
         let edges = mesh.num_edges();
-        runner.parallel_for(0..edges, &|e| {
-            let edge = mesh.edges[e];
-            let (a, b) = (edge.a as usize, edge.b as usize);
-            let v = vel[e];
-            let coeff = mesh.edge_coeff[e];
-            let mean_vol = 0.5 * (mesh.volume[a] + mesh.volume[b]);
-            // Smolarkiewicz's antidiffusive velocity for the donor-cell scheme,
-            // specialised to the edge-based discretisation.
-            let num = field[b] - field[a];
-            let den = field[a] + field[b] + epsilon;
-            let value = (v.abs() - dt * v * v * coeff / mean_vol) * (num / den);
-            // SAFETY: each edge index is executed by exactly one loop iteration.
-            unsafe { out.write(e, value) };
+        runner.parallel_for_blocks(0..edges, &|block| {
+            for e in block {
+                let edge = mesh.edges[e];
+                let (a, b) = (edge.a as usize, edge.b as usize);
+                let v = vel[e];
+                let coeff = mesh.edge_coeff[e];
+                let mean_vol = 0.5 * (mesh.volume[a] + mesh.volume[b]);
+                // Smolarkiewicz's antidiffusive velocity for the donor-cell scheme,
+                // specialised to the edge-based discretisation.
+                let num = field[b] - field[a];
+                let den = field[a] + field[b] + epsilon;
+                let value = (v.abs() - dt * v * v * coeff / mean_vol) * (num / den);
+                // SAFETY: the pieces are disjoint, so each edge is written once.
+                unsafe { out.write(e, value) };
+            }
         });
     }
 
@@ -249,8 +258,8 @@ impl Mpdata {
         // fine-grain runner).
         let psi = &self.psi;
         let vol = &self.mesh.volume;
-        let total_mass = runner.parallel_sum(0..psi.len(), &|i| psi[i] * vol[i]);
-        let mean_psi = runner.parallel_sum(0..psi.len(), &|i| psi[i].max(0.0)) / psi.len() as f64;
+        let total_mass = sum(runner, psi.len(), |i| psi[i] * vol[i]);
+        let mean_psi = sum(runner, psi.len(), |i| psi[i].max(0.0)) / psi.len() as f64;
         StepDiagnostics {
             total_mass,
             mean_psi,
@@ -285,6 +294,17 @@ impl Mpdata {
     }
 }
 
+/// `Σ term(i)` over `0..n` as one block reduction: each participant folds its pieces
+/// into one accumulator in index order, so the sum is `parallel_sum`'s bit for bit.
+fn sum(runner: &mut dyn LoopRuntime, n: usize, term: impl Fn(usize) -> f64 + Sync) -> f64 {
+    runner.parallel_reduce_blocks(
+        0..n,
+        0.0,
+        &|acc, block| block.fold(acc, |acc, i| acc + term(i)),
+        &|a, b| a + b,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,6 +313,108 @@ mod tests {
 
     fn small_problem() -> Mpdata {
         Mpdata::new(Mesh::triangulated_grid(12, 10, 3))
+    }
+
+    /// The step as it was written before the loops became block kernels: one per-index
+    /// `parallel_for` per pass, a branch between two loads in the upwind gather, and
+    /// per-index `parallel_sum` diagnostics.  Kept as the reference the block kernels
+    /// must reproduce bit for bit.
+    fn per_index_step(m: &mut Mpdata, runner: &mut dyn LoopRuntime) -> StepDiagnostics {
+        fn upwind(
+            runner: &mut dyn LoopRuntime,
+            mesh: &Mesh,
+            vel: &[f64],
+            dt: f64,
+            input: &[f64],
+            output: &mut [f64],
+        ) {
+            let out = UnsafeSlice::new(output);
+            runner.parallel_for(0..mesh.num_nodes(), &|i| {
+                let mut div = 0.0;
+                for (e, sign) in mesh.incident(i) {
+                    let edge = mesh.edges[e];
+                    let v = vel[e];
+                    let coeff = mesh.edge_coeff[e];
+                    let upwind = if v >= 0.0 {
+                        input[edge.a as usize]
+                    } else {
+                        input[edge.b as usize]
+                    };
+                    div += sign * coeff * v * upwind;
+                }
+                let value = input[i] - dt / mesh.volume[i] * div;
+                // SAFETY: each node index is executed by exactly one loop iteration.
+                unsafe { out.write(i, value) };
+            });
+        }
+        fn pseudo(
+            runner: &mut dyn LoopRuntime,
+            mesh: &Mesh,
+            (vel, dt, epsilon): (&[f64], f64, f64),
+            field: &[f64],
+            output: &mut [f64],
+        ) {
+            let out = UnsafeSlice::new(output);
+            runner.parallel_for(0..mesh.num_edges(), &|e| {
+                let edge = mesh.edges[e];
+                let (a, b) = (edge.a as usize, edge.b as usize);
+                let v = vel[e];
+                let coeff = mesh.edge_coeff[e];
+                let mean_vol = 0.5 * (mesh.volume[a] + mesh.volume[b]);
+                let num = field[b] - field[a];
+                let den = field[a] + field[b] + epsilon;
+                let value = (v.abs() - dt * v * v * coeff / mean_vol) * (num / den);
+                // SAFETY: each edge index is executed by exactly one loop iteration.
+                unsafe { out.write(e, value) };
+            });
+        }
+        let (dt, eps) = (m.dt, m.epsilon);
+        upwind(runner, &m.mesh, &m.edge_vel, dt, &m.psi, &mut m.tmp);
+        std::mem::swap(&mut m.psi, &mut m.tmp);
+        for _ in 0..m.corrective_passes {
+            let physical = (&m.edge_vel[..], dt, eps);
+            pseudo(runner, &m.mesh, physical, &m.psi, &mut m.pseudo_vel);
+            upwind(runner, &m.mesh, &m.pseudo_vel, dt, &m.psi, &mut m.tmp);
+            std::mem::swap(&mut m.psi, &mut m.tmp);
+        }
+        let (psi, vol) = (&m.psi, &m.mesh.volume);
+        let total_mass = runner.parallel_sum(0..psi.len(), &|i| psi[i] * vol[i]);
+        let mean_psi = runner.parallel_sum(0..psi.len(), &|i| psi[i].max(0.0)) / psi.len() as f64;
+        StepDiagnostics {
+            total_mass,
+            mean_psi,
+        }
+    }
+
+    #[test]
+    fn block_kernels_reproduce_the_per_index_step_bit_for_bit() {
+        // `static,3` deals each participant several pieces at a fixed iteration ->
+        // thread map, so it is the row on which a diagnostic that summed per-piece
+        // partials (instead of threading one accumulator) would round differently.
+        let mut runners: Vec<(String, Box<dyn LoopRuntime>)> =
+            vec![("sequential".into(), Box::new(Sequential))];
+        for p in 1..=4 {
+            runners.push((
+                format!("fine-grain P={p}"),
+                Box::new(FineGrainPool::with_threads(p)),
+            ));
+            let chunked = ScheduledTeam::with_threads(p, parlo_omp::Schedule::StaticChunked(3));
+            runners.push((format!("omp static,3 P={p}"), Box::new(chunked)));
+        }
+        for seed in [3, 11] {
+            for (name, runner) in &mut runners {
+                let mut block = Mpdata::new(Mesh::triangulated_grid(24, 16, seed));
+                let mut reference = block.clone();
+                for step in 0..200 {
+                    let got = block.step(runner.as_mut());
+                    let want = per_index_step(&mut reference, runner.as_mut());
+                    let at = format!("{name}, seed {seed}, step {step}");
+                    assert_eq!(got.total_mass.to_bits(), want.total_mass.to_bits(), "{at}");
+                    assert_eq!(got.mean_psi.to_bits(), want.mean_psi.to_bits(), "{at}");
+                    assert!(block.psi == reference.psi, "{at}: psi");
+                }
+            }
+        }
     }
 
     #[test]

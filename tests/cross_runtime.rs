@@ -11,6 +11,8 @@ use parlo_sync::{AtomicUsize, Ordering};
 use parlo_workloads::cache::{self, CacheTable};
 use parlo_workloads::phoenix::{histogram, kmeans, linear_regression as linreg};
 use parlo_workloads::{irregular, Mpdata, Sequential};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// The full evaluation roster (including the adaptive runtime) as trait objects.
 fn runtimes(threads: usize) -> Vec<Box<dyn LoopRuntime>> {
@@ -35,8 +37,31 @@ fn all_runtimes_cover_a_loop_exactly_once() {
                 "runtime {} round {round}",
                 r.name()
             );
+            let pieces = Mutex::new(Vec::new());
+            r.parallel_for_blocks(0..n, &|piece| pieces.lock().unwrap().push(piece));
+            let at = format!("runtime {} round {round}", r.name());
+            assert_exact_cover(pieces.into_inner().unwrap(), &(0..n), &at);
         }
     }
+}
+
+/// Asserts that `pieces` are non-empty, disjoint and cover `range` exactly once.
+fn assert_exact_cover(mut pieces: Vec<Range<usize>>, range: &Range<usize>, at: &str) {
+    assert!(pieces.iter().all(|p| !p.is_empty()), "{at}: an empty piece");
+    pieces.sort_by_key(|p| p.start);
+    let mut next = range.start;
+    for piece in &pieces {
+        assert_eq!(
+            piece.start, next,
+            "{at}: pieces {pieces:?} leave a gap or overlap"
+        );
+        next = piece.end;
+    }
+    assert_eq!(
+        next,
+        range.end.max(range.start),
+        "{at}: pieces {pieces:?} stop short"
+    );
 }
 
 #[test]
@@ -458,6 +483,21 @@ impl Walker {
         }
     }
 
+    /// The counters of a loop's `SyncStats` delta that its schedule fixes: the steal
+    /// count, and on the Cilk-like baseline the views (so combines) it closes out, are
+    /// the thieves' timing.
+    fn scheduled(&self, delta: SyncStats) -> SyncStats {
+        match self {
+            Walker::Cilk(_) => SyncStats {
+                steals: 0,
+                combine_ops: 0,
+                ..delta
+            },
+            Walker::Steal(_) => SyncStats { steals: 0, ..delta },
+            _ => delta,
+        }
+    }
+
     /// The same path behind the object-safe interface.
     fn as_dyn(&mut self) -> &mut dyn LoopRuntime {
         match self {
@@ -525,6 +565,43 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
                 );
                 assert_eq!(generic.to_bits(), erased.to_bits(), "{at}: dyn parity");
                 assert_eq!(generic, range.clone().sum::<usize>() as f64, "{at}");
+
+                // The block entry points: one call per non-empty piece, the pieces
+                // disjoint and covering the range once; the block fold threads the
+                // participant's accumulator, so it is the per-index reduction bit for
+                // bit, at the same synchronization cost.
+                let pieces = Mutex::new(Vec::new());
+                w.as_dyn().parallel_for_blocks(range.clone(), &|piece| {
+                    pieces.lock().unwrap().push(piece)
+                });
+                let for_pieces = std::mem::take(&mut *pieces.lock().unwrap());
+                assert_exact_cover(for_pieces, &range, &format!("{at}: block body"));
+                let before = w.as_dyn().sync_stats();
+                let per_index = w.as_dyn().parallel_reduce(
+                    range.clone(),
+                    0.0,
+                    &|acc, i| acc + (i * i) as f64,
+                    &|a, b| a + b,
+                );
+                let between = w.as_dyn().sync_stats();
+                let blocks = w.as_dyn().parallel_reduce_blocks(
+                    range.clone(),
+                    0.0,
+                    &|acc, piece| {
+                        pieces.lock().unwrap().push(piece.clone());
+                        piece.fold(acc, |acc, i| acc + (i * i) as f64)
+                    },
+                    &|a, b| a + b,
+                );
+                let after = w.as_dyn().sync_stats();
+                assert_eq!(blocks.to_bits(), per_index.to_bits(), "{at}: block fold");
+                assert_eq!(
+                    w.scheduled(after.since(&between)),
+                    w.scheduled(between.since(&before)),
+                    "{at}: block and per-index reductions cost the same"
+                );
+                let fold_pieces = pieces.into_inner().unwrap();
+                assert_exact_cover(fold_pieces, &range, &format!("{at}: block fold"));
 
                 // Only the fine-grain block path has an order-preserving reduction.
                 if let Walker::FineBlock(p) = &mut w {

@@ -3,8 +3,9 @@
 //! A counting global allocator wraps the system allocator.  The single test below
 //! warms every covered runtime up at P ∈ {1, 2, 4} (lease activation, worker spawn,
 //! the first use of the team's reduction-view blocks), then asserts that further
-//! `parallel_for`, `parallel_sum` and `parallel_reduce` calls — over `f64` and over a
-//! struct of three `f64`s — make exactly zero allocations.  Counted are the test's own
+//! `parallel_for`, `parallel_for_blocks`, `parallel_sum`, `parallel_reduce` and
+//! `parallel_reduce_blocks` calls — over `f64` and over a struct of three `f64`s — make
+//! exactly zero allocations.  Counted are the test's own
 //! thread and every thread that first allocates after the test starts (the pools'
 //! workers); the harness's main thread, which may still be doing its bookkeeping for
 //! the test it just spawned, is not.  It is one test function so that no sibling test
@@ -172,10 +173,15 @@ fn allocations_per_call(rt: &mut Runtime, op: Op) -> f64 {
 fn no_heap_allocation_per_loop_after_warm_up() {
     STARTED.store(true, Ordering::Relaxed);
     COUNTED.with(|c| c.set(Some(true)));
-    let ops: [(&str, Op); 4] = [
+    let ops: [(&str, Op); 6] = [
         ("parallel_for", |rt| {
             rt.as_dyn().parallel_for(0..N, &|i| {
                 std::hint::black_box(i);
+            })
+        }),
+        ("parallel_for_blocks", |rt| {
+            rt.as_dyn().parallel_for_blocks(0..N, &|piece| {
+                std::hint::black_box(piece);
             })
         }),
         ("parallel_sum", |rt| {
@@ -188,6 +194,13 @@ fn no_heap_allocation_per_loop_after_warm_up() {
                 .as_dyn()
                 .parallel_reduce(0..N, 0.0, &fold, &|a, b| a.max(b));
             assert_eq!(m, (N - 1) as f64);
+        }),
+        ("parallel_reduce_blocks f64", |rt| {
+            let fold = |a: f64, piece: std::ops::Range<usize>| piece.fold(a, |a, i| a + i as f64);
+            let s = rt
+                .as_dyn()
+                .parallel_reduce_blocks(0..N, 0.0, &fold, &|a, b| a + b);
+            assert_eq!(s, (N * (N - 1) / 2) as f64);
         }),
         ("parallel_reduce 3 x f64", |rt| {
             let s = rt.reduce_sums();
