@@ -64,7 +64,8 @@
 //!   half-barrier cycle — the driver runs a single `parallel_for_blocks` over the
 //!   concatenation of their index spaces and each gang member hands every request its
 //!   block overlaps that request's share, so a backlog of micro-loops pays one
-//!   fork/join instead of one per loop.  A `sum` rides alone.
+//!   fork/join instead of one per loop.  A `sum` rides alone, as one
+//!   `parallel_reduce_blocks` over its range (each member sums its own block).
 //! * **Fairness**: requests are keyed by [`LoopSite`]; the queue holds one FIFO per
 //!   site that has work queued and the driver pops round-robin across them, so a
 //!   chatty tenant cannot starve the others.  A FIFO is dropped when it empties: the
