@@ -5,9 +5,10 @@
 //! selection runtime built on top of them — implements [`LoopRuntime`]: an
 //! **object-safe** interface of a `parallel_for` and an `f64`-typed `parallel_reduce`
 //! over a `Range<usize>`, each in a per-index and a block form, plus a [`SyncStats`]
-//! snapshot of the synchronization work the runtime has performed.  Workloads, benchmark harnesses and the adaptive router all
-//! program against `dyn LoopRuntime`, so a new backend only has to implement this one
-//! trait to become reachable from every driver.
+//! snapshot of the synchronization work the runtime has performed.  Workloads,
+//! benchmark harnesses and the adaptive router all program against `dyn LoopRuntime`,
+//! so a new backend only has to implement this one trait to become reachable from
+//! every driver.
 //!
 //! The trait deliberately mirrors the structure the paper measures: a loop is a range
 //! plus a body, a reduction is a loop plus a commutative combine, and the per-loop

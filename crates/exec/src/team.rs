@@ -45,17 +45,18 @@
 //! `move |acc, r| fold_range(&fold, acc, r)`, which the entry point builds at the API
 //! boundary and passes into the job by value: the adapter holds the body's handle —
 //! for a `LoopRuntime` call, the `&dyn` body itself — so a worker still finds it in
-//! the line that released it.  The adapter's piece walk is [`walk_range`] / [`fold_range`], and those must stay frames
-//! of their own.  The entry point gets its copy of the harness as an erased
-//! `*const ()`, and a loop written there — `for i in block { (h.body)(i) }` — reads the
-//! body through a reference LLVM derived from a raw pointer: it may not assume the
-//! harness survives the opaque call unchanged, so it reloads the callee every
-//! iteration.  For the `&dyn Fn(usize)` body every `parlo_core::LoopRuntime` call
-//! arrives with, that was `mov (%rbx),%rax; mov (%rax),%rdi; mov 0x8(%rax),%rax; call
-//! *0x28(%rax)` — three dependent loads feeding each indirect call (for a generic
-//! closure, a reload of every captured slice pointer after each raw store), paid per
-//! index and only on the parallel side.  On MPDATA's kernel-dominated loops that was
-//! 2–10 µs per loop, several times the dispatch burden `d`.
+//! the line that released it.  The adapter's piece walk is [`walk_range`] /
+//! [`fold_range`], and those must stay frames of their own.  The entry point gets its
+//! copy of the harness as an erased `*const ()`, and a loop written there —
+//! `for i in block { (h.body)(i) }` — reads the body through a reference LLVM derived
+//! from a raw pointer: it may not assume the harness survives the opaque call
+//! unchanged, so it reloads the callee every iteration.  For the `&dyn Fn(usize)` body
+//! every `parlo_core::LoopRuntime` call arrives with, that was `mov (%rbx),%rax; mov
+//! (%rax),%rdi; mov 0x8(%rax),%rax; call *0x28(%rax)` — three dependent loads feeding
+//! each indirect call (for a generic closure, a reload of every captured slice pointer
+//! after each raw store), paid per index and only on the parallel side.  On MPDATA's
+//! kernel-dominated loops that was 2–10 µs per loop, several times the dispatch burden
+//! `d`.
 //!
 //! [`walk_range`] and [`fold_range`] take the body **by `&F` parameter**, so inside
 //! them it is `noalias readonly`: callee, captured pointers and range bounds stay in

@@ -57,11 +57,7 @@ fn assert_exact_cover(mut pieces: Vec<Range<usize>>, range: &Range<usize>, at: &
         );
         next = piece.end;
     }
-    assert_eq!(
-        next,
-        range.end.max(range.start),
-        "{at}: pieces {pieces:?} stop short"
-    );
+    assert_eq!(next, range.end, "{at}: pieces {pieces:?} stop short");
 }
 
 #[test]
