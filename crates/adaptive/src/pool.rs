@@ -594,8 +594,10 @@ impl LoopRuntime for AdaptivePool {
     /// of the iteration count); use [`AdaptivePool::parallel_for_at`] for precise
     /// per-call-site calibration.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        let site = LoopSite::from_shape(0, range.len());
-        self.parallel_for_at(site, range, body);
+        let n = range.len();
+        self.routed(LoopSite::from_shape(0, n), n, false, |rt| {
+            rt.parallel_for(range, body)
+        });
     }
 
     /// Routed through the same site as the per-index loop of the same shape.
@@ -613,8 +615,11 @@ impl LoopRuntime for AdaptivePool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        let site = LoopSite::from_shape(1, range.len());
-        self.parallel_reduce_at(site, range, init, fold, combine)
+        let n = range.len();
+        self.routed(LoopSite::from_shape(1, n), n, true, |rt| {
+            rt.parallel_reduce(range, init, fold, combine)
+        })
+        .unwrap_or(init)
     }
 
     /// Routed through the same site as the per-index reduction of the same shape.

@@ -14,6 +14,8 @@
 use crate::print_series;
 use parlo_bench::args::Args;
 use parlo_bench::{native_thread_sweep, time_secs};
+use parlo_cilk::CilkFineGrain;
+use parlo_omp::{Schedule, ScheduledTeam};
 use parlo_sim::{Series, SimMachine};
 use parlo_workloads::phoenix::linear_regression as linreg;
 use parlo_workloads::PlacementConfig;
@@ -61,27 +63,25 @@ fn measure_native(
     for threads in native_thread_sweep(max_threads) {
         // Fine-grain scheduler (merged half-barrier reductions).
         let mut pool = parlo_core::FineGrainPool::with_placement_on(threads, placement, &executor);
-        let t = chunked_time(points, |chunk| linreg::with_fine_grain(&mut pool, chunk));
+        let t = chunked_time(points, |chunk| linreg::parallel(&mut pool, chunk));
         fine.push(threads, t_seq / t);
 
         // Baseline Cilk and the hybrid fine-grain path of the same pool.
-        let mut cpool = parlo_cilk::CilkPool::with_placement_on(threads, placement, &executor);
-        let t = chunked_time(points, |chunk| {
-            linreg::with_cilk_baseline(&mut cpool, chunk)
-        });
+        let mut hybrid = CilkFineGrain::with_placement_on(threads, placement, &executor);
+        let t = chunked_time(points, |chunk| linreg::parallel(&mut hybrid.pool, chunk));
         cilk.push(threads, t_seq / t);
-        let t = chunked_time(points, |chunk| {
-            linreg::with_cilk_fine_grain(&mut cpool, chunk)
-        });
+        let t = chunked_time(points, |chunk| linreg::parallel(&mut hybrid, chunk));
         cilk_fine.push(threads, t_seq / t);
 
-        // OpenMP baselines.
-        let mut team = parlo_omp::OmpTeam::with_placement_on(threads, placement, &executor);
+        // OpenMP baselines: one team, retargeted per schedule.
+        let mut team =
+            ScheduledTeam::with_placement_on(threads, Schedule::Static, placement, &executor);
         for (schedule, series) in [
-            (parlo_omp::Schedule::Static, &mut omp_static),
-            (parlo_omp::Schedule::Dynamic(64), &mut omp_dynamic),
+            (Schedule::Static, &mut omp_static),
+            (Schedule::Dynamic(64), &mut omp_dynamic),
         ] {
-            let t = chunked_time(points, |chunk| linreg::with_omp(&mut team, schedule, chunk));
+            team.schedule = schedule;
+            let t = chunked_time(points, |chunk| linreg::parallel(&mut team, chunk));
             series.push(threads, t_seq / t);
         }
         eprintln!("  threads {threads} done");

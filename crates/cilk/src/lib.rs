@@ -9,24 +9,26 @@
 //!
 //! The extension side implements the paper's hybrid scheduler: the same pool embeds a
 //! half-barrier and idle workers alternate one cycle of random stealing with a poll of
-//! the half-barrier release flag, so fine-grain loops run statically scheduled
-//! ([`CilkPool::fine_grain_for`], [`CilkPool::fine_grain_reduce`]) while coarse-grain
-//! loops keep dynamic scheduling ([`CilkPool::cilk_for`]).  The hybrid path runs
-//! `parlo-core`'s static loop and merged reduction ([`parlo_core::static_for`],
-//! [`parlo_core::static_reduce`]) on the pool's team, so it is the fine-grain pool's
-//! loop, not a copy of it.
+//! the half-barrier release flag, so fine-grain loops run statically scheduled while
+//! coarse-grain loops keep dynamic scheduling.  Both paths speak `parlo-core`'s
+//! generic [`Loops`](parlo_core::Loops) vocabulary: a [`CilkPool`] runs the baseline
+//! loops, and [`CilkFineGrain`], the same pool behind its hybrid face, the fine-grain
+//! ones.  The hybrid path runs `parlo-core`'s static loop and merged reduction
+//! ([`parlo_core::static_for`], [`parlo_core::static_reduce`]) on the pool's team, so
+//! it is the fine-grain pool's loop, not a copy of it.
 //!
 //! ```
-//! use parlo_cilk::CilkPool;
+//! use parlo_cilk::CilkFineGrain;
+//! use parlo_core::Loops;
 //!
-//! let mut pool = CilkPool::with_threads(4);
+//! let mut hybrid = CilkFineGrain::with_threads(4);
 //!
 //! // Baseline Cilk: dynamically scheduled, work-stealing.
-//! let sum = pool.cilk_reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+//! let sum = hybrid.pool.reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
 //! assert_eq!(sum, (0..100_000u64).sum());
 //!
 //! // Hybrid fine-grain path: statically scheduled through the half-barrier.
-//! let sum2 = pool.fine_grain_reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+//! let sum2 = hybrid.reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
 //! assert_eq!(sum2, sum);
 //! ```
 

@@ -2,7 +2,7 @@
 //!
 //! Two implementations live here, matching the comparison in §2 of the paper:
 //!
-//! * **Baseline Cilk reducers** ([`CilkPool::cilk_reduce`]): every worker lazily owns a
+//! * **Baseline Cilk reducers** (`reduce` on a [`CilkPool`]): every worker lazily owns a
 //!   *view* of the reduction variable.  Whenever a worker obtains work by **stealing**,
 //!   it closes out its current view (the view is handed to a shared list and will need
 //!   its own reduce operation later) and starts a fresh one, mimicking the
@@ -10,7 +10,7 @@
 //!   therefore `(#workers that touched the loop) + (#steals that closed a view) − 1`,
 //!   which "may be significantly higher" than `P − 1` and grows with the amount of
 //!   stealing.
-//! * **Fine-grain reducers** ([`CilkPool::fine_grain_reduce`]): the paper's optimised
+//! * **Fine-grain reducers** (`reduce` on a [`crate::CilkFineGrain`]): the paper's optimised
 //!   implementation — one statically allocated view per participant (the team's padded
 //!   view blocks, allocated when the pool is built and reused by every reduction),
 //!   reduced pairwise in the join phase of the half-barrier, exactly `P − 1` reduce
@@ -23,8 +23,7 @@
 
 use crate::scheduler::{CilkPool, LoopDescriptor};
 use parking_lot::Mutex;
-use parlo_core::static_reduce;
-use parlo_exec::{fold_range, ReduceViews};
+use parlo_exec::ReduceViews;
 use std::ops::Range;
 
 // ----------------------------------------------------------------------------------
@@ -79,30 +78,12 @@ where
 }
 
 impl CilkPool {
-    /// Baseline Cilk reduction over `range`: `cilk_for`'s recursive splitting down to
-    /// [`CilkPool::effective_grain`], with reducer views created lazily on steals.
+    /// The baseline Cilk reduction: `cilk_for`'s recursive splitting down to
+    /// [`CilkPool::effective_grain`], with reducer views created lazily on steals;
+    /// `fold(view, leaf)` folds each leaf task a worker runs into its current view.
     ///
     /// `combine` must be associative and commutative (the order in which retired views
     /// are merged follows the stealing pattern, not the iteration order).
-    pub fn cilk_reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.cilk_reduce_blocks(range, identity, blocks, combine)
-    }
-
-    /// [`CilkPool::cilk_reduce`] with a block fold: `fold(view, leaf)` folds each leaf
-    /// task a worker runs into its current view.
     pub(crate) fn cilk_reduce_blocks<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
@@ -158,56 +139,14 @@ impl CilkPool {
         }
         acc
     }
-
-    /// Fine-grain reduction through the embedded half-barrier: statically allocated
-    /// views, combined pairwise inside the join phase — exactly `P − 1` reduce
-    /// operations.  `combine` must be associative and commutative.
-    pub fn fine_grain_reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let fold = &fold;
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.fine_reduce(range, &identity, blocks, &combine)
-    }
-
-    /// [`CilkPool::fine_grain_reduce`] over handles with a block fold: references to
-    /// the caller's closures and the per-index adapter from the generic entry point,
-    /// and from a `LoopRuntime` call a `move || init` and the `&dyn` operators
-    /// themselves (a per-index fold inside its adapter).  It is
-    /// [`parlo_core::static_reduce`] on this pool's team: one half-barrier, two phases.
-    pub(crate) fn fine_reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync + Copy,
-        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
-        Comb: Fn(T, T) -> T + Sync + Copy,
-    {
-        let fine = &self.work().fine;
-        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        unsafe { static_reduce(&self.team, fine, 2, range, identity, fold, combine) }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheduler::tests::grained_pool;
+    use crate::CilkFineGrain;
+    use parlo_core::Loops;
 
     #[test]
     fn cilk_reduce_matches_sequential() {
@@ -215,7 +154,7 @@ mod tests {
         let expected: u64 = (0..n as u64).sum();
         for threads in [1usize, 2, 4] {
             let mut p = grained_pool(threads, 64);
-            let got = p.cilk_reduce(0..n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let got = p.reduce(0..n, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(got, expected, "threads {threads}");
         }
     }
@@ -225,8 +164,8 @@ mod tests {
         let n = 20_000usize;
         let expected: u64 = (0..n as u64).map(|i| i * 3).sum();
         for threads in [1usize, 2, 4] {
-            let mut p = CilkPool::with_threads(threads);
-            let got = p.fine_grain_reduce(0..n, || 0u64, |a, i| a + 3 * i as u64, |a, b| a + b);
+            let mut p = CilkFineGrain::with_threads(threads);
+            let got = p.reduce(0..n, || 0u64, |a, i| a + 3 * i as u64, |a, b| a + b);
             assert_eq!(got, expected, "threads {threads}");
         }
     }
@@ -234,10 +173,10 @@ mod tests {
     #[test]
     fn fine_grain_reduce_uses_exactly_p_minus_one_combines() {
         for threads in [1usize, 2, 3, 4] {
-            let mut p = CilkPool::with_threads(threads);
-            let _ = p.fine_grain_reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let mut p = CilkFineGrain::with_threads(threads);
+            let _ = p.reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(
-                p.stats().fine_combine_ops,
+                p.pool.stats().fine_combine_ops,
                 (threads - 1) as u64,
                 "threads {threads}"
             );
@@ -247,7 +186,7 @@ mod tests {
     #[test]
     fn cilk_reduce_ops_at_least_views_touched() {
         let mut p = grained_pool(4, 32);
-        let _ = p.cilk_reduce(0..50_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        let _ = p.reduce(0..50_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         let s = p.stats();
         // At least the master's view is merged; with stealing, retired views add more.
         assert!(s.reduce_ops >= 1);
@@ -271,7 +210,7 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|i| (i % 97) as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 5.0).collect();
         let mut p = CilkPool::with_threads(3);
-        let got = p.cilk_reduce(
+        let got = p.reduce(
             0..n,
             S::default,
             |mut acc, i| {
@@ -299,14 +238,11 @@ mod tests {
 
     #[test]
     fn empty_range_reductions_return_identity() {
-        let mut p = CilkPool::with_threads(2);
+        let mut p = CilkFineGrain::with_threads(2);
         assert_eq!(
-            p.cilk_reduce(3..3, || 7u32, |a, _| a + 1, |a, b| a.max(b)),
+            p.pool.reduce(3..3, || 7u32, |a, _| a + 1, |a, b| a.max(b)),
             7
         );
-        assert_eq!(
-            p.fine_grain_reduce(3..3, || 9u32, |a, _| a + 1, |a, b| a.max(b)),
-            9
-        );
+        assert_eq!(p.reduce(3..3, || 9u32, |a, _| a + 1, |a, b| a.max(b)), 9);
     }
 }

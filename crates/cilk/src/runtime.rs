@@ -1,9 +1,9 @@
-//! [`LoopRuntime`] adapters for the Cilk-like pool: the baseline work-stealing path
-//! (implemented directly on [`CilkPool`]) and the hybrid fine-grain path (the
-//! [`CilkFineGrain`] wrapper).
+//! The Cilk-like pool's two faces, each as [`Loops`] and as [`LoopRuntime`]: the
+//! baseline work-stealing path (implemented directly on [`CilkPool`]) and the hybrid
+//! fine-grain path (the [`CilkFineGrain`] wrapper).
 
 use crate::scheduler::CilkPool;
-use parlo_core::{LoopRuntime, SyncStats};
+use parlo_core::{static_for, static_reduce, LoopRuntime, Loops, SyncStats};
 use parlo_exec::{fold_range, walk_range};
 use std::ops::Range;
 
@@ -21,6 +21,32 @@ fn pool_sync_stats(pool: &CilkPool) -> SyncStats {
     }
 }
 
+/// The baseline path: `cilk_for` splitting and lazily created reducer views.
+impl Loops for CilkPool {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy,
+    {
+        self.cilk_for_blocks(range, body);
+    }
+
+    fn reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
+        self.cilk_reduce_blocks(range, identity, fold, combine)
+    }
+}
+
 impl LoopRuntime for CilkPool {
     fn name(&self) -> String {
         "Cilk".into()
@@ -31,11 +57,11 @@ impl LoopRuntime for CilkPool {
     }
 
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.cilk_for(range, body);
+        self.for_blocks(range, move |r| walk_range(&body, r));
     }
 
     fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.cilk_for_blocks(range, body);
+        self.for_blocks(range, body);
     }
 
     fn parallel_reduce(
@@ -45,7 +71,8 @@ impl LoopRuntime for CilkPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.cilk_reduce(range, move || init, fold, combine)
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn parallel_reduce_blocks(
@@ -55,7 +82,7 @@ impl LoopRuntime for CilkPool {
         fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.cilk_reduce_blocks(range, move || init, fold, combine)
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {
@@ -63,11 +90,11 @@ impl LoopRuntime for CilkPool {
     }
 }
 
-/// The hybrid pool's fine-grain path as a [`LoopRuntime`]: statically scheduled loops
-/// through the half-barrier embedded in the Cilk-like scheduler (workers notice them
-/// by polling between steal cycles).
+/// The hybrid pool's fine-grain path: statically scheduled loops through the
+/// half-barrier embedded in the Cilk-like scheduler (workers notice them by polling
+/// between steal cycles), generically ([`Loops`]) and as a [`LoopRuntime`].
 pub struct CilkFineGrain {
-    /// The underlying pool (its `cilk_for` path remains directly usable).
+    /// The underlying pool (its baseline path remains directly usable).
     pub pool: CilkPool,
 }
 
@@ -99,6 +126,37 @@ impl CilkFineGrain {
     }
 }
 
+/// [`parlo_core::static_for`] and [`parlo_core::static_reduce`] on the pool's team: one
+/// half-barrier (two phases) per loop, exactly `P − 1` combines per reduction.
+impl Loops for CilkFineGrain {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy,
+    {
+        let pool = &self.pool;
+        // SAFETY: `&mut self` makes this thread the pool's one driver.
+        unsafe { static_for(&pool.team, &pool.work().fine, 2, range, body) };
+    }
+
+    fn reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
+        let (team, fine) = (&self.pool.team, &self.pool.work().fine);
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        unsafe { static_reduce(team, fine, 2, range, identity, fold, combine) }
+    }
+}
+
 impl LoopRuntime for CilkFineGrain {
     fn name(&self) -> String {
         "fine-grain Cilk".into()
@@ -108,15 +166,12 @@ impl LoopRuntime for CilkFineGrain {
         self.pool.num_threads()
     }
 
-    // The `&dyn` body and operators go into the loop's harness as they are — a per-index
-    // one inside its adapter closure, by value — so a worker finds them in the line that
-    // released it rather than behind a reference into this frame.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.pool.fine_for(range, move |r| walk_range(&body, r));
+        self.for_blocks(range, move |r| walk_range(&body, r));
     }
 
     fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.pool.fine_for(range, body);
+        self.for_blocks(range, body);
     }
 
     fn parallel_reduce(
@@ -126,8 +181,8 @@ impl LoopRuntime for CilkFineGrain {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.pool.fine_reduce(range, move || init, blocks, combine)
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn parallel_reduce_blocks(
@@ -137,7 +192,7 @@ impl LoopRuntime for CilkFineGrain {
         fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.pool.fine_reduce(range, move || init, fold, combine)
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

@@ -14,18 +14,21 @@
 //! **half-barrier** whose releases carry the fine-grain loop's job.  Idle workers
 //! alternate one cycle of the random work-stealing algorithm with a poll of the
 //! half-barrier release flag, so the
-//! same pool can run statically scheduled fine-grain loops ([`CilkPool::fine_grain_for`],
-//! [`CilkPool::fine_grain_reduce`]) next to dynamically scheduled coarse-grain loops
-//! ([`CilkPool::cilk_for`]).  The fine-grain loops are `parlo-core`'s own
-//! ([`parlo_core::static_for`], [`parlo_core::static_reduce`]) run on this pool's team,
-//! and they count through a [`PoolStats`] like every other half-barrier runtime.
+//! same pool can run statically scheduled fine-grain loops (the [`Loops`] methods of
+//! [`crate::CilkFineGrain`], the pool's hybrid face) next to dynamically scheduled
+//! coarse-grain loops (the [`Loops`] methods of [`CilkPool`] itself).  The fine-grain
+//! loops are `parlo-core`'s own ([`parlo_core::static_for`],
+//! [`parlo_core::static_reduce`]) run on this pool's team, and they count through a
+//! [`PoolStats`] like every other half-barrier runtime.
+//!
+//! [`Loops`]: parlo_core::Loops
 
 use crate::deque::{Steal, WorkStealingDeque};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, WaitPolicy};
-use parlo_core::{static_for, PoolStats};
-use parlo_exec::{walk_range, Executor, Job, ReduceViews, Team, TeamSync};
+use parlo_core::PoolStats;
+use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
 use parlo_sync::{AtomicU64, AtomicUsize, Ordering, SingleWriterCounter};
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -42,7 +45,7 @@ pub struct CilkConfig {
     pub pin: PinPolicy,
     /// Waiting policy for the fine-grain half-barrier path.
     pub wait: WaitPolicy,
-    /// Explicit grain size for every `cilk_for` / `cilk_reduce`; `None` derives one
+    /// Explicit grain size for every baseline loop and reduction; `None` derives one
     /// per loop from [`default_grain`].
     pub grain: Option<usize>,
 }
@@ -87,7 +90,7 @@ impl CilkConfig {
 /// per worker for thieves to rebalance a skewed loop, few enough that splitting stays
 /// a small fraction of it.
 ///
-/// This is the workspace's one grain formula: [`CilkPool::cilk_for`] splits down to
+/// This is the workspace's one grain formula: a [`CilkPool`] loop splits down to
 /// it, `parlo-steal`'s `StealPool` pre-splits its loops into chunks of it, and the
 /// adaptive pool's `OmpDynamic` backend dispenses chunks of it, each unless its
 /// config sets an explicit size.
@@ -577,17 +580,9 @@ unsafe fn exec_cilk_range<F: Fn(Range<usize>) + Sync>(
 }
 
 impl CilkPool {
-    /// Baseline `cilk_for`: recursive binary splitting down to
-    /// [`CilkPool::effective_grain`], dynamic (work-stealing) scheduling.
-    pub fn cilk_for<F>(&mut self, range: Range<usize>, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.cilk_for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    /// [`CilkPool::cilk_for`] with a block body: `body(leaf)` runs once per leaf task,
-    /// a non-empty piece of at most [`CilkPool::effective_grain`] iterations.
+    /// The baseline loop, `cilk_for`: recursive binary splitting down to
+    /// [`CilkPool::effective_grain`], dynamic (work-stealing) scheduling.  `body(leaf)`
+    /// runs once per leaf task, a non-empty piece of at most that many iterations.
     pub(crate) fn cilk_for_blocks<F>(&mut self, range: Range<usize>, body: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -612,33 +607,13 @@ impl CilkPool {
             );
         }
     }
-
-    /// Fine-grain statically scheduled loop through the embedded half-barrier — the
-    /// hybrid extension: workers notice it by polling between steal cycles.
-    pub fn fine_grain_for<F>(&mut self, range: Range<usize>, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let body = &body;
-        self.fine_for(range, move |r| walk_range(&body, r));
-    }
-
-    /// The hybrid path's loop over a block-body handle: the per-index adapter of
-    /// [`CilkPool::fine_grain_for`], or a `LoopRuntime` call's `&dyn` body (itself, or
-    /// inside its per-index adapter).  It is [`parlo_core::static_for`] on this pool's
-    /// team: one half-barrier, two phases.
-    pub(crate) fn fine_for<B>(&mut self, range: Range<usize>, body: B)
-    where
-        B: Fn(Range<usize>) + Sync + Copy,
-    {
-        // SAFETY: `&mut self` makes this thread the pool's one driver.
-        unsafe { static_for(&self.team, &self.work().fine, 2, range, body) };
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::CilkFineGrain;
+    use parlo_core::Loops;
     use parlo_sync::AtomicUsize;
 
     /// A pool of `threads` workers whose loops split down to `grain`.
@@ -712,7 +687,7 @@ pub(crate) mod tests {
         for threads in [1usize, 2, 4] {
             let mut p = grained_pool(threads, 16);
             let hits: Vec<AtomicUsize> = (0..1013).map(|_| AtomicUsize::new(0)).collect();
-            p.cilk_for(0..1013, |i| {
+            p.for_each(0..1013, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -726,7 +701,7 @@ pub(crate) mod tests {
     fn cilk_for_with_offset_range() {
         let mut p = grained_pool(3, 8);
         let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-        p.cilk_for(50..150, |i| {
+        p.for_each(50..150, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -738,9 +713,9 @@ pub(crate) mod tests {
     #[test]
     fn fine_grain_for_visits_each_index_once() {
         for threads in [1usize, 2, 4] {
-            let mut p = CilkPool::with_threads(threads);
+            let mut p = CilkFineGrain::with_threads(threads);
             let hits: Vec<AtomicUsize> = (0..513).map(|_| AtomicUsize::new(0)).collect();
-            p.fine_grain_for(0..513, |i| {
+            p.for_each(0..513, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -749,21 +724,21 @@ pub(crate) mod tests {
 
     #[test]
     fn mixing_cilk_and_fine_grain_loops() {
-        let mut p = CilkPool::with_threads(4);
+        let mut p = CilkFineGrain::with_threads(4);
         let counter = AtomicUsize::new(0);
         for round in 0..20 {
             if round % 2 == 0 {
-                p.cilk_for(0..100, |_| {
+                p.pool.for_each(0..100, |_| {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             } else {
-                p.fine_grain_for(0..100, |_| {
+                p.for_each(0..100, |_| {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
         }
         assert_eq!(counter.load(Ordering::Relaxed), 2000);
-        let s = p.stats();
+        let s = p.pool.stats();
         assert_eq!(s.loops, 10);
         assert_eq!(s.fine_loops, 10);
     }
@@ -772,24 +747,24 @@ pub(crate) mod tests {
     fn placement_pool_uses_hierarchical_fine_path() {
         use parlo_affinity::PlacementConfig;
         let placement = PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
-        let mut p = CilkPool::with_placement(4, &placement);
+        let mut p = CilkFineGrain::with_placement(4, &placement);
         let counter = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.fine_grain_for(0..100, |_| {
+            p.for_each(0..100, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        let h = p.hierarchy_stats().expect("hierarchical fine path");
+        let h = p.pool.hierarchy_stats().expect("hierarchical fine path");
         assert_eq!(h.cycles, 10);
         assert_eq!(h.cross_socket_rendezvous, 10);
     }
 
     #[test]
     fn empty_range_is_noop() {
-        let mut p = CilkPool::with_threads(2);
-        p.cilk_for(5..5, |_| panic!("must not run"));
-        p.fine_grain_for(5..5, |_| panic!("must not run"));
+        let mut p = CilkFineGrain::with_threads(2);
+        p.pool.for_each(5..5, |_| panic!("must not run"));
+        p.for_each(5..5, |_| panic!("must not run"));
     }
 
     #[test]
@@ -797,7 +772,7 @@ pub(crate) mod tests {
         let mut p = CilkPool::with_threads(4);
         let counter = AtomicUsize::new(0);
         for _ in 0..100 {
-            p.cilk_for(0..16, |_| {
+            p.for_each(0..16, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -809,7 +784,7 @@ pub(crate) mod tests {
     fn stats_track_steals_on_larger_loop() {
         let mut p = grained_pool(4, 64);
         let sum = AtomicUsize::new(0);
-        p.cilk_for(0..100_000, |i| {
+        p.for_each(0..100_000, |i| {
             sum.fetch_add(i & 1, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 50_000);

@@ -10,13 +10,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use parlo_core::FineGrainPool;
+//! use parlo_core::{FineGrainPool, Loops};
 //!
 //! let mut pool = FineGrainPool::with_threads(4);
 //!
 //! // A statically scheduled parallel loop with a reduction merged into the join phase.
 //! let data: Vec<u64> = (0..10_000).collect();
-//! let sum = pool.parallel_reduce(
+//! let sum = pool.reduce(
 //!     0..data.len(),
 //!     || 0u64,
 //!     |acc, i| acc + data[i],
@@ -32,23 +32,24 @@
 //! * [`Config`] / [`BarrierKind`] — selects the synchronization structure: the paper's
 //!   *fine-grain tree* (default), *fine-grain centralized*, or the *full-barrier*
 //!   variants used as ablations in Table 1.
-//! * Loop entry points: [`FineGrainPool::parallel_for`],
-//!   [`FineGrainPool::parallel_for_blocks`], [`FineGrainPool::broadcast`] — one static
-//!   block per participant under one half-barrier.  The OpenMP comparators
-//!   (`static,chunk`, `dynamic`, `guided`) live in `parlo-omp`.
-//! * Reductions merged into the join phase: [`FineGrainPool::parallel_reduce`] (exactly
-//!   `P − 1` combines, distributed over the join tree), its block form
-//!   [`FineGrainPool::parallel_reduce_blocks`], and
+//! * [`Loops`] — the generic loop vocabulary every parallel runtime implements: a block
+//!   loop and a block reduction, and the per-index [`Loops::for_each`] /
+//!   [`Loops::reduce`] built on them.  On the pool a loop is one static block per
+//!   participant under one half-barrier, and a reduction is merged into the join phase
+//!   (exactly `P − 1` combines, distributed over the join tree).  The OpenMP
+//!   comparators (`static,chunk`, `dynamic`, `guided`) live in `parlo-omp`.
+//! * [`FineGrainPool::broadcast`] (an SPMD region) and
 //!   [`FineGrainPool::parallel_reduce_ordered`] (non-commutative operators).
 //! * [`LoopRuntime`] / [`SyncStats`] — the object-safe runtime abstraction every
 //!   scheduler in the workspace implements, with [`Sequential`] as the inline
-//!   reference; workloads and harnesses program against `dyn LoopRuntime`.
-//!   [`SyncStats`] is also what [`FineGrainPool::stats`] returns: the counters that
-//!   verify the structural claims (barrier phases per loop, combines per reduction).
+//!   reference; the `f64` workloads and the harnesses program against
+//!   `dyn LoopRuntime`.  [`SyncStats`] is also what [`FineGrainPool::stats`] returns:
+//!   the counters that verify the structural claims (barrier phases per loop, combines
+//!   per reduction).
 //! * [`static_for`] / [`static_reduce`] — the statically scheduled loop and the merged
 //!   reduction over any team, which the Cilk-like pool's hybrid path runs too.  Both
-//!   call their body once per participant's block; the per-index entry points hand
-//!   them the adapter `move |r| walk_range(&body, r)` (`parlo_exec`).
+//!   call their body once per participant's block; the per-index loops hand them the
+//!   adapter `move |r| walk_range(&body, r)` (`parlo_exec`).
 //! * [`PoolStats`] — the counter block behind that snapshot, shared with the
 //!   OpenMP-like team, the Cilk-like pool's hybrid path and the stealing pool.
 //! * [`StatsSource`] / [`StatsRegistry`] / [`stats_family!`] — the unified stats
@@ -72,7 +73,7 @@ pub use loops::static_for;
 pub use pool::{FineGrainPool, WorkerInfo};
 pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks};
 pub use reduce::static_reduce;
-pub use runtime::{LoopRuntime, Sequential, SyncStats};
+pub use runtime::{LoopRuntime, Loops, Sequential, SyncStats};
 pub use source::{CounterField, StatsRegistry, StatsSource};
 pub use stats::PoolStats;
 

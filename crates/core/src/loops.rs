@@ -11,10 +11,11 @@
 //! a `LoopRuntime` call, or a per-index entry point's adapter closure
 //! `move |r| walk_range(&body, r)`, which holds the per-index handle by value — never
 //! a reference to a closure in the caller's frame.  [`static_for`], the loop itself,
-//! runs on any team (the Cilk-like pool's too).
+//! runs on any team (the Cilk-like pool's too); it is the pool's [`Loops::for_blocks`].
 
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
+use crate::runtime::Loops;
 use crate::stats::PoolStats;
 use parlo_exec::{walk_range, Job, Team, TeamSync};
 use std::ops::Range;
@@ -79,34 +80,18 @@ impl FineGrainPool {
         }
     }
 
-    /// Statically scheduled parallel loop over `range`: each participant executes one
-    /// contiguous block of iterations.  `body` is called exactly once per index.
-    ///
-    /// An empty range is a fast-path no-op — no barrier cycle runs and no
-    /// instrumentation counter moves, a guarantee every runtime in the workspace
-    /// shares so empty loops have identical (zero) `SyncStats` everywhere.
+    /// Statically scheduled parallel loop over `range`: [`Loops::for_each`], one
+    /// contiguous block per participant.  An empty range is a fast-path no-op — no
+    /// barrier cycle runs and no counter moves, as on every runtime in the workspace.
     pub fn parallel_for<F>(&mut self, range: Range<usize>, body: F)
     where
         F: Fn(usize) + Sync,
     {
-        // SAFETY: `&mut self` is the single-driver guarantee the hook asks for.
-        unsafe { self.parallel_for_unsynchronized(range, body) };
+        self.for_each(range, body);
     }
 
-    /// Statically scheduled parallel loop that hands each participant its whole
-    /// contiguous block at once.  Useful when the body can exploit the block structure
-    /// (e.g. vectorised kernels over slices, as the serving layer's block bodies do).
-    pub fn parallel_for_blocks<F>(&mut self, range: Range<usize>, body: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let phases = self.phases_per_loop();
-        // SAFETY: `&mut self` is the single-driver guarantee.
-        unsafe { static_for(&self.team, &self.stats, phases, range, &body) };
-    }
-
-    /// The body of [`FineGrainPool::parallel_for`], through `&self`: without the
-    /// `&mut` single-driver exclusivity it is the regression hook for the
+    /// [`FineGrainPool::parallel_for`] through `&self`: without the `&mut`
+    /// single-driver exclusivity it is the regression hook for the
     /// concurrent-drivers battery, not an API (a second simultaneous caller panics on
     /// the team's in-flight `swap` guard, which is exactly what the battery asserts).
     ///
@@ -183,10 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_blocks_covers_range() {
+    fn for_blocks_covers_range() {
         let mut p = FineGrainPool::with_threads(4);
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        p.parallel_for_blocks(0..100, |block| {
+        p.for_blocks(0..100, |block| {
             for i in block {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -198,7 +183,7 @@ mod tests {
     fn empty_ranges_are_noops() {
         let mut p = FineGrainPool::with_threads(2);
         p.parallel_for(10..10, |_| panic!("must not run"));
-        p.parallel_for_blocks(10..10, |_| panic!("must not run"));
+        p.for_blocks(10..10, |_| panic!("must not run"));
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub fn static_block(range: &Range<usize>, nthreads: usize, tid: usize) -> Range<
 }
 
 /// Iterator over the chunks of `range` assigned to `tid` under a block-cyclic partition
-/// with the given chunk size.
+/// with the given chunk size.  The arithmetic is on offsets from `range.start`, so a
+/// range that ends near `usize::MAX` deals its own indices and nothing else.
 pub fn static_chunks(
     range: &Range<usize>,
     nthreads: usize,
@@ -33,14 +34,11 @@ pub fn static_chunks(
 ) -> impl Iterator<Item = Range<usize>> {
     let chunk = chunk.max(1);
     let nthreads = nthreads.max(1);
-    let start = range.start;
-    let end = range.end;
+    let (start, len) = (range.start, range.len());
     (0..)
-        .map(move |k| {
-            let lo = start + (k * nthreads + tid) * chunk;
-            lo..(lo + chunk).min(end)
-        })
-        .take_while(move |r| r.start < end)
+        .map(move |k| (k * nthreads + tid) * chunk)
+        .take_while(move |&lo| lo < len)
+        .map(move |lo| start + lo..start + lo + chunk.min(len - lo))
 }
 
 /// A shared dynamic chunk dispenser: threads repeatedly grab the next chunk of the range
@@ -49,8 +47,10 @@ pub fn static_chunks(
 /// (full barriers vs. half-barrier) is what distinguishes the runtimes.
 #[derive(Debug)]
 pub struct DynamicChunks {
+    /// The next chunk's offset from `start`.
     next: AtomicUsize,
-    end: usize,
+    start: usize,
+    len: usize,
     chunk: usize,
 }
 
@@ -58,20 +58,23 @@ impl DynamicChunks {
     /// Creates a dispenser over `range` handing out chunks of `chunk` iterations.
     pub fn new(range: Range<usize>, chunk: usize) -> Self {
         DynamicChunks {
-            next: AtomicUsize::new(range.start),
-            end: range.end,
+            next: AtomicUsize::new(0),
+            start: range.start,
+            len: range.len(),
             chunk: chunk.max(1),
         }
     }
 
-    /// Grabs the next chunk, or `None` if the range is exhausted.
+    /// Grabs the next chunk, or `None` if the range is exhausted.  The dispenser counts
+    /// offsets from the range's start, so no index past its end is ever formed.
     #[inline]
     pub fn next_chunk(&self) -> Option<Range<usize>> {
         let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if lo >= self.end {
+        if lo >= self.len {
             return None;
         }
-        Some(lo..(lo + self.chunk).min(self.end))
+        let hi = lo + self.chunk.min(self.len - lo);
+        Some(self.start + lo..self.start + hi)
     }
 }
 
@@ -164,8 +167,14 @@ mod tests {
 
     #[test]
     fn chunked_partition_covers_range_exactly_once() {
-        for (len, nthreads, chunk) in [(100, 4, 7), (13, 3, 1), (64, 8, 8), (5, 2, 10)] {
-            let range = 0..len;
+        let top = usize::MAX - 257..usize::MAX;
+        for (range, nthreads, chunk) in [
+            (0..100, 4, 7),
+            (0..13, 3, 1),
+            (0..64, 8, 8),
+            (0..5, 2, 10),
+            (top, 2, 3),
+        ] {
             let mut all = Vec::new();
             for tid in 0..nthreads {
                 for c in static_chunks(&range, nthreads, tid, chunk) {
@@ -173,19 +182,22 @@ mod tests {
                 }
             }
             all.sort_unstable();
-            assert_eq!(all, (0..len).collect::<Vec<_>>());
+            assert_eq!(all, range.collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn dynamic_chunks_cover_range_exactly_once() {
-        let d = DynamicChunks::new(0..101, 7);
-        let mut all = Vec::new();
-        while let Some(c) = d.next_chunk() {
-            all.extend(c);
+        for (range, chunk) in [(0..101, 7), (usize::MAX - 257..usize::MAX, 2)] {
+            let d = DynamicChunks::new(range.clone(), chunk);
+            let mut all = Vec::new();
+            while let Some(c) = d.next_chunk() {
+                all.extend(c);
+            }
+            assert_eq!(all, range.collect::<Vec<_>>());
+            assert!(d.next_chunk().is_none());
+            assert!(d.next_chunk().is_none());
         }
-        assert_eq!(all, (0..101).collect::<Vec<_>>());
-        assert!(d.next_chunk().is_none());
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //!   own.  Exactly `P − 1` combine operations are performed per reduction, and the loop
 //!   still costs only the one half-barrier.
 //!
-//! [`FineGrainPool::parallel_reduce`] requires the combine operator to be commutative
-//! (and associative) because the join tree does not preserve the index order of the
-//! blocks; [`FineGrainPool::parallel_reduce_ordered`] keeps non-commutative operators
-//! correct by folding the views in thread order at the master after the join phase
-//! (still `P − 1` combines, but all executed by the master).
-//! [`static_reduce`], the merged reduction itself, runs on any team (the Cilk-like
-//! pool's too).
+//! [`static_reduce`], the merged reduction itself — the pool's
+//! [`Loops::reduce_blocks`] — runs on any team (the Cilk-like pool's too).  It requires
+//! the combine operator to be commutative (and associative) because the join tree does
+//! not preserve the index order of the blocks;
+//! [`FineGrainPool::parallel_reduce_ordered`] keeps non-commutative operators correct
+//! by folding the views in thread order at the master after the join phase (still
+//! `P − 1` combines, but all executed by the master).
 
 use crate::pool::FineGrainPool;
 use crate::range::static_block;
+use crate::runtime::Loops;
 use crate::stats::PoolStats;
 use parlo_exec::{fold_range, Job, ReduceViews, Team, TeamSync};
 use std::ops::Range;
@@ -32,7 +33,7 @@ use std::ops::Range;
 /// so `identity`, `fold` and `combine` are handles: references to the caller's
 /// closures, or — from a `LoopRuntime` call — `move || init` and the `&dyn` operators
 /// themselves.  `fold` is a block fold, called once with a participant's whole block;
-/// a per-index entry point passes the adapter `move |acc, r| fold_range(&fold, acc, r)`,
+/// a per-index reduction passes the adapter `move |acc, r| fold_range(&fold, acc, r)`,
 /// which holds its per-index handle by value.
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: Id,
@@ -93,57 +94,6 @@ where
 }
 
 impl FineGrainPool {
-    /// Parallel reduction with the combine step merged into the join half-barrier.
-    ///
-    /// * `identity()` produces the neutral element of the reduction;
-    /// * `fold(acc, i)` folds iteration `i` into a thread-local accumulator;
-    /// * `combine(a, b)` merges two accumulators and must be **associative and
-    ///   commutative** (use [`FineGrainPool::parallel_reduce_ordered`] otherwise).
-    ///
-    /// Exactly `num_threads − 1` combine operations are performed per call.  An empty
-    /// range returns `identity()` without running a barrier cycle or moving any
-    /// counter.
-    pub fn parallel_reduce<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
-        let fold = &fold;
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        unsafe { static_reduce(team, stats, phases, range, &identity, blocks, &combine) }
-    }
-
-    /// [`FineGrainPool::parallel_reduce`] with a block fold: `fold(acc, block)` folds a
-    /// participant's whole contiguous block into its accumulator, and is not called for
-    /// an empty block.  Same combines, same result as the per-index fold over the block.
-    pub fn parallel_reduce_blocks<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, Range<usize>) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
-        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        unsafe { static_reduce(team, stats, phases, range, &identity, &fold, &combine) }
-    }
-
     /// Parallel reduction that preserves the left-to-right (iteration-order) combination
     /// of the per-thread partial results, so non-commutative (but associative) operators
     /// are reduced exactly as the sequential loop would.
@@ -190,12 +140,12 @@ impl FineGrainPool {
         unsafe { harness.views.take(0) }.expect("master view present after the fold")
     }
 
-    /// Convenience wrapper: parallel sum of `f(i)` over `range`.
+    /// Convenience wrapper: parallel sum of `f(i)` over `range` ([`Loops::reduce`]).
     pub fn parallel_sum<F>(&mut self, range: Range<usize>, f: F) -> f64
     where
         F: Fn(usize) -> f64 + Sync,
     {
-        self.parallel_reduce(range, || 0.0, |acc, i| acc + f(i), |a, b| a + b)
+        self.reduce(range, || 0.0, |acc, i| acc + f(i), |a, b| a + b)
     }
 }
 
@@ -287,7 +237,7 @@ mod tests {
         let expected: u64 = (0..n as u64).sum();
         for kind in BarrierKind::ALL {
             let mut p = pool(kind, 4);
-            let got = p.parallel_reduce(0..n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
+            let got = p.reduce(0..n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
             assert_eq!(got, expected, "kind {kind:?}");
         }
     }
@@ -298,7 +248,7 @@ mod tests {
             for threads in [1usize, 2, 3, 4, 6] {
                 let mut p = pool(kind, threads);
                 let before = p.stats();
-                let _ = p.parallel_reduce(0..1000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
+                let _ = p.reduce(0..1000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
                 let delta = p.stats().since(&before);
                 assert_eq!(
                     delta.combine_ops,
@@ -344,7 +294,7 @@ mod tests {
     #[test]
     fn empty_range_returns_identity() {
         let mut p = FineGrainPool::with_threads(3);
-        let got = p.parallel_reduce(5..5, || 42u32, |acc, _| acc + 1, |a, b| a.min(b));
+        let got = p.reduce(5..5, || 42u32, |acc, _| acc + 1, |a, b| a.min(b));
         assert_eq!(got, 42);
     }
 
@@ -368,7 +318,7 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
         let ys: Vec<f64> = (0..n).map(|i| 3.0 * i as f64 + 1.0).collect();
         let mut p = pool(BarrierKind::TreeHalf, 4);
-        let got = p.parallel_reduce(
+        let got = p.reduce(
             0..n,
             || Sums {
                 x: 0.0,
@@ -398,7 +348,7 @@ mod tests {
     fn repeated_reductions_reuse_the_pool() {
         let mut p = pool(BarrierKind::CentralizedHalf, 4);
         for round in 1..=50u64 {
-            let got = p.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let got = p.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(got, 4950);
             assert_eq!(p.stats().reductions, round);
         }

@@ -1,4 +1,5 @@
-//! The unified loop-runtime abstraction.
+//! The two loop-runtime abstractions: the object-safe [`LoopRuntime`] and the generic
+//! [`Loops`].
 //!
 //! Every scheduler in the workspace — the paper's fine-grain half-barrier pool, the
 //! OpenMP-like team, the Cilk-like work-stealing pool (both paths) and the adaptive
@@ -10,6 +11,12 @@
 //! so a new backend only has to implement this one trait to become reachable from
 //! every driver.
 //!
+//! [`Loops`] is the same vocabulary over any accumulator type: a block loop and a block
+//! reduction each runtime implements with its own loop, and the per-index
+//! [`Loops::for_each`] / [`Loops::reduce`] built on them once.  A generic workload (the
+//! Phoenix kernels) is written once against it and runs on every pool but the adaptive
+//! one, whose backends are `dyn` and `f64`-only.
+//!
 //! The trait deliberately mirrors the structure the paper measures: a loop is a range
 //! plus a body, a reduction is a loop plus a commutative combine, and the per-loop
 //! synchronization cost (barrier phases, combines, dynamic chunks, steals) is
@@ -20,8 +27,8 @@
 //! Cilk leaf, the stolen or lent piece.  The block methods hand each piece to the body
 //! whole, one call per piece, as the paper's OpenMP and Cilk loops run the iteration
 //! loop inside the outlined body; the per-index methods are the same loop with
-//! `parlo_exec::walk_range` / `fold_range` as the block body, so a per-index body pays
-//! one `dyn` call per index on every runtime, `Sequential` included.
+//! `parlo_exec::walk_range` / `fold_range` as the block body, so a `dyn` per-index body
+//! pays one `dyn` call per index on every runtime, `Sequential` included.
 
 use crate::pool::FineGrainPool;
 use crate::{static_for, static_reduce};
@@ -183,13 +190,14 @@ impl LoopRuntime for FineGrainPool {
 
     // The `&dyn` body and operators go into the loop's harness as they are — a per-index
     // one inside its adapter closure, by value — so a worker finds them in the line that
-    // released it rather than behind a reference into this frame.
+    // released it rather than behind a reference into this frame.  The other runtimes'
+    // `LoopRuntime` impls forward to their `Loops` methods the same way.
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.run_for(range, move |r| walk_range(&body, r));
+        self.for_blocks(range, move |r| walk_range(&body, r));
     }
 
     fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.run_for(range, body);
+        self.for_blocks(range, body);
     }
 
     fn parallel_reduce(
@@ -199,12 +207,8 @@ impl LoopRuntime for FineGrainPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.run_reduce(
-            range,
-            init,
-            move |acc, r| fold_range(&fold, acc, r),
-            combine,
-        )
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn parallel_reduce_blocks(
@@ -214,7 +218,7 @@ impl LoopRuntime for FineGrainPool {
         fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.run_reduce(range, init, fold, combine)
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {
@@ -222,25 +226,99 @@ impl LoopRuntime for FineGrainPool {
     }
 }
 
-impl FineGrainPool {
-    /// The loop behind both `LoopRuntime::parallel_for*` methods, over a block body the
-    /// job carries by value.
-    fn run_for(&mut self, range: Range<usize>, body: impl Fn(Range<usize>) + Sync + Copy) {
+/// The generic loop vocabulary: one block loop and one block reduction, which every
+/// parallel runtime of the workspace implements with the loop it already has, and the
+/// per-index loop and reduction built on them once, here.  A loop written against
+/// `Loops` runs on all of them — the comparison the paper makes.
+///
+/// The operators are *handles*, `Sync + Copy`: references to closures, the `&dyn`
+/// operators of a [`LoopRuntime`] call, or adapters holding either by value, so a
+/// runtime that carries its job by value copies the handle, never the closure.  The
+/// contract is [`LoopRuntime`]'s: pieces are non-empty, disjoint and cover the range
+/// exactly once; `identity()` is the neutral element of an associative and commutative
+/// `combine`; a participant threads one accumulator through its pieces in the order it
+/// runs them; an empty range runs nothing, counts nothing and reduces to `identity()`.
+/// `Loops` and [`LoopRuntime`] share no method name, so both can be in scope at once.
+pub trait Loops {
+    /// Runs `body(piece)` once for every piece the runtime deals over `range`.
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy;
+
+    /// Folds every piece a participant runs into its accumulator, seeded with
+    /// `identity()`, and merges the accumulators with `combine`.
+    fn reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy;
+
+    /// Runs `body(i)` exactly once for every `i` in `range`: the block loop over the
+    /// adapter `move |r| walk_range(&body, r)`.
+    fn for_each<F>(&mut self, range: Range<usize>, body: F)
+    where
+        F: Fn(usize) + Sync,
+    {
+        let body = &body;
+        self.for_blocks(range, move |r| walk_range(&body, r));
+    }
+
+    /// Folds `fold(acc, i)` over `range` into per-participant accumulators seeded with
+    /// `identity()` and merges them with `combine`: the block reduction over the
+    /// adapter `move |acc, r| fold_range(&fold, acc, r)`.
+    fn reduce<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync,
+        Fold: Fn(T, usize) -> T + Sync,
+        Comb: Fn(T, T) -> T + Sync,
+    {
+        let fold = &fold;
+        let blocks = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, &identity, blocks, &combine)
+    }
+}
+
+/// One [`static_block`](crate::static_block) per participant under one half-barrier,
+/// and the reduction merged into its join phase.
+impl Loops for FineGrainPool {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy,
+    {
         // SAFETY: `&mut self` is the single-driver guarantee.
         unsafe { static_for(&self.team, &self.stats, self.phases_per_loop(), range, body) };
     }
 
-    /// The reduction behind both `LoopRuntime::parallel_reduce*` methods.
-    fn run_reduce(
+    fn reduce_blocks<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
-        init: f64,
-        fold: impl Fn(f64, Range<usize>) -> f64 + Sync + Copy,
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
         let (team, stats, phases) = (&self.team, &self.stats, self.phases_per_loop());
-        // SAFETY: `&mut self` is the single-driver guarantee.
-        unsafe { static_reduce(team, stats, phases, range, move || init, fold, combine) }
+        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
+        unsafe { static_reduce(team, stats, phases, range, identity, fold, combine) }
     }
 }
 

@@ -7,21 +7,18 @@
 //! partial results (three full barriers per reduction loop, §2 of the paper).
 //!
 //! Work distribution supports the OpenMP worksharing schedules: `static`,
-//! `static,chunk`, `dynamic,chunk` and `guided`.  The `OpenMP static` and
-//! `OpenMP dynamic` rows of Table 1 are measured with [`OmpTeam::parallel_for`] under
+//! `static,chunk`, `dynamic,chunk` and `guided`.  A [`ScheduledTeam`] — an [`OmpTeam`]
+//! with one [`Schedule`] — runs the loops through `parlo-core`'s generic
+//! [`Loops`](parlo_core::Loops) vocabulary and as a `dyn LoopRuntime`; the
+//! `OpenMP static` and `OpenMP dynamic` rows of Table 1 are measured on it under
 //! [`Schedule::Static`] and [`Schedule::Dynamic`] respectively.
 //!
 //! ```
-//! use parlo_omp::{OmpTeam, Schedule};
+//! use parlo_core::Loops;
+//! use parlo_omp::{Schedule, ScheduledTeam};
 //!
-//! let mut team = OmpTeam::with_threads(4);
-//! let sum = team.parallel_reduce(
-//!     0..1000,
-//!     Schedule::Static,
-//!     || 0u64,
-//!     |acc, i| acc + i as u64,
-//!     |a, b| a + b,
-//! );
+//! let mut team = ScheduledTeam::with_threads(4, Schedule::Static);
+//! let sum = team.reduce(0..1000, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
 //! assert_eq!(sum, 499_500);
 //! ```
 

@@ -1,16 +1,19 @@
-//! [`LoopRuntime`] adapter: an [`OmpTeam`] paired with a worksharing schedule.
+//! [`ScheduledTeam`]: an [`OmpTeam`] paired with a worksharing schedule, the team's
+//! face as [`Loops`] and as [`LoopRuntime`].
 
 use crate::schedule::Schedule;
 use crate::team::OmpTeam;
-use parlo_core::{LoopRuntime, SyncStats};
+use parlo_core::{LoopRuntime, Loops, SyncStats};
+use parlo_exec::{fold_range, walk_range};
 use std::ops::Range;
 
-/// An [`OmpTeam`] bound to one worksharing [`Schedule`], viewable as a
-/// `dyn LoopRuntime`.
+/// An [`OmpTeam`] bound to one worksharing [`Schedule`]: the runtime that runs the
+/// team's loops, generically ([`Loops`]) and as a `dyn LoopRuntime`.
 ///
-/// The team's inherent loop methods take the schedule per call; the unified runtime
-/// interface has no such parameter, so this wrapper fixes it at construction — one
-/// `ScheduledTeam` per Table-1 row (`OpenMP static`, `OpenMP dynamic`, …).
+/// Neither loop interface has a schedule parameter, so this wrapper fixes it at
+/// construction — one `ScheduledTeam` per Table-1 row (`OpenMP static`,
+/// `OpenMP dynamic`, …); the adaptive router retargets its one team by assigning
+/// [`ScheduledTeam::schedule`].
 pub struct ScheduledTeam {
     /// The underlying team.
     pub team: OmpTeam,
@@ -64,11 +67,11 @@ impl LoopRuntime for ScheduledTeam {
     }
 
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.team.parallel_for(range, self.schedule, body);
+        self.for_blocks(range, move |r| walk_range(&body, r));
     }
 
     fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.team.parallel_for_blocks(range, self.schedule, body);
+        self.for_blocks(range, body);
     }
 
     fn parallel_reduce(
@@ -78,8 +81,8 @@ impl LoopRuntime for ScheduledTeam {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.team
-            .parallel_reduce(range, self.schedule, move || init, fold, combine)
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn parallel_reduce_blocks(
@@ -89,8 +92,7 @@ impl LoopRuntime for ScheduledTeam {
         fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.team
-            .parallel_reduce_blocks(range, self.schedule, move || init, fold, combine)
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

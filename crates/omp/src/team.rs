@@ -12,16 +12,18 @@
 //!   reduction loop.
 //!
 //! The work-distribution side supports `static`, `static,chunk`, `dynamic` and `guided`
-//! schedules (see [`crate::Schedule`]).
+//! schedules (see [`crate::Schedule`]).  The loops themselves are the [`Loops`] methods
+//! of a [`ScheduledTeam`], the team paired with one schedule.
 //!
 //! The team itself — lease, worker loop, detach cycle, single-driver guard — is the
 //! shared [`parlo_exec::Team`] skeleton over the [`ExtraReductionBarrier`] sync shape.
 
 use crate::schedule::Schedule;
+use crate::ScheduledTeam;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{FullBarrier, WaitPolicy};
-use parlo_core::{PoolStats, SyncStats};
-use parlo_exec::{fold_range, walk_range, Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
+use parlo_core::{Loops, PoolStats, SyncStats};
+use parlo_exec::{Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -245,7 +247,7 @@ impl<'a> Worksharing<'a> {
     }
 }
 
-/// Harness for `parallel_for_blocks`.  Its worksharing descriptor holds the region's
+/// Harness of a plain loop.  Its worksharing descriptor holds the region's
 /// shared dispensers, so the harness stays on the master's stack and the job carries a
 /// reference to it; the harness owns the block body (a `LoopRuntime` call's `&dyn` body
 /// is held as it is, or inside its per-index adapter, not behind a reference).
@@ -270,7 +272,7 @@ unsafe fn exec_for<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
     h.work.run(id, (), |(), piece| (h.body)(piece));
 }
 
-/// Harness for `parallel_reduce`, on the master's stack like [`ForHarness`].
+/// Harness of a reduction, on the master's stack like [`ForHarness`].
 struct ReduceHarness<'a, T, Id, Fold, Comb> {
     identity: Id,
     fold: Fold,
@@ -305,97 +307,65 @@ where
     unsafe { h.views.combine(into, from, &h.combine) };
 }
 
-impl OmpTeam {
-    /// An OpenMP-style parallel loop: full fork barrier, worksharing according to
-    /// `schedule`, full join barrier.
-    pub fn parallel_for<F>(&mut self, range: Range<usize>, schedule: Schedule, body: F)
+/// The OpenMP-style loops: a full fork barrier, worksharing under the team's
+/// schedule, and a full join barrier; a reduction adds a full barrier whose join phase
+/// aggregates the per-thread partial results — three full barriers in total, as the
+/// Intel OpenMP runtime structure the paper describes.  A body or fold runs once per
+/// non-empty piece the schedule deals a participant (a static block, a `static,chunk`
+/// chunk, a dispensed chunk), in the order the participant runs them.
+impl Loops for ScheduledTeam {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
-        F: Fn(usize) + Sync,
-    {
-        self.parallel_for_blocks(range, schedule, move |r| walk_range(&body, r));
-    }
-
-    /// [`OmpTeam::parallel_for`] with a block body: `body(piece)` runs once per
-    /// non-empty piece `schedule` deals (a static block, a `static,chunk` chunk, a
-    /// dispensed chunk).
-    pub(crate) fn parallel_for_blocks<F>(
-        &mut self,
-        range: Range<usize>,
-        schedule: Schedule,
-        body: F,
-    ) where
-        F: Fn(Range<usize>) + Sync,
+        B: Fn(Range<usize>) + Sync + Copy,
     {
         // An empty range is a fast-path no-op: no barrier episode, no counters — the
         // same guarantee every runtime in the workspace gives.
         if range.is_empty() {
             return;
         }
+        let team = &self.team;
         let harness = ForHarness {
             body,
-            work: Worksharing::new(self, range, schedule),
+            work: Worksharing::new(team, range, self.schedule),
         };
-        // SAFETY: the harness outlives `run_region`; `exec_for::<F>` reads the
-        // reference to it the job carries.
-        unsafe { self.run_region(Job::new(&harness, exec_for::<F>, None)) };
+        // SAFETY: `&mut self` makes this thread the team's one driver; the harness
+        // outlives `run_region`, and `exec_for::<B>` reads the reference to it the job
+        // carries.
+        unsafe { team.run_region(Job::new(&harness, exec_for::<B>, None)) };
     }
 
-    /// An OpenMP-style reduction loop: full fork barrier, worksharing, an additional
-    /// full barrier whose join phase aggregates the per-thread partial results, and a
-    /// full join barrier — three full barriers in total, as the Intel OpenMP runtime
-    /// structure the paper describes.
-    pub fn parallel_reduce<T, Id, Fold, Comb>(
+    fn reduce_blocks<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
-        schedule: Schedule,
         identity: Id,
         fold: Fold,
         combine: Comb,
     ) -> T
     where
         T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.parallel_reduce_blocks(range, schedule, identity, blocks, combine)
-    }
-
-    /// [`OmpTeam::parallel_reduce`] with a block fold: `fold(acc, piece)` folds each
-    /// non-empty piece `schedule` deals a participant, in the order it runs them.
-    pub(crate) fn parallel_reduce_blocks<T, Id, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        schedule: Schedule,
-        identity: Id,
-        fold: Fold,
-        combine: Comb,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Sync,
-        Fold: Fn(T, Range<usize>) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
     {
         // Empty reductions return the identity without a barrier episode.
         if range.is_empty() {
             return identity();
         }
+        let team = &self.team;
         let harness = ReduceHarness {
             identity,
             fold,
             combine,
             // SAFETY: `&mut self` makes this thread the team's one driver, between
             // regions; the previous reduction's handle is gone.
-            views: unsafe { self.team.views() },
-            work: Worksharing::new(self, range, schedule),
+            views: unsafe { team.team.views() },
+            work: Worksharing::new(team, range, self.schedule),
         };
-        self.stats.record_reduction();
-        // SAFETY: as in `parallel_for`; view accesses are serialized by the reduction
+        team.stats.record_reduction();
+        // SAFETY: as in `for_blocks`; view accesses are serialized by the reduction
         // barrier protocol.
         unsafe {
-            self.run_region(Job::new(
+            team.run_region(Job::new(
                 &harness,
                 exec_reduce::<T, Id, Fold, Comb>,
                 Some(combine_reduce::<T, Id, Fold, Comb>),
@@ -410,6 +380,10 @@ impl OmpTeam {
 mod tests {
     use super::*;
     use parlo_sync::{AtomicUsize, Ordering};
+
+    fn scheduled(threads: usize, schedule: Schedule) -> ScheduledTeam {
+        ScheduledTeam::with_threads(threads, schedule)
+    }
 
     #[test]
     fn team_creation_and_teardown() {
@@ -428,9 +402,9 @@ mod tests {
             Schedule::Dynamic(4),
             Schedule::Guided(2),
         ] {
-            let mut t = OmpTeam::with_threads(3);
+            let mut t = scheduled(3, schedule);
             let hits: Vec<AtomicUsize> = (0..311).map(|_| AtomicUsize::new(0)).collect();
-            t.parallel_for(0..311, schedule, |i| {
+            t.for_each(0..311, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -442,18 +416,16 @@ mod tests {
 
     #[test]
     fn loop_costs_two_full_barriers_and_reduction_three() {
-        let mut t = OmpTeam::with_threads(2);
-        t.parallel_for(0..10, Schedule::Static, |_| {});
-        assert_eq!(t.stats().barrier_phases, 4, "plain loop: 2 full barriers");
-        let _ = t.parallel_reduce(
-            0..10,
-            Schedule::Static,
-            || 0u64,
-            |a, i| a + i as u64,
-            |a, b| a + b,
-        );
+        let mut t = scheduled(2, Schedule::Static);
+        t.for_each(0..10, |_| {});
         assert_eq!(
-            t.stats().barrier_phases,
+            t.team.stats().barrier_phases,
+            4,
+            "plain loop: 2 full barriers"
+        );
+        let _ = t.reduce(0..10, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        assert_eq!(
+            t.team.stats().barrier_phases,
             4 + 6,
             "reduction loop: 3 full barriers"
         );
@@ -464,10 +436,9 @@ mod tests {
         let n = 5_000usize;
         let expected: u64 = (0..n as u64).map(|i| i * i).sum();
         for schedule in [Schedule::Static, Schedule::Dynamic(16), Schedule::Guided(4)] {
-            let mut t = OmpTeam::with_threads(4);
-            let got = t.parallel_reduce(
+            let mut t = scheduled(4, schedule);
+            let got = t.reduce(
                 0..n,
-                schedule,
                 || 0u64,
                 |acc, i| acc + (i as u64) * (i as u64),
                 |a, b| a + b,
@@ -479,34 +450,28 @@ mod tests {
     #[test]
     fn reduction_combines_p_minus_one_views() {
         for threads in [1usize, 2, 4] {
-            let mut t = OmpTeam::with_threads(threads);
-            let _ = t.parallel_reduce(
-                0..100,
-                Schedule::Static,
-                || 0u64,
-                |a, i| a + i as u64,
-                |a, b| a + b,
-            );
-            assert_eq!(t.stats().combine_ops, (threads - 1) as u64);
+            let mut t = scheduled(threads, Schedule::Static);
+            let _ = t.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            assert_eq!(t.team.stats().combine_ops, (threads - 1) as u64);
         }
     }
 
     #[test]
     fn dynamic_schedule_dispenses_chunks() {
-        let mut t = OmpTeam::with_threads(2);
-        t.parallel_for(0..100, Schedule::Dynamic(10), |_| {});
-        assert_eq!(t.stats().dynamic_chunks, 10);
+        let mut t = scheduled(2, Schedule::Dynamic(10));
+        t.for_each(0..100, |_| {});
+        assert_eq!(t.team.stats().dynamic_chunks, 10);
     }
 
     #[test]
     fn placement_team_runs_loops() {
         use parlo_affinity::PlacementConfig;
         let placement = PlacementConfig::synthetic(2, 2).with_pin(PinPolicy::None);
-        let mut t = OmpTeam::with_placement(4, &placement);
-        assert_eq!(t.config().topology.num_sockets(), 2);
-        assert_eq!(t.config().pin, PinPolicy::None);
+        let mut t = ScheduledTeam::with_placement(4, Schedule::Static, &placement);
+        assert_eq!(t.team.config().topology.num_sockets(), 2);
+        assert_eq!(t.team.config().pin, PinPolicy::None);
         let counter = AtomicUsize::new(0);
-        t.parallel_for(0..100, Schedule::Static, |_| {
+        t.for_each(0..100, |_| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
@@ -514,14 +479,14 @@ mod tests {
 
     #[test]
     fn many_fine_grain_loops() {
-        let mut t = OmpTeam::with_threads(4);
+        let mut t = scheduled(4, Schedule::Static);
         let counter = AtomicUsize::new(0);
         for _ in 0..100 {
-            t.parallel_for(0..8, Schedule::Static, |_| {
+            t.for_each(0..8, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 800);
-        assert_eq!(t.stats().loops, 100);
+        assert_eq!(t.team.stats().loops, 100);
     }
 }

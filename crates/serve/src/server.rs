@@ -3,7 +3,7 @@
 
 use crate::queue::{tenant_wait, Completion, JobHandle, QueuedJob, Rejected, ServeQueue};
 use parlo_adaptive::{gang_size_hint, LoopSite};
-use parlo_core::{Config, FineGrainPool, StatsRegistry, WaitPolicy};
+use parlo_core::{Config, FineGrainPool, Loops, StatsRegistry, WaitPolicy};
 use parlo_exec::{ClientHooks, Executor, Lease};
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};
 use std::ops::Range;
@@ -194,10 +194,10 @@ fn run_seq(kind: &LoopKind) -> f64 {
 fn run_pooled(pool: &mut FineGrainPool, kind: &LoopKind) -> f64 {
     match kind {
         LoopKind::For { range, body } => {
-            pool.parallel_for_blocks(range.clone(), |block| body(block));
+            pool.for_blocks(range.clone(), |block| body(block));
             0.0
         }
-        LoopKind::Sum { range, f } => pool.parallel_reduce_blocks(
+        LoopKind::Sum { range, f } => pool.reduce_blocks(
             range.clone(),
             || 0.0,
             |acc, block| acc + f(block),
@@ -215,12 +215,12 @@ fn for_parts(job: &QueuedJob) -> (&Range<usize>, &(dyn Fn(Range<usize>) + Send +
 }
 
 /// Runs a multi-job batch — `for` loops only, the queue guarantees it — as a single
-/// `parallel_for_blocks` over the concatenation of their index spaces, so the whole
+/// `for_blocks` over the concatenation of their index spaces, so the whole
 /// batch costs one half-barrier cycle.  Each participant walks the jobs its block of
 /// the concatenation overlaps and hands each its share as one block.
 fn run_fused(pool: &mut FineGrainPool, batch: &[QueuedJob]) {
     let total = batch.iter().map(|job| for_parts(job).0.len()).sum();
-    pool.parallel_for_blocks(0..total, |block| {
+    pool.for_blocks(0..total, |block| {
         // `start..end` is the job's place in the concatenation.
         let mut start = 0;
         for job in batch {

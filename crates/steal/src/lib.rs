@@ -45,12 +45,15 @@
 //! attempt/hit — split into local and remote — and every lent half, so "no chunk lost
 //! or duplicated" is checkable exactly.
 //!
+//! The pool runs `parlo-core`'s generic [`Loops`] vocabulary (and, like every runtime,
+//! [`LoopRuntime`]); the site-keyed loops are its own.
+//!
 //! ```
-//! use parlo_steal::StealPool;
+//! use parlo_steal::{Loops, StealPool};
 //!
 //! let mut pool = StealPool::with_threads(4);
 //! // A skewed body: late iterations are much heavier. Thieves pick up the tail.
-//! let sum = pool.steal_reduce(0..10_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+//! let sum = pool.reduce(0..10_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
 //! assert_eq!(sum, (0..10_000u64).sum());
 //! let stats = pool.stats();
 //! assert_eq!(stats.combine_ops, 3, "P-1 combines, merged into the join phase");
@@ -76,6 +79,6 @@ pub use perturb::{
 pub use pool::{StealConfig, StealPool, StealStats};
 pub use sticky::StealSite;
 
-// Re-export the trait so depending on `parlo-steal` alone is enough to drive the pool
+// Re-export the traits so depending on `parlo-steal` alone is enough to drive the pool
 // generically.
-pub use parlo_core::{LoopRuntime, SyncStats};
+pub use parlo_core::{LoopRuntime, Loops, SyncStats};

@@ -818,39 +818,7 @@ where
 }
 
 impl StealPool {
-    /// Work-stealing parallel loop: pre-split chunk runs, owner-LIFO execution,
-    /// thief-FIFO stealing.  `body` is called exactly once per index.  Every stealing
-    /// loop splits its range into chunks of [`StealPool::effective_chunk`].
-    pub fn steal_for<F>(&mut self, range: Range<usize>, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.for_loop(None, range, move |r| walk_range(&body, r));
-    }
-
-    /// Work-stealing parallel reduction.  Every participant folds the chunks it
-    /// executes (own and stolen) into a private view seeded with `init()`, and the
-    /// views are merged pairwise inside the join phase — exactly `P − 1` combines,
-    /// like the fine-grain pool's merged reduction.  `init` must produce the neutral
-    /// element of `comb`, and `comb` must be associative and commutative.
-    pub fn steal_reduce<T, Init, Fold, Comb>(
-        &mut self,
-        range: Range<usize>,
-        init: Init,
-        fold: Fold,
-        comb: Comb,
-    ) -> T
-    where
-        T: Send,
-        Init: Fn() -> T + Sync,
-        Fold: Fn(T, usize) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
-    {
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_loop(None, range, init, blocks, comb)
-    }
-
-    /// [`StealPool::steal_for`] keyed by a loop [`StealSite`], with **sticky
+    /// [`Loops::for_each`](parlo_core::Loops::for_each) keyed by a loop [`StealSite`], with **sticky
     /// chunk→worker affinity**: the deques are seeded from the site's remembered
     /// assignment — whichever participant *executed* each grid chunk on the previous
     /// invocation of this site, steals included — so a repeated loop re-runs each
@@ -864,8 +832,8 @@ impl StealPool {
         self.for_loop(Some(site), range, move |r| walk_range(&body, r));
     }
 
-    /// [`StealPool::steal_reduce`] keyed by a loop [`StealSite`] — sticky affinity
-    /// exactly as in [`StealPool::steal_for_at`].
+    /// [`Loops::reduce`](parlo_core::Loops::reduce) keyed by a loop [`StealSite`] — sticky affinity exactly as in
+    /// [`StealPool::steal_for_at`].
     pub fn steal_reduce_at<T, Init, Fold, Comb>(
         &mut self,
         site: StealSite,
@@ -884,9 +852,9 @@ impl StealPool {
         self.reduce_loop(Some(site), range, init, blocks, comb)
     }
 
-    /// The plain loop behind every `steal_for*` entry point and the `LoopRuntime` block
-    /// loop (`site` keys the sticky affinity, `None` for the unkeyed variants): `body`
-    /// runs once per piece a participant claims, popped, stolen or lent.
+    /// The plain loop behind [`StealPool::steal_for_at`] and [`Loops::for_blocks`](parlo_core::Loops::for_blocks)
+    /// (`site` keys the sticky affinity, `None` for the unkeyed loops): `body` runs once
+    /// per piece a participant claims, popped, stolen or lent.
     pub(crate) fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, body: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -913,8 +881,12 @@ impl StealPool {
         });
     }
 
-    /// The reduction behind every `steal_reduce*` entry point and the `LoopRuntime`
-    /// block reduction: `fold` folds each piece a participant runs into its view.
+    /// The reduction behind [`StealPool::steal_reduce_at`] and [`Loops::reduce_blocks`](parlo_core::Loops::reduce_blocks):
+    /// every participant folds the pieces it runs (own and stolen) into a private view
+    /// seeded with `init()`, and the views are merged pairwise inside the join phase —
+    /// exactly `P − 1` combines, like the fine-grain pool's merged reduction.  `init`
+    /// must produce the neutral element of `comb`, which must be associative and
+    /// commutative.
     pub(crate) fn reduce_loop<T, Init, Fold, Comb>(
         &mut self,
         site: Option<StealSite>,
@@ -1079,6 +1051,7 @@ mod tests {
     use crate::chunk::total_chunks;
     use crate::perturb::SeededPerturbation;
     use parlo_cilk::{CilkConfig, CilkPool};
+    use parlo_core::Loops;
 
     /// A pool of `threads` participants whose loops use chunks of `chunk`.
     fn chunked_pool(threads: usize, chunk: usize) -> StealPool {
@@ -1101,7 +1074,7 @@ mod tests {
             let mut p = chunked_pool(threads, 16);
             for round in 0..5 {
                 let hits: Vec<AtomicUsize> = (0..1013).map(|_| AtomicUsize::new(0)).collect();
-                p.steal_for(0..1013, |i| {
+                p.for_each(0..1013, |i| {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 });
                 assert!(
@@ -1116,15 +1089,15 @@ mod tests {
     fn offset_ranges_and_empty_ranges() {
         let mut p = chunked_pool(3, 8);
         let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
-        p.steal_for(50..150, |i| {
+        p.for_each(50..150, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
             let expected = usize::from((50..150).contains(&i));
             assert_eq!(h.load(Ordering::Relaxed), expected, "index {i}");
         }
-        p.steal_for(5..5, |_| panic!("must not run"));
-        let got = p.steal_reduce(7..7, || 1.5f64, |_, _| panic!(), |a, _| a);
+        p.for_each(5..5, |_| panic!("must not run"));
+        let got = p.reduce(7..7, || 1.5f64, |_, _| panic!(), |a, _| a);
         assert!((got - 1.5).abs() < 1e-12);
     }
 
@@ -1133,7 +1106,7 @@ mod tests {
         for threads in 1..=5usize {
             let mut p = StealPool::with_threads(threads);
             let before = p.stats();
-            let sum = p.steal_reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let sum = p.reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(sum, (0..1000u64).sum());
             let d = p.stats().since(&before);
             assert_eq!(d.reductions, 1);
@@ -1148,7 +1121,7 @@ mod tests {
         let before = p.stats();
         const LOOPS: usize = 7;
         for _ in 0..LOOPS {
-            p.steal_for(0..997, |_| {});
+            p.for_each(0..997, |_| {});
         }
         let d = p.stats().since(&before);
         assert_eq!(d.loops, LOOPS as u64);
@@ -1167,7 +1140,7 @@ mod tests {
                 .with_chunk(5);
             let mut p = StealPool::new(config);
             let hits: Vec<AtomicUsize> = (0..503).map(|_| AtomicUsize::new(0)).collect();
-            p.steal_for(0..503, |i| {
+            p.for_each(0..503, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -1184,7 +1157,7 @@ mod tests {
         // overflow must execute inline, not disappear.
         let mut p = chunked_pool(1, 1);
         let counter = AtomicUsize::new(0);
-        p.steal_for(0..4096, |_| {
+        p.for_each(0..4096, |_| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 4096);
@@ -1198,7 +1171,7 @@ mod tests {
         let mut p = StealPool::with_placement(4, &placement);
         let counter = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.steal_for(0..100, |_| {
+            p.for_each(0..100, |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -1217,7 +1190,7 @@ mod tests {
         let mut p = chunked_pool(4, 4);
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.steal_for(0..512, |i| {
+            p.for_each(0..512, |i| {
                 if i >= 384 {
                     // The last block is heavy.
                     let mut x = i as f64;
@@ -1255,7 +1228,7 @@ mod tests {
         let mut p = StealPool::new(StealConfig::from_placement(4, &placement).with_chunk(4));
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
-            p.steal_for(0..512, |i| {
+            p.for_each(0..512, |i| {
                 heavy_tail(i);
                 total.fetch_add(1, Ordering::Relaxed);
             });
@@ -1285,7 +1258,7 @@ mod tests {
         );
         let total = AtomicUsize::new(0);
         for _ in 0..5 {
-            p.steal_for(0..512, |i| {
+            p.for_each(0..512, |i| {
                 heavy_tail(i);
                 total.fetch_add(1, Ordering::Relaxed);
             });
@@ -1307,7 +1280,7 @@ mod tests {
             )));
         let mut p = StealPool::new(config);
         let hits: Vec<AtomicUsize> = (0..301).map(|_| AtomicUsize::new(0)).collect();
-        p.steal_for(0..301, |i| {
+        p.for_each(0..301, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

@@ -1,9 +1,37 @@
-//! [`LoopRuntime`] adapter for the stealing pool, making it reachable from every
-//! workload, the cross-runtime rosters and the adaptive router.
+//! The stealing pool as [`Loops`] and as [`LoopRuntime`], making it reachable from
+//! every workload, the cross-runtime rosters and the adaptive router.
 
 use crate::pool::StealPool;
-use parlo_core::{LoopRuntime, SyncStats};
+use parlo_core::{LoopRuntime, Loops, SyncStats};
+use parlo_exec::{fold_range, walk_range};
 use std::ops::Range;
+
+/// The unkeyed stealing loops: pre-split chunk runs, owner-LIFO execution, thief-FIFO
+/// stealing, and the tail lent in halves.
+impl Loops for StealPool {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy,
+    {
+        self.for_loop(None, range, body);
+    }
+
+    fn reduce_blocks<T, Id, Fold, Comb>(
+        &mut self,
+        range: Range<usize>,
+        identity: Id,
+        fold: Fold,
+        combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
+        self.reduce_loop(None, range, identity, fold, combine)
+    }
+}
 
 impl LoopRuntime for StealPool {
     fn name(&self) -> String {
@@ -15,11 +43,11 @@ impl LoopRuntime for StealPool {
     }
 
     fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.steal_for(range, body);
+        self.for_blocks(range, move |r| walk_range(&body, r));
     }
 
     fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_loop(None, range, body);
+        self.for_blocks(range, body);
     }
 
     fn parallel_reduce(
@@ -29,7 +57,8 @@ impl LoopRuntime for StealPool {
         fold: &(dyn Fn(f64, usize) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.steal_reduce(range, move || init, fold, combine)
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn parallel_reduce_blocks(
@@ -39,7 +68,7 @@ impl LoopRuntime for StealPool {
         fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
         combine: &(dyn Fn(f64, f64) -> f64 + Sync),
     ) -> f64 {
-        self.reduce_loop(None, range, move || init, fold, combine)
+        self.reduce_blocks(range, move || init, fold, combine)
     }
 
     fn sync_stats(&self) -> SyncStats {

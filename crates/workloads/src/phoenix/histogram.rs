@@ -5,6 +5,7 @@
 //! which stresses reductions with a *large* view (copying and combining the view is
 //! itself noticeable work), complementing the small-view linear regression.
 
+use parlo_core::{FineGrainPool, Loops};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,9 +74,9 @@ pub fn sequential(pixels: &[[u8; 3]]) -> Histogram {
         .fold(Histogram::default(), |acc, &p| acc.accumulate(p))
 }
 
-/// Histogram on the fine-grain scheduler (merged half-barrier reduction).
-pub fn with_fine_grain(pool: &mut parlo_core::FineGrainPool, pixels: &[[u8; 3]]) -> Histogram {
-    pool.parallel_reduce(
+/// Histogram on any parallel runtime: one reduction loop over the pixels.
+pub fn parallel(rt: &mut impl Loops, pixels: &[[u8; 3]]) -> Histogram {
+    rt.reduce(
         0..pixels.len(),
         Histogram::default,
         |acc, i| acc.accumulate(pixels[i]),
@@ -83,29 +84,9 @@ pub fn with_fine_grain(pool: &mut parlo_core::FineGrainPool, pixels: &[[u8; 3]])
     )
 }
 
-/// Histogram on the OpenMP-like team.
-pub fn with_omp(
-    team: &mut parlo_omp::OmpTeam,
-    schedule: parlo_omp::Schedule,
-    pixels: &[[u8; 3]],
-) -> Histogram {
-    team.parallel_reduce(
-        0..pixels.len(),
-        schedule,
-        Histogram::default,
-        |acc, i| acc.accumulate(pixels[i]),
-        Histogram::merge,
-    )
-}
-
-/// Histogram on the baseline Cilk-like pool.
-pub fn with_cilk_baseline(pool: &mut parlo_cilk::CilkPool, pixels: &[[u8; 3]]) -> Histogram {
-    pool.cilk_reduce(
-        0..pixels.len(),
-        Histogram::default,
-        |acc, i| acc.accumulate(pixels[i]),
-        Histogram::merge,
-    )
+/// [`parallel`] on the fine-grain scheduler (merged half-barrier reduction).
+pub fn with_fine_grain(pool: &mut FineGrainPool, pixels: &[[u8; 3]]) -> Histogram {
+    parallel(pool, pixels)
 }
 
 #[cfg(test)]
@@ -125,18 +106,12 @@ mod tests {
     fn parallel_runtimes_match_sequential() {
         let pixels = generate_image(30_000, 9);
         let expected = sequential(&pixels);
-
-        let mut fine = parlo_core::FineGrainPool::with_threads(4);
+        let mut fine = FineGrainPool::with_threads(4);
         assert_eq!(with_fine_grain(&mut fine, &pixels), expected);
-
-        let mut team = parlo_omp::OmpTeam::with_threads(3);
-        assert_eq!(
-            with_omp(&mut team, parlo_omp::Schedule::Static, &pixels),
-            expected
-        );
-
+        let mut team = parlo_omp::ScheduledTeam::with_threads(3, parlo_omp::Schedule::Static);
+        assert_eq!(parallel(&mut team, &pixels), expected);
         let mut cilk = parlo_cilk::CilkPool::with_threads(3);
-        assert_eq!(with_cilk_baseline(&mut cilk, &pixels), expected);
+        assert_eq!(parallel(&mut cilk, &pixels), expected);
     }
 
     #[test]

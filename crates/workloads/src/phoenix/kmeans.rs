@@ -7,6 +7,7 @@
 //! reduction-heavy body, which is why Phoenix++ includes it and why it rounds out the
 //! map-reduce workload set here.
 
+use parlo_core::{FineGrainPool, Loops};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -136,9 +137,9 @@ pub fn sequential(points: &[Point2], mut centroids: Vec<Point2>, iters: usize) -
     }
 }
 
-/// K-means on the fine-grain scheduler: one merged-reduction loop per iteration.
-pub fn with_fine_grain(
-    pool: &mut parlo_core::FineGrainPool,
+/// K-means on any parallel runtime: one reduction loop per iteration.
+pub fn parallel(
+    rt: &mut impl Loops,
     points: &[Point2],
     mut centroids: Vec<Point2>,
     iters: usize,
@@ -147,7 +148,7 @@ pub fn with_fine_grain(
     let mut movement = 0.0;
     for _ in 0..iters {
         let snapshot = centroids.clone();
-        let sums = pool.parallel_reduce(
+        let sums = rt.reduce(
             0..points.len(),
             || ClusterSums::new(k),
             |acc, i| {
@@ -165,35 +166,14 @@ pub fn with_fine_grain(
     }
 }
 
-/// K-means on the OpenMP-like team: one three-barrier reduction loop per iteration.
-pub fn with_omp(
-    team: &mut parlo_omp::OmpTeam,
-    schedule: parlo_omp::Schedule,
+/// [`parallel`] on the fine-grain scheduler: one merged-reduction loop per iteration.
+pub fn with_fine_grain(
+    pool: &mut FineGrainPool,
     points: &[Point2],
-    mut centroids: Vec<Point2>,
+    centroids: Vec<Point2>,
     iters: usize,
 ) -> KmeansResult {
-    let k = centroids.len();
-    let mut movement = 0.0;
-    for _ in 0..iters {
-        let snapshot = centroids.clone();
-        let sums = team.parallel_reduce(
-            0..points.len(),
-            schedule,
-            || ClusterSums::new(k),
-            |acc, i| {
-                let c = nearest(&snapshot, points[i]);
-                acc.accumulate(c, points[i])
-            },
-            ClusterSums::merge,
-        );
-        movement = update_centroids(&sums, &mut centroids);
-    }
-    KmeansResult {
-        centroids,
-        iterations: iters,
-        final_movement: movement,
-    }
+    parallel(pool, points, centroids, iters)
 }
 
 #[cfg(test)]
@@ -243,18 +223,15 @@ mod tests {
             .collect();
         let expected = sequential(&points, start.clone(), 5);
 
-        let mut pool = parlo_core::FineGrainPool::with_threads(4);
+        let mut pool = FineGrainPool::with_threads(4);
         let fine = with_fine_grain(&mut pool, &points, start.clone(), 5);
-        for (a, b) in fine.centroids.iter().zip(&expected.centroids) {
-            assert!((a.x - b.x).abs() < 1e-9);
-            assert!((a.y - b.y).abs() < 1e-9);
-        }
-
-        let mut team = parlo_omp::OmpTeam::with_threads(2);
-        let omp = with_omp(&mut team, parlo_omp::Schedule::Static, &points, start, 5);
-        for (a, b) in omp.centroids.iter().zip(&expected.centroids) {
-            assert!((a.x - b.x).abs() < 1e-9);
-            assert!((a.y - b.y).abs() < 1e-9);
+        let mut team = parlo_omp::ScheduledTeam::with_threads(2, parlo_omp::Schedule::Static);
+        let omp = parallel(&mut team, &points, start, 5);
+        for got in [fine, omp] {
+            for (a, b) in got.centroids.iter().zip(&expected.centroids) {
+                assert!((a.x - b.x).abs() < 1e-9);
+                assert!((a.y - b.y).abs() < 1e-9);
+            }
         }
     }
 }

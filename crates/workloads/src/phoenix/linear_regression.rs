@@ -6,6 +6,7 @@
 //! reduction of the per-thread accumulators — which is exactly what the paper's merged
 //! half-barrier reduction (and Cilk reducer optimisation) targets.
 
+use parlo_core::{FineGrainPool, Loops};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,9 +98,9 @@ pub fn sequential(points: &[Point]) -> RegressionSums {
         .fold(RegressionSums::default(), |acc, &p| acc.accumulate(p))
 }
 
-/// Runs the regression on the fine-grain scheduler (merged half-barrier reduction).
-pub fn with_fine_grain(pool: &mut parlo_core::FineGrainPool, points: &[Point]) -> RegressionSums {
-    pool.parallel_reduce(
+/// Runs the regression on any parallel runtime: one reduction loop over the points.
+pub fn parallel(rt: &mut impl Loops, points: &[Point]) -> RegressionSums {
+    rt.reduce(
         0..points.len(),
         RegressionSums::default,
         |acc, i| acc.accumulate(points[i]),
@@ -107,40 +108,9 @@ pub fn with_fine_grain(pool: &mut parlo_core::FineGrainPool, points: &[Point]) -
     )
 }
 
-/// Runs the regression on the OpenMP-like team (reduction via the extra barrier).
-pub fn with_omp(
-    team: &mut parlo_omp::OmpTeam,
-    schedule: parlo_omp::Schedule,
-    points: &[Point],
-) -> RegressionSums {
-    team.parallel_reduce(
-        0..points.len(),
-        schedule,
-        RegressionSums::default,
-        |acc, i| acc.accumulate(points[i]),
-        RegressionSums::merge,
-    )
-}
-
-/// Runs the regression on the baseline Cilk-like pool (lazy reducer views).
-pub fn with_cilk_baseline(pool: &mut parlo_cilk::CilkPool, points: &[Point]) -> RegressionSums {
-    pool.cilk_reduce(
-        0..points.len(),
-        RegressionSums::default,
-        |acc, i| acc.accumulate(points[i]),
-        RegressionSums::merge,
-    )
-}
-
-/// Runs the regression on the hybrid pool's fine-grain path (static views, `P − 1`
-/// reduce operations).
-pub fn with_cilk_fine_grain(pool: &mut parlo_cilk::CilkPool, points: &[Point]) -> RegressionSums {
-    pool.fine_grain_reduce(
-        0..points.len(),
-        RegressionSums::default,
-        |acc, i| acc.accumulate(points[i]),
-        RegressionSums::merge,
-    )
+/// [`parallel`] on the fine-grain scheduler (merged half-barrier reduction).
+pub fn with_fine_grain(pool: &mut FineGrainPool, points: &[Point]) -> RegressionSums {
+    parallel(pool, points)
 }
 
 #[cfg(test)]
@@ -194,23 +164,12 @@ mod tests {
         let points = generate_points(40_000, 1.25, 4.0, 0.1, 23);
         let expected = sequential(&points);
 
-        let mut fine = parlo_core::FineGrainPool::with_threads(4);
+        let mut fine = FineGrainPool::with_threads(4);
         assert!(sums_close(&with_fine_grain(&mut fine, &points), &expected));
-
-        let mut team = parlo_omp::OmpTeam::with_threads(3);
-        assert!(sums_close(
-            &with_omp(&mut team, parlo_omp::Schedule::Static, &points),
-            &expected
-        ));
-
-        let mut cilk = parlo_cilk::CilkPool::with_threads(3);
-        assert!(sums_close(
-            &with_cilk_baseline(&mut cilk, &points),
-            &expected
-        ));
-        assert!(sums_close(
-            &with_cilk_fine_grain(&mut cilk, &points),
-            &expected
-        ));
+        let mut team = parlo_omp::ScheduledTeam::with_threads(3, parlo_omp::Schedule::Static);
+        assert!(sums_close(&parallel(&mut team, &points), &expected));
+        let mut hybrid = parlo_cilk::CilkFineGrain::with_threads(3);
+        assert!(sums_close(&parallel(&mut hybrid.pool, &points), &expected));
+        assert!(sums_close(&parallel(&mut hybrid, &points), &expected));
     }
 }

@@ -23,34 +23,36 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
-    let mut pool = CilkPool::with_threads(threads);
+    // One pool, two faces: `hybrid` runs the fine-grain loops, `hybrid.pool` the
+    // baseline work-stealing ones.
+    let mut hybrid = CilkFineGrain::with_threads(threads);
     println!("hybrid pool with {threads} workers\n");
 
     // Fine-grain phase: thousands of tiny loops, statically scheduled via the
     // half-barrier that the workers poll between steal attempts.
     let counter = AtomicUsize::new(0);
     for _ in 0..1_000 {
-        pool.fine_grain_for(0..64, |_| {
+        hybrid.for_each(0..64, |_| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
     }
     println!(
         "fine-grain phase: 1000 loops x 64 iterations -> {} iterations, {} fine-grain loops recorded",
         counter.load(Ordering::Relaxed),
-        pool.stats().fine_loops
+        hybrid.pool.stats().fine_loops
     );
 
     // Coarse-grain phase: one large, imbalanced loop, dynamically scheduled by the same
     // pool through recursive splitting and random stealing.
-    let sum = pool.cilk_reduce(
+    let sum = hybrid.pool.reduce(
         0..200_000,
         || 0.0f64,
         |acc, i| acc + imbalanced_work(i),
         |a, b| a + b,
     );
-    let stats = pool.stats();
+    let stats = hybrid.pool.stats();
     println!(
-        "coarse-grain phase: cilk_reduce checksum {sum:.1}, {} leaf tasks, {} steals ({} attempts)",
+        "coarse-grain phase: work-stealing reduction checksum {sum:.1}, {} leaf tasks, {} steals ({} attempts)",
         stats.tasks_executed, stats.steals, stats.steal_attempts
     );
 
@@ -58,11 +60,11 @@ fn main() {
     let probe = AtomicUsize::new(0);
     for round in 0..100 {
         if round % 2 == 0 {
-            pool.fine_grain_for(0..32, |_| {
+            hybrid.for_each(0..32, |_| {
                 probe.fetch_add(1, Ordering::Relaxed);
             });
         } else {
-            pool.cilk_for(0..32, |_| {
+            hybrid.pool.for_each(0..32, |_| {
                 probe.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -70,7 +72,7 @@ fn main() {
     println!(
         "alternating phase: {} iterations executed across {} fine-grain + {} cilk loops",
         probe.load(Ordering::Relaxed),
-        pool.stats().fine_loops - 1000,
-        pool.stats().loops - 1
+        hybrid.pool.stats().fine_loops - 1000,
+        hybrid.pool.stats().loops - 1
     );
 }

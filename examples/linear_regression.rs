@@ -39,33 +39,34 @@ fn main() {
         pool.stats().combine_ops
     );
 
-    let mut team = OmpTeam::with_threads(threads);
+    let mut team = ScheduledTeam::with_threads(threads, Schedule::Static);
     let t0 = Instant::now();
-    let omp = linreg::with_omp(&mut team, Schedule::Static, &points);
+    let omp = linreg::parallel(&mut team, &points);
     println!(
         "OpenMP static:       {:?} -> line {:?} ({} barrier phases)",
         t0.elapsed(),
         omp.line(),
-        team.stats().barrier_phases
+        team.sync_stats().barrier_phases
     );
 
-    let mut cilk = CilkPool::with_threads(threads);
+    // One pool, two paths: `cilk.pool` is the baseline, `cilk` the hybrid face.
+    let mut cilk = CilkFineGrain::with_threads(threads);
     let t0 = Instant::now();
-    let base = linreg::with_cilk_baseline(&mut cilk, &points);
+    let base = linreg::parallel(&mut cilk.pool, &points);
     println!(
         "Cilk baseline:       {:?} -> line {:?} ({} reduce ops, {} steals)",
         t0.elapsed(),
         base.line(),
-        cilk.stats().reduce_ops,
-        cilk.stats().steals
+        cilk.pool.stats().reduce_ops,
+        cilk.pool.stats().steals
     );
 
     let t0 = Instant::now();
-    let hybrid = linreg::with_cilk_fine_grain(&mut cilk, &points);
+    let hybrid = linreg::parallel(&mut cilk, &points);
     println!(
         "fine-grain Cilk:     {:?} -> line {:?} ({} combines)",
         t0.elapsed(),
         hybrid.line(),
-        cilk.stats().fine_combine_ops
+        cilk.pool.stats().fine_combine_ops
     );
 }

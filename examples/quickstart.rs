@@ -1,4 +1,6 @@
-//! Quickstart: the fine-grain scheduler's loop and reduction API in a few lines.
+//! Quickstart: the fine-grain scheduler's loop and reduction API in a few lines.  The
+//! loop and the reduction are the generic `Loops` vocabulary, so the same two calls
+//! run on every pool in the workspace.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
@@ -17,7 +19,7 @@ fn main() {
     // 1. A statically scheduled parallel loop.
     let data: Vec<f64> = (0..1_000_000).map(|i| i as f64).collect();
     let hits = AtomicUsize::new(0);
-    pool.parallel_for(0..data.len(), |i| {
+    pool.for_each(0..data.len(), |i| {
         if (data[i] as usize).is_multiple_of(97) {
             hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -25,7 +27,7 @@ fn main() {
     println!("multiples of 97: {}", hits.load(Ordering::Relaxed));
 
     // 2. A reduction merged into the join half-barrier (exactly P-1 combines).
-    let sum = pool.parallel_reduce(0..data.len(), || 0.0, |acc, i| acc + data[i], |a, b| a + b);
+    let sum = pool.reduce(0..data.len(), || 0.0, |acc, i| acc + data[i], |a, b| a + b);
     println!("sum = {sum:.0}");
 
     // 3. An ordered (non-commutative) reduction.

@@ -29,6 +29,11 @@ fn time_loops(name: &str, mut run: impl FnMut() -> f64) {
     );
 }
 
+/// One fine-grain loop, written once for every runtime: a sum of `ITERS` work units.
+fn sum_loop(rt: &mut impl Loops) -> f64 {
+    rt.reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
+}
+
 fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -43,7 +48,7 @@ fn main() {
             .build(),
     );
     time_loops("fine-grain tree (half-barrier)", || {
-        fine_tree.parallel_reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
+        sum_loop(&mut fine_tree)
     });
 
     let mut fine_central = FineGrainPool::new(
@@ -52,7 +57,7 @@ fn main() {
             .build(),
     );
     time_loops("fine-grain centralized (half-barrier)", || {
-        fine_central.parallel_reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
+        sum_loop(&mut fine_central)
     });
 
     let mut fine_full = FineGrainPool::new(
@@ -61,36 +66,17 @@ fn main() {
             .build(),
     );
     time_loops("fine-grain tree (full barriers)", || {
-        fine_full.parallel_reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
+        sum_loop(&mut fine_full)
     });
 
-    let mut team = OmpTeam::with_threads(threads);
-    time_loops("OpenMP-like, schedule(static)", || {
-        team.parallel_reduce(
-            0..ITERS,
-            Schedule::Static,
-            || 0.0,
-            |a, i| a + work_unit(i, 1),
-            |a, b| a + b,
-        )
-    });
-    time_loops("OpenMP-like, schedule(dynamic,1)", || {
-        team.parallel_reduce(
-            0..ITERS,
-            Schedule::Dynamic(1),
-            || 0.0,
-            |a, i| a + work_unit(i, 1),
-            |a, b| a + b,
-        )
-    });
+    let mut team = ScheduledTeam::with_threads(threads, Schedule::Static);
+    time_loops("OpenMP-like, schedule(static)", || sum_loop(&mut team));
+    team.schedule = Schedule::Dynamic(1);
+    time_loops("OpenMP-like, schedule(dynamic,1)", || sum_loop(&mut team));
 
-    let mut cilk = CilkPool::with_threads(threads);
-    time_loops("Cilk-like (work stealing)", || {
-        cilk.cilk_reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
-    });
-    time_loops("Cilk-like hybrid (fine-grain path)", || {
-        cilk.fine_grain_reduce(0..ITERS, || 0.0, |a, i| a + work_unit(i, 1), |a, b| a + b)
-    });
+    let mut cilk = CilkFineGrain::with_threads(threads);
+    time_loops("Cilk-like (work stealing)", || sum_loop(&mut cilk.pool));
+    time_loops("Cilk-like hybrid (fine-grain path)", || sum_loop(&mut cilk));
 
     println!("\ncost-model prediction for the paper's 48-core machine (Table 1, simulated):");
     let machine = SimMachine::paper_machine();

@@ -16,7 +16,7 @@ fn main() {
 
     // A uniform reduction first: same API shape as every other runtime in the roster.
     let data: Vec<u64> = (0..1_000_000).collect();
-    let sum = pool.steal_reduce(0..data.len(), || 0u64, |acc, i| acc + data[i], |a, b| a + b);
+    let sum = pool.reduce(0..data.len(), || 0u64, |acc, i| acc + data[i], |a, b| a + b);
     println!("sum = {sum}");
     assert_eq!(sum, 499_999_500_000);
 

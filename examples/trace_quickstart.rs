@@ -23,7 +23,7 @@ fn main() {
     for _ in 0..8 {
         pool.parallel_for(0..10_000, |_| {});
     }
-    let sum = pool.parallel_reduce(0..1_000_000, || 0.0, |a, i| a + i as f64, |a, b| a + b);
+    let sum = pool.reduce(0..1_000_000, || 0.0, |a, i| a + i as f64, |a, b| a + b);
     println!("sum = {sum:.0}");
     let delta = pool.sync_stats().since(&before);
     drop(pool);

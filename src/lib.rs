@@ -18,7 +18,7 @@
 //! use parlo::prelude::*;
 //!
 //! let mut pool = FineGrainPool::with_threads(2);
-//! let sum = pool.parallel_reduce(0..100, || 0u32, |a, i| a + i as u32, |a, b| a + b);
+//! let sum = pool.reduce(0..100, || 0u32, |a, i| a + i as u32, |a, b| a + b);
 //! assert_eq!(sum, 4950);
 //! ```
 
@@ -46,8 +46,8 @@ pub mod prelude {
     pub use parlo_barrier::{HierarchicalHalfBarrier, HierarchyStats, WaitPolicy};
     pub use parlo_cilk::{CilkFineGrain, CilkPool};
     pub use parlo_core::{
-        BarrierKind, Config, FineGrainPool, LoopRuntime, Sequential, StatsRegistry, StatsSource,
-        SyncStats,
+        BarrierKind, Config, FineGrainPool, LoopRuntime, Loops, Sequential, StatsRegistry,
+        StatsSource, SyncStats,
     };
     pub use parlo_exec::{ExecStats, Executor};
     pub use parlo_omp::{OmpTeam, Schedule, ScheduledTeam};

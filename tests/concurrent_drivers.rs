@@ -20,8 +20,9 @@
 //! bodies, which abort on unwind by design), so `catch_unwind` observes them.
 
 use parlo_affinity::PlacementConfig;
-use parlo_core::FineGrainPool;
+use parlo_core::{FineGrainPool, Loops};
 use parlo_exec::Executor;
+use parlo_omp::{Schedule, ScheduledTeam};
 use parlo_sync::{AtomicBool, AtomicUsize, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -173,19 +174,13 @@ fn lease_revocation_mid_loop_panics_fine_grain() {
 fn lease_revocation_mid_region_panics_omp_team() {
     let threads = pinned_threads();
     lease_revocation_race(move |executor, placement, in_body, release| {
-        let mut team = parlo_omp::OmpTeam::with_placement_on(threads, &placement, &executor);
+        let mut team =
+            ScheduledTeam::with_placement_on(threads, Schedule::Dynamic(1), &placement, &executor);
         let hits = AtomicUsize::new(0);
-        team.parallel_for(0..threads * 8, parlo_omp::Schedule::Dynamic(1), |_| {
-            parked_body(&in_body, &release, &hits)
-        });
+        team.for_each(0..threads * 8, |_| parked_body(&in_body, &release, &hits));
         assert_eq!(hits.into_inner(), threads * 8, "in-flight region mangled");
-        let sum = team.parallel_reduce(
-            0..1000,
-            parlo_omp::Schedule::Static,
-            || 0.0f64,
-            |a, i| a + i as f64,
-            |a, b| a + b,
-        );
+        team.schedule = Schedule::Static;
+        let sum = team.reduce(0..1000, || 0.0f64, |a, i| a + i as f64, |a, b| a + b);
         assert_eq!(sum, 499_500.0);
     });
 }
@@ -196,10 +191,10 @@ fn lease_revocation_mid_loop_panics_cilk() {
     lease_revocation_race(move |executor, placement, in_body, release| {
         let mut pool = parlo_cilk::CilkPool::with_placement_on(threads, &placement, &executor);
         let hits = AtomicUsize::new(0);
-        pool.cilk_for(0..threads * 8, |_| parked_body(&in_body, &release, &hits));
+        pool.for_each(0..threads * 8, |_| parked_body(&in_body, &release, &hits));
         assert_eq!(hits.into_inner(), threads * 8, "in-flight loop mangled");
         let recovered = AtomicUsize::new(0);
-        pool.cilk_for(0..1000, |i| {
+        pool.for_each(0..1000, |i| {
             recovered.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(recovered.into_inner(), 499_500);
@@ -212,10 +207,10 @@ fn lease_revocation_mid_loop_panics_steal() {
     lease_revocation_race(move |executor, placement, in_body, release| {
         let mut pool = parlo_steal::StealPool::with_placement_on(threads, &placement, &executor);
         let hits = AtomicUsize::new(0);
-        pool.steal_for(0..threads * 8, |_| parked_body(&in_body, &release, &hits));
+        pool.for_each(0..threads * 8, |_| parked_body(&in_body, &release, &hits));
         assert_eq!(hits.into_inner(), threads * 8, "in-flight loop mangled");
         let recovered = AtomicUsize::new(0);
-        pool.steal_for(0..1000, |i| {
+        pool.for_each(0..1000, |i| {
             recovered.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(recovered.into_inner(), 499_500);

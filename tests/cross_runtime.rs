@@ -96,46 +96,96 @@ fn mpdata_is_runtime_independent() {
     }
 }
 
+/// A check to run on every `Loops` implementor: a generic closure, one call per
+/// runtime type.
+trait OnEveryRuntime {
+    /// Runs the check on `rt`.  `scheduled` keeps the counters of a loop's `SyncStats`
+    /// delta that the runtime's schedule fixes.
+    fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats);
+}
+
+/// Runs `check` on every `Loops` implementor at `threads` participants, one runtime at
+/// a time: the fine-grain pool, the OpenMP-like team under each schedule (its
+/// block-cyclic and dispensed shares are the `static,3` and `dynamic,2` rows), both
+/// paths of the Cilk-like pool and the stealing pool.
+fn on_every_runtime(threads: usize, check: &mut impl OnEveryRuntime) {
+    let exact = |delta| delta;
+    check.run(&mut FineGrainPool::with_threads(threads), exact);
+    for schedule in [
+        Schedule::Static,
+        Schedule::StaticChunked(3),
+        Schedule::Dynamic(2),
+        Schedule::Guided(1),
+    ] {
+        check.run(&mut ScheduledTeam::with_threads(threads, schedule), exact);
+    }
+    // The steal count, and on the Cilk-like baseline the views (so combines) it closes
+    // out, are the thieves' timing.
+    let baseline = |delta| SyncStats {
+        steals: 0,
+        combine_ops: 0,
+        ..delta
+    };
+    check.run(&mut CilkPool::with_threads(threads), baseline);
+    check.run(&mut CilkFineGrain::with_threads(threads), exact);
+    let stealing = |delta| SyncStats { steals: 0, ..delta };
+    check.run(&mut StealPool::with_threads(threads), stealing);
+}
+
 #[test]
 fn regression_sums_agree_across_runtimes() {
+    struct Regression {
+        points: Vec<linreg::Point>,
+        expected: linreg::RegressionSums,
+    }
+    impl OnEveryRuntime for Regression {
+        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+            let got = linreg::parallel(rt, &self.points);
+            assert!((got.sx - self.expected.sx).abs() < 1e-6, "{}", rt.name());
+            assert!((got.sxy - self.expected.sxy).abs() < 1e-3, "{}", rt.name());
+            assert_eq!(got.n, self.expected.n, "{}", rt.name());
+        }
+    }
     let points = linreg::generate_points(30_000, -1.5, 12.0, 0.25, 99);
     let expected = linreg::sequential(&points);
     let (slope, intercept) = expected.line().unwrap();
     assert!((slope - -1.5).abs() < 0.05);
     assert!((intercept - 12.0).abs() < 0.5);
-
-    let mut pool = FineGrainPool::with_threads(4);
-    let fine = linreg::with_fine_grain(&mut pool, &points);
-    let mut team = OmpTeam::with_threads(3);
-    let omp = linreg::with_omp(&mut team, Schedule::Static, &points);
-    let mut cilk = CilkPool::with_threads(3);
-    let base = linreg::with_cilk_baseline(&mut cilk, &points);
-    let hybrid = linreg::with_cilk_fine_grain(&mut cilk, &points);
-    for got in [fine, omp, base, hybrid] {
-        assert!((got.sx - expected.sx).abs() < 1e-6);
-        assert!((got.sxy - expected.sxy).abs() < 1e-3);
-        assert_eq!(got.n, expected.n);
-    }
+    on_every_runtime(3, &mut Regression { points, expected });
 }
 
 #[test]
 fn histogram_and_kmeans_agree_across_runtimes() {
-    let pixels = histogram::generate_image(20_000, 3);
-    let expected = histogram::sequential(&pixels);
-    let mut pool = FineGrainPool::with_threads(3);
-    assert_eq!(histogram::with_fine_grain(&mut pool, &pixels), expected);
-    let mut team = OmpTeam::with_threads(2);
-    assert_eq!(
-        histogram::with_omp(&mut team, Schedule::Dynamic(256), &pixels),
-        expected
-    );
-
-    let (points, centres) = kmeans::generate_points(3000, 3, 8);
-    let seq = kmeans::sequential(&points, centres.clone(), 4);
-    let fine = kmeans::with_fine_grain(&mut pool, &points, centres, 4);
-    for (a, b) in seq.centroids.iter().zip(&fine.centroids) {
-        assert!((a.x - b.x).abs() < 1e-9 && (a.y - b.y).abs() < 1e-9);
+    struct HistogramKmeans {
+        pixels: Vec<[u8; 3]>,
+        histogram: histogram::Histogram,
+        points: Vec<kmeans::Point2>,
+        centres: Vec<kmeans::Point2>,
+        kmeans: kmeans::KmeansResult,
     }
+    impl OnEveryRuntime for HistogramKmeans {
+        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+            let got = histogram::parallel(rt, &self.pixels);
+            assert_eq!(got, self.histogram, "{}", rt.name());
+            let got = kmeans::parallel(rt, &self.points, self.centres.clone(), 4);
+            for (a, b) in self.kmeans.centroids.iter().zip(&got.centroids) {
+                let close = (a.x - b.x).abs() < 1e-9 && (a.y - b.y).abs() < 1e-9;
+                assert!(close, "{}: {a:?} vs {b:?}", rt.name());
+            }
+        }
+    }
+    let pixels = histogram::generate_image(20_000, 3);
+    let (points, centres) = kmeans::generate_points(3000, 3, 8);
+    on_every_runtime(
+        3,
+        &mut HistogramKmeans {
+            histogram: histogram::sequential(&pixels),
+            kmeans: kmeans::sequential(&points, centres.clone(), 4),
+            pixels,
+            points,
+            centres,
+        },
+    );
 }
 
 #[test]
@@ -144,7 +194,7 @@ fn structural_claims_of_the_paper_hold() {
     // Fine-grain: one half-barrier (2 phases) per loop, P-1 combines per reduction.
     let mut pool = FineGrainPool::with_threads(threads);
     pool.parallel_for(0..100, |_| {});
-    let _ = pool.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+    let _ = pool.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
     let s = pool.stats();
     assert_eq!(
         s.barrier_phases, 4,
@@ -174,25 +224,21 @@ fn structural_claims_of_the_paper_hold() {
     drop(full);
 
     // OpenMP-like: 2 full barriers per plain loop, 3 per reduction loop.
-    let mut team = OmpTeam::with_threads(threads);
-    team.parallel_for(0..100, Schedule::Static, |_| {});
-    let _ = team.parallel_reduce(
-        0..100,
-        Schedule::Static,
-        || 0u64,
-        |a, i| a + i as u64,
-        |a, b| a + b,
-    );
-    assert_eq!(team.stats().barrier_phases, 4 + 6);
-    assert_eq!(team.stats().combine_ops, (threads - 1) as u64);
+    let mut team = ScheduledTeam::with_threads(threads, Schedule::Static);
+    team.for_each(0..100, |_| {});
+    let _ = team.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+    assert_eq!(team.sync_stats().barrier_phases, 4 + 6);
+    assert_eq!(team.sync_stats().combine_ops, (threads - 1) as u64);
 
     // Cilk hybrid: the fine-grain path performs exactly P-1 combines; the baseline
     // reducer path performs at least one merge per worker view it created.
-    let mut cilk = CilkPool::with_threads(threads);
-    let _ = cilk.fine_grain_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-    assert_eq!(cilk.stats().fine_combine_ops, (threads - 1) as u64);
-    let _ = cilk.cilk_reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-    assert!(cilk.stats().reduce_ops >= 1);
+    let mut cilk = CilkFineGrain::with_threads(threads);
+    let _ = cilk.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+    assert_eq!(cilk.pool.stats().fine_combine_ops, (threads - 1) as u64);
+    let _ = cilk
+        .pool
+        .reduce(0..100_000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+    assert!(cilk.pool.stats().reduce_ops >= 1);
 }
 
 #[test]
@@ -418,102 +464,30 @@ fn simulated_experiments_reproduce_the_paper_shape() {
     assert!(fine.at(48).unwrap() > cilk.at(48).unwrap());
 }
 
-/// One row of the share-walk table: a runtime under one schedule, with its plain loop,
-/// its reduction, its `dyn LoopRuntime` face and, where it has one, its ordered
-/// reduction.  The block-cyclic and dispensed shares are OpenMP's `static,3` and
-/// `dynamic,2` rows.
-enum Walker {
-    FineBlock(FineGrainPool),
-    Omp(ScheduledTeam),
-    Cilk(CilkPool),
-    CilkFine(CilkFineGrain),
-    Steal(StealPool),
+/// The share walk on one runtime: for each start and length, its plain loop and its
+/// reduction, generic and behind `dyn LoopRuntime`, and its block entry points.
+struct ShareWalk {
+    threads: usize,
 }
 
-impl Walker {
-    fn table(threads: usize) -> Vec<(&'static str, Walker)> {
-        let omp = |s| Walker::Omp(ScheduledTeam::with_threads(threads, s));
-        vec![
-            (
-                "fine block",
-                Walker::FineBlock(FineGrainPool::with_threads(threads)),
-            ),
-            ("omp static", omp(Schedule::Static)),
-            ("omp static,3", omp(Schedule::StaticChunked(3))),
-            ("omp dynamic,2", omp(Schedule::Dynamic(2))),
-            ("omp guided,1", omp(Schedule::Guided(1))),
-            ("cilk", Walker::Cilk(CilkPool::with_threads(threads))),
-            (
-                "cilk fine",
-                Walker::CilkFine(CilkFineGrain::with_threads(threads)),
-            ),
-            ("steal", Walker::Steal(StealPool::with_threads(threads))),
-        ]
-    }
+/// The starts the share walk runs at: an ordinary offset, and one whose ranges end at
+/// `usize::MAX`, where the dealing arithmetic must not overflow.
+const STARTS: [usize; 2] = [1000, usize::MAX - 257];
 
-    fn each<F: Fn(usize) + Sync>(&mut self, range: std::ops::Range<usize>, body: F) {
-        match self {
-            Walker::FineBlock(p) => p.parallel_for(range, body),
-            Walker::Omp(t) => t.team.parallel_for(range, t.schedule, body),
-            Walker::Cilk(p) => p.cilk_for(range, body),
-            Walker::CilkFine(f) => f.pool.fine_grain_for(range, body),
-            Walker::Steal(p) => p.steal_for(range, body),
-        }
-    }
-
-    fn reduce<T: Send>(
-        &mut self,
-        range: std::ops::Range<usize>,
-        identity: impl Fn() -> T + Sync,
-        fold: impl Fn(T, usize) -> T + Sync,
-        combine: impl Fn(T, T) -> T + Sync,
-    ) -> T {
-        match self {
-            Walker::FineBlock(p) => p.parallel_reduce(range, identity, fold, combine),
-            Walker::Omp(t) => t
-                .team
-                .parallel_reduce(range, t.schedule, identity, fold, combine),
-            Walker::Cilk(p) => p.cilk_reduce(range, identity, fold, combine),
-            Walker::CilkFine(f) => f.pool.fine_grain_reduce(range, identity, fold, combine),
-            Walker::Steal(p) => p.steal_reduce(range, identity, fold, combine),
-        }
-    }
-
-    /// The counters of a loop's `SyncStats` delta that its schedule fixes: the steal
-    /// count, and on the Cilk-like baseline the views (so combines) it closes out, are
-    /// the thieves' timing.
-    fn scheduled(&self, delta: SyncStats) -> SyncStats {
-        match self {
-            Walker::Cilk(_) => SyncStats {
-                steals: 0,
-                combine_ops: 0,
-                ..delta
-            },
-            Walker::Steal(_) => SyncStats { steals: 0, ..delta },
-            _ => delta,
-        }
-    }
-
-    /// The same path behind the object-safe interface.
-    fn as_dyn(&mut self) -> &mut dyn LoopRuntime {
-        match self {
-            Walker::FineBlock(p) => p,
-            Walker::Omp(t) => t,
-            Walker::Cilk(p) => p,
-            Walker::CilkFine(f) => f,
-            Walker::Steal(p) => p,
-        }
+impl ShareWalk {
+    fn lens(&self) -> [usize; 6] {
+        let p = self.threads;
+        [0, 1, p - 1, p, p + 1, 257]
     }
 }
 
-#[test]
-fn share_walk_is_exact_on_every_runtime_and_schedule() {
-    const START: usize = 1000;
-    for threads in 1..=4usize {
-        for (name, mut w) in Walker::table(threads) {
-            for len in [0, 1, threads - 1, threads, threads + 1, 257] {
-                let at = format!("{name}, P = {threads}, len = {len}");
-                let range = START..START + len;
+impl OnEveryRuntime for ShareWalk {
+    fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats) {
+        let name = rt.name();
+        for start in STARTS {
+            for len in self.lens() {
+                let at = format!("{name}, P = {}, start = {start}, len = {len}", self.threads);
+                let range = start..start + len;
                 let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
                 let once = |hits: &[AtomicUsize], what: &str| {
                     assert!(
@@ -523,25 +497,25 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
                 };
 
                 // Plain loop: generic body, then the same loop with a `&dyn` body.
-                w.each(range.clone(), |i| {
-                    hits[i - START].fetch_add(1, Ordering::Relaxed);
+                rt.for_each(range.clone(), |i| {
+                    hits[i - start].fetch_add(1, Ordering::Relaxed);
                 });
                 once(&hits, "generic body");
-                w.as_dyn().parallel_for(range.clone(), &|i| {
-                    hits[i - START].fetch_add(1, Ordering::Relaxed);
+                rt.parallel_for(range.clone(), &|i| {
+                    hits[i - start].fetch_add(1, Ordering::Relaxed);
                 });
                 once(&hits, "dyn body");
 
                 // Reduction: exact integer result, `fold` called once per index.
                 let folds = AtomicUsize::new(0);
-                let square = |i: usize| (i as u64) * (i as u64);
+                let square = |i: usize| ((i - start) as u64) * ((i - start) as u64);
                 let expected: u64 = range.clone().map(square).sum();
-                let got = w.reduce(
+                let got = rt.reduce(
                     range.clone(),
                     || 0u64,
                     |acc, i| {
                         folds.fetch_add(1, Ordering::Relaxed);
-                        hits[i - START].fetch_add(1, Ordering::Relaxed);
+                        hits[i - start].fetch_add(1, Ordering::Relaxed);
                         acc + square(i)
                     },
                     |a, b| a + b,
@@ -551,65 +525,71 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
                 once(&hits, "fold");
 
                 // The object-safe face gives the bit-identical f64 as the generic call.
+                let term = |i: usize| (i - start) as f64;
                 let generic =
-                    w.reduce(range.clone(), || 0.0, |acc, i| acc + i as f64, |a, b| a + b);
-                let erased = w.as_dyn().parallel_reduce(
-                    range.clone(),
-                    0.0,
-                    &|acc, i| acc + i as f64,
-                    &|a, b| a + b,
-                );
+                    rt.reduce(range.clone(), || 0.0, |acc, i| acc + term(i), |a, b| a + b);
+                let erased =
+                    rt.parallel_reduce(range.clone(), 0.0, &|acc, i| acc + term(i), &|a, b| a + b);
                 assert_eq!(generic.to_bits(), erased.to_bits(), "{at}: dyn parity");
-                assert_eq!(generic, range.clone().sum::<usize>() as f64, "{at}");
+                assert_eq!(generic, (0..len).sum::<usize>() as f64, "{at}");
 
                 // The block entry points: one call per non-empty piece, the pieces
                 // disjoint and covering the range once; the block fold threads the
                 // participant's accumulator, so it is the per-index reduction bit for
                 // bit, at the same synchronization cost.
                 let pieces = Mutex::new(Vec::new());
-                w.as_dyn().parallel_for_blocks(range.clone(), &|piece| {
-                    pieces.lock().unwrap().push(piece)
-                });
+                rt.parallel_for_blocks(range.clone(), &|piece| pieces.lock().unwrap().push(piece));
                 let for_pieces = std::mem::take(&mut *pieces.lock().unwrap());
                 assert_exact_cover(for_pieces, &range, &format!("{at}: block body"));
-                let before = w.as_dyn().sync_stats();
-                let per_index = w.as_dyn().parallel_reduce(
-                    range.clone(),
-                    0.0,
-                    &|acc, i| acc + (i * i) as f64,
-                    &|a, b| a + b,
-                );
-                let between = w.as_dyn().sync_stats();
-                let blocks = w.as_dyn().parallel_reduce_blocks(
+                let square = |i: usize| ((i - start) * (i - start)) as f64;
+                let before = rt.sync_stats();
+                let per_index =
+                    rt.parallel_reduce(range.clone(), 0.0, &|acc, i| acc + square(i), &|a, b| {
+                        a + b
+                    });
+                let between = rt.sync_stats();
+                let blocks = rt.parallel_reduce_blocks(
                     range.clone(),
                     0.0,
                     &|acc, piece| {
                         pieces.lock().unwrap().push(piece.clone());
-                        piece.fold(acc, |acc, i| acc + (i * i) as f64)
+                        piece.fold(acc, |acc, i| acc + square(i))
                     },
                     &|a, b| a + b,
                 );
-                let after = w.as_dyn().sync_stats();
+                let after = rt.sync_stats();
                 assert_eq!(blocks.to_bits(), per_index.to_bits(), "{at}: block fold");
                 assert_eq!(
-                    w.scheduled(after.since(&between)),
-                    w.scheduled(between.since(&before)),
+                    scheduled(after.since(&between)),
+                    scheduled(between.since(&before)),
                     "{at}: block and per-index reductions cost the same"
                 );
                 let fold_pieces = pieces.into_inner().unwrap();
                 assert_exact_cover(fold_pieces, &range, &format!("{at}: block fold"));
+            }
+        }
+    }
+}
 
-                // Only the fine-grain block path has an order-preserving reduction.
-                if let Walker::FineBlock(p) = &mut w {
-                    let got = p.parallel_reduce_ordered(
-                        range.clone(),
-                        String::new,
-                        |acc, i| acc + &format!("[{i}]"),
-                        |a, b| a + &b,
-                    );
-                    let expected: String = range.clone().map(|i| format!("[{i}]")).collect();
-                    assert_eq!(got, expected, "{at}: ordered reduction");
-                }
+#[test]
+fn share_walk_is_exact_on_every_runtime_and_schedule() {
+    for threads in 1..=4usize {
+        let mut walk = ShareWalk { threads };
+        on_every_runtime(threads, &mut walk);
+
+        // Only the fine-grain pool has an order-preserving reduction.
+        let mut pool = FineGrainPool::with_threads(threads);
+        for start in STARTS {
+            for len in walk.lens() {
+                let range = start..start + len;
+                let got = pool.parallel_reduce_ordered(
+                    range.clone(),
+                    String::new,
+                    |acc, i| acc + &format!("[{i}]"),
+                    |a, b| a + &b,
+                );
+                let expected: String = range.map(|i| format!("[{i}]")).collect();
+                assert_eq!(got, expected, "P = {threads}, start = {start}, len = {len}");
             }
         }
     }

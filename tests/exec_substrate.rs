@@ -110,17 +110,17 @@ fn no_threads_leak_after_every_pool_type_drops() {
             p.parallel_for(0..64, |_| {});
         }),
         Box::new(move || {
-            let mut t = OmpTeam::with_threads(threads);
-            t.parallel_for(0..64, Schedule::Dynamic(8), |_| {});
+            let mut t = ScheduledTeam::with_threads(threads, Schedule::Dynamic(8));
+            t.for_each(0..64, |_| {});
         }),
         Box::new(move || {
-            let mut c = CilkPool::with_threads(threads);
-            c.cilk_for(0..64, |_| {});
-            c.fine_grain_for(0..64, |_| {});
+            let mut c = CilkFineGrain::with_threads(threads);
+            c.pool.for_each(0..64, |_| {});
+            c.for_each(0..64, |_| {});
         }),
         Box::new(move || {
             let mut s = StealPool::with_threads(threads);
-            s.steal_for(0..64, |_| {});
+            s.for_each(0..64, |_| {});
         }),
         Box::new(move || {
             let mut a = AdaptivePool::with_threads(threads);

@@ -74,7 +74,7 @@ proptest! {
         );
         let before = pool.stats();
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        pool.steal_for(start..start + len, |i| {
+        pool.for_each(start..start + len, |i| {
             hits[i - start].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -105,7 +105,7 @@ proptest! {
         );
         let before = pool.stats();
         let expected: u64 = (0..len as u64).map(|i| i * i).sum();
-        let got = pool.steal_reduce(0..len, || 0u64, |a, i| a + (i as u64) * (i as u64), |a, b| a + b);
+        let got = pool.reduce(0..len, || 0u64, |a, i| a + (i as u64) * (i as u64), |a, b| a + b);
         prop_assert_eq!(got, expected);
         let d = pool.stats().since(&before);
         prop_assert_eq!(d.chunks_executed(), total_chunks(&(0..len), threads, chunk));

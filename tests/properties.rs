@@ -37,7 +37,7 @@ proptest! {
         let expected: i64 = values.iter().sum();
         let mut pool = FineGrainPool::with_threads(threads);
         let before = pool.stats();
-        let got = pool.parallel_reduce(0..values.len(), || 0i64, |a, i| a + values[i], |a, b| a + b);
+        let got = pool.reduce(0..values.len(), || 0i64, |a, i| a + values[i], |a, b| a + b);
         prop_assert_eq!(got, expected);
         prop_assert_eq!(pool.stats().since(&before).combine_ops, (threads - 1) as u64);
     }
@@ -74,15 +74,15 @@ proptest! {
             2 => Schedule::Dynamic(chunk),
             _ => Schedule::Guided(chunk),
         };
-        let mut team = OmpTeam::with_threads(threads);
+        let mut team = ScheduledTeam::with_threads(threads, schedule);
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        team.parallel_for(0..len, schedule, |i| {
+        team.for_each(0..len, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
-    /// cilk_for covers every index exactly once for arbitrary grain sizes.
+    /// The Cilk baseline loop covers every index exactly once for arbitrary grain sizes.
     #[test]
     fn cilk_for_covers_every_index(
         len in 0usize..800,
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let mut pool = CilkPool::new(CilkConfig { grain: Some(grain), ..CilkConfig::with_threads(threads) });
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        pool.cilk_for(0..len, |i| {
+        pool.for_each(0..len, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -107,7 +107,7 @@ proptest! {
     ) {
         let expected: u64 = values.iter().map(|&v| v as u64).sum();
         let mut pool = CilkPool::new(CilkConfig { grain: Some(grain), ..CilkConfig::with_threads(threads) });
-        let got = pool.cilk_reduce(0..values.len(), || 0u64, |a, i| a + values[i] as u64, |a, b| a + b);
+        let got = pool.reduce(0..values.len(), || 0u64, |a, i| a + values[i] as u64, |a, b| a + b);
         prop_assert_eq!(got, expected);
     }
 

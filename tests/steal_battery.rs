@@ -50,14 +50,14 @@ fn battery_holds_at_the_env_pinned_pool_size() {
             .with_chunk(5);
         let mut pool = StealPool::new(config);
         let hits: Vec<AtomicUsize> = (0..997).map(|_| AtomicUsize::new(0)).collect();
-        pool.steal_for(0..997, |i| {
+        pool.for_each(0..997, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
             "exactly once at {threads} threads (seed {seed})"
         );
-        let sum = pool.steal_reduce(0..997, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        let sum = pool.reduce(0..997, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, (0..997u64).sum(), "{threads} threads (seed {seed})");
         let stats = pool.stats();
         assert_eq!(stats.chunks_per_worker.len(), threads);
@@ -87,7 +87,7 @@ fn a_heavy_last_chunk_is_lent_and_every_index_still_runs_exactly_once() {
         );
         let before = pool.stats();
         let hits: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        pool.steal_for(0..N, |i| {
+        pool.for_each(0..N, |i| {
             for _ in 0..skewed_weight(i, N) {
                 std::hint::spin_loop();
             }
@@ -97,7 +97,7 @@ fn a_heavy_last_chunk_is_lent_and_every_index_still_runs_exactly_once() {
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
             "exactly once at {threads} threads"
         );
-        let weighted = pool.steal_reduce(
+        let weighted = pool.reduce(
             0..N,
             || 0u64,
             |a, i| a + skewed_weight(i, N) as u64,
@@ -146,7 +146,7 @@ fn lone_participants_and_short_chunks_never_lend() {
         let mut pool = no_steal_pool(threads, chunk);
         let n = 10 * threads * chunk + 3;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.steal_for(0..n, |i| {
+        pool.for_each(0..n, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -317,7 +317,7 @@ proptest! {
         let mut pool = StealPool::new(config);
         let before = pool.stats();
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        pool.steal_for(start..start + len, |i| {
+        pool.for_each(start..start + len, |i| {
             hits[i - start].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert!(
@@ -349,7 +349,7 @@ proptest! {
             .with_perturbation(Arc::new(SeededPerturbation::new(seed)))
             .with_chunk(7);
         let mut pool = StealPool::new(config);
-        let got = pool.steal_reduce(0..values.len(), || 0i64, |a, i| a + values[i], |a, b| a + b);
+        let got = pool.reduce(0..values.len(), || 0i64, |a, i| a + values[i], |a, b| a + b);
         prop_assert_eq!(got, expected);
         if !values.is_empty() {
             prop_assert_eq!(pool.stats().combine_ops, (threads - 1) as u64);

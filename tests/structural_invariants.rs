@@ -25,9 +25,9 @@
 //! These claims are only *observable* through the instrumentation counters.
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};
-use parlo_cilk::{CilkFineGrain, CilkPool};
-use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime, SyncStats};
-use parlo_omp::{OmpTeam, Schedule, ScheduledTeam};
+use parlo_cilk::CilkFineGrain;
+use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime, Loops, SyncStats};
+use parlo_omp::{Schedule, ScheduledTeam};
 use parlo_steal::{total_chunks, StealConfig, StealPool};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -41,7 +41,7 @@ fn every_parallel_for_variant_costs_exactly_one_half_barrier_cycle() {
             let mut pool = FineGrainPool::new(Config::builder(threads).barrier(kind).build());
             let loops: [&mut dyn FnMut(&mut FineGrainPool); 3] = [
                 &mut |p| p.parallel_for(0..100, |_| {}),
-                &mut |p| p.parallel_for_blocks(0..100, |_| {}),
+                &mut |p| p.for_blocks(0..100, |_| {}),
                 &mut |p| p.broadcast(|_| {}),
             ];
             for run in loops {
@@ -85,7 +85,7 @@ fn merged_reduction_performs_exactly_p_minus_1_combines_and_no_extra_barrier() {
         let mut pool = FineGrainPool::with_threads(threads);
         let before = pool.stats();
         for _ in 0..REPS {
-            let sum = pool.parallel_reduce(0..500, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let sum = pool.reduce(0..500, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(sum, (0..500u64).sum());
         }
         let delta = pool.stats().since(&before);
@@ -130,32 +130,28 @@ fn ordered_reduction_also_performs_exactly_p_minus_1_combines() {
 #[test]
 fn omp_baseline_pays_two_full_barriers_per_loop_and_three_per_reduction() {
     for threads in 1..=4 {
-        let mut team = OmpTeam::with_threads(threads);
+        let mut team = ScheduledTeam::with_threads(threads, Schedule::Static);
         for schedule in [
             Schedule::Static,
             Schedule::StaticChunked(8),
             Schedule::Dynamic(4),
             Schedule::Guided(2),
         ] {
-            let before = team.stats();
-            team.parallel_for(0..200, schedule, |_| {});
-            let delta_phases = team.stats().barrier_phases - before.barrier_phases;
+            team.schedule = schedule;
+            let before = team.sync_stats();
+            team.for_each(0..200, |_| {});
+            let delta_phases = team.sync_stats().barrier_phases - before.barrier_phases;
             assert_eq!(
                 delta_phases, 4,
                 "fork + join full barriers per plain loop ({schedule:?} @ {threads}T)"
             );
         }
 
-        let before = team.stats();
-        let sum = team.parallel_reduce(
-            0..200,
-            Schedule::Static,
-            || 0u64,
-            |a, i| a + i as u64,
-            |a, b| a + b,
-        );
+        team.schedule = Schedule::Static;
+        let before = team.sync_stats();
+        let sum = team.reduce(0..200, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, (0..200u64).sum());
-        let after = team.stats();
+        let after = team.sync_stats();
         assert_eq!(
             after.barrier_phases - before.barrier_phases,
             6,
@@ -202,7 +198,7 @@ fn hierarchical_reduction_still_combines_every_worker_exactly_once() {
         let threads = sockets * cores;
         let placement = PlacementConfig::synthetic(sockets, cores).with_pin(PinPolicy::None);
         let mut pool = FineGrainPool::with_placement(threads, &placement);
-        let sum = pool.parallel_reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        let sum = pool.reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, (0..1000u64).sum());
         assert_eq!(
             pool.stats().combine_ops,
@@ -248,7 +244,7 @@ fn stealing_pool_pays_exactly_one_half_barrier_cycle_per_loop() {
         let mut pool = StealPool::with_threads(threads);
         let before = pool.stats();
         for _ in 0..REPS {
-            pool.steal_for(0..200, |_| {});
+            pool.for_each(0..200, |_| {});
         }
         let d = pool.stats().since(&before);
         assert_eq!(d.loops, REPS);
@@ -267,7 +263,7 @@ fn stealing_reduction_performs_exactly_p_minus_1_combines_and_no_extra_barrier()
         let mut pool = StealPool::with_threads(threads);
         let before = pool.stats();
         for _ in 0..REPS {
-            let sum = pool.steal_reduce(0..500, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let sum = pool.reduce(0..500, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(sum, (0..500u64).sum());
         }
         let d = pool.stats().since(&before);
@@ -293,7 +289,7 @@ fn stealing_pool_chunk_accounting_is_exact_across_thread_counts() {
         for chunk in [1usize, 7, 64] {
             let mut pool = StealPool::new(StealConfig::with_threads(threads).with_chunk(chunk));
             let before = pool.stats();
-            pool.steal_for(0..613, |_| {});
+            pool.for_each(0..613, |_| {});
             let d = pool.stats().since(&before);
             assert_eq!(
                 d.chunks_executed(),
@@ -319,7 +315,7 @@ fn stealing_pool_keeps_hierarchical_invariants_on_synthetic_topologies() {
         let placement = PlacementConfig::synthetic(sockets, cores).with_pin(PinPolicy::None);
         let mut pool = StealPool::with_placement(threads, &placement);
         for _ in 0..LOOPS {
-            pool.steal_for(0..threads * 5, |_| {});
+            pool.for_each(0..threads * 5, |_| {});
         }
         let h = pool
             .hierarchy_stats()
@@ -387,19 +383,19 @@ fn sticky_site_loops_keep_the_synchronization_and_chunk_invariants() {
 fn cilk_hybrid_fine_path_has_fine_grain_structure() {
     const REPS: u64 = 5;
     for threads in 1..=4 {
-        let mut pool = CilkPool::with_threads(threads);
-        let before = pool.stats();
+        let mut pool = CilkFineGrain::with_threads(threads);
+        let before = pool.pool.stats();
         for _ in 0..REPS {
-            pool.fine_grain_for(0..300, |_| {});
+            pool.for_each(0..300, |_| {});
         }
-        let mid = pool.stats();
+        let mid = pool.pool.stats();
         assert_eq!(mid.fine_loops - before.fine_loops, REPS);
 
         for _ in 0..REPS {
-            let sum = pool.fine_grain_reduce(0..300, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            let sum = pool.reduce(0..300, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(sum, (0..300u64).sum());
         }
-        let after = pool.stats();
+        let after = pool.pool.stats();
         assert_eq!(
             after.fine_combine_ops - mid.fine_combine_ops,
             REPS * (threads as u64 - 1),

@@ -13,7 +13,7 @@
 
 #[cfg(feature = "trace")]
 mod enabled {
-    use parlo_core::{FineGrainPool, LoopRuntime};
+    use parlo_core::{FineGrainPool, LoopRuntime, Loops};
     use parlo_trace::{EventKind, Phase, TraceSnapshot, TrackSnapshot};
     use std::sync::Mutex;
 
@@ -62,9 +62,9 @@ mod enabled {
                 pool.parallel_for(0..64, |_| {});
             }
             for _ in 0..3 {
-                let _ = pool.parallel_reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+                let _ = pool.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             }
-            pool.parallel_for_blocks(0..64, |_| {});
+            pool.for_blocks(0..64, |_| {});
             pool.broadcast(|_| {});
             pool.sync_stats().since(&before)
         });
@@ -181,7 +181,7 @@ mod enabled {
             let before = steal.stats();
             for _ in 0..10 {
                 // 8 chunks of 64 on 3 participants: long enough to halve twice.
-                steal.steal_for(0..512, |i| {
+                steal.for_each(0..512, |i| {
                     if i >= 448 {
                         std::hint::spin_loop();
                     }
@@ -218,10 +218,10 @@ mod enabled {
             for _ in 0..20 {
                 pool.parallel_for(0..256, |_| {});
             }
-            let _ = pool.parallel_reduce(0..512, || 0.0f64, |a, i| a + i as f64, |a, b| a + b);
+            let _ = pool.reduce(0..512, || 0.0f64, |a, i| a + i as f64, |a, b| a + b);
             let mut steal = chunked_steal_pool(3, 4);
             for _ in 0..10 {
-                steal.steal_for(0..64, |_| {});
+                steal.for_each(0..64, |_| {});
             }
         });
         assert!(snap.total_events() > 0);
@@ -308,7 +308,7 @@ mod enabled {
             // 2 chunks across 3 participants: somebody must sweep for work.
             let mut steal = chunked_steal_pool(3, 4);
             for _ in 0..20 {
-                steal.steal_for(0..8, |_| {});
+                steal.for_each(0..8, |_| {});
             }
             // A short serving session: enqueue + batch + complete on the driver.
             let exec = parlo_exec::Executor::new(
@@ -398,7 +398,7 @@ mod enabled {
 /// "zero atomics on the hot path" contract of the overhead guard.
 #[cfg(not(feature = "trace"))]
 mod disabled {
-    use parlo_core::{FineGrainPool, LoopRuntime};
+    use parlo_core::{FineGrainPool, LoopRuntime, Loops};
 
     #[test]
     // The point of the test is that COMPILED is the constant `false` here.
@@ -422,7 +422,7 @@ mod disabled {
     fn pools_run_identically_without_the_layer() {
         let mut pool = FineGrainPool::with_threads(3);
         let before = pool.sync_stats();
-        let sum = pool.parallel_reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+        let sum = pool.reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, 499_500);
         let delta = pool.sync_stats().since(&before);
         assert_eq!(delta.loops, 1);

@@ -4,15 +4,15 @@
 //! warms every covered runtime up at P ∈ {1, 2, 4} (lease activation, worker spawn,
 //! the first use of the team's reduction-view blocks), then asserts that further
 //! `parallel_for`, `parallel_for_blocks`, `parallel_sum`, `parallel_reduce` and
-//! `parallel_reduce_blocks` calls — over `f64` and over a struct of three `f64`s — make
-//! exactly zero allocations.  Counted are the test's own
-//! thread and every thread that first allocates after the test starts (the pools'
-//! workers); the harness's main thread, which may still be doing its bookkeeping for
-//! the test it just spawned, is not.  It is one test function so that no sibling test
-//! allocates while it counts.
+//! `parallel_reduce_blocks` calls, and the generic `for_each` and `reduce` — over `f64`
+//! and over a struct of three `f64`s — make exactly zero allocations.  Counted are the
+//! test's own thread and every thread that first allocates after the test starts (the
+//! pools' workers); the harness's main thread, which may still be doing its
+//! bookkeeping for the test it just spawned, is not.  It is one test function so that
+//! no sibling test allocates while it counts.
 
 use parlo_cilk::CilkFineGrain;
-use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime};
+use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime, Loops};
 use parlo_omp::{Schedule, ScheduledTeam};
 use parlo_steal::StealPool;
 use parlo_sync::{AtomicBool, AtomicU64, Ordering};
@@ -84,81 +84,12 @@ struct Sums {
 
 const N: usize = 512;
 
-/// A runtime under test: reachable as `dyn LoopRuntime`, plus its generic reduction.
-enum Runtime {
-    Fine(FineGrainPool),
-    Omp(ScheduledTeam),
-    Cilk(CilkFineGrain),
-    Steal(StealPool),
-}
-
-impl Runtime {
-    fn as_dyn(&mut self) -> &mut dyn LoopRuntime {
-        match self {
-            Runtime::Fine(p) => p,
-            Runtime::Omp(t) => t,
-            Runtime::Cilk(c) => c,
-            Runtime::Steal(s) => s,
-        }
-    }
-
-    /// Σ (i, 2i, i·2i) over `0..N` through the runtime's generic reduction.
-    fn reduce_sums(&mut self) -> Sums {
-        let fold = |a: Sums, i: usize| {
-            let (x, y) = (i as f64, 2.0 * i as f64);
-            Sums {
-                x: a.x + x,
-                y: a.y + y,
-                xy: a.xy + x * y,
-            }
-        };
-        let comb = |a: Sums, b: Sums| Sums {
-            x: a.x + b.x,
-            y: a.y + b.y,
-            xy: a.xy + b.xy,
-        };
-        match self {
-            Runtime::Fine(p) => p.parallel_reduce(0..N, Sums::default, fold, comb),
-            Runtime::Omp(t) => {
-                t.team
-                    .parallel_reduce(0..N, Schedule::Static, Sums::default, fold, comb)
-            }
-            Runtime::Cilk(c) => c.pool.fine_grain_reduce(0..N, Sums::default, fold, comb),
-            Runtime::Steal(s) => s.steal_reduce(0..N, Sums::default, fold, comb),
-        }
-    }
-}
-
-/// Every covered runtime at `p` participants, with a label for failure reports.
-fn roster(p: usize) -> Vec<(String, Runtime)> {
-    let mut all: Vec<(String, Runtime)> = BarrierKind::ALL
-        .iter()
-        .map(|&kind| {
-            let pool = FineGrainPool::new(Config::builder(p).barrier(kind).build());
-            (kind.label().to_string(), Runtime::Fine(pool))
-        })
-        .collect();
-    all.push((
-        "OpenMP static".into(),
-        Runtime::Omp(ScheduledTeam::with_threads(p, Schedule::Static)),
-    ));
-    all.push((
-        "fine-grain Cilk".into(),
-        Runtime::Cilk(CilkFineGrain::with_threads(p)),
-    ));
-    all.push((
-        "stealing".into(),
-        Runtime::Steal(StealPool::with_threads(p)),
-    ));
-    all
-}
-
 /// One loop call on a runtime.
-type Op = fn(&mut Runtime);
+type Op<R> = fn(&mut R);
 
 /// Runs `op` once to warm it up, then `REPS` more times, and returns the allocations
 /// those `REPS` calls made.
-fn allocations_per_call(rt: &mut Runtime, op: Op) -> f64 {
+fn allocations_per_call<R>(rt: &mut R, op: Op<R>) -> f64 {
     const REPS: u64 = 50;
     op(rt);
     let before = ALLOCATIONS.load(Ordering::SeqCst); // ordering: sharp window edge
@@ -169,56 +100,94 @@ fn allocations_per_call(rt: &mut Runtime, op: Op) -> f64 {
     (after - before) as f64 / REPS as f64
 }
 
-#[test]
-fn no_heap_allocation_per_loop_after_warm_up() {
-    STARTED.store(true, Ordering::Relaxed);
-    COUNTED.with(|c| c.set(Some(true)));
-    let ops: [(&str, Op); 6] = [
+/// Every loop entry point of `rt`, generic and object-safe, measured warm; a call that
+/// allocates is reported in `failures`, labelled `at`.
+fn check<R: Loops + LoopRuntime>(at: &str, rt: &mut R, failures: &mut Vec<String>) {
+    let ops: [(&str, Op<R>); 8] = [
         ("parallel_for", |rt| {
-            rt.as_dyn().parallel_for(0..N, &|i| {
+            rt.parallel_for(0..N, &|i| {
                 std::hint::black_box(i);
             })
         }),
         ("parallel_for_blocks", |rt| {
-            rt.as_dyn().parallel_for_blocks(0..N, &|piece| {
+            rt.parallel_for_blocks(0..N, &|piece| {
                 std::hint::black_box(piece);
             })
         }),
         ("parallel_sum", |rt| {
-            let s = rt.as_dyn().parallel_sum(0..N, &|i| i as f64);
+            let s = rt.parallel_sum(0..N, &|i| i as f64);
             assert_eq!(s, (N * (N - 1) / 2) as f64);
         }),
         ("parallel_reduce f64", |rt| {
             let fold = |a: f64, i: usize| a.max(i as f64);
-            let m = rt
-                .as_dyn()
-                .parallel_reduce(0..N, 0.0, &fold, &|a, b| a.max(b));
+            let m = rt.parallel_reduce(0..N, 0.0, &fold, &|a, b| a.max(b));
             assert_eq!(m, (N - 1) as f64);
         }),
         ("parallel_reduce_blocks f64", |rt| {
             let fold = |a: f64, piece: std::ops::Range<usize>| piece.fold(a, |a, i| a + i as f64);
-            let s = rt
-                .as_dyn()
-                .parallel_reduce_blocks(0..N, 0.0, &fold, &|a, b| a + b);
+            let s = rt.parallel_reduce_blocks(0..N, 0.0, &fold, &|a, b| a + b);
             assert_eq!(s, (N * (N - 1) / 2) as f64);
         }),
-        ("parallel_reduce 3 x f64", |rt| {
-            let s = rt.reduce_sums();
+        ("for_each", |rt| {
+            rt.for_each(0..N, |i| {
+                std::hint::black_box(i);
+            })
+        }),
+        ("reduce f64", |rt| {
+            let s = rt.reduce(0..N, || 0.0, |a, i| a + i as f64, |a, b| a + b);
+            assert_eq!(s, (N * (N - 1) / 2) as f64);
+        }),
+        ("reduce 3 x f64", |rt| {
+            // Σ (i, 2i, i·2i) over `0..N`.
+            let fold = |a: Sums, i: usize| {
+                let (x, y) = (i as f64, 2.0 * i as f64);
+                Sums {
+                    x: a.x + x,
+                    y: a.y + y,
+                    xy: a.xy + x * y,
+                }
+            };
+            let comb = |a: Sums, b: Sums| Sums {
+                x: a.x + b.x,
+                y: a.y + b.y,
+                xy: a.xy + b.xy,
+            };
+            let s = rt.reduce(0..N, Sums::default, fold, comb);
             assert_eq!(s.y, 2.0 * s.x);
         }),
     ];
+    for (op_name, op) in ops {
+        let per_call = allocations_per_call(rt, op);
+        if per_call != 0.0 {
+            failures.push(format!("{at}: {op_name} allocates {per_call}/call"));
+        }
+    }
+}
+
+#[test]
+fn no_heap_allocation_per_loop_after_warm_up() {
+    STARTED.store(true, Ordering::Relaxed);
+    COUNTED.with(|c| c.set(Some(true)));
     let mut failures = Vec::new();
     for p in [1, 2, 4] {
-        for (name, mut rt) in roster(p) {
-            for (op_name, op) in ops {
-                let per_call = allocations_per_call(&mut rt, op);
-                if per_call != 0.0 {
-                    failures.push(format!(
-                        "{name} @ P={p}: {op_name} allocates {per_call}/call"
-                    ));
-                }
-            }
+        for kind in BarrierKind::ALL {
+            let mut pool = FineGrainPool::new(Config::builder(p).barrier(kind).build());
+            check(
+                &format!("{} @ P={p}", kind.label()),
+                &mut pool,
+                &mut failures,
+            );
         }
+        let mut team = ScheduledTeam::with_threads(p, Schedule::Static);
+        check(&format!("OpenMP static @ P={p}"), &mut team, &mut failures);
+        let mut hybrid = CilkFineGrain::with_threads(p);
+        check(
+            &format!("fine-grain Cilk @ P={p}"),
+            &mut hybrid,
+            &mut failures,
+        );
+        let mut steal = StealPool::with_threads(p);
+        check(&format!("stealing @ P={p}"), &mut steal, &mut failures);
     }
     assert!(
         failures.is_empty(),
