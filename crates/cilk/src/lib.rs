@@ -13,7 +13,7 @@
 //! coarse-grain loops keep dynamic scheduling.  Both paths speak `parlo-core`'s
 //! generic [`Loops`](parlo_core::Loops) vocabulary: a [`CilkPool`] runs the baseline
 //! loops, and [`CilkFineGrain`], the same pool behind its hybrid face, the fine-grain
-//! ones.  The hybrid path runs `parlo-core`'s static loop and merged reduction
+//! ones.  The hybrid path runs `parlo-core`'s one loop harness over the static block
 //! ([`parlo_core::static_for`], [`parlo_core::static_reduce`]) on the pool's team, so
 //! it is the fine-grain pool's loop, not a copy of it.
 //!

@@ -14,8 +14,8 @@
 //!   implementation — one statically allocated view per participant (the team's padded
 //!   view blocks, allocated when the pool is built and reused by every reduction),
 //!   reduced pairwise in the join phase of the half-barrier, exactly `P − 1` reduce
-//!   operations.  This is `parlo-core`'s merged reduction
-//!   ([`parlo_core::static_reduce`]) run on the pool's team.
+//!   operations.  This is `parlo-core`'s merged-reduction harness over the static
+//!   block ([`parlo_core::static_reduce`]) run on the pool's team.
 //!
 //! Both keep their per-worker views in the team's blocks.  A baseline view is stored as
 //! an `Option`: closing it out on a steal leaves `None` behind, not a view that would

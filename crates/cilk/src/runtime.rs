@@ -126,8 +126,8 @@ impl CilkFineGrain {
     }
 }
 
-/// [`parlo_core::static_for`] and [`parlo_core::static_reduce`] on the pool's team: one
-/// half-barrier (two phases) per loop, exactly `P − 1` combines per reduction.
+/// `parlo-core`'s static harness ([`parlo_core::static_for`], [`parlo_core::static_reduce`])
+/// on the pool's team: one half-barrier (two phases) per loop, `P − 1` combines each.
 impl Loops for CilkFineGrain {
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where

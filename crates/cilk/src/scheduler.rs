@@ -17,7 +17,7 @@
 //! same pool can run statically scheduled fine-grain loops (the [`Loops`] methods of
 //! [`crate::CilkFineGrain`], the pool's hybrid face) next to dynamically scheduled
 //! coarse-grain loops (the [`Loops`] methods of [`CilkPool`] itself).  The fine-grain
-//! loops are `parlo-core`'s own ([`parlo_core::static_for`],
+//! loops are `parlo-core`'s harness over the static block ([`parlo_core::static_for`],
 //! [`parlo_core::static_reduce`]) run on this pool's team, and they count through a
 //! [`PoolStats`] like every other half-barrier runtime.
 //!

@@ -46,10 +46,13 @@
 //!   `dyn LoopRuntime`.  [`SyncStats`] is also what [`FineGrainPool::stats`] returns:
 //!   the counters that verify the structural claims (barrier phases per loop, combines
 //!   per reduction).
-//! * [`static_for`] / [`static_reduce`] — the statically scheduled loop and the merged
-//!   reduction over any team, which the Cilk-like pool's hybrid path runs too.  Both
-//!   call their body once per participant's block; the per-index loops hand them the
-//!   adapter `move |r| walk_range(&body, r)` (`parlo_exec`).
+//! * [`deal_for`] / [`deal_reduce`] — the one loop harness and the one merged-reduction
+//!   harness over any team, generic over a [`Deal`]er, the per-runtime part: how a
+//!   participant gets its pieces.  The fine-grain pool and the Cilk-like pool's hybrid
+//!   path run them over the static block ([`static_for`] / [`static_reduce`]), the
+//!   OpenMP-like team over its worksharing and the stealing pool over its deque sweep.
+//!   The body is called once per piece; the per-index loops hand it the adapter
+//!   `move |r| walk_range(&body, r)` (`parlo_exec`).
 //! * [`PoolStats`] — the counter block behind that snapshot, shared with the
 //!   OpenMP-like team, the Cilk-like pool's hybrid path and the stealing pool.
 //! * [`StatsSource`] / [`StatsRegistry`] / [`stats_family!`] — the unified stats
@@ -69,10 +72,10 @@ mod source;
 mod stats;
 
 pub use config::{BarrierKind, Config, ConfigBuilder};
-pub use loops::static_for;
+pub use loops::{deal_for, static_for, Deal};
 pub use pool::{FineGrainPool, WorkerInfo};
 pub use range::{static_block, static_chunks, DynamicChunks, GuidedChunks};
-pub use reduce::static_reduce;
+pub use reduce::{deal_reduce, static_reduce};
 pub use runtime::{LoopRuntime, Loops, Sequential, SyncStats};
 pub use source::{CounterField, StatsRegistry, StatsSource};
 pub use stats::PoolStats;

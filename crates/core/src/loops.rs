@@ -1,17 +1,22 @@
-//! Parallel loop entry points of the fine-grain scheduler.
+//! The loop harness every team-based runtime runs, and its static instance.
 //!
-//! All loops are *statically scheduled by default* (one contiguous block per thread,
-//! computed independently by each participant from the published range — step 1 of the
-//! paper's scheduling recipe happens implicitly and without communication).
+//! Runtimes differ in one thing only: how a participant gets its pieces.  That part is
+//! a [`Deal`] — the static block ([`StaticBlocks`]), the OpenMP worksharing descriptor,
+//! the stealing pool's loop descriptor — and the rest is here, once.  [`deal_for`]
+//! carries the dealer and the block body by value in the loop's [`Job`], so a worker
+//! reads both from the release line that released it, and every participant calls the
+//! body once per piece its dealer hands it.  [`deal_reduce`](crate::deal_reduce) is
+//! the same harness with the merged reduction.  This file and `reduce.rs` are where
+//! the loop layer's type erasure lives: no runtime builds a job of its own.
 //!
-//! Every harness is `Copy` and travels by value in the loop's [`Job`], so a worker
-//! reads the range, the thread count and the body's address from the release line that
-//! released it.  The body is a *block body*, called once with a participant's whole
-//! block, and a *handle*: a reference to the caller's closure, the `&dyn` block body of
-//! a `LoopRuntime` call, or a per-index entry point's adapter closure
-//! `move |r| walk_range(&body, r)`, which holds the per-index handle by value — never
-//! a reference to a closure in the caller's frame.  [`static_for`], the loop itself,
-//! runs on any team (the Cilk-like pool's too); it is the pool's [`Loops::for_blocks`].
+//! The body is a *handle*: a reference to the caller's closure, the `&dyn` block body
+//! of a `LoopRuntime` call, or a per-index entry point's adapter closure
+//! `move |r| walk_range(&body, r)`, which holds the per-index handle by value — never a
+//! reference to a closure in the caller's frame.  [`static_for`], [`deal_for`] over
+//! [`StaticBlocks`], is the statically scheduled loop: one contiguous block per
+//! participant, computed by each from the published range without communication
+//! (step 1 of the paper's scheduling recipe).  It runs on any team (the Cilk-like
+//! pool's too) and is the pool's [`Loops::for_blocks`].
 
 use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
@@ -19,6 +24,48 @@ use crate::runtime::Loops;
 use crate::stats::PoolStats;
 use parlo_exec::{walk_range, Job, Team, TeamSync};
 use std::ops::Range;
+
+/// How a runtime deals one loop's pieces to its participants: the only per-runtime
+/// part of a loop.  A dealer is `Copy` and small, as it travels by value in the loop's
+/// job (a runtime whose dealer holds shared state deals through a reference to it).
+pub trait Deal: Copy + Sync {
+    /// Calls `piece(acc, r)` once for every non-empty piece `r` participant `id` runs,
+    /// in the order it runs them, threading `acc` through (a plain loop threads `()`, a
+    /// reduction its accumulator), and returns the accumulator.  Over all participants
+    /// the pieces are disjoint and cover the loop's range exactly once.
+    fn deal<A>(&self, id: usize, acc: A, piece: impl FnMut(A, Range<usize>) -> A) -> A;
+}
+
+/// The static dealer: participant `id` runs its [`static_block`] of the range, whole.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StaticBlocks {
+    start: usize,
+    end: usize,
+    nthreads: usize,
+}
+
+impl StaticBlocks {
+    /// The block partition of `range` over `nthreads` participants.
+    pub(crate) fn new(range: Range<usize>, nthreads: usize) -> Self {
+        StaticBlocks {
+            start: range.start,
+            end: range.end,
+            nthreads,
+        }
+    }
+}
+
+impl Deal for StaticBlocks {
+    #[inline]
+    fn deal<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
+        let block = static_block(&(self.start..self.end), self.nthreads, id);
+        if block.is_empty() {
+            acc
+        } else {
+            piece(acc, block)
+        }
+    }
+}
 
 /// Harness for [`FineGrainPool::broadcast`].
 #[derive(Clone, Copy)]
@@ -37,29 +84,18 @@ unsafe fn exec_broadcast<B: Fn(WorkerInfo)>(data: *const (), id: usize) {
     });
 }
 
-/// Harness of [`static_for`].
+/// Harness of [`deal_for`].
 #[derive(Clone, Copy)]
-struct ForHarness<B> {
+struct ForHarness<D, B> {
+    deal: D,
     body: B,
-    start: usize,
-    end: usize,
-    nthreads: usize,
 }
 
-impl<B> ForHarness<B> {
-    fn block(&self, id: usize) -> Range<usize> {
-        static_block(&(self.start..self.end), self.nthreads, id)
-    }
-}
-
-unsafe fn exec_for<B: Fn(Range<usize>)>(data: *const (), id: usize) {
-    // SAFETY: the job carries a `ForHarness<B>`, and `data` points at this
+unsafe fn exec_for<D: Deal, B: Fn(Range<usize>)>(data: *const (), id: usize) {
+    // SAFETY: the job carries a `ForHarness<D, B>`, and `data` points at this
     // participant's copy of it.
-    let h = unsafe { &*(data as *const ForHarness<B>) };
-    let block = h.block(id);
-    if !block.is_empty() {
-        (h.body)(block);
-    }
+    let h = unsafe { &*(data as *const ForHarness<D, B>) };
+    h.deal.deal(id, (), |(), piece| (h.body)(piece));
 }
 
 impl FineGrainPool {
@@ -73,10 +109,12 @@ impl FineGrainPool {
             body: &body,
             nthreads: self.num_threads(),
         };
-        // SAFETY: `body` lives until `run_job` returns, and `exec_broadcast::<&F>`
-        // reads exactly the harness type the job carries.
+        self.stats.record_loop(self.phases_per_loop());
+        // SAFETY: `&mut self` is the single-driver guarantee, `body` lives until `run`
+        // returns, and `exec_broadcast::<&F>` reads exactly the harness type the job
+        // carries.
         unsafe {
-            self.run_job(Job::new(harness, exec_broadcast::<&F>, None));
+            self.team.run(Job::new(harness, exec_broadcast::<&F>, None));
         }
     }
 
@@ -110,14 +148,32 @@ impl FineGrainPool {
     }
 }
 
-/// The statically scheduled loop on `team`: each participant calls `body` once with its
-/// [`static_block`] of `range` (not at all when the block is empty), and `stats` counts
-/// one loop of `phases` barrier phases.  `body` is a handle the job carries by value.
-/// An empty range runs no cycle and counts nothing.
+/// The loop harness: each participant of `team` calls `body` once with every piece
+/// `deal` hands it, and `stats` counts one loop of `phases` barrier phases.  The
+/// dealer and the body are handles the job carries by value.  The caller returns
+/// before this for an empty range, which runs no cycle and counts nothing.
 ///
 /// # Safety
 /// The caller drives `team`: no other thread runs a loop on it concurrently (one that
 /// does panics on the team's in-flight guard).
+pub unsafe fn deal_for<S, D, B>(team: &Team<S>, stats: &PoolStats, phases: u64, deal: D, body: B)
+where
+    S: TeamSync,
+    D: Deal,
+    B: Fn(Range<usize>) + Sync + Copy,
+{
+    stats.record_loop(phases);
+    // SAFETY: the handles' referents outlive this call, and `exec_for::<D, B>` reads
+    // exactly the harness type the job carries.
+    unsafe { team.run(Job::new(ForHarness { deal, body }, exec_for::<D, B>, None)) };
+}
+
+/// The statically scheduled loop on `team`: [`deal_for`] over the static dealer, so each
+/// participant calls `body` once with its [`static_block`] of `range` (not at all when
+/// the block is empty).  An empty range runs no cycle and counts nothing.
+///
+/// # Safety
+/// As for [`deal_for`].
 pub unsafe fn static_for<S, B>(
     team: &Team<S>,
     stats: &PoolStats,
@@ -128,19 +184,11 @@ pub unsafe fn static_for<S, B>(
     S: TeamSync,
     B: Fn(Range<usize>) + Sync + Copy,
 {
-    if range.is_empty() {
-        return;
+    if !range.is_empty() {
+        let deal = StaticBlocks::new(range, team.num_threads());
+        // SAFETY: forwarded contract.
+        unsafe { deal_for(team, stats, phases, deal, body) };
     }
-    let harness = ForHarness {
-        body,
-        start: range.start,
-        end: range.end,
-        nthreads: team.num_threads(),
-    };
-    stats.record_loop(phases);
-    // SAFETY: the body's referents outlive this call, and `exec_for::<B>` reads
-    // exactly the harness type the job carries.
-    unsafe { team.run(Job::new(harness, exec_for::<B>, None)) };
 }
 
 #[cfg(test)]

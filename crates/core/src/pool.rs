@@ -244,18 +244,6 @@ impl FineGrainPool {
             SyncImpl::Full(fb) => fb.hierarchy_stats(),
         }
     }
-
-    /// Counts one loop and runs its type-erased job on all threads of the pool.
-    ///
-    /// # Safety
-    /// Everything the job's harness refers to must stay alive until this call returns,
-    /// and the job's entry points must be safe to call concurrently from all
-    /// participants.
-    pub(crate) unsafe fn run_job(&self, job: Job) {
-        self.stats.record_loop(self.phases_per_loop());
-        // SAFETY: forwarded contract.
-        unsafe { self.team.run(job) };
-    }
 }
 
 #[cfg(test)]

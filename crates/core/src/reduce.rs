@@ -8,85 +8,114 @@
 //! * keeps one **statically allocated** view per participant — a cache-line-padded
 //!   block the team allocates when it is built and every reduction reuses (see
 //!   [`parlo_exec::ReduceViews`]), so a reduction allocates nothing,
-//! * lets every participant fold its block into its own view, and
+//! * lets every participant fold the pieces it runs into one accumulator, which it puts
+//!   into its own view once, before it arrives, and
 //! * merges the views **pairwise inside the join phase of the half-barrier**: when a
 //!   join-tree child arrives, its parent immediately folds the child's view into its
 //!   own.  Exactly `P − 1` combine operations are performed per reduction, and the loop
 //!   still costs only the one half-barrier.
 //!
-//! [`static_reduce`], the merged reduction itself — the pool's
-//! [`Loops::reduce_blocks`] — runs on any team (the Cilk-like pool's too).  It requires
-//! the combine operator to be commutative (and associative) because the join tree does
-//! not preserve the index order of the blocks;
-//! [`FineGrainPool::parallel_reduce_ordered`] keeps non-commutative operators correct
-//! by folding the views in thread order at the master after the join phase (still
-//! `P − 1` combines, but all executed by the master).
+//! [`deal_reduce`] is that harness, generic over the runtime's [`Deal`]er like
+//! [`deal_for`](crate::deal_for): the fine-grain pool and the Cilk-like pool's hybrid
+//! path run it over the static block ([`static_reduce`], the pool's
+//! [`Loops::reduce_blocks`]), the OpenMP-like team over its worksharing (its sync
+//! shape runs the join as a third full barrier) and the stealing pool over its deque
+//! sweep.  It requires the combine operator to be commutative (and associative)
+//! because the join tree does not preserve the index order of the pieces;
+//! [`FineGrainPool::parallel_reduce_ordered`] runs the same harness with no combine
+//! attached and keeps non-commutative operators correct by folding the views in thread
+//! order at the master after the join phase (still `P − 1` combines, but all executed
+//! by the master).
 
+use crate::loops::{Deal, StaticBlocks};
 use crate::pool::FineGrainPool;
-use crate::range::static_block;
 use crate::runtime::Loops;
 use crate::stats::PoolStats;
 use parlo_exec::{fold_range, Job, ReduceViews, Team, TeamSync};
 use std::ops::Range;
 
-/// Harness shared by both reduction flavors.  It travels by value in the loop's job,
-/// so `identity`, `fold` and `combine` are handles: references to the caller's
-/// closures, or — from a `LoopRuntime` call — `move || init` and the `&dyn` operators
-/// themselves.  `fold` is a block fold, called once with a participant's whole block;
-/// a per-index reduction passes the adapter `move |acc, r| fold_range(&fold, acc, r)`,
-/// which holds its per-index handle by value.
-struct ReduceHarness<'a, T, Id, Fold, Comb> {
+/// Harness of one reduction.  It travels by value in the loop's job, so the dealer,
+/// `identity`, `fold` and `combine` are handles: references to the caller's closures,
+/// or — from a `LoopRuntime` call — `move || init` and the `&dyn` operators
+/// themselves.  `fold` is a block fold, called once per piece; a per-index reduction
+/// passes the adapter `move |acc, r| fold_range(&fold, acc, r)`, which holds its
+/// per-index handle by value.
+struct ReduceHarness<'a, D, T, Id, Fold, Comb> {
+    deal: D,
     identity: Id,
     fold: Fold,
     combine: Comb,
-    /// The team's view blocks for this loop: each participant writes its own before it
-    /// arrives at the join, and its join parent folds it afterwards.
+    /// The team's view blocks for this loop: each participant writes its own once,
+    /// before it arrives at the join, and its join parent folds it afterwards.
     views: ReduceViews<'a, T>,
-    start: usize,
-    end: usize,
-    nthreads: usize,
     stats: &'a PoolStats,
 }
 
-impl<T, Id: Copy, Fold: Copy, Comb: Copy> Clone for ReduceHarness<'_, T, Id, Fold, Comb> {
+impl<D: Copy, T, Id: Copy, Fold: Copy, Comb: Copy> Clone
+    for ReduceHarness<'_, D, T, Id, Fold, Comb>
+{
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<T, Id: Copy, Fold: Copy, Comb: Copy> Copy for ReduceHarness<'_, T, Id, Fold, Comb> {}
+impl<D: Copy, T, Id: Copy, Fold: Copy, Comb: Copy> Copy
+    for ReduceHarness<'_, D, T, Id, Fold, Comb>
+{
+}
 
-impl<T, Id: Fn() -> T, Fold: Fn(T, Range<usize>) -> T, Comb> ReduceHarness<'_, T, Id, Fold, Comb> {
-    /// The `execute` entry point of a job carrying this harness.
-    fn execute(&self) -> unsafe fn(*const (), usize) {
-        exec_reduce::<T, Id, Fold, Comb>
+impl<'a, D, T, Id, Fold, Comb> ReduceHarness<'a, D, T, Id, Fold, Comb>
+where
+    D: Deal,
+    T: Send,
+    Id: Fn() -> T + Sync + Copy,
+    Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+    Comb: Fn(T, T) -> T + Sync + Copy,
+{
+    /// Counts one reduction and one loop of `phases` phases, and runs the harness on
+    /// `team` — with the views combined in the join phase when `merged` — and returns
+    /// its views, each participant's folded into the master's if `merged`.
+    ///
+    /// # Safety
+    /// As for [`deal_reduce`]; `views` are `team`'s for this loop.
+    unsafe fn run<S: TeamSync>(
+        self,
+        team: &Team<S>,
+        phases: u64,
+        merged: bool,
+    ) -> ReduceViews<'a, T> {
+        self.stats.record_reduction();
+        self.stats.record_loop(phases);
+        let combine = merged.then_some(combine_reduce::<D, T, Id, Fold, Comb> as _);
+        // SAFETY: the handles' referents outlive `run`; the entry points read exactly
+        // this harness type; view accesses are serialized by the join-phase protocol
+        // (see `combine_reduce`), or, with no combine attached, each view is written
+        // only by its owner during the loop.
+        unsafe { team.run(Job::new(self, exec_reduce::<D, T, Id, Fold, Comb>, combine)) };
+        self.views
     }
 }
 
-unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
+unsafe fn exec_reduce<D, T, Id, Fold, Comb>(data: *const (), id: usize)
 where
+    D: Deal,
     Id: Fn() -> T,
     Fold: Fn(T, Range<usize>) -> T,
 {
     // SAFETY: the job carries a `ReduceHarness` of exactly these types, and `data`
     // points at this participant's copy of it.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
-    let block = static_block(&(h.start..h.end), h.nthreads, id);
-    let acc = if block.is_empty() {
-        (h.identity)()
-    } else {
-        (h.fold)((h.identity)(), block)
-    };
+    let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
+    let acc = h.deal.deal(id, (h.identity)(), &h.fold);
     // SAFETY: each participant writes only its own view before arriving at the join.
     unsafe { h.views.put(id, acc) };
 }
 
-unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
+unsafe fn combine_reduce<D, T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
 where
     Comb: Fn(T, T) -> T + Copy,
 {
     // SAFETY: as in `exec_reduce`.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Id, Fold, Comb>) };
+    let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
     h.stats.record_combine(into);
     // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
     // owner no longer touches it) and that only the parent accesses both views here.
@@ -116,28 +145,29 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let fold = &fold;
-        let blocks = move |acc, r| fold_range(&fold, acc, r);
-        // SAFETY: `&mut self` makes this thread the pool's one driver, between loops.
-        let harness =
-            unsafe { reduce_harness(&self.team, &self.stats, range, &identity, blocks, &combine) };
-        self.stats.record_reduction();
-        // SAFETY: the closures outlive `run_job`, `exec_reduce` reads exactly the
-        // harness type the job carries, and with no combine attached to the job each
-        // view is written only by its owner during the loop.
-        unsafe {
-            self.run_job(Job::new(harness, harness.execute(), None));
-        }
+        let (team, fold, nthreads) = (&self.team, &fold, self.num_threads());
+        let harness = ReduceHarness {
+            deal: StaticBlocks::new(range, nthreads),
+            identity: &identity,
+            fold: move |acc, r| fold_range(&fold, acc, r),
+            combine: &combine,
+            // SAFETY: `&mut self` makes this thread the pool's one driver, between
+            // loops; the previous reduction's handle is gone.
+            views: unsafe { team.views() },
+            stats: &self.stats,
+        };
+        // SAFETY: as above.
+        let views = unsafe { harness.run(team, self.phases_per_loop(), false) };
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
-        for t in 1..harness.nthreads {
+        for t in 1..nthreads {
             self.stats.record_combine(0);
             // SAFETY: all workers have arrived; the master is the only remaining
             // accessor.
-            unsafe { harness.views.combine(0, t, &combine) };
+            unsafe { views.combine(0, t, &combine) };
         }
         // SAFETY: as above.
-        unsafe { harness.views.take(0) }.expect("master view present after the fold")
+        unsafe { views.take(0) }.expect("master view present after the fold")
     }
 
     /// Convenience wrapper: parallel sum of `f(i)` over `range` ([`Loops::reduce`]).
@@ -149,41 +179,57 @@ impl FineGrainPool {
     }
 }
 
-/// The harness of one reduction over `team`'s view blocks.
+/// The merged reduction harness: each participant of `team` folds every piece `deal`
+/// hands it into one accumulator seeded with `identity()` and puts it into its own
+/// view once, before it arrives; join parents combine their children's views on the
+/// way up (`P − 1` combines, `combine` associative and commutative).  `stats` counts
+/// the combines, the reduction and one loop of `phases` phases.  The handles travel by
+/// value in the job.  The caller returns `identity()` before this for an empty range,
+/// which runs no cycle and counts nothing.
 ///
 /// # Safety
-/// The caller drives `team` and no loop is in flight.
-unsafe fn reduce_harness<'a, S: TeamSync, T, Id, Fold, Comb>(
-    team: &'a Team<S>,
-    stats: &'a PoolStats,
-    range: Range<usize>,
+/// The caller drives `team` and no loop is in flight: no other thread runs a loop on
+/// it concurrently.
+pub unsafe fn deal_reduce<S, D, T, Id, Fold, Comb>(
+    team: &Team<S>,
+    stats: &PoolStats,
+    phases: u64,
+    deal: D,
     identity: Id,
     fold: Fold,
     combine: Comb,
-) -> ReduceHarness<'a, T, Id, Fold, Comb> {
-    ReduceHarness {
+) -> T
+where
+    S: TeamSync,
+    D: Deal,
+    T: Send,
+    Id: Fn() -> T + Sync + Copy,
+    Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+    Comb: Fn(T, T) -> T + Sync + Copy,
+{
+    let harness = ReduceHarness {
+        deal,
         identity,
         fold,
         combine,
         // SAFETY: forwarded contract; the previous reduction's handle is gone.
         views: unsafe { team.views() },
-        start: range.start,
-        end: range.end,
-        nthreads: team.num_threads(),
         stats,
-    }
+    };
+    // SAFETY: forwarded contract.
+    let views = unsafe { harness.run(team, phases, true) };
+    // After the master's join phase its view holds the fully combined result.
+    // SAFETY: all workers have arrived; no concurrent access remains.
+    unsafe { views.take(0) }.expect("master view present after the join")
 }
 
-/// The merged reduction on `team`: each participant folds its [`static_block`] of
-/// `range` into its own view with one `fold(identity(), block)` call (none for an empty
-/// block), and join parents combine their children's views on the way up (`P − 1`
-/// combines, `combine` associative and commutative).  `stats` counts
-/// them, the reduction and one loop of `phases` phases.  The handles travel by value
-/// in the job.  An empty range returns `identity()` without a cycle.
+/// The merged reduction over the static block: [`deal_reduce`] over the static dealer,
+/// so each participant folds its [`static_block`](crate::static_block) of `range` with
+/// one `fold(identity(), block)` call (none for an empty block).  An empty range
+/// returns `identity()` without a cycle.
 ///
 /// # Safety
-/// The caller drives `team` and no loop is in flight: no other thread runs a loop on
-/// it concurrently.
+/// As for [`deal_reduce`].
 pub unsafe fn static_reduce<S, T, Id, Fold, Comb>(
     team: &Team<S>,
     stats: &PoolStats,
@@ -203,23 +249,9 @@ where
     if range.is_empty() {
         return identity();
     }
+    let deal = StaticBlocks::new(range, team.num_threads());
     // SAFETY: forwarded contract.
-    let harness = unsafe { reduce_harness(team, stats, range, identity, fold, combine) };
-    stats.record_reduction();
-    stats.record_loop(phases);
-    // SAFETY: the handles' referents outlive `run`; the entry points read exactly
-    // `ReduceHarness<'_, T, Id, Fold, Comb>`; view accesses are serialized by the
-    // join-phase protocol (see `combine_reduce`).
-    unsafe {
-        team.run(Job::new(
-            harness,
-            exec_reduce::<T, Id, Fold, Comb>,
-            Some(combine_reduce::<T, Id, Fold, Comb>),
-        ));
-    }
-    // After the master's join phase its view holds the fully combined result.
-    // SAFETY: all workers have arrived; no concurrent access remains.
-    unsafe { harness.views.take(0) }.expect("master view present after the join")
+    unsafe { deal_reduce(team, stats, phases, deal, identity, fold, combine) }
 }
 
 #[cfg(test)]

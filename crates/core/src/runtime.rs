@@ -29,6 +29,13 @@
 //! loop inside the outlined body; the per-index methods are the same loop with
 //! `parlo_exec::walk_range` / `fold_range` as the block body, so a `dyn` per-index body
 //! pays one `dyn` call per index on every runtime, `Sequential` included.
+//!
+//! Every team-based runtime but the Cilk baseline implements its block methods with
+//! the same two harnesses, [`deal_for`](crate::deal_for) and
+//! [`deal_reduce`](crate::deal_reduce) (`loops.rs` and `reduce.rs`), and supplies only
+//! a [`Deal`](crate::Deal): the dealer calls `piece` once per non-empty piece a
+//! participant runs, in the order it runs them, threading one accumulator through
+//! them, and the pieces of all participants cover the range exactly once.
 
 use crate::pool::FineGrainPool;
 use crate::{static_for, static_reduce};

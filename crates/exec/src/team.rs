@@ -27,9 +27,10 @@
 //!   workers.
 //!
 //! *Which iterations participant `id` runs* is not the skeleton's business: that is
-//! the `execute(id)` entry point of the [`Job`] each runtime publishes (a static block,
-//! an OpenMP schedule, a chunk deque drained and stolen from, a recursive split).  A
-//! pool is therefore a sync shape + its scheduling + its stats, on top of a `Team`.
+//! the `execute(id)` entry point of the [`Job`] a runtime publishes — `parlo-core`'s
+//! loop or merged-reduction harness over the runtime's dealer (a static block, an
+//! OpenMP schedule, a chunk deque drained and stolen from).  A pool is therefore a
+//! sync shape + its dealer + its stats, on top of a `Team`.
 //!
 //! # Why the share walk is a frame of its own
 //!

@@ -13,7 +13,9 @@
 //!
 //! The work-distribution side supports `static`, `static,chunk`, `dynamic` and `guided`
 //! schedules (see [`crate::Schedule`]).  The loops themselves are the [`Loops`] methods
-//! of a [`ScheduledTeam`], the team paired with one schedule.
+//! of a [`ScheduledTeam`], the team paired with one schedule: `parlo-core`'s loop and
+//! merged-reduction harnesses ([`parlo_core::deal_for`], [`parlo_core::deal_reduce`])
+//! with this team's worksharing descriptor as the dealer.
 //!
 //! The team itself — lease, worker loop, detach cycle, single-driver guard — is the
 //! shared [`parlo_exec::Team`] skeleton over the [`ExtraReductionBarrier`] sync shape.
@@ -22,8 +24,8 @@ use crate::schedule::Schedule;
 use crate::ScheduledTeam;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{FullBarrier, WaitPolicy};
-use parlo_core::{Loops, PoolStats, SyncStats};
-use parlo_exec::{Executor, ExtraReductionBarrier, Job, ReduceViews, Team};
+use parlo_core::{deal_for, deal_reduce, Deal, Loops, PoolStats, SyncStats};
+use parlo_exec::{Executor, ExtraReductionBarrier, Team};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -160,26 +162,12 @@ impl OmpTeam {
     pub fn stats(&self) -> SyncStats {
         self.stats.snapshot()
     }
-
-    /// Counts one region (two full barriers, three with a reduction) and runs it.
-    ///
-    /// # Safety
-    /// Everything the job's harness refers to must stay alive until this call returns
-    /// and must be safe to use concurrently from all participants.
-    unsafe fn run_region(&self, job: Job) {
-        let barriers = if job.has_combine() { 3 } else { 2 };
-        self.stats.record_loop(2 * barriers);
-        // SAFETY: forwarded contract.
-        unsafe { self.team.run(job) };
-    }
 }
 
-// ---------------------------------------------------------------------------------
-// Worksharing + reduction entry points
-// ---------------------------------------------------------------------------------
-
 /// The worksharing descriptor of one region: how the iterations of `range` are dealt
-/// to the participants under `schedule`.
+/// to the participants under `schedule`.  It holds the region's shared dispensers, so
+/// it stays on the master's stack and the job carries a reference to it as the
+/// region's dealer; the job carries the body and the reduction operators by value.
 struct Worksharing<'a> {
     schedule: Schedule,
     range: Range<usize>,
@@ -207,26 +195,6 @@ impl<'a> Worksharing<'a> {
         }
     }
 
-    /// Deals participant `id` its share of the region as non-empty contiguous ranges,
-    /// threading `acc` through `piece` (a plain loop threads `()`, a reduction its
-    /// accumulator).
-    fn run<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
-        let mut piece = |acc, r: Range<usize>| if r.is_empty() { acc } else { piece(acc, r) };
-        match self.schedule {
-            Schedule::Static => {
-                let block = parlo_core::static_block(&self.range, self.nthreads, id);
-                piece(acc, block)
-            }
-            Schedule::StaticChunked(chunk) => {
-                parlo_core::static_chunks(&self.range, self.nthreads, id, chunk).fold(acc, piece)
-            }
-            Schedule::Dynamic(_) => {
-                self.run_dispensed(id, || self.dynamic.next_chunk(), acc, piece)
-            }
-            Schedule::Guided(_) => self.run_dispensed(id, || self.guided.next_chunk(), acc, piece),
-        }
-    }
-
     /// Drains a shared dispenser on behalf of participant `id`.  Chunks are counted
     /// locally and added once, so a dispensed chunk pays no contended RMW beyond the
     /// dispenser's own.
@@ -247,64 +215,25 @@ impl<'a> Worksharing<'a> {
     }
 }
 
-/// Harness of a plain loop.  Its worksharing descriptor holds the region's
-/// shared dispensers, so the harness stays on the master's stack and the job carries a
-/// reference to it; the harness owns the block body (a `LoopRuntime` call's `&dyn` body
-/// is held as it is, or inside its per-index adapter, not behind a reference).
-struct ForHarness<'a, F> {
-    body: F,
-    work: Worksharing<'a>,
-}
-
-/// The harness behind a job's `data`: the job carries a `&H`.
-///
-/// # Safety
-/// `data` points at a `&H` whose referent outlives `'a`.
-unsafe fn shared<'a, H>(data: *const ()) -> &'a H {
-    // SAFETY: the caller's contract.
-    unsafe { *(data as *const &H) }
-}
-
-unsafe fn exec_for<F: Fn(Range<usize>) + Sync>(data: *const (), id: usize) {
-    // SAFETY: the job carries a `&ForHarness<F>` into the master's frame, which is
-    // alive until the episode's closing barrier.
-    let h = unsafe { shared::<ForHarness<'_, F>>(data) };
-    h.work.run(id, (), |(), piece| (h.body)(piece));
-}
-
-/// Harness of a reduction, on the master's stack like [`ForHarness`].
-struct ReduceHarness<'a, T, Id, Fold, Comb> {
-    identity: Id,
-    fold: Fold,
-    combine: Comb,
-    views: ReduceViews<'a, T>,
-    work: Worksharing<'a>,
-}
-
-unsafe fn exec_reduce<T, Id, Fold, Comb>(data: *const (), id: usize)
-where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, Range<usize>) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: as in `exec_for`.
-    let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
-    let acc = h.work.run(id, (h.identity)(), &h.fold);
-    // SAFETY: each participant writes only its own view before the reduction barrier.
-    unsafe { h.views.put(id, acc) };
-}
-
-unsafe fn combine_reduce<T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
-where
-    Id: Fn() -> T + Sync,
-    Fold: Fn(T, Range<usize>) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: as in `exec_for`.
-    let h = unsafe { shared::<ReduceHarness<'_, T, Id, Fold, Comb>>(data) };
-    h.work.stats.record_combine(into);
-    // SAFETY: serialized by the reduction barrier's join phase.
-    unsafe { h.views.combine(into, from, &h.combine) };
+/// A participant's share under the schedule: its static block, its `static,chunk`
+/// chunks, or the chunks it takes from the shared dispenser.
+impl Deal for &Worksharing<'_> {
+    fn deal<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
+        let mut piece = |acc, r: Range<usize>| if r.is_empty() { acc } else { piece(acc, r) };
+        match self.schedule {
+            Schedule::Static => {
+                let block = parlo_core::static_block(&self.range, self.nthreads, id);
+                piece(acc, block)
+            }
+            Schedule::StaticChunked(chunk) => {
+                parlo_core::static_chunks(&self.range, self.nthreads, id, chunk).fold(acc, piece)
+            }
+            Schedule::Dynamic(_) => {
+                self.run_dispensed(id, || self.dynamic.next_chunk(), acc, piece)
+            }
+            Schedule::Guided(_) => self.run_dispensed(id, || self.guided.next_chunk(), acc, piece),
+        }
+    }
 }
 
 /// The OpenMP-style loops: a full fork barrier, worksharing under the team's
@@ -324,14 +253,10 @@ impl Loops for ScheduledTeam {
             return;
         }
         let team = &self.team;
-        let harness = ForHarness {
-            body,
-            work: Worksharing::new(team, range, self.schedule),
-        };
-        // SAFETY: `&mut self` makes this thread the team's one driver; the harness
-        // outlives `run_region`, and `exec_for::<B>` reads the reference to it the job
-        // carries.
-        unsafe { team.run_region(Job::new(&harness, exec_for::<B>, None)) };
+        let work = Worksharing::new(team, range, self.schedule);
+        // SAFETY: `&mut self` makes this thread the team's one driver, and `work`
+        // outlives the region.  Two full barriers: four phases.
+        unsafe { deal_for(&team.team, &team.stats, 4, &work, body) };
     }
 
     fn reduce_blocks<T, Id, Fold, Comb>(
@@ -352,27 +277,10 @@ impl Loops for ScheduledTeam {
             return identity();
         }
         let team = &self.team;
-        let harness = ReduceHarness {
-            identity,
-            fold,
-            combine,
-            // SAFETY: `&mut self` makes this thread the team's one driver, between
-            // regions; the previous reduction's handle is gone.
-            views: unsafe { team.team.views() },
-            work: Worksharing::new(team, range, self.schedule),
-        };
-        team.stats.record_reduction();
-        // SAFETY: as in `for_blocks`; view accesses are serialized by the reduction
-        // barrier protocol.
-        unsafe {
-            team.run_region(Job::new(
-                &harness,
-                exec_reduce::<T, Id, Fold, Comb>,
-                Some(combine_reduce::<T, Id, Fold, Comb>),
-            ));
-        }
-        // SAFETY: the region has completed; the master is the only remaining accessor.
-        unsafe { harness.views.take(0) }.expect("master view present after the region")
+        let work = Worksharing::new(team, range, self.schedule);
+        // SAFETY: as in `for_blocks`.  The job carries a combine, so the sync shape
+        // adds the reduction barrier whose join phase merges the views: six phases.
+        unsafe { deal_reduce(&team.team, &team.stats, 6, &work, identity, fold, combine) }
     }
 }
 

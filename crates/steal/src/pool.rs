@@ -4,8 +4,12 @@
 //! but distributes each loop through per-worker **chunk deques** instead of pure static
 //! blocks:
 //!
-//! 1. the master publishes the loop descriptor and performs the **release phase** of
-//!    the half-barrier — it never waits at the fork point;
+//! 1. the master publishes the loop and performs the **release phase** of the
+//!    half-barrier — it never waits at the fork point.  The loop runs through
+//!    `parlo-core`'s one loop harness ([`parlo_core::deal_for`] /
+//!    [`parlo_core::deal_reduce`]): its job carries the body or the reduction
+//!    operators by value and, as the dealer, a reference to the loop's descriptor on
+//!    the master's stack;
 //! 2. every participant seeds its own deque with its pre-split chunk run
 //!    (its static block subdivided into chunks, pushed back-to-front) and executes it
 //!    with owner-LIFO pops, so the run proceeds front to back;
@@ -13,8 +17,9 @@
 //!    topology's victim tiers — its own socket first, each tier in a seeded rotation —
 //!    taking one piece per hit thief-FIFO from the *back* of another worker's run,
 //!    until a full sweep observes only empty deques;
-//! 4. every participant then performs the **join phase** of the same half-barrier,
-//!    folding reduction views pairwise on the way up — completion detection costs
+//! 4. every participant then performs the **join phase** of the same half-barrier —
+//!    a reduction first puts the one accumulator it threaded through every piece it
+//!    ran into its view, and the views fold pairwise on the way up; completion costs
 //!    exactly the 2 barrier phases of the fine-grain pool, so the burden comparison
 //!    with the other runtimes stays apples-to-apples.
 //!
@@ -45,8 +50,8 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{HalfBarrier, WaitPolicy};
 use parlo_cilk::{default_grain, victim_seed, xorshift, Steal};
-use parlo_core::PoolStats;
-use parlo_exec::{fold_range, walk_range, Executor, Job, ReduceViews, Team};
+use parlo_core::{deal_for, deal_reduce, Deal, PoolStats};
+use parlo_exec::{fold_range, walk_range, Executor, Team};
 use parlo_sync::{AtomicU32, AtomicU64, Ordering, SingleWriterCounter};
 use std::ops::Range;
 use std::sync::Arc;
@@ -284,19 +289,11 @@ impl StealCounters {
     }
 }
 
-/// The descriptor of one loop: the harness the job carries by value through the team's
-/// release, so each participant reads it from the line that released it.  The typed
-/// harness behind `data` stays on the master's stack for the loop's duration.
-#[derive(Clone, Copy)]
+/// The descriptor of one loop, and the loop's dealer: it stays on the master's stack
+/// for the loop's duration, and the job carries a reference to it next to the body or
+/// the reduction operators, which it carries by value.
 struct StealLoop<'a> {
     shared: &'a StealShared,
-    /// The typed harness the entry points below reinterpret.
-    data: *const (),
-    /// Called by every participant before it seeds its deque (a reduction seeds its
-    /// own view with the neutral element there).
-    enter: Option<unsafe fn(*const (), usize)>,
-    /// Runs iterations `lo..hi` on behalf of participant `worker`.
-    run_chunk: unsafe fn(*const (), usize, usize, usize),
     /// The loop range every participant pre-splits independently.
     start: usize,
     end: usize,
@@ -307,6 +304,17 @@ struct StealLoop<'a> {
     sticky: Option<&'a StickyLoop>,
     /// Ordinal of the loop on this pool — the `epoch` the perturbation hooks see.
     epoch: u64,
+}
+
+/// A participant's pieces are whatever [`participate`] claims: its own run, stolen
+/// chunks, lent halves.  The sweep stays one non-generic function, so a piece costs
+/// one indirect call, through `run`.
+impl Deal for &StealLoop<'_> {
+    fn deal<A>(&self, id: usize, acc: A, mut piece: impl FnMut(A, Range<usize>) -> A) -> A {
+        let mut acc = Some(acc);
+        participate(self, id, &mut |r| acc = acc.take().map(|acc| piece(acc, r)));
+        acc.expect("the accumulator is threaded through every piece")
+    }
 }
 
 /// What travels through a pool deque: a whole pre-split chunk, or the upper half a
@@ -457,82 +465,48 @@ impl StealPool {
             .max(1)
     }
 
-    /// Runs `run` with the sticky assignment of a site-keyed loop resolved before it
-    /// and the executed assignment remembered after it (`None` for unkeyed loops).
-    fn with_sticky<R>(
+    /// Runs one stealing loop over `range`: resolves the sticky assignment of a
+    /// site-keyed loop (`None` for unkeyed loops), hands `run` the pool's team, its
+    /// counters and the loop's descriptor, and remembers the executed assignment
+    /// after it.  `run` publishes the loop through the team — one half-barrier cycle,
+    /// in which every participant [`participate`]s between its fork and its join.
+    fn with_loop<R>(
         &mut self,
         site: Option<StealSite>,
-        range: &Range<usize>,
-        chunk: usize,
-        run: impl FnOnce(&Self, Option<&StickyLoop>) -> R,
+        range: Range<usize>,
+        run: impl FnOnce(&Team<HalfBarrier>, &PoolStats, &StealLoop<'_>) -> R,
     ) -> R {
-        let sticky = site.map(|site| self.prepare_sticky(site, range, chunk));
-        let out = run(self, sticky.as_ref().map(|(sticky_loop, _hit)| sticky_loop));
-        if let (Some(site), Some((sticky_loop, hit))) = (site, sticky) {
-            self.finish_sticky(site, range, chunk, sticky_loop, hit);
-        }
-        out
-    }
-
-    /// Runs one stealing loop over `harness`: counts it and publishes it through the
-    /// team — one half-barrier cycle, in which every participant [`participate`]s
-    /// between its fork and its join.
-    ///
-    /// # Safety
-    /// The caller drives the pool.  `enter`, `run_chunk` and `combine` must treat
-    /// `harness` as the type it points to and be safe to call concurrently from all
-    /// participants.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn run_loop<H>(
-        &self,
-        range: &Range<usize>,
-        chunk: usize,
-        sticky: Option<&StickyLoop>,
-        harness: &H,
-        enter: Option<unsafe fn(*const (), usize)>,
-        run_chunk: unsafe fn(*const (), usize, usize, usize),
-        combine: Option<unsafe fn(*const (), usize, usize)>,
-    ) {
-        let stats = &self.shared.stats.pool;
-        stats.record_loop(2);
-        let this = StealLoop {
+        let chunk = self.effective_chunk(range.len());
+        let sticky = site.map(|site| self.prepare_sticky(site, &range, chunk));
+        let stats = self.pool_stats();
+        let job = StealLoop {
             shared: &self.shared,
-            data: harness as *const H as *const (),
-            enter,
-            run_chunk,
             start: range.start,
             end: range.end,
             chunk,
-            sticky,
-            epoch: stats.loops(),
+            sticky: sticky.as_ref().map(|(sticky_loop, _hit)| sticky_loop),
+            // The loop about to be counted.
+            epoch: stats.loops() + 1,
         };
-        // SAFETY: the shared state, the harness and the sticky state all outlive `run`;
-        // `participate_in` reads exactly the descriptor type the job carries.
-        unsafe { self.team.run(Job::new(this, participate_in, combine)) };
+        let out = run(&self.team, stats, &job);
+        if let (Some(site), Some((sticky_loop, hit))) = (site, sticky) {
+            self.finish_sticky(site, &range, chunk, sticky_loop, hit);
+        }
+        out
     }
-}
-
-/// The job entry point of every stealing loop.
-unsafe fn participate_in(data: *const (), id: usize) {
-    // SAFETY: `data` points at this participant's copy of the loop's descriptor.
-    participate(unsafe { &*(data as *const StealLoop<'_>) }, id);
 }
 
 /// One participant's share of one loop: seed the own deque with the pre-split run
 /// (or the sticky assignment of a site-keyed loop), drain it LIFO, then steal FIFO
 /// from victims — socket-local tier first — until a full sweep finds every deque
 /// empty.  Every piece claimed on the way, popped or stolen, goes through
-/// [`execute_piece`], which lends at the tail.
-fn participate(job: &StealLoop<'_>, id: usize) {
+/// [`execute_piece`], which lends at the tail and hands what it runs to `run`.
+fn participate(job: &StealLoop<'_>, id: usize, run: &mut dyn FnMut(Range<usize>)) {
     let shared = job.shared;
     let epoch = job.epoch;
     let n = shared.deques.len();
     let deque = &shared.deques[id];
     let range = job.start..job.end;
-    if let Some(enter) = job.enter {
-        // SAFETY: contract of `run_loop` — the harness outlives the loop.
-        unsafe { enter(job.data, id) };
-    }
     // Seed the own run, back to front, so owner-LIFO pops execute it front to back and
     // thieves take from the back.  A full deque (pathologically small explicit chunk
     // size) degrades gracefully: the overflowing chunk runs inline right away.
@@ -540,7 +514,7 @@ fn participate(job: &StealLoop<'_>, id: usize) {
         let chunk = Piece { range, lent: false };
         // SAFETY: deque `id` is owned by this participant.
         if unsafe { deque.push(chunk) }.is_err() {
-            execute_piece(id, job, chunk);
+            execute_piece(id, job, chunk, run);
         }
     };
     match job.sticky {
@@ -552,7 +526,7 @@ fn participate(job: &StealLoop<'_>, id: usize) {
         // Own run first (LIFO pop = front-to-back execution order).
         // SAFETY: deque `id` is owned by this participant.
         if let Some(piece) = unsafe { deque.pop() } {
-            execute_piece(id, job, piece);
+            execute_piece(id, job, piece, run);
             continue;
         }
         if n == 1 {
@@ -634,7 +608,7 @@ fn participate(job: &StealLoop<'_>, id: usize) {
             // A hit takes one piece, local or remote.
             Some((piece, victim)) => {
                 record_hit(shared, id, victim, piece);
-                execute_piece(id, job, piece);
+                execute_piece(id, job, piece, run);
             }
             // A Retry means another participant claimed a piece concurrently (top
             // moved under our CAS), so the loop is still live: sweep again.  This
@@ -678,12 +652,12 @@ fn record_hit(shared: &StealShared, id: usize, victim: usize, piece: Piece) {
     parlo_trace::instant(parlo_trace::Phase::StealTier, id as u64, remote as u64);
 }
 
-/// The one claim path: runs a piece participant `id` popped, reclaimed or stole.  A
-/// whole chunk is counted (and recorded as the sticky execution of its grid slot)
-/// for whoever claimed it whole; a piece long enough to halve is offered to
-/// [`lend_tail`] first.  A lone participant has no thief to lend to.
+/// The one claim path: runs a piece participant `id` popped, reclaimed or stole,
+/// through `run`.  A whole chunk is counted (and recorded as the sticky execution of
+/// its grid slot) for whoever claimed it whole; a piece long enough to halve is
+/// offered to [`lend_tail`] first.  A lone participant has no thief to lend to.
 #[inline]
-fn execute_piece(id: usize, job: &StealLoop<'_>, piece: Piece) {
+fn execute_piece(id: usize, job: &StealLoop<'_>, piece: Piece, run: &mut dyn FnMut(Range<usize>)) {
     let shared = job.shared;
     if !piece.lent {
         shared.stats.per_worker[id].chunks.add(1);
@@ -694,12 +668,11 @@ fn execute_piece(id: usize, job: &StealLoop<'_>, piece: Piece) {
             }
         }
     }
-    let run = match lend_halves(piece.range) {
+    let now = match lend_halves(piece.range) {
         Some(halves) if shared.deques.len() > 1 => lend_tail(shared, id, piece.range, halves),
         _ => piece.range,
     };
-    // SAFETY: contract of `run_loop` — the harness outlives the loop.
-    unsafe { (job.run_chunk)(job.data, id, run.start, run.end) };
+    run(now.start..now.end);
 }
 
 /// Lending at the tail (see the module docs): if participant `id`'s own deque is
@@ -730,93 +703,6 @@ fn lend_tail(
     lower
 }
 
-// --------------------------------------------------------------------------------------
-// Typed loop entry points
-// --------------------------------------------------------------------------------------
-
-/// The typed harness of a plain loop, on the master's stack; it owns the block body (a
-/// `LoopRuntime` call's `&dyn` body is held as it is, or inside its per-index adapter,
-/// not behind a reference).
-struct ForHarness<F> {
-    body: F,
-}
-
-unsafe fn exec_for_chunk<F: Fn(Range<usize>) + Sync>(
-    data: *const (),
-    _worker: usize,
-    lo: usize,
-    hi: usize,
-) {
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ForHarness<F>) };
-    (h.body)(lo..hi);
-}
-
-/// The typed harness of a reduction, on the master's stack; it owns the operators like
-/// [`ForHarness`] owns the body.
-struct ReduceHarness<'a, T, Init, Fold, Comb> {
-    /// One view per participant, which the participant seeds with `init()` on entering
-    /// the loop and folds every chunk it executes (own and stolen) into.
-    views: ReduceViews<'a, T>,
-    init: Init,
-    fold: Fold,
-    comb: Comb,
-}
-
-unsafe fn enter_reduce<T, Init, Fold, Comb>(data: *const (), worker: usize)
-where
-    T: Send,
-    Init: Fn() -> T + Sync,
-    Fold: Fn(T, Range<usize>) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Init, Fold, Comb>) };
-    // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
-    unsafe { h.views.put(worker, (h.init)()) };
-}
-
-unsafe fn exec_reduce_chunk<T, Init, Fold, Comb>(
-    data: *const (),
-    worker: usize,
-    lo: usize,
-    hi: usize,
-) where
-    T: Send,
-    Init: Fn() -> T + Sync,
-    Fold: Fn(T, Range<usize>) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: the master keeps the harness alive until its join completes.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, T, Init, Fold, Comb>) };
-    // SAFETY: view `worker` is accessed only by participant `worker` until it arrives.
-    let acc = unsafe { h.views.take(worker) }.expect("view seeded with the neutral element");
-    // SAFETY: as above.
-    unsafe { h.views.put(worker, (h.fold)(acc, lo..hi)) };
-}
-
-unsafe fn combine_views<T, Init, Fold, Comb>(data: *const (), to: usize, from: usize)
-where
-    T: Send,
-    Init: Fn() -> T + Sync,
-    Fold: Fn(T, Range<usize>) -> T + Sync,
-    Comb: Fn(T, T) -> T + Sync,
-{
-    // SAFETY: `data` points at this participant's copy of the loop descriptor, and the
-    // master keeps the harness behind it alive until its join completes.
-    let (this, h) = unsafe {
-        let this = &*(data as *const StealLoop<'_>);
-        (
-            this,
-            &*(this.data as *const ReduceHarness<'_, T, Init, Fold, Comb>),
-        )
-    };
-    this.shared.stats.pool.record_combine(to);
-    // SAFETY: the half-barrier guarantees `from` has arrived (its view is final) and
-    // that `to` is the unique combiner touching either view at this point.
-    unsafe { h.views.combine(to, from, &h.comb) };
-}
-
 impl StealPool {
     /// [`Loops::for_each`](parlo_core::Loops::for_each) keyed by a loop [`StealSite`], with **sticky
     /// chunk→worker affinity**: the deques are seeded from the site's remembered
@@ -829,6 +715,7 @@ impl StealPool {
     where
         F: Fn(usize) + Sync,
     {
+        let body = &body;
         self.for_loop(Some(site), range, move |r| walk_range(&body, r));
     }
 
@@ -848,45 +735,36 @@ impl StealPool {
         Fold: Fn(T, usize) -> T + Sync,
         Comb: Fn(T, T) -> T + Sync,
     {
+        let fold = &fold;
         let blocks = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_loop(Some(site), range, init, blocks, comb)
+        self.reduce_loop(Some(site), range, &init, blocks, &comb)
     }
 
     /// The plain loop behind [`StealPool::steal_for_at`] and [`Loops::for_blocks`](parlo_core::Loops::for_blocks)
-    /// (`site` keys the sticky affinity, `None` for the unkeyed loops): `body` runs once
-    /// per piece a participant claims, popped, stolen or lent.
-    pub(crate) fn for_loop<F>(&mut self, site: Option<StealSite>, range: Range<usize>, body: F)
+    /// (`site` keys the sticky affinity, `None` for the unkeyed loops): `parlo-core`'s
+    /// loop harness over the loop's descriptor, so `body` runs once per piece a
+    /// participant claims, popped, stolen or lent.
+    pub(crate) fn for_loop<B>(&mut self, site: Option<StealSite>, range: Range<usize>, body: B)
     where
-        F: Fn(Range<usize>) + Sync,
+        B: Fn(Range<usize>) + Sync + Copy,
     {
-        if range.end <= range.start {
+        if range.is_empty() {
             return;
         }
-        let chunk = self.effective_chunk(range.len());
-        let harness = ForHarness { body };
-        self.with_sticky(site, &range, chunk, |this, sticky| {
-            // SAFETY: `&mut self` makes this thread the pool's one driver;
-            // `exec_for_chunk::<F>` matches the harness type.
-            unsafe {
-                this.run_loop(
-                    &range,
-                    chunk,
-                    sticky,
-                    &harness,
-                    None,
-                    exec_for_chunk::<F>,
-                    None,
-                )
-            }
+        self.with_loop(site, range, |team, stats, job| {
+            // SAFETY: `&mut self` makes this thread the pool's one driver, and `job`
+            // outlives the loop.
+            unsafe { deal_for(team, stats, 2, job, body) }
         });
     }
 
     /// The reduction behind [`StealPool::steal_reduce_at`] and [`Loops::reduce_blocks`](parlo_core::Loops::reduce_blocks):
-    /// every participant folds the pieces it runs (own and stolen) into a private view
-    /// seeded with `init()`, and the views are merged pairwise inside the join phase —
-    /// exactly `P − 1` combines, like the fine-grain pool's merged reduction.  `init`
-    /// must produce the neutral element of `comb`, which must be associative and
-    /// commutative.
+    /// `parlo-core`'s merged reduction over the loop's descriptor.  Every participant
+    /// folds the pieces it runs (own and stolen) into one accumulator seeded with
+    /// `init()` and puts it into its view once, before it arrives; the views are merged
+    /// pairwise inside the join phase — exactly `P − 1` combines, like the fine-grain
+    /// pool's merged reduction.  `init` must produce the neutral element of `comb`,
+    /// which must be associative and commutative.
     pub(crate) fn reduce_loop<T, Init, Fold, Comb>(
         &mut self,
         site: Option<StealSite>,
@@ -897,39 +775,16 @@ impl StealPool {
     ) -> T
     where
         T: Send,
-        Init: Fn() -> T + Sync,
-        Fold: Fn(T, Range<usize>) -> T + Sync,
-        Comb: Fn(T, T) -> T + Sync,
+        Init: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
     {
-        if range.end <= range.start {
+        if range.is_empty() {
             return init();
         }
-        let chunk = self.effective_chunk(range.len());
-        self.with_sticky(site, &range, chunk, |this, sticky| {
-            let harness = ReduceHarness {
-                // SAFETY: `&mut self` makes this thread the pool's one driver, between
-                // loops; the previous reduction's handle is gone.
-                views: unsafe { this.team.views() },
-                init,
-                fold,
-                comb,
-            };
-            this.shared.stats.pool.record_reduction();
-            // SAFETY: as above; the entry points match the harness type.
-            unsafe {
-                this.run_loop(
-                    &range,
-                    chunk,
-                    sticky,
-                    &harness,
-                    Some(enter_reduce::<T, Init, Fold, Comb>),
-                    exec_reduce_chunk::<T, Init, Fold, Comb>,
-                    Some(combine_views::<T, Init, Fold, Comb>),
-                );
-            }
-            // After the join the master's view holds the full fold.
-            // SAFETY: the join completed, so no participant touches any view.
-            unsafe { harness.views.take(0) }.expect("master view present after the join phase")
+        self.with_loop(site, range, |team, stats, job| {
+            // SAFETY: as in `for_loop`.
+            unsafe { deal_reduce(team, stats, 2, job, init, fold, comb) }
         })
     }
 

@@ -594,3 +594,114 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
         }
     }
 }
+
+/// Live [`Counted`] accumulators.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// A reduction accumulator wider than one 128-byte view line that counts its live
+/// instances, so a view leaked or dropped twice by a reduction shows in [`LIVE`].
+struct Counted {
+    /// Widens the view past one line.
+    sum: [u64; 16],
+    items: Vec<usize>,
+}
+
+impl Counted {
+    fn new() -> Self {
+        LIVE.fetch_add(1, Ordering::Relaxed);
+        Counted {
+            sum: [0; 16],
+            items: Vec::new(),
+        }
+    }
+
+    fn push(mut self, i: usize) -> Self {
+        self.sum[i % 16] += i as u64;
+        self.items.push(i);
+        self
+    }
+
+    fn merge(mut self, mut other: Counted) -> Self {
+        for (a, b) in self.sum.iter_mut().zip(&other.sum) {
+            *a += b;
+        }
+        self.items.append(&mut other.items);
+        self
+    }
+
+    /// Asserts that this is the one live accumulator and that it folded `range`
+    /// exactly once, then drops it and asserts that none is left.
+    fn check(mut self, range: &Range<usize>, at: &str) {
+        assert_eq!(
+            LIVE.load(Ordering::Relaxed),
+            1,
+            "{at}: live views after the call"
+        );
+        self.items.sort_unstable();
+        assert!(
+            self.items.iter().copied().eq(range.clone()),
+            "{at}: folded items"
+        );
+        assert_eq!(
+            self.sum.iter().sum::<u64>(),
+            range.clone().sum::<usize>() as u64
+        );
+        drop(self);
+        assert_eq!(
+            LIVE.load(Ordering::Relaxed),
+            0,
+            "{at}: live views after the drop"
+        );
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn reductions_neither_leak_nor_double_drop_a_view() {
+    struct NoLeak {
+        threads: usize,
+    }
+    impl NoLeak {
+        /// An empty range, one shorter than P, and one that deals every participant
+        /// several pieces.
+        fn ranges(&self) -> [Range<usize>; 3] {
+            [7..7, 3..3 + self.threads - 1, 0..500]
+        }
+    }
+    impl OnEveryRuntime for NoLeak {
+        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+            for range in self.ranges() {
+                let at = format!("{} @ P={}, {range:?}", rt.name(), self.threads);
+                let got = rt.reduce(range.clone(), Counted::new, Counted::push, Counted::merge);
+                got.check(&range, &format!("{at}: reduce"));
+                let got = rt.reduce_blocks(
+                    range.clone(),
+                    Counted::new,
+                    |acc, piece| piece.fold(acc, Counted::push),
+                    Counted::merge,
+                );
+                got.check(&range, &format!("{at}: reduce_blocks"));
+            }
+        }
+    }
+    for threads in [1, 2, 4] {
+        let mut check = NoLeak { threads };
+        on_every_runtime(threads, &mut check);
+        let mut pool = FineGrainPool::with_threads(threads);
+        for range in check.ranges() {
+            let got = pool.parallel_reduce_ordered(
+                range.clone(),
+                Counted::new,
+                Counted::push,
+                Counted::merge,
+            );
+            assert!(got.items.iter().copied().eq(range.clone()), "ordered");
+            got.check(&range, &format!("ordered @ P={threads}, {range:?}"));
+        }
+    }
+}

@@ -147,17 +147,28 @@ fn omp_baseline_pays_two_full_barriers_per_loop_and_three_per_reduction() {
             );
         }
 
-        team.schedule = Schedule::Static;
-        let before = team.sync_stats();
-        let sum = team.reduce(0..200, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-        assert_eq!(sum, (0..200u64).sum());
-        let after = team.sync_stats();
-        assert_eq!(
-            after.barrier_phases - before.barrier_phases,
-            6,
-            "a reduction loop pays a third full barrier ({threads}T)"
-        );
-        assert_eq!(after.combine_ops - before.combine_ops, threads as u64 - 1);
+        for schedule in [
+            Schedule::Static,
+            Schedule::StaticChunked(8),
+            Schedule::Dynamic(4),
+            Schedule::Guided(2),
+        ] {
+            team.schedule = schedule;
+            let before = team.sync_stats();
+            let sum = team.reduce(0..200, || 0u64, |a, i| a + i as u64, |a, b| a + b);
+            assert_eq!(sum, (0..200u64).sum());
+            let after = team.sync_stats();
+            assert_eq!(
+                after.barrier_phases - before.barrier_phases,
+                6,
+                "a reduction loop pays a third full barrier ({schedule:?} @ {threads}T)"
+            );
+            assert_eq!(
+                after.combine_ops - before.combine_ops,
+                threads as u64 - 1,
+                "P - 1 combines ({schedule:?} @ {threads}T)"
+            );
+        }
     }
 }
 

@@ -5,7 +5,9 @@
 //! the first use of the team's reduction-view blocks), then asserts that further
 //! `parallel_for`, `parallel_for_blocks`, `parallel_sum`, `parallel_reduce` and
 //! `parallel_reduce_blocks` calls, and the generic `for_each` and `reduce` — over `f64`
-//! and over a struct of three `f64`s — make exactly zero allocations.  Counted are the
+//! and over a struct of three `f64`s — make exactly zero allocations.  The OpenMP-like
+//! team is covered under `static`, `dynamic,2` and `guided,1`, whose dispensers the job
+//! reaches through its dealer.  Counted are the
 //! test's own thread and every thread that first allocates after the test starts (the
 //! pools' workers); the harness's main thread, which may still be doing its
 //! bookkeeping for the test it just spawned, is not.  It is one test function so that
@@ -178,8 +180,14 @@ fn no_heap_allocation_per_loop_after_warm_up() {
                 &mut failures,
             );
         }
-        let mut team = ScheduledTeam::with_threads(p, Schedule::Static);
-        check(&format!("OpenMP static @ P={p}"), &mut team, &mut failures);
+        for (label, schedule) in [
+            ("static", Schedule::Static),
+            ("dynamic,2", Schedule::Dynamic(2)),
+            ("guided,1", Schedule::Guided(1)),
+        ] {
+            let mut team = ScheduledTeam::with_threads(p, schedule);
+            check(&format!("OpenMP {label} @ P={p}"), &mut team, &mut failures);
+        }
         let mut hybrid = CilkFineGrain::with_threads(p);
         check(
             &format!("fine-grain Cilk @ P={p}"),
