@@ -10,10 +10,10 @@
 //! The extension side implements the paper's hybrid scheduler: the same pool embeds a
 //! half-barrier and idle workers alternate one cycle of random stealing with a poll of
 //! the half-barrier release flag, so fine-grain loops run statically scheduled while
-//! coarse-grain loops keep dynamic scheduling.  Both paths speak `parlo-core`'s
-//! generic [`Loops`](parlo_core::Loops) vocabulary: a [`CilkPool`] runs the baseline
-//! loops, and [`CilkFineGrain`], the same pool behind its hybrid face, the fine-grain
-//! ones.  The hybrid path runs `parlo-core`'s one loop harness over the static block
+//! coarse-grain loops keep dynamic scheduling.  Both paths implement `parlo-core`'s
+//! generic [`Loops`](parlo_core::Loops) vocabulary (and so, through `parlo-core`'s
+//! blanket impl, are `dyn LoopRuntime`s): a [`CilkPool`] runs the baseline loops, and
+//! [`CilkFineGrain`], the same pool behind its hybrid face, the fine-grain ones.  The hybrid path runs `parlo-core`'s one loop harness over the static block
 //! ([`parlo_core::static_for`], [`parlo_core::static_reduce`]) on the pool's team, so
 //! it is the fine-grain pool's loop, not a copy of it.
 //!

@@ -1,10 +1,10 @@
-//! The Cilk-like pool's two faces, each as [`Loops`] and as [`LoopRuntime`]: the
-//! baseline work-stealing path (implemented directly on [`CilkPool`]) and the hybrid
-//! fine-grain path (the [`CilkFineGrain`] wrapper).
+//! The Cilk-like pool's two faces, each as [`Loops`] (and so, through `parlo-core`'s
+//! blanket impl, as a `dyn LoopRuntime`): the baseline work-stealing path (implemented
+//! directly on [`CilkPool`]) and the hybrid fine-grain path (the [`CilkFineGrain`]
+//! wrapper).
 
 use crate::scheduler::CilkPool;
-use parlo_core::{static_for, static_reduce, LoopRuntime, Loops, SyncStats};
-use parlo_exec::{fold_range, walk_range};
+use parlo_core::{static_for, static_reduce, Loops, SyncStats};
 use std::ops::Range;
 
 fn pool_sync_stats(pool: &CilkPool) -> SyncStats {
@@ -23,6 +23,18 @@ fn pool_sync_stats(pool: &CilkPool) -> SyncStats {
 
 /// The baseline path: `cilk_for` splitting and lazily created reducer views.
 impl Loops for CilkPool {
+    fn name(&self) -> String {
+        "Cilk".into()
+    }
+
+    fn threads(&self) -> usize {
+        self.num_threads()
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        pool_sync_stats(self)
+    }
+
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(Range<usize>) + Sync + Copy,
@@ -47,52 +59,9 @@ impl Loops for CilkPool {
     }
 }
 
-impl LoopRuntime for CilkPool {
-    fn name(&self) -> String {
-        "Cilk".into()
-    }
-
-    fn threads(&self) -> usize {
-        self.num_threads()
-    }
-
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_blocks(range, body);
-    }
-
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let fold = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn parallel_reduce_blocks(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        pool_sync_stats(self)
-    }
-}
-
 /// The hybrid pool's fine-grain path: statically scheduled loops through the
 /// half-barrier embedded in the Cilk-like scheduler (workers notice them by polling
-/// between steal cycles), generically ([`Loops`]) and as a [`LoopRuntime`].
+/// between steal cycles), generically ([`Loops`]) and as a `dyn LoopRuntime`.
 pub struct CilkFineGrain {
     /// The underlying pool (its baseline path remains directly usable).
     pub pool: CilkPool,
@@ -129,6 +98,18 @@ impl CilkFineGrain {
 /// `parlo-core`'s static harness ([`parlo_core::static_for`], [`parlo_core::static_reduce`])
 /// on the pool's team: one half-barrier (two phases) per loop, `P − 1` combines each.
 impl Loops for CilkFineGrain {
+    fn name(&self) -> String {
+        "fine-grain Cilk".into()
+    }
+
+    fn threads(&self) -> usize {
+        self.pool.num_threads()
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        pool_sync_stats(&self.pool)
+    }
+
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(Range<usize>) + Sync + Copy,
@@ -157,52 +138,10 @@ impl Loops for CilkFineGrain {
     }
 }
 
-impl LoopRuntime for CilkFineGrain {
-    fn name(&self) -> String {
-        "fine-grain Cilk".into()
-    }
-
-    fn threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_blocks(range, body);
-    }
-
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let fold = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn parallel_reduce_blocks(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        pool_sync_stats(&self.pool)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parlo_core::LoopRuntime;
     use parlo_sync::{AtomicUsize, Ordering};
 
     #[test]
@@ -229,11 +168,11 @@ mod tests {
     #[test]
     fn fine_path_counts_half_barrier_phases_and_p_minus_one_combines() {
         let mut fine = CilkFineGrain::with_threads(4);
-        let before = fine.sync_stats();
+        let before = Loops::sync_stats(&fine);
         let fold: &(dyn Fn(f64, usize) -> f64 + Sync) = &|a, i| a + i as f64;
         let combine: &(dyn Fn(f64, f64) -> f64 + Sync) = &|a, b| a + b;
         let _ = LoopRuntime::parallel_reduce(&mut fine, 0..100, 0.0, fold, combine);
-        let d = fine.sync_stats().since(&before);
+        let d = Loops::sync_stats(&fine).since(&before);
         assert_eq!(d.loops, 1);
         assert_eq!(d.barrier_phases, 2, "one half-barrier");
         assert_eq!(d.combine_ops, 3, "P-1 combines");

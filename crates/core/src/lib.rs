@@ -32,18 +32,21 @@
 //! * [`Config`] / [`BarrierKind`] — selects the synchronization structure: the paper's
 //!   *fine-grain tree* (default), *fine-grain centralized*, or the *full-barrier*
 //!   variants used as ablations in Table 1.
-//! * [`Loops`] — the generic loop vocabulary every parallel runtime implements: a block
-//!   loop and a block reduction, and the per-index [`Loops::for_each`] /
-//!   [`Loops::reduce`] built on them.  On the pool a loop is one static block per
+//! * [`Loops`] — the generic loop vocabulary every runtime implements: a block loop and
+//!   a block reduction (plus its name, thread count and [`SyncStats`]), and the
+//!   per-index [`Loops::for_each`] / [`Loops::reduce`] built on them.  On the pool a loop is one static block per
 //!   participant under one half-barrier, and a reduction is merged into the join phase
 //!   (exactly `P − 1` combines, distributed over the join tree).  The OpenMP
 //!   comparators (`static,chunk`, `dynamic`, `guided`) live in `parlo-omp`.
 //! * [`FineGrainPool::broadcast`] (an SPMD region) and
 //!   [`FineGrainPool::parallel_reduce_ordered`] (non-commutative operators).
-//! * [`LoopRuntime`] / [`SyncStats`] — the object-safe runtime abstraction every
-//!   scheduler in the workspace implements, with [`Sequential`] as the inline
-//!   reference; the `f64` workloads and the harnesses program against
-//!   `dyn LoopRuntime`.  [`SyncStats`] is also what [`FineGrainPool::stats`] returns:
+//! * [`LoopRuntime`] / [`SyncStats`] — the object-safe face of [`Loops`]: one blanket
+//!   `impl<R: Loops> LoopRuntime for R` (in `runtime.rs`) makes every runtime one,
+//!   [`Sequential`] (the inline reference) included; the adaptive router
+//!   (`parlo_adaptive::AdaptivePool`, which picks its backend at run time) is the one
+//!   hand-written impl.  The `f64` workloads and the harnesses program against
+//!   `dyn LoopRuntime`; with both traits in scope on a concrete runtime, name the trait
+//!   (`Loops::sync_stats(&pool)`).  [`SyncStats`] is also what [`FineGrainPool::stats`] returns:
 //!   the counters that verify the structural claims (barrier phases per loop, combines
 //!   per reduction).
 //! * [`deal_for`] / [`deal_reduce`] — the one loop harness and the one merged-reduction

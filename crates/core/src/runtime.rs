@@ -1,23 +1,24 @@
-//! The two loop-runtime abstractions: the object-safe [`LoopRuntime`] and the generic
-//! [`Loops`].
+//! The two faces of a loop runtime: the generic [`Loops`], which every runtime
+//! implements, and the object-safe [`LoopRuntime`], its `dyn` face.
 //!
-//! Every scheduler in the workspace — the paper's fine-grain half-barrier pool, the
-//! OpenMP-like team, the Cilk-like work-stealing pool (both paths) and the adaptive
-//! selection runtime built on top of them — implements [`LoopRuntime`]: an
-//! **object-safe** interface of a `parallel_for` and an `f64`-typed `parallel_reduce`
-//! over a `Range<usize>`, each in a per-index and a block form, plus a [`SyncStats`]
-//! snapshot of the synchronization work the runtime has performed.  Workloads,
-//! benchmark harnesses and the adaptive router all program against `dyn LoopRuntime`,
-//! so a new backend only has to implement this one trait to become reachable from
-//! every driver.
+//! Every scheduler in the workspace — the [`Sequential`] reference, the paper's
+//! fine-grain half-barrier pool, the OpenMP-like team, the Cilk-like work-stealing pool
+//! (both paths) and the stealing pool — implements [`Loops`]: a block loop and a block
+//! reduction over any accumulator type, each with the runtime's own loop, the per-index
+//! [`Loops::for_each`] / [`Loops::reduce`] built on them once, and the runtime's name,
+//! thread count and [`SyncStats`].  A generic workload (the Phoenix kernels) is written
+//! once against it and runs on all of them.
 //!
-//! [`Loops`] is the same vocabulary over any accumulator type: a block loop and a block
-//! reduction each runtime implements with its own loop, and the per-index
-//! [`Loops::for_each`] / [`Loops::reduce`] built on them once.  A generic workload (the
-//! Phoenix kernels) is written once against it and runs on every pool but the adaptive
-//! one, whose backends are `dyn` and `f64`-only.
+//! One blanket `impl<R: Loops> LoopRuntime for R`, here, makes each of them a
+//! [`LoopRuntime`]: an **object-safe** interface of a `parallel_for` and an
+//! `f64`-typed `parallel_reduce` over a `Range<usize>`, each in a per-index and a block
+//! form, plus the [`SyncStats`] snapshot.  The `f64` workloads, the benchmark harnesses
+//! and the adaptive router program against `dyn LoopRuntime`, so a new pool or dealer is
+//! written once, as a `Loops` impl, and is reachable from every driver.  The one
+//! hand-written `LoopRuntime` impl is `parlo_adaptive::AdaptivePool`'s: it picks its
+//! backend at run time, behind `dyn`, and does not implement `Loops`.
 //!
-//! The trait deliberately mirrors the structure the paper measures: a loop is a range
+//! The traits deliberately mirror the structure the paper measures: a loop is a range
 //! plus a body, a reduction is a loop plus a commutative combine, and the per-loop
 //! synchronization cost (barrier phases, combines, dynamic chunks, steals) is
 //! observable through [`SyncStats`] — the counters behind the burden model
@@ -67,7 +68,9 @@ crate::stats_family! {
     }
 }
 
-/// An object-safe parallel loop runtime.
+/// An object-safe parallel loop runtime: the `dyn` face of [`Loops`].  Every `Loops`
+/// runtime implements it through the one blanket impl below; a new runtime implements
+/// `Loops`, not this.
 ///
 /// Implementations must execute `body(i)` **exactly once** per index of the range, for
 /// every call, regardless of how the iterations are scheduled.  The block methods call
@@ -125,14 +128,15 @@ pub trait LoopRuntime {
     }
 }
 
-/// The sequential reference runtime: runs every loop inline on the calling thread.
+/// The sequential reference runtime: runs every loop inline on the calling thread, as
+/// one piece.
 ///
 /// Its [`SyncStats`] are always zero — sequential execution pays no synchronization,
 /// which is exactly the baseline the burden model compares against.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sequential;
 
-impl LoopRuntime for Sequential {
+impl Loops for Sequential {
     fn name(&self) -> String {
         "sequential".into()
     }
@@ -141,95 +145,37 @@ impl LoopRuntime for Sequential {
         1
     }
 
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        for i in range {
-            body(i);
-        }
+    fn sync_stats(&self) -> SyncStats {
+        SyncStats::default()
     }
 
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        _combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let mut acc = init;
-        for i in range {
-            acc = fold(acc, i);
-        }
-        acc
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+    fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
+    where
+        B: Fn(Range<usize>) + Sync + Copy,
+    {
         if !range.is_empty() {
             body(range);
         }
     }
 
-    fn parallel_reduce_blocks(
+    fn reduce_blocks<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        _combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
+        identity: Id,
+        fold: Fold,
+        _combine: Comb,
+    ) -> T
+    where
+        T: Send,
+        Id: Fn() -> T + Sync + Copy,
+        Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
+        Comb: Fn(T, T) -> T + Sync + Copy,
+    {
         if range.is_empty() {
-            init
+            identity()
         } else {
-            fold(init, range)
+            fold(identity(), range)
         }
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        SyncStats::default()
-    }
-}
-
-impl LoopRuntime for FineGrainPool {
-    fn name(&self) -> String {
-        format!("fine-grain ({})", self.config().barrier.label())
-    }
-
-    fn threads(&self) -> usize {
-        self.num_threads()
-    }
-
-    // The `&dyn` body and operators go into the loop's harness as they are — a per-index
-    // one inside its adapter closure, by value — so a worker finds them in the line that
-    // released it rather than behind a reference into this frame.  The other runtimes'
-    // `LoopRuntime` impls forward to their `Loops` methods the same way.
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_blocks(range, body);
-    }
-
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let fold = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn parallel_reduce_blocks(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        self.stats()
     }
 }
 
@@ -245,8 +191,20 @@ impl LoopRuntime for FineGrainPool {
 /// exactly once; `identity()` is the neutral element of an associative and commutative
 /// `combine`; a participant threads one accumulator through its pieces in the order it
 /// runs them; an empty range runs nothing, counts nothing and reduces to `identity()`.
-/// `Loops` and [`LoopRuntime`] share no method name, so both can be in scope at once.
+/// Every `Loops` runtime is a [`LoopRuntime`] through the one blanket impl below, so
+/// `name`, `threads` and `sync_stats` are found twice on a concrete runtime when both
+/// traits are in scope (as in `parlo::prelude`): name the trait there,
+/// `Loops::sync_stats(&pool)`.  Through `dyn LoopRuntime` there is one of each.
 pub trait Loops {
+    /// Human-readable name of the runtime configuration (used for report labels).
+    fn name(&self) -> String;
+
+    /// Number of threads the runtime uses (master included).
+    fn threads(&self) -> usize;
+
+    /// A snapshot of the runtime's cumulative synchronization counters.
+    fn sync_stats(&self) -> SyncStats;
+
     /// Runs `body(piece)` once for every piece the runtime deals over `range`.
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
@@ -299,9 +257,69 @@ pub trait Loops {
     }
 }
 
+/// Every [`Loops`] runtime is a [`LoopRuntime`]: the `&dyn` body and operators go into
+/// the runtime's generic block methods as they are — a per-index one inside its adapter
+/// closure, by value — so a worker finds them in the line that released it rather than
+/// behind a reference into this frame (which is why these bodies do not go through
+/// [`Loops::for_each`] / [`Loops::reduce`]).
+impl<R: Loops> LoopRuntime for R {
+    fn name(&self) -> String {
+        Loops::name(self)
+    }
+
+    fn threads(&self) -> usize {
+        Loops::threads(self)
+    }
+
+    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
+        self.for_blocks(range, move |r| walk_range(&body, r));
+    }
+
+    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
+        self.for_blocks(range, body);
+    }
+
+    fn parallel_reduce(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        let fold = move |acc, r| fold_range(&fold, acc, r);
+        self.reduce_blocks(range, move || init, fold, combine)
+    }
+
+    fn parallel_reduce_blocks(
+        &mut self,
+        range: Range<usize>,
+        init: f64,
+        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
+        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
+    ) -> f64 {
+        self.reduce_blocks(range, move || init, fold, combine)
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        Loops::sync_stats(self)
+    }
+}
+
 /// One [`static_block`](crate::static_block) per participant under one half-barrier,
 /// and the reduction merged into its join phase.
 impl Loops for FineGrainPool {
+    fn name(&self) -> String {
+        format!("fine-grain ({})", self.config().barrier.label())
+    }
+
+    fn threads(&self) -> usize {
+        self.num_threads()
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        self.stats()
+    }
+
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(Range<usize>) + Sync + Copy,
@@ -344,8 +362,8 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         let sum = seq.parallel_sum(0..1000, &|i| i as f64);
         assert!((sum - 499_500.0).abs() < 1e-9);
-        assert_eq!(seq.sync_stats(), SyncStats::default());
-        assert_eq!(seq.threads(), 1);
+        assert_eq!(Loops::sync_stats(&seq), SyncStats::default());
+        assert_eq!(Loops::threads(&seq), 1);
     }
 
     #[test]

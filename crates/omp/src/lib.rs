@@ -8,8 +8,9 @@
 //!
 //! Work distribution supports the OpenMP worksharing schedules: `static`,
 //! `static,chunk`, `dynamic,chunk` and `guided`.  A [`ScheduledTeam`] — an [`OmpTeam`]
-//! with one [`Schedule`] — runs the loops through `parlo-core`'s generic
-//! [`Loops`](parlo_core::Loops) vocabulary and as a `dyn LoopRuntime`; the
+//! with one [`Schedule`] — implements `parlo-core`'s generic
+//! [`Loops`](parlo_core::Loops) vocabulary, and `parlo-core`'s blanket impl makes it a
+//! `dyn LoopRuntime` too; the
 //! `OpenMP static` and `OpenMP dynamic` rows of Table 1 are measured on it under
 //! [`Schedule::Static`] and [`Schedule::Dynamic`] respectively.
 //!

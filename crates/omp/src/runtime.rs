@@ -1,14 +1,14 @@
 //! [`ScheduledTeam`]: an [`OmpTeam`] paired with a worksharing schedule, the team's
-//! face as [`Loops`] and as [`LoopRuntime`].
+//! face as a loop runtime.  Its [`Loops`](parlo_core::Loops) impl is in `team.rs`,
+//! beside the worksharing it deals; `parlo-core`'s blanket impl makes it a
+//! [`LoopRuntime`](parlo_core::LoopRuntime).
 
 use crate::schedule::Schedule;
 use crate::team::OmpTeam;
-use parlo_core::{LoopRuntime, Loops, SyncStats};
-use parlo_exec::{fold_range, walk_range};
-use std::ops::Range;
 
 /// An [`OmpTeam`] bound to one worksharing [`Schedule`]: the runtime that runs the
-/// team's loops, generically ([`Loops`]) and as a `dyn LoopRuntime`.
+/// team's loops, generically ([`Loops`](parlo_core::Loops)) and as a
+/// `dyn LoopRuntime`.
 ///
 /// Neither loop interface has a schedule parameter, so this wrapper fixes it at
 /// construction — one `ScheduledTeam` per Table-1 row (`OpenMP static`,
@@ -57,52 +57,10 @@ impl ScheduledTeam {
     }
 }
 
-impl LoopRuntime for ScheduledTeam {
-    fn name(&self) -> String {
-        self.schedule.label().to_string()
-    }
-
-    fn threads(&self) -> usize {
-        self.team.num_threads()
-    }
-
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_blocks(range, body);
-    }
-
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let fold = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn parallel_reduce_blocks(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        self.team.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parlo_core::LoopRuntime;
     use parlo_sync::{AtomicUsize, Ordering};
 
     #[test]

@@ -243,6 +243,18 @@ impl Deal for &Worksharing<'_> {
 /// non-empty piece the schedule deals a participant (a static block, a `static,chunk`
 /// chunk, a dispensed chunk), in the order the participant runs them.
 impl Loops for ScheduledTeam {
+    fn name(&self) -> String {
+        self.schedule.label().to_string()
+    }
+
+    fn threads(&self) -> usize {
+        self.team.num_threads()
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        self.team.stats()
+    }
+
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(Range<usize>) + Sync + Copy,

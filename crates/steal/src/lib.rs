@@ -50,8 +50,8 @@
 //! attempt/hit — split into local and remote — and every lent half, so "no chunk lost
 //! or duplicated" is checkable exactly.
 //!
-//! The pool runs `parlo-core`'s generic [`Loops`] vocabulary (and, like every runtime,
-//! [`LoopRuntime`]); the site-keyed loops are its own.
+//! The pool implements `parlo-core`'s generic [`Loops`] vocabulary (and so, through
+//! `parlo-core`'s blanket impl, [`LoopRuntime`]); the site-keyed loops are its own.
 //!
 //! ```
 //! use parlo_steal::{Loops, StealPool};

@@ -1,14 +1,32 @@
-//! The stealing pool as [`Loops`] and as [`LoopRuntime`], making it reachable from
-//! every workload, the cross-runtime rosters and the adaptive router.
+//! The stealing pool as [`Loops`], and so, through `parlo-core`'s blanket impl, as a
+//! `dyn LoopRuntime`, reachable from every workload, the cross-runtime rosters and the
+//! adaptive router.
 
 use crate::pool::StealPool;
-use parlo_core::{LoopRuntime, Loops, SyncStats};
-use parlo_exec::{fold_range, walk_range};
+use parlo_core::{Loops, SyncStats};
 use std::ops::Range;
 
 /// The unkeyed stealing loops: pre-split chunk runs, owner-LIFO execution, thief-FIFO
 /// stealing, and the tail lent in halves.
 impl Loops for StealPool {
+    fn name(&self) -> String {
+        "fine-grain stealing".into()
+    }
+
+    fn threads(&self) -> usize {
+        self.num_threads()
+    }
+
+    fn sync_stats(&self) -> SyncStats {
+        let s = self.stats();
+        SyncStats {
+            // Every chunk is a unit of dynamic work distribution the pool paid for.
+            dynamic_chunks: s.chunks_executed(),
+            steals: s.steals_hit,
+            ..self.pool_stats().snapshot()
+        }
+    }
+
     fn for_blocks<B>(&mut self, range: Range<usize>, body: B)
     where
         B: Fn(Range<usize>) + Sync + Copy,
@@ -33,58 +51,10 @@ impl Loops for StealPool {
     }
 }
 
-impl LoopRuntime for StealPool {
-    fn name(&self) -> String {
-        "fine-grain stealing".into()
-    }
-
-    fn threads(&self) -> usize {
-        self.num_threads()
-    }
-
-    fn parallel_for(&mut self, range: Range<usize>, body: &(dyn Fn(usize) + Sync)) {
-        self.for_blocks(range, move |r| walk_range(&body, r));
-    }
-
-    fn parallel_for_blocks(&mut self, range: Range<usize>, body: &(dyn Fn(Range<usize>) + Sync)) {
-        self.for_blocks(range, body);
-    }
-
-    fn parallel_reduce(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, usize) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        let fold = move |acc, r| fold_range(&fold, acc, r);
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn parallel_reduce_blocks(
-        &mut self,
-        range: Range<usize>,
-        init: f64,
-        fold: &(dyn Fn(f64, Range<usize>) -> f64 + Sync),
-        combine: &(dyn Fn(f64, f64) -> f64 + Sync),
-    ) -> f64 {
-        self.reduce_blocks(range, move || init, fold, combine)
-    }
-
-    fn sync_stats(&self) -> SyncStats {
-        let s = self.stats();
-        SyncStats {
-            // Every chunk is a unit of dynamic work distribution the pool paid for.
-            dynamic_chunks: s.chunks_executed(),
-            steals: s.steals_hit,
-            ..self.pool_stats().snapshot()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parlo_core::LoopRuntime;
     use parlo_sync::{AtomicUsize, Ordering};
 
     #[test]

@@ -1,18 +1,18 @@
 //! Runtime dispatch for the workloads: everything here programs against the unified
 //! [`LoopRuntime`] trait from `parlo-core`.
 //!
-//! Historically this module carried one hand-written adapter struct per scheduler
-//! (`FineGrainRunner`, `OmpRunner`, `CilkRunner`, `CilkFineRunner`), each repeating the
-//! same delegation boilerplate.  Those adapters are gone: [`FineGrainPool`],
-//! [`ScheduledTeam`], [`CilkPool`] and [`CilkFineGrain`] implement [`LoopRuntime`]
-//! themselves, so a workload that takes `&mut dyn LoopRuntime` runs unchanged on every
-//! scheduler (and on [`Sequential`] for reference results).  [`all_runtimes`] builds
-//! the standard evaluation roster as boxed trait objects.
+//! Every runtime implements `parlo_core::Loops`, and `parlo-core`'s one blanket impl
+//! makes each a [`LoopRuntime`] — [`Sequential`] (the reference results),
+//! [`FineGrainPool`], [`ScheduledTeam`], [`CilkPool`], [`CilkFineGrain`] and
+//! [`StealPool`] — so a workload that takes `&mut dyn LoopRuntime` runs unchanged on
+//! every scheduler.  [`all_runtimes`] builds the standard evaluation roster as boxed
+//! trait objects.
 //!
 //! [`FineGrainPool`]: parlo_core::FineGrainPool
 //! [`ScheduledTeam`]: parlo_omp::ScheduledTeam
 //! [`CilkPool`]: parlo_cilk::CilkPool
 //! [`CilkFineGrain`]: parlo_cilk::CilkFineGrain
+//! [`StealPool`]: parlo_steal::StealPool
 
 pub use parlo_affinity::PlacementConfig;
 pub use parlo_core::{LoopRuntime, Sequential, SyncStats};
@@ -141,15 +141,21 @@ mod tests {
 
     #[test]
     fn roster_exposes_all_three_omp_schedules_and_the_stealing_pool() {
+        // Every label, in roster order: the labels name the report series.
         let names: Vec<String> = all_runtimes(2).iter().map(|r| r.name()).collect();
-        for expected in [
-            "OpenMP static",
-            "OpenMP dynamic",
-            "OpenMP guided",
-            "fine-grain stealing",
-        ] {
-            assert!(names.iter().any(|n| n == expected), "missing {expected}");
-        }
+        assert_eq!(
+            names,
+            [
+                "sequential",
+                "fine-grain (fine-grain tree)",
+                "OpenMP static",
+                "OpenMP dynamic",
+                "OpenMP guided",
+                "Cilk",
+                "fine-grain Cilk",
+                "fine-grain stealing",
+            ]
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
         "OpenMP static:       {:?} -> line {:?} ({} barrier phases)",
         t0.elapsed(),
         omp.line(),
-        team.sync_stats().barrier_phases
+        Loops::sync_stats(&team).barrier_phases
     );
 
     // One pool, two paths: `cilk.pool` is the baseline, `cilk` the hybrid face.

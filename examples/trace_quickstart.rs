@@ -19,13 +19,13 @@ fn main() {
     //    span on the master track plus dispatch/join/release barrier events on
     //    the worker tracks.
     let mut pool = FineGrainPool::with_threads(4);
-    let before = pool.sync_stats();
+    let before = Loops::sync_stats(&pool);
     for _ in 0..8 {
         pool.parallel_for(0..10_000, |_| {});
     }
     let sum = pool.reduce(0..1_000_000, || 0.0, |a, i| a + i as f64, |a, b| a + b);
     println!("sum = {sum:.0}");
-    let delta = pool.sync_stats().since(&before);
+    let delta = Loops::sync_stats(&pool).since(&before);
     drop(pool);
 
     // 3. Snapshot the rings and check the structural contract: the master track

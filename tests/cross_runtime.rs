@@ -101,15 +101,17 @@ fn mpdata_is_runtime_independent() {
 trait OnEveryRuntime {
     /// Runs the check on `rt`.  `scheduled` keeps the counters of a loop's `SyncStats`
     /// delta that the runtime's schedule fixes.
-    fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats);
+    fn run<R: Loops>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats);
 }
 
 /// Runs `check` on every `Loops` implementor at `threads` participants, one runtime at
-/// a time: the fine-grain pool, the OpenMP-like team under each schedule (its
-/// block-cyclic and dispensed shares are the `static,3` and `dynamic,2` rows), both
-/// paths of the Cilk-like pool and the stealing pool.
+/// a time: the sequential reference (one participant whatever `threads` is), the
+/// fine-grain pool, the OpenMP-like team under each schedule (its block-cyclic and
+/// dispensed shares are the `static,3` and `dynamic,2` rows), both paths of the
+/// Cilk-like pool and the stealing pool.
 fn on_every_runtime(threads: usize, check: &mut impl OnEveryRuntime) {
     let exact = |delta| delta;
+    check.run(&mut Sequential, exact);
     check.run(&mut FineGrainPool::with_threads(threads), exact);
     for schedule in [
         Schedule::Static,
@@ -139,7 +141,7 @@ fn regression_sums_agree_across_runtimes() {
         expected: linreg::RegressionSums,
     }
     impl OnEveryRuntime for Regression {
-        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+        fn run<R: Loops>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
             let got = linreg::parallel(rt, &self.points);
             assert!((got.sx - self.expected.sx).abs() < 1e-6, "{}", rt.name());
             assert!((got.sxy - self.expected.sxy).abs() < 1e-3, "{}", rt.name());
@@ -164,7 +166,7 @@ fn histogram_and_kmeans_agree_across_runtimes() {
         kmeans: kmeans::KmeansResult,
     }
     impl OnEveryRuntime for HistogramKmeans {
-        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+        fn run<R: Loops>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
             let got = histogram::parallel(rt, &self.pixels);
             assert_eq!(got, self.histogram, "{}", rt.name());
             let got = kmeans::parallel(rt, &self.points, self.centres.clone(), 4);
@@ -227,8 +229,8 @@ fn structural_claims_of_the_paper_hold() {
     let mut team = ScheduledTeam::with_threads(threads, Schedule::Static);
     team.for_each(0..100, |_| {});
     let _ = team.reduce(0..100, || 0u64, |a, i| a + i as u64, |a, b| a + b);
-    assert_eq!(team.sync_stats().barrier_phases, 4 + 6);
-    assert_eq!(team.sync_stats().combine_ops, (threads - 1) as u64);
+    assert_eq!(Loops::sync_stats(&team).barrier_phases, 4 + 6);
+    assert_eq!(Loops::sync_stats(&team).combine_ops, (threads - 1) as u64);
 
     // Cilk hybrid: the fine-grain path performs exactly P-1 combines; the baseline
     // reducer path performs at least one merge per worker view it created.
@@ -482,7 +484,7 @@ impl ShareWalk {
 }
 
 impl OnEveryRuntime for ShareWalk {
-    fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats) {
+    fn run<R: Loops>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats) {
         let name = rt.name();
         for start in STARTS {
             for len in self.lens() {
@@ -674,7 +676,7 @@ fn reductions_neither_leak_nor_double_drop_a_view() {
         }
     }
     impl OnEveryRuntime for NoLeak {
-        fn run<R: Loops + LoopRuntime>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
+        fn run<R: Loops>(&mut self, rt: &mut R, _: fn(SyncStats) -> SyncStats) {
             for range in self.ranges() {
                 let at = format!("{} @ P={}, {range:?}", rt.name(), self.threads);
                 let got = rt.reduce(range.clone(), Counted::new, Counted::push, Counted::merge);

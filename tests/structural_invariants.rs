@@ -138,9 +138,9 @@ fn omp_baseline_pays_two_full_barriers_per_loop_and_three_per_reduction() {
             Schedule::Guided(2),
         ] {
             team.schedule = schedule;
-            let before = team.sync_stats();
+            let before = Loops::sync_stats(&team);
             team.for_each(0..200, |_| {});
-            let delta_phases = team.sync_stats().barrier_phases - before.barrier_phases;
+            let delta_phases = Loops::sync_stats(&team).barrier_phases - before.barrier_phases;
             assert_eq!(
                 delta_phases, 4,
                 "fork + join full barriers per plain loop ({schedule:?} @ {threads}T)"
@@ -154,10 +154,10 @@ fn omp_baseline_pays_two_full_barriers_per_loop_and_three_per_reduction() {
             Schedule::Guided(2),
         ] {
             team.schedule = schedule;
-            let before = team.sync_stats();
+            let before = Loops::sync_stats(&team);
             let sum = team.reduce(0..200, || 0u64, |a, i| a + i as u64, |a, b| a + b);
             assert_eq!(sum, (0..200u64).sum());
-            let after = team.sync_stats();
+            let after = Loops::sync_stats(&team);
             assert_eq!(
                 after.barrier_phases - before.barrier_phases,
                 6,
@@ -555,7 +555,7 @@ fn counters_stay_exact_across_a_driver_hand_off() {
         let (pool, turns) = &*guard;
         assert_eq!(*turns, 2 * TURNS);
         let loops = 2 * turns;
-        let s = pool.sync_stats();
+        let s = Loops::sync_stats(pool);
         let shape = format!("{sockets}x{cores}");
         assert_eq!(s.loops, loops, "{shape}");
         assert_eq!(s.reductions, *turns, "{shape}");

@@ -57,7 +57,7 @@ mod enabled {
     fn master_loop_spans_bit_match_sync_stats() {
         let (delta, snap) = with_armed_trace("battery-master", || {
             let mut pool = FineGrainPool::with_threads(3);
-            let before = pool.sync_stats();
+            let before = Loops::sync_stats(&pool);
             for _ in 0..5 {
                 pool.parallel_for(0..64, |_| {});
             }
@@ -66,7 +66,7 @@ mod enabled {
             }
             pool.for_blocks(0..64, |_| {});
             pool.broadcast(|_| {});
-            pool.sync_stats().since(&before)
+            Loops::sync_stats(&pool).since(&before)
         });
         assert_eq!(delta.loops, 10);
         let master = track(&snap, "battery-master");

@@ -104,7 +104,7 @@ fn allocations_per_call<R>(rt: &mut R, op: Op<R>) -> f64 {
 
 /// Every loop entry point of `rt`, generic and object-safe, measured warm; a call that
 /// allocates is reported in `failures`, labelled `at`.
-fn check<R: Loops + LoopRuntime>(at: &str, rt: &mut R, failures: &mut Vec<String>) {
+fn check<R: Loops>(at: &str, rt: &mut R, failures: &mut Vec<String>) {
     let ops: [(&str, Op<R>); 8] = [
         ("parallel_for", |rt| {
             rt.parallel_for(0..N, &|i| {
