@@ -1,15 +1,15 @@
-//! Centralized (single cache line) synchronization primitives.
+//! Centralized synchronization primitives: the flat, depth-1 structure.
 //!
-//! These are the simplest possible implementations of the release and join phases: one
-//! shared atomic counter each.  They correspond to the "fine-grain centralized" row of
-//! Table 1 in the paper.  They scale worse than the tree because every
-//! participant contends on the same cache line, but for small thread counts the shorter
-//! critical path wins.
+//! These are the simplest possible implementations of the release and join phases.  The
+//! release is one line every worker spins on; the join is a depth-1 tree: every worker
+//! arrives on a line of its own, and the master reads them all.  They correspond to
+//! the "fine-grain centralized" row of Table 1 in the paper.  They scale worse than the
+//! tree because every worker spins on the one release line and the master alone
+//! collects every arrival, but for small thread counts the shorter critical path wins.
 
-use crate::line::ReleaseLine;
+use crate::line::{lines, Gather, SignalLine};
 use crate::{Epoch, Payload, WaitPolicy};
 use crossbeam::utils::CachePadded;
-use parlo_sync::{AtomicU64, Ordering};
 
 /// Release (fork) phase through a single broadcast release line.
 ///
@@ -18,7 +18,7 @@ use parlo_sync::{AtomicU64, Ordering};
 /// the payload from it.
 #[derive(Debug)]
 pub struct CentralizedRelease {
-    line: CachePadded<ReleaseLine>,
+    line: CachePadded<SignalLine>,
 }
 
 impl Default for CentralizedRelease {
@@ -31,7 +31,7 @@ impl CentralizedRelease {
     /// Creates a release line at epoch 0.
     pub fn new() -> Self {
         CentralizedRelease {
-            line: CachePadded::new(ReleaseLine::new()),
+            line: CachePadded::new(SignalLine::new()),
         }
     }
 
@@ -51,7 +51,7 @@ impl CentralizedRelease {
     /// return the payload published with it.
     #[inline]
     pub fn wait(&self, epoch: Epoch, policy: &WaitPolicy) -> Payload {
-        policy.wait_until(|| self.line.is_released(epoch));
+        policy.wait_until(|| self.line.reached(epoch));
         self.line.payload()
     }
 
@@ -59,7 +59,7 @@ impl CentralizedRelease {
     /// epoch` has been published.
     #[inline]
     pub fn poll(&self, epoch: Epoch) -> bool {
-        self.line.is_released(epoch)
+        self.line.reached(epoch)
     }
 
     /// The payload of the epoch a [`CentralizedRelease::poll`] on this thread observed.
@@ -69,53 +69,60 @@ impl CentralizedRelease {
     }
 }
 
-/// Join phase through a single arrival counter.
+/// Join phase through one arrival line per worker, all read by the master: a depth-1
+/// tree.
 ///
-/// Each of the `nworkers` workers adds one arrival per epoch; the master waits until the
-/// cumulative count reaches `nworkers * epoch`.  Because every worker contributes
-/// exactly one arrival per epoch, the cumulative comparison is race-free without ever
-/// resetting the counter.
+/// Worker `w` (1-based, as participant ids are) arrives on line `w − 1` — with its
+/// accumulator as the payload in a merged reduction, with the epoch alone otherwise —
+/// and the master waits for the lines in worker order, folding each payload as soon as
+/// its line's epoch is seen.
 #[derive(Debug)]
 pub struct CentralizedJoin {
-    arrivals: CachePadded<AtomicU64>,
-    nworkers: usize,
+    arrivals: Vec<CachePadded<SignalLine>>,
 }
 
 impl CentralizedJoin {
-    /// Creates a join counter for `nworkers` workers (the master is not counted).
+    /// Creates a join for `nworkers` workers (the master is not counted).
     pub fn new(nworkers: usize) -> Self {
         CentralizedJoin {
-            arrivals: CachePadded::new(AtomicU64::new(0)),
-            nworkers,
+            arrivals: lines(nworkers),
         }
     }
 
     /// Number of workers expected per epoch.
     pub fn num_workers(&self) -> usize {
-        self.nworkers
+        self.arrivals.len()
     }
 
-    /// Worker side: record this worker's arrival for the current epoch.
+    /// Worker `id` (`1..=num_workers`) side: record its arrival for `epoch`, carrying
+    /// `payload` to the master if it has one.
     ///
     /// All writes the worker performed before arriving (its share of the loop body,
     /// its partial reduction value) happen-before the master's return from
     /// [`CentralizedJoin::wait_all`].
     #[inline]
-    pub fn arrive(&self) {
-        // ordering: Release publishes the worker's pre-arrival writes to the
-        // master's Acquire load in `wait_all`; release sequences through the
-        // RMW chain carry every earlier arriver's writes along.  The arriving
-        // worker reads nothing here, so an Acquire half would buy nothing —
-        // the model battery's barrier cycle test verifies this downgrade.
-        self.arrivals.fetch_add(1, Ordering::Release);
+    pub fn arrive(&self, id: usize, epoch: Epoch, payload: Option<&Payload>) {
+        self.arrivals[id - 1].arrive(epoch, payload);
         crate::wake_parked();
     }
 
-    /// Master side: wait until every worker has arrived for `epoch`.
+    /// Master side: wait until every worker has arrived for `epoch`.  With an
+    /// accumulator, fold each worker's payload into it in worker order,
+    /// `on_child(acc, worker, payload)`; without one, nothing is called.
     #[inline]
-    pub fn wait_all(&self, epoch: Epoch, policy: &WaitPolicy) {
-        let target = self.nworkers as u64 * epoch;
-        policy.wait_until(|| self.arrivals.load(Ordering::Acquire) >= target);
+    pub fn wait_all<F>(
+        &self,
+        epoch: Epoch,
+        policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
+        on_child: F,
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        let mut gather = Gather { acc, on_child };
+        for (w, line) in self.arrivals.iter().enumerate() {
+            gather.child(line, w + 1, epoch, policy);
+        }
     }
 }
 
@@ -137,17 +144,26 @@ mod tests {
     }
 
     #[test]
-    fn join_counts_workers_cumulatively() {
+    fn join_waits_for_every_worker_and_folds_in_worker_order() {
         let j = CentralizedJoin::new(3);
         assert_eq!(j.num_workers(), 3);
-        for _ in 0..3 {
-            j.arrive();
+        let policy = WaitPolicy::default();
+        for id in 1..=3 {
+            j.arrive(id, 1, None);
         }
-        j.wait_all(1, &WaitPolicy::default());
-        for _ in 0..3 {
-            j.arrive();
+        j.wait_all(1, &policy, None, |_, _, _| {
+            panic!("a plain join folds nothing")
+        });
+        for id in (1..=3).rev() {
+            j.arrive(id, 2, Some(&filled(10 * id as u64)));
         }
-        j.wait_all(2, &WaitPolicy::default());
+        let (mut acc, mut order) = (filled(1), Vec::new());
+        j.wait_all(2, &policy, Some(&mut acc), |acc, w, p| {
+            order.push(w);
+            *acc = filled(fill_of(*acc) + fill_of(*p));
+        });
+        assert_eq!(order, [1, 2, 3]);
+        assert_eq!(fill_of(acc), 61);
     }
 
     #[test]
@@ -156,19 +172,23 @@ mod tests {
         let join = Arc::new(CentralizedJoin::new(4));
         let policy = WaitPolicy::oversubscribed();
         let mut handles = Vec::new();
-        for _ in 0..4 {
+        for id in 1..=4 {
             let release = release.clone();
             let join = join.clone();
             handles.push(std::thread::spawn(move || {
                 for epoch in 1..=50u64 {
                     assert_eq!(fill_of(release.wait(epoch, &policy)), epoch);
-                    join.arrive();
+                    join.arrive(id, epoch, Some(&filled(epoch * id as u64)));
                 }
             }));
         }
         for epoch in 1..=50u64 {
             release.signal(epoch, &filled(epoch));
-            join.wait_all(epoch, &policy);
+            let mut acc = filled(0);
+            join.wait_all(epoch, &policy, Some(&mut acc), |acc, _, p| {
+                *acc = filled(fill_of(*acc) + fill_of(*p));
+            });
+            assert_eq!(fill_of(acc), 10 * epoch, "cycle {epoch}");
         }
         // A release whose waiters read nothing carries the empty payload.
         release.signal(51, &EMPTY_PAYLOAD);

@@ -62,47 +62,54 @@ impl FullBarrier {
     }
 
     /// Master: execute a full barrier episode — wait for every worker's arrival
-    /// (invoking `on_child` per direct child, for reductions aggregated "in the join
-    /// phase of the tree barrier" as the Intel OpenMP runtime does), then release all
-    /// workers with `payload`.
+    /// (folding, with an accumulator, each direct child's arrival payload into it with
+    /// `on_child`: reductions aggregated "in the join phase of the tree barrier" as the
+    /// Intel OpenMP runtime does), then release all workers with `payload`.
     #[inline]
-    pub fn master_wait_combine<F: FnMut(usize)>(
+    pub fn master_wait_combine<F>(
         &self,
         epoch: Epoch,
         policy: &WaitPolicy,
         payload: &Payload,
+        acc: Option<&mut Payload>,
         on_child: F,
-    ) {
-        self.half.flavor.join(epoch, policy, on_child);
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.half.flavor.join(epoch, policy, acc, on_child);
         self.half.flavor.release(epoch, payload);
     }
 
     /// Master: execute a full barrier episode without any reduction work.
     #[inline]
     pub fn master_wait(&self, epoch: Epoch, policy: &WaitPolicy, payload: &Payload) {
-        self.master_wait_combine(epoch, policy, payload, |_| {});
+        self.master_wait_combine(epoch, policy, payload, None, |_, _, _| {});
     }
 
-    /// Worker `id`: execute a full barrier episode — announce arrival (combining any
-    /// join-tree children via `on_child`), wait to be released, and return the payload
-    /// of the release.
+    /// Worker `id`: execute a full barrier episode — announce arrival (folding, with an
+    /// accumulator, its join-tree children's payloads into it and arriving with it),
+    /// wait to be released, and return the payload of the release.
     #[inline]
-    pub fn worker_wait_combine<F: FnMut(usize)>(
+    pub fn worker_wait_combine<F>(
         &self,
         id: usize,
         epoch: Epoch,
         policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
         on_child: F,
-    ) -> Payload {
+    ) -> Payload
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         debug_assert!(id > 0 && id < self.num_threads());
-        self.half.flavor.arrive(id, epoch, policy, on_child);
+        self.half.flavor.arrive(id, epoch, policy, acc, on_child);
         self.half.flavor.wait_release(id, epoch, policy)
     }
 
     /// Worker `id`: execute a full barrier episode without reduction work.
     #[inline]
     pub fn worker_wait(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
-        self.worker_wait_combine(id, epoch, policy, |_| {})
+        self.worker_wait_combine(id, epoch, policy, None, |_, _, _| {})
     }
 }
 
@@ -230,11 +237,11 @@ mod tests {
             "half-cycle",
             || {
                 hb.release(1, &EMPTY_PAYLOAD);
-                hb.join(1, &policy, |_| {});
+                hb.join(1, &policy, None, |_, _, _| {});
             },
             || {
                 hb.wait_release(1, 1, &policy);
-                hb.arrive(1, 1, &policy, |_| {});
+                hb.arrive(1, 1, &policy, None, |_, _, _| {});
             },
         );
         assert_eq!(half, 7, "release instant, join / dispatch / arrival spans");
@@ -243,9 +250,14 @@ mod tests {
     #[test]
     fn master_combine_sees_children() {
         let fb = FullBarrier::new_centralized(1);
-        fb.master_wait_combine(1, &WaitPolicy::default(), &EMPTY_PAYLOAD, |_| {
-            panic!("no children")
-        });
+        let mut acc = EMPTY_PAYLOAD;
+        fb.master_wait_combine(
+            1,
+            &WaitPolicy::default(),
+            &EMPTY_PAYLOAD,
+            Some(&mut acc),
+            |_, _, _| panic!("no children"),
+        );
         let fb = FullBarrier::new_centralized(4);
         let mut all: Vec<usize> = (0..4).flat_map(|id| fb.combine_children(id)).collect();
         all.sort_unstable();

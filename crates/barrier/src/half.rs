@@ -42,15 +42,20 @@ impl Flavor {
         }
     }
 
-    /// The centralized master combines every worker, after all have arrived.
+    /// The centralized master folds every worker's arrival, in worker order.
     #[inline]
-    pub(crate) fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, on_child: F) {
+    pub(crate) fn join<F>(
+        &self,
+        epoch: Epoch,
+        policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
+        on_child: F,
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         match self {
-            Flavor::Centralized { join, .. } => {
-                join.wait_all(epoch, policy);
-                (1..=join.num_workers()).for_each(on_child);
-            }
-            Flavor::Hierarchical(h) => h.join(epoch, policy, on_child),
+            Flavor::Centralized { join, .. } => join.wait_all(epoch, policy, acc, on_child),
+            Flavor::Hierarchical(h) => h.join(epoch, policy, acc, on_child),
         }
     }
 
@@ -62,18 +67,21 @@ impl Flavor {
         }
     }
 
-    /// A centralized worker has no join children.
+    /// A centralized worker has no join children: it arrives with `acc` as it is.
     #[inline]
-    pub(crate) fn arrive<F: FnMut(usize)>(
+    pub(crate) fn arrive<F>(
         &self,
         id: usize,
         epoch: Epoch,
         policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
         on_child: F,
-    ) {
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         match self {
-            Flavor::Centralized { join, .. } => join.arrive(),
-            Flavor::Hierarchical(h) => h.arrive(id, epoch, policy, on_child),
+            Flavor::Centralized { join, .. } => join.arrive(id, epoch, acc.as_deref()),
+            Flavor::Hierarchical(h) => h.arrive(id, epoch, policy, acc, on_child),
         }
     }
 }
@@ -90,7 +98,8 @@ pub struct HalfBarrier {
 }
 
 impl HalfBarrier {
-    /// Creates a centralized half-barrier (single release word + single join counter).
+    /// Creates a centralized half-barrier (one release line every worker spins on, one
+    /// arrival line per worker that the master reads).
     pub fn new_centralized(nthreads: usize) -> Self {
         assert!(
             nthreads > 0,
@@ -130,7 +139,7 @@ impl HalfBarrier {
 
     /// The children of participant `id` in the join structure.  For the centralized
     /// flavor the master's children are all workers and workers have none — this is the
-    /// set of views participant `id` is responsible for combining during a merged
+    /// set of accumulators participant `id` is responsible for folding during a merged
     /// reduction.
     pub fn combine_children(&self, id: usize) -> Vec<usize> {
         match &self.flavor {
@@ -153,14 +162,18 @@ impl HalfBarrier {
     }
 
     /// Master: join phase of the join "barrier".  Waits until every worker has arrived
-    /// for `epoch`, calling `on_child(worker)` once per direct child so partial
-    /// reduction views can be folded (tree flavor: only the master's local children
-    /// and remote socket roots; centralized flavor: every worker, after all have
-    /// arrived).
+    /// for `epoch`.  With an accumulator — a merged reduction — it calls
+    /// `on_child(acc, child, payload)` once per direct child, with the payload the child
+    /// arrived with, as soon as the child's arrival is seen (tree flavor: the master's
+    /// local children and remote socket roots; centralized flavor: every worker, in
+    /// order); without one, nothing is called.
     #[inline]
-    pub fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, on_child: F) {
+    pub fn join<F>(&self, epoch: Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, on_child: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         parlo_trace::span_begin(parlo_trace::Phase::Join, epoch, 0);
-        self.flavor.join(epoch, policy, on_child);
+        self.flavor.join(epoch, policy, acc, on_child);
         parlo_trace::span_end(parlo_trace::Phase::Join);
     }
 
@@ -199,19 +212,24 @@ impl HalfBarrier {
         }
     }
 
-    /// Worker `id`: arrive for `epoch`, waiting for (and combining) any join-tree
-    /// children first.  `on_child(child)` is invoked once per direct child.
+    /// Worker `id`: arrive for `epoch`, waiting for any join-tree children first.  With
+    /// an accumulator, each child's payload is folded into it with
+    /// `on_child(acc, child, payload)` and the worker arrives with the folded `acc` as
+    /// its payload; without one, it arrives with the epoch alone.
     #[inline]
-    pub fn arrive<F: FnMut(usize)>(
+    pub fn arrive<F>(
         &self,
         id: usize,
         epoch: Epoch,
         policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
         on_child: F,
-    ) {
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         debug_assert!(id > 0 && id < self.nthreads);
         parlo_trace::span_begin(parlo_trace::Phase::Arrival, epoch, id as u64);
-        self.flavor.arrive(id, epoch, policy, on_child);
+        self.flavor.arrive(id, epoch, policy, acc, on_child);
         parlo_trace::span_end(parlo_trace::Phase::Arrival);
     }
 }
@@ -223,10 +241,15 @@ mod tests {
     use parlo_sync::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// Cycles carrying the epoch down; every other one a reduction carrying each
+    /// worker's id up, which the master's join must sum, one fold per direct child.
     fn run_cycles(hb: Arc<HalfBarrier>, cycles: u64) {
         let n = hb.num_threads();
         let policy = WaitPolicy::oversubscribed();
         let work = Arc::new(AtomicUsize::new(0));
+        let add = |acc: &mut Payload, _: usize, child: &Payload| {
+            *acc = filled(fill_of(*acc) + fill_of(*child));
+        };
         let mut handles = Vec::new();
         for id in 1..n {
             let hb = hb.clone();
@@ -237,7 +260,14 @@ mod tests {
                     // ordering: SeqCst keeps the harness counter's visibility
                     // independent of the orderings of the barrier under test.
                     work.fetch_add(1, Ordering::SeqCst);
-                    hb.arrive(id, epoch, &policy, |_| {});
+                    let mut acc = filled(id as u64);
+                    hb.arrive(
+                        id,
+                        epoch,
+                        &policy,
+                        (epoch % 2 == 0).then_some(&mut acc),
+                        add,
+                    );
                 }
             }));
         }
@@ -245,9 +275,16 @@ mod tests {
             hb.release(epoch, &filled(epoch));
             // ordering: SeqCst harness counter, independent of the barrier under test.
             work.fetch_add(1, Ordering::SeqCst);
-            let mut combines = 0;
-            hb.join(epoch, &policy, |_| combines += 1);
-            assert_eq!(combines, hb.combine_children(0).len());
+            let (mut combines, mut acc) = (0, filled(0));
+            let reduce = epoch % 2 == 0;
+            hb.join(epoch, &policy, reduce.then_some(&mut acc), |acc, c, p| {
+                combines += 1;
+                add(acc, c, p);
+            });
+            if reduce {
+                assert_eq!(combines, hb.combine_children(0).len());
+                assert_eq!(fill_of(acc), (n * (n - 1) / 2) as u64, "cycle {epoch}");
+            }
             // ordering: after the join phase every participant has contributed for
             // this epoch; SeqCst makes the check independent of the join's orderings.
             assert_eq!(work.load(Ordering::SeqCst) as u64, epoch * n as u64);
@@ -284,7 +321,9 @@ mod tests {
         let policy = WaitPolicy::default();
         for epoch in 1..=10 {
             hb.release(epoch, &filled(epoch));
-            hb.join(epoch, &policy, |_| panic!("no children expected"));
+            hb.join(epoch, &policy, Some(&mut filled(0)), |_, _, _| {
+                panic!("no children expected")
+            });
         }
     }
 

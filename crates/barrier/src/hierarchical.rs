@@ -20,13 +20,17 @@
 //! * **per-socket flag grouping**: every per-thread flag is cache-line padded *and*
 //!   allocated in a per-socket array, so the lines a socket's threads spin on are never
 //!   interleaved with another socket's flags;
-//! * **the payload rides the release**: every release line — a member's and a
-//!   socket's — is a [`ReleaseLine`]: the epoch and the release's [`Payload`] in one
-//!   padded line.  The master publishes the payload into each remote socket's line and
-//!   into its own children's lines; a member that forwards the release copies the
-//!   payload it read into each child's line before storing the child's epoch.  So
-//!   however deep a worker sits, the line that releases it is the only line it reads to
-//!   learn what to run.
+//! * **the payload rides both signals**: every flag — a member's and a socket's, for
+//!   the release and for the arrival — is a [`SignalLine`]: the epoch and a
+//!   [`Payload`] in one padded line.  The master publishes the release payload into
+//!   each remote socket's line and into its own children's lines; a member that
+//!   forwards the release copies the payload it read into each child's line before
+//!   storing the child's epoch.  So however deep a worker sits, the line that releases
+//!   it is the only line it reads to learn what to run.  On the way up, a participant
+//!   with an accumulator folds each child's arrival payload into it, read from the
+//!   child's line as soon as that line's epoch is seen, and arrives with the folded
+//!   accumulator as its own payload: a merged reduction crosses cores on the arrival
+//!   lines alone.
 //!
 //! The structure is instrumented ([`HierarchyStats`]) so the hierarchy is unit-testable
 //! on synthetic topologies without multi-socket hardware: exact per-socket arrival
@@ -35,26 +39,14 @@
 //! the rendezvous count, and every member bumps its own arrival line, summed per
 //! socket on read.
 
-use crate::line::ReleaseLine;
+use crate::line::{lines, Gather, SignalLine};
 use crate::{Epoch, Payload, WaitPolicy};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::Topology;
-use parlo_sync::{AtomicU64, Ordering, ParticipantCounter, SingleWriterCounter};
-
-fn padded_flags(n: usize) -> Vec<CachePadded<AtomicU64>> {
-    (0..n)
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect()
-}
-
-fn release_lines(n: usize) -> Vec<CachePadded<ReleaseLine>> {
-    (0..n)
-        .map(|_| CachePadded::new(ReleaseLine::new()))
-        .collect()
-}
+use parlo_sync::{ParticipantCounter, SingleWriterCounter};
 
 /// One socket's share of the barrier: its members, its local tree (over *local*
-/// indices) and its padded flag arrays.
+/// indices) and its padded signal lines.
 #[derive(Debug)]
 struct SocketGroup {
     /// Global participant ids; `members[0]` is the socket root.
@@ -62,10 +54,10 @@ struct SocketGroup {
     /// Local tree: `children[l]` lists the local indices whose arrival local index `l`
     /// waits for (and combines), and which it wakes after being released itself.
     children: Vec<Vec<usize>>,
-    /// Arrival flags (epoch counters), one padded line per member, grouped per socket.
-    arrival: Vec<CachePadded<AtomicU64>>,
-    /// Release lines (epoch and payload), one per member, grouped per socket.
-    release: Vec<CachePadded<ReleaseLine>>,
+    /// Arrival lines (epoch and accumulator), one per member, grouped per socket.
+    arrival: Vec<CachePadded<SignalLine>>,
+    /// Release lines (epoch and job), one per member, grouped per socket.
+    release: Vec<CachePadded<SignalLine>>,
     /// Instrumentation: `arrive` calls per member, each member bumping its own line.
     arrivals: ParticipantCounter,
 }
@@ -80,8 +72,8 @@ impl SocketGroup {
         SocketGroup {
             members,
             children,
-            arrival: padded_flags(k),
-            release: release_lines(k),
+            arrival: lines(k),
+            release: lines(k),
             arrivals: ParticipantCounter::new(k),
         }
     }
@@ -123,9 +115,9 @@ pub struct HierarchicalHalfBarrier {
     /// `locate[worker] = (group index, local index)`.
     locate: Vec<(usize, usize)>,
     /// Cross-socket arrival rendezvous lines, one per populated socket (index 0 unused).
-    socket_arrival: Vec<CachePadded<AtomicU64>>,
+    socket_arrival: Vec<CachePadded<SignalLine>>,
     /// Cross-socket release lines, one per populated socket (index 0 unused).
-    socket_release: Vec<CachePadded<ReleaseLine>>,
+    socket_release: Vec<CachePadded<SignalLine>>,
     /// Instrumentation bumped by the master alone (`release` and `join`), on a line
     /// of its own.
     cycles: CachePadded<SingleWriterCounter>,
@@ -164,8 +156,8 @@ impl HierarchicalHalfBarrier {
             nthreads,
             groups,
             locate,
-            socket_arrival: padded_flags(nsockets),
-            socket_release: release_lines(nsockets),
+            socket_arrival: lines(nsockets),
+            socket_release: lines(nsockets),
             cycles: CachePadded::default(),
             rendezvous: CachePadded::default(),
         }
@@ -195,7 +187,7 @@ impl HierarchicalHalfBarrier {
         }
     }
 
-    /// The participants whose views participant `id` combines during a merged
+    /// The participants whose accumulators participant `id` folds during a merged
     /// reduction: its local tree children, plus — for the master — the root of every
     /// remote socket.  Every worker appears in exactly one participant's list.
     pub fn combine_children(&self, id: usize) -> Vec<usize> {
@@ -226,20 +218,24 @@ impl HierarchicalHalfBarrier {
         crate::wake_parked();
     }
 
-    /// Master: join phase.  Combines the master's socket-local tree children first,
+    /// Master: join phase.  Waits for the master's socket-local tree children first,
     /// then performs the single cross-socket rendezvous: one collection pass over the
-    /// per-socket arrival lines, invoking `on_child(socket_root)` per remote socket.
+    /// per-socket arrival lines.  With an accumulator, each arrival is folded into it
+    /// as it is seen, `on_child(acc, child, payload)` with the payload `child` arrived
+    /// with (a socket root for a remote socket); without one, nothing is called.
     #[inline]
-    pub fn join<F: FnMut(usize)>(&self, epoch: Epoch, policy: &WaitPolicy, mut on_child: F) {
+    pub fn join<F>(&self, epoch: Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, on_child: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        let mut gather = Gather { acc, on_child };
         let home = &self.groups[0];
         for &c in &home.children[0] {
-            policy.wait_until(|| home.arrival[c].load(Ordering::Acquire) >= epoch);
-            on_child(home.members[c]);
+            gather.child(&home.arrival[c], home.members[c], epoch, policy);
         }
         if self.groups.len() > 1 {
-            for (g, flag) in self.socket_arrival.iter().enumerate().skip(1) {
-                policy.wait_until(|| flag.load(Ordering::Acquire) >= epoch);
-                on_child(self.groups[g].members[0]);
+            for (g, line) in self.socket_arrival.iter().enumerate().skip(1) {
+                gather.child(line, self.groups[g].members[0], epoch, policy);
             }
             self.rendezvous.add(1);
         }
@@ -253,7 +249,7 @@ impl HierarchicalHalfBarrier {
     pub fn wait_release(&self, id: usize, epoch: Epoch, policy: &WaitPolicy) -> Payload {
         debug_assert!(id > 0 && id < self.nthreads);
         let line = self.release_line(id);
-        policy.wait_until(|| line.is_released(epoch));
+        policy.wait_until(|| line.reached(epoch));
         self.forward_release(id, epoch)
     }
 
@@ -263,13 +259,13 @@ impl HierarchicalHalfBarrier {
     /// the loop.
     #[inline]
     pub fn poll_release(&self, id: usize, epoch: Epoch) -> bool {
-        self.release_line(id).is_released(epoch)
+        self.release_line(id).reached(epoch)
     }
 
     /// The line worker `id` is released through: its socket's release line for a
     /// remote socket root, its own line for every other worker.
     #[inline]
-    fn release_line(&self, id: usize) -> &ReleaseLine {
+    fn release_line(&self, id: usize) -> &SignalLine {
         let (g, l) = self.locate[id];
         if l == 0 {
             &self.socket_release[g]
@@ -304,31 +300,37 @@ impl HierarchicalHalfBarrier {
         }
     }
 
-    /// Worker `id`: arrive for `epoch`.  Waits for (and combines, via `on_child`) the
-    /// worker's socket-local tree children, then publishes its own arrival — on the
-    /// worker's per-thread line for interior participants, on the socket's single
-    /// rendezvous line for a remote socket root.
+    /// Worker `id`: arrive for `epoch`.  Waits for the worker's socket-local tree
+    /// children — folding each one's payload into `acc` with `on_child`, as
+    /// [`join`](HierarchicalHalfBarrier::join) does — then publishes its own arrival,
+    /// on the worker's per-thread line for interior participants, on the socket's
+    /// single rendezvous line for a remote socket root: with the folded `acc` as its
+    /// payload, or, without an accumulator, the epoch alone.
     #[inline]
-    pub fn arrive<F: FnMut(usize)>(
+    pub fn arrive<F>(
         &self,
         id: usize,
         epoch: Epoch,
         policy: &WaitPolicy,
-        mut on_child: F,
-    ) {
+        acc: Option<&mut Payload>,
+        on_child: F,
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         debug_assert!(id > 0 && id < self.nthreads);
         let (g, l) = self.locate[id];
         let group = &self.groups[g];
+        let mut gather = Gather { acc, on_child };
         for &c in &group.children[l] {
-            policy.wait_until(|| group.arrival[c].load(Ordering::Acquire) >= epoch);
-            on_child(group.members[c]);
+            gather.child(&group.arrival[c], group.members[c], epoch, policy);
         }
         group.arrivals.add(l, 1);
-        if l == 0 {
-            self.socket_arrival[g].store(epoch, Ordering::Release);
+        let line = if l == 0 {
+            &self.socket_arrival[g]
         } else {
-            group.arrival[l].store(epoch, Ordering::Release);
-        }
+            &group.arrival[l]
+        };
+        line.arrive(epoch, gather.acc.as_deref());
         crate::wake_parked();
     }
 }
@@ -337,15 +339,20 @@ impl HierarchicalHalfBarrier {
 mod tests {
     use super::*;
     use crate::line::{fill_of, filled};
-    use parlo_sync::AtomicUsize;
+    use parlo_sync::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// Cycles in which every worker — released by the master, a forwarder or through
-    /// its socket line — must receive the payload of its own cycle.
+    /// its socket line — must receive the payload of its own cycle.  Every other cycle
+    /// is a reduction: each worker arrives with its id folded with its children's, and
+    /// the master's join must see the sum of all ids, one fold per direct child.
     fn run_cycles(hb: Arc<HierarchicalHalfBarrier>, cycles: u64) {
         let n = hb.num_threads();
         let policy = WaitPolicy::oversubscribed();
         let work = Arc::new(AtomicUsize::new(0));
+        let add = |acc: &mut Payload, _: usize, child: &Payload| {
+            *acc = filled(fill_of(*acc) + fill_of(*child));
+        };
         let mut handles = Vec::new();
         for id in 1..n {
             let hb = hb.clone();
@@ -357,7 +364,14 @@ mod tests {
                     // ordering: SeqCst keeps the harness counter's visibility
                     // independent of the orderings of the barrier under test.
                     work.fetch_add(1, Ordering::SeqCst);
-                    hb.arrive(id, epoch, &policy, |_| {});
+                    let mut acc = filled(id as u64);
+                    hb.arrive(
+                        id,
+                        epoch,
+                        &policy,
+                        (epoch % 2 == 0).then_some(&mut acc),
+                        add,
+                    );
                 }
             }));
         }
@@ -366,8 +380,18 @@ mod tests {
             // ordering: SeqCst harness counter, independent of the barrier under test.
             work.fetch_add(1, Ordering::SeqCst);
             let mut combines = 0;
-            hb.join(epoch, &policy, |_| combines += 1);
-            assert_eq!(combines, hb.combine_children(0).len());
+            let mut acc = filled(0);
+            let reduce = epoch % 2 == 0;
+            hb.join(epoch, &policy, reduce.then_some(&mut acc), |acc, c, p| {
+                combines += 1;
+                add(acc, c, p);
+            });
+            if reduce {
+                assert_eq!(combines, hb.combine_children(0).len());
+                assert_eq!(fill_of(acc), (n * (n - 1) / 2) as u64, "cycle {epoch}");
+            } else {
+                assert_eq!(combines, 0, "a plain join folds nothing");
+            }
             // ordering: as above — sharp post-join visibility check.
             assert_eq!(work.load(Ordering::SeqCst) as u64, epoch * n as u64);
         }
@@ -405,7 +429,9 @@ mod tests {
         let policy = WaitPolicy::default();
         for epoch in 1..=10 {
             hb.release(epoch, &filled(epoch));
-            hb.join(epoch, &policy, |_| panic!("no children expected"));
+            hb.join(epoch, &policy, Some(&mut filled(0)), |_, _, _| {
+                panic!("no children expected")
+            });
         }
         let s = hb.stats();
         assert_eq!(s.cycles, 10);

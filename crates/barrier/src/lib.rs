@@ -16,8 +16,9 @@
 //!
 //! This crate provides one barrier family over two structures:
 //!
-//! * the centralized pair — one release line, one arrival counter:
-//!   [`CentralizedRelease`], [`CentralizedJoin`];
+//! * the centralized pair — one release line every worker spins on, one arrival line
+//!   per worker that the master reads (a depth-1 tree): [`CentralizedRelease`],
+//!   [`CentralizedJoin`];
 //! * the tree — socket-local MCS-style trees, one cross-socket rendezvous per cycle,
 //!   remote sockets released first, per-socket grouped flags:
 //!   [`HierarchicalHalfBarrier`] (instrumented via [`HierarchyStats`]).
@@ -32,17 +33,27 @@
 //! increasing epoch number, which avoids the reinitialisation races of sense-reversal
 //! when the same structure is reused for release-only and join-only phases.
 //!
-//! # The release payload
+//! # The payload of a signal
 //!
-//! Every release carries a [`Payload`] — [`PAYLOAD_WORDS`] words in the same padded
-//! 128-byte line as the epoch the waiter spins on.  `release(epoch, &payload)` writes
-//! the payload and then stores the epoch with `Release`; `wait_release` returns the
-//! payload read after its `Acquire` load of the epoch, and a tree member that forwards
-//! the release copies the payload into each child's line before storing the child's
-//! epoch.  The polling path (`poll_release` / `forward_release`) and a full barrier's
-//! release phase carry it the same way; there is no payload-less release.  The loop
-//! runtimes put the loop's whole job there (`parlo_exec::Job`), so a released worker
-//! has its job in the line transfer that released it.
+//! Every flag of the crate is a signal line: an epoch and a [`Payload`] —
+//! [`PAYLOAD_WORDS`] words — in the same padded 128-byte line, used in both directions.
+//! Publishing writes the payload and then stores the epoch with `Release`; the waiter
+//! reads the payload after its `Acquire` load of the epoch, from the line it just
+//! pulled in.
+//!
+//! * **Down, at the release.**  `release(epoch, &payload)` publishes the payload;
+//!   `wait_release` returns it, and a tree member that forwards the release copies the
+//!   payload into each child's line before storing the child's epoch.  The polling
+//!   path (`poll_release` / `forward_release`) and a full barrier's release phase
+//!   carry it the same way; there is no payload-less release.  The loop runtimes put
+//!   the loop's whole job there (`parlo_exec::Job`), so a released worker has its job
+//!   in the line transfer that released it.
+//! * **Up, at the join.**  `join` and `arrive` take an optional accumulator.  With one,
+//!   each join child's payload is handed to `on_child(acc, child, payload)` as soon as
+//!   the child's arrival is seen, and a worker then arrives with the folded accumulator
+//!   as its payload: the loop runtimes' merged reduction, whose partial results cross
+//!   cores only on the arrival lines.  Without one (a plain loop) nothing is folded and
+//!   a worker stores its arrival epoch alone.
 
 #![warn(missing_docs)]
 

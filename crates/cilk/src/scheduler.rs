@@ -26,7 +26,7 @@
 use crate::deque::{Steal, WorkStealingDeque};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
-use parlo_barrier::{Epoch, HalfBarrier, WaitPolicy};
+use parlo_barrier::{Epoch, HalfBarrier, Payload, WaitPolicy};
 use parlo_core::PoolStats;
 use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
 use parlo_sync::{AtomicU64, AtomicUsize, Ordering, SingleWriterCounter};
@@ -243,20 +243,25 @@ impl TeamSync for Hybrid {
     }
 
     #[inline]
-    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
-        self.fine.master_join(at, policy, r, f);
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.fine.master_join(at, policy, acc, f);
     }
 
     #[inline]
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        r: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
-        self.fine.worker_join(id, at, policy, r, f);
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.fine.worker_join(id, at, policy, acc, f);
     }
 }
 

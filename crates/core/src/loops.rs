@@ -22,6 +22,7 @@ use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
 use crate::runtime::Loops;
 use crate::stats::PoolStats;
+use parlo_barrier::Payload;
 use parlo_exec::{walk_range, Job, Team, TeamSync};
 use std::ops::Range;
 
@@ -74,7 +75,7 @@ struct BroadcastHarness<B> {
     nthreads: usize,
 }
 
-unsafe fn exec_broadcast<B: Fn(WorkerInfo)>(data: *const (), id: usize) {
+unsafe fn exec_broadcast<B: Fn(WorkerInfo)>(data: *const (), id: usize, _: &mut Payload) {
     // SAFETY: the job carries a `BroadcastHarness<B>`, and `data` points at this
     // participant's copy of it.
     let h = unsafe { &*(data as *const BroadcastHarness<B>) };
@@ -91,7 +92,7 @@ struct ForHarness<D, B> {
     body: B,
 }
 
-unsafe fn exec_for<D: Deal, B: Fn(Range<usize>)>(data: *const (), id: usize) {
+unsafe fn exec_for<D: Deal, B: Fn(Range<usize>)>(data: *const (), id: usize, _: &mut Payload) {
     // SAFETY: the job carries a `ForHarness<D, B>`, and `data` points at this
     // participant's copy of it.
     let h = unsafe { &*(data as *const ForHarness<D, B>) };

@@ -26,7 +26,7 @@
 use crate::config::{BarrierKind, Config};
 use crate::runtime::SyncStats;
 use crate::stats::PoolStats;
-use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, WaitPolicy};
+use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, Payload, WaitPolicy};
 use parlo_exec::{Executor, Job, Team, TeamSync};
 use std::sync::Arc;
 
@@ -90,25 +90,30 @@ impl TeamSync for SyncImpl {
     }
 
     #[inline]
-    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         match self {
-            SyncImpl::Half(hb) => hb.master_join(at, policy, r, f),
-            SyncImpl::Full(fb) => fb.master_join(at, policy, r, f),
+            SyncImpl::Half(hb) => hb.master_join(at, policy, acc, f),
+            SyncImpl::Full(fb) => fb.master_join(at, policy, acc, f),
         }
     }
 
     #[inline]
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        r: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         match self {
-            SyncImpl::Half(hb) => hb.worker_join(id, at, policy, r, f),
-            SyncImpl::Full(fb) => fb.worker_join(id, at, policy, r, f),
+            SyncImpl::Half(hb) => hb.worker_join(id, at, policy, acc, f),
+            SyncImpl::Full(fb) => fb.worker_join(id, at, policy, acc, f),
         }
     }
 }

@@ -12,6 +12,11 @@ use std::ops::Range;
 /// Returns the contiguous block of `range` assigned to `tid` out of `nthreads` under the
 /// block partition.  The first `len % nthreads` threads receive one extra iteration, so
 /// block sizes differ by at most one and the union of all blocks is exactly `range`.
+///
+/// `#[inline]` because every dealer and job entry point instantiated in another crate
+/// (a `LoopRuntime` call's job, the OpenMP and stealing dealers) calls it once per
+/// participant per loop, which would otherwise be a call through the GOT.
+#[inline]
 pub fn static_block(range: &Range<usize>, nthreads: usize, tid: usize) -> Range<usize> {
     let len = range.end.saturating_sub(range.start);
     let nthreads = nthreads.max(1);

@@ -5,15 +5,26 @@
 //! barriers per loop), and baseline Cilk creates reducer views lazily on steals and may
 //! perform many more than `P − 1` reduce operations.  The fine-grain scheduler instead
 //!
-//! * keeps one **statically allocated** view per participant — a cache-line-padded
-//!   block the team allocates when it is built and every reduction reuses (see
-//!   [`parlo_exec::ReduceViews`]), so a reduction allocates nothing,
-//! * lets every participant fold the pieces it runs into one accumulator, which it puts
-//!   into its own view once, before it arrives, and
-//! * merges the views **pairwise inside the join phase of the half-barrier**: when a
-//!   join-tree child arrives, its parent immediately folds the child's view into its
-//!   own.  Exactly `P − 1` combine operations are performed per reduction, and the loop
-//!   still costs only the one half-barrier.
+//! * lets every participant fold the pieces it runs into **one accumulator**, seeded
+//!   once with `identity()`, on its own stack,
+//! * merges the accumulators **pairwise inside the join phase of the half-barrier**:
+//!   when a join-tree child arrives, its parent immediately folds the child's
+//!   accumulator into its own, and then arrives itself.  Exactly `P − 1` combine
+//!   operations are performed per reduction, and the loop still costs only the one
+//!   half-barrier,
+//! * and passes each accumulator **in the arrival it signals**: every arrival flag is a
+//!   padded line with a payload (`parlo_barrier`'s signal line), a participant arrives
+//!   with its folded accumulator as that payload, and its parent reads it from the line
+//!   whose `Acquire` load told it the child had arrived.  A reduction crosses cores on
+//!   no line the plain loop does not, and allocates nothing.
+//!
+//! Which way an accumulator travels is decided at compile time by its type: a `T` that
+//! [`payload_fits`] — at most 15 words at an alignment of at most 8, which covers
+//! every reduction of the workspace (an `f64`, the linear regression's three sums, the
+//! histogram's and the k-means clusters' 72 bytes) — rides the payload; a wider one
+//! waits in its owner's block of the team's views ([`parlo_exec::ReduceViews`], padded
+//! blocks the team allocates once and every such reduction reuses), written before its
+//! owner arrives and folded by the parent from there.
 //!
 //! [`deal_reduce`] is that harness, generic over the runtime's [`Deal`]er like
 //! [`deal_for`](crate::deal_for): the fine-grain pool and the Cilk-like pool's hybrid
@@ -23,15 +34,18 @@
 //! sweep.  It requires the combine operator to be commutative (and associative)
 //! because the join tree does not preserve the index order of the pieces;
 //! [`FineGrainPool::parallel_reduce_ordered`] runs the same harness with no combine
-//! attached and keeps non-commutative operators correct by folding the views in thread
-//! order at the master after the join phase (still `P − 1` combines, but all executed
-//! by the master).
+//! attached — its accumulators always in the view blocks — and keeps non-commutative
+//! operators correct by folding the views in thread order at the master after the join
+//! phase (still `P − 1` combines, but all executed by the master).
 
 use crate::loops::{Deal, StaticBlocks};
 use crate::pool::FineGrainPool;
 use crate::runtime::Loops;
 use crate::stats::PoolStats;
-use parlo_exec::{fold_range, Job, ReduceViews, Team, TeamSync};
+use parlo_barrier::Payload;
+use parlo_exec::{
+    fold_range, payload_fits, put_payload, take_payload, Job, ReduceViews, Team, TeamSync,
+};
 use std::ops::Range;
 
 /// Harness of one reduction.  It travels by value in the loop's job, so the dealer,
@@ -45,9 +59,11 @@ struct ReduceHarness<'a, D, T, Id, Fold, Comb> {
     identity: Id,
     fold: Fold,
     combine: Comb,
-    /// The team's view blocks for this loop: each participant writes its own once,
-    /// before it arrives at the join, and its join parent folds it afterwards.
-    views: ReduceViews<'a, T>,
+    /// Where each participant's accumulator waits for its join parent.  `None`: in the
+    /// payload it arrives with, for every `T` that [`payload_fits`].  `Some`: in its
+    /// block of the team's views, written once before it arrives — a wider `T`, and the
+    /// ordered reduction, which folds every view at the master after the join.
+    views: Option<ReduceViews<'a, T>>,
     stats: &'a PoolStats,
 }
 
@@ -73,30 +89,25 @@ where
     Comb: Fn(T, T) -> T + Sync + Copy,
 {
     /// Counts one reduction and one loop of `phases` phases, and runs the harness on
-    /// `team` — with the views combined in the join phase when `merged` — and returns
-    /// its views, each participant's folded into the master's if `merged`.
+    /// `team` — with the accumulators folded in the join phase when `merged` — and
+    /// returns the master's accumulator payload (every participant's folded into it if
+    /// `merged` and the accumulators travel in the payloads).
     ///
     /// # Safety
-    /// As for [`deal_reduce`]; `views` are `team`'s for this loop.
-    unsafe fn run<S: TeamSync>(
-        self,
-        team: &Team<S>,
-        phases: u64,
-        merged: bool,
-    ) -> ReduceViews<'a, T> {
+    /// As for [`deal_reduce`]; `views`, if any, are `team`'s for this loop.
+    unsafe fn run<S: TeamSync>(self, team: &Team<S>, phases: u64, merged: bool) -> Payload {
         self.stats.record_reduction();
         self.stats.record_loop(phases);
         let combine = merged.then_some(combine_reduce::<D, T, Id, Fold, Comb> as _);
         // SAFETY: the handles' referents outlive `run`; the entry points read exactly
-        // this harness type; view accesses are serialized by the join-phase protocol
-        // (see `combine_reduce`), or, with no combine attached, each view is written
-        // only by its owner during the loop.
-        unsafe { team.run(Job::new(self, exec_reduce::<D, T, Id, Fold, Comb>, combine)) };
-        self.views
+        // this harness type; an accumulator is accessed by its owner until it arrives
+        // and by its join parent afterwards (see `combine_reduce`), or, with no combine
+        // attached, each view is written only by its owner during the loop.
+        unsafe { team.run(Job::new(self, exec_reduce::<D, T, Id, Fold, Comb>, combine)) }
     }
 }
 
-unsafe fn exec_reduce<D, T, Id, Fold, Comb>(data: *const (), id: usize)
+unsafe fn exec_reduce<D, T, Id, Fold, Comb>(data: *const (), id: usize, acc: &mut Payload)
 where
     D: Deal,
     Id: Fn() -> T,
@@ -105,21 +116,42 @@ where
     // SAFETY: the job carries a `ReduceHarness` of exactly these types, and `data`
     // points at this participant's copy of it.
     let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
-    let acc = h.deal.deal(id, (h.identity)(), &h.fold);
-    // SAFETY: each participant writes only its own view before arriving at the join.
-    unsafe { h.views.put(id, acc) };
+    let value = h.deal.deal(id, (h.identity)(), &h.fold);
+    match h.views {
+        // SAFETY: each participant writes only its own view before arriving at the join.
+        Some(views) => unsafe { views.put(id, value) },
+        // SAFETY: `views` is empty only for a `T` that fits a payload; the participant
+        // arrives with `acc`, which holds nothing yet.
+        None => unsafe { put_payload(acc, value) },
+    }
 }
 
-unsafe fn combine_reduce<D, T, Id, Fold, Comb>(data: *const (), into: usize, from: usize)
-where
+unsafe fn combine_reduce<D, T, Id, Fold, Comb>(
+    data: *const (),
+    into: usize,
+    acc: &mut Payload,
+    from: usize,
+    child: &Payload,
+) where
     Comb: Fn(T, T) -> T + Copy,
 {
     // SAFETY: as in `exec_reduce`.
     let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
     h.stats.record_combine(into);
-    // SAFETY: the join phase guarantees `from` has arrived (its view is final and its
-    // owner no longer touches it) and that only the parent accesses both views here.
-    unsafe { h.views.combine(into, from, h.combine) };
+    match h.views {
+        // SAFETY: the join phase guarantees `from` has arrived (its view is final and
+        // its owner no longer touches it) and that only the parent accesses both views
+        // here.
+        Some(views) => unsafe { views.combine(into, from, h.combine) },
+        // SAFETY: `acc` holds `into`'s accumulator and `child` the one `from` arrived
+        // with, each put by `exec_reduce` or an earlier fold and read exactly once: the
+        // child's is moved out of its arrival line, which its owner does not touch
+        // again before the next loop.
+        None => unsafe {
+            let folded = (h.combine)(take_payload::<T>(acc), take_payload::<T>(child));
+            put_payload(acc, folded);
+        },
+    }
 }
 
 impl FineGrainPool {
@@ -153,11 +185,14 @@ impl FineGrainPool {
             combine: &combine,
             // SAFETY: `&mut self` makes this thread the pool's one driver, between
             // loops; the previous reduction's handle is gone.
-            views: unsafe { team.views() },
+            views: Some(unsafe { team.views() }),
             stats: &self.stats,
         };
         // SAFETY: as above.
-        let views = unsafe { harness.run(team, self.phases_per_loop(), false) };
+        unsafe { harness.run(team, self.phases_per_loop(), false) };
+        let views = harness
+            .views
+            .expect("the ordered reduction keeps every view");
         // Fold the per-thread views in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
         for t in 1..nthreads {
@@ -180,12 +215,15 @@ impl FineGrainPool {
 }
 
 /// The merged reduction harness: each participant of `team` folds every piece `deal`
-/// hands it into one accumulator seeded with `identity()` and puts it into its own
-/// view once, before it arrives; join parents combine their children's views on the
-/// way up (`P − 1` combines, `combine` associative and commutative).  `stats` counts
-/// the combines, the reduction and one loop of `phases` phases.  The handles travel by
-/// value in the job.  The caller returns `identity()` before this for an empty range,
-/// which runs no cycle and counts nothing.
+/// hands it into one accumulator seeded with `identity()`; join parents fold their
+/// children's accumulators into their own on the way up (`P − 1` combines, `combine`
+/// associative and commutative), so the master's holds the result when its join
+/// completes.  A `T` that [`payload_fits`] travels in the arrival payloads — each
+/// participant arrives with its folded accumulator, and its parent reads it from the
+/// line that signalled the arrival — a wider `T` in the team's view blocks.  `stats`
+/// counts the combines, the reduction and one loop of `phases` phases.  The handles
+/// travel by value in the job.  The caller returns `identity()` before this for an
+/// empty range, which runs no cycle and counts nothing.
 ///
 /// # Safety
 /// The caller drives `team` and no loop is in flight: no other thread runs a loop on
@@ -213,14 +251,19 @@ where
         fold,
         combine,
         // SAFETY: forwarded contract; the previous reduction's handle is gone.
-        views: unsafe { team.views() },
+        views: (!payload_fits::<T>()).then(|| unsafe { team.views() }),
         stats,
     };
     // SAFETY: forwarded contract.
-    let views = unsafe { harness.run(team, phases, true) };
-    // After the master's join phase its view holds the fully combined result.
-    // SAFETY: all workers have arrived; no concurrent access remains.
-    unsafe { views.take(0) }.expect("master view present after the join")
+    let acc = unsafe { harness.run(team, phases, true) };
+    // After the master's join phase its accumulator holds the fully combined result.
+    match harness.views {
+        // SAFETY: the master's `exec_reduce` put a `T` into `acc`, and every fold left
+        // one there.
+        None => unsafe { take_payload(&acc) },
+        // SAFETY: all workers have arrived; no concurrent access remains.
+        Some(views) => unsafe { views.take(0) }.expect("master view present after the join"),
+    }
 }
 
 /// The merged reduction over the static block: [`deal_reduce`] over the static dealer,

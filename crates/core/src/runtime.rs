@@ -122,7 +122,11 @@ pub trait LoopRuntime {
     /// A snapshot of the runtime's cumulative synchronization counters.
     fn sync_stats(&self) -> SyncStats;
 
-    /// Sums `f(i)` over `range` (provided in terms of [`LoopRuntime::parallel_reduce`]).
+    /// Sums `f(i)` over `range`: each participant folds its pieces from `0.0` in order,
+    /// `acc + f(i)`, and the partial sums are added up — bit for bit the result of
+    /// `parallel_reduce(range, 0.0, &|acc, i| acc + f(i), &|a, b| a + b)`, which is
+    /// this default.  Every [`Loops`] runtime overrides it through the blanket impl so
+    /// that the job carries `f` itself and each index costs one `dyn` call, not two.
     fn parallel_sum(&mut self, range: Range<usize>, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
         self.parallel_reduce(range, 0.0, &|acc, i| acc + f(i), &|a, b| a + b)
     }
@@ -261,7 +265,11 @@ pub trait Loops {
 /// the runtime's generic block methods as they are — a per-index one inside its adapter
 /// closure, by value — so a worker finds them in the line that released it rather than
 /// behind a reference into this frame (which is why these bodies do not go through
-/// [`Loops::for_each`] / [`Loops::reduce`]).
+/// [`Loops::for_each`] / [`Loops::reduce`]).  `parallel_sum` is the same: its adapter
+/// holds the summand's fat pointer and builds the per-index fold in the participant's
+/// own frame, so a worker reads nothing of the caller's but `f`'s environment, and each
+/// index pays the one `dyn` call to `f` (the trait default pays a second, to a fold
+/// closure it builds in its own frame, which a worker must also read).
 impl<R: Loops> LoopRuntime for R {
     fn name(&self) -> String {
         Loops::name(self)
@@ -302,6 +310,11 @@ impl<R: Loops> LoopRuntime for R {
 
     fn sync_stats(&self) -> SyncStats {
         Loops::sync_stats(self)
+    }
+
+    fn parallel_sum(&mut self, range: Range<usize>, f: &(dyn Fn(usize) -> f64 + Sync)) -> f64 {
+        let fold = move |acc, r| fold_range(&move |a, i| a + f(i), acc, r);
+        self.reduce_blocks(range, || 0.0, fold, |a, b| a + b)
     }
 }
 

@@ -71,7 +71,8 @@
 mod team;
 
 pub use team::{
-    fold_range, walk_range, ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync,
+    fold_range, payload_fits, put_payload, take_payload, walk_range, Combine, Execute,
+    ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync,
 };
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};

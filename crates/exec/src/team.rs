@@ -8,14 +8,16 @@
 //! * [`Job`] — the type-erased work description of one loop: its entry points and a
 //!   by-value copy of its harness, exactly one release payload long, carried to every
 //!   worker in the release line that releases it;
+//! * [`put_payload`] / [`take_payload`] — a merged reduction's accumulator in the
+//!   payload its owner arrives with, for every `T` that [`payload_fits`];
 //! * [`ReduceViews`] — a loop's handle on the team's per-participant reduction-view
-//!   blocks, which a merged reduction folds;
+//!   blocks, where a wider accumulator (and the ordered reduction's) waits instead;
 //! * [`walk_range`] / [`fold_range`] — the per-index adapters: how a per-index body
 //!   walks one contiguous piece of a share, calling the body or folding into an
 //!   accumulator (see below);
 //! * [`TeamSync`] — the *sync shape*, the one thing a runtime swaps: what the master
 //!   and a worker do at the fork point (where the job travels) and at the completion
-//!   point.  Implemented here for [`HalfBarrier`] (one release, one join), for
+//!   point (where a merged reduction's accumulators travel).  Implemented here for [`HalfBarrier`] (one release, one join), for
 //!   [`FullBarrier`] (two full episodes per loop, the Table 1 ablation) and for
 //!   [`ExtraReductionBarrier`] (the OpenMP-like structure: a third full barrier on
 //!   reduction loops);
@@ -72,22 +74,22 @@
 //!
 //! # What a loop costs each side
 //!
-//! The paper's burden `d` is one release and one join; everything else a loop costs on
-//! top of it is kept to the hand-off itself, on both sides of it.
+//! The paper's burden `d` is one release and one join, and a merged reduction folds
+//! into that join; everything else a loop costs on top of it is kept to the hand-off
+//! itself, on both sides of it.  At P = 2 the loop's critical path crosses cores on
+//! two lines — the release line down, the arrival line up — plus the caller's own
+//! closure.
 //!
 //! **The master** hands its job to the sync shape, which writes it into the release
 //! lines as it releases.  It writes no line a worker owns before the release, and its
 //! own per-loop state (epoch cursor, in-flight claim, view stamp) sits on a line of its
 //! own, away from the detach flag, sync shape and wait policy every worker reads each
-//! loop.  Reduction views are the team's: P padded blocks allocated at build, grown
-//! between loops only when a wider `T` arrives, written by each owner before it arrives
-//! and only *read* by its join parent.  Instrumentation takes no locked
-//! read-modify-write: what the master alone counts (loops, reductions, phases, barrier
-//! cycles) is a relaxed load and store, exact across a change of driving thread
-//! because [`TeamCore`]'s claim is an acquire/release pair; what several participants
-//! count per loop (arrivals, combines) goes on a line each writer owns and is summed on
-//! read.  What stays is the claim `swap`, the lease check and the trace hooks' armed
-//! checks.
+//! loop.  Instrumentation takes no locked read-modify-write: what the master alone
+//! counts (loops, reductions, phases, barrier cycles) is a relaxed load and store,
+//! exact across a change of driving thread because [`TeamCore`]'s claim is an
+//! acquire/release pair; what several participants count per loop (arrivals, combines)
+//! goes on a line each writer owns and is summed on read.  What stays is the claim
+//! `swap`, the lease check and the trace hooks' armed checks.
 //!
 //! **A worker** that sees its release must learn what to run before its first
 //! iteration, and each line it reads on the way was just written by the master: every
@@ -97,6 +99,21 @@
 //! [`Job`] itself, whose harness holds the range, the thread count and a
 //! `LoopRuntime` call's `&dyn` operators by value, so the chain is the release line →
 //! the body's environment, which belongs to the caller.
+//!
+//! **The join** is the mirror image.  Every participant runs its share into an
+//! accumulator on its own stack ([`Job`]'s `execute` leaves it in a [`Payload`]), folds
+//! each join child's accumulator into it as soon as that child's arrival is seen — read
+//! from the arrival line whose `Acquire` load saw the epoch, which is the line the
+//! child just wrote — and arrives with the folded accumulator as its own payload; the
+//! master's, returned by [`TeamCore::cycle`], holds the result.  So a parent reads one
+//! line per child, the line it must read anyway to learn that the child arrived.  With
+//! the accumulators in per-participant view blocks that was two dependent misses per
+//! child: the arrival flag, then the child's block.  A plain loop's participant stores
+//! its arrival epoch alone and copies nothing.  The view blocks remain for an
+//! accumulator wider than a payload and for the ordered reduction, which folds every
+//! view at the master in thread order: P padded blocks allocated at build, grown
+//! between loops only when a wider `T` arrives, written by each owner before it arrives
+//! and only *read* by its join parent.
 //!
 //! Measured with time-stamp-counter marks around a 512-iteration, grain-1
 //! `parallel_sum` on a 2-thread `FineGrainPool`, medians of ten alternating runs of
@@ -111,6 +128,14 @@
 //! writing the job now falls inside the release: from entering it to the worker seeing
 //! the epoch, 224 ns against 271 ns), and from the completed join to the return, 153 ns
 //! against 40 ns; the whole call, 2.42 µs against 1.75 µs.
+//!
+//! Then, accumulators in view blocks against accumulators in the arrival payloads (with
+//! `LoopRuntime::parallel_sum` carrying its summand in the job), from the benchmark's
+//! `micro_sweep` rows, medians of five alternating `--trace 1` pairs on the same host:
+//! a 512-iteration grain-1 reduction costs 213 ns more than the same plain loop against
+//! 95 ns (`core.reduce_512x1_ns − core.for_512x1_ns`), the master's span from its first
+//! fold to the end of its join is 103 ns against 31 ns (`core.combine_ns`), and the
+//! empty loop 330 ns against 290 ns (`core.empty_for_ns`).
 
 use crate::{ClientHooks, Executor, Lease};
 use crossbeam::utils::CachePadded;
@@ -127,8 +152,8 @@ use std::sync::Arc;
 const HARNESS_BYTES: usize = size_of::<Payload>() - 2 * size_of::<usize>();
 
 /// A type-erased work descriptor, exactly one release payload long: the monomorphised
-/// functions that execute a participant's share and (optionally) fold one participant's
-/// reduction view into another's, followed by a by-value copy of the loop's harness.
+/// functions that execute a participant's share and (optionally) fold a join child's
+/// accumulator into the caller's, followed by a by-value copy of the loop's harness.
 ///
 /// The master hands the job to its sync shape, which writes it into the release line
 /// every worker spins on ([`parlo_barrier::Payload`]); each participant then runs its
@@ -142,10 +167,20 @@ const HARNESS_BYTES: usize = size_of::<Payload>() - 2 * size_of::<usize>();
 #[derive(Clone, Copy)]
 #[repr(C, align(8))]
 pub struct Job {
-    execute: unsafe fn(*const (), usize),
-    combine: Option<unsafe fn(*const (), usize, usize)>,
+    execute: Execute,
+    combine: Option<Combine>,
     harness: [MaybeUninit<u8>; HARNESS_BYTES],
 }
+
+/// A job's share entry point: `execute(data, id, acc)` runs participant `id`'s share
+/// against the harness copy at `data`; a merged reduction leaves the participant's
+/// accumulator in `acc` (when it travels in the payload, see [`payload_fits`]).
+pub type Execute = unsafe fn(*const (), usize, &mut Payload);
+
+/// A job's combine entry point: `combine(data, into, acc, from, child)` folds join
+/// child `from`'s accumulator — `child`, the payload it arrived with — into participant
+/// `into`'s, `acc`.
+pub type Combine = unsafe fn(*const (), usize, &mut Payload, usize, &Payload);
 
 const _: () = assert!(
     size_of::<Job>() == size_of::<Payload>() && align_of::<Job>() >= align_of::<Payload>(),
@@ -164,7 +199,7 @@ impl std::fmt::Debug for Job {
 impl Job {
     /// A job that does nothing: what a detach cycle runs.
     pub fn noop() -> Self {
-        unsafe fn nop(_data: *const (), _id: usize) {}
+        unsafe fn nop(_data: *const (), _id: usize, _acc: &mut Payload) {}
         Job {
             execute: nop,
             combine: None,
@@ -172,9 +207,10 @@ impl Job {
         }
     }
 
-    /// Builds a job carrying a copy of `harness`: `execute(data, id)` runs participant
-    /// `id`'s share and `combine(data, into, from)` folds view `from` into view `into`,
-    /// each with `data` pointing at the calling participant's own copy.  A harness
+    /// Builds a job carrying a copy of `harness`: `execute` runs a participant's share
+    /// and `combine` folds a join child's accumulator into its parent's (see [`Execute`]
+    /// and [`Combine`]), each with `data` pointing at the calling participant's own
+    /// copy.  A harness
     /// fits in 13 words (104 bytes on a 64-bit target) at an alignment of at most 8,
     /// which is checked when the job is built.
     ///
@@ -183,11 +219,7 @@ impl Job {
     /// stay alive until the [`Team::run`] it is passed to returns), both entry points
     /// must treat `data` as a `*const H`, and they must be safe to call concurrently
     /// from all participants.
-    pub unsafe fn new<H: Copy>(
-        harness: H,
-        execute: unsafe fn(*const (), usize),
-        combine: Option<unsafe fn(*const (), usize, usize)>,
-    ) -> Self {
+    pub unsafe fn new<H: Copy>(harness: H, execute: Execute, combine: Option<Combine>) -> Self {
         const {
             assert!(
                 size_of::<H>() <= HARNESS_BYTES && align_of::<H>() <= 8,
@@ -228,28 +260,75 @@ impl Job {
         self.combine.is_some()
     }
 
-    /// Runs participant `id`'s share against this copy of the harness.
+    /// Runs participant `id`'s share against this copy of the harness, leaving a
+    /// merged reduction's accumulator in `acc`.
     ///
     /// # Safety
     /// The contract of [`Job::new`].
     #[inline]
-    unsafe fn run(&self, id: usize) {
+    unsafe fn run(&self, id: usize, acc: &mut Payload) {
         // SAFETY: forwarded contract.
-        unsafe { (self.execute)(self.harness.as_ptr().cast(), id) };
+        unsafe { (self.execute)(self.harness.as_ptr().cast(), id, acc) };
     }
 
-    /// The completion-side hook of participant `into`: folds each arriving child's view.
+    /// What a participant takes into the join: its accumulator if the job carries a
+    /// merged reduction, nothing for a plain loop (which then arrives with its epoch
+    /// alone).
     #[inline]
-    fn fold_into(&self, into: usize) -> impl FnMut(usize) + '_ {
-        move |from| {
+    fn accumulator<'p>(&self, acc: &'p mut Payload) -> Option<&'p mut Payload> {
+        self.has_combine().then_some(acc)
+    }
+
+    /// The completion-side hook of participant `into`: folds each arriving child's
+    /// accumulator into its own.
+    #[inline]
+    fn fold_into(&self, into: usize) -> impl FnMut(&mut Payload, usize, &Payload) + '_ {
+        move |acc, from, child| {
             if let Some(combine) = self.combine {
                 parlo_trace::instant(parlo_trace::Phase::Combine, from as u64, 0);
-                // SAFETY: `from` has arrived, so its view is final and its owner no
-                // longer touches it; only `into` accesses both views from here on.
-                unsafe { combine(self.harness.as_ptr().cast(), into, from) };
+                // SAFETY: `from` has arrived, so its accumulator is final and its owner
+                // no longer touches it; only `into` accesses both from here on.
+                unsafe { combine(self.harness.as_ptr().cast(), into, acc, from, child) };
             }
         }
     }
+}
+
+/// Whether a `T` accumulator travels in the join's arrival payloads: it fits one
+/// [`Payload`] (15 words) at an alignment of at most 8.  A wider `T` goes through the
+/// team's view blocks ([`ReduceViews`]).
+pub const fn payload_fits<T>() -> bool {
+    size_of::<T>() <= size_of::<Payload>() && align_of::<T>() <= align_of::<Payload>()
+}
+
+/// Moves `value` into `payload`.
+///
+/// # Safety
+/// [`payload_fits::<T>()`](payload_fits); whatever `payload` held is overwritten, not
+/// dropped.
+#[inline]
+pub unsafe fn put_payload<T>(payload: &mut Payload, value: T) {
+    assert!(
+        payload_fits::<T>(),
+        "a payload holds at most 15 words at alignment 8"
+    );
+    // SAFETY: a payload is 8-aligned and holds a `T` (caller's contract).
+    unsafe { payload.as_mut_ptr().cast::<T>().write(value) };
+}
+
+/// Moves the `T` that [`put_payload`] put into `payload` out of it.
+///
+/// # Safety
+/// `payload` holds a `T` put there by [`put_payload`] (or a byte copy of one) that was
+/// not already moved out.
+#[inline]
+pub unsafe fn take_payload<T>(payload: &Payload) -> T {
+    assert!(
+        payload_fits::<T>(),
+        "a payload holds at most 15 words at alignment 8"
+    );
+    // SAFETY: the caller's contract.
+    unsafe { payload.as_ptr().cast::<T>().read() }
 }
 
 /// Calls `body(i)` for every `i` of `range`, in order: the piece walk of the adapter
@@ -304,7 +383,11 @@ fn lines_for<T>() -> usize {
 }
 
 /// The reduction views of one loop, typed as `T`: a handle on the team's per-participant
-/// view blocks, obtained from [`TeamCore::views`] by the driver before the loop.
+/// view blocks, obtained from [`TeamCore::views`] by the driver before the loop.  A
+/// merged reduction whose `T` [`payload_fits`] passes its accumulators in the arrival
+/// payloads instead; the blocks serve a wider `T`, a reduction that needs every view
+/// at the master after the join (the ordered one), and the Cilk-like baseline's
+/// per-worker reducer views.
 ///
 /// The blocks belong to the team, not to the loop: they are allocated when the team is
 /// built, grown between loops when a larger `T` arrives, and reused by every reduction,
@@ -407,25 +490,29 @@ pub trait TeamSync: Send + Sync + 'static {
     fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job);
     /// Worker side of the fork point: returns the loop's job once released into it.
     fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job;
-    /// Master side of the completion point; `on_child(c)` is called once per direct
-    /// join child `c` after it has arrived.  `reduce` tells whether the job carries a
-    /// merged reduction.
-    fn master_join<F: FnMut(usize)>(
+    /// Master side of the completion point.  With an accumulator `acc` (a merged
+    /// reduction), `on_child(acc, c, payload)` is called once per direct join child `c`
+    /// after it has arrived, with the payload it arrived with; without one, nothing is
+    /// called.
+    fn master_join<F>(
         &self,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        reduce: bool,
+        acc: Option<&mut Payload>,
         on_child: F,
-    );
-    /// Worker side of the completion point.
-    fn worker_join<F: FnMut(usize)>(
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload);
+    /// Worker side of the completion point: folds its children as the master does, then
+    /// arrives with `acc` as its payload (with the epoch alone without one).
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        reduce: bool,
+        acc: Option<&mut Payload>,
         on_child: F,
-    );
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload);
 }
 
 /// The paper's shape: a release phase at the fork (the master never waits there) and a
@@ -449,20 +536,25 @@ impl TeamSync for HalfBarrier {
     }
 
     #[inline]
-    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, _: bool, f: F) {
-        self.join(*at, policy, f);
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.join(*at, policy, acc, f);
     }
 
     #[inline]
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        _: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
-        self.arrive(id, *at, policy, f);
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.arrive(id, *at, policy, acc, f);
     }
 }
 
@@ -488,22 +580,27 @@ impl TeamSync for FullBarrier {
     }
 
     #[inline]
-    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, _: bool, f: F) {
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         *at += 1;
-        self.master_wait_combine(*at, policy, &EMPTY_PAYLOAD, f);
+        self.master_wait_combine(*at, policy, &EMPTY_PAYLOAD, acc, f);
     }
 
     #[inline]
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        _: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
         *at += 1;
-        self.worker_wait_combine(id, *at, policy, f);
+        self.worker_wait_combine(id, *at, policy, acc, f);
     }
 }
 
@@ -530,33 +627,33 @@ impl TeamSync for ExtraReductionBarrier {
     }
 
     #[inline]
-    fn master_join<F: FnMut(usize)>(
-        &self,
-        at: &mut Epoch,
-        policy: &WaitPolicy,
-        reduce: bool,
-        f: F,
-    ) {
-        if reduce {
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        if acc.is_some() {
             *at += 1;
-            self.0.master_wait_combine(*at, policy, &EMPTY_PAYLOAD, f);
+            self.0
+                .master_wait_combine(*at, policy, &EMPTY_PAYLOAD, acc, f);
         }
         *at += 1;
         self.0.master_wait(*at, policy, &EMPTY_PAYLOAD);
     }
 
     #[inline]
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        reduce: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
-        if reduce {
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        if acc.is_some() {
             *at += 1;
-            self.0.worker_wait_combine(id, *at, policy, f);
+            self.0.worker_wait_combine(id, *at, policy, acc, f);
         }
         *at += 1;
         self.0.worker_wait(id, *at, policy);
@@ -636,7 +733,7 @@ impl<S: TeamSync> TeamCore<S> {
         self.master.in_loop.store(false, Ordering::Release);
     }
 
-    /// The team's view blocks typed as `T`, for the next loop's merged reduction: grows
+    /// The team's view blocks typed as `T`, for the next loop's reduction: grows
     /// every block first if a `T` does not fit (the only allocation views ever make),
     /// then hands out a fresh stamp, so no view of an earlier loop reads as present.
     ///
@@ -668,21 +765,26 @@ impl<S: TeamSync> TeamCore<S> {
     }
 
     /// One fork → execute → join cycle of `job`, the calling thread acting as master:
-    /// the fork's release carries the job to every worker.
+    /// the fork's release carries the job to every worker.  Returns the master's
+    /// accumulator: after a merged reduction whose accumulator travels in the payload,
+    /// every participant's folded into it.
     ///
     /// # Safety
     /// The caller holds the team (no other cycle in flight), every worker
     /// `1..num_threads` is inside [`TeamCore::worker_body`], and everything the job's
     /// harness refers to stays alive until this returns.
-    pub unsafe fn cycle(&self, job: Job) {
+    pub unsafe fn cycle(&self, job: Job) -> Payload {
         let mut at = self.master.epoch.load(Ordering::Relaxed);
         self.sync.master_fork(&mut at, &self.policy, &job);
+        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: the master executes its share like any participant, on its own copy
         // of the harness; the harness's referents outlive this call by contract.
-        unsafe { job.run(0) };
+        unsafe { job.run(0, &mut acc) };
+        let fold = job.fold_into(0);
         self.sync
-            .master_join(&mut at, &self.policy, job.has_combine(), job.fold_into(0));
+            .master_join(&mut at, &self.policy, job.accumulator(&mut acc), fold);
         self.master.epoch.store(at, Ordering::Relaxed);
+        acc
     }
 
     /// The detach cycle — the hook a [`Team`] registers with the substrate: one no-op
@@ -716,17 +818,14 @@ impl<S: TeamSync> TeamCore<S> {
         loop {
             let job = self.sync.worker_fork(id, &mut at, &self.policy);
             let detaching = self.detach.load(Ordering::Acquire);
+            let mut acc = EMPTY_PAYLOAD;
             // SAFETY: the job is this cycle's, read from the release that opened it; the
             // driver keeps its harness's referents alive until its join completes,
             // which cannot happen before this worker arrives below.
-            unsafe { job.run(id) };
-            self.sync.worker_join(
-                id,
-                &mut at,
-                &self.policy,
-                job.has_combine(),
-                job.fold_into(id),
-            );
+            unsafe { job.run(id, &mut acc) };
+            let fold = job.fold_into(id);
+            self.sync
+                .worker_join(id, &mut at, &self.policy, job.accumulator(&mut acc), fold);
             if detaching {
                 self.worker_epochs[id].store(at, Ordering::Relaxed);
                 return;
@@ -807,15 +906,16 @@ impl<S: TeamSync> Team<S> {
         out
     }
 
-    /// Runs one job on all participants of the team.
+    /// Runs one job on all participants of the team, and returns the master's
+    /// accumulator (see [`TeamCore::cycle`]).
     ///
     /// # Safety
     /// Everything the job's harness refers to must stay alive until this call returns
     /// (see [`Job::new`]).
-    pub unsafe fn run(&self, job: Job) {
+    pub unsafe fn run(&self, job: Job) -> Payload {
         // SAFETY: `drive` holds the team and has every worker attached; harness
         // lifetime is the caller's contract.
-        self.drive(|| unsafe { self.core.cycle(job) });
+        self.drive(|| unsafe { self.core.cycle(job) })
     }
 
     /// The team's reduction views typed as `T` (see [`TeamCore::views`]).
@@ -848,55 +948,57 @@ mod tests {
     use super::*;
     use parlo_sync::AtomicUsize;
 
-    /// Counts executions per participant and reduces `id + 1` over the participants.
-    struct Harness<'a> {
+    /// Counts executions per participant and reduces `id + 1` over the participants in
+    /// the arrival payloads.
+    struct Harness {
         hits: Vec<AtomicUsize>,
-        views: ReduceViews<'a, usize>,
     }
 
-    impl<'a> Harness<'a> {
-        fn new<S: TeamSync>(core: &'a TeamCore<S>) -> Self {
+    impl Harness {
+        fn new<S: TeamSync>(core: &TeamCore<S>) -> Self {
             Harness {
                 hits: (0..core.sync.num_threads())
                     .map(|_| AtomicUsize::new(0))
                     .collect(),
-                // SAFETY: every test drives its team from one thread, between loops.
-                views: unsafe { core.views() },
             }
         }
     }
 
     /// The tests' jobs carry a reference to a live `Harness` (its counters are shared).
-    unsafe fn harness<'a>(data: *const ()) -> &'a Harness<'a> {
+    unsafe fn harness<'a>(data: *const ()) -> &'a Harness {
         // SAFETY: the tests build their jobs over a `&Harness` that outlives the job.
-        unsafe { *(data as *const &Harness<'_>) }
+        unsafe { *(data as *const &Harness) }
     }
 
-    unsafe fn exec(data: *const (), id: usize) {
+    unsafe fn exec(data: *const (), id: usize, acc: &mut Payload) {
         // SAFETY: the tests' contract.
         let h = unsafe { harness(data) };
         h.hits[id].fetch_add(1, Ordering::Relaxed);
-        // SAFETY: each participant writes only its own view before it arrives.
-        unsafe { h.views.put(id, id + 1) };
+        // SAFETY: a `usize` fits a payload.
+        unsafe { put_payload(acc, id + 1) };
     }
 
-    unsafe fn comb(data: *const (), into: usize, from: usize) {
-        // SAFETY: the tests' contract; the join protocol gives `into` exclusive access
-        // to both views.
-        unsafe { harness(data).views.combine(into, from, |a, b| a + b) };
+    unsafe fn comb(_: *const (), _: usize, acc: &mut Payload, _: usize, child: &Payload) {
+        // SAFETY: both payloads hold a `usize` put by `exec` or by this fold.
+        unsafe {
+            put_payload(
+                acc,
+                take_payload::<usize>(acc) + take_payload::<usize>(child),
+            )
+        };
     }
 
     /// One loop on `team`; a reduction loop returns the folded `id + 1` sum.
     fn run_loop<S: TeamSync>(team: &Team<S>, reduce: bool) -> Option<usize> {
         let h = Harness::new(&team.core);
         // SAFETY: `h` outlives `run`; `exec`/`comb` match the job's harness type.
-        unsafe { team.run(Job::new(&h, exec, reduce.then_some(comb as _))) };
+        let acc = unsafe { team.run(Job::new(&h, exec, reduce.then_some(comb as _))) };
         assert!(
             h.hits.iter().all(|c| c.load(Ordering::Relaxed) == 1),
             "every participant runs every loop exactly once"
         );
-        // SAFETY: the loop has completed.
-        reduce.then(|| unsafe { h.views.take(0) }.expect("master view"))
+        // SAFETY: the master's `exec` put a `usize`, which the join folded into.
+        reduce.then(|| unsafe { take_payload(&acc) })
     }
 
     /// Loops → forced detach → re-attach → loops, over one sync shape and one lease
@@ -1021,9 +1123,14 @@ mod tests {
     fn noop_job_is_harmless_and_jobs_dispatch_to_their_harness() {
         let noop = Job::noop();
         assert!(!noop.has_combine());
+        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: a no-op job dereferences nothing.
-        unsafe { noop.run(7) };
-        noop.fold_into(0)(1);
+        unsafe { noop.run(7, &mut acc) };
+        assert!(
+            noop.accumulator(&mut acc).is_none(),
+            "a plain loop arrives bare"
+        );
+        noop.fold_into(0)(&mut acc, 1, &EMPTY_PAYLOAD);
         let core = TeamCore::new(
             "unattached".to_string(),
             HalfBarrier::new_centralized(2),
@@ -1033,15 +1140,19 @@ mod tests {
         // SAFETY: `h` outlives the job; this test is single-threaded.
         let job = unsafe { Job::new(&h, exec, Some(comb)) };
         assert!(job.has_combine());
+        let mut child = EMPTY_PAYLOAD;
         // SAFETY: as above.
         unsafe {
-            job.run(0);
-            job.run(1);
+            job.run(0, &mut acc);
+            job.run(1, &mut child);
         }
-        job.fold_into(0)(1);
-        // SAFETY: single-threaded.
-        let folded = unsafe { h.views.take(0) };
-        assert_eq!(folded, Some(3), "view 1 folded into view 0");
+        job.fold_into(0)(job.accumulator(&mut acc).unwrap(), 1, &child);
+        // SAFETY: the fold left a `usize` in `acc`.
+        assert_eq!(
+            unsafe { take_payload::<usize>(&acc) },
+            3,
+            "child 1 folded into 0"
+        );
     }
 
     #[test]
@@ -1053,7 +1164,7 @@ mod tests {
             end: usize,
             body: &'a (dyn Fn(usize) + Sync),
         }
-        unsafe fn walk(data: *const (), id: usize) {
+        unsafe fn walk(data: *const (), id: usize, _: &mut Payload) {
             // SAFETY: the job below carries a `Walk`.
             let h = unsafe { &*(data as *const Walk<'_>) };
             walk_range(&h.body, h.start + id..h.end);
@@ -1072,8 +1183,9 @@ mod tests {
         // SAFETY: the release above carried `job`.
         let copy = unsafe { Job::from_payload(released.forward_release(1, 1)) };
         assert!(!copy.has_combine());
+        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: as above.
-        unsafe { copy.run(1) };
+        unsafe { copy.run(1, &mut acc) };
         assert_eq!(*seen.lock().unwrap(), [4, 5], "worker 1's share of 3..6");
     }
 

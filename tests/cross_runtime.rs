@@ -707,3 +707,179 @@ fn reductions_neither_leak_nor_double_drop_a_view() {
         }
     }
 }
+
+/// Live [`Words`] accumulators (a counter of its own: tests run concurrently).
+static LIVE_WORDS: AtomicUsize = AtomicUsize::new(0);
+
+/// A counted reduction accumulator of `N` words: at `N = 15` it is exactly one
+/// arrival payload, the widest `T` that travels in the join's arrival lines; at
+/// `N = 16` it is one word wider and takes the team's view blocks.
+struct Words<const N: usize>([u64; N]);
+
+impl<const N: usize> Words<N> {
+    fn new() -> Self {
+        LIVE_WORDS.fetch_add(1, Ordering::Relaxed);
+        Words([0; N])
+    }
+
+    fn push(mut self, i: usize) -> Self {
+        self.0[i % N] += i as u64 + 1;
+        self
+    }
+
+    fn merge(mut self, other: Self) -> Self {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a += b;
+        }
+        self
+    }
+
+    /// Asserts that this is the one live accumulator and that it holds exactly the fold
+    /// of `range`, then drops it and asserts that none is left.
+    fn check(self, range: &Range<usize>, at: &str) {
+        assert_eq!(
+            LIVE_WORDS.load(Ordering::Relaxed),
+            1,
+            "{at}: live after the call"
+        );
+        let mut want = [0u64; N];
+        for i in range.clone() {
+            want[i % N] += i as u64 + 1;
+        }
+        assert_eq!(self.0, want, "{at}: folded words");
+        drop(self);
+        assert_eq!(
+            LIVE_WORDS.load(Ordering::Relaxed),
+            0,
+            "{at}: live after the drop"
+        );
+    }
+}
+
+impl<const N: usize> Drop for Words<N> {
+    fn drop(&mut self) {
+        LIVE_WORDS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The payload boundary: a 15-word accumulator (the payload path) and a 16-word one
+/// (the view-block path) on every runtime at P = 1, 2, 4 — the fine-grain pool under
+/// every barrier kind — each reducing to the exact result with `P − 1` combines and no
+/// accumulator leaked or dropped twice.
+#[test]
+fn accumulators_one_payload_wide_and_one_word_wider_reduce_exactly_on_every_runtime() {
+    struct Boundary {
+        threads: usize,
+    }
+    impl Boundary {
+        fn one<const N: usize, R: Loops>(
+            &self,
+            rt: &mut R,
+            scheduled: fn(SyncStats) -> SyncStats,
+            blocks: bool,
+        ) {
+            let range = 5..5 + 40 * self.threads + 3;
+            let at = format!(
+                "{} @ P={}, {N} words{}",
+                Loops::name(rt),
+                self.threads,
+                if blocks { ", blocks" } else { "" }
+            );
+            let before = Loops::sync_stats(rt);
+            let got = if blocks {
+                rt.reduce_blocks(
+                    range.clone(),
+                    Words::<N>::new,
+                    |acc, piece| piece.fold(acc, Words::push),
+                    Words::merge,
+                )
+            } else {
+                rt.reduce(range.clone(), Words::<N>::new, Words::push, Words::merge)
+            };
+            let delta = Loops::sync_stats(rt).since(&before);
+            got.check(&range, &at);
+            let want = SyncStats {
+                combine_ops: Loops::threads(rt) as u64 - 1,
+                ..delta
+            };
+            assert_eq!(scheduled(delta), scheduled(want), "{at}: P − 1 combines");
+        }
+    }
+    impl OnEveryRuntime for Boundary {
+        fn run<R: Loops>(&mut self, rt: &mut R, scheduled: fn(SyncStats) -> SyncStats) {
+            for blocks in [false, true] {
+                self.one::<15, R>(rt, scheduled, blocks);
+                self.one::<16, R>(rt, scheduled, blocks);
+            }
+        }
+    }
+    assert_eq!(std::mem::size_of::<Words<15>>(), 120, "one payload");
+    for threads in [1, 2, 4] {
+        let mut check = Boundary { threads };
+        on_every_runtime(threads, &mut check);
+        for kind in BarrierKind::ALL {
+            let mut pool = FineGrainPool::new(Config::builder(threads).barrier(kind).build());
+            check.run(&mut pool, |delta| delta);
+        }
+    }
+}
+
+/// `LoopRuntime::parallel_sum` is `parallel_reduce(range, 0.0, &|acc, i| acc + f(i),
+/// &|a, b| a + b)` bit for bit, on every runtime, `Sequential` and the adaptive pool
+/// included.  The terms' float sum depends on association — a run of 63 ones adds up
+/// exactly before the 1e16 that follows it and is rounded away one by one after it —
+/// so a participant that folded its pieces in another order would differ.
+/// Where the pieces a participant runs depend on timing (the dispensed OpenMP
+/// schedules, the Cilk-like baseline, the stealing pool, the adaptive router's
+/// backends) two calls may fold different pieces, so at P > 1 those compare sums of
+/// exact integers instead.
+#[test]
+fn parallel_sum_is_parallel_reduce_bit_for_bit_on_every_runtime() {
+    let sensitive = |i: usize| if i.is_multiple_of(64) { 1e16 } else { 1.0 };
+    let exact = |i: usize| (i % 7) as f64;
+    let range = 3..3 + 997;
+    for threads in [1, 2, 3] {
+        let mut deterministic: Vec<Box<dyn LoopRuntime>> = vec![
+            Box::new(Sequential),
+            Box::new(ScheduledTeam::with_threads(threads, Schedule::Static)),
+            Box::new(ScheduledTeam::with_threads(
+                threads,
+                Schedule::StaticChunked(3),
+            )),
+            Box::new(CilkFineGrain::with_threads(threads)),
+        ];
+        for kind in BarrierKind::ALL {
+            let config = Config::builder(threads).barrier(kind).build();
+            deterministic.push(Box::new(FineGrainPool::new(config)));
+        }
+        let timed: Vec<Box<dyn LoopRuntime>> = vec![
+            Box::new(ScheduledTeam::with_threads(threads, Schedule::Dynamic(2))),
+            Box::new(ScheduledTeam::with_threads(threads, Schedule::Guided(1))),
+            Box::new(CilkPool::with_threads(threads)),
+            Box::new(StealPool::with_threads(threads)),
+            Box::new(AdaptivePool::with_threads(threads)),
+        ];
+        let fixed = deterministic.into_iter().map(|rt| (rt, true));
+        for (mut rt, fixed) in fixed.chain(timed.into_iter().map(|rt| (rt, threads == 1))) {
+            let f: &(dyn Fn(usize) -> f64 + Sync) = if fixed { &sensitive } else { &exact };
+            let at = format!("{} @ P={threads}", rt.name());
+            for _ in 0..3 {
+                let sum = rt.parallel_sum(range.clone(), f);
+                let reduced =
+                    rt.parallel_reduce(range.clone(), 0.0, &|acc, i| acc + f(i), &|a, b| a + b);
+                assert_eq!(sum.to_bits(), reduced.to_bits(), "{at}: {sum} vs {reduced}");
+            }
+            let empty = rt.parallel_sum(9..9, f);
+            assert_eq!(
+                empty.to_bits(),
+                0.0f64.to_bits(),
+                "{at}: an empty sum is 0.0"
+            );
+        }
+    }
+    // The terms do depend on association: the sequential left fold differs from the
+    // same terms folded right to left.
+    let left = range.clone().fold(0.0, |acc, i| acc + sensitive(i));
+    let right = range.clone().rev().fold(0.0, |acc, i| acc + sensitive(i));
+    assert_ne!(left.to_bits(), right.to_bits(), "{left} vs {right}");
+}

@@ -6,7 +6,8 @@
 //! over it), the centralized release/join half-barrier pair, the socket-composed
 //! tree half-barrier and a full barrier over it, the park hub, the trace event
 //! ring, the serve completion and admission hand-offs, the team skeleton's
-//! loop / detach / resume protocol and the job each release line carries — and
+//! loop / detach / resume protocol, the job each release line carries and the
+//! accumulator each arrival line carries back — and
 //! checks every interleaving for data races (vector-clock happens-before over
 //! the declared orderings), deadlocks and lost wakeups.
 //!
@@ -24,10 +25,12 @@
 #![cfg(parlo_model)]
 
 use parlo_barrier::{
-    wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, WaitPolicy,
-    EMPTY_PAYLOAD,
+    wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, Payload,
+    WaitPolicy, EMPTY_PAYLOAD,
 };
-use parlo_exec::{ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync};
+use parlo_exec::{
+    put_payload, take_payload, ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync,
+};
 use parlo_serve::{completion_pair, AdmissionProbe};
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
@@ -242,9 +245,9 @@ fn deque_publication_chain_is_race_free() {
 /// Two full release→work→join epochs of the centralized half-barrier pair
 /// with real payload traffic: the master broadcasts an input cell, workers
 /// write per-worker result cells and arrive.  Verifies `signal`/`wait` and
-/// `arrive`/`wait_all` publish everything — including the `AcqRel → Release`
-/// downgrade on [`CentralizedJoin::arrive`] — and that counter reuse across
-/// epochs never lets a stale read through.
+/// `arrive`/`wait_all` publish everything — a bare arrival is one `Release`
+/// store on the worker's own line — and that line reuse across epochs never
+/// lets a stale read through.
 #[test]
 fn barrier_release_join_two_epoch_cycle() {
     let report = model::Builder::new().preemption_bound(Some(2)).check(|| {
@@ -266,7 +269,7 @@ fn barrier_release_join_two_epoch_cycle() {
                         // SAFETY: this worker is the cell's only writer, and
                         // the master reads it only after `wait_all`.
                         results[w as usize].with_mut(|p| unsafe { *p = x + w + 1 });
-                        join.arrive();
+                        join.arrive(w as usize + 1, epoch, None);
                     }
                 })
             })
@@ -277,7 +280,7 @@ fn barrier_release_join_two_epoch_cycle() {
             // the signal that follows this write.
             input.with_mut(|p| unsafe { *p = epoch * 10 });
             release.signal(epoch, &EMPTY_PAYLOAD);
-            join.wait_all(epoch, &spin);
+            join.wait_all(epoch, &spin, None, |_, _, _| {});
             for w in 0..2u64 {
                 // SAFETY: every worker arrived for this epoch; arrive's
                 // Release publishes the result writes to wait_all's Acquire.
@@ -326,7 +329,7 @@ fn socket_composed_tree_two_loop_cycle() {
                         // SAFETY: this worker is the cell's only writer, and the master
                         // reads it only after its join.
                         results[id - 1].with_mut(|p| unsafe { *p = x + id as u64 });
-                        hb.arrive(id, epoch, &spin, |_| {});
+                        hb.arrive(id, epoch, &spin, None, |_, _, _| {});
                     }
                 })
             })
@@ -335,7 +338,7 @@ fn socket_composed_tree_two_loop_cycle() {
             // SAFETY: the previous join ordered every worker's read of `input`.
             input.with_mut(|p| unsafe { *p = epoch * 10 });
             hb.release(epoch, &EMPTY_PAYLOAD);
-            hb.join(epoch, &spin, |_| {});
+            hb.join(epoch, &spin, None, |_, _, _| {});
             for id in 1..=2usize {
                 // SAFETY: the join observed every arrival of this epoch.
                 let r = results[id - 1].with(|p| unsafe { *p });
@@ -617,7 +620,7 @@ struct TeamHarness {
     out: [UnsafeCell<u64>; 2],
 }
 
-unsafe fn team_exec(data: *const (), id: usize) {
+unsafe fn team_exec(data: *const (), id: usize, _: &mut Payload) {
     // SAFETY: the model programs below build their jobs over a `&TeamHarness` to a
     // live harness.
     let h = unsafe { *(data as *const &TeamHarness) };
@@ -708,7 +711,7 @@ struct Carried<'a> {
     ran: &'a [UnsafeCell<u64>; 3],
 }
 
-unsafe fn carried_exec(data: *const (), id: usize) {
+unsafe fn carried_exec(data: *const (), id: usize, _: &mut Payload) {
     // SAFETY: the job carries a `Carried`; `data` points at this participant's copy.
     let h = unsafe { &*(data as *const Carried<'_>) };
     // SAFETY: participant `id` is its cell's only writer, and the master reads it only
@@ -880,26 +883,31 @@ impl TeamSync for SharedHalf {
         self.hb.worker_fork(id, at, policy)
     }
 
-    fn master_join<F: FnMut(usize)>(&self, at: &mut Epoch, policy: &WaitPolicy, r: bool, f: F) {
-        self.hb.master_join(at, policy, r, f);
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.hb.master_join(at, policy, acc, f);
     }
 
-    fn worker_join<F: FnMut(usize)>(
+    fn worker_join<F>(
         &self,
         id: usize,
         at: &mut Epoch,
         policy: &WaitPolicy,
-        r: bool,
+        acc: Option<&mut Payload>,
         f: F,
-    ) {
-        if !(r && self.arrive_in_job) {
-            self.hb.worker_join(id, at, policy, r, f);
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        if !(acc.is_some() && self.arrive_in_job) {
+            self.hb.worker_join(id, at, policy, acc, f);
         }
     }
 }
 
-/// One modelled reduction: participant `id` contributes `input + id` through the
-/// team's view blocks.
+/// One modelled reduction on the view-block path — a `T` too wide for a payload:
+/// participant `id` contributes `input + id` through the team's view blocks.
 #[derive(Clone, Copy)]
 struct ViewHarness<'a> {
     views: ReduceViews<'a, u64>,
@@ -908,18 +916,18 @@ struct ViewHarness<'a> {
     early_arrival: Option<(&'a HalfBarrier, Epoch)>,
 }
 
-unsafe fn view_exec(data: *const (), id: usize) {
+unsafe fn view_exec(data: *const (), id: usize, _: &mut Payload) {
     // SAFETY: the job carries a `ViewHarness`; `data` points at this participant's copy.
     let h = unsafe { &*(data as *const ViewHarness<'_>) };
     if let (1, Some((hb, epoch))) = (id, h.early_arrival) {
-        hb.arrive(1, epoch, &WaitPolicy::dedicated(), |_| {});
+        hb.arrive(1, epoch, &WaitPolicy::dedicated(), None, |_, _, _| {});
     }
     // SAFETY: participant `id` is its view's only writer, and (unmutated) it writes
     // before it arrives; the checker verifies exactly that.
     unsafe { h.views.put(id, h.input + id as u64) };
 }
 
-unsafe fn view_combine(data: *const (), into: usize, from: usize) {
+unsafe fn view_combine(data: *const (), into: usize, _: &mut Payload, from: usize, _: &Payload) {
     // SAFETY: as in `view_exec`; the join gives `into` both views.
     unsafe {
         (*(data as *const ViewHarness<'_>))
@@ -929,9 +937,10 @@ unsafe fn view_combine(data: *const (), into: usize, from: usize) {
 }
 
 /// Two consecutive merged reductions on a two-participant team, on the real
-/// team-owned blocks and the real skeleton: the hazard new with team-owned views is
-/// loop 2's `put` into the worker's block against loop 1's read of it by the master
-/// (the join parent), which only the master's next release orders.
+/// team-owned blocks and the real skeleton — the path a `T` wider than a payload (and
+/// the ordered reduction) takes: the hazard with team-owned views is loop 2's `put`
+/// into the worker's block against loop 1's read of it by the master (the join
+/// parent), which only the master's next release orders.
 fn two_reductions_on_team_views(
     builder: model::Builder,
     arrive_in_job: bool,
@@ -991,6 +1000,140 @@ fn mutation_put_after_arrival_is_caught_and_replays() {
         "violation carries a replayable schedule"
     );
     let replayed = two_reductions_on_team_views(model::Builder::new().replay(&v.schedule), true)
+        .expect_err("pinned schedule reproduces the race");
+    assert_eq!(replayed.kind, model::ViolationKind::DataRace);
+}
+
+// ---------------------------------------------------------------------------
+// The payload join: each accumulator travels up in its owner's arrival line.
+// ---------------------------------------------------------------------------
+
+/// A reduction harness carried by value: participant `id` contributes `input + id`.
+#[derive(Clone, Copy)]
+struct SumHarness {
+    input: u64,
+}
+
+unsafe fn sum_exec(data: *const (), id: usize, acc: &mut Payload) {
+    // SAFETY: the job carries a `SumHarness`; `data` points at this participant's copy.
+    let h = unsafe { &*(data as *const SumHarness) };
+    // SAFETY: a `u64` fits a payload.
+    unsafe { put_payload(acc, h.input + id as u64) };
+}
+
+unsafe fn sum_combine(_: *const (), _: usize, acc: &mut Payload, _: usize, child: &Payload) {
+    // SAFETY: `acc` holds the parent's `u64` and `child` the one its child arrived
+    // with (read from the child's arrival line, which the checker observes).
+    unsafe { put_payload(acc, take_payload::<u64>(acc) + take_payload::<u64>(child)) };
+}
+
+/// Two consecutive merged reductions on a 3-participant team over `sync`, then the
+/// detach cycle.  Each worker arrives with its accumulator in its arrival line and the
+/// master folds it from there: the hazards are the master's read of a child's payload
+/// against the child's write of it (ordered only by the arrival's epoch store), and
+/// loop 2's write of that payload against loop 1's read (ordered only by the master's
+/// next release).  A wrong sum is a stale or torn payload.
+fn two_reductions_in_arrival_lines<S: TeamSync>(sync: S) {
+    let core = Arc::new(TeamCore::new(
+        "payload join".to_string(),
+        sync,
+        WaitPolicy::dedicated(),
+    ));
+    let workers: Vec<_> = (1..3)
+        .map(|id| {
+            let core = Arc::clone(&core);
+            thread::spawn(move || core.worker_body(id))
+        })
+        .collect();
+    for input in [10u64, 20] {
+        // SAFETY: the harness holds no reference; the entry points match its type; both
+        // workers are inside `worker_body`.
+        let acc =
+            unsafe { core.cycle(Job::new(SumHarness { input }, sum_exec, Some(sum_combine))) };
+        // SAFETY: the master's `sum_exec` put a `u64`, and every fold left one.
+        let sum = unsafe { take_payload::<u64>(&acc) };
+        assert_eq!(sum, 3 * input + 3, "loop with input {input}");
+    }
+    core.detach_workers();
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+#[test]
+fn consecutive_reductions_in_arrival_lines_are_race_free() {
+    let report = model::Builder::new()
+        .preemption_bound(Some(2))
+        .check(|| two_reductions_in_arrival_lines(HalfBarrier::new_centralized(3)));
+    assert!(report.complete, "exploration must be exhaustive");
+    // The tree of `socket_composed_model`: worker 1 arrives on its member line, worker
+    // 2 — the remote socket's root — on its socket's rendezvous line.
+    socket_composed_model(|topology| {
+        two_reductions_in_arrival_lines(HalfBarrier::new_hierarchical(topology, 3))
+    });
+}
+
+/// The centralized half-barrier with one seeded mutation: a worker of a merged
+/// reduction stores its arrival epoch *before* its payload — it signals the bare epoch,
+/// then arrives again through the shipped path, which writes the payload and stores
+/// the same epoch once more.
+struct EpochBeforePayload(HalfBarrier);
+
+impl TeamSync for EpochBeforePayload {
+    fn num_threads(&self) -> usize {
+        self.0.num_threads()
+    }
+
+    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
+        self.0.master_fork(at, policy, job);
+    }
+
+    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
+        self.0.worker_fork(id, at, policy)
+    }
+
+    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
+    where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        self.0.master_join(at, policy, acc, f);
+    }
+
+    fn worker_join<F>(
+        &self,
+        id: usize,
+        at: &mut Epoch,
+        policy: &WaitPolicy,
+        acc: Option<&mut Payload>,
+        f: F,
+    ) where
+        F: FnMut(&mut Payload, usize, &Payload),
+    {
+        if acc.is_some() {
+            self.0.arrive(id, *at, policy, None, |_, _, _| {});
+        }
+        self.0.worker_join(id, at, policy, acc, f);
+    }
+}
+
+fn epoch_before_payload(builder: model::Builder) -> Result<model::Report, model::Violation> {
+    builder.preemption_bound(Some(2)).try_check(|| {
+        two_reductions_in_arrival_lines(EpochBeforePayload(HalfBarrier::new_centralized(3)))
+    })
+}
+
+/// The seeded mutation: the master can see the epoch and read the payload while the
+/// worker is still writing it, and the reported schedule replays to the same race.
+#[test]
+fn mutation_epoch_before_payload_is_caught_and_replays() {
+    let v =
+        epoch_before_payload(model::Builder::new()).expect_err("checker must catch the mutation");
+    assert_eq!(v.kind, model::ViolationKind::DataRace);
+    assert!(
+        !v.schedule.is_empty(),
+        "violation carries a replayable schedule"
+    );
+    let replayed = epoch_before_payload(model::Builder::new().replay(&v.schedule))
         .expect_err("pinned schedule reproduces the race");
     assert_eq!(replayed.kind, model::ViolationKind::DataRace);
 }

@@ -398,7 +398,7 @@ mod enabled {
 /// "zero atomics on the hot path" contract of the overhead guard.
 #[cfg(not(feature = "trace"))]
 mod disabled {
-    use parlo_core::{FineGrainPool, LoopRuntime, Loops};
+    use parlo_core::{FineGrainPool, Loops};
 
     #[test]
     // The point of the test is that COMPILED is the constant `false` here.
@@ -421,10 +421,10 @@ mod disabled {
     #[test]
     fn pools_run_identically_without_the_layer() {
         let mut pool = FineGrainPool::with_threads(3);
-        let before = pool.sync_stats();
+        let before = Loops::sync_stats(&pool);
         let sum = pool.reduce(0..1000, || 0u64, |a, i| a + i as u64, |a, b| a + b);
         assert_eq!(sum, 499_500);
-        let delta = pool.sync_stats().since(&before);
+        let delta = Loops::sync_stats(&pool).since(&before);
         assert_eq!(delta.loops, 1);
         assert_eq!(parlo_trace::snapshot().total_events(), 0);
     }
