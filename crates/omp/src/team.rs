@@ -291,7 +291,7 @@ impl Loops for ScheduledTeam {
         let team = &self.team;
         let work = Worksharing::new(team, range, self.schedule);
         // SAFETY: as in `for_blocks`.  The job carries a combine, so the sync shape
-        // adds the reduction barrier whose join phase merges the views: six phases.
+        // adds the reduction barrier whose join phase merges the accumulators: six phases.
         unsafe { deal_reduce(&team.team, &team.stats, 6, &work, identity, fold, combine) }
     }
 }

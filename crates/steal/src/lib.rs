@@ -31,9 +31,8 @@
 //!   the rest of the roster structural, not incidental.  A stealing reduction is the
 //!   fine-grain pool's merged reduction ([`parlo_core::deal_reduce`]) with the deque
 //!   sweep as the dealer: each participant folds every piece it runs — its own run,
-//!   stolen chunks, lent halves — into one accumulator seeded with the identity, puts
-//!   it into its view once before it arrives, and the views are combined pairwise in
-//!   the join phase.
+//!   stolen chunks, lent halves — into one accumulator seeded with the identity and
+//!   arrives with it, and the accumulators are combined pairwise in the join phase.
 //!
 //! Stealing is **locality-aware**: sweeps walk the topology's victim tiers
 //! socket-local-first (a seeded rotation within each tier, falling outward only when

@@ -18,8 +18,8 @@
 //!    taking one piece per hit thief-FIFO from the *back* of another worker's run,
 //!    until a full sweep observes only empty deques;
 //! 4. every participant then performs the **join phase** of the same half-barrier —
-//!    a reduction first puts the one accumulator it threaded through every piece it
-//!    ran into its view, and the views fold pairwise on the way up; completion costs
+//!    a reduction arrives with the one accumulator it threaded through every piece it
+//!    ran, and the accumulators fold pairwise on the way up; completion costs
 //!    exactly the 2 barrier phases of the fine-grain pool, so the burden comparison
 //!    with the other runtimes stays apples-to-apples.
 //!
@@ -761,8 +761,8 @@ impl StealPool {
     /// The reduction behind [`StealPool::steal_reduce_at`] and [`Loops::reduce_blocks`](parlo_core::Loops::reduce_blocks):
     /// `parlo-core`'s merged reduction over the loop's descriptor.  Every participant
     /// folds the pieces it runs (own and stolen) into one accumulator seeded with
-    /// `init()` and puts it into its view once, before it arrives; the views are merged
-    /// pairwise inside the join phase — exactly `P − 1` combines, like the fine-grain
+    /// `init()` and arrives with it; the accumulators are merged pairwise inside the
+    /// join phase — exactly `P − 1` combines, like the fine-grain
     /// pool's merged reduction.  `init` must produce the neutral element of `comb`,
     /// which must be associative and commutative.
     pub(crate) fn reduce_loop<T, Init, Fold, Comb>(
