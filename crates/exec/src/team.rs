@@ -1148,11 +1148,8 @@ mod tests {
         }
         job.fold_into(0)(job.accumulator(&mut acc).unwrap(), 1, &child);
         // SAFETY: the fold left a `usize` in `acc`.
-        assert_eq!(
-            unsafe { take_payload::<usize>(&acc) },
-            3,
-            "child 1 folded into 0"
-        );
+        let folded = unsafe { take_payload::<usize>(&acc) };
+        assert_eq!(folded, 3, "child 1 folded into 0");
     }
 
     #[test]

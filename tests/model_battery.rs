@@ -1046,10 +1046,10 @@ fn two_reductions_in_arrival_lines<S: TeamSync>(sync: S) {
         })
         .collect();
     for input in [10u64, 20] {
-        // SAFETY: the harness holds no reference; the entry points match its type; both
-        // workers are inside `worker_body`.
-        let acc =
-            unsafe { core.cycle(Job::new(SumHarness { input }, sum_exec, Some(sum_combine))) };
+        // SAFETY: the harness holds no reference; the entry points match its type.
+        let job = unsafe { Job::new(SumHarness { input }, sum_exec, Some(sum_combine)) };
+        // SAFETY: both workers are inside `worker_body`.
+        let acc = unsafe { core.cycle(job) };
         // SAFETY: the master's `sum_exec` put a `u64`, and every fold left one.
         let sum = unsafe { take_payload::<u64>(&acc) };
         assert_eq!(sum, 3 * input + 3, "loop with input {input}");
