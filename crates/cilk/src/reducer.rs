@@ -11,19 +11,21 @@
 //!   which "may be significantly higher" than `P − 1` and grows with the amount of
 //!   stealing.
 //! * **Fine-grain reducers** (`reduce` on a [`crate::CilkFineGrain`]): the paper's optimised
-//!   implementation — one statically allocated view per participant (the team's padded
-//!   view blocks, allocated when the pool is built and reused by every reduction),
-//!   reduced pairwise in the join phase of the half-barrier, exactly `P − 1` reduce
-//!   operations.  This is `parlo-core`'s merged-reduction harness over the static
-//!   block ([`parlo_core::static_reduce`]) run on the pool's team.
+//!   implementation — one accumulator per participant, carried in the arrival line it
+//!   signals on and reduced pairwise in the join phase of the half-barrier, exactly
+//!   `P − 1` reduce operations and no allocation.  This is `parlo-core`'s
+//!   merged-reduction harness over the static block ([`parlo_core::static_reduce`]) run
+//!   on the pool's team.
 //!
-//! Both keep their per-worker views in the team's blocks.  A baseline view is stored as
-//! an `Option`: closing it out on a steal leaves `None` behind, not a view that would
-//! be folded twice.
+//! The baseline keeps its per-worker views in the call's harness, as Cilk++'s reducer
+//! hyperobjects keep theirs per reduction: one vector of `P` padded slots per call.  A
+//! view is stored as an `Option`: closing it out on a steal leaves `None` behind, not a
+//! view that would be folded twice.
 
 use crate::scheduler::{CilkPool, LoopDescriptor};
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use parlo_exec::ReduceViews;
+use std::cell::UnsafeCell;
 use std::ops::Range;
 
 // ----------------------------------------------------------------------------------
@@ -32,12 +34,13 @@ use std::ops::Range;
 
 /// Harness of a baseline reduction: on the master's stack, owning the identity and the
 /// fold (a `LoopRuntime` call's `move || init` and `&dyn` fold are held as they are).
-struct CilkReduceHarness<'a, T, Id, Fold> {
+struct CilkReduceHarness<T, Id, Fold> {
     identity: Id,
     fold: Fold,
-    /// The per-worker *current* views (lazily created on first fold; `None` once closed
-    /// out by a steal).
-    views: ReduceViews<'a, Option<T>>,
+    /// The per-worker *current* views, one padded slot per participant, each touched
+    /// only by its owner during the loop and moved out by the master once the loop has
+    /// drained (lazily created on first fold; `None` once closed out by a steal).
+    views: Vec<CachePadded<UnsafeCell<Option<T>>>>,
     /// Views closed out when their owner stole work; each will cost a reduce operation.
     retired: Mutex<Vec<T>>,
 }
@@ -50,14 +53,11 @@ where
 {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
-    let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
+    let h = unsafe { &*(data as *const CilkReduceHarness<T, Id, Fold>) };
     // SAFETY: `worker` is the calling worker; only it touches its current view.
-    let value = unsafe { h.views.take(worker) }
-        .flatten()
-        .unwrap_or_else(&h.identity);
-    let value = (h.fold)(value, lo..hi);
-    // SAFETY: as above.
-    unsafe { h.views.put(worker, Some(value)) };
+    let view = unsafe { &mut *h.views[worker].get() };
+    let value = view.take().unwrap_or_else(&h.identity);
+    *view = Some((h.fold)(value, lo..hi));
 }
 
 unsafe fn cilk_reduce_on_steal<T, Id, Fold>(data: *const (), worker: usize)
@@ -68,12 +68,10 @@ where
 {
     // SAFETY: the caller passes a pointer to a harness the master keeps alive
     // until the loop's join completes.
-    let h = unsafe { &*(data as *const CilkReduceHarness<'_, T, Id, Fold>) };
+    let h = unsafe { &*(data as *const CilkReduceHarness<T, Id, Fold>) };
     // SAFETY: `worker` is the calling worker; only it touches its current view.
-    if let Some(view) = unsafe { h.views.take(worker) }.flatten() {
+    if let Some(view) = unsafe { &mut *h.views[worker].get() }.take() {
         h.retired.lock().push(view);
-        // SAFETY: as above; the view just retired must not be taken again.
-        unsafe { h.views.put(worker, None) };
     }
 }
 
@@ -106,9 +104,7 @@ impl CilkPool {
         let harness = CilkReduceHarness {
             identity,
             fold,
-            // SAFETY: `&mut self` makes this thread the pool's one driver, between
-            // loops; the previous reduction's handle is gone.
-            views: unsafe { self.views() },
+            views: (0..nthreads).map(|_| CachePadded::default()).collect(),
             retired: Mutex::new(Vec::new()),
         };
         let stats = &self.work().stats;
@@ -130,8 +126,12 @@ impl CilkPool {
         // view.  Each merge is one reduce operation (this is where baseline Cilk pays
         // more than P − 1 operations when stealing occurred).
         let mut pending: Vec<T> = harness.retired.into_inner();
-        // SAFETY: the loop has completed; the master is the only remaining accessor.
-        pending.extend((0..nthreads).filter_map(|id| unsafe { harness.views.take(id) }.flatten()));
+        pending.extend(
+            harness
+                .views
+                .into_iter()
+                .filter_map(|view| view.into_inner().into_inner()),
+        );
         let mut acc = (harness.identity)();
         for v in pending {
             stats.master.reduce_ops.add(1);

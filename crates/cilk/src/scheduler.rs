@@ -28,7 +28,7 @@ use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, HalfBarrier, Payload, WaitPolicy};
 use parlo_core::PoolStats;
-use parlo_exec::{Executor, Job, ReduceViews, Team, TeamSync};
+use parlo_exec::{Executor, Job, Team, TeamSync};
 use parlo_sync::{AtomicU64, AtomicUsize, Ordering, SingleWriterCounter};
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -465,15 +465,6 @@ impl CilkPool {
                 }
             }
         });
-    }
-
-    /// The team's reduction views typed as `T`, for the next loop.
-    ///
-    /// # Safety
-    /// As for [`Team::views`]: the caller drives the pool and no loop is in flight.
-    pub(crate) unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
-        // SAFETY: forwarded contract.
-        unsafe { self.team.views() }
     }
 }
 

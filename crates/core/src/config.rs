@@ -12,8 +12,9 @@ pub enum BarrierKind {
     /// machine topology.  The paper's "fine-grain tree" configuration — the default
     /// and the fastest.
     TreeHalf,
-    /// Half-barrier over a single release word and a single arrival counter.  The
-    /// paper's "fine-grain centralized" configuration.
+    /// Half-barrier over one release line every worker spins on and one arrival line
+    /// per worker, all read by the master.  The paper's "fine-grain centralized"
+    /// configuration.
     CentralizedHalf,
     /// Two *full* tree barriers per loop (fork and join), i.e. the same pool without
     /// the half-barrier optimisation.  The paper's "fine-grain tree with full-barrier"

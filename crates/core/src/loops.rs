@@ -22,7 +22,7 @@ use crate::pool::{FineGrainPool, WorkerInfo};
 use crate::range::static_block;
 use crate::runtime::Loops;
 use crate::stats::PoolStats;
-use parlo_barrier::Payload;
+use parlo_barrier::{Payload, EMPTY_PAYLOAD};
 use parlo_exec::{walk_range, Job, Team, TeamSync};
 use std::ops::Range;
 
@@ -111,11 +111,13 @@ impl FineGrainPool {
             nthreads: self.num_threads(),
         };
         self.stats.record_loop(self.phases_per_loop());
+        let mut unused = EMPTY_PAYLOAD;
         // SAFETY: `&mut self` is the single-driver guarantee, `body` lives until `run`
         // returns, and `exec_broadcast::<&F>` reads exactly the harness type the job
         // carries.
         unsafe {
-            self.team.run(Job::new(harness, exec_broadcast::<&F>, None));
+            let job = Job::new(harness, exec_broadcast::<&F>, None);
+            self.team.run(job, &mut unused);
         }
     }
 
@@ -164,9 +166,13 @@ where
     B: Fn(Range<usize>) + Sync + Copy,
 {
     stats.record_loop(phases);
+    let mut unused = EMPTY_PAYLOAD;
     // SAFETY: the handles' referents outlive this call, and `exec_for::<D, B>` reads
     // exactly the harness type the job carries.
-    unsafe { team.run(Job::new(ForHarness { deal, body }, exec_for::<D, B>, None)) };
+    unsafe {
+        let job = Job::new(ForHarness { deal, body }, exec_for::<D, B>, None);
+        team.run(job, &mut unused);
+    }
 }
 
 /// The statically scheduled loop on `team`: [`deal_for`] over the static dealer, so each

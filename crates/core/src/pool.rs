@@ -9,15 +9,16 @@
 //!    value) — it never waits at the fork point;
 //! 2. every thread (master included) executes its statically assigned share;
 //! 3. every worker performs the **join phase** of the completion barrier, folding
-//!    reduction views pairwise on the way up the tree; the master waits for its join
-//!    children and returns — no release phase follows, nobody acknowledges the workers.
+//!    reduction accumulators pairwise on the way up the tree, each carried in the
+//!    arrival line that signals it; the master waits for its join children and
+//!    returns — no release phase follows, nobody acknowledges the workers.
 //!
 //! The tree is the socket-composed one of [`parlo_barrier::HierarchicalHalfBarrier`]
 //! (socket-local trees, one cross-socket rendezvous); [`BarrierKind::CentralizedHalf`]
-//! swaps it for one release word and one arrival counter.  Configured with
-//! [`BarrierKind::TreeFull`], the same pool runs both phases at both ends over the same
-//! tree (two full barriers per loop), which is the baseline structure of conventional
-//! runtimes and the "with full-barrier" row of Table 1.
+//! swaps it for one release line and one arrival line per worker, all read by the
+//! master.  Configured with [`BarrierKind::TreeFull`], the same pool runs both phases
+//! at both ends over the same tree (two full barriers per loop), which is the baseline
+//! structure of conventional runtimes and the "with full-barrier" row of Table 1.
 //!
 //! The lease on the worker substrate, the worker scheduling loop, the detach cycle and
 //! the single-driver guard are the shared [`parlo_exec::Team`] skeleton; this file only

@@ -16,15 +16,15 @@
 //!   padded line with a payload (`parlo_barrier`'s signal line), a participant arrives
 //!   with its folded accumulator as that payload, and its parent reads it from the line
 //!   whose `Acquire` load told it the child had arrived.  A reduction crosses cores on
-//!   no line the plain loop does not, and allocates nothing.
+//!   no line the plain loop does not.
 //!
-//! Which way an accumulator travels is decided at compile time by its type: a `T` that
-//! [`payload_fits`] — at most 15 words at an alignment of at most 8, which covers
-//! every reduction of the workspace (an `f64`, the linear regression's three sums, the
-//! histogram's and the k-means clusters' 72 bytes) — rides the payload; a wider one
-//! waits in its owner's block of the team's views ([`parlo_exec::ReduceViews`], padded
-//! blocks the team allocates once and every such reduction reuses), written before its
-//! owner arrives and folded by the parent from there.
+//! That is the one way an accumulator travels, whatever its type: `parlo_exec`'s
+//! [`put_payload`] / [`take_payload`] carry a `T` of at most 15 words at an alignment
+//! of at most 8 inline — every reduction of the workspace: an `f64`, the linear
+//! regression's three sums, the histogram's and the k-means clusters' 72 bytes — and a
+//! wider one as a `Box<T>` in the same payload.  So a reduction whose `T` fits a
+//! payload allocates nothing; a wider `T` costs one allocation per accumulator put into
+//! a payload (one per participant and one per combine), on a path no workload takes.
 //!
 //! [`deal_reduce`] is that harness, generic over the runtime's [`Deal`]er like
 //! [`deal_for`](crate::deal_for): the fine-grain pool and the Cilk-like pool's hybrid
@@ -32,21 +32,23 @@
 //! [`Loops::reduce_blocks`]), the OpenMP-like team over its worksharing (its sync
 //! shape runs the join as a third full barrier) and the stealing pool over its deque
 //! sweep.  It requires the combine operator to be commutative (and associative)
-//! because the join tree does not preserve the index order of the pieces;
-//! [`FineGrainPool::parallel_reduce_ordered`] runs the same harness with no combine
-//! attached — its accumulators always in the view blocks — and keeps non-commutative
-//! operators correct by folding the views in thread order at the master after the join
-//! phase (still `P − 1` combines, but all executed by the master).
+//! because the join tree does not preserve the index order of the pieces.
+//! [`FineGrainPool::parallel_reduce_ordered`] keeps non-commutative operators correct
+//! another way: each participant folds its static block into its own slot of a vector
+//! of `P` padded slots that the call allocates (its one allocation), and the master
+//! folds the slots in thread order after the loop's join (still `P − 1` combines, but
+//! all executed by the master).
 
 use crate::loops::{Deal, StaticBlocks};
 use crate::pool::FineGrainPool;
+use crate::range::static_block;
 use crate::runtime::Loops;
 use crate::stats::PoolStats;
-use parlo_barrier::Payload;
-use parlo_exec::{
-    fold_range, payload_fits, put_payload, take_payload, Job, ReduceViews, Team, TeamSync,
-};
+use crossbeam::utils::CachePadded;
+use parlo_barrier::{Payload, EMPTY_PAYLOAD};
+use parlo_exec::{fold_range, put_payload, take_payload, Job, Team, TeamSync};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Harness of one reduction.  It travels by value in the loop's job, so the dealer,
 /// `identity`, `fold` and `combine` are handles: references to the caller's closures,
@@ -54,57 +56,13 @@ use std::ops::Range;
 /// themselves.  `fold` is a block fold, called once per piece; a per-index reduction
 /// passes the adapter `move |acc, r| fold_range(&fold, acc, r)`, which holds its
 /// per-index handle by value.
-struct ReduceHarness<'a, D, T, Id, Fold, Comb> {
+#[derive(Clone, Copy)]
+struct ReduceHarness<'a, D, Id, Fold, Comb> {
     deal: D,
     identity: Id,
     fold: Fold,
     combine: Comb,
-    /// Where each participant's accumulator waits for its join parent.  `None`: in the
-    /// payload it arrives with, for every `T` that [`payload_fits`].  `Some`: in its
-    /// block of the team's views, written once before it arrives — a wider `T`, and the
-    /// ordered reduction, which folds every view at the master after the join.
-    views: Option<ReduceViews<'a, T>>,
     stats: &'a PoolStats,
-}
-
-impl<D: Copy, T, Id: Copy, Fold: Copy, Comb: Copy> Clone
-    for ReduceHarness<'_, D, T, Id, Fold, Comb>
-{
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<D: Copy, T, Id: Copy, Fold: Copy, Comb: Copy> Copy
-    for ReduceHarness<'_, D, T, Id, Fold, Comb>
-{
-}
-
-impl<'a, D, T, Id, Fold, Comb> ReduceHarness<'a, D, T, Id, Fold, Comb>
-where
-    D: Deal,
-    T: Send,
-    Id: Fn() -> T + Sync + Copy,
-    Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
-    Comb: Fn(T, T) -> T + Sync + Copy,
-{
-    /// Counts one reduction and one loop of `phases` phases, and runs the harness on
-    /// `team` — with the accumulators folded in the join phase when `merged` — and
-    /// returns the master's accumulator payload (every participant's folded into it if
-    /// `merged` and the accumulators travel in the payloads).
-    ///
-    /// # Safety
-    /// As for [`deal_reduce`]; `views`, if any, are `team`'s for this loop.
-    unsafe fn run<S: TeamSync>(self, team: &Team<S>, phases: u64, merged: bool) -> Payload {
-        self.stats.record_reduction();
-        self.stats.record_loop(phases);
-        let combine = merged.then_some(combine_reduce::<D, T, Id, Fold, Comb> as _);
-        // SAFETY: the handles' referents outlive `run`; the entry points read exactly
-        // this harness type; an accumulator is accessed by its owner until it arrives
-        // and by its join parent afterwards (see `combine_reduce`), or, with no combine
-        // attached, each view is written only by its owner during the loop.
-        unsafe { team.run(Job::new(self, exec_reduce::<D, T, Id, Fold, Comb>, combine)) }
-    }
 }
 
 unsafe fn exec_reduce<D, T, Id, Fold, Comb>(data: *const (), id: usize, acc: &mut Payload)
@@ -115,42 +73,31 @@ where
 {
     // SAFETY: the job carries a `ReduceHarness` of exactly these types, and `data`
     // points at this participant's copy of it.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
+    let h = unsafe { &*(data as *const ReduceHarness<'_, D, Id, Fold, Comb>) };
     let value = h.deal.deal(id, (h.identity)(), &h.fold);
-    match h.views {
-        // SAFETY: each participant writes only its own view before arriving at the join.
-        Some(views) => unsafe { views.put(id, value) },
-        // SAFETY: `views` is empty only for a `T` that fits a payload; the participant
-        // arrives with `acc`, which holds nothing yet.
-        None => unsafe { put_payload(acc, value) },
-    }
+    // SAFETY: the participant arrives with `acc`, which holds nothing yet.
+    unsafe { put_payload(acc, value) };
 }
 
 unsafe fn combine_reduce<D, T, Id, Fold, Comb>(
     data: *const (),
     into: usize,
     acc: &mut Payload,
-    from: usize,
+    _from: usize,
     child: &Payload,
 ) where
     Comb: Fn(T, T) -> T + Copy,
 {
     // SAFETY: as in `exec_reduce`.
-    let h = unsafe { &*(data as *const ReduceHarness<'_, D, T, Id, Fold, Comb>) };
+    let h = unsafe { &*(data as *const ReduceHarness<'_, D, Id, Fold, Comb>) };
     h.stats.record_combine(into);
-    match h.views {
-        // SAFETY: the join phase guarantees `from` has arrived (its view is final and
-        // its owner no longer touches it) and that only the parent accesses both views
-        // here.
-        Some(views) => unsafe { views.combine(into, from, h.combine) },
-        // SAFETY: `acc` holds `into`'s accumulator and `child` the one `from` arrived
-        // with, each put by `exec_reduce` or an earlier fold and read exactly once: the
-        // child's is moved out of its arrival line, which its owner does not touch
-        // again before the next loop.
-        None => unsafe {
-            let folded = (h.combine)(take_payload::<T>(acc), take_payload::<T>(child));
-            put_payload(acc, folded);
-        },
+    // SAFETY: `acc` holds `into`'s accumulator and `child` the one `from` arrived with,
+    // each put by `exec_reduce` or an earlier fold and read exactly once: the child's
+    // is moved out of its arrival line, which its owner does not touch again before
+    // the next loop.
+    unsafe {
+        let folded = (h.combine)(take_payload::<T>(acc), take_payload::<T>(child));
+        put_payload(acc, folded);
     }
 }
 
@@ -160,7 +107,8 @@ impl FineGrainPool {
     /// are reduced exactly as the sequential loop would.
     ///
     /// The loop itself still uses the half-barrier; the `P − 1` combines are performed
-    /// by the master after the join phase, in thread order.
+    /// by the master after the join phase, in thread order, over one padded slot per
+    /// participant that the call allocates.
     pub fn parallel_reduce_ordered<T, Id, Fold, Comb>(
         &mut self,
         range: Range<usize>,
@@ -177,32 +125,30 @@ impl FineGrainPool {
         if range.is_empty() {
             return identity();
         }
-        let (team, fold, nthreads) = (&self.team, &fold, self.num_threads());
-        let harness = ReduceHarness {
-            deal: StaticBlocks::new(range, nthreads),
-            identity: &identity,
-            fold: move |acc, r| fold_range(&fold, acc, r),
-            combine: &combine,
-            // SAFETY: `&mut self` makes this thread the pool's one driver, between
-            // loops; the previous reduction's handle is gone.
-            views: Some(unsafe { team.views() }),
-            stats: &self.stats,
-        };
-        // SAFETY: as above.
-        unsafe { harness.run(team, self.phases_per_loop(), false) };
-        let views = harness
-            .views
-            .expect("the ordered reduction keeps every view");
-        // Fold the per-thread views in thread order: thread t's block precedes thread
+        let nthreads = self.num_threads();
+        let slots: Vec<CachePadded<Mutex<Option<T>>>> =
+            (0..nthreads).map(|_| CachePadded::default()).collect();
+        self.stats.record_reduction();
+        self.broadcast(|w| {
+            let block = static_block(&range, w.num_threads, w.id);
+            let value = fold_range(&fold, identity(), block);
+            *slots[w.id]
+                .lock()
+                .expect("a slot's one writer never panics holding it") = Some(value);
+        });
+        // Fold the per-thread values in thread order: thread t's block precedes thread
         // t+1's block in iteration order, so this reproduces the sequential fold.
-        for t in 1..nthreads {
+        let mut values = slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .into_inner()
+                .expect("a slot's one writer never panics holding it")
+                .expect("every participant fills its slot")
+        });
+        let first = values.next().expect("a pool has a master");
+        values.fold(first, |acc, value| {
             self.stats.record_combine(0);
-            // SAFETY: all workers have arrived; the master is the only remaining
-            // accessor.
-            unsafe { views.combine(0, t, &combine) };
-        }
-        // SAFETY: as above.
-        unsafe { views.take(0) }.expect("master view present after the fold")
+            combine(acc, value)
+        })
     }
 
     /// Convenience wrapper: parallel sum of `f(i)` over `range` ([`Loops::reduce`]).
@@ -218,12 +164,11 @@ impl FineGrainPool {
 /// hands it into one accumulator seeded with `identity()`; join parents fold their
 /// children's accumulators into their own on the way up (`P − 1` combines, `combine`
 /// associative and commutative), so the master's holds the result when its join
-/// completes.  A `T` that [`payload_fits`] travels in the arrival payloads — each
-/// participant arrives with its folded accumulator, and its parent reads it from the
-/// line that signalled the arrival — a wider `T` in the team's view blocks.  `stats`
-/// counts the combines, the reduction and one loop of `phases` phases.  The handles
-/// travel by value in the job.  The caller returns `identity()` before this for an
-/// empty range, which runs no cycle and counts nothing.
+/// completes.  The accumulators travel in the arrival payloads — each participant
+/// arrives with its folded accumulator, and its parent reads it from the line that
+/// signalled the arrival.  `stats` counts the combines, the reduction and one loop of
+/// `phases` phases.  The handles travel by value in the job.  The caller returns
+/// `identity()` before this for an empty range, which runs no cycle and counts nothing.
 ///
 /// # Safety
 /// The caller drives `team` and no loop is in flight: no other thread runs a loop on
@@ -245,25 +190,27 @@ where
     Fold: Fn(T, Range<usize>) -> T + Sync + Copy,
     Comb: Fn(T, T) -> T + Sync + Copy,
 {
+    stats.record_reduction();
+    stats.record_loop(phases);
     let harness = ReduceHarness {
         deal,
         identity,
         fold,
         combine,
-        // SAFETY: forwarded contract; the previous reduction's handle is gone.
-        views: (!payload_fits::<T>()).then(|| unsafe { team.views() }),
         stats,
     };
-    // SAFETY: forwarded contract.
-    let acc = unsafe { harness.run(team, phases, true) };
-    // After the master's join phase its accumulator holds the fully combined result.
-    match harness.views {
-        // SAFETY: the master's `exec_reduce` put a `T` into `acc`, and every fold left
-        // one there.
-        None => unsafe { take_payload(&acc) },
-        // SAFETY: all workers have arrived; no concurrent access remains.
-        Some(views) => unsafe { views.take(0) }.expect("master view present after the join"),
+    let mut acc = EMPTY_PAYLOAD;
+    // SAFETY: the caller drives `team`; the handles' referents outlive `run`; the entry
+    // points read exactly this harness type; an accumulator is accessed by its owner
+    // until it arrives and by its join parent afterwards (see `combine_reduce`).
+    unsafe {
+        let exec = exec_reduce::<D, T, Id, Fold, Comb>;
+        let job = Job::new(harness, exec, Some(combine_reduce::<D, T, Id, Fold, Comb>));
+        team.run(job, &mut acc);
     }
+    // SAFETY: the master's `exec_reduce` put a `T` into `acc`, and every fold left one
+    // there: after its join it holds the fully combined result.
+    unsafe { take_payload(&acc) }
 }
 
 /// The merged reduction over the static block: [`deal_reduce`] over the static dealer,

@@ -72,7 +72,7 @@ mod team;
 
 pub use team::{
     fold_range, payload_fits, put_payload, take_payload, walk_range, Combine, Execute,
-    ExtraReductionBarrier, Job, ReduceViews, Team, TeamCore, TeamSync,
+    ExtraReductionBarrier, Job, Team, TeamCore, TeamSync,
 };
 
 use parlo_affinity::{PinPolicy, PlacementConfig, Topology};

@@ -9,9 +9,8 @@
 //!   by-value copy of its harness, exactly one release payload long, carried to every
 //!   worker in the release line that releases it;
 //! * [`put_payload`] / [`take_payload`] — a merged reduction's accumulator in the
-//!   payload its owner arrives with, for every `T` that [`payload_fits`];
-//! * [`ReduceViews`] — a loop's handle on the team's per-participant reduction-view
-//!   blocks, where a wider accumulator (and the ordered reduction's) waits instead;
+//!   payload its owner arrives with: inline for every `T` that [`payload_fits`], as a
+//!   `Box<T>` for a wider one;
 //! * [`walk_range`] / [`fold_range`] — the per-index adapters: how a per-index body
 //!   walks one contiguous piece of a share, calling the body or folding into an
 //!   accumulator (see below);
@@ -22,8 +21,8 @@
 //!   [`ExtraReductionBarrier`] (the OpenMP-like structure: a third full barrier on
 //!   reduction loops);
 //! * [`TeamCore`] — the protocol state (detach flag, master and per-worker epochs, the
-//!   single-driver guard, the view blocks) with the one loop cycle, the one detach
-//!   cycle and the one worker scheduling loop;
+//!   single-driver guard) with the one loop cycle, the one detach cycle and the one
+//!   worker scheduling loop;
 //! * [`Team`] — a `TeamCore` plus its [`Lease`] on the substrate: the one place a
 //!   runtime registers with an [`Executor`], pins its master and (re-)attaches its
 //!   workers.
@@ -82,9 +81,9 @@
 //!
 //! **The master** hands its job to the sync shape, which writes it into the release
 //! lines as it releases.  It writes no line a worker owns before the release, and its
-//! own per-loop state (epoch cursor, in-flight claim, view stamp) sits on a line of its
-//! own, away from the detach flag, sync shape and wait policy every worker reads each
-//! loop.  Instrumentation takes no locked read-modify-write: what the master alone
+//! own per-loop state (epoch cursor, in-flight claim) sits on a line of its own, away
+//! from the detach flag, sync shape and wait policy every worker reads each loop.
+//! Instrumentation takes no locked read-modify-write: what the master alone
 //! counts (loops, reductions, phases, barrier cycles) is a relaxed load and store,
 //! exact across a change of driving thread because [`TeamCore`]'s claim is an
 //! acquire/release pair; what several participants count per loop (arrivals, combines)
@@ -105,15 +104,14 @@
 //! each join child's accumulator into it as soon as that child's arrival is seen — read
 //! from the arrival line whose `Acquire` load saw the epoch, which is the line the
 //! child just wrote — and arrives with the folded accumulator as its own payload; the
-//! master's, returned by [`TeamCore::cycle`], holds the result.  So a parent reads one
-//! line per child, the line it must read anyway to learn that the child arrived.  With
-//! the accumulators in per-participant view blocks that was two dependent misses per
+//! master's is the caller's own payload, which [`TeamCore::cycle`] folds into in place,
+//! so it holds the result when the cycle returns.  So a parent reads one line per
+//! child, the line it must read anyway to learn that the child arrived.  With the
+//! accumulators in per-participant view blocks that was two dependent misses per
 //! child: the arrival flag, then the child's block.  A plain loop's participant stores
-//! its arrival epoch alone and copies nothing.  The view blocks remain for an
-//! accumulator wider than a payload and for the ordered reduction, which folds every
-//! view at the master in thread order: P padded blocks allocated at build, grown
-//! between loops only when a wider `T` arrives, written by each owner before it arrives
-//! and only *read* by its join parent.
+//! its arrival epoch alone and copies nothing.  This is the one way an accumulator
+//! travels: one wider than a payload rides it as a `Box<T>` ([`put_payload`]), one
+//! allocation per accumulator put, on a path no workload of the workspace takes.
 //!
 //! Measured with time-stamp-counter marks around a 512-iteration, grain-1
 //! `parallel_sum` on a 2-thread `FineGrainPool`, medians of ten alternating runs of
@@ -141,8 +139,7 @@ use crate::{ClientHooks, Executor, Lease};
 use crossbeam::utils::CachePadded;
 use parlo_affinity::{PinPolicy, Topology};
 use parlo_barrier::{Epoch, FullBarrier, HalfBarrier, Payload, WaitPolicy, EMPTY_PAYLOAD};
-use parlo_sync::{AtomicBool, AtomicU64, Ordering, SingleWriterCounter, UnsafeCell};
-use std::marker::PhantomData;
+use parlo_sync::{AtomicBool, AtomicU64, Ordering};
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::ops::Range;
 use std::sync::Arc;
@@ -161,9 +158,9 @@ const HARNESS_BYTES: usize = size_of::<Payload>() - 2 * size_of::<usize>();
 /// wrote besides that line before its first iteration.  A harness is `Copy` and holds
 /// the loop's parameters by value (the range as two integers, a `&dyn` body as the fat
 /// pointer itself) and references to whatever the participants share — the caller's
-/// closures, the team's view blocks, a dispenser on the master's stack.  The master
-/// does not return before the join completes, so every such referent outlives every
-/// access: the lifetime-erasure argument of scoped threads.
+/// closures, a dispenser on the master's stack.  The master does not return before the
+/// join completes, so every such referent outlives every access: the lifetime-erasure
+/// argument of scoped threads.
 #[derive(Clone, Copy)]
 #[repr(C, align(8))]
 pub struct Job {
@@ -174,7 +171,7 @@ pub struct Job {
 
 /// A job's share entry point: `execute(data, id, acc)` runs participant `id`'s share
 /// against the harness copy at `data`; a merged reduction leaves the participant's
-/// accumulator in `acc` (when it travels in the payload, see [`payload_fits`]).
+/// accumulator in `acc` (see [`put_payload`]).
 pub type Execute = unsafe fn(*const (), usize, &mut Payload);
 
 /// A job's combine entry point: `combine(data, into, acc, from, child)` folds join
@@ -294,41 +291,50 @@ impl Job {
     }
 }
 
-/// Whether a `T` accumulator travels in the join's arrival payloads: it fits one
-/// [`Payload`] (15 words) at an alignment of at most 8.  A wider `T` goes through the
-/// team's view blocks ([`ReduceViews`]).
+/// Whether a `T` accumulator travels inline in the join's arrival payloads: it fits one
+/// [`Payload`] (15 words) at an alignment of at most 8.  A wider `T` travels as a
+/// `Box<T>` in the same payload; [`put_payload`] and [`take_payload`] make that choice,
+/// so no caller of theirs names it.
 pub const fn payload_fits<T>() -> bool {
     size_of::<T>() <= size_of::<Payload>() && align_of::<T>() <= align_of::<Payload>()
 }
 
-/// Moves `value` into `payload`.
+/// Moves `value` into `payload`: inline if a `T` [`payload_fits`], otherwise boxed
+/// (one allocation, which [`take_payload`] frees).
 ///
 /// # Safety
-/// [`payload_fits::<T>()`](payload_fits); whatever `payload` held is overwritten, not
-/// dropped.
+/// Whatever `payload` held is overwritten, not dropped.
 #[inline]
 pub unsafe fn put_payload<T>(payload: &mut Payload, value: T) {
-    assert!(
-        payload_fits::<T>(),
-        "a payload holds at most 15 words at alignment 8"
-    );
-    // SAFETY: a payload is 8-aligned and holds a `T` (caller's contract).
-    unsafe { payload.as_mut_ptr().cast::<T>().write(value) };
+    let at = payload.as_mut_ptr();
+    // SAFETY: a payload is 8-aligned and 15 words long, so it holds a `T` that fits
+    // and, otherwise, a `Box<T>` (one pointer).
+    unsafe {
+        if payload_fits::<T>() {
+            at.cast::<T>().write(value);
+        } else {
+            at.cast::<Box<T>>().write(Box::new(value));
+        }
+    }
 }
 
-/// Moves the `T` that [`put_payload`] put into `payload` out of it.
+/// Moves the `T` that [`put_payload`] put into `payload` out of it (freeing its box,
+/// if it had one).
 ///
 /// # Safety
 /// `payload` holds a `T` put there by [`put_payload`] (or a byte copy of one) that was
 /// not already moved out.
 #[inline]
 pub unsafe fn take_payload<T>(payload: &Payload) -> T {
-    assert!(
-        payload_fits::<T>(),
-        "a payload holds at most 15 words at alignment 8"
-    );
-    // SAFETY: the caller's contract.
-    unsafe { payload.as_ptr().cast::<T>().read() }
+    let at = payload.as_ptr();
+    // SAFETY: the caller's contract; `put_payload` chose the same way for this `T`.
+    unsafe {
+        if payload_fits::<T>() {
+            at.cast::<T>().read()
+        } else {
+            *at.cast::<Box<T>>().read()
+        }
+    }
 }
 
 /// Calls `body(i)` for every `i` of `range`, in order: the piece walk of the adapter
@@ -351,127 +357,6 @@ pub fn fold_range<T, F: Fn(T, usize) -> T>(fold: &F, mut acc: T, range: Range<us
         acc = fold(acc, i);
     }
     acc
-}
-
-/// Bytes per line of view storage: the false-sharing granule (two 64-byte lines on
-/// x86-64, where the adjacent-line prefetcher pairs them).
-const LINE: usize = 128;
-
-/// One line of a participant's view block.
-#[derive(Clone, Copy, Debug)]
-#[repr(C, align(128))]
-struct Line([u8; LINE]);
-
-/// Participant `id`'s view block: a whole number of [`Line`]s behind a cell the model
-/// checker observes.  The first 8 bytes hold the stamp of the loop that last put a view
-/// there; the view follows at [`value_offset`].
-type ViewBlock = UnsafeCell<Box<[Line]>>;
-
-/// `lines` zeroed lines: stamp 0, which no loop carries, so the block holds no view.
-fn empty_block(lines: usize) -> Box<[Line]> {
-    vec![Line([0; LINE]); lines].into_boxed_slice()
-}
-
-/// Where a `T` view sits in its block: after the 8-byte stamp, at `T`'s alignment.
-fn value_offset<T>() -> usize {
-    std::mem::align_of::<T>().max(8)
-}
-
-/// Lines a block needs to hold the stamp and a `T` view (at least one).
-fn lines_for<T>() -> usize {
-    (value_offset::<T>() + std::mem::size_of::<T>()).div_ceil(LINE)
-}
-
-/// The reduction views of one loop, typed as `T`: a handle on the team's per-participant
-/// view blocks, obtained from [`TeamCore::views`] by the driver before the loop.  A
-/// merged reduction whose `T` [`payload_fits`] passes its accumulators in the arrival
-/// payloads instead; the blocks serve a wider `T`, a reduction that needs every view
-/// at the master after the join (the ordered one), and the Cilk-like baseline's
-/// per-worker reducer views.
-///
-/// The blocks belong to the team, not to the loop: they are allocated when the team is
-/// built, grown between loops when a larger `T` arrives, and reused by every reduction,
-/// so a reduction allocates nothing.  Each participant's block is its own set of padded
-/// lines.  A view is *present* only if it was put under this handle's stamp, so views
-/// left behind by an earlier loop — of any type — are never read.
-///
-/// Access is unsynchronized by design: the loop protocol gives every view one accessor
-/// at a time — its owner until it arrives, its join parent afterwards.  The owner
-/// writes its view before it arrives; the parent moves it out by *reading* it and never
-/// writes the child's block back, so the owner's next `put` finds its line unshared
-/// rather than modified in the parent's cache.
-pub struct ReduceViews<'a, T> {
-    blocks: &'a [ViewBlock],
-    stamp: u64,
-    _view: PhantomData<fn(T) -> T>,
-}
-
-impl<T> Clone for ReduceViews<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for ReduceViews<'_, T> {}
-
-impl<T> std::fmt::Debug for ReduceViews<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReduceViews")
-            .field("participants", &self.blocks.len())
-            .field("stamp", &self.stamp)
-            .finish()
-    }
-}
-
-impl<T> ReduceViews<'_, T> {
-    /// Stores `value` as view `id`.
-    ///
-    /// # Safety
-    /// No other thread accesses view `id` concurrently, and the loop this handle was
-    /// obtained for is the team's current loop.
-    #[inline]
-    pub unsafe fn put(&self, id: usize, value: T) {
-        // SAFETY: exclusive access to block `id` is the caller's contract, and
-        // `TeamCore::views` sized every block for a stamp and a `T` at its offset.
-        self.blocks[id].with_mut(|block| unsafe {
-            let base = (&mut *block).as_mut_ptr().cast::<u8>();
-            base.cast::<u64>().write(self.stamp);
-            base.add(value_offset::<T>()).cast::<T>().write(value);
-        });
-    }
-
-    /// Moves view `id` out, or returns `None` if it was not put under this handle.
-    /// The block is only read, never written back.
-    ///
-    /// # Safety
-    /// As for [`ReduceViews::put`], and view `id` was not already moved out since it
-    /// was last put (its block still reads as holding it).
-    #[inline]
-    pub unsafe fn take(&self, id: usize) -> Option<T> {
-        // SAFETY: as in `put`; the stamp is always initialized (zeroed at allocation,
-        // only ever written as a `u64`), and a matching stamp means a `T` was written
-        // at the value offset under this handle and not yet moved out.
-        self.blocks[id].with(|block| unsafe {
-            let base = (&*block).as_ptr().cast::<u8>();
-            (base.cast::<u64>().read() == self.stamp)
-                .then(|| base.add(value_offset::<T>()).cast::<T>().read())
-        })
-    }
-
-    /// Folds view `from` into view `into` with `f` (both must be present); `from`
-    /// counts as moved out afterwards.
-    ///
-    /// # Safety
-    /// As for [`ReduceViews::take`], for both views.
-    #[inline]
-    pub unsafe fn combine(&self, into: usize, from: usize, f: impl FnOnce(T, T) -> T) {
-        // SAFETY: exclusivity over both views is the caller's contract.
-        unsafe {
-            let a = self.take(into).expect("into-view present at combine");
-            let b = self.take(from).expect("from-view present at combine");
-            self.put(into, f(a, b));
-        }
-    }
 }
 
 /// The synchronization shape of a team: what happens at the fork point and at the
@@ -559,7 +444,7 @@ impl TeamSync for HalfBarrier {
 }
 
 /// The conventional shape: a full fork barrier and a full join barrier (which folds
-/// reduction views in its join phase) — two episodes per loop.  The fork episode's
+/// reduction accumulators in its join phase) — two episodes per loop.  The fork episode's
 /// release carries the job; the join episode's carries nothing.
 impl TeamSync for FullBarrier {
     fn num_threads(&self) -> usize {
@@ -673,9 +558,6 @@ pub struct TeamCore<S> {
     detach: AtomicBool,
     /// Where each worker's cursor resumes after a detach/re-attach cycle.
     worker_epochs: Vec<CachePadded<AtomicU64>>,
-    /// One reduction-view block per participant (see [`ReduceViews`]); each block is
-    /// written only by its participant and read by its join parent.
-    views: Box<[ViewBlock]>,
     /// What only the driver touches per loop, on a line of its own: the fields above
     /// are read by every worker every loop and must not miss on the driver's stores.
     master: CachePadded<MasterState>,
@@ -692,20 +574,16 @@ struct MasterState {
     /// deterministically on whichever side comes second instead of corrupting the
     /// hand-off.  One atomic RMW per loop.
     in_loop: AtomicBool,
-    /// Stamp of the last [`TeamCore::views`] handle; each handle gets a fresh one.
-    view_stamp: SingleWriterCounter,
 }
 
 impl<S: TeamSync> TeamCore<S> {
-    /// Fresh protocol state over `sync`: all epochs zero, nobody attached, one empty
-    /// one-line view block per participant.
+    /// Fresh protocol state over `sync`: all epochs zero, nobody attached.
     pub fn new(name: String, sync: S, policy: WaitPolicy) -> Self {
         let n = sync.num_threads();
         TeamCore {
             worker_epochs: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            views: (0..n).map(|_| UnsafeCell::new(empty_block(1))).collect(),
             name,
             sync,
             policy,
@@ -733,58 +611,25 @@ impl<S: TeamSync> TeamCore<S> {
         self.master.in_loop.store(false, Ordering::Release);
     }
 
-    /// The team's view blocks typed as `T`, for the next loop's reduction: grows
-    /// every block first if a `T` does not fit (the only allocation views ever make),
-    /// then hands out a fresh stamp, so no view of an earlier loop reads as present.
-    ///
-    /// # Safety
-    /// Only the team's driver calls this, between loops: no cycle is in flight, and a
-    /// handle from an earlier call is not used once this one is taken.
-    pub unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
-        const {
-            assert!(
-                std::mem::align_of::<T>() <= LINE,
-                "reduction views are aligned to at most one 128-byte line"
-            )
-        };
-        let lines = lines_for::<T>();
-        // SAFETY: no loop is in flight (caller's contract), so no participant touches
-        // any block; the next loop's release publishes the new blocks to the workers.
-        if self.views[0].with(|block| unsafe { (&*block).len() }) < lines {
-            for block in &self.views[..] {
-                // SAFETY: as above.
-                block.with_mut(|block| unsafe { *block = empty_block(lines) });
-            }
-        }
-        self.master.view_stamp.add(1);
-        ReduceViews {
-            blocks: &self.views,
-            stamp: self.master.view_stamp.get(),
-            _view: PhantomData,
-        }
-    }
-
     /// One fork → execute → join cycle of `job`, the calling thread acting as master:
-    /// the fork's release carries the job to every worker.  Returns the master's
-    /// accumulator: after a merged reduction whose accumulator travels in the payload,
-    /// every participant's folded into it.
+    /// the fork's release carries the job to every worker.  The master's share runs
+    /// into `acc`, the caller's accumulator, and after a merged reduction every
+    /// participant's is folded into it there; a plain loop leaves it as it was.
     ///
     /// # Safety
     /// The caller holds the team (no other cycle in flight), every worker
     /// `1..num_threads` is inside [`TeamCore::worker_body`], and everything the job's
     /// harness refers to stays alive until this returns.
-    pub unsafe fn cycle(&self, job: Job) -> Payload {
+    pub unsafe fn cycle(&self, job: Job, acc: &mut Payload) {
         let mut at = self.master.epoch.load(Ordering::Relaxed);
         self.sync.master_fork(&mut at, &self.policy, &job);
-        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: the master executes its share like any participant, on its own copy
         // of the harness; the harness's referents outlive this call by contract.
-        unsafe { job.run(0, &mut acc) };
+        unsafe { job.run(0, acc) };
         let fold = job.fold_into(0);
         self.sync
-            .master_join(&mut at, &self.policy, job.accumulator(&mut acc), fold);
+            .master_join(&mut at, &self.policy, job.accumulator(acc), fold);
         self.master.epoch.store(at, Ordering::Relaxed);
-        acc
     }
 
     /// The detach cycle — the hook a [`Team`] registers with the substrate: one no-op
@@ -798,10 +643,11 @@ impl<S: TeamSync> TeamCore<S> {
         self.detach.store(true, Ordering::Release);
         let next = self.master.epoch.load(Ordering::Relaxed) + 1;
         parlo_trace::span_begin(parlo_trace::Phase::DetachCycle, next, 0);
+        let mut unused = EMPTY_PAYLOAD;
         // SAFETY: the claim above excludes any loop; attached workers are in the body
         // (the substrate detaches only after the attach rendezvous); a no-op job
         // dereferences nothing.
-        unsafe { self.cycle(Job::noop()) };
+        unsafe { self.cycle(Job::noop(), &mut unused) };
         parlo_trace::span_end(parlo_trace::Phase::DetachCycle);
         self.unclaim();
     }
@@ -906,25 +752,17 @@ impl<S: TeamSync> Team<S> {
         out
     }
 
-    /// Runs one job on all participants of the team, and returns the master's
-    /// accumulator (see [`TeamCore::cycle`]).
+    /// Runs one job on all participants of the team, the master's share into `acc`,
+    /// which holds the folded result of a merged reduction when this returns (see
+    /// [`TeamCore::cycle`]).
     ///
     /// # Safety
     /// Everything the job's harness refers to must stay alive until this call returns
     /// (see [`Job::new`]).
-    pub unsafe fn run(&self, job: Job) -> Payload {
+    pub unsafe fn run(&self, job: Job, acc: &mut Payload) {
         // SAFETY: `drive` holds the team and has every worker attached; harness
         // lifetime is the caller's contract.
-        self.drive(|| unsafe { self.core.cycle(job) })
-    }
-
-    /// The team's reduction views typed as `T` (see [`TeamCore::views`]).
-    ///
-    /// # Safety
-    /// As for [`TeamCore::views`]: the caller drives the team and no loop is in flight.
-    pub unsafe fn views<T>(&self) -> ReduceViews<'_, T> {
-        // SAFETY: forwarded contract.
-        unsafe { self.core.views() }
+        self.drive(|| unsafe { self.core.cycle(job, acc) })
     }
 
     /// Participants (master included).
@@ -991,8 +829,9 @@ mod tests {
     /// One loop on `team`; a reduction loop returns the folded `id + 1` sum.
     fn run_loop<S: TeamSync>(team: &Team<S>, reduce: bool) -> Option<usize> {
         let h = Harness::new(&team.core);
+        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: `h` outlives `run`; `exec`/`comb` match the job's harness type.
-        let acc = unsafe { team.run(Job::new(&h, exec, reduce.then_some(comb as _))) };
+        unsafe { team.run(Job::new(&h, exec, reduce.then_some(comb as _)), &mut acc) };
         assert!(
             h.hits.iter().all(|c| c.load(Ordering::Relaxed) == 1),
             "every participant runs every loop exactly once"
@@ -1187,50 +1026,22 @@ mod tests {
     }
 
     #[test]
-    fn views_are_per_loop_and_blocks_grow_for_a_larger_type() {
-        let core = TeamCore::new(
-            "views".to_string(),
-            HalfBarrier::new_centralized(3),
-            WaitPolicy::default(),
-        );
-        // Where block `id` starts, and how many lines it spans.
-        let block = |id: usize| {
-            // SAFETY: this test is single-threaded and runs no cycle.
-            core.views[id].with(|b| unsafe { ((&*b).as_ptr() as usize, (&*b).len()) })
-        };
+    fn an_accumulator_wider_than_a_payload_travels_boxed() {
+        /// Over-aligned as well as wide: the box, not the payload, must honour it.
         #[repr(align(64))]
         #[derive(Debug, PartialEq)]
-        struct Aligned(u8);
-        // SAFETY: one thread, no cycle ever runs, and each handle is used only until
-        // the next `views` call.
+        struct Wide([u64; 16]);
+        assert!(payload_fits::<[u64; 15]>() && !payload_fits::<[u64; 16]>());
+        assert!(!payload_fits::<Wide>());
+        let mut payload = EMPTY_PAYLOAD;
+        // SAFETY: each value is taken exactly once, after it was put.
         unsafe {
-            let first = core.views::<u64>();
-            first.put(1, 7);
-            assert_eq!(first.take(2), None, "nothing put under this stamp");
-            let before: Vec<_> = (0..3).map(block).collect();
-            for pair in before.windows(2) {
-                assert_eq!(pair[0].0 % LINE, 0, "blocks start on a line");
-                assert!(
-                    pair[0].0.abs_diff(pair[1].0) >= LINE,
-                    "blocks share no line"
-                );
-            }
-            let second = core.views::<u64>();
-            assert_eq!(second.take(1), None, "a view of an earlier loop is absent");
-            assert_eq!(
-                before,
-                (0..3).map(block).collect::<Vec<_>>(),
-                "blocks reused"
-            );
-            // A view wider than a line grows every block; a stale stamp stays absent.
-            let wide = core.views::<[u64; 40]>();
-            assert_eq!(block(2).1, 3, "8-byte stamp + 320-byte view = 3 lines");
-            assert_eq!(wide.take(1), None);
-            wide.put(2, [9; 40]);
-            assert_eq!(wide.take(2), Some([9; 40]));
-            let aligned = core.views::<Aligned>();
-            aligned.put(0, Aligned(5));
-            assert_eq!(aligned.take(0), Some(Aligned(5)));
+            put_payload(&mut payload, [7u64; 15]);
+            assert_eq!(take_payload::<[u64; 15]>(&payload), [7; 15]);
+            put_payload(&mut payload, Wide([9; 16]));
+            // A byte copy of the payload carries the box, as an arrival line does.
+            let copy = payload;
+            assert_eq!(take_payload::<Wide>(&copy), Wide([9; 16]));
         }
     }
 }

@@ -600,10 +600,20 @@ fn share_walk_is_exact_on_every_runtime_and_schedule() {
 /// Live [`Counted`] accumulators.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
-/// A reduction accumulator wider than one 128-byte view line that counts its live
-/// instances, so a view leaked or dropped twice by a reduction shows in [`LIVE`].
+/// Held by every test that checks [`LIVE`]: tests run concurrently, and a count is
+/// exact only while one test at a time makes `Counted` values.
+static LIVE_CHECKED: Mutex<()> = Mutex::new(());
+
+/// The [`LIVE_CHECKED`] guard, also after another holder panicked.
+fn live_checked() -> std::sync::MutexGuard<'static, ()> {
+    LIVE_CHECKED.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A reduction accumulator wider than one arrival payload (152 bytes against 120)
+/// that counts its live instances, so an accumulator leaked or dropped twice by a
+/// reduction shows in [`LIVE`].
 struct Counted {
-    /// Widens the view past one line.
+    /// Widens the accumulator past a payload, onto the boxed path.
     sum: [u64; 16],
     items: Vec<usize>,
 }
@@ -691,6 +701,7 @@ fn reductions_neither_leak_nor_double_drop_a_view() {
             }
         }
     }
+    let _live = live_checked();
     for threads in [1, 2, 4] {
         let mut check = NoLeak { threads };
         on_every_runtime(threads, &mut check);
@@ -708,12 +719,64 @@ fn reductions_neither_leak_nor_double_drop_a_view() {
     }
 }
 
+/// The ordered reduction on every barrier kind at P = 1..=5, and at P = 4 on a
+/// synthetic 2 × 2 machine: string concatenation (associative, not commutative) and
+/// the counted accumulator each come back in exact iteration order, after exactly
+/// `P − 1` combines (none for an empty range), with no accumulator leaked or dropped
+/// twice.
+#[test]
+fn ordered_reduction_is_exact_on_every_barrier_kind() {
+    let _live = live_checked();
+    let two_sockets = Topology::synthetic(2, 2).unwrap();
+    let mut configs = Vec::new();
+    for kind in BarrierKind::ALL {
+        for threads in 1..=5 {
+            configs.push(Config::builder(threads).barrier(kind).build());
+        }
+        let synthetic = Config::builder(4)
+            .barrier(kind)
+            .topology(two_sockets.clone());
+        configs.push(synthetic.pin(PinPolicy::None).build());
+    }
+    for config in configs {
+        let mut pool = FineGrainPool::new(config);
+        let threads = pool.num_threads();
+        for range in [7..7, 3..3 + threads - 1, 0..500] {
+            let at = format!("{} @ P={threads}, {range:?}", Loops::name(&pool));
+            let combines = if range.is_empty() { 0 } else { threads - 1 };
+            let before = pool.stats();
+            let got = pool.parallel_reduce_ordered(
+                range.clone(),
+                String::new,
+                |acc, i| acc + &format!("[{i}]"),
+                |a, b| a + &b,
+            );
+            let expected: String = range.clone().map(|i| format!("[{i}]")).collect();
+            assert_eq!(got, expected, "{at}: concatenation");
+            let got = pool.parallel_reduce_ordered(
+                range.clone(),
+                Counted::new,
+                Counted::push,
+                Counted::merge,
+            );
+            assert!(got.items.iter().copied().eq(range.clone()), "{at}: order");
+            got.check(&range, &format!("{at}: counted"));
+            let delta = pool.stats().since(&before);
+            assert_eq!(
+                delta.combine_ops,
+                2 * combines as u64,
+                "{at}: P − 1 combines"
+            );
+        }
+    }
+}
+
 /// Live [`Words`] accumulators (a counter of its own: tests run concurrently).
 static LIVE_WORDS: AtomicUsize = AtomicUsize::new(0);
 
 /// A counted reduction accumulator of `N` words: at `N = 15` it is exactly one
-/// arrival payload, the widest `T` that travels in the join's arrival lines; at
-/// `N = 16` it is one word wider and takes the team's view blocks.
+/// arrival payload, the widest `T` that travels inline in the join's arrival lines; at
+/// `N = 16` it is one word wider and travels boxed in the same lines.
 struct Words<const N: usize>([u64; N]);
 
 impl<const N: usize> Words<N> {
@@ -762,8 +825,8 @@ impl<const N: usize> Drop for Words<N> {
     }
 }
 
-/// The payload boundary: a 15-word accumulator (the payload path) and a 16-word one
-/// (the view-block path) on every runtime at P = 1, 2, 4 — the fine-grain pool under
+/// The payload boundary: a 15-word accumulator (inline in the payload) and a 16-word
+/// one (boxed in the payload) on every runtime at P = 1, 2, 4 — the fine-grain pool under
 /// every barrier kind — each reducing to the exact result with `P − 1` combines and no
 /// accumulator leaked or dropped twice.
 #[test]

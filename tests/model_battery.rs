@@ -28,9 +28,7 @@ use parlo_barrier::{
     wake_parked, CentralizedJoin, CentralizedRelease, Epoch, FullBarrier, HalfBarrier, Payload,
     WaitPolicy, EMPTY_PAYLOAD,
 };
-use parlo_exec::{
-    put_payload, take_payload, ExtraReductionBarrier, Job, ReduceViews, TeamCore, TeamSync,
-};
+use parlo_exec::{put_payload, take_payload, ExtraReductionBarrier, Job, TeamCore, TeamSync};
 use parlo_serve::{completion_pair, AdmissionProbe};
 use parlo_steal::{ChunkDeque, ChunkRange, Steal};
 use parlo_sync::model;
@@ -636,9 +634,10 @@ unsafe fn team_exec(data: *const (), id: usize, _: &mut Payload) {
 fn team_loop<S: TeamSync>(core: &TeamCore<S>, h: &TeamHarness, input: u64) {
     // SAFETY: the worker of the previous cycle has joined (or not started yet).
     h.input.with_mut(|p| unsafe { *p = input });
+    let mut unused = EMPTY_PAYLOAD;
     // SAFETY: the harness outlives the cycle; `team_exec` matches its type; the
     // model thread spawned by the caller is inside `worker_body`.
-    unsafe { core.cycle(Job::new(h, team_exec, None)) };
+    unsafe { core.cycle(Job::new(h, team_exec, None), &mut unused) };
     for id in 0..2 {
         // SAFETY: the join completed, so every participant's write is published.
         let got = h.out[id].with(|p| unsafe { *p });
@@ -738,9 +737,10 @@ fn two_carried_loops<S: TeamSync>(sync: S) {
         .collect();
     for value in [11u64, 22] {
         let h = Carried { value, ran: &ran };
+        let mut unused = EMPTY_PAYLOAD;
         // SAFETY: `ran` outlives the cycle; `carried_exec` reads the harness type the
         // job carries; both workers are inside `worker_body`.
-        unsafe { core.cycle(Job::new(h, carried_exec, None)) };
+        unsafe { core.cycle(Job::new(h, carried_exec, None), &mut unused) };
         for (id, cell) in ran.iter().enumerate() {
             // SAFETY: the join completed, so every participant's write is published.
             let got = cell.with(|p| unsafe { *p });
@@ -859,181 +859,53 @@ fn mutation_payload_after_epoch_is_caught_and_replays() {
 }
 
 // ---------------------------------------------------------------------------
-// Team-owned reduction views: consecutive reductions reuse the same blocks.
-// ---------------------------------------------------------------------------
-
-/// The centralized half-barrier behind an `Arc`, so that a job can reach it too.  With
-/// `arrive_in_job` set, a worker skips the join of a reduction loop here because its
-/// job has already arrived (the mutation below); every other phase is the barrier's.
-struct SharedHalf {
-    hb: Arc<HalfBarrier>,
-    arrive_in_job: bool,
-}
-
-impl TeamSync for SharedHalf {
-    fn num_threads(&self) -> usize {
-        self.hb.num_threads()
-    }
-
-    fn master_fork(&self, at: &mut Epoch, policy: &WaitPolicy, job: &Job) {
-        self.hb.master_fork(at, policy, job);
-    }
-
-    fn worker_fork(&self, id: usize, at: &mut Epoch, policy: &WaitPolicy) -> Job {
-        self.hb.worker_fork(id, at, policy)
-    }
-
-    fn master_join<F>(&self, at: &mut Epoch, policy: &WaitPolicy, acc: Option<&mut Payload>, f: F)
-    where
-        F: FnMut(&mut Payload, usize, &Payload),
-    {
-        self.hb.master_join(at, policy, acc, f);
-    }
-
-    fn worker_join<F>(
-        &self,
-        id: usize,
-        at: &mut Epoch,
-        policy: &WaitPolicy,
-        acc: Option<&mut Payload>,
-        f: F,
-    ) where
-        F: FnMut(&mut Payload, usize, &Payload),
-    {
-        if !(acc.is_some() && self.arrive_in_job) {
-            self.hb.worker_join(id, at, policy, acc, f);
-        }
-    }
-}
-
-/// One modelled reduction on the view-block path — a `T` too wide for a payload:
-/// participant `id` contributes `input + id` through the team's view blocks.
-#[derive(Clone, Copy)]
-struct ViewHarness<'a> {
-    views: ReduceViews<'a, u64>,
-    input: u64,
-    /// The mutation: the worker arrives at this epoch of this barrier *before* it puts.
-    early_arrival: Option<(&'a HalfBarrier, Epoch)>,
-}
-
-unsafe fn view_exec(data: *const (), id: usize, _: &mut Payload) {
-    // SAFETY: the job carries a `ViewHarness`; `data` points at this participant's copy.
-    let h = unsafe { &*(data as *const ViewHarness<'_>) };
-    if let (1, Some((hb, epoch))) = (id, h.early_arrival) {
-        hb.arrive(1, epoch, &WaitPolicy::dedicated(), None, |_, _, _| {});
-    }
-    // SAFETY: participant `id` is its view's only writer, and (unmutated) it writes
-    // before it arrives; the checker verifies exactly that.
-    unsafe { h.views.put(id, h.input + id as u64) };
-}
-
-unsafe fn view_combine(data: *const (), into: usize, _: &mut Payload, from: usize, _: &Payload) {
-    // SAFETY: as in `view_exec`; the join gives `into` both views.
-    unsafe {
-        (*(data as *const ViewHarness<'_>))
-            .views
-            .combine(into, from, |a, b| a + b)
-    };
-}
-
-/// Two consecutive merged reductions on a two-participant team, on the real
-/// team-owned blocks and the real skeleton — the path a `T` wider than a payload (and
-/// the ordered reduction) takes: the hazard with team-owned views is loop 2's `put`
-/// into the worker's block against loop 1's read of it by the master (the join
-/// parent), which only the master's next release orders.
-fn two_reductions_on_team_views(
-    builder: model::Builder,
-    arrive_in_job: bool,
-) -> Result<model::Report, model::Violation> {
-    builder.preemption_bound(Some(2)).try_check(move || {
-        let hb = Arc::new(HalfBarrier::new_centralized(2));
-        let sync = SharedHalf {
-            hb: Arc::clone(&hb),
-            arrive_in_job,
-        };
-        let core = Arc::new(TeamCore::new(
-            "views".to_string(),
-            sync,
-            WaitPolicy::dedicated(),
-        ));
-        let worker = {
-            let core = Arc::clone(&core);
-            thread::spawn(move || core.worker_body(1))
-        };
-        for epoch in 1..=2u64 {
-            let h = ViewHarness {
-                // SAFETY: this thread drives the team and the previous cycle's join
-                // completed; the previous handle is no longer used.
-                views: unsafe { core.views() },
-                input: 10 * epoch,
-                early_arrival: arrive_in_job.then_some((&*hb, epoch)),
-            };
-            // SAFETY: the harness outlives the cycle; the entry points match its
-            // type; the worker thread is inside `worker_body`.
-            unsafe { core.cycle(Job::new(h, view_exec, Some(view_combine))) };
-            // SAFETY: the join completed, so the master is the views' only accessor.
-            let sum = unsafe { h.views.take(0) };
-            assert_eq!(sum, Some(2 * 10 * epoch + 1), "loop {epoch}");
-        }
-        core.detach_workers();
-        worker.join().unwrap();
-    })
-}
-
-#[test]
-fn consecutive_reductions_on_team_owned_views_are_race_free() {
-    let report = two_reductions_on_team_views(model::Builder::new(), false)
-        .expect("team-owned views are race-free");
-    assert!(report.complete, "exploration must be exhaustive");
-}
-
-/// Mutation check for the model above: a worker that puts its view *after* arriving
-/// races its join parent's read, and the checker must say so on a schedule that
-/// replays to the same race.
-#[test]
-fn mutation_put_after_arrival_is_caught_and_replays() {
-    let v = two_reductions_on_team_views(model::Builder::new(), true)
-        .expect_err("checker must catch the mutation");
-    assert_eq!(v.kind, model::ViolationKind::DataRace);
-    assert!(
-        !v.schedule.is_empty(),
-        "violation carries a replayable schedule"
-    );
-    let replayed = two_reductions_on_team_views(model::Builder::new().replay(&v.schedule), true)
-        .expect_err("pinned schedule reproduces the race");
-    assert_eq!(replayed.kind, model::ViolationKind::DataRace);
-}
-
-// ---------------------------------------------------------------------------
 // The payload join: each accumulator travels up in its owner's arrival line.
 // ---------------------------------------------------------------------------
 
-/// A reduction harness carried by value: participant `id` contributes `input + id`.
+/// A reduction harness carried by value: participant `id` contributes `input + id` to
+/// every word of an `N`-word accumulator, which travels inline at `N = 1` and boxed at
+/// `N = 16`, one word wider than a payload.
 #[derive(Clone, Copy)]
 struct SumHarness {
     input: u64,
 }
 
-unsafe fn sum_exec(data: *const (), id: usize, acc: &mut Payload) {
+/// One word wider than a payload: the accumulator travels as a box.
+const WIDE: usize = 16;
+
+unsafe fn sum_exec<const N: usize>(data: *const (), id: usize, acc: &mut Payload) {
     // SAFETY: the job carries a `SumHarness`; `data` points at this participant's copy.
     let h = unsafe { &*(data as *const SumHarness) };
-    // SAFETY: a `u64` fits a payload.
-    unsafe { put_payload(acc, h.input + id as u64) };
+    // SAFETY: `acc` holds nothing yet.
+    unsafe { put_payload(acc, [h.input + id as u64; N]) };
 }
 
-unsafe fn sum_combine(_: *const (), _: usize, acc: &mut Payload, _: usize, child: &Payload) {
-    // SAFETY: `acc` holds the parent's `u64` and `child` the one its child arrived
+unsafe fn sum_combine<const N: usize>(
+    _: *const (),
+    _: usize,
+    acc: &mut Payload,
+    _: usize,
+    child: &Payload,
+) {
+    // SAFETY: `acc` holds the parent's `[u64; N]` and `child` the one its child arrived
     // with (read from the child's arrival line, which the checker observes).
-    unsafe { put_payload(acc, take_payload::<u64>(acc) + take_payload::<u64>(child)) };
+    unsafe {
+        let mut sum = take_payload::<[u64; N]>(acc);
+        for (a, b) in sum.iter_mut().zip(take_payload::<[u64; N]>(child)) {
+            *a += b;
+        }
+        put_payload(acc, sum);
+    }
 }
 
-/// Two consecutive merged reductions on a 3-participant team over `sync`, then the
-/// detach cycle.  Each worker arrives with its accumulator in its arrival line and the
-/// master folds it from there: the hazards are the master's read of a child's payload
-/// against the child's write of it (ordered only by the arrival's epoch store), and
-/// loop 2's write of that payload against loop 1's read (ordered only by the master's
-/// next release).  A wrong sum is a stale or torn payload.
-fn two_reductions_in_arrival_lines<S: TeamSync>(sync: S) {
+/// Two consecutive merged reductions of an `N`-word accumulator on a 3-participant team
+/// over `sync`, then the detach cycle.  Each worker arrives with its accumulator in its
+/// arrival line and the master folds it from there: the hazards are the master's read
+/// of a child's payload against the child's write of it (ordered only by the arrival's
+/// epoch store), and loop 2's write of that payload against loop 1's read (ordered only
+/// by the master's next release).  A wrong sum is a stale or torn payload — at
+/// `N = WIDE`, a stale or torn box pointer.
+fn two_reductions_in_arrival_lines<const N: usize, S: TeamSync>(sync: S) {
     let core = Arc::new(TeamCore::new(
         "payload join".to_string(),
         sync,
@@ -1047,12 +919,13 @@ fn two_reductions_in_arrival_lines<S: TeamSync>(sync: S) {
         .collect();
     for input in [10u64, 20] {
         // SAFETY: the harness holds no reference; the entry points match its type.
-        let job = unsafe { Job::new(SumHarness { input }, sum_exec, Some(sum_combine)) };
+        let job = unsafe { Job::new(SumHarness { input }, sum_exec::<N>, Some(sum_combine::<N>)) };
+        let mut acc = EMPTY_PAYLOAD;
         // SAFETY: both workers are inside `worker_body`.
-        let acc = unsafe { core.cycle(job) };
-        // SAFETY: the master's `sum_exec` put a `u64`, and every fold left one.
-        let sum = unsafe { take_payload::<u64>(&acc) };
-        assert_eq!(sum, 3 * input + 3, "loop with input {input}");
+        unsafe { core.cycle(job, &mut acc) };
+        // SAFETY: the master's `sum_exec` put a `[u64; N]`, and every fold left one.
+        let sum = unsafe { take_payload::<[u64; N]>(&acc) };
+        assert_eq!(sum, [3 * input + 3; N], "loop with input {input}");
     }
     core.detach_workers();
     for w in workers {
@@ -1064,13 +937,35 @@ fn two_reductions_in_arrival_lines<S: TeamSync>(sync: S) {
 fn consecutive_reductions_in_arrival_lines_are_race_free() {
     let report = model::Builder::new()
         .preemption_bound(Some(2))
-        .check(|| two_reductions_in_arrival_lines(HalfBarrier::new_centralized(3)));
+        .check(|| two_reductions_in_arrival_lines::<1, _>(HalfBarrier::new_centralized(3)));
     assert!(report.complete, "exploration must be exhaustive");
     // The tree of `socket_composed_model`: worker 1 arrives on its member line, worker
     // 2 — the remote socket's root — on its socket's rendezvous line.
     socket_composed_model(|topology| {
-        two_reductions_in_arrival_lines(HalfBarrier::new_hierarchical(topology, 3))
+        two_reductions_in_arrival_lines::<1, _>(HalfBarrier::new_hierarchical(topology, 3))
     });
+}
+
+/// The same two reductions with an accumulator one word wider than a payload, which
+/// travels as a box in the same arrival lines: each box is put by its owner before the
+/// arrival that publishes its pointer and moved out exactly once by the join parent,
+/// so a wrong sum is a stale, torn or reused box.  The payload accesses themselves are
+/// the inline run's, explored at preemption bound 2 on both shapes above; the boxed
+/// run explores them at bound 1 (1 755 and 2 259 interleavings, about two seconds;
+/// bound 2 would be 62 034 and 102 267, one to two minutes on two cores).
+#[test]
+fn consecutive_boxed_reductions_in_arrival_lines_are_race_free() {
+    let report = model::Builder::new()
+        .preemption_bound(Some(1))
+        .check(|| two_reductions_in_arrival_lines::<WIDE, _>(HalfBarrier::new_centralized(3)));
+    assert!(report.complete, "exploration must be exhaustive");
+    let topology = parlo_affinity::Topology::synthetic(2, 2).unwrap();
+    let report = model::Builder::new()
+        .preemption_bound(Some(1))
+        .check(move || {
+            two_reductions_in_arrival_lines::<WIDE, _>(HalfBarrier::new_hierarchical(&topology, 3))
+        });
+    assert!(report.complete, "exploration must be exhaustive");
 }
 
 /// The centralized half-barrier with one seeded mutation: a worker of a merged
@@ -1118,7 +1013,7 @@ impl TeamSync for EpochBeforePayload {
 
 fn epoch_before_payload(builder: model::Builder) -> Result<model::Report, model::Violation> {
     builder.preemption_bound(Some(2)).try_check(|| {
-        two_reductions_in_arrival_lines(EpochBeforePayload(HalfBarrier::new_centralized(3)))
+        two_reductions_in_arrival_lines::<1, _>(EpochBeforePayload(HalfBarrier::new_centralized(3)))
     })
 }
 

@@ -1,17 +1,19 @@
 //! Heap allocations per loop, counted: once warm, a loop allocates nothing.
 //!
 //! A counting global allocator wraps the system allocator.  The single test below
-//! warms every covered runtime up at P ∈ {1, 2, 4} (lease activation, worker spawn,
-//! the first use of the team's reduction-view blocks), then asserts that further
-//! `parallel_for`, `parallel_for_blocks`, `parallel_sum`, `parallel_reduce` and
-//! `parallel_reduce_blocks` calls, and the generic `for_each` and `reduce` — over `f64`
-//! and over a struct of three `f64`s — make exactly zero allocations.  The OpenMP-like
-//! team is covered under `static`, `dynamic,2` and `guided,1`, whose dispensers the job
-//! reaches through its dealer.  Counted are the
-//! test's own thread and every thread that first allocates after the test starts (the
-//! pools' workers); the harness's main thread, which may still be doing its
-//! bookkeeping for the test it just spawned, is not.  It is one test function so that
-//! no sibling test allocates while it counts.
+//! warms every covered runtime up at P ∈ {1, 2, 4} (lease activation, worker spawn),
+//! then asserts that further `parallel_for`, `parallel_for_blocks`, `parallel_sum`,
+//! `parallel_reduce` and `parallel_reduce_blocks` calls, and the generic `for_each` and
+//! `reduce` — over `f64` and over a struct of three `f64`s, accumulators that travel
+//! inline in the join's arrival payloads — make exactly zero allocations.  (An
+//! accumulator wider than a payload travels boxed, the ordered reduction and the
+//! Cilk-like baseline allocate their slots per call; none of them is covered here.)
+//! The OpenMP-like team is covered under `static`, `dynamic,2` and `guided,1`, whose
+//! dispensers the job reaches through its dealer.  Counted are the test's own thread
+//! and every thread that first allocates after the test starts (the pools' workers);
+//! the harness's main thread, which may still be doing its bookkeeping for the test it
+//! just spawned, is not.  It is one test function so that no sibling test allocates
+//! while it counts.
 
 use parlo_cilk::CilkFineGrain;
 use parlo_core::{BarrierKind, Config, FineGrainPool, LoopRuntime, Loops};
